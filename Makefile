@@ -27,8 +27,8 @@ bench-codec:
 bench-pipeline:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_e18_pipeline.py
 
-# E19 hot-path ceiling: profiled loopback ops/sec by depth and wire
-# version with a time breakdown; writes BENCH_hotpath.json at the root.
+# E19 hot-path ceiling: profiled loopback ops/sec by depth with a time
+# breakdown; writes BENCH_hotpath.json at the root.
 bench-hotpath:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_e19_hotpath.py
 
@@ -97,6 +97,7 @@ lint:
 	PYTHONPATH=src $(PYTHON) tools/hotpath_smoke.py
 	PYTHONPATH=src $(PYTHON) tools/check_ring_determinism.py
 	PYTHONPATH=src $(PYTHON) tools/check_protocol_dispatch.py
+	$(PYTHON) tools/check_dead_code.py
 	PYTHONPATH=src $(PYTHON) tools/check_bench_schema.py
 
 examples:

@@ -1,11 +1,11 @@
-"""E19: profiled hot-path ceiling -- loopback ops/sec by depth and wire.
+"""E19: profiled hot-path ceiling -- loopback ops/sec by depth.
 
 E18 measured pipelining against 1 ms links, where propagation dominates
 and the wire path hides behind the RTT.  E19 removes the network: a
 :class:`LocalCluster` on loopback with no chaos proxies, so every read
 pays only the runtime itself -- encode, seal, syscall, reassemble,
 verify, decode, dispatch.  That makes it the *ceiling* benchmark for the
-wire-path work: binary codec (v2), batched HMAC sealing and zero-copy
+wire-path work: the binary codec, batched HMAC sealing and zero-copy
 framing all show up directly in ops/sec, and a cProfile pass attributes
 the remaining time to named buckets so the next optimisation target is
 data, not guesswork.
@@ -16,7 +16,7 @@ Run directly (or via ``make bench-hotpath``) to write
     PYTHONPATH=src python benchmarks/bench_e19_hotpath.py
 
 The pytest entry point is marked ``slow_bench`` and excluded from the
-tier-1 run; it asserts the acceptance floor: BSR v2 reads at depth 16 on
+tier-1 run; it asserts the acceptance floor: BSR reads at depth 16 on
 loopback reach at least 5x the E18 depth-16 throughput (the 1 ms-link
 number this benchmark exists to tower over).
 """
@@ -35,8 +35,6 @@ from repro.transport.codec2 import CachedDecoder, CachedEncoder
 
 pytestmark = pytest.mark.slow_bench
 
-WIRES = ("v1", "v2")
-
 DEPTHS = (1, 4, 16, 64)
 
 #: Reads measured per configuration (after warmup).
@@ -51,7 +49,7 @@ REPEATS = 5
 #: Unmeasured reads to settle connections and code paths.
 WARMUP = 64
 
-#: Acceptance floor: v2 depth-16 loopback ops/sec vs E18's depth-16
+#: Acceptance floor: depth-16 loopback ops/sec vs E18's depth-16
 #: ops/sec over 1 ms links (recorded in BENCH_pipeline.json).
 MIN_SPEEDUP_VS_E18 = 5.0
 
@@ -64,13 +62,13 @@ E18_REPORT = ROOT / "BENCH_pipeline.json"
 
 #: Profile bucket -> how to recognise it in the pstats table.  Python
 #: functions are charged *cumulative* time (they own their callees);
-#: C-level socket/poll primitives are charged *total* time.  The v2
+#: C-level socket/poll primitives are charged *total* time.  The
 #: encode/decode hot paths run through the cached codec's ``__call__``
 #: methods (which own their full-codec fallbacks, so one cumulative
-#: entry covers hits and misses of either wire); they are matched by
-#: line number below since both share the name ``__call__``.
+#: entry covers hits and misses); they are matched by line number
+#: below since both share the name ``__call__``.
 _CUMULATIVE_BUCKETS = {
-    "encode": ("encode_message",),
+    "encode": (),
     "seal": ("seal_frames",),
     "verify": ("open_any",),
     "decode": (),
@@ -93,10 +91,10 @@ def e18_depth16_ops_per_sec() -> float:
     return E18_DEPTH16_FALLBACK
 
 
-async def _measure(cluster, wire: str, depth: int, ops: int) -> float:
+async def _measure(cluster, depth: int, ops: int) -> float:
     """Seconds to complete ``ops`` loopback reads at ``depth``."""
     client = cluster.client(f"r{depth:03d}", timeout=30.0,
-                            max_inflight=depth, wire=wire)
+                            max_inflight=depth)
     await client.connect()
     for _ in range(WARMUP):
         await client.read()
@@ -115,16 +113,15 @@ async def _measure(cluster, wire: str, depth: int, ops: int) -> float:
     return elapsed
 
 
-async def _run_wire(wire: str, depths=DEPTHS, ops=OPS) -> list:
-    cluster = LocalCluster("bsr", f=1, wire=wire)
+async def _run_depths(depths=DEPTHS, ops=OPS) -> list:
+    cluster = LocalCluster("bsr", f=1)
     await cluster.start()
     try:
         rows = []
         for depth in depths:
-            seconds = min([await _measure(cluster, wire, depth, ops)
+            seconds = min([await _measure(cluster, depth, ops)
                            for _ in range(REPEATS)])
             rows.append({
-                "wire": wire,
                 "depth": depth,
                 "ops": ops,
                 "seconds": round(seconds, 4),
@@ -168,13 +165,13 @@ def _bucket_times(stats: pstats.Stats, wall: float) -> dict:
             for name, seconds in buckets.items()}
 
 
-async def _profiled_run(wire: str, depth: int, ops: int) -> dict:
+async def _profiled_run(depth: int, ops: int) -> dict:
     """One profiled measurement pass; returns the time breakdown."""
-    cluster = LocalCluster("bsr", f=1, wire=wire)
+    cluster = LocalCluster("bsr", f=1)
     await cluster.start()
     try:
         client = cluster.client("rprof", timeout=30.0,
-                                max_inflight=depth, wire=wire)
+                                max_inflight=depth)
         await client.connect()
         for _ in range(WARMUP):
             await client.read()
@@ -196,7 +193,6 @@ async def _profiled_run(wire: str, depth: int, ops: int) -> dict:
         stats = pstats.Stats(profile)
         breakdown = _bucket_times(stats, wall)
         return {
-            "wire": wire,
             "depth": depth,
             "ops": ops,
             "profiled_ops_per_sec": round(ops / wall, 1),
@@ -206,13 +202,9 @@ async def _profiled_run(wire: str, depth: int, ops: int) -> dict:
         await cluster.stop()
 
 
-def run_benchmark(wires=WIRES, depths=DEPTHS, ops=OPS,
-                  profile_depth: int = 16) -> dict:
-    results = []
-    for wire in wires:
-        results.extend(asyncio.run(_run_wire(wire, depths, ops)))
-    profiles = [asyncio.run(_profiled_run(wire, profile_depth, ops))
-                for wire in wires]
+def run_benchmark(depths=DEPTHS, ops=OPS, profile_depth: int = 16) -> dict:
+    results = asyncio.run(_run_depths(depths, ops))
+    profiles = [asyncio.run(_profiled_run(profile_depth, ops))]
     reference = e18_depth16_ops_per_sec()
     for row in results:
         row["speedup_vs_e18_depth16"] = round(
@@ -232,12 +224,12 @@ def write_report(report: dict) -> None:
 
 
 def format_report(report: dict) -> str:
-    header = (f"{'wire':>4} {'depth':>5} {'ops':>6} {'seconds':>8} "
+    header = (f"{'depth':>5} {'ops':>6} {'seconds':>8} "
               f"{'ops/sec':>9} {'vs E18@16':>9}")
     lines = [header, "-" * len(header)]
     for row in report["results"]:
         lines.append(
-            f"{row['wire']:>4} {row['depth']:>5} {row['ops']:>6} "
+            f"{row['depth']:>5} {row['ops']:>6} "
             f"{row['seconds']:>8.3f} {row['ops_per_sec']:>9.1f} "
             f"{row['speedup_vs_e18_depth16']:>8.2f}x"
         )
@@ -247,26 +239,18 @@ def format_report(report: dict) -> str:
         parts = " ".join(
             f"{name}={fraction:.1%}"
             for name, fraction in profiled["time_fraction"].items())
-        lines.append(f"  {profiled['wire']}: {parts}")
+        lines.append(f"  {parts}")
     return "\n".join(lines)
 
 
 def test_hotpath_depth16_beats_e18_floor():
-    """v2 loopback reads at depth 16 must reach 5x E18's depth-16 rate."""
-    report = run_benchmark(wires=("v2",), depths=(16,))
+    """Loopback reads at depth 16 must reach 5x E18's depth-16 rate."""
+    report = run_benchmark(depths=(16,))
     row = report["results"][0]
     assert row["speedup_vs_e18_depth16"] >= MIN_SPEEDUP_VS_E18, (
-        f"loopback depth-16 v2 reads only {row['speedup_vs_e18_depth16']}x "
+        f"loopback depth-16 reads only {row['speedup_vs_e18_depth16']}x "
         f"the E18 reference (need >= {MIN_SPEEDUP_VS_E18}x)"
     )
-
-
-def test_v2_not_slower_than_v1_at_depth():
-    """The binary wire must not lose to JSON on its home turf."""
-    report = run_benchmark(wires=("v1", "v2"), depths=(16,))
-    by_wire = {row["wire"]: row for row in report["results"]}
-    assert (by_wire["v2"]["ops_per_sec"]
-            >= 0.9 * by_wire["v1"]["ops_per_sec"])
 
 
 def main() -> None:
@@ -276,10 +260,8 @@ def main() -> None:
     write_report(report)
     emit(format_report(report))
     emit(f"\nwrote {OUTPUT}")
-    best = max((row for row in report["results"] if row["wire"] == "v2"
-                and row["depth"] == 16),
-               key=lambda row: row["ops_per_sec"])
-    emit(f"v2 depth-16 loopback: {best['ops_per_sec']:.1f} ops/s = "
+    [best] = [row for row in report["results"] if row["depth"] == 16]
+    emit(f"depth-16 loopback: {best['ops_per_sec']:.1f} ops/s = "
          f"{best['speedup_vs_e18_depth16']:.2f}x the E18 depth-16 "
          f"reference (target {MIN_SPEEDUP_VS_E18}x)")
 

@@ -26,7 +26,7 @@ Quickstart::
     assert read.value == b"hello"
 """
 
-from repro.core.register import ALGORITHMS, OpHandle, RegisterSystem, make_system
+from repro.core.register import OpHandle, RegisterSystem, make_system
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.errors import (
     ConfigurationError,
@@ -42,7 +42,6 @@ __all__ = [
     "RegisterSystem",
     "make_system",
     "OpHandle",
-    "ALGORITHMS",
     "Tag",
     "TaggedValue",
     "TAG_ZERO",

@@ -45,7 +45,7 @@ from repro.byzantine.scenarios import (
     theorem6_bcsr_below_bound,
 )
 from repro.consistency import check_regularity, check_safety
-from repro.core.register import ALGORITHMS, RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.metrics import format_table, summarize_trace
 from repro.sim.delays import UniformDelay
 from repro.sim.rng import SimRng
@@ -942,6 +942,7 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from repro.protocols import names, runtime_names
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Semi-fast Byzantine-tolerant shared registers "
@@ -952,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("algorithms", help="list implemented algorithms")
 
     demo = sub.add_parser("demo", help="run a tiny write/read execution")
-    demo.add_argument("--algorithm", default="bsr", choices=ALGORITHMS)
+    demo.add_argument("--algorithm", default="bsr", choices=names())
     demo.add_argument("--f", type=int, default=1)
     demo.add_argument("--seed", type=int, default=0)
 
@@ -966,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--seed", type=int, default=0)
 
     workload = sub.add_parser("workload", help="run a synthetic workload")
-    workload.add_argument("--algorithm", default="bsr", choices=ALGORITHMS)
+    workload.add_argument("--algorithm", default="bsr", choices=names())
     workload.add_argument("--f", type=int, default=1)
     workload.add_argument("--ops", type=int, default=200)
     workload.add_argument("--read-ratio", type=float, default=0.9)
@@ -979,7 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload on a live TCP cluster under a nemesis "
              "fault schedule and check safety + liveness",
     )
-    from repro.protocols import runtime_names
     chaos.add_argument("--algorithm", default="bsr",
                        choices=runtime_names())
     chaos.add_argument("--schedule", default="combo", choices=SCHEDULES)

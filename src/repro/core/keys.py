@@ -1,8 +1,7 @@
 """Key-name validation for multi-register keyspaces.
 
-Every layer that materialises per-key state on first touch (the
-:class:`~repro.core.namespace.NamespacedServer` wrapper, the sharded
-:class:`~repro.sharding.table.RegisterTable`) validates the key *before*
+The layer that materialises per-key state on first touch
+(:class:`~repro.sharding.table.RegisterTable`) validates the key *before*
 instantiating anything.  Without this, any authenticated-but-buggy (or
 Byzantine) client could exhaust a server's memory by spraying messages
 tagged with unbounded garbage names -- each one would allocate a fresh
@@ -39,11 +38,6 @@ def key_error(name: Any) -> Optional[str]:
         if ch not in _ALLOWED:
             return f"key contains disallowed character {ch!r}"
     return None
-
-
-def valid_key(name: Any) -> bool:
-    """Whether ``name`` is an acceptable register/key name."""
-    return key_error(name) is None
 
 
 def key_name(index: int) -> str:

@@ -5,10 +5,11 @@ key-value stores of Section I) need many.  Because every algorithm here is
 a pure state machine, multiplexing is a thin, protocol-agnostic wrapper:
 
 * :class:`NamespacedMessage` tags any protocol message with a register name.
-* :class:`NamespacedServer` routes each tagged message to a per-register
-  server instance (created on demand from a factory) and tags the replies.
-  A Byzantine behaviour, when present, is applied *per register server*, so
-  every strategy from :mod:`repro.byzantine.behaviors` works unchanged.
+* :class:`~repro.sharding.RegisterTable` (the server side) routes each
+  tagged message to a per-register server instance (created on demand
+  from a factory) and tags the replies.  A Byzantine behaviour, when
+  present, is applied *per register server*, so every strategy from
+  :mod:`repro.byzantine.behaviors` works unchanged.
 * :class:`NamespacedOperation` wraps a client operation so its outgoing
   messages carry the register name and incoming replies are unwrapped.
 
@@ -20,10 +21,9 @@ per-key consistency is stated for production KV stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, List
 
-from repro.core.keys import key_error
-from repro.core.messages import BaseMessage, HEADER_BYTES
+from repro.core.messages import HEADER_BYTES
 from repro.types import Envelope, ProcessId
 
 #: Name used when the caller does not pick one.
@@ -47,63 +47,6 @@ class NamespacedMessage:
         inner_size = (self.inner.wire_size()
                       if hasattr(self.inner, "wire_size") else HEADER_BYTES)
         return inner_size + len(self.register)
-
-
-class NamespacedServer:
-    """Route namespaced messages to per-register server state machines.
-
-    ``factory(register_name)`` builds a fresh server protocol the first
-    time a register name is seen.  ``behavior`` (optional) is the Byzantine
-    strategy applied to every register hosted by this server -- it sees the
-    per-register server instance, exactly as in the single-register case.
-    """
-
-    def __init__(self, server_id: ProcessId,
-                 factory: Callable[[str], Any],
-                 behavior: Optional[Any] = None) -> None:
-        self.server_id = server_id
-        self._factory = factory
-        self.behavior = behavior
-        self.registers: Dict[str, Any] = {}
-
-    def register_server(self, name: str) -> Any:
-        """The per-register server for ``name`` (created on first use)."""
-        if name not in self.registers:
-            self.registers[name] = self._factory(name)
-        return self.registers[name]
-
-    def storage_bytes(self) -> int:
-        """Total bytes stored across all hosted registers."""
-        return sum(
-            server.storage_bytes()
-            for server in self.registers.values()
-            if hasattr(server, "storage_bytes")
-        )
-
-    def handle(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        """Unwrap, route, re-wrap.  Non-namespaced messages are ignored.
-
-        The register name is validated *before* any per-register state is
-        instantiated: a tagged message carrying a non-string, oversized or
-        out-of-charset name is dropped, so garbage names cannot exhaust
-        the server's memory one fresh state machine at a time (see
-        :mod:`repro.core.keys`).
-        """
-        if not isinstance(message, NamespacedMessage):
-            return []
-        if (message.register not in self.registers
-                and key_error(message.register) is not None):
-            return []
-        inner_server = self.register_server(message.register)
-        replies = inner_server.handle(sender, message.inner)
-        if self.behavior is not None:
-            replies = self.behavior.on_message(
-                inner_server, sender, message.inner, replies
-            )
-        return [
-            (dest, NamespacedMessage(register=message.register, inner=reply))
-            for dest, reply in replies
-        ]
 
 
 class NamespacedOperation:

@@ -2,9 +2,8 @@
 
 Production storage servers restart; the paper's model treats a restarted
 server as having been "slow" (its state must survive).  This module
-serialises a server's durable state -- the history list ``L`` -- through
-the same wire codec used for messages, so a deployment can checkpoint to
-disk and recover.
+serialises a server's durable state -- the history list ``L`` -- as a
+JSON document, so a deployment can checkpoint to disk and recover.
 
 Byzantine-safety note: a snapshot is local state, not a protocol message;
 restoring a *stale* snapshot turns the server into an honestly-slow replica,
@@ -14,6 +13,7 @@ slow/faulty server).
 
 from __future__ import annotations
 
+import base64
 import json
 from typing import Any, Optional
 
@@ -21,10 +21,9 @@ from repro.baselines.abd import ABDServer
 from repro.core.bcsr import BCSRServer
 from repro.core.bsr import BSRServer
 from repro.core.regular import RegularBSRServer
-from repro.core.tags import TaggedValue
-from repro.erasure.striping import StripedCodec
+from repro.core.tags import Tag, TaggedValue
+from repro.erasure.striping import CodedElement, StripedCodec
 from repro.errors import ProtocolError
-from repro.transport import codec as wire
 
 #: Server classes persistence understands, by stable type name.
 _SERVER_TYPES = {
@@ -33,6 +32,45 @@ _SERVER_TYPES = {
     "ABDServer": ABDServer,
     "BCSRServer": BCSRServer,
 }
+
+
+def _to_json(value: Any) -> Any:
+    # The snapshot format.  JSON-native shapes pass through because a
+    # server stores whatever payload a client put.
+    if isinstance(value, TaggedValue):
+        return {"__tv__": [_to_json(value.tag), _to_json(value.value)]}
+    if isinstance(value, Tag):
+        return {"__tag__": [value.num, value.writer]}
+    if isinstance(value, (bytes, bytearray)):
+        return {"__b64__": base64.b64encode(bytes(value)).decode("ascii")}
+    if isinstance(value, CodedElement):
+        return {"__ce__": [value.index, _to_json(value.data)]}
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _to_json(item) for key, item in value.items()}
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
+    raise ProtocolError(f"cannot snapshot {type(value).__name__}: {value!r}")
+
+
+def _from_json(value: Any) -> Any:
+    if isinstance(value, list):
+        return [_from_json(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    if "__tv__" in value:
+        tag, inner = value["__tv__"]
+        return TaggedValue(_from_json(tag), _from_json(inner))
+    if "__tag__" in value:
+        num, writer = value["__tag__"]
+        return Tag(int(num), str(writer))
+    if "__b64__" in value:
+        return base64.b64decode(value["__b64__"])
+    if "__ce__" in value:
+        index, data = value["__ce__"]
+        return CodedElement(int(index), _from_json(data))
+    return {key: _from_json(item) for key, item in value.items()}
 
 
 def snapshot_server(server: Any) -> bytes:
@@ -48,7 +86,7 @@ def snapshot_server(server: Any) -> bytes:
         "type": type_name,
         "server_id": server.server_id,
         "max_history": getattr(server, "max_history", None),
-        "history": [wire._to_jsonable(pair) for pair in server.history],
+        "history": [_to_json(pair) for pair in server.history],
     }
     if isinstance(server, BCSRServer):
         payload["index"] = server.index
@@ -66,7 +104,7 @@ def restore_server(snapshot: bytes, codec: Optional[StripedCodec] = None) -> Any
     try:
         payload = json.loads(snapshot.decode())
         cls = _SERVER_TYPES[payload["type"]]
-        history = [wire._from_jsonable(pair) for pair in payload["history"]]
+        history = [_from_json(pair) for pair in payload["history"]]
     except ProtocolError:
         raise
     except Exception as exc:

@@ -23,26 +23,14 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.byzantine.behaviors import Behavior, make_behavior
 from repro.core.processes import ByzantineServerProcess, ClientProcess, ServerProcess
-from repro.core.namespace import (
-    DEFAULT_REGISTER,
-    NamespacedOperation,
-    NamespacedServer,
-)
+from repro.core.namespace import DEFAULT_REGISTER, NamespacedOperation
 from repro.errors import ConfigurationError
-from repro.protocols import OpContext, ServerContext, get_spec, names
+from repro.protocols import OpContext, ServerContext, get_spec
 from repro.sharding import KeyspaceConfig, RegisterTable
 from repro.sim.delays import DelayModel
 from repro.sim.simulator import Simulator
 from repro.sim.trace import OperationRecord, Trace
 from repro.types import ProcessId, reader_id, server_id, writer_id
-
-
-def __getattr__(name: str):
-    # Kept for callers that still import the tuple of algorithm names;
-    # computed lazily so it always reflects the live registry.
-    if name == "ALGORITHMS":
-        return names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -135,8 +123,8 @@ class RegisterSystem:
             normalized[pid] = make_behavior(value) if isinstance(value, str) else value
         self.byzantine: Dict[ProcessId, Behavior] = normalized
 
-        #: Sharded keyspace placement: implies namespacing, servers host
-        #: a bounded :class:`~repro.sharding.RegisterTable`, and every
+        #: Sharded keyspace placement: implies namespacing, bounds the
+        #: :class:`~repro.sharding.RegisterTable` servers host, and every
         #: operation is routed to its key's consistent-hash quorum group
         #: -- the *same* placement the live runtime derives from a spec,
         #: so the simulator doubles as a cheap placement testbed.
@@ -155,19 +143,12 @@ class RegisterSystem:
         self.server_protocols: Dict[ProcessId, Any] = {}
         for index, pid in enumerate(self.server_ids):
             if namespaced:
-                factory = (lambda name, pid=pid:
-                           self._make_server_protocol(pid, register=name))
-                if keyspace is not None:
-                    protocol = RegisterTable(
-                        pid, factory, behavior=self.byzantine.get(pid),
-                        max_resident=keyspace.max_resident,
-                        max_key_len=keyspace.max_key_len,
-                    )
-                else:
-                    protocol = NamespacedServer(
-                        pid, factory=factory,
-                        behavior=self.byzantine.get(pid),
-                    )
+                protocol = RegisterTable(
+                    pid, (lambda name, pid=pid:
+                          self._make_server_protocol(pid, register=name)),
+                    behavior=self.byzantine.get(pid),
+                    **(keyspace.table_bounds()
+                       if keyspace is not None else {}))
                 process = ServerProcess(pid, protocol)
             else:
                 protocol = self._make_server_protocol(pid)

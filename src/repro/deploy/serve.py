@@ -40,12 +40,8 @@ from repro.core.messages import (
 from repro.deploy.spec import ClusterSpec
 from repro.errors import ProtocolError
 from repro.transport.auth import Authenticator
-from repro.transport.codec import (
-    decode_message,
-    encode_message,
-    read_frame,
-    write_frame,
-)
+from repro.transport.codec import read_frame, write_frame
+from repro.transport.codec2 import decode_message_v2, encode_message_v2
 from repro.types import ProcessId
 
 logger = logging.getLogger(__name__)
@@ -109,12 +105,11 @@ async def _node_ping(address: Tuple[str, int], auth: Authenticator, ping,
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(*address), timeout)
     try:
-        write_frame(writer, auth.seal(probe_id, encode_message(ping)))
+        write_frame(writer, auth.seal(probe_id, encode_message_v2(ping)))
         await writer.drain()
         frame = await asyncio.wait_for(read_frame(reader), timeout)
-        # The node may reply on either wire shape (batch-sealed on v2).
         sender, payloads = auth.open_any(frame)
-        message = decode_message(payloads[0])
+        message = decode_message_v2(payloads[0])
         if not isinstance(message, expect):
             raise ProtocolError(
                 f"expected {expect.__name__} from {sender}, got "

@@ -84,10 +84,6 @@ class ClusterSpec:
     rate_burst: Optional[float] = None
     #: Per-client cap on concurrently executing operations (None = no cap).
     max_inflight: Optional[int] = None
-    #: Wire encoding nodes and clients emit: ``"v2"`` (binary, batched
-    #: HMAC) or ``"v1"`` (JSON, one MAC per frame).  Decoding always
-    #: accepts both, so mixed-version deployments interoperate.
-    wire: str = "v2"
     #: node id -> behavior name (see ``repro.byzantine.behaviors``).
     byzantine: Dict[str, str] = field(default_factory=dict)
     #: node id -> [host, port] address overrides (multi-host layouts).
@@ -142,9 +138,6 @@ class ClusterSpec:
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be at least 1, got {self.max_inflight}")
-        if self.wire not in ("v1", "v2"):
-            raise ConfigurationError(
-                f"wire must be 'v1' or 'v2', got {self.wire!r}")
         if self.keyspace:
             self.keyspace_config().validate(self.algorithm, self.f, self.n)
         if self.observability:
@@ -238,8 +231,7 @@ class ClusterSpec:
                     node_id, servers=placement.servers_for(name)),
                 behavior=make_behavior(behavior_name) if behavior_name
                 else None,
-                max_resident=config.max_resident,
-                max_key_len=config.max_key_len,
+                **config.table_bounds(),
             )
         return self._build_base_protocol(node_id)
 
@@ -290,7 +282,6 @@ class ClusterSpec:
                            else self.snapshot_path(node_id)),
             max_connections=self.max_connections,
             rate_limit=self.rate_limit, rate_burst=self.rate_burst,
-            wire=self.wire,
             flight_sample=int(self.observability.get("trace_sample", 64)),
             flight_capacity=int(
                 self.observability.get("trace_capacity", 1024)),
@@ -314,7 +305,6 @@ class ClusterSpec:
         keychain = KeyChain.from_secret(self.secret_bytes,
                                         self.node_ids + [client_id])
         client_kwargs.setdefault("max_inflight", self.max_inflight)
-        client_kwargs.setdefault("wire", self.wire)
         config = self.keyspace_config()
         if config is not None:
             client_kwargs.setdefault("placement",

@@ -53,27 +53,11 @@ from repro.obs import (
 from repro.protocols import OpContext, get_spec, runtime_names
 from repro.runtime.dispatch import BatchedConnection, OpDispatcher, OpState
 from repro.transport.auth import Authenticator
-from repro.transport.codec import (
-    FrameAssembler,
-    encode_message,
-)
+from repro.transport.codec import FrameAssembler
 from repro.transport.codec2 import CachedDecoder, CachedEncoder, peek_op_id_v2
 from repro.types import ProcessId
 
 logger = logging.getLogger(__name__)
-
-
-def __getattr__(name: str):
-    # Compatibility view: the supported-algorithm tuple is now the
-    # registry's runtime listing, resolved lazily so importing this
-    # module never forces protocol registration order.
-    if name == "CLIENT_ALGORITHMS":
-        return runtime_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-#: Supported wire encodings: ``v2`` is the binary codec with per-burst
-#: batch sealing, ``v1`` the JSON codec with one HMAC per frame.
-WIRE_VERSIONS = ("v1", "v2")
 
 #: Bytes pulled from a connection per read syscall in the reply pump.
 READ_CHUNK = 64 * 1024
@@ -125,7 +109,6 @@ class AsyncRegisterClient:
                  registry: Optional[MetricRegistry] = None,
                  trace_sink: Optional[Any] = None,
                  trace_sample: Optional[int] = None,
-                 wire: str = "v2",
                  placement: Optional[Placement] = None) -> None:
         spec = get_spec(algorithm)
         if not spec.runtime_ok:
@@ -134,16 +117,10 @@ class AsyncRegisterClient:
                 f"runtime; choose from {runtime_names()}"
             )
         self.spec = spec
-        if wire not in WIRE_VERSIONS:
-            raise ConfigurationError(
-                f"wire version {wire!r} not supported; choose from "
-                f"{WIRE_VERSIONS}"
-            )
         self.client_id = client_id
-        self.wire = wire
         # Query rounds repeat (only op_id varies); the cached encoder
         # re-emits the memoized tail instead of re-walking the fields.
-        self._encode = CachedEncoder() if wire == "v2" else encode_message
+        self._encode = CachedEncoder()
         self.addresses = dict(addresses)
         self.servers: List[ProcessId] = sorted(self.addresses)
         self.f = f
@@ -310,9 +287,8 @@ class AsyncRegisterClient:
         return True
 
     def _seal_burst(self, payloads) -> list:
-        """Seal one tick's payloads: one batch HMAC on the v2 wire."""
-        return self.auth.seal_frames(self.client_id, payloads,
-                                     batch=self.wire == "v2")
+        """Seal one tick's payloads under one batch HMAC."""
+        return self.auth.seal_frames(self.client_id, payloads)
 
     def _note_batch(self, frames: int) -> None:
         self._counters["send_batches"].inc()
@@ -546,8 +522,8 @@ class AsyncRegisterClient:
         woken exactly once -- when its ``done`` future resolves -- rather
         than once per reply through a queue.  ``state`` carries the
         owner when the pump already resolved it from the peeked op_id;
-        v1 payloads (no peek) resolve here.  Returns ``False`` for
-        replies owned by no in-flight operation.
+        payloads the peek cannot read resolve here.  Returns ``False``
+        for replies owned by no in-flight operation.
         """
         if state is None:
             state = self._dispatcher.lookup(getattr(message, "op_id", None))

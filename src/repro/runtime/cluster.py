@@ -8,7 +8,6 @@ from typing import Any, Dict, Optional, Tuple, Union
 from repro.byzantine.behaviors import Behavior, make_behavior
 from repro.chaos.faults import FaultPlan
 from repro.chaos.proxy import ChaosProxy
-from repro.core.namespace import NamespacedServer
 from repro.errors import ConfigurationError
 from repro.obs import MetricRegistry
 from repro.protocols import ServerContext, get_spec, runtime_names
@@ -55,7 +54,6 @@ class LocalCluster:
                  rate_limit: Optional[float] = None,
                  rate_burst: Optional[float] = None,
                  registry: Optional[MetricRegistry] = None,
-                 wire: str = "v2",
                  keyspace: Optional[KeyspaceConfig] = None,
                  flight_sample: int = 64,
                  flight_capacity: int = 1024) -> None:
@@ -98,10 +96,6 @@ class LocalCluster:
         self.max_connections = max_connections
         self.rate_limit = rate_limit
         self.rate_burst = rate_burst
-        #: Wire encoding every node and (by default) client of this
-        #: cluster speaks: ``"v2"`` binary or ``"v1"`` JSON.  Decoding
-        #: is always version-agnostic, so mixed clusters interoperate.
-        self.wire = wire
         #: Flight-recorder settings every node inherits (``sample=0``
         #: turns server-side trace recording off -- the bench baseline).
         self.flight_sample = flight_sample
@@ -145,27 +139,20 @@ class LocalCluster:
     def _make_node(self, pid: ProcessId, index: int,
                    auth: Authenticator) -> RegisterServerNode:
         if self.namespaced:
-            # The per-register wrapper applies the behaviour per hosted
+            # The register table applies the behaviour per hosted
             # register, so the node itself stays behaviour-free.  A
-            # keyspace upgrades the unbounded namespace wrapper to the
-            # bounded, validated register table.
-            factory = (lambda name, pid=pid:
-                       self._make_protocol(pid, register=name))
-            if self.keyspace is not None:
-                protocol = RegisterTable(
-                    pid, factory, behavior=self._behaviors.get(pid),
-                    max_resident=self.keyspace.max_resident,
-                    max_key_len=self.keyspace.max_key_len,
-                    registry=self.registry,
-                )
-            else:
-                protocol = NamespacedServer(
-                    pid, factory=factory, behavior=self._behaviors.get(pid))
+            # keyspace bounds the table; plain namespacing leaves it
+            # unbounded.
+            protocol = RegisterTable(
+                pid, lambda name: self._make_protocol(pid, register=name),
+                behavior=self._behaviors.get(pid), registry=self.registry,
+                **(self.keyspace.table_bounds()
+                   if self.keyspace is not None else {}))
             return RegisterServerNode(
                 pid, protocol, auth, host=self.host, port=0,
                 max_connections=self.max_connections,
                 rate_limit=self.rate_limit, rate_burst=self.rate_burst,
-                registry=self.registry, wire=self.wire,
+                registry=self.registry,
                 flight_sample=self.flight_sample,
                 flight_capacity=self.flight_capacity)
         snapshot_path = None
@@ -179,7 +166,7 @@ class LocalCluster:
             snapshot_path=snapshot_path,
             max_connections=self.max_connections,
             rate_limit=self.rate_limit, rate_burst=self.rate_burst,
-            registry=self.registry, wire=self.wire,
+            registry=self.registry,
             flight_sample=self.flight_sample,
             flight_capacity=self.flight_capacity,
         )
@@ -258,7 +245,6 @@ class LocalCluster:
         the cluster's shared metric registry.
         """
         client_kwargs.setdefault("registry", self.registry)
-        client_kwargs.setdefault("wire", self.wire)
         if self.keyspace is not None:
             client_kwargs.setdefault(
                 "placement", self.keyspace.placement(self.server_ids))

@@ -19,15 +19,11 @@ from repro.core.messages import (
     TraceAck,
     TraceDump,
 )
-from repro.errors import AuthenticationError, ConfigurationError, ProtocolError
+from repro.errors import AuthenticationError, ProtocolError
 from repro.obs import PHASE_BY_MESSAGE, FlightRecorder, LogGate, MetricRegistry
 from repro.runtime.limits import PerClientBuckets
 from repro.transport.auth import Authenticator
-from repro.transport.codec import (
-    FrameAssembler,
-    encode_message,
-    write_frames,
-)
+from repro.transport.codec import FrameAssembler, write_frames
 from repro.transport.codec2 import CachedDecoder, CachedEncoder
 from repro.types import ProcessId
 
@@ -120,8 +116,7 @@ class _PeerLink:
                 batch.append(self.queue.popleft())
             try:
                 write_frames(self._writer, self.node.auth.seal_frames(
-                    self.node.server_id, batch,
-                    batch=self.node.wire == "v2"))
+                    self.node.server_id, batch))
                 await self._writer.drain()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 # The peer crashed mid-flight; requeue this batch (what
@@ -212,28 +207,20 @@ class RegisterServerNode:
                  rate_limit: Optional[float] = None,
                  rate_burst: Optional[float] = None,
                  registry: Optional[MetricRegistry] = None,
-                 wire: str = "v2",
                  flight: Optional[FlightRecorder] = None,
                  flight_sample: int = 64,
                  flight_capacity: int = 1024) -> None:
-        if wire not in ("v1", "v2"):
-            raise ConfigurationError(
-                f"wire version {wire!r} not supported; choose v1 or v2")
         self.server_id = server_id
         self.protocol = protocol
         self.auth = authenticator
         self.host = host
         self.port = port
         self.behavior = behavior
-        #: Wire encoding for *replies* (inbound frames auto-detect):
-        #: ``v2`` = binary codec + per-chunk batch sealing, ``v1`` =
-        #: JSON + one HMAC per reply frame.
-        self.wire = wire
         # Replies repeat (same pair, fresh op_id); the cached encoder
         # re-emits the memoized tail instead of re-walking the fields.
         # Inbound query bursts repeat the same way, so decode is
         # memoized too (both fall back transparently on anything else).
-        self._encode = CachedEncoder() if wire == "v2" else encode_message
+        self._encode = CachedEncoder()
         self._decode = CachedDecoder()
         #: When set, the node checkpoints its state here after every
         #: mutation and restores from it on start (crash recovery).
@@ -456,12 +443,11 @@ class RegisterServerNode:
         """Serve one connection: batch-decode frames, batch-flush replies.
 
         One read syscall may deliver several consecutive frames (a
-        multiplexed client coalesces its writes into bursts), and on the
-        v2 wire one *frame* may carry a whole batch-sealed burst of
-        messages.  Every message in the chunk is processed back to back;
-        the chunk's replies go out as one batch-sealed frame (v2 -- a
-        single HMAC covers them all) or one per-reply frame burst (v1),
-        under a single write and a single ``drain()``.
+        multiplexed client coalesces its writes into bursts), and one
+        *frame* may carry a whole batch-sealed burst of messages.  Every
+        message in the chunk is processed back to back; the chunk's
+        replies go out as one batch-sealed frame (a single HMAC covers
+        them all) under a single write and a single ``drain()``.
         """
         loop = asyncio.get_running_loop()
         assembler = FrameAssembler()
@@ -500,7 +486,7 @@ class RegisterServerNode:
                 if len(replies) > 1:
                     self._counters["reply_batches"].inc()
                 write_frames(writer, self.auth.seal_frames(
-                    self.server_id, replies, batch=self.wire == "v2"))
+                    self.server_id, replies))
                 try:
                     await writer.drain()
                 except (ConnectionResetError, OSError):
@@ -712,7 +698,7 @@ class RegisterServerNode:
         if writer is not None and not writer.is_closing():
             try:
                 write_frames(writer, self.auth.seal_frames(
-                    self.server_id, [payload], batch=self.wire == "v2"))
+                    self.server_id, [payload]))
                 return
             except (ConnectionResetError, OSError):  # pragma: no cover
                 pass

@@ -18,7 +18,7 @@ Key-name validation itself lives in :mod:`repro.core.keys` (the core
 layer uses it too); it is re-exported here for convenience.
 """
 
-from repro.core.keys import MAX_KEY_LENGTH, key_error, key_name, valid_key
+from repro.core.keys import MAX_KEY_LENGTH, key_error, key_name
 from repro.sharding.ring import (
     DEFAULT_VNODES,
     HashRing,
@@ -27,19 +27,8 @@ from repro.sharding.ring import (
 )
 from repro.sharding.table import RegisterTable
 
-
-def __getattr__(name: str):
-    # GROUP_FLOORS is a lazy registry view in repro.sharding.ring;
-    # forward the laziness so importing this package never drags the
-    # protocol registry in eagerly.
-    if name == "GROUP_FLOORS":
-        from repro.sharding import ring
-        return ring.GROUP_FLOORS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "DEFAULT_VNODES",
-    "GROUP_FLOORS",
     "HashRing",
     "KeyspaceConfig",
     "MAX_KEY_LENGTH",
@@ -47,5 +36,4 @@ __all__ = [
     "RegisterTable",
     "key_error",
     "key_name",
-    "valid_key",
 ]

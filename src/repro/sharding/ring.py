@@ -41,18 +41,6 @@ from repro.errors import ConfigurationError
 from repro.types import ProcessId
 
 
-def __getattr__(name: str):
-    # Lazy compatibility view over the protocol registry (importing it
-    # eagerly here would be circular: protocols -> obs is fine, but this
-    # module is imported by the client before protocols exists).  Each
-    # group is a self-contained deployment of the per-register protocol,
-    # so the paper's bounds apply to the *group*, not the whole fleet.
-    if name == "GROUP_FLOORS":
-        from repro.protocols import specs
-        return {spec.name: spec.min_servers for spec in specs()
-                if spec.namespaced_ok}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 #: Default vnodes per physical node: enough for <2% load imbalance at
 #: tens of nodes while keeping ring construction trivially cheap.
 DEFAULT_VNODES = 64
@@ -171,6 +159,11 @@ class KeyspaceConfig:
     def placement(self, nodes: Sequence[ProcessId]) -> "Placement":
         """A cached key -> group resolver over ``nodes``."""
         return Placement(self.ring(nodes), self.group_size)
+
+    def table_bounds(self) -> Dict[str, Any]:
+        """The ``RegisterTable`` keyword bounds this keyspace sets."""
+        return {"max_resident": self.max_resident,
+                "max_key_len": self.max_key_len}
 
 
 class HashRing:

@@ -1,20 +1,17 @@
 """Lazy per-key register table: bounded-memory server state for a keyspace.
 
-The namespaced wrapper of :mod:`repro.core.namespace` materialises one
-protocol state machine per register name and keeps it forever -- fine for
-a handful of named registers, fatal for a keyspace of millions where most
-keys are cold at any instant.  :class:`RegisterTable` is the production
-replacement:
+One protocol state machine per register name, kept forever, is fine for
+a handful of named registers and fatal for a keyspace of millions where
+most keys are cold at any instant.  :class:`RegisterTable` serves both:
 
 * **Lazy**: per-key state (tag, value, history -- the protocol instance)
-  is created on first touch, from the same ``factory(name)`` contract the
-  namespaced wrapper uses.
+  is created on first touch by ``factory(name)``.
 * **Validated**: the key name is checked (:mod:`repro.core.keys`) before
   anything is allocated, so garbage names cannot exhaust memory.
 * **Bounded**: at most ``max_resident`` keys hold a live protocol
-  instance.  Beyond the cap the longest-idle key is *demoted*: its
-  durable essence (the history list, via
-  :mod:`repro.core.persistence`) is archived as a compact byte record
+  instance (``None`` = every key stays live).  Beyond the cap the
+  longest-idle key is *demoted*: its durable essence (the history list,
+  via :mod:`repro.core.persistence`) is archived as a compact byte record
   and the heavy state machine is dropped.  The next touch rehydrates it,
   so demotion is invisible to the protocol -- the rehydrated server
   re-adopts the archived tags and the per-key register stays safe
@@ -28,10 +25,9 @@ to bound the archive too.
 
 The table speaks the exact protocol surface the runtimes and the
 simulator expect from a server (``handle(sender, message) -> envelopes``)
-and the compatibility surface of the namespaced wrapper (``registers``,
-``register_server``, ``storage_bytes``), so it drops into
-:class:`~repro.runtime.node.RegisterServerNode`, the process-per-node
-deployment and the simulator unchanged.
+plus ``registers``, ``register_server`` and ``storage_bytes``, so it
+drops into :class:`~repro.runtime.node.RegisterServerNode`, the
+process-per-node deployment and the simulator unchanged.
 """
 
 from __future__ import annotations
@@ -49,10 +45,11 @@ class RegisterTable:
     """Route namespaced messages to bounded, lazily created per-key state.
 
     ``factory(key)`` builds a fresh per-key server protocol; ``behavior``
-    (optional) is applied per key, exactly as in the namespaced wrapper.
+    (optional) is the Byzantine strategy applied per key -- it sees the
+    per-key server instance, exactly as in the single-register case.
     ``max_resident`` caps live per-key state machines (``None`` =
-    unbounded, i.e. the legacy behaviour plus validation); ``max_key_len``
-    tightens the global key-length bound per deployment.
+    unbounded); ``max_key_len`` tightens the global key-length bound per
+    deployment.
 
     Metrics land in ``registry`` when one is bound (the node's shared
     registry, via :meth:`bind_registry`): ``table_keys_resident``,

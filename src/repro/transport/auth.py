@@ -10,8 +10,8 @@ third-party messages).
 
 Two envelope shapes share the wire:
 
-* **single** -- ``name_len(2) | sender | sig(32) | payload``: one MAC per
-  payload, the v1 format every release has spoken.
+* **single** -- ``name_len(2) | sender | sig(32) | payload``: one MAC
+  around one payload.
 * **batch** -- ``0xFFFF | name_len(2) | sender | sig(32) | count(4) |
   (len(4) | payload)*``: one MAC over a whole coalesced burst, with
   per-frame offsets recovered from the length prefixes.  ``0xFFFF`` is
@@ -201,7 +201,7 @@ class Authenticator:
                     batch: bool = True) -> List[bytes]:
         """Seal a burst into wire frames, batching when it pays off.
 
-        One-payload bursts (and ``batch=False``, the v1 wire mode) use
+        One-payload bursts (and every payload under ``batch=False``) use
         the single envelope; larger bursts collapse into batch envelopes
         of at most :data:`MAX_BATCH_BYTES` payload bytes each, replacing
         N HMACs with one per envelope.

@@ -1,146 +1,26 @@
-"""Message serialization and stream framing.
-
-Two payload encodings share one frame format:
-
-* **v1 (JSON)** -- every protocol message (a frozen dataclass from
-  :mod:`repro.core.messages`) round-trips through JSON:
-
-  * ``Tag`` -> ``[num, writer]``
-  * ``bytes`` -> ``{"__b64__": ...}``
-  * ``TaggedValue`` -> ``{"__tv__": [tag, value]}``
-  * ``CodedElement`` -> ``{"__ce__": [index, data]}``
-
-* **v2 (binary)** -- the compact tagged-binary codec in
-  :mod:`repro.transport.codec2`; payloads start with the magic byte
-  ``0xB2``, which no JSON document can, so :func:`decode_message`
-  auto-detects the version per payload and mixed-version peers
-  interoperate without negotiation.
+"""Stream framing: length-prefixed frames over a TCP byte stream.
 
 Frames on a TCP stream are a 4-byte big-endian length followed by the
-payload.  The frame size is capped to keep a malicious peer from forcing
-an unbounded allocation, and :class:`FrameAssembler` additionally bounds
-the bytes it will buffer for an incomplete frame.
+payload (a sealed envelope from :mod:`repro.transport.auth` around
+messages encoded by :mod:`repro.transport.codec2`).  The frame size is
+capped to keep a malicious peer from forcing an unbounded allocation,
+and :class:`FrameAssembler` additionally bounds the bytes it will buffer
+for an incomplete frame.
 """
 
 from __future__ import annotations
 
-import base64
-import dataclasses
-import json
 from struct import Struct
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro.core import messages as message_module
-from repro.core.namespace import NamespacedMessage
-from repro.core.tags import Tag, TaggedValue
-from repro.erasure.striping import CodedElement
 from repro.errors import ProtocolError
 
 #: Upper bound on a single frame (16 MiB).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: name -> message dataclass, discovered from the messages module.
-MESSAGE_TYPES: Dict[str, type] = {
-    name: obj for name, obj in vars(message_module).items()
-    if isinstance(obj, type) and dataclasses.is_dataclass(obj)
-    and issubclass(obj, message_module.BaseMessage)
-}
-MESSAGE_TYPES["NamespacedMessage"] = NamespacedMessage
-
 #: Cached frame-header packer (one C call instead of ``int.to_bytes``).
 _PACK_HEADER = Struct(">I").pack
 _UNPACK_HEADER = Struct(">I").unpack_from
-
-#: Lazily bound v2 entry points (codec2 imports this module's registry,
-#: so importing it eagerly here would be circular).
-_DECODE_V2 = None
-
-
-def _to_jsonable(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and type(value).__name__ in MESSAGE_TYPES:
-        # Nested protocol message (e.g. inside a NamespacedMessage).
-        return {"__msg__": json.loads(encode_message(value).decode())}
-    if isinstance(value, Tag):
-        return {"__tag__": [value.num, value.writer]}
-    if isinstance(value, (bytes, bytearray)):
-        return {"__b64__": base64.b64encode(bytes(value)).decode("ascii")}
-    if isinstance(value, TaggedValue):
-        return {"__tv__": [_to_jsonable(value.tag), _to_jsonable(value.value)]}
-    if isinstance(value, CodedElement):
-        return {"__ce__": [value.index, _to_jsonable(value.data)]}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _to_jsonable(item) for key, item in value.items()}
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    raise ProtocolError(f"cannot serialize {type(value).__name__}: {value!r}")
-
-
-def _from_jsonable(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "__msg__" in value:
-            return decode_message(json.dumps(value["__msg__"]).encode())
-        if "__tag__" in value:
-            num, writer = value["__tag__"]
-            return Tag(int(num), str(writer))
-        if "__b64__" in value:
-            return base64.b64decode(value["__b64__"])
-        if "__tv__" in value:
-            tag, inner = value["__tv__"]
-            return TaggedValue(_from_jsonable(tag), _from_jsonable(inner))
-        if "__ce__" in value:
-            index, data = value["__ce__"]
-            return CodedElement(int(index), _from_jsonable(data))
-        return {key: _from_jsonable(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_from_jsonable(item) for item in value]
-    return value
-
-
-def encode_message(message: Any) -> bytes:
-    """Serialize one protocol message to JSON bytes (wire v1)."""
-    cls_name = type(message).__name__
-    if cls_name not in MESSAGE_TYPES:
-        raise ProtocolError(f"{cls_name} is not a registered message type")
-    fields = {
-        f.name: _to_jsonable(getattr(message, f.name))
-        for f in dataclasses.fields(message)
-    }
-    return json.dumps({"type": cls_name, "fields": fields},
-                      separators=(",", ":")).encode()
-
-
-def decode_message(data) -> Any:
-    """Decode one payload of either wire version; raises ProtocolError.
-
-    Dispatches on the first byte: v2 payloads carry the ``0xB2`` magic,
-    everything else is treated as v1 JSON.  ``data`` may be ``bytes``
-    or a ``memoryview`` into a receive buffer (v2 decoding slices fields
-    straight out of it; the JSON path copies once).
-    """
-    if len(data) and data[0] == 0xB2:
-        global _DECODE_V2
-        if _DECODE_V2 is None:
-            from repro.transport.codec2 import decode_message_v2
-            _DECODE_V2 = decode_message_v2
-        return _DECODE_V2(data)
-    try:
-        parsed = json.loads(bytes(data).decode())
-        cls = MESSAGE_TYPES[parsed["type"]]
-        raw_fields = parsed["fields"]
-        fields = {key: _from_jsonable(value) for key, value in raw_fields.items()}
-        decoded = cls(**fields)
-    except ProtocolError:
-        raise
-    except Exception as exc:
-        raise ProtocolError(f"malformed message: {exc}") from exc
-    # Tuples flatten to lists in JSON; restore for frozen-dataclass equality.
-    for field in dataclasses.fields(decoded):
-        value = getattr(decoded, field.name)
-        if isinstance(value, list):
-            object.__setattr__(decoded, field.name, tuple(value))
-    return decoded
 
 
 async def read_frame(reader) -> bytes:

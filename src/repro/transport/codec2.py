@@ -1,16 +1,10 @@
-"""Binary wire codec (v2): compact, length-delimited, no base64.
+"""The wire codec: compact tagged binary, length-delimited, no base64.
 
-The JSON codec (:mod:`repro.transport.codec`, wire v1) pays for
-generality three times on the hot path: every ``bytes`` field inflates
-through base64, every message builds an intermediate dict, and every
-decode walks that dict back through type sniffing.  This module encodes
-the same frozen dataclasses (every entry of
-:data:`repro.transport.codec.MESSAGE_TYPES`) into a flat tagged binary
-form:
+Every protocol message (a frozen dataclass registered in
+:data:`MESSAGE_TYPES`) is encoded into a flat tagged binary form:
 
-* one magic byte (``0xB2``) distinguishing v2 payloads from JSON (which
-  always starts with ``{``), so decoders auto-detect the version and
-  mixed v1/v2 peers interoperate on one connection;
+* one magic byte (``0xB2``); a payload that starts with anything else
+  is rejected with :class:`~repro.errors.ProtocolError`;
 * a varint message-type id (stable: assigned from the sorted registry
   names) and field count, pre-packed per class into a cached prefix;
 * fields in dataclass order as tagged values -- raw ``bytes`` carried
@@ -19,9 +13,8 @@ form:
   inlined ``Tag``/``TaggedValue``/``CodedElement`` shapes, and nested
   messages (``NamespacedMessage``) by recursion.
 
-Round-trip equivalence with v1 is bit-exact at the object level
-(``decode(encode_v2(m)) == decode(encode_v1(m)) == m``) and proven by
-the differential tests in ``tests/transport/test_codec2.py``.
+Round-trips are exact at the object level (``decode(encode(m)) == m``
+for every registered type; ``tests/transport/test_codec2.py``).
 """
 
 from __future__ import annotations
@@ -31,12 +24,13 @@ from collections import OrderedDict
 from struct import Struct
 from typing import Any, Dict, List, Tuple
 
+from repro.core import messages as message_module
 from repro.core.namespace import NamespacedMessage
 from repro.core.tags import Tag, TaggedValue
 from repro.erasure.striping import CodedElement
 from repro.errors import ProtocolError
 
-#: First byte of every v2 payload.  Never a valid JSON start byte.
+#: First byte of every payload.
 MAGIC_V2 = 0xB2
 
 # Value tags.  One byte each; the hot shapes (bytes, ints, tags) come
@@ -83,37 +77,38 @@ def _read_uvarint(data, pos: int) -> Tuple[int, int]:
 
 
 # -- registry ---------------------------------------------------------------
+#: name -> message dataclass, discovered from the messages module.
+MESSAGE_TYPES: Dict[str, type] = {
+    name: obj for name, obj in vars(message_module).items()
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+    and issubclass(obj, message_module.BaseMessage)
+}
+MESSAGE_TYPES["NamespacedMessage"] = NamespacedMessage
+
 # Type ids are assigned from the sorted registry names, so every process
 # running this codebase derives the same table without negotiation.
-
-def _build_tables():
-    from repro.transport.codec import MESSAGE_TYPES
-
-    names = sorted(MESSAGE_TYPES)
-    by_id: List[type] = []
-    prefixes: Dict[type, bytes] = {}
-    fields_of: Dict[type, tuple] = {}
-    bypass: Dict[type, bool] = {}
-    opid_first: List[bool] = []
-    for type_id, name in enumerate(names):
-        cls = MESSAGE_TYPES[name]
-        by_id.append(cls)
-        names_tuple = tuple(f.name for f in dataclasses.fields(cls))
-        fields_of[cls] = names_tuple
-        prefix = bytearray([MAGIC_V2])
-        _uvarint(prefix, type_id)
-        _uvarint(prefix, len(names_tuple))
-        prefixes[cls] = bytes(prefix)
-        # Decoding may skip the dataclass __init__ (building the instance
-        # __dict__ directly) only when the class runs no validation on
-        # construction and stores fields in a plain __dict__.
-        bypass[cls] = (not hasattr(cls, "__post_init__")
-                       and not hasattr(cls, "__slots__"))
-        opid_first.append(bool(names_tuple) and names_tuple[0] == "op_id")
-    return by_id, prefixes, fields_of, bypass, opid_first
+_BY_ID: List[type] = [MESSAGE_TYPES[name] for name in sorted(MESSAGE_TYPES)]
+_FIELDS: Dict[type, tuple] = {
+    cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in _BY_ID}
 
 
-_BY_ID, _PREFIXES, _FIELDS, _BYPASS_INIT, _OPID_FIRST = _build_tables()
+def _prefix(type_id: int, nfields: int) -> bytes:
+    out = bytearray([MAGIC_V2])
+    _uvarint(out, type_id)
+    _uvarint(out, nfields)
+    return bytes(out)
+
+
+_PREFIXES: Dict[type, bytes] = {
+    cls: _prefix(type_id, len(_FIELDS[cls]))
+    for type_id, cls in enumerate(_BY_ID)}
+# Decoding may skip the dataclass __init__ (building the instance
+# __dict__ directly) only when the class runs no validation on
+# construction and stores fields in a plain __dict__.
+_BYPASS_INIT: Dict[type, bool] = {
+    cls: not hasattr(cls, "__post_init__") and not hasattr(cls, "__slots__")
+    for cls in _BY_ID}
+_OPID_FIRST: List[bool] = [_FIELDS[cls][:1] == ("op_id",) for cls in _BY_ID]
 
 _NEW = object.__new__
 
@@ -479,7 +474,7 @@ def _decode_message_at(data, pos: int) -> Tuple[Any, int]:
         value, pos = _decode_value(data, pos)
         values.append(value)
     # Sequences flatten to lists on the wire; restore tuples at the top
-    # level for frozen-dataclass equality (mirrors the JSON codec).
+    # level for frozen-dataclass equality.
     if _BYPASS_INIT[cls]:
         decoded = _NEW(cls)
         fields = decoded.__dict__
@@ -504,7 +499,9 @@ def decode_message_v2(data) -> Any:
     # overwhelmingly common case); the helper remains for nested ones.
     try:
         if not data or data[0] != MAGIC_V2:
-            raise ProtocolError("nested message lacks the v2 magic byte")
+            raise ProtocolError(
+                f"not a v2 payload (first byte 0x{data[0]:02x})" if data
+                else "empty payload")
         pos = 1
         type_id = data[pos]
         if type_id < 0x80:
@@ -740,9 +737,9 @@ class CachedDecoder:
     is rebuilt from the cached values (safe to share: only immutable
     types are cached).  Byte equality against a payload that already
     decoded successfully implies the same structure, so hits are exactly
-    what the full decode would have produced.  Everything else -- v1
-    payloads, differing bytes, mutable or op_id-less shapes -- falls
-    through to :func:`repro.transport.codec.decode_message` verbatim.
+    what the full decode would have produced.  Everything else --
+    differing bytes, mutable or op_id-less shapes -- falls through to
+    :func:`decode_message_v2` verbatim.
 
     Namespaced payloads cache by *shape*, not by register: the template
     key is the five fixed bytes after the register string (``_T_MSG``,
@@ -871,17 +868,14 @@ class CachedDecoder:
                     fields.update(self._pairs)
                     fields["op_id"] = op_id
                     return message
-        from repro.transport.codec import decode_message
-
-        message = decode_message(data)
+        message = decode_message_v2(data)
         cls = type(message)
         if cls is NamespacedMessage:
-            if _NS_FAST and data[0] == MAGIC_V2:
+            if _NS_FAST:
                 self._learn_namespaced(data, message)
             return message
         names = _FIELDS.get(cls)
-        if (data[0] == MAGIC_V2 and names and names[0] == "op_id"
-                and _BYPASS_INIT.get(cls)):
+        if names and names[0] == "op_id" and _BYPASS_INIT.get(cls):
             fields = message.__dict__
             values = [fields[name] for name in names[1:]]
             if all(type(v) in _IMMUTABLE_FIELD_TYPES for v in values):
@@ -914,7 +908,7 @@ def peek_op_id_v2(data) -> Any:
     Namespaced payloads are peeked *through*: the register string is
     skipped and the inner message's ``op_id`` returned, so keyed reply
     streams route as cheaply as bare ones.  Returns ``None`` for
-    anything else -- v1 payloads, messages whose first field is not
+    anything else -- non-v2 bytes, messages whose first field is not
     ``op_id``, or bytes too malformed to peek at; callers fall back to
     the full decode, which reports malformations properly.  Reply pumps
     use this to route (or drop) a reply by ``op_id`` before paying for

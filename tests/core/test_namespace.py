@@ -10,18 +10,19 @@ from repro.core.namespace import (
     DEFAULT_REGISTER,
     NamespacedMessage,
     NamespacedOperation,
-    NamespacedServer,
 )
 from repro.core.tags import TAG_ZERO
 from repro.byzantine.behaviors import StaleBehavior
 from repro.errors import ConfigurationError
+from repro.sharding import RegisterTable
 from repro.sim.delays import ConstantDelay, UniformDelay
 
 
 # -- unit level ---------------------------------------------------------------
 
 def make_server(behavior=None):
-    return NamespacedServer(
+    """What a namespaced deployment hosts: an unbounded register table."""
+    return RegisterTable(
         "s000", factory=lambda name: BSRServer("s000", initial_value=name.encode()),
         behavior=behavior,
     )

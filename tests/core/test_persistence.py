@@ -99,3 +99,55 @@ def test_stale_snapshot_is_just_a_slow_server():
     # The protocol treats it like any other laggard: a new put catches it up.
     stale.handle("w", PutData(op_id=9, tag=Tag(2, "w1"), payload=b"second"))
     assert stale.latest.value == b"second"
+
+
+# -- golden fixtures -----------------------------------------------------------
+# Literal snapshot_server output recorded before persistence took over its
+# own JSON value encoding: snapshots and table archives written by older
+# builds must keep restoring, and the same state must keep producing the
+# same bytes (a payload of ``None`` rides along as a JSON-native shape).
+
+GOLDEN_BSR = (
+    b'{"type":"BSRServer","server_id":"s007","max_history":8,"history":['
+    b'{"__tv__":[{"__tag__":[0,""]},{"__b64__":"djA="}]},'
+    b'{"__tv__":[{"__tag__":[1,"w0"]},{"__b64__":"Zmlyc3Q="}]},'
+    b'{"__tv__":[{"__tag__":[2,"w1"]},{"__b64__":"AP8gYmlu"}]},'
+    b'{"__tv__":[{"__tag__":[3,"w1"]},null]}]}'
+)
+GOLDEN_BCSR = (
+    b'{"type":"BCSRServer","server_id":"s002","max_history":null,"history":['
+    b'{"__tv__":[{"__tag__":[0,""]},{"__ce__":[2,{"__b64__":"AAAABHNlZWQ="}]}]},'
+    b'{"__tv__":[{"__tag__":[1,"w"]},'
+    b'{"__ce__":[2,{"__b64__":"AAAAC2NvZGVkLXZhbHVl"}]}]}],'
+    b'"index":2,"codec":{"n":6,"k":1}}'
+)
+
+
+def golden_bsr_server():
+    server = BSRServer("s007", initial_value=b"v0", max_history=8)
+    server.handle("w0", PutData(op_id=1, tag=Tag(1, "w0"), payload=b"first"))
+    server.handle("w1", PutData(op_id=2, tag=Tag(2, "w1"),
+                                payload=b"\x00\xff bin"))
+    server.handle("w1", PutData(op_id=3, tag=Tag(3, "w1"), payload=None))
+    return server
+
+
+def golden_bcsr_server():
+    codec = make_codec(6, 1)
+    server = BCSRServer("s002", 2, codec, initial_value=b"seed")
+    server.handle("w", PutData(op_id=1, tag=Tag(1, "w"),
+                               payload=codec.encode(b"coded-value")[2]))
+    return server
+
+
+@pytest.mark.parametrize("build,golden", [
+    (golden_bsr_server, GOLDEN_BSR),
+    (golden_bcsr_server, GOLDEN_BCSR),
+], ids=["bsr", "bcsr"])
+def test_golden_snapshot_bytes(build, golden):
+    server = build()
+    assert snapshot_server(server) == golden
+    restored = restore_server(golden)
+    assert type(restored) is type(server)
+    assert restored.history == server.history
+    assert snapshot_server(restored) == golden

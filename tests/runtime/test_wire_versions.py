@@ -1,67 +1,34 @@
-"""Mixed wire versions: v1 and v2 peers interoperate on one cluster.
+"""One wire version: batch-sealed binary frames, and nothing else.
 
-Version detection is per payload (JSON starts with ``{``, v2 with the
-``0xB2`` magic, batch envelopes with an impossible ``name_len``), so a
-v1 client must work against v2 nodes and vice versa with no
-negotiation.  These tests run real TCP clusters in every combination.
+Every party speaks the binary codec under batch HMAC envelopes.  These
+tests run real TCP clusters: concurrent operations ride the batched
+envelope, and a payload in any other encoding -- even inside a
+correctly signed frame -- is counted and dropped without touching
+protocol state or the connection.
 """
 
 import asyncio
 
 import pytest
 
+from repro.core.messages import HealthAck, HealthPing, QueryTag, TagReply
+from repro.core.namespace import NamespacedMessage
+from repro.deploy import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.runtime import LocalCluster
-from repro.runtime.client import AsyncRegisterClient
+from repro.transport.auth import Authenticator
+from repro.transport.codec import read_frame, write_frame
+from repro.transport.codec2 import decode_message_v2, encode_message_v2
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-@pytest.mark.parametrize("node_wire,client_wire", [
-    ("v1", "v1"), ("v1", "v2"), ("v2", "v1"), ("v2", "v2"),
-])
-def test_mixed_wire_cluster_write_read(node_wire, client_wire):
-    async def scenario():
-        cluster = LocalCluster("bsr", f=1, wire=node_wire)
-        await cluster.start()
-        try:
-            writer = cluster.client("w000", wire=client_wire)
-            reader = cluster.client("r000", wire=client_wire)
-            await writer.connect()
-            await reader.connect()
-            tag = await writer.write(b"mixed-wire-value")
-            assert tag.num == 1
-            assert await reader.read() == b"mixed-wire-value"
-        finally:
-            await cluster.stop()
-
-    run(scenario())
-
-
-def test_v1_and_v2_clients_share_one_v2_cluster():
-    """Two clients on different wire versions observe each other."""
-    async def scenario():
-        cluster = LocalCluster("bsr", f=1, wire="v2")
-        await cluster.start()
-        try:
-            old = cluster.client("w000", wire="v1")
-            new = cluster.client("r000", wire="v2")
-            await old.connect()
-            await new.connect()
-            await old.write(b"written-on-v1")
-            assert await new.read() == b"written-on-v1"
-        finally:
-            await cluster.stop()
-
-    run(scenario())
-
-
 def test_concurrent_ops_on_v2_wire_batch_seal():
     """Concurrent in-flight ops ride the batched envelope unharmed."""
     async def scenario():
-        cluster = LocalCluster("bsr", f=1, wire="v2")
+        cluster = LocalCluster("bsr", f=1)
         await cluster.start()
         try:
             client = cluster.client("w000", max_inflight=8)
@@ -69,10 +36,13 @@ def test_concurrent_ops_on_v2_wire_batch_seal():
             tags = await asyncio.gather(
                 *(client.write(f"burst-{i}".encode()) for i in range(8)))
             assert len({t.num for t in tags}) == 8
-            reader = cluster.client("r000")
+            # Same-client writes are serialized; reads are what overlap.
+            reader = cluster.client("r000", max_inflight=8)
             await reader.connect()
-            assert (await reader.read()).startswith(b"burst-")
-            stats = cluster.registry.snapshot()
+            values = await asyncio.gather(*(reader.read() for _ in range(8)))
+            assert all(value.startswith(b"burst-") for value in values)
+            assert cluster.registry.counter_value(
+                "node_reply_batches_total", node="s000") > 0
         finally:
             await cluster.stop()
 
@@ -80,13 +50,14 @@ def test_concurrent_ops_on_v2_wire_batch_seal():
 
 
 def test_wire_validation():
-    with pytest.raises(ConfigurationError):
-        AsyncRegisterClient("c0", {}, 1, None, wire="v3")
+    """A spec written for the removed ``wire`` option fails loudly."""
+    with pytest.raises(ConfigurationError, match="unknown cluster spec keys"):
+        ClusterSpec.from_dict({"algorithm": "bsr", "wire": "v2"})
 
 
 def test_namespaced_registers_on_v2_wire():
     async def scenario():
-        cluster = LocalCluster("bsr", f=1, namespaced=True, wire="v2")
+        cluster = LocalCluster("bsr", f=1, namespaced=True)
         await cluster.start()
         try:
             client = cluster.client("w000")
@@ -101,19 +72,48 @@ def test_namespaced_registers_on_v2_wire():
     run(scenario())
 
 
-@pytest.mark.parametrize("wire", ["v1", "v2"])
-def test_byzantine_tolerated_on_both_wires(wire):
+def test_signed_json_payload_is_counted_and_dropped():
+    """An HMAC-valid frame around a non-v2 payload costs one counter tick.
+
+    No protocol state is allocated for it, and the connection that
+    carried it keeps serving.
+    """
     async def scenario():
-        cluster = LocalCluster("bsr", f=1, byzantine={2: "forge_tag"},
-                               wire=wire)
+        cluster = LocalCluster("bsr", f=1, namespaced=True)
         await cluster.start()
         try:
-            writer = cluster.client("w000")
-            reader = cluster.client("r000")
-            await writer.connect()
-            await reader.connect()
-            await writer.write(b"safe-despite-forgery")
-            assert await reader.read() == b"safe-despite-forgery"
+            node = cluster.nodes["s000"]
+            auth = Authenticator(cluster._keychain_for(["w000"]))
+            reader, writer = await asyncio.open_connection(*node.address)
+
+            async def exchange(message):
+                write_frame(writer, auth.seal(
+                    "w000", encode_message_v2(message)))
+                await writer.drain()
+                frame = await asyncio.wait_for(read_frame(reader), 5.0)
+                sender, payloads = auth.open_any(frame)
+                assert sender == "s000"
+                return decode_message_v2(payloads[0])
+
+            def bad_frames():
+                return cluster.registry.counter_value(
+                    "node_frames_bad_total", node="s000")
+
+            assert bad_frames() == 0
+            write_frame(writer, auth.seal(
+                "w000", b'{"type":"QueryTag","fields":{"op_id":1}}'))
+            # Frames of one connection are served in order, so the ack
+            # proves the JSON frame was already handled.
+            ack = await exchange(HealthPing(op_id=2))
+            assert isinstance(ack, HealthAck)
+            assert bad_frames() == 1
+            assert node.protocol.registers == {}
+            assert not node._recent_frames
+
+            reply = await exchange(NamespacedMessage("k", QueryTag(op_id=3)))
+            assert isinstance(reply.inner, TagReply)
+            assert bad_frames() == 1
+            writer.close()
         finally:
             await cluster.stop()
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.protocols import specs
 from repro.sharding import (
-    GROUP_FLOORS,
     HashRing,
     KeyspaceConfig,
     Placement,
@@ -85,11 +85,13 @@ def test_adding_a_node_moves_a_minority_of_singleton_groups():
 # -- config validation --------------------------------------------------------
 
 def test_config_floor_per_algorithm():
-    for algorithm, floor in GROUP_FLOORS.items():
-        KeyspaceConfig(group_size=floor(1)).validate(algorithm, 1, floor(1))
+    for spec in specs():
+        if not spec.namespaced_ok:
+            continue
+        floor = spec.min_servers(1)
+        KeyspaceConfig(group_size=floor).validate(spec.name, 1, floor)
         with pytest.raises(ConfigurationError):
-            KeyspaceConfig(group_size=floor(1) - 1).validate(
-                algorithm, 1, floor(1))
+            KeyspaceConfig(group_size=floor - 1).validate(spec.name, 1, floor)
 
 
 def test_config_rejects_group_above_fleet():

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.protocols import get_spec, register, registry
 
 
 def test_algorithms_lists_all(capsys):
@@ -10,6 +13,18 @@ def test_algorithms_lists_all(capsys):
     out = capsys.readouterr().out
     for name in ("bsr", "bcsr", "rb", "abd", "bsr-history", "bsr-2round"):
         assert name in out
+
+
+def test_protocol_registered_after_import_is_listed_and_selectable(capsys):
+    """No algorithm list is frozen at import: a late plugin shows up."""
+    register(dataclasses.replace(get_spec("bsr"), name="late-plugin"))
+    try:
+        assert main(["algorithms"]) == 0
+        assert "late-plugin" in capsys.readouterr().out
+        assert main(["demo", "--algorithm", "late-plugin"]) == 0
+        assert "MWMR safety: OK" in capsys.readouterr().out
+    finally:
+        del registry._REGISTRY["late-plugin"]
 
 
 def test_demo_runs_and_reports(capsys):

@@ -19,7 +19,11 @@ from repro.core.messages import (
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.erasure.striping import CodedElement
 from repro.errors import ProtocolError
-from repro.transport.codec import MESSAGE_TYPES, decode_message, encode_message
+from repro.transport.codec2 import (
+    MESSAGE_TYPES,
+    decode_message_v2,
+    encode_message_v2,
+)
 
 ROUNDTRIP_MESSAGES = [
     QueryTag(op_id=1),
@@ -47,7 +51,7 @@ ROUNDTRIP_MESSAGES = [
 @pytest.mark.parametrize("message", ROUNDTRIP_MESSAGES,
                          ids=lambda m: f"{type(m).__name__}-{m.op_id}")
 def test_roundtrip(message):
-    assert decode_message(encode_message(message)) == message
+    assert decode_message_v2(encode_message_v2(message)) == message
 
 
 def test_registry_covers_all_message_classes():
@@ -58,27 +62,31 @@ def test_registry_covers_all_message_classes():
 
 def test_encode_rejects_unregistered_types():
     with pytest.raises(ProtocolError):
-        encode_message("not a message")
+        encode_message_v2("not a message")
 
 
 def test_encode_rejects_unserializable_payload():
     message = PutData(op_id=1, tag=Tag(1, "w"), payload=object())
     with pytest.raises(ProtocolError):
-        encode_message(message)
+        encode_message_v2(message)
 
 
 def test_decode_rejects_garbage():
-    with pytest.raises(ProtocolError):
-        decode_message(b"not json at all")
-    with pytest.raises(ProtocolError):
-        decode_message(b'{"type": "Nonexistent", "fields": {}}')
-    with pytest.raises(ProtocolError):
-        decode_message(b'{"type": "QueryTag", "fields": {"bogus": 1}}')
+    """Anything but a v2 payload is refused, and the error says what came."""
+    with pytest.raises(ProtocolError, match=r"first byte 0x6e"):
+        decode_message_v2(b"not binary at all")
+    with pytest.raises(ProtocolError,
+                       match=r"not a v2 payload \(first byte 0x7b\)"):
+        decode_message_v2(b'{"type":"QueryTag","fields":{"op_id":1}}')
+    with pytest.raises(ProtocolError, match="empty payload"):
+        decode_message_v2(b"")
+    with pytest.raises(ProtocolError, match="empty payload"):
+        decode_message_v2(memoryview(b""))
 
 
 def test_decoded_history_is_tuple():
     message = HistoryReply(op_id=1, history=(TaggedValue(TAG_ZERO, b"a"),))
-    decoded = decode_message(encode_message(message))
+    decoded = decode_message_v2(encode_message_v2(message))
     assert isinstance(decoded.history, tuple)
     assert decoded == message
 
@@ -86,4 +94,4 @@ def test_decoded_history_is_tuple():
 def test_large_binary_payload_roundtrips():
     payload = bytes(range(256)) * 100
     message = PutData(op_id=1, tag=Tag(1, "w"), payload=payload)
-    assert decode_message(encode_message(message)).payload == payload
+    assert decode_message_v2(encode_message_v2(message)).payload == payload

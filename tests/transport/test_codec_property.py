@@ -18,7 +18,7 @@ from repro.core.namespace import NamespacedMessage
 from repro.core.tags import Tag, TaggedValue
 from repro.erasure.striping import CodedElement
 from repro.transport.auth import Authenticator, KeyChain
-from repro.transport.codec import decode_message, encode_message
+from repro.transport.codec2 import decode_message_v2, encode_message_v2
 
 op_ids = st.integers(min_value=0, max_value=2**31)
 writers = st.text(alphabet="abcdefw0123456789", min_size=0, max_size=8)
@@ -48,7 +48,7 @@ messages = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(messages)
 def test_any_message_roundtrips(message):
-    assert decode_message(encode_message(message)) == message
+    assert decode_message_v2(encode_message_v2(message)) == message
 
 
 @settings(max_examples=60, deadline=None)
@@ -56,7 +56,7 @@ def test_any_message_roundtrips(message):
        messages)
 def test_namespaced_messages_roundtrip(register, message):
     wrapped = NamespacedMessage(register=register, inner=message)
-    assert decode_message(encode_message(wrapped)) == wrapped
+    assert decode_message_v2(encode_message_v2(wrapped)) == wrapped
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,108 @@
+#!/usr/bin/env python
+"""Lint: no import-time shims, no exports nobody uses.
+
+Two ways dead code hides in a package, both cheap to detect:
+
+* a module-level ``__getattr__`` (PEP 562) under ``src/repro/`` -- every
+  one this repo ever had was a compatibility view over a name that had
+  moved, kept "for callers" that no longer existed;
+* a name listed in a package ``__init__.py``'s ``__all__`` that nothing
+  references -- not ``src/``, ``tests/``, ``bench/``, ``benchmarks/``,
+  ``examples/``, ``tools/`` nor ``docs/``.  The ``__init__.py`` that
+  exports the name does not count as a reference to it, and neither
+  does the statement that defines it.
+
+Exit status is the number of findings (0 == clean).
+"""
+
+import ast
+import os
+import re
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "repro")
+
+#: Where a reference to an exported name may live.
+REFERENCE_DIRS = ("src", "tests", "bench", "benchmarks", "examples",
+                  "tools", "docs")
+
+
+def _files(top, suffixes):
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for filename in filenames:
+            if filename.endswith(suffixes):
+                yield os.path.join(dirpath, filename)
+
+
+def _python_references(tree):
+    """Names a module *uses*: loads, attribute accesses, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1]
+
+
+def _exports(tree):
+    """The string entries of a module's ``__all__`` assignment."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return [elt.value for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)]
+    return []
+
+
+def _shim_lines(tree):
+    """Line numbers of module-level ``__getattr__`` definitions."""
+    return [node.lineno for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "__getattr__"]
+
+
+def main():
+    findings = []
+    #: name -> files referencing it (python uses, or words in a doc).
+    references = {}
+    exports = []
+    for top in REFERENCE_DIRS:
+        for path in _files(os.path.join(ROOT, top), (".py", ".md")):
+            with open(path, "r", encoding="utf-8") as fh:
+                source = fh.read()
+            if path.endswith(".md"):
+                names = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", source))
+            else:
+                tree = ast.parse(source, filename=path)
+                names = set(_python_references(tree))
+                if path.startswith(PACKAGE + os.sep):
+                    findings.extend(
+                        f"{os.path.relpath(path, ROOT)}:{line}: module-level "
+                        "__getattr__ shim; migrate the callers and delete it"
+                        for line in _shim_lines(tree))
+                    if os.path.basename(path) == "__init__.py":
+                        exports.append((path, _exports(tree)))
+            for name in names:
+                references.setdefault(name, set()).add(path)
+    for path, names in exports:
+        for name in names:
+            if name.startswith("__"):
+                continue  # __version__ and friends are metadata
+            if not references.get(name, set()) - {path}:
+                findings.append(
+                    f"{os.path.relpath(path, ROOT)}: __all__ exports "
+                    f"{name!r} but nothing references it")
+    for finding in findings:
+        print(f"dead-code: {finding}")
+    if not findings:
+        print("dead-code: no shims, no unreferenced exports")
+    return len(findings)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

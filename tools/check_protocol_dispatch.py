@@ -16,8 +16,8 @@ protocol-name string literal (or a tuple/list/set of them) and the other
 side is an expression mentioning ``algorithm`` (a bare name, attribute,
 or subscript such as ``profile.algorithm`` / ``row["algorithm"]``).
 Comparisons of unrelated strings that happen to equal a protocol name
-(``wire == "v2"``) never trip it, and iteration over algorithm lists
-(``for algorithm in ALGORITHMS``) is not a comparison at all.
+never trip it, and iteration over algorithm lists
+(``for algorithm in names()``) is not a comparison at all.
 
 Exit status is the number of violations (0 == clean).
 """

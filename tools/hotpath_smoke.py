@@ -1,7 +1,7 @@
 """Hot-path smoke: encode + seal + frame 10k messages under a time budget.
 
-A fast regression tripwire for the wire path (`make lint` runs it): both
-codecs encode a realistic message mix, the bursts are batch-sealed and
+A fast regression tripwire for the wire path (`make lint` runs it): the
+codec encodes a realistic message mix, the bursts are batch-sealed and
 framed, then reassembled, verified and decoded back to equal objects.
 If an accidental O(n^2) or a per-frame allocation regression lands in
 the codec, authenticator or assembler, this blows the budget loudly
@@ -16,18 +16,13 @@ import time
 from repro.core.messages import DataReply, PutData, QueryData, QueryTag
 from repro.core.tags import Tag
 from repro.transport.auth import Authenticator, KeyChain
-from repro.transport.codec import (
-    FrameAssembler,
-    encode_message,
-    decode_message,
-    _PACK_HEADER,
-)
-from repro.transport.codec2 import encode_message_v2
+from repro.transport.codec import FrameAssembler, _PACK_HEADER
+from repro.transport.codec2 import decode_message_v2, encode_message_v2
 
-#: Messages per codec pass.
+#: Messages in the pass.
 COUNT = 10_000
 
-#: Wall-clock budget per codec pass (generous: ~10x the observed cost on
+#: Wall-clock budget for the pass (generous: ~10x the observed cost on
 #: a slow container, tight enough to catch a 100x regression).
 BUDGET_SECONDS = 5.0
 
@@ -48,7 +43,7 @@ def build_messages(count):
             for i, m in ((i, mix[i % len(mix)]) for i in range(count))]
 
 
-def run_pass(label, encode, batch):
+def run_pass():
     auth = Authenticator(KeyChain.from_secret(b"smoke", ["w000"]))
     assembler = FrameAssembler()
     messages = build_messages(COUNT)
@@ -56,46 +51,39 @@ def run_pass(label, encode, batch):
     decoded = 0
     for at in range(0, COUNT, BURST):
         burst = messages[at:at + BURST]
-        payloads = [encode(m) for m in burst]
+        payloads = [encode_message_v2(m) for m in burst]
         wire = b"".join(
             _PACK_HEADER(len(f)) + f
-            for f in auth.seal_frames("w000", payloads, batch=batch))
+            for f in auth.seal_frames("w000", payloads))
         for frame in assembler.feed(wire):
             _, opened = auth.open_any(frame)
             for payload in opened:
-                message = decode_message(payload)
+                message = decode_message_v2(payload)
                 if message != burst[decoded % BURST]:
-                    print(f"hotpath-smoke[{label}]: round-trip mismatch "
+                    print("hotpath-smoke: round-trip mismatch "
                           f"at message {decoded}: {message!r}")
                     return None
                 decoded += 1
     elapsed = time.perf_counter() - started
     if decoded != COUNT:
-        print(f"hotpath-smoke[{label}]: decoded {decoded} of {COUNT}")
+        print(f"hotpath-smoke: decoded {decoded} of {COUNT}")
         return None
     if len(assembler) != 0:
-        print(f"hotpath-smoke[{label}]: {len(assembler)} bytes left "
-              "buffered")
+        print(f"hotpath-smoke: {len(assembler)} bytes left buffered")
         return None
     return elapsed
 
 
 def main():
-    ok = True
-    for label, encode, batch in (("v2", encode_message_v2, True),
-                                 ("v1", encode_message, False)):
-        elapsed = run_pass(label, encode, batch)
-        if elapsed is None:
-            ok = False
-            continue
-        rate = COUNT / elapsed
-        status = "ok"
-        if elapsed > BUDGET_SECONDS:
-            status = f"BLOWN BUDGET ({BUDGET_SECONDS:.1f}s)"
-            ok = False
-        print(f"hotpath-smoke[{label}]: {COUNT} messages in "
-              f"{elapsed * 1000:.0f} ms ({rate:,.0f}/s) -- {status}")
-    return 0 if ok else 1
+    elapsed = run_pass()
+    if elapsed is None:
+        return 1
+    status = "ok"
+    if elapsed > BUDGET_SECONDS:
+        status = f"BLOWN BUDGET ({BUDGET_SECONDS:.1f}s)"
+    print(f"hotpath-smoke: {COUNT} messages in {elapsed * 1000:.0f} ms "
+          f"({COUNT / elapsed:,.0f}/s) -- {status}")
+    return 0 if status == "ok" else 1
 
 
 if __name__ == "__main__":
