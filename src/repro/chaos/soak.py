@@ -331,7 +331,7 @@ async def run_soak(algorithm: str = "bsr", f: int = 1,
         reads = max(1, ops - writes)
         # One writer (BCSR is SWMR) and two readers, ops paced so the
         # workload spans the whole fault window.
-        kwargs = dict(backoff_base=0.05, backoff_max=0.5, drain_timeout=0.5)
+        kwargs = dict(backoff_base=0.05, backoff_max=0.5)
         kwargs.update(client_kwargs or {})
         kwargs["registry"] = registry
         writer = cluster.client("w000", timeout=timeout, **kwargs)

@@ -128,18 +128,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     return 0 if safety.ok else 1
 
 
-def _maybe_uvloop(args: argparse.Namespace) -> None:
-    """Honour ``--uvloop``: install when available, fall back loudly."""
-    if getattr(args, "uvloop", False):
-        from repro.runtime.loop import install_uvloop
-
-        if not install_uvloop(require=False):
-            print("uvloop not installed; using the stdlib asyncio loop",
-                  file=sys.stderr)
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    _maybe_uvloop(args)
     client_kwargs = ({"max_inflight": args.max_inflight}
                      if args.max_inflight is not None else None)
     result = asyncio.run(run_soak(
@@ -208,7 +197,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_node(args: argparse.Namespace) -> int:
     from repro.deploy import ClusterSpec, serve_node
 
-    _maybe_uvloop(args)
     spec = ClusterSpec.from_file(args.spec)
     try:
         asyncio.run(serve_node(spec, args.node, port=args.port))
@@ -286,8 +274,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     state_path = args.state or default_state_path(spec, args.spec)
 
     if args.cluster_command == "serve":
-        _maybe_uvloop(args)
-
         async def serve() -> None:
             supervisor = ClusterSupervisor(spec, spec_path=args.spec,
                                            state_path=state_path)
@@ -804,7 +790,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_load(args: argparse.Namespace) -> int:
     from repro.load import LoadProfile, SloPolicy, parse_mix, run_load
 
-    _maybe_uvloop(args)
     profile = LoadProfile(
         users=args.users, rps=args.rps, read_ratio=parse_mix(args.mix),
         keys=args.keys, zipf_s=args.zipf_s, value_size=args.value_size,
@@ -832,7 +817,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
 def _cmd_load_worker(args: argparse.Namespace) -> int:
     from repro.load import worker_main
 
-    _maybe_uvloop(args)
     return worker_main()
 
 
@@ -1000,9 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--concurrency", type=int, default=1,
                        help="in-flight operations per client (1 = the "
                             "classic closed loop)")
-    chaos.add_argument("--uvloop", action="store_true",
-                       help="use uvloop when installed (falls back to "
-                            "the stdlib loop with a notice)")
     chaos.add_argument("--max-inflight", type=int, default=None,
                        help="client-side admission cap on concurrently "
                             "executing operations")
@@ -1029,9 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="cluster spec file (.toml or .json)")
     node_serve.add_argument("--node", required=True,
                             help="node id to serve (e.g. s002)")
-    node_serve.add_argument("--uvloop", action="store_true",
-                            help="use uvloop when installed (falls back "
-                                 "to the stdlib loop with a notice)")
     node_serve.add_argument("--port", type=int, default=None,
                             help="override the spec's port (supervisors pin "
                                  "a restarted node's previous port)")
@@ -1048,10 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_serve.add_argument("--state", default=None,
                                help="state file path (default: next to "
                                     "snapshots / the spec)")
-    cluster_serve.add_argument("--uvloop", action="store_true",
-                               help="use uvloop when installed (falls "
-                                    "back to the stdlib loop with a "
-                                    "notice)")
     cluster_serve.add_argument("--duration", type=float, default=0.0,
                                help="serve for N seconds then exit "
                                     "(0 = until Ctrl-C)")
@@ -1236,15 +1210,10 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--timeseries", default=None,
                       help="append per-worker snapshot JSON lines to "
                            "this file during the run")
-    load.add_argument("--uvloop", action="store_true",
-                      help="use uvloop when installed (falls back to the "
-                           "stdlib loop with a notice)")
 
-    load_worker = sub.add_parser(
+    sub.add_parser(
         "load-worker",
         help="internal: one load-rig worker (config on stdin, JSONL out)")
-    load_worker.add_argument("--uvloop", action="store_true",
-                             help="use uvloop when installed")
 
     keys = sub.add_parser(
         "keys",

@@ -8,10 +8,6 @@ read/write operations against a set of such nodes.
 :class:`~repro.runtime.cluster.LocalCluster` spins an entire deployment up
 in one process for examples and the E10 benchmark.
 
-Only client-to-server protocols run here (BSR, BCSR, the regular variants
-and ABD); the RB baseline needs server-to-server links and lives in the
-simulator.
-
 The runtime is fault-hardened: clients self-heal lost connections
 (backoff + jitter + in-flight re-send), nodes crash-restart from
 snapshots, and ``LocalCluster(..., chaos=True)`` interposes

@@ -1,8 +1,9 @@
 """Asyncio client executing register operations against TCP server nodes.
 
-The client is *self-healing*: each server has a supervisor task that pumps
-replies while the connection is up and re-dials with exponential backoff
-plus jitter while it is down (including servers that were unreachable when
+The client is *self-healing*: each server has a
+:class:`~repro.runtime.link.Link` that folds replies in while the
+connection is up and re-dials with exponential backoff plus jitter while
+it is down (including servers that were unreachable when
 :meth:`AsyncRegisterClient.connect` first ran).  When a connection comes
 back mid-operation, the frames the in-flight operations already sent to
 that server are re-sent -- safe, because every operation is an idempotent
@@ -12,12 +13,12 @@ duplicate replies, which the reply filter already tolerates).
 The client is also *multiplexed*: any number of operations may be in
 flight at once over the same set of connections.  A per-client
 :class:`~repro.runtime.dispatch.OpDispatcher` tables each operation's
-state (pending frames, reply queue, span), routes every incoming reply
-to the operation that owns it by ``op_id``, and admits new operations
-through a FIFO gate capped at ``max_inflight``.  Outgoing frames from
-all operations are coalesced per connection per event-loop tick into a
-single burst plus one ``drain()``
-(:class:`~repro.runtime.dispatch.BatchedConnection`).
+state (pending frames, completion future, span), every incoming reply
+is folded into the operation that owns it by ``op_id``, and new
+operations are admitted through a FIFO gate capped at ``max_inflight``.
+Outgoing frames from all operations are coalesced per link per
+event-loop tick into a single batch-sealed burst and one transport
+write.
 
 One ordering rule remains: *writes by the same client to the same
 register are serialized* (reads multiplex freely, and writes overlap
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import random
 from collections import OrderedDict
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.keys import key_error
@@ -51,16 +52,13 @@ from repro.obs import (
     phase_name,
 )
 from repro.protocols import OpContext, get_spec, runtime_names
-from repro.runtime.dispatch import BatchedConnection, OpDispatcher, OpState
+from repro.runtime.dispatch import OpDispatcher, OpState
+from repro.runtime.link import Link
 from repro.transport.auth import Authenticator
-from repro.transport.codec import FrameAssembler
 from repro.transport.codec2 import CachedDecoder, CachedEncoder, peek_op_id_v2
 from repro.types import ProcessId
 
 logger = logging.getLogger(__name__)
-
-#: Bytes pulled from a connection per read syscall in the reply pump.
-READ_CHUNK = 64 * 1024
 
 #: Per-key client-side caches (reader states, write locks) are LRU-bounded
 #: at this many keys so a key-routed client scanning a large keyspace
@@ -104,7 +102,6 @@ class AsyncRegisterClient:
                  timeout: float = 30.0, initial_value: bytes = b"",
                  namespaced: bool = False, reconnect: bool = True,
                  backoff_base: float = 0.05, backoff_max: float = 2.0,
-                 drain_timeout: float = 1.0,
                  max_inflight: Optional[int] = None,
                  registry: Optional[MetricRegistry] = None,
                  trace_sink: Optional[Any] = None,
@@ -137,7 +134,6 @@ class AsyncRegisterClient:
         self.reconnect = reconnect
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
-        self.drain_timeout = drain_timeout
         self.max_inflight = max_inflight
         self.reader_state = (spec.make_reader_state(initial_value)
                              if spec.make_reader_state is not None else None)
@@ -146,19 +142,16 @@ class AsyncRegisterClient:
             placement.group_size if placement is not None
             else len(self.servers), f)
             if spec.make_codec is not None else None)
-        self._connections: Dict[ProcessId, Tuple[asyncio.StreamReader,
-                                                 asyncio.StreamWriter]] = {}
-        self._senders: Dict[ProcessId, BatchedConnection] = {}
-        self._supervisors: Dict[ProcessId, asyncio.Task] = {}
+        #: One link per server ever dialed, up or down ...
+        self._links: Dict[ProcessId, Link] = {}
+        #: ... and the ones that are up right now (what frames go to).
+        self._connections: Dict[ProcessId, Link] = {}
         self._dispatcher = OpDispatcher(max_inflight)
         #: Writes by this client are ordered per register (see module
         #: docstring); reads never touch these locks.
         self._write_locks: "OrderedDict[str, asyncio.Lock]" = OrderedDict()
         #: Per-group operation counters, resolved lazily per group tuple.
         self._group_counters: Dict[Tuple[ProcessId, ...], Any] = {}
-        #: Background throttle-backoff tasks (rare; cancelled on close).
-        self._throttle_tasks: set = set()
-        self._closing = False
         self.registry = registry if registry is not None else MetricRegistry()
         client = str(client_id)
         #: Resilience counters, pre-created so :meth:`stats` always shows
@@ -169,9 +162,8 @@ class AsyncRegisterClient:
             name: self.registry.counter(f"client_{name}_total", client=client)
             for name in ("connects", "reconnects", "disconnects",
                          "frames_dropped", "frames_resent", "ops_retried",
-                         "throttled", "drain_timeouts", "drain_failures",
-                         "ops_queued", "replies_stale", "send_batches",
-                         "connections_pruned")
+                         "throttled", "ops_queued", "replies_stale",
+                         "send_batches", "connections_pruned")
         }
         #: Servers :meth:`connect` skipped because no declared key routes
         #: to them (group-local pruning).  An operation that does route
@@ -191,8 +183,8 @@ class AsyncRegisterClient:
     async def connect(self, keys: Optional[Sequence[str]] = None) -> int:
         """Open connections to every reachable server; returns the count.
 
-        Servers that are down are not fatal: with ``reconnect`` enabled a
-        background supervisor keeps re-dialing them, so a server that
+        Servers that are down are not fatal: with ``reconnect`` enabled
+        their links keep re-dialing in the background, so a server that
         comes up later joins the quorum without another ``connect`` call.
 
         ``keys`` enables *group-local pruning* on a key-routed client:
@@ -200,8 +192,8 @@ class AsyncRegisterClient:
         placement groups are dialed, the rest are skipped and counted as
         ``connections_pruned``.  Pruning is advisory, not a fence -- an
         operation on a key that routes to a pruned server lazily dials it
-        through the reconnect supervisor, so a session whose working set
-        drifts past its declared keys stays live (it just pays one dial).
+        in the background, so a session whose working set drifts past
+        its declared keys stays live (it just pays one dial).
         """
         allowed = None
         if keys is not None:
@@ -221,44 +213,23 @@ class AsyncRegisterClient:
                     self._counters["connections_pruned"].inc()
                 continue
             self._pruned.discard(pid)
-            if await self._dial(pid):
-                self._counters["connects"].inc()
-            elif not self.reconnect:
-                continue
-            self._ensure_supervisor(pid)
+            link = self._link(pid)
+            if not link.redialing and not await link.dial():
+                link.redial()
         return len(self._connections)
 
     async def close(self) -> None:
-        """Tear down all connections and supervisor tasks."""
-        self._closing = True
-        for task in list(self._throttle_tasks):
-            task.cancel()
-        self._throttle_tasks.clear()
-        for task in self._supervisors.values():
-            task.cancel()
-        for task in self._supervisors.values():
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # pragma: no cover
-                pass
-        self._supervisors.clear()
-        for sender in self._senders.values():
-            sender.close()
-        self._senders.clear()
-        for _, writer in self._connections.values():
-            writer.close()
-        for _, writer in list(self._connections.values()):
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+        """Tear down all links and their dial tasks."""
+        for link in self._links.values():
+            link.close()
+        self._links.clear()
         self._connections.clear()
 
     def stats(self) -> Dict[str, int]:
         """Resilience counters: reconnects, disconnects, frames dropped /
         resent, operations retried / queued at the admission gate,
-        throttle backoffs, drain timeouts, stale replies dropped, live
-        connections and in-flight operations.  A compatibility view over
+        throttle backoffs, stale replies dropped, live connections and
+        in-flight operations.  A compatibility view over
         :attr:`registry`."""
         stats = {name: int(counter.value)
                  for name, counter in self._counters.items()}
@@ -266,164 +237,93 @@ class AsyncRegisterClient:
         stats["inflight"] = self._dispatcher.inflight
         return stats
 
-    async def _dial(self, pid: ProcessId) -> bool:
-        if pid in self._connections:
-            return True
-        host, port = self.addresses[pid]
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError as exc:
-            logger.debug("client %s cannot reach %s: %s",
-                         self.client_id, pid, exc)
-            return False
-        self._connections[pid] = (reader, writer)
-        self._senders[pid] = BatchedConnection(
-            pid, writer, self.drain_timeout,
-            on_drain_timeout=self._counters["drain_timeouts"].inc,
-            on_failure=self._on_send_failure,
-            on_batch=self._note_batch,
-            sealer=self._seal_burst,
-        )
-        return True
+    def _link(self, pid: ProcessId) -> Link:
+        """The link to ``pid``; created down and idle on first use."""
+        link = self._links.get(pid)
+        if link is None:
+            link = self._links[pid] = Link(
+                self.addresses[pid],
+                # One HMAC covers the whole tick's payloads.
+                partial(self.auth.seal_frames, self.client_id),
+                on_frames=partial(self._fold_replies, pid, CachedDecoder()),
+                on_up=partial(self._link_up, pid),
+                on_down=partial(self._link_down, pid),
+                on_flush=self._counters["send_batches"].inc,
+                on_drop=partial(self._link_dropped, pid),
+                backoff_base=self.backoff_base, backoff_max=self.backoff_max,
+                reconnect=self.reconnect)
+        return link
 
-    def _seal_burst(self, payloads) -> list:
-        """Seal one tick's payloads under one batch HMAC."""
-        return self.auth.seal_frames(self.client_id, payloads)
+    def _link_up(self, pid: ProcessId) -> None:
+        link = self._links[pid]
+        self._connections[pid] = link
+        if link.redialing:
+            self._counters["reconnects"].inc()
+            self._resend_pending(pid)
+        else:
+            self._counters["connects"].inc()
 
-    def _note_batch(self, frames: int) -> None:
-        self._counters["send_batches"].inc()
+    def _link_down(self, pid: ProcessId) -> None:
+        del self._connections[pid]
+        self._counters["disconnects"].inc()
 
-    def _on_send_failure(self, pid: ProcessId) -> None:
-        self._counters["drain_failures"].inc()
-        self._drop_connection(pid)
+    def _link_dropped(self, pid: ProcessId, reason: str, detail: str) -> None:
+        self._counters["frames_dropped"].inc()
+        self._log.warning(reason, "client %s, link to %s: %s",
+                          self.client_id, pid, detail)
 
-    def _drop_connection(self, pid: ProcessId) -> None:
-        sender = self._senders.pop(pid, None)
-        if sender is not None:
-            sender.close()
-        connection = self._connections.pop(pid, None)
-        if connection is not None:
-            connection[1].close()
+    def _fold_replies(self, pid: ProcessId, decode: CachedDecoder,
+                      frames: List[memoryview], now: float) -> None:
+        """Fold one chunk's verified frames into their owning ops.
 
-    def _ensure_supervisor(self, pid: ProcessId) -> None:
-        task = self._supervisors.get(pid)
-        if task is None or task.done():
-            self._supervisors[pid] = asyncio.ensure_future(
-                self._supervise(pid))
-
-    async def _supervise(self, pid: ProcessId) -> None:
-        """Pump replies while connected; re-dial with backoff while not."""
-        attempt = 0
-        while not self._closing:
-            connection = self._connections.get(pid)
-            if connection is None:
-                if not self.reconnect:
-                    return
-                delay = min(self.backoff_max,
-                            self.backoff_base * (2 ** min(attempt, 16)))
-                # Full jitter keeps a fleet of clients from re-dialing a
-                # freshly restarted server in lockstep.
-                await asyncio.sleep(delay * (0.5 + random.random()))
-                if self._closing:
-                    return
-                if not await self._dial(pid):
-                    attempt += 1
-                    continue
-                attempt = 0
-                self._counters["reconnects"].inc()
-                await self._resend_pending(pid)
-                connection = self._connections.get(pid)
-                if connection is None:
-                    continue
-            await self._pump_replies(pid, connection[0])
-            if self._closing:
-                return
-            self._drop_connection(pid)
-            self._counters["disconnects"].inc()
-
-    async def _pump_replies(self, pid: ProcessId,
-                            reader: asyncio.StreamReader) -> None:
-        """Route verified frames to their owning ops until the link dies.
-
-        Frames are batch-decoded: one read syscall may carry replies to
-        several operations, each routed by ``op_id`` through the
-        dispatcher.  Replies owned by no in-flight operation (late
-        answers and ``Throttled`` frames of finished ops) are dropped
-        and counted as ``replies_stale``.  Connection loss returns (it
-        never poisons any op's queue): the supervisor decides whether to
-        re-dial.
+        One read syscall may carry replies to several operations, each
+        resolved by ``op_id`` through the dispatcher.  Replies owned by
+        no in-flight operation (late answers and ``Throttled`` frames of
+        finished ops) are dropped and counted as ``replies_stale``.
         """
-        assembler = FrameAssembler()
-        loop = asyncio.get_running_loop()
         peek = peek_op_id_v2
         lookup = self._dispatcher.lookup
         stale = self._counters["replies_stale"]
-        decode = CachedDecoder()
-        try:
-            while True:
-                data = await reader.read(READ_CHUNK)
-                if not data:
-                    return
-                now = loop.time()
-                for frame in assembler.feed(data):
-                    try:
-                        sender, payloads = self.auth.open_any(frame)
-                    except (AuthenticationError, ProtocolError) as exc:
-                        self._counters["frames_dropped"].inc()
-                        self._log.warning(
-                            "bad-frame", "client %s dropping bad frame from "
-                            "%s: %s", self.client_id, pid, exc)
+        for frame in frames:
+            try:
+                sender, payloads = self.auth.open_any(frame)
+            except (AuthenticationError, ProtocolError) as exc:
+                self._link_dropped(pid, "bad-frame",
+                                   f"dropping bad frame: {exc}")
+                continue
+            if sender != pid:
+                # A Byzantine server cannot speak for another server:
+                # the signature pins the sender.
+                self._link_dropped(pid, "wrong-sender", "dropping a frame "
+                                   f"signed by {sender}")
+                continue
+            for payload in payloads:
+                # Route by op_id before paying for the decode: stale
+                # replies are dropped and surplus replies past the quorum
+                # skipped without ever parsing their payloads (a fifth of
+                # reply traffic on a quiet 5-server cluster).
+                state = None
+                op_id = peek(payload)
+                if op_id is not None:
+                    state = lookup(op_id)
+                    if state is None:
+                        stale.inc()
                         continue
-                    if sender != pid:
-                        # A Byzantine server cannot speak for another
-                        # server: the signature pins the sender.
-                        self._counters["frames_dropped"].inc()
-                        self._log.warning(
-                            "wrong-sender", "client %s: connection to %s "
-                            "delivered a frame signed by %s; dropping",
-                            self.client_id, pid, sender)
-                        continue
-                    for payload in payloads:
-                        # Route by op_id before paying for the decode:
-                        # stale replies are dropped and surplus replies
-                        # past the quorum skipped without ever parsing
-                        # their payloads (a fifth of reply traffic on a
-                        # quiet 5-server cluster).
-                        state = None
-                        op_id = peek(payload)
-                        if op_id is not None:
-                            state = lookup(op_id)
-                            if state is None:
-                                stale.inc()
-                                continue
-                            if state.operation.done:
-                                continue  # surplus; already decided
-                        try:
-                            message = decode(payload)
-                        except ProtocolError as exc:
-                            self._counters["frames_dropped"].inc()
-                            self._log.warning(
-                                "bad-frame", "client %s dropping bad payload "
-                                "from %s: %s", self.client_id, pid, exc)
-                            continue
-                        if not self._dispatch_reply(sender, message, now,
-                                                    state):
-                            stale.inc()
-        except ProtocolError as exc:
-            # Oversized frame: treat the stream as poisoned and let the
-            # supervisor re-dial from a clean slate.
-            self._counters["frames_dropped"].inc()
-            self._log.warning("bad-frame", "client %s resetting link to %s: "
-                              "%s", self.client_id, pid, exc)
-            return
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                BrokenPipeError, OSError, asyncio.CancelledError):
-            return
+                    if state.operation.done:
+                        continue  # surplus; already decided
+                try:
+                    message = decode(payload)
+                except ProtocolError as exc:
+                    self._link_dropped(pid, "bad-frame",
+                                       f"dropping bad payload: {exc}")
+                    continue
+                if not self._dispatch_reply(sender, message, now, state):
+                    stale.inc()
 
     # -- operations -------------------------------------------------------------
-    async def _resend_pending(self, pid: ProcessId,
-                              only_type: Optional[str] = None,
-                              states: Optional[List[OpState]] = None) -> None:
+    def _resend_pending(self, pid: ProcessId,
+                        only_type: Optional[str] = None,
+                        states: Optional[List[OpState]] = None) -> None:
         """Replay in-flight frames to ``pid``.
 
         By default every in-flight operation's frames for that server
@@ -434,74 +334,40 @@ class AsyncRegisterClient:
         (the server names the frame it shed, and replaying anything more
         would spend the refilled token on an already-delivered frame).
         """
-        sender_conn = self._senders.get(pid)
-        if sender_conn is None:
+        link = self._connections.get(pid)
+        if link is None:
             return
         if states is None:
             states = self._dispatcher.states()
-        flushes = []
         resent = 0
         for state in states:
             frames = state.pending_frames(pid, only_type)
             if not frames:
                 continue
             for payload in frames:
-                flushes.append(sender_conn.send(payload))
+                link.send(payload)
             resent += len(frames)
             if state.span is not None:
                 state.span.note_resend(len(frames))
             state.retried = True
-        if not flushes:
-            return
-        for flush in flushes:
-            if not flush.done():
-                await flush
-        self._counters["frames_resent"].inc(resent)
+        if resent:
+            self._counters["frames_resent"].inc(resent)
 
-    async def _send(self, state: OpState, envelopes) -> None:
+    def _send_nowait(self, state: OpState, envelopes) -> None:
         """Encode and enqueue one operation's outgoing envelopes.
 
         Payloads are recorded in the op's pending map first (so a link
         that heals mid-operation can be served by replay), then handed
-        to the per-connection batch writers, which seal each burst at
-        flush time -- one HMAC covers the whole tick's frames on the v2
-        wire.  Payloads are destination-agnostic, so one broadcast
-        message (a query round sends the same object to every server)
-        is encoded exactly once.  Awaiting the flush futures applies
-        backpressure -- every reachable connection's burst is written
-        and drained (bounded by ``drain_timeout``, adaptively shortened
-        on chronically stalled links) before the operation proceeds.
-        """
-        flushes = []
-        encoded_cache: Dict[int, tuple] = {}
-        for dest, message in envelopes:
-            entry = encoded_cache.get(id(message))
-            if entry is None:
-                entry = (type(message).__name__, self._encode(message))
-                encoded_cache[id(message)] = entry
-            state.pending.setdefault(dest, []).append(entry)
-            sender_conn = self._senders.get(dest)
-            if sender_conn is None:
-                continue  # down right now; resent if the link heals in time
-            flushes.append(sender_conn.send(entry[1]))
-        # The futures are per-connection burst futures (frames enqueued
-        # in the same tick share one), so this is a handful of awaits at
-        # most -- cheaper than a gather, and later futures are usually
-        # already done by the time the first one resolves.
-        for flush in flushes:
-            if not flush.done():
-                await flush
-
-    def _send_nowait(self, state: OpState, envelopes) -> None:
-        """Like :meth:`_send` without awaiting the flush futures.
-
-        Used for follow-up rounds sent from the reply pump, where
-        blocking on a drain would stall every connection's reply
-        processing; the op's liveness is bounded by its deadline either
-        way, and the flush happens on the next loop tick regardless.
+        to the live links, which seal each burst at flush time -- one
+        HMAC covers the whole tick's frames.  Payloads are
+        destination-agnostic, so one broadcast message (a query round
+        sends the same object to every server) is encoded exactly once.
+        Nothing here waits: the burst is written on the next loop tick,
+        and the op's liveness is bounded by its deadline, not by any one
+        link's delivery.
         """
         encoded_cache: Dict[int, tuple] = {}
-        senders = self._senders
+        connections = self._connections
         pending = state.pending
         for dest, message in envelopes:
             entry = encoded_cache.get(id(message))
@@ -509,19 +375,19 @@ class AsyncRegisterClient:
                 entry = (type(message).__name__, self._encode(message))
                 encoded_cache[id(message)] = entry
             pending.setdefault(dest, []).append(entry)
-            sender_conn = senders.get(dest)
-            if sender_conn is not None:
-                sender_conn.send(entry[1])
+            link = connections.get(dest)
+            if link is not None:  # else down; resent if it heals in time
+                link.send(entry[1])
 
     def _dispatch_reply(self, sender: ProcessId, message: Any,
                         now: float, state: Optional[OpState] = None) -> bool:
         """Run one verified reply through its owning operation, inline.
 
-        Called from the reply pump: the whole chunk's replies are
+        Called from :meth:`_fold_replies`: the whole chunk's replies are
         processed in a single task step, and each waiting operation is
         woken exactly once -- when its ``done`` future resolves -- rather
         than once per reply through a queue.  ``state`` carries the
-        owner when the pump already resolved it from the peeked op_id;
+        owner when the fold already resolved it from the peeked op_id;
         payloads the peek cannot read resolve here.  Returns ``False``
         for replies owned by no in-flight operation.
         """
@@ -533,13 +399,7 @@ class AsyncRegisterClient:
         if operation.done:
             return True  # surplus reply past the quorum; already decided
         if type(message) is Throttled:
-            # The server shed one of this op's frames (rate limit).
-            # Backing off means sleeping, which must not stall the pump;
-            # a short-lived task handles the pause + replay (rare path).
-            task = asyncio.ensure_future(
-                self._handle_throttle(state, sender, message))
-            self._throttle_tasks.add(task)
-            task.add_done_callback(self._throttle_tasks.discard)
+            self._handle_throttle(state, sender, message, now)
             return True
         span = state.span
         # Attribute the reply to the phase that solicited it (before
@@ -562,29 +422,28 @@ class AsyncRegisterClient:
             state.done.set_result(None)
         return True
 
-    async def _handle_throttle(self, state: OpState, sender: ProcessId,
-                               message: Throttled) -> None:
+    def _handle_throttle(self, state: OpState, sender: ProcessId,
+                         message: Throttled, now: float) -> None:
         """Back off for the server's estimate, then replay the shed frame.
 
-        Only this operation is affected; the pause is bounded by the
-        op's deadline.  The op may finish (or time out) while we sleep,
-        in which case the replay is skipped.
+        The server shed one of this op's frames (rate limit).  Only this
+        operation is affected; the pause is a timer (backing off must
+        not stall the link) bounded by the op's deadline.  The op may
+        finish (or time out) meanwhile, in which case the replay is
+        skipped.
         """
-        if self._dispatcher.lookup(state.op_id) is not state:
-            return
         self._counters["throttled"].inc()
         if state.span is not None:
             state.span.note_throttle()
-        loop = asyncio.get_running_loop()
         pause = min(max(message.retry_after, self.backoff_base),
-                    self.backoff_max,
-                    max(state.deadline - loop.time(), 0.0))
-        if pause > 0:
-            await asyncio.sleep(pause)
-        if self._dispatcher.lookup(state.op_id) is not state:
-            return
-        await self._resend_pending(sender, only_type=message.dropped or None,
-                                   states=[state])
+                    self.backoff_max, max(state.deadline - now, 0.0))
+        asyncio.get_running_loop().call_later(
+            pause, self._replay_shed, state, sender, message.dropped or None)
+
+    def _replay_shed(self, state: OpState, sender: ProcessId,
+                     only_type: Optional[str]) -> None:
+        if self._dispatcher.lookup(state.op_id) is state:
+            self._resend_pending(sender, only_type=only_type, states=[state])
 
     async def _run_operation(self, operation: ClientOperation,
                              servers: Optional[Sequence[ProcessId]] = None
@@ -600,7 +459,7 @@ class AsyncRegisterClient:
         state.span = span
         outcome = "error"
         try:
-            # The phase opens before its frames go out, so send/drain time
+            # The phase opens before its frames go out, so send time
             # counts toward the phase that caused it.
             span.begin_phase(phase_name(operation.kind, 1, self.algorithm),
                              loop.time())
@@ -610,16 +469,13 @@ class AsyncRegisterClient:
             try:
                 # One timer bounds the whole operation (liveness needs
                 # n - f live servers).  Replies are processed inline by
-                # the pump (see _dispatch_reply); this task only sends
+                # the link (see _dispatch_reply); this task only sends
                 # the opening round and sleeps until the op decides.
                 # The timer is a bare ``call_at`` poking the same done
-                # future the pump resolves -- ``asyncio.timeout_at``
+                # future the link resolves -- ``asyncio.timeout_at``
                 # buys nothing here but two extra coroutines per op.
                 envelopes = operation.start()
                 state.rounds = operation.rounds or 1
-                # No flush await: the burst is written on the next
-                # loop tick either way, and the op blocks on its
-                # replies (which cannot arrive before the write).
                 self._send_nowait(state, envelopes)
                 if not operation.done:
                     timer = loop.call_at(deadline, _expire, state.done)
@@ -698,12 +554,12 @@ class AsyncRegisterClient:
             if self._pruned:
                 # The working set drifted past the keys declared at
                 # connect time: re-admit this group's pruned servers.
-                # The supervisor dials in the background and replays
-                # this op's pending frames once the link is up.
+                # The link dials in the background and this op's
+                # pending frames are replayed once it is up.
                 for pid in group:
                     if pid in self._pruned:
                         self._pruned.discard(pid)
-                        self._ensure_supervisor(pid)
+                        self._link(pid).redial(at_once=True)
             counter = self._group_counters.get(group)
             if counter is None:
                 counter = self._group_counters[group] = self.registry.counter(

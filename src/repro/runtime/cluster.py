@@ -240,7 +240,7 @@ class LocalCluster:
         """Create a client wired to this cluster (closed by :meth:`stop`).
 
         Extra keyword arguments (``reconnect``, ``backoff_base``,
-        ``backoff_max``, ``drain_timeout``, ``registry``, ``trace_sink``)
+        ``backoff_max``, ``registry``, ``trace_sink``)
         pass through to :class:`AsyncRegisterClient`; clients default to
         the cluster's shared metric registry.
         """

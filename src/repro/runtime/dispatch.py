@@ -1,62 +1,42 @@
 """Transport-level operation dispatcher: many in-flight ops per client.
 
-The original runtime executed exactly one operation at a time: the
-client held a single pending-frame map, a single shared reply queue and
-a single tracing span, so a process serving many users needed one client
-(and one TCP connection per server) per concurrent operation.  Nothing
-in the protocols requires that restriction -- every BSR/BCSR operation
-is an idempotent quorum state machine keyed by ``op_id``
-(:mod:`repro.core.operation`), so replies, replays and throttle
-backoffs can all be scoped to the operation they belong to.
+Nothing in the protocols requires a client to run one operation at a
+time -- every BSR/BCSR operation is an idempotent quorum state machine
+keyed by ``op_id`` (:mod:`repro.core.operation`), so replies, replays
+and throttle backoffs can all be scoped to the operation they belong
+to.
 
-This module supplies the three pieces that make concurrency a property
-of the runtime rather than a per-client accident:
+This module supplies the pieces that make concurrency a property of the
+runtime rather than a per-client accident:
 
 * :class:`OpState` -- the per-operation record: encoded payloads
-  pending per server (replayed to a healed link), a private reply queue the
-  routing layer fills, the operation's tracing span and its retry flag.
-* :class:`OpDispatcher` -- the in-flight table.  Incoming replies are
-  routed by ``op_id`` to the owning op's queue; replies for finished
-  ops (including stale ``Throttled`` frames, which used to bleed into
-  the *next* operation's execution) are dropped and counted.  The
-  dispatcher also owns the :class:`AdmissionGate`.
+  pending per server (replayed to a healed link), the completion future
+  the reply path resolves, the operation's tracing span and its retry
+  flag.
+* :class:`OpDispatcher` -- the in-flight table.  The client looks each
+  incoming reply's owner up by ``op_id`` and folds it into that
+  operation inline; replies for finished ops (including stale
+  ``Throttled`` frames, which used to bleed into the *next* operation's
+  execution) find no owner and are dropped and counted.  The dispatcher
+  also owns the :class:`AdmissionGate`.
 * :class:`AdmissionGate` -- a FIFO gate capping concurrently executing
   operations at ``max_inflight``; excess ops queue in arrival order.
-* :class:`BatchedConnection` -- per-connection write coalescing: frames
-  enqueued during one event-loop tick go out as a single burst
-  (:func:`repro.transport.codec.write_frames`) followed by exactly one
-  ``drain()``.  When a ``sealer`` is supplied, the burst is *sealed at
-  flush time* -- the whole tick's payloads collapse into one batch
-  envelope carrying a single HMAC
-  (:meth:`repro.transport.auth.Authenticator.seal_frames`) instead of
-  one MAC per frame.  Chronically stalled links stop charging the full
-  drain timeout to every operation (adaptive backpressure): after
-  ``STALL_THRESHOLD`` consecutive drain timeouts the link is probed
-  with a short timeout instead, until a drain succeeds again.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.transport.codec import write_frames
 from repro.types import ProcessId
-
-#: Consecutive drain timeouts after which a link is considered stalled
-#: and stops charging the full ``drain_timeout`` to every flush.
-STALL_THRESHOLD = 2
-
-#: Drain timeout (seconds) used to probe a stalled link.
-STALL_PROBE_TIMEOUT = 0.05
 
 
 class OpState:
     """Everything the runtime tracks for one in-flight operation."""
 
-    __slots__ = ("op_id", "operation", "span", "pending", "replies",
-                 "retried", "done", "rounds", "deadline")
+    __slots__ = ("op_id", "operation", "span", "pending", "retried",
+                 "done", "rounds", "deadline")
 
     def __init__(self, operation: Any) -> None:
         self.op_id: int = operation.op_id
@@ -65,13 +45,8 @@ class OpState:
         self.span: Optional[Any] = None
         #: ``server -> [(message type name, encoded payload)]`` --
         #: replayed on reconnect, and per-type after a throttle (sealed
-        #: at flush time by the connection's burst sealer).
+        #: at flush time by the link).
         self.pending: Dict[ProcessId, List[Tuple[str, bytes]]] = {}
-        #: Replies routed to this operation by the dispatcher (the
-        #: queue-based :meth:`OpDispatcher.route` path; the asyncio
-        #: client processes replies inline in its pump instead and
-        #: resolves :attr:`done`).
-        self.replies: "asyncio.Queue[Tuple[ProcessId, Any]]" = asyncio.Queue()
         #: Whether any frame of this op was re-sent (outcome bookkeeping).
         self.retried = False
         #: Completion future for inline reply processing; set by the
@@ -156,7 +131,7 @@ class AdmissionGate:
 
 
 class OpDispatcher:
-    """The in-flight operation table and its reply router."""
+    """The in-flight operation table."""
 
     def __init__(self, max_inflight: Optional[int] = None) -> None:
         self.gate = AdmissionGate(max_inflight)
@@ -183,144 +158,12 @@ class OpDispatcher:
         return list(self._ops.values())
 
     def lookup(self, op_id: Any) -> Optional[OpState]:
-        """The in-flight record owning ``op_id``, if any."""
+        """The in-flight record owning ``op_id``, if any.
+
+        ``None`` for late replies and ``Throttled`` frames of
+        already-finished ops.  Dropping them on that answer is what
+        fixes the stale-reply bleed-through of the shared-queue design,
+        where a leftover ``Throttled`` triggered a backoff sleep and a
+        frame replay for whichever operation ran *next*.
+        """
         return self._ops.get(op_id)
-
-    # -- routing -----------------------------------------------------------
-    def route(self, sender: ProcessId, message: Any) -> bool:
-        """Deliver a verified reply to the operation that owns it.
-
-        Returns ``False`` for replies whose ``op_id`` matches no
-        in-flight operation -- late replies and ``Throttled`` frames of
-        already-finished ops.  Dropping them here is what fixes the
-        stale-reply bleed-through of the shared-queue design, where a
-        leftover ``Throttled`` triggered a backoff sleep and a frame
-        replay for whichever operation ran *next*.
-        """
-        state = self._ops.get(getattr(message, "op_id", None))
-        if state is None:
-            return False
-        state.replies.put_nowait((sender, message))
-        return True
-
-
-class BatchedConnection:
-    """Per-connection write coalescing with adaptive drain backpressure.
-
-    :meth:`send` enqueues one frame and returns a future that resolves
-    when the frame's burst has been flushed (best-effort: write
-    failures resolve the future too -- the op waits for quorum replies,
-    not per-link delivery; the connection owner is told via
-    ``on_failure`` so the frames get replayed on reconnect).  All frames
-    enqueued before the flusher task runs -- i.e. during the same
-    event-loop tick, across every in-flight operation -- are written as
-    one burst followed by exactly one ``drain()``.
-
-    ``sealer`` (optional) maps the burst's raw payloads to wire frames
-    at flush time -- the batched-HMAC hook: a whole tick's payloads are
-    sealed under one MAC (see
-    :meth:`repro.transport.auth.Authenticator.seal_frames`).  Without a
-    sealer, enqueued frames are written as-is (the caller pre-sealed
-    them).
-    """
-
-    __slots__ = ("pid", "_writer", "_drain_timeout", "_on_drain_timeout",
-                 "_on_failure", "_on_batch", "_sealer", "_queue", "_burst",
-                 "_task", "_stalled", "_closed")
-
-    def __init__(self, pid: ProcessId, writer: asyncio.StreamWriter,
-                 drain_timeout: float,
-                 on_drain_timeout: Callable[[], Any],
-                 on_failure: Callable[[ProcessId], Any],
-                 on_batch: Optional[Callable[[int], Any]] = None,
-                 sealer: Optional[Callable[[List[bytes]],
-                                           List[bytes]]] = None) -> None:
-        self.pid = pid
-        self._writer = writer
-        self._drain_timeout = drain_timeout
-        self._on_drain_timeout = on_drain_timeout
-        self._on_failure = on_failure
-        self._on_batch = on_batch
-        self._sealer = sealer
-        self._queue: List[bytes] = []
-        #: One shared future per burst: every frame enqueued in the same
-        #: tick resolves together (they flush together), so send() hands
-        #: out the same future instead of allocating one per frame.
-        self._burst: Optional[asyncio.Future] = None
-        self._task: Optional[asyncio.Task] = None
-        #: Consecutive drain timeouts on this link.
-        self._stalled = 0
-        self._closed = False
-
-    @property
-    def stalled(self) -> bool:
-        """Whether the link is currently treated as chronically slow."""
-        return self._stalled >= STALL_THRESHOLD
-
-    def send(self, frame: bytes) -> "asyncio.Future[None]":
-        """Queue one frame; the returned future resolves after the flush.
-
-        ``frame`` is a raw payload when the connection has a ``sealer``
-        (sealed per burst at flush time) and a pre-sealed envelope
-        otherwise.
-        """
-        if self._closed:
-            # Link already declared dead: the frame stays in the op's
-            # pending map and is replayed when the supervisor re-dials.
-            fut = asyncio.get_running_loop().create_future()
-            fut.set_result(None)
-            return fut
-        self._queue.append(frame)
-        if self._burst is None:
-            self._burst = asyncio.get_running_loop().create_future()
-        if self._task is None or self._task.done():
-            self._task = asyncio.ensure_future(self._flush_loop())
-        return self._burst
-
-    def close(self) -> None:
-        """Stop flushing; resolve every queued waiter."""
-        self._closed = True
-        burst, self._burst = self._burst, None
-        self._queue.clear()
-        if burst is not None and not burst.done():
-            burst.set_result(None)
-
-    async def _flush_loop(self) -> None:
-        while self._queue and not self._closed:
-            batch, self._queue = self._queue, []
-            burst, self._burst = self._burst, None
-            if self._on_batch is not None:
-                self._on_batch(len(batch))
-            try:
-                frames = batch if self._sealer is None else self._sealer(batch)
-                write_frames(self._writer, frames)
-            except (OSError, ConnectionError, RuntimeError):
-                self._fail(burst)
-                return
-            # Backpressure: one drain per burst.  A link that timed out
-            # STALL_THRESHOLD times in a row is only probed -- paying
-            # the full timeout on every flush would charge each
-            # operation for one chronically slow server.
-            timeout = (STALL_PROBE_TIMEOUT if self.stalled
-                       else self._drain_timeout)
-            try:
-                await asyncio.wait_for(self._writer.drain(),
-                                       min(timeout, self._drain_timeout))
-                self._stalled = 0
-            except asyncio.TimeoutError:
-                self._stalled += 1
-                self._on_drain_timeout()
-            except (OSError, ConnectionError):
-                self._fail(burst)
-                return
-            if burst is not None and not burst.done():
-                burst.set_result(None)
-
-    def _fail(self, burst: Optional[asyncio.Future]) -> None:
-        self._closed = True
-        self._on_failure(self.pid)
-        for fut in (burst, self._burst):
-            if fut is not None and not fut.done():
-                fut.set_result(None)
-        self._burst = None
-        self._queue.clear()

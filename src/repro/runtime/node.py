@@ -5,10 +5,10 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
-import random
 import time
 from collections import OrderedDict, deque
-from typing import Any, Dict, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import (
     HealthAck,
@@ -22,8 +22,9 @@ from repro.core.messages import (
 from repro.errors import AuthenticationError, ProtocolError
 from repro.obs import PHASE_BY_MESSAGE, FlightRecorder, LogGate, MetricRegistry
 from repro.runtime.limits import PerClientBuckets
+from repro.runtime.link import Link
 from repro.transport.auth import Authenticator
-from repro.transport.codec import FrameAssembler, write_frames
+from repro.transport.codec import FrameAssembler, frame_burst
 from repro.transport.codec2 import CachedDecoder, CachedEncoder
 from repro.types import ProcessId
 
@@ -33,127 +34,121 @@ logger = logging.getLogger(__name__)
 #: recognize re-sent frames (client retries after reconnect/throttle).
 RETRY_WINDOW = 2048
 
-#: Bytes pulled from a connection per read syscall in the frame loop.
-READ_CHUNK = 64 * 1024
-
-#: Outbound payloads queued per peer link before the oldest are shed.
-#: Broadcast protocols tolerate message loss (that is their point), so
-#: shedding under a long partition beats unbounded buffering.
-PEER_QUEUE_LIMIT = 4096
-
 #: Encoded payloads parked for parties with no live connection.  Entries
 #: flush when the party next sends a frame; the cap bounds what a fleet
 #: of vanished clients can pin in memory.
 UNDELIVERED_LIMIT = 1024
 
 
-class _PeerLink:
-    """A lazily-dialed, self-healing outbound stream to one peer server.
+class _Connection(asyncio.Protocol):
+    """One inbound connection: serve each chunk whole, reply once.
 
-    Broadcast-based protocols (``rb``, ``rb2``, ``mpr``) emit envelopes
-    addressed to other *servers*.  Each such destination gets one of
-    these: payloads queue here, a background task dials the peer on
-    first use, seals queued payloads with the node's own identity and
-    writes them as batched frames.  A dead peer costs nothing but the
-    queue -- the task backs off, redials, and requeues what a broken
-    pipe may have lost, which is exactly the fair-lossy-link model the
-    protocols are built for (delivery is at-least-once attempted, never
-    guaranteed).
+    One read syscall may deliver several consecutive frames (a
+    multiplexed client coalesces its writes into bursts), and one
+    *frame* may carry a whole batch-sealed burst of messages.  Every
+    message in the chunk is served back to back; the chunk's replies go
+    out as one batch-sealed frame (a single HMAC covers them all) in a
+    single write.  A party that stops reading its replies stops being
+    read from: its own connection pauses, nobody else's.
     """
 
-    def __init__(self, node: "RegisterServerNode", peer_id: ProcessId) -> None:
+    def __init__(self, node: "RegisterServerNode") -> None:
         self.node = node
-        self.peer_id = peer_id
-        self.queue: deque = deque()
-        self.closed = False
-        self._task: Optional[asyncio.Task] = None
-        self._wakeup: Optional[asyncio.Event] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self.transport: Optional[asyncio.Transport] = None
+        self._assembler = FrameAssembler()
+        self._loop = asyncio.get_running_loop()
+        #: The transport's write buffer is over its high-water mark.
+        self._write_paused = False
+        #: The chunk whose acks wait for their snapshot (at most one:
+        #: reading is paused while it is pending).
+        self._durable: Optional[asyncio.Task] = None
 
-    def send(self, payload: bytes) -> None:
-        """Queue one encoded payload; spawns the sender task if idle."""
-        if self.closed:
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        node = self.node
+        if (node.max_connections is not None
+                and len(node._connections) >= node.max_connections):
+            # Shed the connection outright: the dialling client's backoff
+            # spreads the retry, which is the point of the cap.
+            node._counters["connections_refused"].inc()
+            node._log.warning(
+                "conn-cap", "server %s refusing connection (cap %d reached)",
+                node.server_id, node.max_connections)
+            transport.close()
             return
-        self.queue.append(payload)
-        while len(self.queue) > PEER_QUEUE_LIMIT:
-            self.queue.popleft()
-        if self._wakeup is None:
-            self._wakeup = asyncio.Event()
-        self._wakeup.set()
-        if self._task is None or self._task.done():
-            self._task = asyncio.get_running_loop().create_task(self._run())
+        self.transport = transport
+        node._connections.add(self)
+        node._connections_gauge.set(len(node._connections))
 
-    async def _run(self) -> None:
-        backoff = 0.05
-        while not self.closed:
-            if not self.queue:
-                self._wakeup.clear()
-                if self.queue:  # raced with a send()
-                    continue
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), timeout=30.0)
-                except asyncio.TimeoutError:
-                    if not self.queue:
-                        return  # idle link; send() respawns the task
-                continue
-            if self._writer is None:
-                host, port = self.node._peers[self.peer_id]
-                try:
-                    reader, self._writer = await asyncio.open_connection(
-                        host, port)
-                    # Peers never write back on this link (server traffic
-                    # flows over each side's own outbound link), but the
-                    # read side must be consumed for close detection.
-                    asyncio.get_running_loop().create_task(
-                        self._drain_reader(reader))
-                    backoff = 0.05
-                except OSError:
-                    await asyncio.sleep(backoff * (1.0 + random.random()))
-                    backoff = min(backoff * 2, 1.0)
-                    continue
-            batch = []
-            while self.queue and len(batch) < 64:
-                batch.append(self.queue.popleft())
-            try:
-                write_frames(self._writer, self.node.auth.seal_frames(
-                    self.node.server_id, batch))
-                await self._writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                # The peer crashed mid-flight; requeue this batch (what
-                # reached the socket may be lost -- the protocols absorb
-                # both loss and duplication) and redial after a pause.
-                self.queue.extendleft(reversed(batch))
-                self._close_writer()
-                await asyncio.sleep(backoff * (1.0 + random.random()))
-                backoff = min(backoff * 2, 1.0)
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        node = self.node
+        node._connections.discard(self)
+        node._connections_gauge.set(len(node._connections))
+        for pid, connection in list(node._parties.items()):
+            if connection is self:
+                del node._parties[pid]
 
-    async def _drain_reader(self, reader: asyncio.StreamReader) -> None:
+    def data_received(self, data: bytes) -> None:
+        node = self.node
         try:
-            while await reader.read(READ_CHUNK):
-                pass
-        except (ConnectionResetError, OSError):
-            pass
+            frames = self._assembler.feed(data)
+        except ProtocolError as exc:
+            # Oversized frame: past this point the stream cannot be
+            # re-synchronized, so the connection is dropped.
+            node._c_frames_bad.inc()
+            node._log.warning("bad-frame", "server %s closing "
+                              "connection: %s", node.server_id, exc)
+            self.transport.close()
+            return
+        # One chunk-receipt instant for every frame in the burst:
+        # a frame's queue wait is the time it spent behind earlier
+        # messages of the same chunk before its handler ran.
+        received = self._loop.time()
+        replies: List[bytes] = []
+        needs_checkpoint = False
+        for frame in frames:
+            node._c_wire_frames.inc()
+            if node._serve_frame(frame, replies, self._loop, received, self):
+                needs_checkpoint = True
+        if needs_checkpoint and node.snapshot_path is not None:
+            # One durable snapshot per chunk (the checkpoint path
+            # coalesces anyway), taken *before* any ack goes out so
+            # acknowledged state is always recoverable.  Nothing more is
+            # read meanwhile, so this connection's replies keep the
+            # order of its requests.
+            self.transport.pause_reading()
+            self._durable = self._loop.create_task(
+                self._ack_when_durable(replies))
+        else:
+            self.write(replies)
 
-    def _close_writer(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:  # pragma: no cover - teardown races
-                pass
-            self._writer = None
+    async def _ack_when_durable(self, replies: List[bytes]) -> None:
+        try:
+            await self.node._checkpoint()
+        except BaseException:
+            self.transport.abort()  # never ack what did not reach disk
+            raise
+        self._durable = None
+        self.write(replies)
+        if not self._write_paused:
+            self.transport.resume_reading()
 
-    async def close(self) -> None:
-        self.closed = True
-        if self._wakeup is not None:
-            self._wakeup.set()
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._task = None
-        self._close_writer()
+    def write(self, payloads: List[bytes]) -> None:
+        """Seal ``payloads`` under one HMAC and write them as one burst."""
+        if not payloads or self.transport.is_closing():
+            return
+        if len(payloads) > 1:
+            self.node._counters["reply_batches"].inc()
+        self.transport.write(frame_burst(self.node.auth.seal_frames(
+            self.node.server_id, payloads)))
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if self._durable is None:
+            self.transport.resume_reading()
 
 
 class RegisterServerNode:
@@ -164,11 +159,12 @@ class RegisterServerNode:
     elsewhere are routed: to the node itself (a broadcast protocol counting
     its own echo) they loop back through the protocol in place; to a peer
     server (see :meth:`set_peers`) they go out over a dedicated
-    :class:`_PeerLink`; to any other party with a live inbound connection
-    they are written directly; and otherwise they are parked in a bounded
-    stash flushed when that party next sends a frame (a reader whose relay
-    raced ahead of its own request).  Only with no peers configured and no
-    route at all is an envelope dropped with a warning.
+    :class:`~repro.runtime.link.Link`; to any other party with a live
+    inbound connection they are written directly; and otherwise they are
+    parked in a bounded stash flushed when that party next sends a frame
+    (a reader whose relay raced ahead of its own request).  Only with no
+    peers configured and no route at all is an envelope dropped with a
+    warning.
 
     A ``behavior`` may be supplied to make the node Byzantine: it receives
     the same hooks as in the simulator.
@@ -265,7 +261,7 @@ class RegisterServerNode:
         self._c_frames_retried = self._counters["frames_retried"]
         self._log = LogGate(logger, self.registry, component=f"node/{node}")
         self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_writers: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[_Connection] = set()
         self._checkpoint_lock: Optional[asyncio.Lock] = None
         self._checkpoint_seq = 0
         self._checkpoint_written = 0
@@ -275,10 +271,10 @@ class RegisterServerNode:
         #: Peer server id -> (host, port); set via :meth:`set_peers` for
         #: protocols whose servers talk to each other.
         self._peers: Dict[ProcessId, Tuple[str, int]] = {}
-        self._peer_links: Dict[ProcessId, _PeerLink] = {}
-        #: Authenticated sender -> the writer of its latest connection,
-        #: for pushing server-initiated envelopes (relays, late acks).
-        self._parties: Dict[ProcessId, asyncio.StreamWriter] = {}
+        self._peer_links: Dict[ProcessId, Link] = {}
+        #: Authenticated sender -> its latest connection, for pushing
+        #: server-initiated envelopes (relays, late acks).
+        self._parties: Dict[ProcessId, _Connection] = {}
         #: dest -> encoded payloads with no current route, newest dest
         #: last; flushed into the reply batch when the party next writes.
         self._undelivered: "OrderedDict[ProcessId, list]" = OrderedDict()
@@ -354,9 +350,8 @@ class RegisterServerNode:
     async def start(self) -> None:
         """Bind the listener; ``self.port`` is filled in when it was 0."""
         self._restore_from_snapshot()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         logger.info("server %s listening on %s:%d", self.server_id, self.host, self.port)
 
@@ -364,12 +359,11 @@ class RegisterServerNode:
         """Close the listener and every live connection (crash semantics)."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
-        for writer in list(self._conn_writers):
-            writer.close()
-        for link in list(self._peer_links.values()):
-            await link.close()
+        for connection in self._connections:
+            connection.transport.close()
+        for link in self._peer_links.values():
+            link.close()
         self._peer_links.clear()
         self._parties.clear()
         self._undelivered.clear()
@@ -383,43 +377,6 @@ class RegisterServerNode:
     def address(self) -> tuple:
         """``(host, port)`` of the bound listener."""
         return (self.host, self.port)
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        if (self.max_connections is not None
-                and len(self._conn_writers) >= self.max_connections):
-            # Shed the connection outright: the dialling client's backoff
-            # spreads the retry, which is the point of the cap.
-            self._counters["connections_refused"].inc()
-            self._log.warning(
-                "conn-cap", "server %s refusing connection (cap %d reached)",
-                self.server_id, self.max_connections)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-            return
-        self._conn_writers.add(writer)
-        self._connections_gauge.set(len(self._conn_writers))
-        try:
-            await self._connection_loop(reader, writer)
-        except asyncio.CancelledError:
-            # Listener shut down while this connection was idle; wind down
-            # quietly rather than spamming the event loop's exception hook.
-            pass
-        finally:
-            self._conn_writers.discard(writer)
-            self._connections_gauge.set(len(self._conn_writers))
-            for pid, w in list(self._parties.items()):
-                if w is writer:
-                    del self._parties[pid]
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError,
-                    BrokenPipeError):  # pragma: no cover - teardown races
-                pass
 
     def _note_repeat(self, sender: ProcessId, message: Any) -> bool:
         """Count frames the node has already seen (client re-sends).
@@ -438,70 +395,16 @@ class RegisterServerNode:
             recent.popitem(last=False)
         return False
 
-    async def _connection_loop(self, reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter) -> None:
-        """Serve one connection: batch-decode frames, batch-flush replies.
-
-        One read syscall may deliver several consecutive frames (a
-        multiplexed client coalesces its writes into bursts), and one
-        *frame* may carry a whole batch-sealed burst of messages.  Every
-        message in the chunk is processed back to back; the chunk's
-        replies go out as one batch-sealed frame (a single HMAC covers
-        them all) under a single write and a single ``drain()``.
-        """
-        loop = asyncio.get_running_loop()
-        assembler = FrameAssembler()
-        while True:
-            try:
-                data = await reader.read(READ_CHUNK)
-            except (ConnectionResetError, OSError):
-                return
-            if not data:
-                return
-            try:
-                frames = assembler.feed(data)
-            except ProtocolError as exc:
-                # Oversized frame: past this point the stream cannot be
-                # re-synchronized, so the connection is dropped.
-                self._counters["frames_bad"].inc()
-                self._log.warning("bad-frame", "server %s closing "
-                                  "connection: %s", self.server_id, exc)
-                return
-            # One chunk-receipt instant for every frame in the burst:
-            # a frame's queue wait is the time it spent behind earlier
-            # messages of the same chunk before its handler ran.
-            received = loop.time()
-            replies: list = []
-            needs_checkpoint = False
-            for frame in frames:
-                self._c_wire_frames.inc()
-                if self._serve_frame(frame, replies, loop, received, writer):
-                    needs_checkpoint = True
-            if needs_checkpoint:
-                # One durable snapshot per chunk (the checkpoint path
-                # coalesces anyway), taken *before* any ack goes out so
-                # acknowledged state is always recoverable.
-                await self._checkpoint()
-            if replies:
-                if len(replies) > 1:
-                    self._counters["reply_batches"].inc()
-                write_frames(writer, self.auth.seal_frames(
-                    self.server_id, replies))
-                try:
-                    await writer.drain()
-                except (ConnectionResetError, OSError):
-                    return
-
     def _serve_frame(self, frame, replies: list,
                      loop: asyncio.AbstractEventLoop,
                      received: Optional[float] = None,
-                     writer: Optional[asyncio.StreamWriter] = None) -> bool:
+                     connection: Optional[_Connection] = None) -> bool:
         """Verify one wire frame and serve every message it carries.
 
         Encoded reply payloads are appended to ``replies``; the
-        connection loop seals and flushes them once per decoded chunk.
+        connection seals and writes them once per decoded chunk.
         Returns whether any message mutated durable state (the caller
-        checkpoints before flushing the acks).
+        checkpoints before writing the acks).
         """
         try:
             sender, payloads = self.auth.open_any(frame)
@@ -510,12 +413,12 @@ class RegisterServerNode:
             self._log.warning("bad-frame", "server %s dropping bad "
                               "frame: %s", self.server_id, exc)
             return False
-        if writer is not None:
+        if connection is not None:
             # Remember where this authenticated party lives so pushed
             # envelopes (relays to waiting readers, acks whose trigger
             # arrived via a peer first) can reach it, and flush anything
             # parked for it while it had no route.
-            self._parties[sender] = writer
+            self._parties[sender] = connection
             parked = self._undelivered.pop(sender, None)
             if parked:
                 self._undelivered_count -= len(parked)
@@ -676,14 +579,34 @@ class RegisterServerNode:
             if dest == self.server_id:
                 pending.append((self.server_id, reply))
             elif dest in self._peers:
-                link = self._peer_links.get(dest)
-                if link is None:
-                    link = self._peer_links[dest] = _PeerLink(self, dest)
-                link.send(encode(reply))
+                self._peer_link(dest).send(encode(reply))
             elif dest == origin:
                 replies.append(encode(reply))
             else:
                 self._push_to_party(dest, encode(reply))
+
+    def _peer_link(self, dest: ProcessId) -> Link:
+        """The mesh link to peer ``dest``, dialed on first use.
+
+        Payloads are sealed with the node's own identity.  Peers never
+        write back on this link (server traffic flows over each side's
+        own outbound link), so inbound frames are ignored.  A dead peer
+        costs nothing but the bounded queue -- the link backs off,
+        redials and sends what it still holds, which is exactly the
+        fair-lossy-link model the broadcast protocols are built for
+        (delivery is at-least-once attempted, never guaranteed).
+        """
+        link = self._peer_links.get(dest)
+        if link is None:
+            link = self._peer_links[dest] = Link(
+                self._peers[dest],
+                partial(self.auth.seal_frames, self.server_id),
+                on_drop=partial(self._log.warning, "peer-shed",
+                                "server %s, link to peer %s: %s: %s",
+                                self.server_id, dest),
+                backoff_base=0.05, backoff_max=1.0)
+            link.redial(at_once=True)
+        return link
 
     def _push_to_party(self, dest: ProcessId, payload: bytes) -> None:
         """Deliver a server-initiated envelope to a non-peer party.
@@ -694,14 +617,10 @@ class RegisterServerNode:
         a write validates via peer echoes before the writer's own frame
         reaches this server -- the ack would otherwise evaporate.
         """
-        writer = self._parties.get(dest)
-        if writer is not None and not writer.is_closing():
-            try:
-                write_frames(writer, self.auth.seal_frames(
-                    self.server_id, [payload]))
-                return
-            except (ConnectionResetError, OSError):  # pragma: no cover
-                pass
+        connection = self._parties.get(dest)
+        if connection is not None and not connection.transport.is_closing():
+            connection.write([payload])
+            return
         if not self._peers:
             # No mesh configured: a stray destination is a protocol bug,
             # same as before peer routing existed.

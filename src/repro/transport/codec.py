@@ -39,12 +39,12 @@ def write_frame(writer, payload: bytes) -> None:
     writer.write(_PACK_HEADER(len(payload)) + payload)
 
 
-def write_frames(writer, payloads) -> None:
-    """Write many frames as one contiguous burst (one transport write).
+def frame_burst(payloads) -> bytes:
+    """Frame many payloads as one contiguous burst (one transport write).
 
     Batching frames that were queued in the same event-loop tick halves
-    the per-frame overhead on the hot path: one ``writer.write`` call and
-    one ``drain()`` serve the whole burst.
+    the per-frame overhead on the hot path: one ``transport.write`` call
+    serves the whole burst.
     """
     parts = []
     for payload in payloads:
@@ -53,16 +53,15 @@ def write_frames(writer, payloads) -> None:
                 f"frame of {len(payload)} bytes exceeds the cap")
         parts.append(_PACK_HEADER(len(payload)))
         parts.append(payload)
-    if parts:
-        writer.write(b"".join(parts))
+    return b"".join(parts)
 
 
 class FrameAssembler:
     """Incremental zero-copy frame decoder over raw stream chunks.
 
-    Feeding arbitrary byte chunks (``reader.read(...)``) yields every
+    Feeding arbitrary byte chunks (``data_received``) yields every
     *complete* length-prefixed frame they contain; partial frames stay
-    buffered until the next chunk.  This is what lets a connection loop
+    buffered until the next chunk.  This is what lets a connection
     batch-decode consecutive frames from one read syscall instead of
     paying two ``readexactly`` waits per frame.
 
@@ -71,7 +70,7 @@ class FrameAssembler:
     valid until the **next** :meth:`feed` call (the buffer is compacted
     and recycled in place); callers must finish with, or copy, each
     batch of frames before feeding the next chunk, which is exactly how
-    the runtime's read loops behave.
+    the runtime's protocols behave.
 
     Safety: the declared length of a frame is validated the moment its
     4-byte header is complete, and the total number of buffered bytes is

@@ -25,8 +25,7 @@ def test_single_client_sustains_64_concurrent_ops_under_flaky_links():
                                    seed=11, start=0.2, period=0.5)
             nemesis = Nemesis(cluster, steps, registry=cluster.registry)
             client = cluster.client("w000", timeout=20.0,
-                                    backoff_base=0.05, backoff_max=0.5,
-                                    drain_timeout=0.5)
+                                    backoff_base=0.05, backoff_max=0.5)
             await client.connect()
             trace = Trace()
             loop = asyncio.get_running_loop()

@@ -5,6 +5,7 @@ import asyncio
 from repro.core.messages import Throttled
 from repro.obs import MemorySink, MetricRegistry
 from repro.runtime import LocalCluster
+from repro.transport.codec2 import encode_message_v2
 
 
 def run(coro):
@@ -128,7 +129,12 @@ def test_stale_throttled_does_not_slow_the_next_op():
             finished_op = sink.records[0]["op_id"]
             stale = Throttled(op_id=finished_op, retry_after=5.0,
                               dropped="QueryData")
-            assert client._dispatcher.route("s000", stale) is False
+            assert client._dispatcher.lookup(finished_op) is None
+            before = client.stats()["replies_stale"]
+            frame = cluster.nodes["s000"].auth.seal(
+                "s000", encode_message_v2(stale))
+            client._links["s000"].on_frames([memoryview(frame)], 0.0)
+            assert client.stats()["replies_stale"] == before + 1
             loop = asyncio.get_running_loop()
             started = loop.time()
             await client.read()

@@ -125,8 +125,7 @@ def test_reconnect_resends_in_flight_operation():
         await cluster.start()
         try:
             client = cluster.client("w000", timeout=15.0,
-                                    backoff_base=0.02, backoff_max=0.1,
-                                    drain_timeout=0.2)
+                                    backoff_base=0.02, backoff_max=0.1)
             await client.connect()
             # Crash two servers: only 3 of 5 left, one short of the n - f
             # quorum, so the write must stall...

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Lint: no import-time shims, no exports nobody uses.
+"""Lint: no import-time shims, no exports nobody uses, one I/O style.
 
-Two ways dead code hides in a package, both cheap to detect:
+Ways dead or duplicate code hides in a package, all cheap to detect:
 
 * a module-level ``__getattr__`` (PEP 562) under ``src/repro/`` -- every
   one this repo ever had was a compatibility view over a name that had
@@ -10,7 +10,12 @@ Two ways dead code hides in a package, both cheap to detect:
   references -- not ``src/``, ``tests/``, ``bench/``, ``benchmarks/``,
   ``examples/``, ``tools/`` nor ``docs/``.  The ``__init__.py`` that
   exports the name does not count as a reference to it, and neither
-  does the statement that defines it.
+  does the statement that defines it;
+* asyncio *streams* under ``src/repro/runtime/`` -- ``start_server``,
+  ``open_connection``, ``StreamReader``, ``StreamWriter`` or a
+  ``.drain()`` call.  The runtime's I/O is ``asyncio.Protocol`` objects
+  (``runtime/link.py`` outbound, the node's inbound connection); a
+  stream beside them is a second implementation of the same channel.
 
 Exit status is the number of findings (0 == clean).
 """
@@ -22,6 +27,12 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "repro")
+
+RUNTIME = os.path.join(PACKAGE, "runtime")
+
+#: Names that mean a stream-based I/O path grew back under ``runtime/``.
+STREAM_NAMES = {"start_server", "open_connection", "StreamReader",
+                "StreamWriter", "drain"}
 
 #: Where a reference to an exported name may live.
 REFERENCE_DIRS = ("src", "tests", "bench", "benchmarks", "examples",
@@ -66,6 +77,15 @@ def _shim_lines(tree):
             and node.name == "__getattr__"]
 
 
+def _stream_lines(tree):
+    """``(line, name)`` of every stream API the module touches."""
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in STREAM_NAMES:
+            yield node.lineno, name
+
+
 def main():
     findings = []
     #: name -> files referencing it (python uses, or words in a doc).
@@ -87,6 +107,12 @@ def main():
                         for line in _shim_lines(tree))
                     if os.path.basename(path) == "__init__.py":
                         exports.append((path, _exports(tree)))
+                if path.startswith(RUNTIME + os.sep):
+                    findings.extend(
+                        f"{os.path.relpath(path, ROOT)}:{line}: asyncio "
+                        f"stream API {name!r}; runtime I/O goes through "
+                        "the Protocol classes"
+                        for line, name in _stream_lines(tree))
             for name in names:
                 references.setdefault(name, set()).add(path)
     for path, names in exports:
@@ -100,7 +126,8 @@ def main():
     for finding in findings:
         print(f"dead-code: {finding}")
     if not findings:
-        print("dead-code: no shims, no unreferenced exports")
+        print("dead-code: no shims, no unreferenced exports, no streams "
+              "under runtime/")
     return len(findings)
 
 

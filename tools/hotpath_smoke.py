@@ -16,7 +16,7 @@ import time
 from repro.core.messages import DataReply, PutData, QueryData, QueryTag
 from repro.core.tags import Tag
 from repro.transport.auth import Authenticator, KeyChain
-from repro.transport.codec import FrameAssembler, _PACK_HEADER
+from repro.transport.codec import FrameAssembler, frame_burst
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
 
 #: Messages in the pass.
@@ -52,9 +52,7 @@ def run_pass():
     for at in range(0, COUNT, BURST):
         burst = messages[at:at + BURST]
         payloads = [encode_message_v2(m) for m in burst]
-        wire = b"".join(
-            _PACK_HEADER(len(f)) + f
-            for f in auth.seal_frames("w000", payloads))
+        wire = frame_burst(auth.seal_frames("w000", payloads))
         for frame in assembler.feed(wire):
             _, opened = auth.open_any(frame)
             for payload in opened:
