@@ -163,7 +163,7 @@ class AsyncRegisterClient:
             for name in ("connects", "reconnects", "disconnects",
                          "frames_dropped", "frames_resent", "ops_retried",
                          "throttled", "ops_queued", "replies_stale",
-                         "send_batches", "connections_pruned")
+                         "send_batches", "connections_pruned", "recv_calls")
         }
         #: Servers :meth:`connect` skipped because no declared key routes
         #: to them (group-local pruning).  An operation that does route
@@ -274,13 +274,14 @@ class AsyncRegisterClient:
 
     def _fold_replies(self, pid: ProcessId, decode: CachedDecoder,
                       frames: List[memoryview], now: float) -> None:
-        """Fold one chunk's verified frames into their owning ops.
+        """Fold one read's verified frames into their owning ops.
 
         One read syscall may carry replies to several operations, each
         resolved by ``op_id`` through the dispatcher.  Replies owned by
         no in-flight operation (late answers and ``Throttled`` frames of
         finished ops) are dropped and counted as ``replies_stale``.
         """
+        self._counters["recv_calls"].inc()
         peek = peek_op_id_v2
         lookup = self._dispatcher.lookup
         stale = self._counters["replies_stale"]

@@ -11,9 +11,11 @@ told what to do with inbound frames and with going up or down.
   payload is shed and reported through ``on_drop``.
 * **Flow control** is the transport's own: ``pause_writing`` holds the
   queue, ``resume_writing`` flushes it in order.  There is no timer.
-* **Inbound** bytes go through one ``FrameAssembler`` straight to
-  ``on_frames``; an oversized frame cannot be re-synchronised past, so
-  it resets this link (and only this link).
+* **Inbound** bytes are received *into* one ``FrameAssembler`` (the
+  link is an ``asyncio.BufferedProtocol``: no allocation and no copy
+  per read) and parsed in place for ``on_frames``; an oversized frame
+  cannot be re-synchronised past, so it resets this link (and only
+  this link).
 * **Loss** fires ``on_down`` and, under ``reconnect``, re-dials with
   exponential backoff plus jitter; ``on_up`` fires on every established
   connection, which is where an owner replays what it still needs.
@@ -40,13 +42,16 @@ def _ignore(*args: Any) -> None:
     """Default handler: the owner does not care about this event."""
 
 
-class Link(asyncio.Protocol):
+class Link(asyncio.BufferedProtocol):
     """One self-healing outbound connection to ``address``.
 
     ``seal`` maps a tick's payloads to wire frames.  The handlers are
-    all optional: ``on_frames(frames, now)`` receives each chunk's
-    complete frames (``memoryview`` slices, valid until it returns) and
-    the loop time the chunk arrived; ``on_up()`` / ``on_down()`` bracket
+    all optional: ``on_frames(frames, now)`` fires once per read with
+    the frames it completed (possibly none) and the loop time the bytes
+    arrived -- the frames are ``memoryview`` slices of the receive
+    buffer, valid until the link's next read (the assembler's next
+    ``writable()``), so a handler copies what must outlive that;
+    ``on_up()`` / ``on_down()`` bracket
     each established connection; ``on_flush()`` fires once per burst
     written; ``on_drop(reason, detail)`` once per payload shed from a
     full queue and once per oversized inbound frame.
@@ -164,7 +169,7 @@ class Link(asyncio.Protocol):
         transport.write(frame_burst(self.seal(payloads)))
         self.on_flush()
 
-    # -- asyncio.Protocol ----------------------------------------------------
+    # -- asyncio.BufferedProtocol --------------------------------------------
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         if self._closed:
             transport.close()
@@ -175,17 +180,19 @@ class Link(asyncio.Protocol):
         self.on_up()
         self._flush()
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._assembler.writable(sizehint)
+
+    def buffer_updated(self, nbytes: int) -> None:
         try:
-            frames = self._assembler.feed(data)
+            frames = self._assembler.filled(nbytes)
         except ProtocolError as exc:
             # Oversized frame: the stream is poisoned past this point;
             # drop the connection and re-dial from a clean slate.
             self.on_drop("bad-frame", f"resetting link: {exc}")
             self._transport.close()
             return
-        if frames:
-            self.on_frames(frames, self._loop.time())
+        self.on_frames(frames, self._loop.time())
 
     def pause_writing(self) -> None:
         self._paused = True

@@ -40,9 +40,11 @@ RETRY_WINDOW = 2048
 UNDELIVERED_LIMIT = 1024
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One inbound connection: serve each chunk whole, reply once.
 
+    The transport reads straight into the connection's assembler (no
+    allocation, no copy per read) and the frames are served in place.
     One read syscall may deliver several consecutive frames (a
     multiplexed client coalesces its writes into bursts), and one
     *frame* may carry a whole batch-sealed burst of messages.  Every
@@ -87,10 +89,14 @@ class _Connection(asyncio.Protocol):
             if connection is self:
                 del node._parties[pid]
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._assembler.writable(sizehint)
+
+    def buffer_updated(self, nbytes: int) -> None:
         node = self.node
+        node._c_recv_calls.inc()
         try:
-            frames = self._assembler.feed(data)
+            frames = self._assembler.filled(nbytes)
         except ProtocolError as exc:
             # Oversized frame: past this point the stream cannot be
             # re-synchronized, so the connection is dropped.
@@ -243,7 +249,7 @@ class RegisterServerNode:
             for name in ("frames", "frames_bad", "frames_retried",
                          "frames_throttled", "connections_refused",
                          "health_pings", "stats_pings", "trace_dumps",
-                         "wire_frames", "reply_batches")
+                         "wire_frames", "reply_batches", "recv_calls")
         }
         self._connections_gauge = self.registry.gauge(
             "node_connections", node=node)
@@ -258,6 +264,7 @@ class RegisterServerNode:
         self._c_frames = self._counters["frames"]
         self._c_frames_bad = self._counters["frames_bad"]
         self._c_wire_frames = self._counters["wire_frames"]
+        self._c_recv_calls = self._counters["recv_calls"]
         self._c_frames_retried = self._counters["frames_retried"]
         self._log = LogGate(logger, self.registry, component=f"node/{node}")
         self._server: Optional[asyncio.AbstractServer] = None
@@ -474,6 +481,14 @@ class RegisterServerNode:
             # The scrape path: same exemption as health pings, so
             # metrics stay readable exactly when the node is drowning.
             self._counters["stats_pings"].inc()
+            registers = getattr(self.protocol, "registers", None)
+            if registers is not None:
+                # Keyed table: the longest resident history, walked per
+                # scrape instead of tracked per message.
+                self.registry.gauge(
+                    "node_history_len_max", node=str(self.server_id),
+                ).set(max((len(server.history)
+                           for server in registers.values()), default=0))
             ack = StatsAck(op_id=message.op_id,
                            node_id=str(self.server_id),
                            metrics=self.registry.snapshot())

@@ -57,27 +57,30 @@ def frame_burst(payloads) -> bytes:
 
 
 class FrameAssembler:
-    """Incremental zero-copy frame decoder over raw stream chunks.
+    """Incremental zero-copy frame decoder over a raw byte stream.
 
-    Feeding arbitrary byte chunks (``data_received``) yields every
-    *complete* length-prefixed frame they contain; partial frames stay
-    buffered until the next chunk.  This is what lets a connection
-    batch-decode consecutive frames from one read syscall instead of
-    paying two ``readexactly`` waits per frame.
+    The reader fills the assembler's own buffer: :meth:`writable` hands
+    out the free tail for the next read (``recv_into``) and
+    :meth:`filled` returns every *complete* length-prefixed frame the
+    bytes read so far contain; a partial frame stays buffered.  This is
+    what lets a connection receive without allocating and batch-decode
+    consecutive frames from one read syscall.  :meth:`feed` is the same
+    two steps for callers that already hold the bytes.
 
     Completed frames are returned as ``memoryview`` slices into the
     assembler's internal buffer -- no per-frame copy.  The views are
-    valid until the **next** :meth:`feed` call (the buffer is compacted
-    and recycled in place); callers must finish with, or copy, each
-    batch of frames before feeding the next chunk, which is exactly how
-    the runtime's protocols behave.
+    valid until the **next** :meth:`writable` (or :meth:`feed`) call,
+    which compacts and recycles the buffer in place; callers must finish
+    with, or copy, each batch of frames before reading again, which is
+    exactly how the runtime's protocols behave.
 
     Safety: the declared length of a frame is validated the moment its
-    4-byte header is complete, and the total number of buffered bytes is
-    additionally capped at ``max_frame_bytes + 4`` between feeds -- a
+    4-byte header is complete, before any buffer is grown for it -- a
     peer drip-feeding a giant bogus length kills the connection at the
-    header, before any allocation, and no parser state can grow the
-    buffer past one maximum-size frame.
+    header.  The stream cannot be re-synchronised past such a header:
+    only the header stays buffered, every later :meth:`filled` raises
+    again, and no parser state can grow the buffer past one
+    maximum-size frame.
     """
 
     __slots__ = ("_buf", "_start", "_end", "_max")
@@ -94,34 +97,46 @@ class FrameAssembler:
         self._end = 0
 
     def feed(self, data) -> List[memoryview]:
-        """Absorb ``data``; return the completed frame payload views.
+        """Absorb ``data``; return the completed frame payload views."""
+        n = len(data)
+        self.writable(n)[:n] = data
+        return self.filled(n)
 
-        The returned ``memoryview`` slices alias the internal buffer and
-        are invalidated by the next ``feed`` call.
+    def writable(self, sizehint: int = -1) -> memoryview:
+        """The buffer's free tail, for the next read to fill.
+
+        Never empty and at least ``sizehint`` bytes long.  The partial
+        frame is slid to the front first, and when its header is already
+        complete the buffer grows once to hold the whole frame (not by
+        doubling on every read).  Invalidates earlier frame views.
         """
         buf = self._buf
-        start, end = self._start, self._end
-        n = len(data)
-        if end + n > len(buf):
-            pending = end - start
-            if pending + n <= len(buf):
-                # Compact in place: slide the partial frame to the front.
-                buf[:pending] = buf[start:end]
-            else:
-                capacity = max(len(buf) * 2, pending + n)
-                grown = bytearray(capacity)
-                grown[:pending] = buf[start:end]
-                self._buf = buf = grown
-            start, end = 0, pending
-        buf[end:end + n] = data
-        end += n
+        pending = self._end - self._start
+        if self._start:
+            buf[:pending] = buf[self._start:self._end]
+            self._start, self._end = 0, pending
+        want = max(sizehint, 1)
+        if pending >= 4:
+            length = _UNPACK_HEADER(buf, 0)[0]
+            if length <= self._max:
+                want = max(want, 4 + length - pending)
+        if pending + want > len(buf):
+            grown = bytearray(max(len(buf) * 2, pending + want))
+            grown[:pending] = buf[:pending]
+            self._buf = buf = grown
+        return memoryview(buf)[pending:]
 
+    def filled(self, n: int) -> List[memoryview]:
+        """Take ``n`` bytes written into :meth:`writable`'s view; return
+        the completed frame payload views."""
+        buf = self._buf
+        start, end = self._start, self._end + n
         frames: List[memoryview] = []
         view = memoryview(buf)
         while end - start >= 4:
             length = _UNPACK_HEADER(buf, start)[0]
             if length > self._max:
-                self._start, self._end = start, end
+                self._start, self._end = start, start + 4
                 raise ProtocolError(
                     f"frame of {length} bytes exceeds the cap")
             if end - start < 4 + length:

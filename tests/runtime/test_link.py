@@ -17,7 +17,12 @@ import repro
 from repro.deploy import ClusterSpec
 from repro.runtime import AsyncRegisterClient, LocalCluster
 from repro.runtime.link import PEER_QUEUE_LIMIT, Link
-from repro.transport.codec import MAX_FRAME_BYTES, FrameAssembler
+from repro.transport.codec import (
+    MAX_FRAME_BYTES,
+    FrameAssembler,
+    frame_burst,
+)
+from tests.runtime.fake_io import deliver
 
 SPEC = ClusterSpec(algorithm="bsr", f=1)
 OWNERS = ("client", "mesh")
@@ -213,13 +218,42 @@ def test_oversized_frame_resets_only_its_own_link():
         other = client._link("s001")
         assert await other.dial()
         poisoned, healthy = dialer.transports
-        link.data_received((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+        deliver(link, (MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
         assert poisoned.closed and not healthy.closed
         assert client.stats()["frames_dropped"] == 1
+        # A read that was already on its way while the link closes must
+        # not raise into the event loop, and hands on no frame.
+        deliver(link, frame_burst([b"late"]))
+        assert client.stats()["recv_calls"] == 0
         link.connection_lost(None)  # what the closed transport reports
         assert set(client._connections) == {"s001"}
         assert link.redialing and not other.redialing
         await client.close()
+
+    run(scenario())
+
+
+def test_inbound_frames_arrive_whole_in_order_and_not_across_reconnects():
+    async def scenario():
+        dialer = Dialer()
+        link, _ = await make_link("mesh")  # a link with no frame handler
+        got = []
+        link.on_frames = lambda frames, now: got.extend(map(bytes, frames))
+        big = bytes(range(256)) * (FrameAssembler.INITIAL_CAPACITY // 100)
+        exact = b"e" * (FrameAssembler.INITIAL_CAPACITY - 4)
+        payloads = [b"a", big, b"", exact, b"z"]
+        # Short reads: the big frame needs several fills and one grow.
+        deliver(link, frame_burst(payloads), max_read=40_000)
+        assert got == payloads
+        # Half a frame, then the connection dies: the next connection
+        # must not glue its first bytes onto the stale half.
+        deliver(link, frame_burst([b"never-completed"])[:9])
+        link.connection_lost(None)
+        await until(lambda: up(link))
+        assert len(dialer.transports) == 2
+        deliver(link, frame_burst([b"fresh"]))
+        assert got == payloads + [b"fresh"]
+        link.close()
 
     run(scenario())
 
@@ -269,13 +303,18 @@ print("exited")
 """
 
 
-def test_interpreter_exits_when_close_is_forgotten():
+def run_fresh_interpreter(script, timeout, **env):
+    """Run ``script`` against this checkout in a new process -> stdout."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", FORGOTTEN_CLOSE], env=env,
-                          capture_output=True, text=True, timeout=5)
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "exited"
+    return done.stdout
+
+
+def test_interpreter_exits_when_close_is_forgotten():
+    assert run_fresh_interpreter(FORGOTTEN_CLOSE, 5).strip() == "exited"
 
 
 def test_operations_create_no_tasks():
@@ -307,3 +346,46 @@ def test_operations_create_no_tasks():
             await cluster.stop()
 
     run(scenario())
+
+
+SOLO_READS = """
+import asyncio, resource
+from repro.runtime import LocalCluster
+
+async def main():
+    cluster = LocalCluster("bsr", f=1, n=5)
+    await cluster.start()
+    client = cluster.client("w000")
+    await client.connect()
+    await client.write(b"v" * 64)
+    for _ in range(50):  # warm every buffer and cache first
+        await client.read()
+    recvs = client.stats()["recv_calls"]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(500):
+        await client.read()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults,
+          client.stats()["recv_calls"] - recvs)
+    await cluster.stop()
+
+asyncio.run(main())
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_minflt and the mmap threshold are Linux/glibc")
+def test_reads_do_not_page_fault_per_recv():
+    """A recv must land in the link's own buffer, not in a fresh one.
+
+    ``sock.recv(256 KiB)`` -- what a plain ``asyncio.Protocol`` costs --
+    allocates above glibc's 128 KiB mmap threshold: mmap, two minor
+    faults, munmap, per recv; ~20 faults per five-server read.  glibc
+    raises that threshold for good once a process frees one such chunk,
+    so the run is a fresh interpreter with the threshold pinned.
+    """
+    faults, recvs = map(int, run_fresh_interpreter(
+        SOLO_READS, 60, MALLOC_MMAP_THRESHOLD_="131072").split())
+    # What the saving scales with: one recv per server per read on the
+    # client (and as many again on the nodes, which share the process).
+    assert 4 * 500 <= recvs <= 6 * 500
+    assert faults < 2 * 500, faults / 500

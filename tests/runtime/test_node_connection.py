@@ -16,12 +16,14 @@ from repro.runtime import LocalCluster, RegisterServerNode
 from repro.runtime.node import _Connection
 from repro.transport.auth import Authenticator
 from repro.transport.codec import (
+    MAX_FRAME_BYTES,
     FrameAssembler,
     frame_burst,
     read_frame,
     write_frame,
 )
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
+from tests.runtime.fake_io import deliver
 
 
 def run(coro):
@@ -31,12 +33,16 @@ def run(coro):
 class FakeTransport:
     def __init__(self):
         self.written = bytearray()
+        self.closed = False
 
     def write(self, data):
         self.written += data
 
+    def close(self):
+        self.closed = True
+
     def is_closing(self):
-        return False
+        return self.closed
 
 
 def test_burst_split_at_any_byte_offset_is_served_identically():
@@ -54,7 +60,7 @@ def test_burst_split_at_any_byte_offset_is_served_identically():
         transport = FakeTransport()
         connection.connection_made(transport)
         for chunk in chunks:
-            connection.data_received(chunk)
+            deliver(connection, chunk)
         assert node.stats["wire_frames"] == 3
         assert node.stats["frames"] == 6 and node.stats["frames_bad"] == 0
         return [decode_message_v2(payload)
@@ -65,6 +71,23 @@ def test_burst_split_at_any_byte_offset_is_served_identically():
     assert [reply.op_id for reply in whole] == [1, 2, 3, 4, 5, 6]
     for cut in range(1, len(burst)):
         assert run(serve([burst[:cut], burst[cut:]])) == whole, cut
+
+
+def test_oversized_frame_closes_the_connection_and_late_reads_are_inert():
+    async def scenario():
+        node = ClusterSpec(algorithm="bsr", f=1).build_node("s000")
+        connection = _Connection(node)
+        transport = FakeTransport()
+        connection.connection_made(transport)
+        deliver(connection, (MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+        assert transport.closed and node.stats["frames_bad"] == 1
+        # A read already on its way must not raise into the event loop,
+        # and nothing behind the bad header is ever served.
+        deliver(connection, frame_burst([b"late"]))
+        assert node.stats["recv_calls"] == 2
+        assert node.stats["wire_frames"] == 0 and not transport.written
+
+    run(scenario())
 
 
 def test_ack_waits_for_the_durable_snapshot_and_keeps_order(

@@ -4,9 +4,11 @@ import asyncio
 
 import pytest
 
+from repro.deploy import stats_ping
 from repro.errors import ConfigurationError
 from repro.runtime import LocalCluster
 from repro.sharding import KeyspaceConfig, key_name
+from repro.transport.auth import Authenticator
 
 
 def run(coro):
@@ -124,6 +126,46 @@ def test_eviction_under_live_load():
             rehydrations = sum(c["value"] for c in snap["counters"]
                                if c["name"] == "table_rehydrations_total")
             assert evictions > 0 and rehydrations > 0
+        finally:
+            await cluster.stop()
+
+    run(scenario())
+
+
+def test_scrape_reports_longest_history_and_recvs_of_a_keyed_node():
+    """What a ``--procs`` node's table holds is visible from outside: the
+    gauge is set by the scrape itself, so an unscraped node pays nothing."""
+    async def scenario():
+        cluster = LocalCluster("bsr", f=1, n=5,
+                               keyspace=KeyspaceConfig(group_size=5, seed=3))
+        await cluster.start()
+        try:
+            writer = cluster.client("w000")
+            await writer.connect()
+            await writer.write(b"once", register=key_name(0))
+            for i in range(6):
+                await writer.write(b"v%d" % i, register=key_name(1))
+            node = cluster.nodes["s000"]
+            registry = cluster.registry  # shared by the in-process nodes
+
+            def of_s000(metrics):
+                return {m["name"]: m["value"] for m in metrics
+                        if m["labels"].get("node") == "s000"}
+
+            assert "node_history_len_max" not in of_s000(
+                registry.snapshot()["gauges"])
+            ack = await stats_ping(
+                node.address, Authenticator(cluster._keychain_for(["probe"])))
+            longest = of_s000(ack.metrics["gauges"])["node_history_len_max"]
+            assert longest >= 6  # s000 may trail the quorum by one write
+            assert longest == max(
+                len(server.history)
+                for server in node.protocol.registers.values())
+            # A quiet link reads once per frame (two per write, and the
+            # probe); the scrape sees both counters at the same instant.
+            counters = of_s000(ack.metrics["counters"])
+            assert (counters["node_recv_calls_total"]
+                    == counters["node_wire_frames_total"] >= 14)
         finally:
             await cluster.stop()
 

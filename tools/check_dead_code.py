@@ -11,11 +11,16 @@ Ways dead or duplicate code hides in a package, all cheap to detect:
   ``examples/``, ``tools/`` nor ``docs/``.  The ``__init__.py`` that
   exports the name does not count as a reference to it, and neither
   does the statement that defines it;
-* asyncio *streams* under ``src/repro/runtime/`` -- ``start_server``,
-  ``open_connection``, ``StreamReader``, ``StreamWriter`` or a
-  ``.drain()`` call.  The runtime's I/O is ``asyncio.Protocol`` objects
-  (``runtime/link.py`` outbound, the node's inbound connection); a
-  stream beside them is a second implementation of the same channel.
+* a second I/O style under ``src/repro/runtime/``.  The runtime's I/O
+  is two ``asyncio.BufferedProtocol`` classes (``runtime/link.py``
+  outbound, the node's inbound connection) that receive *into* the
+  frame assembler.  Banned beside them: asyncio *streams*
+  (``start_server``, ``open_connection``, ``StreamReader``,
+  ``StreamWriter``, a ``.drain()`` call) -- a second implementation of
+  the same channel -- and copying receivers (``data_received``, plain
+  ``asyncio.Protocol``), whose transport reads with
+  ``sock.recv(256 KiB)``: a fresh allocation above the mmap threshold,
+  two page faults, per read.
 
 Exit status is the number of findings (0 == clean).
 """
@@ -30,9 +35,10 @@ PACKAGE = os.path.join(ROOT, "src", "repro")
 
 RUNTIME = os.path.join(PACKAGE, "runtime")
 
-#: Names that mean a stream-based I/O path grew back under ``runtime/``.
-STREAM_NAMES = {"start_server", "open_connection", "StreamReader",
-                "StreamWriter", "drain"}
+#: Names that mean a stream-based or copying (``recv`` into a fresh
+#: ``bytes``) I/O path grew back under ``runtime/``.
+BANNED_IO_NAMES = {"start_server", "open_connection", "StreamReader",
+                   "StreamWriter", "drain", "data_received", "Protocol"}
 
 #: Where a reference to an exported name may live.
 REFERENCE_DIRS = ("src", "tests", "bench", "benchmarks", "examples",
@@ -77,12 +83,13 @@ def _shim_lines(tree):
             and node.name == "__getattr__"]
 
 
-def _stream_lines(tree):
-    """``(line, name)`` of every stream API the module touches."""
+def _banned_io_lines(tree):
+    """``(line, name)`` of every banned I/O name the module uses or defines."""
     for node in ast.walk(tree):
         name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in STREAM_NAMES:
+                else node.attr if isinstance(node, ast.Attribute)
+                else getattr(node, "name", None))  # def / class
+        if name in BANNED_IO_NAMES:
             yield node.lineno, name
 
 
@@ -109,10 +116,10 @@ def main():
                         exports.append((path, _exports(tree)))
                 if path.startswith(RUNTIME + os.sep):
                     findings.extend(
-                        f"{os.path.relpath(path, ROOT)}:{line}: asyncio "
-                        f"stream API {name!r}; runtime I/O goes through "
-                        "the Protocol classes"
-                        for line, name in _stream_lines(tree))
+                        f"{os.path.relpath(path, ROOT)}:{line}: {name!r}; "
+                        "runtime I/O goes through the BufferedProtocol "
+                        "classes (no streams, no copying data_received)"
+                        for line, name in _banned_io_lines(tree))
             for name in names:
                 references.setdefault(name, set()).add(path)
     for path, names in exports:
@@ -127,7 +134,7 @@ def main():
         print(f"dead-code: {finding}")
     if not findings:
         print("dead-code: no shims, no unreferenced exports, no streams "
-              "under runtime/")
+              "or copying receivers under runtime/")
     return len(findings)
 
 
