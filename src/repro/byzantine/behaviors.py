@@ -139,13 +139,16 @@ class CorruptValueBehavior(Behavior):
         if not 0 <= xor_mask <= 255:
             raise ValueError("xor_mask must be a byte")
         self.xor_mask = xor_mask
+        #: ``bytes.translate`` table: the XOR runs in C, so a measured
+        #: victim is not charged the attacker's per-byte loop.
+        self._table = bytes(b ^ xor_mask for b in range(256))
 
     def _corrupt(self, payload: Any) -> Any:
         if isinstance(payload, CodedElement):
             return CodedElement(payload.index,
-                                bytes(b ^ self.xor_mask for b in payload.data))
+                                bytes(payload.data).translate(self._table))
         if isinstance(payload, (bytes, bytearray)):
-            return bytes(b ^ self.xor_mask for b in payload)
+            return bytes(payload).translate(self._table)
         return payload
 
     def on_message(self, server, sender, message, correct_replies):

@@ -16,6 +16,9 @@ Reed-Solomon code with ``k = n - 5f`` (Section IV-A, error budget
   write, which Lemma 4 shows is the only case where it can happen.
 
 Resilience: ``n >= 5f + 1`` (Lemma 4 and Theorem 6).  Values are ``bytes``.
+
+Extension, not in Fig 5: the reader's :class:`~repro.erasure.striping.DecodeMemo`
+spares it a decode an earlier read already did -- observationally identical.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.core.messages import (
 from repro.core.operation import ClientOperation, ReplyCollector
 from repro.core.quorum import bcsr_dimension, kth_highest, validate_bcsr_config
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
-from repro.erasure.striping import CodedElement, StripedCodec
+from repro.erasure.striping import CodedElement, DecodeMemo, StripedCodec
 from repro.errors import DecodingError
 from repro.types import Envelope, ProcessId
 
@@ -249,13 +252,15 @@ class BCSRReadOperation(ClientOperation):
 
     def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
                  codec: Optional[StripedCodec] = None,
-                 initial_value: bytes = b"") -> None:
+                 initial_value: bytes = b"",
+                 reader_state: Optional[DecodeMemo] = None) -> None:
         super().__init__(client_id, servers, f)
         if codec is None:
             validate_bcsr_config(self.n, f)
             codec = make_codec(self.n, f)
         self.codec = codec
         self.initial_value = initial_value
+        self.reader_state = reader_state if reader_state is not None else DecodeMemo()
         self._replies = ReplyCollector(self.servers)
         self._server_index: Dict[ProcessId, int] = {
             server: i for i, server in enumerate(self.servers)
@@ -283,7 +288,8 @@ class BCSRReadOperation(ClientOperation):
             if isinstance(payload, CodedElement):
                 elements.append(CodedElement(self._server_index[server], payload.data))
         try:
-            value = self.codec.decode(elements, max_errors=2 * self.f)
+            value = self.codec.decode(elements, max_errors=2 * self.f,
+                                      memo=self.reader_state)
         except (DecodingError, ValueError):
             # Fig 5 line 4: "if possible; otherwise return v0".
             value = self.initial_value

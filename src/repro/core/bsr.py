@@ -186,6 +186,10 @@ class BSRReaderState:
         if candidate.tag > self.local.tag:
             self.local = candidate
 
+    def held_bytes(self) -> int:
+        """What the owner of many states weighs against its byte bound."""
+        return stored_size(self.local.value)
+
 
 class BSRReadOperation(ClientOperation):
     """A one-shot BSR read (Fig 2).

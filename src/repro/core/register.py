@@ -170,7 +170,9 @@ class RegisterSystem:
             self.sim.add_process(client)
         for pid in self.reader_ids:
             self._reader_states[pid] = self._new_reader_state()
-        #: (reader, register) -> state, for namespaced deployments.
+        #: (reader, register) -> state, for namespaced deployments.  Unbounded
+        #: (cf. the client's ``MAX_STATE_BYTES``): a simulation touches only
+        #: the registers its schedule names and is dropped when it has run.
         self._namespaced_reader_states: Dict[tuple, Any] = {}
         self._handles: List[OpHandle] = []
 

@@ -60,6 +60,16 @@ def xor_columns(a: bytes, b: bytes) -> bytes:
             ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
+def combine(row: Sequence[int], cols: Sequence[bytes]) -> int:
+    """``XOR_j mul(row[j], cols[j])`` as the little-endian int XOR runs in."""
+    acc = 0
+    for coeff, col in zip(row, cols):
+        if coeff:
+            term = col if coeff == 1 else col.translate(mul_table(coeff))
+            acc ^= int.from_bytes(term, "little")
+    return acc
+
+
 def matvec(rows: Sequence[Sequence[int]], cols: Sequence[bytes]) -> List[bytes]:
     """Matrix-vector product where every vector entry is a whole column.
 
@@ -72,16 +82,7 @@ def matvec(rows: Sequence[Sequence[int]], cols: Sequence[bytes]) -> List[bytes]:
     for col in cols:
         if len(col) != length:
             raise ValueError("columns must all have the same length")
-    out: List[bytes] = []
-    for row in rows:
-        acc = 0
-        for coeff, col in zip(row, cols):
-            if coeff == 0:
-                continue
-            term = col if coeff == 1 else col.translate(mul_table(coeff))
-            acc ^= int.from_bytes(term, "little")
-        out.append(acc.to_bytes(length, "little"))
-    return out
+    return [combine(row, cols).to_bytes(length, "little") for row in rows]
 
 
 #: Chunk width for :func:`diff_indices`: equal chunks are skipped with one

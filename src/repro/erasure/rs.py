@@ -126,12 +126,6 @@ class ReedSolomon:
         return self._tables.parity
 
     # -- encoding ----------------------------------------------------------
-    def message_polynomial(self, message: Sequence[int]) -> Poly:
-        """Interpolate the degree-<k polynomial encoding ``message``."""
-        if len(message) != self.k:
-            raise ValueError(f"message must have k={self.k} symbols, got {len(message)}")
-        return Poly.interpolate(list(zip(self.points[: self.k], message)))
-
     def encode(self, message: Sequence[int]) -> List[int]:
         """Encode ``k`` symbols into ``n`` coded elements (systematic)."""
         if len(message) != self.k:
@@ -204,11 +198,6 @@ class ReedSolomon:
             f"cannot decode: {n_received} elements with error budget {budget} "
             f"admit no consistent degree-<{self.k} codeword"
         )
-
-    def decode_value(self, received: Sequence[Tuple[int, int]],
-                     max_errors: Optional[int] = None) -> List[int]:
-        """Alias of :meth:`decode` kept for API symmetry with encoders."""
-        return self.decode(received, max_errors=max_errors)
 
     def _berlekamp_welch(self, points: Sequence[Tuple[int, int]], e: int) -> Optional[Poly]:
         """One Berlekamp-Welch attempt assuming at most ``e`` errors.
@@ -285,33 +274,58 @@ class ReedSolomon:
                 return None
         return message
 
+    def decode_columns(self, positions: Tuple[int, ...], cols: Sequence[bytes],
+                       budget: int = 0) -> Tuple[List[bytes], bytes, Set[int]]:
+        """Decode every stripe at once, accepting within ``budget``.
+
+        ``cols[j]`` holds the symbol received at ``positions[j]`` for every
+        stripe; the first ``k`` are the base the codeword is rebuilt from.
+        A stripe is *accepted* when that disagrees with at most ``budget``
+        of the other symbols (within the unique-decoding radius it is then
+        *the* codeword, whichever columns are wrong).  Returns the message
+        columns, trustworthy at accepted stripes; a 0/1 byte per stripe
+        marking those over budget, empty when none is; and the non-base
+        positions whose column disagrees anywhere.
+        """
+        k = self.k
+        if len(positions) < k:
+            raise DecodingError(
+                f"need at least k={k} coded elements, got {len(positions)}")
+        if len(set(map(len, cols))) > 1:
+            raise ValueError("columns must all have the same length")
+        recover, verify = self._recovery_for(tuple(positions))
+        base = list(cols[:k])
+        # The systematic prefix *is* the message: skip multiplying by 1.
+        message = (base if tuple(positions[:k]) == tuple(range(k))
+                   else kernels.matvec(recover, base))
+        differing = {}
+        for position, row, actual in zip(positions[k:], verify, cols[k:]):
+            diff = kernels.combine(row, base) ^ int.from_bytes(actual, "little")
+            if diff:
+                differing[position] = diff
+        over = b""
+        if len(differing) > budget:  # else no stripe can exceed the budget
+            # Differing columns per stripe.  Shifts fold each byte of a diff
+            # onto its low bit (what they drag in from the next byte lands
+            # higher and is masked off); fewer than 256 such 0/1 columns sum
+            # without a carry, and one translate thresholds the counts.
+            length = len(base[0])
+            ones = int.from_bytes(b"\x01" * length, "little")
+            counts = 0
+            for diff in differing.values():
+                diff |= diff >> 4
+                diff |= diff >> 2
+                counts += (diff | diff >> 1) & ones
+            over = counts.to_bytes(length, "little").translate(
+                bytes(budget + 1) + b"\x01" * (255 - budget))
+        return message, over, set(differing)
+
     def decode_fast_columns(self, positions: Tuple[int, ...],
                             cols: Sequence[bytes]) -> Tuple[List[bytes], Set[int]]:
-        """Errorless decode of every stripe at once using cached matrices.
-
-        ``cols[j]`` holds the symbol received at codeword position
-        ``positions[j]`` for every stripe.  Returns ``(message_cols, bad)``:
-        the recovered message columns plus the set of stripe indices where
-        some extra received symbol disagrees with the reconstruction --
-        exactly the stripes :meth:`decode_fast` would return ``None`` for.
-        Message columns are only trustworthy at stripes outside ``bad``.
-        """
-        if len(positions) < self.k:
-            raise DecodingError(
-                f"need at least k={self.k} coded elements, got {len(positions)}"
-            )
-        recover, verify = self._recovery_for(tuple(positions))
-        base = list(cols[: self.k])
-        message = kernels.matvec(recover, base)
-        bad: Set[int] = set()
-        stripe_count = len(cols[0]) if cols else 0
-        if verify:
-            predicted = kernels.matvec(verify, base)
-            for pred, actual in zip(predicted, cols[self.k:]):
-                bad.update(kernels.diff_indices(pred, actual))
-                if len(bad) == stripe_count:
-                    break
-        return message, bad
+        """Errorless :meth:`decode_columns`, the over-budget stripes as a set
+        of indices: exactly those :meth:`decode_fast` returns ``None`` for."""
+        message, over, _ = self.decode_columns(positions, cols)
+        return message, set(kernels.diff_indices(over, bytes(len(over))))
 
     def _berlekamp_welch_with_errors(self, points: Sequence[Tuple[int, int]],
                                      e: int) -> Optional[Poly]:

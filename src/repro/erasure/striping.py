@@ -17,17 +17,17 @@ Layout note: a coded element *is* one column of the codeword matrix
 (symbol ``i`` across all stripes), which is what lets the default
 ``kernels=True`` paths hand whole elements to the bulk GF(256) kernels in
 :mod:`repro.erasure.kernels` -- encoding is a parity-matrix x column product
-and the errorless decode recovers and verifies entire columns at once,
-falling back to per-stripe Berlekamp-Welch only for the few stripe indices a
-C-level compare flags as inconsistent.  ``kernels=False`` keeps the original
-byte-at-a-time implementation as a differential-testing reference; both
-paths produce bit-identical output and raise identical errors.
+and the decode rebuilds and checks entire columns at once, running
+per-stripe Berlekamp-Welch only to *locate* which columns are wrong.
+``kernels=False`` keeps the original byte-at-a-time implementation as a
+differential-testing reference: both paths compute one function -- per stripe,
+the codeword within the error budget of what was received, or an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.erasure import kernels
 from repro.erasure.rs import ReedSolomon
@@ -53,6 +53,52 @@ class CodedElement:
     def wire_size(self) -> int:
         """Actual encoded length on the wire: index + length + data."""
         return _ELEMENT_OVERHEAD + len(self.data)
+
+
+@dataclass
+class DecodeMemo:
+    """The last decode a reader did, so an identical one is not repeated.
+
+    Decoding ``N`` columns yields, per stripe, the one codeword within the
+    budget ``e'`` of them (unique: ``N >= k + 2e'``).  ``verified`` holds
+    the columns found equal to ``value``'s codeword everywhere, so columns
+    byte-identical to those at ``N - e'`` positions are within ``e'`` of it
+    at every stripe and could only decode to ``value`` again.  Nothing else
+    is consulted, and a failed decode leaves nothing to recall.
+    """
+
+    value: Optional[bytes] = None
+    verified: Dict[int, bytes] = field(default_factory=dict)
+    #: Positions the last decode located: where the next one looks last.
+    suspects: FrozenSet[int] = frozenset()
+    #: Since :meth:`take_counts`; the owner folds them into its registry.
+    hits: int = 0
+    misses: int = 0
+    located: List[int] = field(default_factory=list)
+
+    def recall(self, positions: Sequence[int], cols: Sequence[bytes],
+               budget: int) -> Optional[bytes]:
+        """The remembered value if decoding these columns must return it."""
+        same = sum(self.verified.get(p) == c for p, c in zip(positions, cols))
+        if same >= len(positions) - budget:
+            self.hits += 1
+            return self.value
+        self.misses += 1
+        return None
+
+    def remember(self, value: bytes, verified: Dict[int, bytes],
+                 located: FrozenSet[int]) -> None:
+        self.value, self.verified, self.suspects = value, verified, located
+        self.located.extend(sorted(located))
+
+    def take_counts(self) -> Tuple[int, int, List[int]]:
+        """``(hits, misses, located positions)`` since the last call."""
+        counts = self.hits, self.misses, self.located
+        self.hits, self.misses, self.located = 0, 0, []
+        return counts
+
+    def held_bytes(self) -> int:
+        return len(self.value or b"") + sum(map(len, self.verified.values()))
 
 
 class StripedCodec:
@@ -107,22 +153,33 @@ class StripedCodec:
 
     # -- decoding ------------------------------------------------------------
     def decode(self, elements: Sequence[CodedElement],
-               max_errors: Optional[int] = None) -> bytes:
+               max_errors: Optional[int] = None,
+               memo: Optional[DecodeMemo] = None) -> bytes:
         """Reconstruct the value from coded elements.
 
         Tolerates missing elements (erasures) and corrupted/stale elements
         (errors) within the Berlekamp-Welch budget
         ``#errors <= (#received - k) // 2`` per stripe.  Raises
-        :class:`DecodingError` when reconstruction is impossible.
+        :class:`DecodingError` when reconstruction is impossible.  ``memo``
+        can only answer what decoding would, or steer the kernel path's search.
         """
         positions, cols = self._received_columns(elements)
-        error_budget = ((len(positions) - self.k) // 2 if max_errors is None
-                        else min(max_errors, (len(positions) - self.k) // 2))
-        if self.kernels:
-            framed = self._decode_columns(positions, cols, error_budget, max_errors)
-        else:
-            framed = self._decode_stripes(positions, cols, error_budget, max_errors)
-        return self._unframe(framed)
+        budget = (len(positions) - self.k) // 2
+        if max_errors is not None:
+            budget = min(max_errors, budget)
+        memo = memo if memo is not None else DecodeMemo()
+        value = memo.recall(positions, cols, budget)
+        if value is None:
+            if self.kernels:
+                framed, located, verified = self._decode_columns(
+                    positions, cols, budget, memo.suspects)
+            else:
+                framed, located, verified = self._decode_stripes(
+                    positions, cols, budget)
+            value = self._unframe(framed)
+            memo.remember(value, {p: col for p, col in zip(positions, cols)
+                                  if p in verified}, frozenset(located))
+        return value
 
     def _received_columns(self, elements: Sequence[CodedElement]
                           ) -> Tuple[Tuple[int, ...], List[bytes]]:
@@ -157,86 +214,75 @@ class StripedCodec:
                 [bytes(data) for _, data in ordered])
 
     def _decode_columns(self, positions: Tuple[int, ...], cols: List[bytes],
-                        error_budget: int, max_errors: Optional[int]) -> bytearray:
-        """Kernel path: recover and verify whole columns at once.
+                        budget: int, suspects: FrozenSet[int]):
+        """Kernel path: ``(framed, located, verified positions)``.
 
-        The bulk pass handles every stripe a single codeword explains; only
-        the stripe indices its C-level compare flags as inconsistent fall
-        back to per-stripe Berlekamp-Welch.  Corruption is per *element*
-        (per server), so positions found erroneous in one stripe are prime
-        suspects in every stripe: once suspects are known, the remaining bad
-        stripes are retried with one more bulk pass over the non-suspect
-        columns (sound for the same counting reason as the scalar path --
-        ``|kept| - budget >= k`` pins the codeword uniquely).
+        A bulk pass rebuilds every stripe from ``k`` base columns
+        (unsuspected first) and accepts it where it disagrees with at most
+        ``budget`` symbols, so a wrong *non-base* column costs nothing.  A
+        wrong base column leaves stripes over budget; corruption is per
+        element (per server), so Berlekamp-Welch runs on the first such
+        stripe only and the pass is repeated without the columns it locates
+        -- each still counted as a disagreement, so "accepted" keeps meaning
+        "within ``budget`` of all received".  When more columns are wrong
+        than can be erased, the leftover stripes are decoded one by one.
         """
-        message_cols, bad = self.code.decode_fast_columns(positions, cols)
-        framed = kernels.interleave(message_cols)
-        if not bad:
-            return framed
-        k = self.k
-        suspected: Set[int] = set()
-        unresolved = sorted(bad)
-        retry_columns = False
-        while unresolved:
-            if retry_columns:
-                retry_columns = False
-                if len(positions) - len(suspected) - error_budget >= k:
-                    kept = [j for j, p in enumerate(positions)
-                            if p not in suspected]
-                    kept_cols, kept_bad = self.code.decode_fast_columns(
-                        tuple(positions[j] for j in kept),
-                        [cols[j] for j in kept])
-                    fixed = [s for s in unresolved if s not in kept_bad]
-                    for s in fixed:
-                        for i in range(k):
-                            framed[s * k + i] = kept_cols[i][s]
-                    unresolved = [s for s in unresolved if s in kept_bad]
-                    if not unresolved:
-                        break
-            stripe = unresolved.pop(0)
-            received = [(p, col[stripe]) for p, col in zip(positions, cols)]
-            message = self.code.decode(received, max_errors=max_errors)
-            codeword = self.code.encode(message)
-            erroneous = {p for p, symbol in received if codeword[p] != symbol}
-            if not erroneous <= suspected:
-                suspected |= erroneous
-                retry_columns = True
-            framed[stripe * k:(stripe + 1) * k] = bytes(message)
-        return framed
+        order = sorted(range(len(positions)), key=lambda j: positions[j] in suspects)
+        erased: Set[int] = set()
+        while True:
+            kept = [j for j in order if positions[j] not in erased]
+            message, over, differing = self.code.decode_columns(
+                tuple(positions[j] for j in kept), [cols[j] for j in kept],
+                budget - len(erased))
+            stripe = over.find(1)
+            if stripe < 0:
+                located = erased | differing
+                return (kernels.interleave(message), located,
+                        [p for p in positions if p not in located])
+            wrong = self._correct_stripe(positions, cols, stripe, budget)[1]
+            if not len(erased) < len(erased | wrong) <= budget:
+                break
+            erased |= wrong
+        framed = kernels.interleave(message)
+        for stripe in kernels.diff_indices(over, bytes(len(over))):
+            framed[stripe * self.k:(stripe + 1) * self.k], wrong = (
+                self._correct_stripe(positions, cols, stripe, budget))
+            erased |= wrong
+        return framed, erased, []
+
+    def _correct_stripe(self, positions: Tuple[int, ...], cols: List[bytes],
+                        stripe: int, budget: int) -> Tuple[bytes, Set[int]]:
+        """Berlekamp-Welch on one stripe: its message and the wrong positions."""
+        received = [(p, col[stripe]) for p, col in zip(positions, cols)]
+        message = self.code.decode(received, max_errors=budget)
+        codeword = self.code.encode(message)
+        return bytes(message), {p for p, s in received if codeword[p] != s}
 
     def _decode_stripes(self, positions: Tuple[int, ...], cols: List[bytes],
-                        error_budget: int, max_errors: Optional[int]) -> bytearray:
-        """Reference path: decode one stripe of symbols at a time."""
-        stripe_count = len(cols[0]) if cols else 0
+                        budget: int):
+        """Reference path, one stripe at a time: same triple."""
         framed = bytearray()
         #: Corruption is per *element* (per server), so positions found
         #: erroneous in one stripe are prime suspects in every stripe:
         #: excluding them turns the expensive error correction back into a
-        #: cheap erasure decode.  Sound because if all remaining positions
-        #: agree on one codeword, at least k of them are honest
-        #: (|remaining| - budget >= k by the [n, k] arithmetic), which pins
-        #: the codeword uniquely.
+        #: cheap erasure decode.  Sound while they number at most ``budget``:
+        #: a codeword every other position agrees on is then within the
+        #: budget of all that was received, i.e. the one Berlekamp-Welch
+        #: would return.
         suspected: Set[int] = set()
-        for stripe in range(stripe_count):
+        for stripe in range(len(cols[0])):
             symbols = [col[stripe] for col in cols]
             fast = self.code.decode_fast(positions, symbols)
-            if fast is not None:
-                framed.extend(fast)
-                continue
-            if suspected and len(positions) - len(suspected) - error_budget >= self.k:
+            if fast is None and suspected and len(suspected) <= budget:
                 kept = [(p, s) for p, s in zip(positions, symbols)
                         if p not in suspected]
-                reduced = self.code.decode_fast(
+                fast = self.code.decode_fast(
                     tuple(p for p, _ in kept), [s for _, s in kept])
-                if reduced is not None:
-                    framed.extend(reduced)
-                    continue
-            received = list(zip(positions, symbols))
-            message = self.code.decode(received, max_errors=max_errors)
-            codeword = self.code.encode(message)
-            suspected.update(p for p, s in received if codeword[p] != s)
-            framed.extend(message)
-        return framed
+            if fast is None:
+                fast, wrong = self._correct_stripe(positions, cols, stripe, budget)
+                suspected |= wrong
+            framed.extend(fast)
+        return framed, suspected, [p for p in positions if p not in suspected]
 
     def _unframe(self, framed: bytearray) -> bytes:
         if len(framed) < _LENGTH_PREFIX:
@@ -247,4 +293,4 @@ class StripedCodec:
                 f"decoded length prefix {value_len} exceeds frame size; "
                 "the element set is inconsistent"
             )
-        return bytes(framed[_LENGTH_PREFIX:_LENGTH_PREFIX + value_len])
+        return bytes(memoryview(framed)[_LENGTH_PREFIX:_LENGTH_PREFIX + value_len])

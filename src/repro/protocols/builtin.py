@@ -37,6 +37,7 @@ from repro.core.regular import (
     RegularBSRServer,
     TwoRoundReadOperation,
 )
+from repro.erasure.striping import DecodeMemo
 from repro.protocols.registry import (
     BYZANTINE,
     CRASH,
@@ -124,7 +125,9 @@ BCSR = register(ProtocolSpec(
         ctx.client_id, ctx.servers, ctx.f, ctx.value, codec=ctx.codec),
     make_read=lambda ctx: BCSRReadOperation(
         ctx.client_id, ctx.servers, ctx.f, codec=ctx.codec,
-        initial_value=ctx.initial_value),
+        initial_value=ctx.initial_value, reader_state=ctx.reader_state),
+    # The memo never holds v0 (Fig 5 line 4), so the initial value is unused.
+    make_reader_state=lambda initial_value: DecodeMemo(),
     make_codec=make_codec,
     group_spans_fleet=True,
     single_writer=True,

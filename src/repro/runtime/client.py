@@ -67,6 +67,10 @@ logger = logging.getLogger(__name__)
 #: reader's); evicting an uncontended write lock is invisible.
 MAX_KEY_STATES = 4096
 
+#: ... and at this many bytes held by reader states (a BCSR one holds
+#: ``n/k + 1`` times its value); either bound evicts the oldest key.
+MAX_STATE_BYTES = 64 * 1024 * 1024
+
 
 def _expire(done: "asyncio.Future") -> None:
     """Deadline timer callback: time out an operation still in flight."""
@@ -138,6 +142,9 @@ class AsyncRegisterClient:
         self.reader_state = (spec.make_reader_state(initial_value)
                              if spec.make_reader_state is not None else None)
         self._register_states: "OrderedDict[str, Any]" = OrderedDict()
+        #: register -> bytes its state held after its last read; their sum.
+        self._state_sizes: Dict[str, int] = {}
+        self._state_bytes = 0
         self._codec = (spec.make_codec(
             placement.group_size if placement is not None
             else len(self.servers), f)
@@ -163,8 +170,11 @@ class AsyncRegisterClient:
             for name in ("connects", "reconnects", "disconnects",
                          "frames_dropped", "frames_resent", "ops_retried",
                          "throttled", "ops_queued", "replies_stale",
-                         "send_batches", "connections_pruned", "recv_calls")
+                         "send_batches", "connections_pruned", "recv_calls",
+                         "decode_memo_hits", "decode_memo_misses")
         }
+        #: Servers whose coded element a decode located as erroneous.
+        self._located: Dict[ProcessId, Any] = {}
         #: Servers :meth:`connect` skipped because no declared key routes
         #: to them (group-local pruning).  An operation that does route
         #: to one lazily un-prunes it -- see :meth:`_servers_for`.
@@ -233,6 +243,8 @@ class AsyncRegisterClient:
         :attr:`registry`."""
         stats = {name: int(counter.value)
                  for name, counter in self._counters.items()}
+        stats["decode_located"] = sum(
+            int(counter.value) for counter in self._located.values())
         stats["connected"] = len(self._connections)
         stats["inflight"] = self._dispatcher.inflight
         return stats
@@ -514,10 +526,36 @@ class AsyncRegisterClient:
             state = self._register_states[register] = (
                 self.spec.make_reader_state(self.initial_value))
             if len(self._register_states) > MAX_KEY_STATES:
-                self._register_states.popitem(last=False)
+                self._evict_state()
         else:
             self._register_states.move_to_end(register)
         return state
+
+    def _evict_state(self) -> None:
+        register, _ = self._register_states.popitem(last=False)
+        self._state_bytes -= self._state_sizes.pop(register, 0)
+
+    def _settle(self, register: str, state: Any,
+                servers: Sequence[ProcessId]) -> None:
+        """After a read: fold the state's counters, re-weigh what it holds."""
+        if hasattr(state, "take_counts"):
+            hits, misses, located = state.take_counts()
+            self._counters["decode_memo_hits"].inc(hits)
+            self._counters["decode_memo_misses"].inc(misses)
+            for position in located:
+                server = servers[position]
+                if server not in self._located:
+                    self._located[server] = self.registry.counter(
+                        "client_decode_located_total",
+                        client=str(self.client_id), server=str(server))
+                self._located[server].inc()
+        if self._register_states.get(register) is state:
+            held = state.held_bytes()
+            self._state_bytes += held - self._state_sizes.get(register, 0)
+            self._state_sizes[register] = held
+            while (self._state_bytes > MAX_STATE_BYTES
+                   and len(self._register_states) > 1):
+                self._evict_state()
 
     def _maybe_namespace(self, operation: ClientOperation, register: str):
         if self.namespaced:
@@ -603,10 +641,13 @@ class AsyncRegisterClient:
         ``max_inflight``).
         """
         servers, f = self._servers_for(register), self.f
+        state = self._reader_state_for(register)
         operation = self.spec.make_read(OpContext(
             client_id=self.client_id, servers=tuple(servers), f=f,
-            initial_value=self.initial_value,
-            reader_state=self._reader_state_for(register),
+            initial_value=self.initial_value, reader_state=state,
             codec=self._codec))
-        return await self._run_operation(
+        value = await self._run_operation(
             self._maybe_namespace(operation, register), servers=servers)
+        if state is not None:
+            self._settle(register, state, servers)
+        return value

@@ -119,6 +119,22 @@ def test_corrupt_value_handles_coded_elements(server):
     assert reply.payload == CodedElement(3, b"\x01\x00")
 
 
+def test_corrupt_value_bytes_are_the_per_byte_xor_for_every_mask(server):
+    """The table-driven XOR emits exactly what the per-byte loop did."""
+    data = bytes(range(256)) + b"\x00\xff tail"
+    for mask in range(256):
+        behavior = CorruptValueBehavior(xor_mask=mask)
+        expected = bytes(b ^ mask for b in data)
+        for payload, corrupted in (
+                (data, expected), (bytearray(data), expected),
+                (CodedElement(2, data), CodedElement(2, expected))):
+            original = DataReply(op_id=5, tag=Tag(1, "w"), payload=payload)
+            [(_, reply)] = behavior.on_message(server, "r0", QueryData(op_id=5),
+                                               [("r0", original)])
+            assert reply.payload == corrupted
+            assert type(reply.payload) is type(corrupted)
+
+
 def test_equivocate_gives_each_reader_a_different_story(server):
     behavior = EquivocateBehavior()
     message = QueryData(op_id=5)

@@ -1,4 +1,4 @@
-"""Hot-path smoke: encode + seal + frame 10k messages under a time budget.
+"""Hot-path smoke: the wire path under a time budget, the decoder under a ratio.
 
 A fast regression tripwire for the wire path (`make lint` runs it): the
 codec encodes a realistic message mix, the bursts are batch-sealed and
@@ -6,6 +6,12 @@ framed, then reassembled, verified and decoded back to equal objects.
 If an accidental O(n^2) or a per-frame allocation regression lands in
 the codec, authenticator or assembler, this blows the budget loudly
 long before a benchmark run would notice.
+
+A second, coded pass guards the BCSR decoder the same way: one server
+lying in its coded element must not make a read an order of magnitude
+dearer than a clean one (it did: 19x, through per-byte Python loops).
+The check is a ratio within this process, so the host's speed cancels,
+plus a count of single-stripe Berlekamp-Welch calls, which has no noise.
 
 Exit status: 0 on success, 1 on wrong results or a blown budget.
 """
@@ -15,6 +21,8 @@ import time
 
 from repro.core.messages import DataReply, PutData, QueryData, QueryTag
 from repro.core.tags import Tag
+from repro.erasure.rs import ReedSolomon
+from repro.erasure.striping import CodedElement, StripedCodec
 from repro.transport.auth import Authenticator, KeyChain
 from repro.transport.codec import FrameAssembler, frame_burst
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
@@ -72,10 +80,56 @@ def run_pass():
     return elapsed
 
 
+#: Coded pass: BCSR's ``[n, k]`` at ``f = 1`` on a 64 KiB value.
+CODED_N, CODED_K, CODED_F, CODED_SIZE = 8, 3, 1, 65536
+
+#: A decode with one systematic element corrupted throughout may cost
+#: this many clean decodes (measured: < 3x; the regression was 19x).
+CORRUPT_RATIO = 5.0
+
+
+def run_coded_pass():
+    """Clean vs corrupted decode; returns a status line or None on failure."""
+    codec = StripedCodec(CODED_N, CODED_K)
+    budget = 2 * CODED_F
+    value = bytes(range(256)) * (CODED_SIZE // 256)
+    clean = codec.encode(value)[:CODED_N - CODED_F]
+    corrupted = [CodedElement(0, bytes(clean[0].data).translate(
+        bytes(b ^ 0xA5 for b in range(256))))] + clean[1:]
+    calls = []
+    bw = ReedSolomon.decode
+    ReedSolomon.decode = lambda *a, **kw: calls.append(1) or bw(*a, **kw)
+    try:
+        timings = {}
+        for name, elements in (("clean", clean), ("corrupted", corrupted)):
+            best = float("inf")
+            for _ in range(5):
+                del calls[:]
+                started = time.perf_counter()
+                decoded = codec.decode(elements, max_errors=budget)
+                best = min(best, time.perf_counter() - started)
+                if decoded != value:
+                    print(f"hotpath-smoke: {name} decode returned a wrong value")
+                    return None
+            timings[name] = best
+    finally:
+        ReedSolomon.decode = bw
+    ratio = timings["corrupted"] / timings["clean"]
+    line = (f"hotpath-smoke: coded decode clean {timings['clean'] * 1e6:.0f} us, "
+            f"one systematic element corrupted {timings['corrupted'] * 1e6:.0f} us "
+            f"({ratio:.1f}x, {len(calls)} BW call(s))")
+    if ratio > CORRUPT_RATIO or len(calls) > budget + 1:
+        print(f"{line} -- OVER (limit {CORRUPT_RATIO:.0f}x, {budget + 1} calls)")
+        return None
+    return line
+
+
 def main():
     elapsed = run_pass()
-    if elapsed is None:
+    coded = run_coded_pass()
+    if elapsed is None or coded is None:
         return 1
+    print(coded)
     status = "ok"
     if elapsed > BUDGET_SECONDS:
         status = f"BLOWN BUDGET ({BUDGET_SECONDS:.1f}s)"
