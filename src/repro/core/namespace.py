@@ -21,7 +21,7 @@ per-key consistency is stated for production KV stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any, Dict, List
 
 from repro.core.messages import HEADER_BYTES
 from repro.types import Envelope, ProcessId
@@ -99,10 +99,20 @@ class NamespacedOperation:
 
     # -- message flow ------------------------------------------------------------
     def _wrap(self, envelopes: List[Envelope]) -> List[Envelope]:
-        return [
-            (dest, NamespacedMessage(register=self.register, inner=message))
-            for dest, message in envelopes
-        ]
+        # One wrapper per distinct message, shared by its destinations as
+        # the (frozen) message itself is: a broadcast stays one object,
+        # which is what lets a sender encode it once.
+        if not envelopes:
+            return envelopes
+        wrappers: Dict[int, NamespacedMessage] = {}
+        wrapped = []
+        for dest, message in envelopes:
+            wrapper = wrappers.get(id(message))
+            if wrapper is None:
+                wrapper = wrappers[id(message)] = NamespacedMessage(
+                    register=self.register, inner=message)
+            wrapped.append((dest, wrapper))
+        return wrapped
 
     def start(self) -> List[Envelope]:
         """Start the wrapped operation; tags every outgoing message."""

@@ -21,7 +21,7 @@ from repro.baselines.abd import ABDServer
 from repro.core.bcsr import BCSRServer
 from repro.core.bsr import BSRServer
 from repro.core.regular import RegularBSRServer
-from repro.core.tags import Tag, TaggedValue
+from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.erasure.striping import CodedElement, StripedCodec
 from repro.errors import ProtocolError
 
@@ -71,6 +71,28 @@ def _from_json(value: Any) -> Any:
         index, data = value["__ce__"]
         return CodedElement(int(index), _from_json(data))
     return {key: _from_json(item) for key, item in value.items()}
+
+
+def snapshot_mark(server: Any) -> Optional[TaggedValue]:
+    """The newest pair of a server :func:`snapshot_server` understands.
+
+    Every such server only ever *appends* a strictly higher tag to ``L``,
+    so while this is the same object (``is``) a snapshot would come out
+    byte-identical to the last one -- what lets a cache of snapshots skip
+    the serialisation.  ``None`` for any other server type.
+    """
+    if type(server).__name__ not in _SERVER_TYPES:
+        return None
+    return server.history[-1]
+
+
+def is_pristine(server: Any) -> bool:
+    """Whether a snapshot-able ``server`` is still as its constructor left it.
+
+    One pair under ``TAG_ZERO``: nothing was ever stored, so a snapshot
+    would record only what the server's factory builds anyway.
+    """
+    return len(server.history) == 1 and server.history[0].tag == TAG_ZERO
 
 
 def snapshot_server(server: Any) -> bytes:

@@ -171,7 +171,8 @@ class AsyncRegisterClient:
                          "frames_dropped", "frames_resent", "ops_retried",
                          "throttled", "ops_queued", "replies_stale",
                          "send_batches", "connections_pruned", "recv_calls",
-                         "decode_memo_hits", "decode_memo_misses")
+                         "decode_memo_hits", "decode_memo_misses",
+                         "reply_decodes", "reply_decodes_shared")
         }
         #: Servers whose coded element a decode located as erroneous.
         self._located: Dict[ProcessId, Any] = {}
@@ -297,6 +298,10 @@ class AsyncRegisterClient:
         peek = peek_op_id_v2
         lookup = self._dispatcher.lookup
         stale = self._counters["replies_stale"]
+        # Payloads an op may remember: one per server -- or none, where
+        # coded elements differ per server and a copy could never be shared.
+        room = len(self.servers) if self._codec is None else 0
+        decodes = shared = 0
         for frame in frames:
             try:
                 sender, payloads = self.auth.open_any(frame)
@@ -324,14 +329,31 @@ class AsyncRegisterClient:
                         continue
                     if state.operation.done:
                         continue  # surplus; already decided
-                try:
-                    message = decode(payload)
-                except ProtocolError as exc:
-                    self._link_dropped(pid, "bad-frame",
-                                       f"dropping bad payload: {exc}")
-                    continue
+                decodes += 1
+                message = None
+                if state is not None:
+                    # Correct servers answer one op_id byte-identically,
+                    # and the decoder is deterministic: equal bytes are
+                    # the same (frozen) message, whoever signed them.
+                    for seen, earlier in state.decoded:
+                        if payload == seen:
+                            message = earlier
+                            shared += 1
+                            break
+                if message is None:
+                    try:
+                        message = decode(payload)
+                    except ProtocolError as exc:
+                        self._link_dropped(pid, "bad-frame",
+                                           f"dropping bad payload: {exc}")
+                        continue
+                    if state is not None and len(state.decoded) < room:
+                        state.decoded.append((bytes(payload), message))
                 if not self._dispatch_reply(sender, message, now, state):
                     stale.inc()
+        if decodes:
+            self._counters["reply_decodes"].inc(decodes)
+            self._counters["reply_decodes_shared"].inc(shared)
 
     # -- operations -------------------------------------------------------------
     def _resend_pending(self, pid: ProcessId,
@@ -590,28 +612,30 @@ class AsyncRegisterClient:
         """
         if self.placement is not None:
             group = self.placement.servers_for(register)
-            if self._pruned:
-                # The working set drifted past the keys declared at
-                # connect time: re-admit this group's pruned servers.
-                # The link dials in the background and this op's
-                # pending frames are replayed once it is up.
-                for pid in group:
-                    if pid in self._pruned:
-                        self._pruned.discard(pid)
-                        self._link(pid).redial(at_once=True)
             counter = self._group_counters.get(group)
             if counter is None:
                 counter = self._group_counters[group] = self.registry.counter(
                     "client_group_ops_total", client=str(self.client_id),
                     group=self.placement.group_label(group))
             counter.inc()
-            return list(group)
-        if self.namespaced:
-            reason = key_error(register)
-            if reason is not None:
-                raise ConfigurationError(
-                    f"invalid register name {register!r}: {reason}")
-        return self.servers
+            servers = list(group)
+        else:
+            if self.namespaced:
+                reason = key_error(register)
+                if reason is not None:
+                    raise ConfigurationError(
+                        f"invalid register name {register!r}: {reason}")
+            servers = self.servers
+        if len(self._links) < len(self.servers) or self._pruned:
+            # Never connected, or the working set drifted past the keys
+            # declared at connect time: dial what this operation routes
+            # to in the background; its pending frames are replayed once
+            # the link is up.
+            for pid in servers:
+                if pid not in self._links or pid in self._pruned:
+                    self._pruned.discard(pid)
+                    self._link(pid).redial(at_once=True)
+        return servers
 
     async def write(self, value: Any,
                     register: str = DEFAULT_REGISTER) -> Any:

@@ -36,7 +36,7 @@ class OpState:
     """Everything the runtime tracks for one in-flight operation."""
 
     __slots__ = ("op_id", "operation", "span", "pending", "retried",
-                 "done", "rounds", "deadline")
+                 "done", "rounds", "deadline", "decoded")
 
     def __init__(self, operation: Any) -> None:
         self.op_id: int = operation.op_id
@@ -56,6 +56,9 @@ class OpState:
         self.rounds = 1
         #: Absolute loop-time deadline (bounds throttle backoffs).
         self.deadline = 0.0
+        #: ``(payload bytes, decoded message)`` of this op's distinct
+        #: replies so far; an equal payload reuses the message.
+        self.decoded: List[Tuple[bytes, Any]] = []
 
     def pending_frames(self, pid: ProcessId,
                        only_type: Optional[str] = None) -> List[bytes]:

@@ -111,11 +111,12 @@ class Link(asyncio.BufferedProtocol):
 
         The first attempt waits out one backoff step unless ``at_once``
         (a link that just went down must not hammer a peer that accepts
-        and closes).  No-op without ``reconnect``, after :meth:`close`,
-        while up, or while already dialing.
+        and closes).  Without ``reconnect`` only an ``at_once`` call
+        dials, once.  No-op after :meth:`close`, while up, or while
+        already dialing.
         """
-        if (self.reconnect and not self._closed and not self.redialing
-                and self._transport is None):
+        if ((self.reconnect or at_once) and not self._closed
+                and not self.redialing and self._transport is None):
             self._task = self._loop.create_task(self._redial(at_once))
 
     async def _redial(self, at_once: bool) -> None:
@@ -130,7 +131,7 @@ class Link(asyncio.BufferedProtocol):
                 await asyncio.sleep(delay * (0.5 + random.random()))
                 attempt += 1
             at_once = False
-            if await self.dial():
+            if await self.dial() or not self.reconnect:
                 return
 
     def close(self) -> None:

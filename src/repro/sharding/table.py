@@ -10,16 +10,20 @@ most keys are cold at any instant.  :class:`RegisterTable` serves both:
   anything is allocated, so garbage names cannot exhaust memory.
 * **Bounded**: at most ``max_resident`` keys hold a live protocol
   instance (``None`` = every key stays live).  Beyond the cap the
-  longest-idle key is *demoted*: its durable essence (the history list,
-  via :mod:`repro.core.persistence`) is archived as a compact byte record
-  and the heavy state machine is dropped.  The next touch rehydrates it,
-  so demotion is invisible to the protocol -- the rehydrated server
+  longest-idle key is *demoted* and the heavy state machine dropped.
+  What stays behind is only what the factory could not rebuild: a key
+  never written leaves nothing; a written one leaves its history (via
+  :mod:`repro.core.persistence`) as a compact byte record, serialised
+  once per change -- a key rehydrated and not written since goes back
+  as the bytes it came from.  The next touch rehydrates (or re-creates)
+  it, so demotion is invisible to the protocol -- the rehydrated server
   re-adopts the archived tags and the per-key register stays safe
   (an archived-then-restored key behaves like an honestly-slow server,
   which the algorithms already tolerate).
 
 Archived records are two orders of magnitude smaller than live state
-machines (bytes of JSON vs objects + dict overhead), which is what keeps
+machines (bytes of JSON vs objects + dict overhead) and there is one per
+*written* key, not per name a client ever touched, which is what keeps
 a million-key node affordable; bound each key's history (``max_history``)
 to bound the archive too.
 
@@ -33,10 +37,16 @@ process-per-node deployment and the simulator unchanged.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.keys import MAX_KEY_LENGTH, key_error
 from repro.core.namespace import NamespacedMessage
+from repro.core.persistence import (
+    is_pristine,
+    restore_server,
+    snapshot_mark,
+    snapshot_server,
+)
 from repro.errors import ProtocolError
 from repro.types import Envelope, ProcessId
 
@@ -53,7 +63,8 @@ class RegisterTable:
 
     Metrics land in ``registry`` when one is bound (the node's shared
     registry, via :meth:`bind_registry`): ``table_keys_resident``,
-    ``table_keys_archived``, ``table_evictions_total``,
+    ``table_keys_archived``, ``table_evictions_total`` (every demotion),
+    ``table_snapshots_total`` (the ones that serialised),
     ``table_rehydrations_total`` and ``table_keys_rejected_total``,
     all labeled by node.
     """
@@ -75,6 +86,9 @@ class RegisterTable:
         self.registers: "OrderedDict[str, Any]" = OrderedDict()
         #: key -> compact archived state of demoted cold keys.
         self._archive: Dict[str, bytes] = {}
+        #: Resident key -> (the record it was rehydrated from, its
+        #: :func:`snapshot_mark` then).
+        self._clean: Dict[str, Tuple[bytes, Any]] = {}
         #: Keys whose protocol cannot snapshot (never demoted).
         self._pinned: Set[str] = set()
         #: Codec handed to rehydration (captured from the first coded
@@ -83,6 +97,7 @@ class RegisterTable:
         self._gauge_resident = None
         self._gauge_archived = None
         self._c_evictions = None
+        self._c_snapshots = None
         self._c_rehydrations = None
         self._c_rejected = None
         if registry is not None:
@@ -99,6 +114,7 @@ class RegisterTable:
         self._gauge_resident = registry.gauge("table_keys_resident", node=node)
         self._gauge_archived = registry.gauge("table_keys_archived", node=node)
         self._c_evictions = registry.counter("table_evictions_total", node=node)
+        self._c_snapshots = registry.counter("table_snapshots_total", node=node)
         self._c_rehydrations = registry.counter(
             "table_rehydrations_total", node=node)
         self._c_rejected = registry.counter(
@@ -163,11 +179,13 @@ class RegisterTable:
         return server
 
     def _rehydrate(self, name: str, blob: bytes) -> Any:
-        from repro.core.persistence import restore_server
         try:
-            return restore_server(blob, codec=self._codec)
+            server = restore_server(blob, codec=self._codec)
         except ProtocolError:  # archived by an older build; start fresh
             return self._factory(name)
+        # Until the history moves, demoting again is putting ``blob`` back.
+        self._clean[name] = (blob, snapshot_mark(server))
+        return server
 
     def _shed(self) -> None:
         """Demote longest-idle keys until the residency cap holds."""
@@ -188,16 +206,32 @@ class RegisterTable:
                 self._pinned.add(victim)
 
     def _demote(self, key: str) -> bool:
-        from repro.core.persistence import snapshot_server
+        """Evict ``key``, serialising only a history its record lacks.
+
+        Unchanged since it was rehydrated: the record it came from goes
+        back.  Never written: no record at all, the factory re-creates
+        it.  Otherwise :func:`snapshot_server`.  Persistence decides all
+        three, so a protocol it cannot snapshot is pinned, never dropped.
+        """
         server = self.registers[key]
-        try:
-            blob = snapshot_server(server)
-        except ProtocolError:
+        mark = snapshot_mark(server)
+        if mark is None:
             return False
+        blob, clean_mark = self._clean.pop(key, (None, None))
+        if clean_mark is not mark:
+            blob = None
+            if not is_pristine(server):
+                try:
+                    blob = snapshot_server(server)
+                except ProtocolError:
+                    return False
+                if self._c_snapshots is not None:
+                    self._c_snapshots.inc()
         if self._codec is None:
             self._codec = getattr(server, "codec", None)
         del self.registers[key]
-        self._archive[key] = blob
+        if blob is not None:
+            self._archive[key] = blob
         if self._c_evictions is not None:
             self._c_evictions.inc()
             self._gauge_archived.set(len(self._archive))

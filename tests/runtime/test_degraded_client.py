@@ -148,3 +148,58 @@ def test_reconnect_resends_in_flight_operation():
             await cluster.stop()
 
     run(scenario())
+
+
+# -- no connect() at all: the first operation dials ---------------------------
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["unkeyed", "keyed"])
+@pytest.mark.parametrize("reconnect", [True, False])
+def test_first_operation_dials_when_connect_was_never_called(keyed, reconnect):
+    """Regression: it hung for the whole timeout, then LivenessError."""
+    async def scenario():
+        from repro.sharding import KeyspaceConfig
+        cluster = LocalCluster(
+            "bsr", f=1, n=5,
+            keyspace=KeyspaceConfig(group_size=5, seed=9) if keyed else None)
+        await cluster.start()
+        try:
+            kwargs = {"register": "lazy/key"} if keyed else {}
+            writer = cluster.client("w000", timeout=3.0, reconnect=reconnect)
+            reader = cluster.client("r000", timeout=3.0, reconnect=reconnect)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await writer.write(b"no-connect", **kwargs)     # never connected
+            assert await reader.read(**kwargs) == b"no-connect"
+            assert loop.time() - started < 2.0
+            assert await wait_for(lambda: writer.stats()["connected"] == 5)
+            # The frames went out by replay once each link was up.
+            assert writer.stats()["frames_resent"] >= 4
+            await writer.write(b"second", **kwargs)
+            assert await reader.read(**kwargs) == b"second"
+        finally:
+            await cluster.stop()
+
+    run(scenario())
+
+
+def test_first_operation_dials_with_one_server_down():
+    async def scenario():
+        cluster = LocalCluster("bsr", f=1)
+        await cluster.start()
+        try:
+            victim = cluster.server_ids[2]
+            await cluster.nodes[victim].stop()
+            client = cluster.client("w000", timeout=3.0,
+                                    backoff_base=0.02, backoff_max=0.2)
+            await client.write(b"four-of-five")
+            assert await client.read() == b"four-of-five"
+            assert client.stats()["connected"] == 4
+            assert victim not in client._connections
+            # The down server's link keeps re-dialing and joins later.
+            await cluster.nodes[victim].start()
+            assert await wait_for(lambda: client.stats()["connected"] == 5)
+            await client.write(b"all-five")
+        finally:
+            await cluster.stop()
+
+    run(scenario())

@@ -89,7 +89,7 @@ def test_rejections_counted():
 def test_lru_eviction_respects_cap():
     table = make_table(max_resident=3)
     for i in range(6):
-        table.handle("r0", query(key_name(i), op_id=i))
+        table.handle("w0", put(key_name(i), op_id=i, seq=1, value=b"v"))
     assert len(table.resident_keys) == 3
     assert table.resident_keys == [key_name(3), key_name(4), key_name(5)]
     assert table.archived_keys == [key_name(0), key_name(1), key_name(2)]
@@ -97,8 +97,8 @@ def test_lru_eviction_respects_cap():
 
 def test_touch_refreshes_lru_position():
     table = make_table(max_resident=2)
-    table.handle("r0", query("a", op_id=1))
-    table.handle("r0", query("b", op_id=2))
+    table.handle("w0", put("a", op_id=1, seq=1, value=b"v"))
+    table.handle("w0", put("b", op_id=2, seq=1, value=b"v"))
     table.handle("r0", query("a", op_id=3))  # a becomes most-recent
     table.handle("r0", query("c", op_id=4))  # evicts b, not a
     assert set(table.resident_keys) == {"a", "c"}
@@ -108,7 +108,7 @@ def test_touch_refreshes_lru_position():
 def test_rehydrated_key_keeps_its_tag_and_value():
     table = make_table(max_resident=1)
     table.handle("w0", put("hot", op_id=1, seq=7, value=b"payload"))
-    table.handle("r0", query("other", op_id=2))  # demotes "hot"
+    table.handle("w0", put("other", op_id=2, seq=1, value=b"v"))  # demotes "hot"
     assert table.archived_keys == ["hot"]
     [(_, reply)] = table.handle("r0", query("hot", op_id=3))
     assert isinstance(reply.inner, DataReply)
@@ -120,8 +120,8 @@ def test_rehydrated_key_keeps_its_tag_and_value():
 def test_eviction_metrics():
     registry = MetricRegistry()
     table = make_table(max_resident=1, registry=registry)
-    table.handle("r0", query("a", op_id=1))
-    table.handle("r0", query("b", op_id=2))
+    table.handle("w0", put("a", op_id=1, seq=1, value=b"v"))
+    table.handle("w0", put("b", op_id=2, seq=1, value=b"v"))
     table.handle("r0", query("a", op_id=3))
     snap = {c["name"]: c["value"] for c in registry.snapshot()["counters"]}
     gauges = {g["name"]: g["value"] for g in registry.snapshot()["gauges"]}

@@ -1,4 +1,5 @@
-"""Hot-path smoke: the wire path under a time budget, the decoder under a ratio.
+"""Hot-path smoke: the wire path under a time budget, the decoder under a
+ratio, the keyed path under a count.
 
 A fast regression tripwire for the wire path (`make lint` runs it): the
 codec encodes a realistic message mix, the bursts are batch-sealed and
@@ -13,16 +14,24 @@ dearer than a clean one (it did: 19x, through per-byte Python loops).
 The check is a ratio within this process, so the host's speed cancels,
 plus a count of single-stripe Berlekamp-Welch calls, which has no noise.
 
+A third, keyed pass counts work that must happen once or not at all:
+evicting a key nobody wrote, or one unchanged since it was rehydrated,
+must not serialise it, and a keyed broadcast must stay one message
+object (the client encodes per object).  Counts only, no timing.
+
 Exit status: 0 on success, 1 on wrong results or a blown budget.
 """
 
 import sys
 import time
 
+from repro.core.bsr import BSRReadOperation, BSRServer
 from repro.core.messages import DataReply, PutData, QueryData, QueryTag
+from repro.core.namespace import NamespacedMessage, NamespacedOperation
 from repro.core.tags import Tag
 from repro.erasure.rs import ReedSolomon
 from repro.erasure.striping import CodedElement, StripedCodec
+from repro.sharding import RegisterTable, table as table_module
 from repro.transport.auth import Authenticator, KeyChain
 from repro.transport.codec import FrameAssembler, frame_burst
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
@@ -124,12 +133,63 @@ def run_coded_pass():
     return line
 
 
+def run_keyed_pass():
+    """Evictions that must be free, a round that must be one object."""
+    snapshots = []
+    real = table_module.snapshot_server
+    table_module.snapshot_server = lambda s: snapshots.append(s) or real(s)
+    try:
+        for slots in (1, 64):
+            table = RegisterTable(
+                "s000", factory=lambda name: BSRServer("s000"),
+                max_resident=slots)
+
+            def touch(key, inner=QueryData(op_id=1)):
+                return table.handle("c0", NamespacedMessage(key, inner))
+
+            for i in range(4 * slots + 4):
+                touch(f"cold-{i}")
+            if snapshots or table.archived_keys:
+                print(f"hotpath-smoke: {slots}-slot table serialised "
+                      f"{len(snapshots)} never-written key(s), archived "
+                      f"{len(table.archived_keys)}")
+                return None
+            touch("hot", PutData(op_id=2, tag=Tag(1, "w000"), payload=b"v"))
+            for round_ in range(3):  # evict, rehydrate by a read, evict ...
+                for i in range(slots):
+                    touch(f"cold-{i}")
+                if table.archived_keys != ["hot"] or len(snapshots) != 1:
+                    print(f"hotpath-smoke: {slots}-slot table took "
+                          f"{len(snapshots)} snapshot(s) of one written, "
+                          f"then unmodified key (round {round_})")
+                    return None
+                [(_, reply)] = touch("hot")
+                if reply.inner.payload != b"v":
+                    print("hotpath-smoke: rehydrated key lost its value")
+                    return None
+            del snapshots[:]
+    finally:
+        table_module.snapshot_server = real
+    servers = [f"s{i:03d}" for i in range(5)]
+    envelopes = NamespacedOperation(
+        "k", BSRReadOperation("r000", servers, 1)).start()
+    wrappers = {id(message) for _, message in envelopes}
+    if len(envelopes) != len(servers) or len(wrappers) != 1:
+        print(f"hotpath-smoke: a keyed query round to {len(servers)} servers "
+              f"made {len(wrappers)} wrapper objects (want 1)")
+        return None
+    return ("hotpath-smoke: keyed pass -- 0 snapshots of never-written keys, "
+            "1 per written key, 1 wrapper per round")
+
+
 def main():
     elapsed = run_pass()
     coded = run_coded_pass()
-    if elapsed is None or coded is None:
+    keyed = run_keyed_pass()
+    if elapsed is None or coded is None or keyed is None:
         return 1
     print(coded)
+    print(keyed)
     status = "ok"
     if elapsed > BUDGET_SECONDS:
         status = f"BLOWN BUDGET ({BUDGET_SECONDS:.1f}s)"
