@@ -43,7 +43,7 @@ from repro.core.namespace import DEFAULT_REGISTER, NamespacedOperation
 from repro.core.messages import Throttled
 from repro.sharding.ring import Placement
 from repro.core.operation import ClientOperation
-from repro.errors import AuthenticationError, ConfigurationError, LivenessError, ProtocolError
+from repro.errors import AuthenticationError, ConfigurationError, LivenessError, OperationAborted, ProtocolError
 from repro.obs import (
     LogGate,
     MetricRegistry,
@@ -56,6 +56,7 @@ from repro.runtime.dispatch import OpDispatcher, OpState
 from repro.runtime.link import Link
 from repro.transport.auth import Authenticator
 from repro.transport.codec2 import CachedDecoder, CachedEncoder, peek_op_id_v2
+from repro.transport.delta import DeltaDesync, Expander
 from repro.types import ProcessId
 
 logger = logging.getLogger(__name__)
@@ -154,6 +155,7 @@ class AsyncRegisterClient:
         #: ... and the ones that are up right now (what frames go to).
         self._connections: Dict[ProcessId, Link] = {}
         self._dispatcher = OpDispatcher(max_inflight)
+        self._closes = 0  #: close() calls; a write queued across one aborts
         #: Writes by this client are ordered per register (see module
         #: docstring); reads never touch these locks.
         self._write_locks: "OrderedDict[str, asyncio.Lock]" = OrderedDict()
@@ -172,7 +174,8 @@ class AsyncRegisterClient:
                          "throttled", "ops_queued", "replies_stale",
                          "send_batches", "connections_pruned", "recv_calls",
                          "decode_memo_hits", "decode_memo_misses",
-                         "reply_decodes", "reply_decodes_shared")
+                         "reply_decodes", "reply_decodes_shared",
+                         "delta_expanded", "delta_resets")
         }
         #: Servers whose coded element a decode located as erroneous.
         self._located: Dict[ProcessId, Any] = {}
@@ -230,11 +233,16 @@ class AsyncRegisterClient:
         return len(self._connections)
 
     async def close(self) -> None:
-        """Tear down all links and their dial tasks."""
+        """Tear down all links; what is in flight or queued fails now."""
+        self._closes += 1
+        self._dispatcher.abort(self._closed_error)
         for link in self._links.values():
             link.close()
         self._links.clear()
         self._connections.clear()
+
+    def _closed_error(self) -> OperationAborted:
+        return OperationAborted(f"client {self.client_id} was closed")
 
     def stats(self) -> Dict[str, int]:
         """Resilience counters: reconnects, disconnects, frames dropped /
@@ -254,12 +262,14 @@ class AsyncRegisterClient:
         """The link to ``pid``; created down and idle on first use."""
         link = self._links.get(pid)
         if link is None:
+            expander = Expander(self._counters["delta_expanded"].inc)
             link = self._links[pid] = Link(
                 self.addresses[pid],
                 # One HMAC covers the whole tick's payloads.
                 partial(self.auth.seal_frames, self.client_id),
-                on_frames=partial(self._fold_replies, pid, CachedDecoder()),
-                on_up=partial(self._link_up, pid),
+                on_frames=partial(self._fold_replies, pid, CachedDecoder(),
+                                  expander),
+                on_up=partial(self._link_up, pid, expander),
                 on_down=partial(self._link_down, pid),
                 on_flush=self._counters["send_batches"].inc,
                 on_drop=partial(self._link_dropped, pid),
@@ -267,7 +277,8 @@ class AsyncRegisterClient:
                 reconnect=self.reconnect)
         return link
 
-    def _link_up(self, pid: ProcessId) -> None:
+    def _link_up(self, pid: ProcessId, expander: Expander) -> None:
+        expander.reset()
         link = self._links[pid]
         self._connections[pid] = link
         if link.redialing:
@@ -286,7 +297,8 @@ class AsyncRegisterClient:
                           self.client_id, pid, detail)
 
     def _fold_replies(self, pid: ProcessId, decode: CachedDecoder,
-                      frames: List[memoryview], now: float) -> None:
+                      expander: Expander, frames: List[memoryview],
+                      now: float) -> None:
         """Fold one read's verified frames into their owning ops.
 
         One read syscall may carry replies to several operations, each
@@ -315,6 +327,13 @@ class AsyncRegisterClient:
                 self._link_dropped(pid, "wrong-sender", "dropping a frame "
                                    f"signed by {sender}")
                 continue
+            try:
+                payloads = expander.expand(frame, payloads)
+            except DeltaDesync as exc:
+                # Base lost (or a lie): replay on a fresh, stateless link.
+                self._counters["delta_resets"].inc()
+                self._links[pid].reset("delta-desync", exc)
+                break
             for payload in payloads:
                 # Route by op_id before paying for the decode: stale
                 # replies are dropped and surplus replies past the quorum
@@ -648,7 +667,10 @@ class AsyncRegisterClient:
         freely with this client's reads and with other clients.
         """
         servers, f = self._servers_for(register), self.f
+        closes = self._closes
         async with self._write_lock_for(register):
+            if closes != self._closes:
+                raise self._closed_error()
             operation = self.spec.make_write(OpContext(
                 client_id=self.client_id, servers=tuple(servers), f=f,
                 value=value, initial_value=self.initial_value,

@@ -151,6 +151,14 @@ class OpDispatcher:
         """Drop a finished operation; later replies for it are stale."""
         self._ops.pop(state.op_id, None)
 
+    def abort(self, make_error: Any) -> None:
+        """Fail every executing and every queued operation, now."""
+        waiters = self.gate._waiters
+        for fut in [s.done for s in self._ops.values()] + list(waiters):
+            if fut is not None and not fut.done():
+                fut.set_exception(make_error())
+        waiters.clear()
+
     @property
     def inflight(self) -> int:
         """Number of registered (executing) operations."""

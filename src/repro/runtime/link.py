@@ -15,7 +15,8 @@ told what to do with inbound frames and with going up or down.
   link is an ``asyncio.BufferedProtocol``: no allocation and no copy
   per read) and parsed in place for ``on_frames``; an oversized frame
   cannot be re-synchronised past, so it resets this link (and only
-  this link).
+  this link); an owner that loses the stream (a reply delta on a base
+  it does not hold) does the same through :meth:`Link.reset`.
 * **Loss** fires ``on_down`` and, under ``reconnect``, re-dials with
   exponential backoff plus jitter; ``on_up`` fires on every established
   connection, which is where an owner replays what it still needs.
@@ -188,12 +189,15 @@ class Link(asyncio.BufferedProtocol):
         try:
             frames = self._assembler.filled(nbytes)
         except ProtocolError as exc:
-            # Oversized frame: the stream is poisoned past this point;
-            # drop the connection and re-dial from a clean slate.
-            self.on_drop("bad-frame", f"resetting link: {exc}")
-            self._transport.close()
+            self.reset("bad-frame", exc)  # oversized frame
             return
         self.on_frames(frames, self._loop.time())
+
+    def reset(self, reason: str, detail: Any) -> None:
+        """Poisoned past this point: drop the connection, re-dial clean."""
+        self.on_drop(reason, f"resetting link: {detail}")
+        if self._transport is not None:
+            self._transport.close()
 
     def pause_writing(self) -> None:
         self._paused = True

@@ -26,6 +26,7 @@ from repro.runtime.link import Link
 from repro.transport.auth import Authenticator
 from repro.transport.codec import FrameAssembler, frame_burst
 from repro.transport.codec2 import CachedDecoder, CachedEncoder
+from repro.transport.delta import Shrinker
 from repro.types import ProcessId
 
 logger = logging.getLogger(__name__)
@@ -64,6 +65,9 @@ class _Connection(asyncio.BufferedProtocol):
         #: The chunk whose acks wait for their snapshot (at most one:
         #: reading is paused while it is pending).
         self._durable: Optional[asyncio.Task] = None
+        #: What this connection already carried in full (starts empty).
+        self._shrinker = Shrinker(
+            partial(node.auth.seal_frames, node.server_id), node._tally_reply)
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         node = self.node
@@ -139,13 +143,13 @@ class _Connection(asyncio.BufferedProtocol):
             self.transport.resume_reading()
 
     def write(self, payloads: List[bytes]) -> None:
-        """Seal ``payloads`` under one HMAC and write them as one burst."""
+        """Seal ``payloads`` under one HMAC, write them as one burst (a
+        large one in full once, then as a tail delta while it repeats)."""
         if not payloads or self.transport.is_closing():
             return
         if len(payloads) > 1:
             self.node._counters["reply_batches"].inc()
-        self.transport.write(frame_burst(self.node.auth.seal_frames(
-            self.node.server_id, payloads)))
+        self.transport.write(frame_burst(self._shrinker.seal(payloads)))
 
     def pause_writing(self) -> None:
         self._write_paused = True
@@ -249,7 +253,8 @@ class RegisterServerNode:
             for name in ("frames", "frames_bad", "frames_retried",
                          "frames_throttled", "connections_refused",
                          "health_pings", "stats_pings", "trace_dumps",
-                         "wire_frames", "reply_batches", "recv_calls")
+                         "wire_frames", "reply_batches", "recv_calls",
+                         "replies_full", "replies_delta", "reply_bytes_elided")
         }
         self._connections_gauge = self.registry.gauge(
             "node_connections", node=node)
@@ -304,6 +309,11 @@ class RegisterServerNode:
         """Compatibility view: the registry counters as a plain mapping."""
         return {name: int(counter.value)
                 for name, counter in self._counters.items()}
+
+    def _tally_reply(self, elided: int) -> None:
+        """Count one large reply: a delta ``elided`` bytes short, or full."""
+        self._counters["replies_delta" if elided else "replies_full"].inc()
+        self._counters["reply_bytes_elided"].inc(elided)
 
     def _restore_from_snapshot(self) -> None:
         if self.snapshot_path is None or not os.path.exists(self.snapshot_path):

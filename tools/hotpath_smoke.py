@@ -19,22 +19,34 @@ evicting a key nobody wrote, or one unchanged since it was rehydrated,
 must not serialise it, and a keyed broadcast must stay one message
 object (the client encodes per object).  Counts only, no timing.
 
+A fourth, reply pass runs real clients against real nodes over in-memory
+transports and counts what the nodes write: repeat reads of a 64 KiB BCSR
+register may carry one full coded element per connection per version
+(the rest are tail deltas), and with 64 B keyed BSR values every frame
+must be exactly what the stateless seal of the same payloads produces
+(small replies never touch the delta layer).  Counts only, no timing.
+
 Exit status: 0 on success, 1 on wrong results or a blown budget.
 """
 
+import asyncio
 import sys
 import time
 
 from repro.core.bsr import BSRReadOperation, BSRServer
+from repro.core.keys import key_name
 from repro.core.messages import DataReply, PutData, QueryData, QueryTag
 from repro.core.namespace import NamespacedMessage, NamespacedOperation
 from repro.core.tags import Tag
+from repro.deploy import ClusterSpec
 from repro.erasure.rs import ReedSolomon
 from repro.erasure.striping import CodedElement, StripedCodec
+from repro.runtime.node import _Connection
 from repro.sharding import RegisterTable, table as table_module
 from repro.transport.auth import Authenticator, KeyChain
 from repro.transport.codec import FrameAssembler, frame_burst
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
+from repro.transport.delta import DELTA_MIN_BYTES
 
 #: Messages in the pass.
 COUNT = 10_000
@@ -182,14 +194,146 @@ def run_keyed_pass():
             "1 per written key, 1 wrapper per round")
 
 
+class Pipe:
+    """An in-memory transport: what is written reaches ``peer`` (the
+    protocol at the other end) on the next loop tick, and is kept."""
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.peer = None
+        self.carried = []
+        self.closed = False
+
+    def write(self, data):
+        data = bytes(data)
+        self.carried.append(data)
+        self.loop.call_soon(self._deliver, data)
+
+    def _deliver(self, data):
+        while data and not self.closed:
+            view = self.peer.get_buffer(-1)
+            n = min(len(view), len(data))
+            view[:n] = data[:n]
+            del view
+            self.peer.buffer_updated(n)
+            data = data[n:]
+
+    def close(self):
+        self.closed = True
+
+    def is_closing(self):
+        return self.closed
+
+
+class Wiring:
+    """Stands in for ``loop.create_connection``: dials reach the spec's
+    nodes through a :class:`Pipe` pair; ``down[node]`` lists the pipes
+    that carried that node's writes."""
+
+    def __init__(self, spec):
+        self.loop = asyncio.get_running_loop()
+        self.loop.create_connection = self
+        self.nodes = {pid: spec.build_node(pid) for pid in spec.node_ids}
+        self.by_address = {spec.address_of(pid): pid for pid in spec.node_ids}
+        self.down = {pid: [] for pid in spec.node_ids}
+
+    async def __call__(self, factory, host, port):
+        pid = self.by_address[(host, port)]
+        link, connection = factory(), _Connection(self.nodes[pid])
+        up, down = Pipe(self.loop), Pipe(self.loop)
+        up.peer, down.peer = connection, link
+        self.down[pid].append(down)
+        connection.connection_made(down)
+        link.connection_made(up)
+        return up, link
+
+
+async def _bcsr_reads():
+    spec = ClusterSpec(algorithm="bcsr", f=CODED_F, n=CODED_N,
+                       base_port=7000)
+    wiring = Wiring(spec)
+    client = spec.client("w000", timeout=10.0)
+    await client.connect()
+    versions, reads = 3, 10
+    for version in range(versions):
+        value = bytes([version]) * CODED_SIZE
+        await client.write(value)
+        for _ in range(reads):
+            if await client.read() != value:
+                return "a BCSR read returned a wrong value"
+    await client.close()
+    for pid, pipes in wiring.down.items():
+        if len(pipes) != 1:
+            return f"{len(pipes)} connections to {pid} (want 1)"
+        full = [frame for burst in pipes[0].carried
+                for frame in FrameAssembler().feed(burst)
+                if len(frame) >= DELTA_MIN_BYTES]
+        if len(full) > versions:
+            return (f"the connection to {pid} carried {len(full)} full "
+                    f"elements for {versions} versions")
+    if client.stats()["delta_resets"]:
+        return "a clean run reset a link"
+    return None
+
+
+async def _keyed_small_values():
+    spec = ClusterSpec(algorithm="bsr", f=1, n=5, base_port=7000,
+                       keyspace={"group_size": 5})
+    wiring = Wiring(spec)
+    differing = []
+    real_write = _Connection.write
+
+    def checked(self, payloads):
+        before = len(self.transport.carried)
+        real_write(self, payloads)
+        stateless = frame_burst(self.node.auth.seal_frames(
+            self.node.server_id, payloads)) if payloads else b""
+        if b"".join(self.transport.carried[before:]) != stateless:
+            differing.append(self.node.server_id)
+
+    _Connection.write = checked
+    try:
+        client = spec.client("w000", timeout=10.0)
+        await client.connect()
+        keys = [key_name(i) for i in range(8)]
+        await asyncio.gather(*(client.write(b"v" * 64, register=key)
+                               for key in keys))
+        values = await asyncio.gather(*(client.read(register=key)
+                                        for key in keys * 4))
+        await client.close()
+    finally:
+        _Connection.write = real_write
+    if values != [b"v" * 64] * len(values):
+        return "a keyed read returned a wrong value"
+    written = sum(len(pipe.carried) for pipes in wiring.down.values()
+                  for pipe in pipes)
+    if differing or not written:
+        return (f"{len(differing)} of {written} reply bursts differ from "
+                "the stateless seal of their payloads")
+    return None
+
+
+def run_reply_pass():
+    """One full element per version; small replies sealed statelessly."""
+    for scenario in (_bcsr_reads, _keyed_small_values):
+        problem = asyncio.run(scenario())
+        if problem is not None:
+            print(f"hotpath-smoke: {problem}")
+            return None
+    return ("hotpath-smoke: reply pass -- <= 1 full element per connection "
+            "per version, small replies byte-identical to the stateless seal")
+
+
 def main():
     elapsed = run_pass()
     coded = run_coded_pass()
     keyed = run_keyed_pass()
-    if elapsed is None or coded is None or keyed is None:
+    replies = run_reply_pass()
+    if elapsed is None or coded is None or keyed is None or replies is None:
         return 1
     print(coded)
     print(keyed)
+    print(replies)
     status = "ok"
     if elapsed > BUDGET_SECONDS:
         status = f"BLOWN BUDGET ({BUDGET_SECONDS:.1f}s)"
