@@ -26,7 +26,7 @@ Quickstart::
     assert read.value == b"hello"
 """
 
-from repro.core.register import OpHandle, RegisterSystem, make_system
+from repro.core.register import OpHandle, RegisterSystem
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.errors import (
     ConfigurationError,
@@ -40,7 +40,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "RegisterSystem",
-    "make_system",
     "OpHandle",
     "Tag",
     "TaggedValue",

@@ -30,6 +30,7 @@ errors are the expected result.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import shutil
 import tempfile
@@ -52,8 +53,6 @@ from repro.obs import (
     SnapshotLog,
     summarize_histogram_snapshot,
 )
-from repro.protocols import get_spec
-from repro.sharding import KeyspaceConfig
 from repro.sim.rng import SimRng
 from repro.sim.trace import OpKind, Trace
 from repro.workloads.generator import ZipfSampler
@@ -270,6 +269,7 @@ async def run_soak(algorithm: str = "bsr", f: int = 1,
         raise ConfigurationError("keys must be at least 1")
     # Imported here: repro.runtime.cluster itself imports the chaos proxy,
     # so a module-level import would be circular.
+    from repro.deploy import ClusterSpec, ClusterSupervisor
     from repro.runtime.cluster import LocalCluster
 
     if procs and schedule not in PROCESS_SCHEDULES:
@@ -278,48 +278,27 @@ async def run_soak(algorithm: str = "bsr", f: int = 1,
             f"process cluster runs {PROCESS_SCHEDULES}")
 
     rng = SimRng(seed, f"soak/{algorithm}/{schedule}")
-    proto = get_spec(algorithm)
-    keyspace: Optional[KeyspaceConfig] = None
-    if keys > 1:
-        if not proto.namespaced_ok:
-            raise ConfigurationError(
-                f"algorithm {algorithm!r} does not support a sharded "
-                f"keyspace")
-        keyspace = KeyspaceConfig(group_size=proto.min_servers(f),
-                                  seed=seed)
     #: One registry for the whole run: clients, nemesis and (in-process)
     #: nodes/proxies all record into it, so the result's histograms
     #: aggregate per phase across every client.
     registry = (client_kwargs or {}).get("registry") or MetricRegistry()
+    spec = ClusterSpec.for_workload(
+        algorithm, f, keys=keys, seed=seed, snapshot_dir=snapshot_dir,
+        max_history=max_history, secret=f"soak-{seed}")
     own_snapshots = snapshot_dir is None
-    if own_snapshots:
+    if own_snapshots:  # only once the spec is valid: nothing to leak
         snapshot_dir = tempfile.mkdtemp(prefix="repro-chaos-")
+        spec = dataclasses.replace(spec, snapshot_dir=snapshot_dir)
     loop = asyncio.get_running_loop()
     started = loop.time()
     if procs:
-        from repro.deploy import ClusterSpec, ClusterSupervisor, reserve_ports
-        nodes: Dict[str, Any] = {}
-        if proto.peer_links:
-            # Peer-linked servers dial each other from the spec, so the
-            # ports must be pinned before the first process starts.
-            from repro.types import server_id as _sid
-            ports = reserve_ports(proto.min_servers(f))
-            nodes = {str(_sid(i)): ["127.0.0.1", port]
-                     for i, port in enumerate(ports)}
-        spec = ClusterSpec(algorithm=algorithm, f=f,
-                           snapshot_dir=snapshot_dir,
-                           max_history=max_history,
-                           secret=f"soak-{seed}",
-                           nodes=nodes,
-                           keyspace=keyspace.to_dict() if keyspace else {})
         cluster = ClusterSupervisor(spec, registry=registry)
-        initial_value = spec.initial_value.encode()
     else:
         cluster = LocalCluster(algorithm, f=f, chaos=True, chaos_seed=seed,
                                snapshot_dir=snapshot_dir,
                                max_history=max_history, registry=registry,
-                               keyspace=keyspace)
-        initial_value = cluster.initial_value
+                               keyspace=spec.keyspace_config())
+    initial_value = spec.fleet.initial_value
     await cluster.start()
     try:
         steps = build_schedule(schedule, cluster.server_ids, f, seed=seed,
@@ -398,15 +377,15 @@ async def run_soak(algorithm: str = "bsr", f: int = 1,
                 ts_log.append(registry.snapshot(), ts=time_module.time(),
                               extra={"schedule": schedule})
                 ts_log.close()
-        if getattr(cluster, "chaos_plan", None) is not None:
-            cluster.chaos_plan.heal()
+        plan = cluster.chaos_plan  # None on a process cluster
+        if plan is not None:
+            plan.heal()
 
         if keys > 1:
             safety = check_safety_per_register(trace,
                                                initial_value=initial_value)
         else:
             safety = check_safety(trace, initial_value=initial_value)
-        plan = getattr(cluster, "chaos_plan", None)
         return SoakResult(
             algorithm=algorithm, schedule=schedule, seed=seed, trace=trace,
             safety=safety, nemesis_events=list(nemesis.events),

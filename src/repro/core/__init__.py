@@ -31,7 +31,7 @@ from repro.core.regular import (
     RegularBSRServer,
     TwoRoundReadOperation,
 )
-from repro.core.register import RegisterSystem, make_system
+from repro.core.register import RegisterSystem
 
 __all__ = [
     "Tag",
@@ -54,5 +54,4 @@ __all__ = [
     "HistoryReadOperation",
     "TwoRoundReadOperation",
     "RegisterSystem",
-    "make_system",
 ]

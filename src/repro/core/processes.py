@@ -1,9 +1,8 @@
 """Adapters running protocol state machines inside the simulator.
 
 * :class:`ServerProcess` hosts any server state machine (an object exposing
-  ``handle(sender, message) -> [(dest, message)]``).
-* :class:`ByzantineServerProcess` wraps a server with a Byzantine behaviour
-  from :mod:`repro.byzantine.behaviors`.
+  ``handle(sender, message) -> [(dest, message)]``), optionally behind a
+  Byzantine behaviour from :mod:`repro.byzantine.behaviors`.
 * :class:`ClientProcess` drives a sequence of client operations, enforcing
   the model's "at most one operation can run on a client" rule and
   recording every invocation/response in the simulator's trace.
@@ -22,29 +21,18 @@ from repro.types import ProcessId
 
 
 class ServerProcess(Process):
-    """A correct server: delegates every message to its state machine."""
+    """A server: delegates every message to its state machine.
 
-    def __init__(self, pid: ProcessId, protocol: Any) -> None:
-        super().__init__(pid)
-        self.protocol = protocol
-
-    def on_message(self, sender: ProcessId, message: Any) -> None:
-        if self.crashed:
-            return
-        self.ctx.send_all(self.protocol.handle(sender, message))
-
-
-class ByzantineServerProcess(Process):
-    """A Byzantine server: a behaviour mediates every interaction.
-
-    The behaviour sees the underlying (correct) server state machine, the
-    incoming message and what a correct server *would* reply, and returns
-    the envelopes actually sent.  This structure expresses all the paper's
-    example deviations -- "incorrect register values, incorrect timestamp
-    values, no reply or multiple replies" -- as small strategy objects.
+    With a ``behavior`` the server is Byzantine: the behaviour sees the
+    underlying (correct) state machine, the incoming message and what a
+    correct server *would* reply, and returns the envelopes actually
+    sent.  This structure expresses all the paper's example deviations --
+    "incorrect register values, incorrect timestamp values, no reply or
+    multiple replies" -- as small strategy objects.
     """
 
-    def __init__(self, pid: ProcessId, protocol: Any, behavior: Any) -> None:
+    def __init__(self, pid: ProcessId, protocol: Any,
+                 behavior: Optional[Any] = None) -> None:
         super().__init__(pid)
         self.protocol = protocol
         self.behavior = behavior
@@ -52,9 +40,11 @@ class ByzantineServerProcess(Process):
     def on_message(self, sender: ProcessId, message: Any) -> None:
         if self.crashed:
             return
-        correct_replies = self.protocol.handle(sender, message)
-        actual = self.behavior.on_message(self.protocol, sender, message, correct_replies)
-        self.ctx.send_all(actual)
+        replies = self.protocol.handle(sender, message)
+        if self.behavior is not None:
+            replies = self.behavior.on_message(self.protocol, sender,
+                                               message, replies)
+        self.ctx.send_all(replies)
 
 
 class ClientProcess(Process):

@@ -16,24 +16,27 @@ listen, and the shared secret derives the per-process HMAC keys
 
 Specs load from TOML (stdlib ``tomllib``) or JSON and round-trip through
 :meth:`to_dict`/:meth:`save` so supervisors can hand child processes an
-exact copy of their own configuration.
+exact copy of their own configuration.  What each node hosts, and who
+applies a Byzantine behaviour, comes from the spec's
+:class:`~repro.protocols.fleet.Fleet` -- the recipe the simulator and
+:class:`~repro.runtime.cluster.LocalCluster` build from too.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.byzantine.behaviors import make_behavior
 from repro.errors import ConfigurationError
-from repro.protocols import ServerContext, get_spec, runtime_names
+from repro.protocols import get_spec
+from repro.protocols.fleet import Fleet
 from repro.runtime.client import AsyncRegisterClient
+from repro.runtime.cluster import authenticator, make_client, make_node
 from repro.runtime.node import RegisterServerNode
-from repro.sharding import HashRing, KeyspaceConfig, RegisterTable
-from repro.transport.auth import Authenticator, KeyChain
+from repro.sharding import HashRing, KeyspaceConfig
+from repro.transport.auth import Authenticator
 from repro.types import ProcessId, server_id
 
 
@@ -105,18 +108,16 @@ class ClusterSpec:
     observability: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        proto = get_spec(self.algorithm)
-        if not proto.runtime_ok:
-            raise ConfigurationError(
-                f"algorithm {self.algorithm!r} not supported by the runtime; "
-                f"choose from {runtime_names()}"
-            )
-        if self.f < 0:
-            raise ConfigurationError(f"f must be non-negative, got {self.f}")
-        if self.n is None:
-            self.n = proto.min_servers(self.f)
-        proto.validate_config(self.n, self.f)
-        if proto.peer_links:
+        #: The validated fleet every node and client of this spec is
+        #: built from (bounds, Byzantine map, codec, placement).
+        self.fleet = Fleet.build(
+            self.algorithm, f=self.f, n=self.n, byzantine=self.byzantine,
+            keyspace=(KeyspaceConfig.from_dict(self.keyspace)
+                      if self.keyspace else None),
+            initial_value=self.initial_value.encode(),
+            max_history=self.max_history, runtime=True)
+        self.n = self.fleet.n
+        if self.fleet.spec.peer_links:
             # Server-to-server protocols dial peers from this spec, so
             # every node's port must be knowable up front -- an ephemeral
             # port exists only in the process that bound it.
@@ -127,14 +128,6 @@ class ClusterSpec:
                     f"{self.algorithm} servers message each other, so the "
                     f"spec must pin every node's port (set base_port or "
                     f"per-node addresses); ephemeral: {ephemeral}")
-        unknown = set(self.byzantine) - set(self.node_ids)
-        if unknown:
-            raise ConfigurationError(
-                f"byzantine entries for unknown nodes: {sorted(unknown)}")
-        if len(self.byzantine) > self.f:
-            raise ConfigurationError(
-                f"{len(self.byzantine)} Byzantine nodes exceed the fault "
-                f"budget f={self.f}")
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be at least 1, got {self.max_inflight}")
@@ -154,6 +147,27 @@ class ClusterSpec:
                     raise ConfigurationError(
                         f"observability.{key} must be a non-negative "
                         f"integer, got {value!r}")
+
+    @classmethod
+    def for_workload(cls, algorithm: str, f: int, keys: int = 1,
+                     seed: int = 0, **fields: Any) -> "ClusterSpec":
+        """A single-host spec for a generated workload over ``keys`` keys.
+
+        ``keys > 1`` shards the keyspace into groups of the protocol's
+        minimum size, ring-seeded by ``seed``; a peer-linked protocol gets
+        every node's loopback port pinned now (see :meth:`__post_init__`).
+        Other ``fields`` pass through.
+        """
+        proto = get_spec(algorithm)
+        if keys > 1:
+            fields["keyspace"] = KeyspaceConfig(
+                group_size=proto.min_servers(f), seed=seed).to_dict()
+        if proto.peer_links:
+            n = fields.get("n")
+            ports = reserve_ports(n if n is not None else proto.min_servers(f))
+            fields["nodes"] = {str(server_id(i)): ["127.0.0.1", port]
+                               for i, port in enumerate(ports)}
+        return cls(algorithm=algorithm, f=f, **fields)
 
     # -- identity and addressing ------------------------------------------
     @property
@@ -175,32 +189,22 @@ class ClusterSpec:
         """Configured node id -> ``(host, port)`` map."""
         return {pid: self.address_of(pid) for pid in self.node_ids}
 
-    def snapshot_path(self, node_id: ProcessId) -> Optional[str]:
-        """Where ``node_id`` checkpoints, or ``None`` when not persistent."""
-        if self.snapshot_dir is None:
-            return None
-        return os.path.join(self.snapshot_dir, f"{node_id}.snapshot")
-
     # -- keyspace placement ------------------------------------------------
     def keyspace_config(self) -> Optional[KeyspaceConfig]:
         """The parsed keyspace block, or ``None`` for single-register."""
-        if not self.keyspace:
-            return None
-        return KeyspaceConfig.from_dict(self.keyspace)
+        return self.fleet.keyspace
 
     def ring(self) -> Optional[HashRing]:
         """The deployment's consistent-hash ring (``None`` unsharded)."""
-        config = self.keyspace_config()
-        if config is None:
-            return None
-        return config.ring(self.node_ids)
+        placement = self.fleet.placement
+        return None if placement is None else placement.ring
 
     def locate(self, key: str) -> Optional[Tuple[ProcessId, ...]]:
         """The quorum group serving ``key``, or ``None`` unsharded."""
-        config = self.keyspace_config()
-        if config is None:
+        placement = self.fleet.placement
+        if placement is None:
             return None
-        return config.ring(self.node_ids).group(key, config.group_size)
+        return placement.ring.group(key, placement.group_size)
 
     # -- key material ------------------------------------------------------
     @property
@@ -209,49 +213,12 @@ class ClusterSpec:
 
     def authenticator(self) -> Authenticator:
         """An authenticator deriving any process key from the shared secret."""
-        return Authenticator(
-            KeyChain.from_secret(self.secret_bytes, self.node_ids))
+        return authenticator(self.fleet, self.secret_bytes)
 
     # -- component construction -------------------------------------------
     def build_protocol(self, node_id: ProcessId) -> Any:
-        """The server state machine ``node_id`` hosts.
-
-        With a ``keyspace`` block this is a bounded per-key
-        :class:`~repro.sharding.RegisterTable` whose factory builds one
-        base protocol per touched key; otherwise the single base
-        protocol itself.
-        """
-        config = self.keyspace_config()
-        if config is not None:
-            behavior_name = self.byzantine.get(node_id)
-            placement = config.placement(self.node_ids)
-            return RegisterTable(
-                node_id,
-                factory=lambda name: self._build_base_protocol(
-                    node_id, servers=placement.servers_for(name)),
-                behavior=make_behavior(behavior_name) if behavior_name
-                else None,
-                **config.table_bounds(),
-            )
-        return self._build_base_protocol(node_id)
-
-    def _build_base_protocol(self, node_id: ProcessId,
-                             servers: Optional[Tuple[ProcessId, ...]] = None
-                             ) -> Any:
-        proto = get_spec(self.algorithm)
-        if servers is None:
-            servers = tuple(self.node_ids)
-        ctx = ServerContext(
-            server_id=node_id,
-            index=servers.index(node_id) if node_id in servers else 0,
-            servers=tuple(servers),
-            f=self.f,
-            initial_value=self.initial_value.encode(),
-            max_history=self.max_history,
-            codec=(proto.make_codec(self.n, self.f)
-                   if proto.make_codec is not None else None),
-        )
-        return proto.make_server(ctx)
+        """What ``node_id`` hosts (see :meth:`Fleet.host`)."""
+        return self.fleet.host(node_id)
 
     def build_node(self, node_id: ProcessId,
                    port: Optional[int] = None) -> RegisterServerNode:
@@ -263,32 +230,18 @@ class ClusterSpec:
         if node_id not in self.node_ids:
             raise ConfigurationError(
                 f"unknown node {node_id!r}; this spec has {self.node_ids}")
-        proto = get_spec(self.algorithm)
         host, spec_port = self.address_of(node_id)
-        behavior_name = self.byzantine.get(node_id)
-        if self.snapshot_dir is not None and proto.snapshot_ok:
-            os.makedirs(self.snapshot_dir, exist_ok=True)
-        protocol = self.build_protocol(node_id)
-        sharded = isinstance(protocol, RegisterTable)
-        node = RegisterServerNode(
-            node_id, protocol, self.authenticator(),
-            host=host, port=port if port is not None else spec_port,
-            # A register table applies the behaviour per key and keeps
-            # its own durable story (per-key archives), so the node-level
-            # behaviour/snapshot hooks stay off in sharded deployments.
-            behavior=None if sharded
-            else (make_behavior(behavior_name) if behavior_name else None),
-            snapshot_path=(None if sharded or not proto.snapshot_ok
-                           else self.snapshot_path(node_id)),
+        node = make_node(
+            self.fleet, node_id, self.authenticator(),
+            snapshot_dir=self.snapshot_dir, host=host,
+            port=port if port is not None else spec_port,
             max_connections=self.max_connections,
             rate_limit=self.rate_limit, rate_burst=self.rate_burst,
             flight_sample=int(self.observability.get("trace_sample", 64)),
             flight_capacity=int(
                 self.observability.get("trace_capacity", 1024)),
         )
-        if sharded:
-            protocol.bind_registry(node.registry)
-        if proto.peer_links:
+        if self.fleet.spec.peer_links:
             node.set_peers(self.addresses)
         return node
 
@@ -302,18 +255,11 @@ class ClusterSpec:
         applies unless overridden here.  Extra keyword arguments pass
         through (``timeout``, ``reconnect``, ``backoff_base`` ...).
         """
-        keychain = KeyChain.from_secret(self.secret_bytes,
-                                        self.node_ids + [client_id])
         client_kwargs.setdefault("max_inflight", self.max_inflight)
-        config = self.keyspace_config()
-        if config is not None:
-            client_kwargs.setdefault("placement",
-                                     config.placement(self.node_ids))
-        return AsyncRegisterClient(
-            client_id, addresses if addresses is not None else self.addresses,
-            self.f, Authenticator(keychain), algorithm=self.algorithm,
-            initial_value=self.initial_value.encode(), **client_kwargs,
-        )
+        return make_client(
+            self.fleet, client_id,
+            addresses if addresses is not None else self.addresses,
+            self.secret_bytes, **client_kwargs)
 
     # -- serialisation -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

@@ -67,6 +67,19 @@ class NodeHandle:
         return self.process is not None and self.process.returncode is None
 
 
+def child_env() -> Dict[str, str]:
+    """Environment for a ``python -m repro`` child that imports this very
+    copy of the package, however the parent was launched."""
+    import repro
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH", "")
+    if package_root not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = (package_root + os.pathsep + existing
+                             if existing else package_root)
+    return env
+
+
 def default_state_path(spec: ClusterSpec,
                        spec_path: Optional[str] = None) -> str:
     """Where the supervisor records pids/addresses for out-of-process CLIs."""
@@ -244,18 +257,6 @@ class ClusterSupervisor:
             command += ["--port", str(port)]
         return command
 
-    def _child_env(self) -> Dict[str, str]:
-        # Make sure the child can import this very copy of the package,
-        # however the parent was launched.
-        import repro
-        package_root = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH", "")
-        if package_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = (package_root + os.pathsep + existing
-                                 if existing else package_root)
-        return env
-
     async def _spawn(self, node_id: ProcessId,
                      port: Optional[int] = None) -> None:
         handle = self.handles[node_id]
@@ -263,7 +264,7 @@ class ClusterSupervisor:
             handle._drain_task.cancel()
             handle._drain_task = None
         process = await asyncio.create_subprocess_exec(
-            *self._command(node_id, port), env=self._child_env(),
+            *self._command(node_id, port), env=child_env(),
             stdout=asyncio.subprocess.PIPE)
         handle.process = process
         try:

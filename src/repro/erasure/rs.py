@@ -320,13 +320,6 @@ class ReedSolomon:
                 bytes(budget + 1) + b"\x01" * (255 - budget))
         return message, over, set(differing)
 
-    def decode_fast_columns(self, positions: Tuple[int, ...],
-                            cols: Sequence[bytes]) -> Tuple[List[bytes], Set[int]]:
-        """Errorless :meth:`decode_columns`, the over-budget stripes as a set
-        of indices: exactly those :meth:`decode_fast` returns ``None`` for."""
-        message, over, _ = self.decode_columns(positions, cols)
-        return message, set(kernels.diff_indices(over, bytes(len(over))))
-
     def _berlekamp_welch_with_errors(self, points: Sequence[Tuple[int, int]],
                                      e: int) -> Optional[Poly]:
         k = self.k

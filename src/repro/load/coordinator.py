@@ -37,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -45,13 +44,14 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.consistency import check_safety, check_safety_per_register
 from repro.consistency.registers import REGISTER_META
 from repro.core.namespace import DEFAULT_REGISTER
+from repro.deploy.spec import ClusterSpec
+from repro.deploy.supervisor import ClusterSupervisor, child_env
 from repro.errors import ConfigurationError
 from repro.load.profile import LoadProfile, SloPolicy
 from repro.load.report import LoadReport, pass_metrics
 from repro.load.worker import run_worker
 from repro.obs import SnapshotLog, merge_registry_snapshots
-from repro.protocols import get_spec
-from repro.sharding import KeyspaceConfig
+from repro.runtime.cluster import LocalCluster
 from repro.sim.trace import OpKind, Trace
 from repro.workloads.arrivals import sample_keys as spread_sample_keys
 
@@ -79,49 +79,6 @@ class PassOutcome:
     violations: int = 0
     safety_detail: str = ""
     sampled: bool = False
-
-
-def _build_spec(profile: LoadProfile, seed_tag: str):
-    from repro.deploy.spec import ClusterSpec, reserve_ports
-    from repro.types import server_id
-
-    proto = get_spec(profile.algorithm)
-    keyspace: Optional[KeyspaceConfig] = None
-    if profile.keys > 1:
-        if not proto.namespaced_ok:
-            raise ConfigurationError(
-                f"algorithm {profile.algorithm!r} does not support a "
-                f"sharded keyspace")
-        keyspace = KeyspaceConfig(
-            group_size=proto.min_servers(profile.f),
-            seed=profile.seed)
-    nodes: Dict[str, Any] = {}
-    if proto.peer_links:
-        # Peer-linked servers dial each other from the spec, so every
-        # node's port must be pinned before the cluster starts.
-        n = profile.n if profile.n is not None else proto.min_servers(
-            profile.f)
-        nodes = {str(server_id(i)): ["127.0.0.1", port]
-                 for i, port in enumerate(reserve_ports(n))}
-    return ClusterSpec(
-        algorithm=profile.algorithm, f=profile.f, n=profile.n,
-        secret=f"load-{seed_tag}", max_history=profile.max_history,
-        nodes=nodes,
-        keyspace=keyspace.to_dict() if keyspace is not None else {},
-    )
-
-
-def _child_env() -> Dict[str, str]:
-    """Child environment that can import this very copy of the package."""
-    import repro
-
-    package_root = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if package_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (package_root + os.pathsep + existing
-                             if existing else package_root)
-    return env
 
 
 class _LineSink:
@@ -192,7 +149,7 @@ async def _run_pass(spec, addresses: Dict[str, Tuple[str, int]],
         # asyncio's default 64 KiB readline limit.
         process = await asyncio.create_subprocess_exec(
             sys.executable, "-m", "repro", "load-worker",
-            env=_child_env(), limit=64 * 1024 * 1024,
+            env=child_env(), limit=64 * 1024 * 1024,
             stdin=asyncio.subprocess.PIPE,
             stdout=asyncio.subprocess.PIPE)
         process.stdin.write(json.dumps(config_for(index)).encode())
@@ -322,14 +279,15 @@ async def run_load(profile: LoadProfile, procs: bool = False,
         profile, sample_keys=(
             spread_sample_keys(profile.keys, SAMPLE_KEY_COUNT)
             if profile.keys > 1 else [DEFAULT_REGISTER]))
-    spec = _build_spec(profile, seed_tag=str(profile.seed))
-    initial_value = spec.initial_value.encode()
+    spec = ClusterSpec.for_workload(
+        profile.algorithm, profile.f, keys=profile.keys, seed=profile.seed,
+        n=profile.n, secret=f"load-{profile.seed}",
+        max_history=profile.max_history)
+    initial_value = spec.fleet.initial_value
 
     if procs:
-        from repro.deploy.supervisor import ClusterSupervisor
         cluster = ClusterSupervisor(spec)
     else:
-        from repro.runtime.cluster import LocalCluster
         cluster = LocalCluster(
             profile.algorithm, f=profile.f, n=spec.n,
             secret=spec.secret_bytes, max_history=profile.max_history,

@@ -1,27 +1,88 @@
-"""One-process local deployments for examples, tests and benchmark E10."""
+"""One-process local deployments for examples, tests and benchmark E10.
+
+Also the one place a :class:`~repro.protocols.fleet.Fleet` becomes live
+parts: :func:`make_node` builds every
+:class:`~repro.runtime.node.RegisterServerNode` and :func:`make_client`
+wires every :class:`~repro.runtime.client.AsyncRegisterClient`, for this
+module's :class:`LocalCluster` and for the process-per-node
+:class:`~repro.deploy.spec.ClusterSpec` alike.
+"""
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Dict, Optional, Tuple, Union
+import os
+from typing import Dict, Optional, Tuple, Union
 
-from repro.byzantine.behaviors import Behavior, make_behavior
+from repro.byzantine.behaviors import Behavior
 from repro.chaos.faults import FaultPlan
 from repro.chaos.proxy import ChaosProxy
-from repro.errors import ConfigurationError
 from repro.obs import MetricRegistry
-from repro.protocols import ServerContext, get_spec, runtime_names
+from repro.protocols.fleet import Fleet
 from repro.runtime.client import AsyncRegisterClient
 from repro.runtime.node import RegisterServerNode
-from repro.sharding import KeyspaceConfig, RegisterTable
+from repro.sharding import KeyspaceConfig
 from repro.transport.auth import Authenticator, KeyChain
-from repro.types import ProcessId, server_id
+from repro.types import ProcessId
+
+
+def authenticator(fleet: Fleet, secret: bytes, *parties: ProcessId
+                  ) -> Authenticator:
+    """HMAC material of the fleet's servers and ``parties``.
+
+    Every key derives from the one shared ``secret``, so the listed ids
+    only pre-derive; any other party's key is derived on first use.
+    """
+    return Authenticator(
+        KeyChain.from_secret(secret, [*fleet.server_ids, *parties]))
+
+
+def make_node(fleet: Fleet, pid: ProcessId, auth: Authenticator,
+              snapshot_dir: Optional[str] = None,
+              registry: Optional[MetricRegistry] = None,
+              **node_kwargs) -> RegisterServerNode:
+    """The (unstarted) node serving ``fleet.host(pid)``.
+
+    The node applies ``pid``'s behaviour only when the hosted object does
+    not (see :meth:`Fleet.host_behavior`), and checkpoints to
+    ``snapshot_dir`` only a bare server that can snapshot -- a register
+    table keeps its own per-key archive.  The table records into the
+    node's ``registry``.  ``node_kwargs`` (``host``, ``port``, limits,
+    flight settings) pass through.
+    """
+    registry = registry if registry is not None else MetricRegistry()
+    snapshot_path = None
+    if (snapshot_dir is not None and not fleet.namespaced
+            and fleet.spec.snapshot_ok):
+        os.makedirs(snapshot_dir, exist_ok=True)
+        snapshot_path = os.path.join(snapshot_dir, f"{pid}.snapshot")
+    return RegisterServerNode(
+        pid, fleet.host(pid, registry), auth,
+        behavior=fleet.host_behavior(pid), snapshot_path=snapshot_path,
+        registry=registry, **node_kwargs)
+
+
+def make_client(fleet: Fleet, client_id: ProcessId,
+                addresses: Dict[ProcessId, Tuple[str, int]], secret: bytes,
+                **client_kwargs) -> AsyncRegisterClient:
+    """A client of ``fleet`` dialing ``addresses``.
+
+    Keyed from ``secret`` and routed by the fleet's placement when it has
+    a keyspace; ``client_kwargs`` (``timeout``, ``registry``,
+    ``max_inflight`` ...) pass through.
+    """
+    client_kwargs.setdefault("placement", fleet.placement)
+    return AsyncRegisterClient(
+        client_id, addresses, fleet.f,
+        authenticator(fleet, secret, client_id),
+        algorithm=fleet.spec.name, initial_value=fleet.initial_value,
+        namespaced=fleet.namespaced, **client_kwargs)
 
 
 class LocalCluster:
     """Spin up ``n`` register server nodes on localhost.
 
-    With ``chaos=True`` every node sits behind a
+    The nodes exist (unstarted) from construction; :meth:`start` binds
+    them.  With ``chaos=True`` every node sits behind a
     :class:`~repro.chaos.proxy.ChaosProxy` applying a seeded
     :class:`~repro.chaos.faults.FaultPlan` (link label = the server id),
     and :meth:`crash` / :meth:`restart` model crash-recovery: a crash
@@ -57,49 +118,14 @@ class LocalCluster:
                  keyspace: Optional[KeyspaceConfig] = None,
                  flight_sample: int = 64,
                  flight_capacity: int = 1024) -> None:
-        spec = get_spec(algorithm)
-        if not spec.runtime_ok:
-            raise ConfigurationError(
-                f"algorithm {algorithm!r} not supported by the asyncio "
-                f"runtime; choose from {runtime_names()}"
-            )
-        self.spec = spec
-        self.algorithm = algorithm
-        self.f = f
-        self.n = n if n is not None else spec.min_servers(f)
-        spec.validate_config(self.n, f)
+        self.fleet = Fleet.build(
+            algorithm, f=f, n=n, byzantine=byzantine, keyspace=keyspace,
+            namespaced=namespaced, initial_value=initial_value,
+            max_history=max_history, runtime=True)
+        self.server_ids = list(self.fleet.server_ids)
         self.host = host
         self.secret = secret
         self.initial_value = initial_value
-        self.server_ids = [server_id(i) for i in range(self.n)]
-        self._behaviors: Dict[ProcessId, Behavior] = {}
-        for key, value in (byzantine or {}).items():
-            pid = server_id(key) if isinstance(key, int) else key
-            behavior = make_behavior(value) if isinstance(value, str) else value
-            self._behaviors[pid] = behavior
-        #: Sharded keyspace placement (see :mod:`repro.sharding`); implies
-        #: namespacing -- nodes host a :class:`RegisterTable` and clients
-        #: route each key to its quorum group.
-        self.keyspace = keyspace
-        self._placement = None
-        if keyspace is not None:
-            keyspace.validate(algorithm, f, self.n)
-            self._placement = keyspace.placement(self.server_ids)
-        self.namespaced = namespaced or keyspace is not None
-        if self.namespaced and not spec.namespaced_ok:
-            raise ConfigurationError(
-                f"algorithm {algorithm!r} does not support namespaced "
-                "deployments")
-        self.snapshot_dir = snapshot_dir
-        #: Bound every server's history list (GC; keeps snapshots small).
-        self.max_history = max_history
-        self.max_connections = max_connections
-        self.rate_limit = rate_limit
-        self.rate_burst = rate_burst
-        #: Flight-recorder settings every node inherits (``sample=0``
-        #: turns server-side trace recording off -- the bench baseline).
-        self.flight_sample = flight_sample
-        self.flight_capacity = flight_capacity
         #: One registry shared by every node, proxy and (by default)
         #: client of this cluster, so a single snapshot shows the whole
         #: deployment.
@@ -107,83 +133,34 @@ class LocalCluster:
         self.chaos = chaos or chaos_plan is not None
         self.chaos_plan: Optional[FaultPlan] = (
             (chaos_plan or FaultPlan(chaos_seed)) if self.chaos else None)
-        self.nodes: Dict[ProcessId, RegisterServerNode] = {}
+        auth = self.authenticator()
+        #: ``flight_sample=0`` turns server-side trace recording off --
+        #: the bench baseline.
+        self.nodes: Dict[ProcessId, RegisterServerNode] = {
+            pid: make_node(self.fleet, pid, auth, snapshot_dir=snapshot_dir,
+                           registry=self.registry, host=host,
+                           max_connections=max_connections,
+                           rate_limit=rate_limit, rate_burst=rate_burst,
+                           flight_sample=flight_sample,
+                           flight_capacity=flight_capacity)
+            for pid in self.server_ids}
         self.proxies: Dict[ProcessId, ChaosProxy] = {}
-        self._codec = (None if spec.make_codec is None
-                       else spec.make_codec(self.n, f))
         self._clients: list = []
 
-    def _keychain_for(self, client_ids) -> KeyChain:
-        return KeyChain.from_secret(self.secret, list(self.server_ids) + list(client_ids))
-
-    def _make_protocol(self, pid: ProcessId,
-                       register: Optional[str] = None) -> Any:
-        # Sharded keys run the protocol inside their quorum group: the
-        # per-key server's peer set (and coded-chunk index) comes from
-        # the group, not the fleet.
-        if register is not None and self._placement is not None:
-            servers = self._placement.servers_for(register)
-        else:
-            servers = tuple(self.server_ids)
-        ctx = ServerContext(
-            server_id=pid,
-            index=servers.index(pid) if pid in servers else 0,
-            servers=tuple(servers),
-            f=self.f,
-            initial_value=self.initial_value,
-            max_history=self.max_history,
-            codec=self._codec,
-        )
-        return self.spec.make_server(ctx)
-
-    def _make_node(self, pid: ProcessId, index: int,
-                   auth: Authenticator) -> RegisterServerNode:
-        if self.namespaced:
-            # The register table applies the behaviour per hosted
-            # register, so the node itself stays behaviour-free.  A
-            # keyspace bounds the table; plain namespacing leaves it
-            # unbounded.
-            protocol = RegisterTable(
-                pid, lambda name: self._make_protocol(pid, register=name),
-                behavior=self._behaviors.get(pid), registry=self.registry,
-                **(self.keyspace.table_bounds()
-                   if self.keyspace is not None else {}))
-            return RegisterServerNode(
-                pid, protocol, auth, host=self.host, port=0,
-                max_connections=self.max_connections,
-                rate_limit=self.rate_limit, rate_burst=self.rate_burst,
-                registry=self.registry,
-                flight_sample=self.flight_sample,
-                flight_capacity=self.flight_capacity)
-        snapshot_path = None
-        if self.snapshot_dir is not None and self.spec.snapshot_ok:
-            import os
-            os.makedirs(self.snapshot_dir, exist_ok=True)
-            snapshot_path = os.path.join(self.snapshot_dir, f"{pid}.snapshot")
-        return RegisterServerNode(
-            pid, self._make_protocol(pid), auth, host=self.host,
-            port=0, behavior=self._behaviors.get(pid),
-            snapshot_path=snapshot_path,
-            max_connections=self.max_connections,
-            rate_limit=self.rate_limit, rate_burst=self.rate_burst,
-            registry=self.registry,
-            flight_sample=self.flight_sample,
-            flight_capacity=self.flight_capacity,
-        )
+    def authenticator(self) -> Authenticator:
+        """An authenticator deriving any process key from the secret."""
+        return authenticator(self.fleet, self.secret)
 
     async def start(self) -> None:
         """Start every server node (and its chaos proxy, when enabled)."""
-        auth = Authenticator(self._keychain_for([]))
-        for index, pid in enumerate(self.server_ids):
-            node = self._make_node(pid, index, auth)
+        for pid, node in self.nodes.items():
             await node.start()
-            self.nodes[pid] = node
             if self.chaos:
                 proxy = ChaosProxy(str(pid), node.address, self.chaos_plan,
                                    host=self.host, registry=self.registry)
                 await proxy.start()
                 self.proxies[pid] = proxy
-        if self.spec.peer_links:
+        if self.fleet.spec.peer_links:
             # The server-to-server mesh dials real node addresses, not
             # the chaos proxies: chaos interposes *client* links, while
             # the broadcast layer's own loss tolerance is exercised by
@@ -203,7 +180,6 @@ class LocalCluster:
         self.proxies.clear()
         for node in self.nodes.values():
             await node.stop()
-        self.nodes.clear()
 
     # -- chaos control -------------------------------------------------------
     async def crash(self, pid: ProcessId) -> None:
@@ -220,8 +196,8 @@ class LocalCluster:
         re-adopts whatever the snapshot preserved.
         """
         node = self.nodes[pid]
-        if not self.namespaced:
-            node.protocol = self._make_protocol(pid)
+        if not self.fleet.namespaced:
+            node.protocol = self.fleet.server(pid)
         await node.start()
 
     @property
@@ -245,15 +221,7 @@ class LocalCluster:
         the cluster's shared metric registry.
         """
         client_kwargs.setdefault("registry", self.registry)
-        if self.keyspace is not None:
-            client_kwargs.setdefault(
-                "placement", self.keyspace.placement(self.server_ids))
-        keychain = self._keychain_for([client_id])
-        client = AsyncRegisterClient(
-            client_id, self.addresses, self.f, Authenticator(keychain),
-            algorithm=self.algorithm, timeout=timeout,
-            initial_value=self.initial_value, namespaced=self.namespaced,
-            **client_kwargs,
-        )
+        client = make_client(self.fleet, client_id, self.addresses,
+                             self.secret, timeout=timeout, **client_kwargs)
         self._clients.append(client)
         return client

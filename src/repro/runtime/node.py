@@ -213,7 +213,6 @@ class RegisterServerNode:
                  rate_limit: Optional[float] = None,
                  rate_burst: Optional[float] = None,
                  registry: Optional[MetricRegistry] = None,
-                 flight: Optional[FlightRecorder] = None,
                  flight_sample: int = 64,
                  flight_capacity: int = 1024) -> None:
         self.server_id = server_id
@@ -239,14 +238,10 @@ class RegisterServerNode:
         #: Server-side span records for causal trace stitching.  Sampling
         #: is deterministic by op_id, matching the client's SamplingSink;
         #: ``flight_sample=0`` turns recording off entirely.
-        if flight is not None:
-            self.flight: Optional[FlightRecorder] = flight
-        elif flight_sample > 0:
-            self.flight = FlightRecorder(node_id=str(server_id),
-                                         capacity=flight_capacity,
-                                         sample=flight_sample)
-        else:
-            self.flight = None
+        self.flight: Optional[FlightRecorder] = (
+            FlightRecorder(node_id=str(server_id), capacity=flight_capacity,
+                           sample=flight_sample)
+            if flight_sample > 0 else None)
         node = str(server_id)
         self._counters = {
             name: self.registry.counter(f"node_{name}_total", node=node)

@@ -61,9 +61,9 @@ class RegisterTable:
     unbounded); ``max_key_len`` tightens the global key-length bound per
     deployment.
 
-    Metrics land in ``registry`` when one is bound (the node's shared
-    registry, via :meth:`bind_registry`): ``table_keys_resident``,
-    ``table_keys_archived``, ``table_evictions_total`` (every demotion),
+    Metrics land in ``registry`` when one is given (the node's):
+    ``table_keys_resident``, ``table_keys_archived``,
+    ``table_evictions_total`` (every demotion),
     ``table_snapshots_total`` (the ones that serialised),
     ``table_rehydrations_total`` and ``table_keys_rejected_total``,
     all labeled by node.
@@ -101,26 +101,19 @@ class RegisterTable:
         self._c_rehydrations = None
         self._c_rejected = None
         if registry is not None:
-            self.bind_registry(registry)
-
-    def bind_registry(self, registry: Any) -> None:
-        """Record table metrics into ``registry`` from now on.
-
-        Separate from ``__init__`` because the process-per-node path
-        builds the protocol before the node (whose registry the table
-        should share) exists.
-        """
-        node = str(self.server_id)
-        self._gauge_resident = registry.gauge("table_keys_resident", node=node)
-        self._gauge_archived = registry.gauge("table_keys_archived", node=node)
-        self._c_evictions = registry.counter("table_evictions_total", node=node)
-        self._c_snapshots = registry.counter("table_snapshots_total", node=node)
-        self._c_rehydrations = registry.counter(
-            "table_rehydrations_total", node=node)
-        self._c_rejected = registry.counter(
-            "table_keys_rejected_total", node=node)
-        self._gauge_resident.set(len(self.registers))
-        self._gauge_archived.set(len(self._archive))
+            node = str(server_id)
+            self._gauge_resident = registry.gauge("table_keys_resident",
+                                                  node=node)
+            self._gauge_archived = registry.gauge("table_keys_archived",
+                                                  node=node)
+            self._c_evictions = registry.counter("table_evictions_total",
+                                                 node=node)
+            self._c_snapshots = registry.counter("table_snapshots_total",
+                                                 node=node)
+            self._c_rehydrations = registry.counter(
+                "table_rehydrations_total", node=node)
+            self._c_rejected = registry.counter(
+                "table_keys_rejected_total", node=node)
 
     # -- state inspection --------------------------------------------------
     @property

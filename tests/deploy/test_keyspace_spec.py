@@ -74,7 +74,7 @@ def test_locate_matches_simulator_and_client_placement():
         key = key_name(i)
         group = spec.locate(key)
         assert group == placement.servers_for(key)
-        assert group == system._placement.servers_for(key)
+        assert group == system.fleet.placement.servers_for(key)
 
 
 def test_build_protocol_returns_register_table():

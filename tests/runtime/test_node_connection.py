@@ -14,7 +14,6 @@ from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
 from repro.runtime import LocalCluster, RegisterServerNode
 from repro.runtime.node import _Connection
-from repro.transport.auth import Authenticator
 from repro.transport.codec import (
     MAX_FRAME_BYTES,
     FrameAssembler,
@@ -113,7 +112,7 @@ def test_ack_waits_for_the_durable_snapshot_and_keeps_order(
 
             # Meanwhile, by hand on a second connection to one node: a
             # mutating frame, then a query pipelined behind it.
-            auth = Authenticator(cluster._keychain_for(["w001"]))
+            auth = cluster.authenticator()
             reader, writer = await asyncio.open_connection(
                 *cluster.nodes["s000"].address)
             put = PutData(op_id=1, tag=Tag(7, "w001"), payload=b"by-hand")

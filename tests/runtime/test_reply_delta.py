@@ -18,7 +18,6 @@ from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
 from repro.deploy.serve import health_ping, stats_ping
 from repro.runtime import AsyncRegisterClient, LocalCluster
-from repro.transport.auth import Authenticator
 from repro.transport.codec import frame_burst, read_frame, write_frame
 from repro.transport.codec2 import (
     MAGIC_V2,
@@ -228,7 +227,7 @@ def test_raw_socket_probes_on_a_fresh_connection_get_plain_envelopes():
             await client.write(VALUE)
             assert await client.read() == VALUE
             node = cluster.nodes["s000"]
-            auth = Authenticator(cluster._keychain_for(["probe"]))
+            auth = cluster.authenticator()
             assert (await health_ping(node.address, auth)).node_id == "s000"
             ack = await stats_ping(node.address, auth)
             assert "node_replies_full_total" in str(ack.metrics)

@@ -8,7 +8,6 @@ from repro.deploy import stats_ping
 from repro.errors import ConfigurationError
 from repro.runtime import LocalCluster
 from repro.sharding import KeyspaceConfig, key_name
-from repro.transport.auth import Authenticator
 
 
 def run(coro):
@@ -155,7 +154,7 @@ def test_scrape_reports_longest_history_and_recvs_of_a_keyed_node():
             assert "node_history_len_max" not in of_s000(
                 registry.snapshot()["gauges"])
             ack = await stats_ping(
-                node.address, Authenticator(cluster._keychain_for(["probe"])))
+                node.address, cluster.authenticator())
             longest = of_s000(ack.metrics["gauges"])["node_history_len_max"]
             assert longest >= 6  # s000 may trail the quorum by one write
             assert longest == max(

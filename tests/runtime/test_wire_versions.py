@@ -16,7 +16,6 @@ from repro.core.namespace import NamespacedMessage
 from repro.deploy import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.runtime import LocalCluster
-from repro.transport.auth import Authenticator
 from repro.transport.codec import read_frame, write_frame
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
 
@@ -83,7 +82,7 @@ def test_signed_json_payload_is_counted_and_dropped():
         await cluster.start()
         try:
             node = cluster.nodes["s000"]
-            auth = Authenticator(cluster._keychain_for(["w000"]))
+            auth = cluster.authenticator()
             reader, writer = await asyncio.open_connection(*node.address)
 
             async def exchange(message):

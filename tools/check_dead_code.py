@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Lint: no import-time shims, no exports nobody uses, one I/O style.
+"""Lint: no shims, no unused exports, one I/O style, one server recipe.
 
 Ways dead or duplicate code hides in a package, all cheap to detect:
 
@@ -20,7 +20,14 @@ Ways dead or duplicate code hides in a package, all cheap to detect:
   the same channel -- and copying receivers (``data_received``, plain
   ``asyncio.Protocol``), whose transport reads with
   ``sock.recv(256 KiB)``: a fresh allocation above the mmap threshold,
-  two page faults, per read.
+  two page faults, per read;
+* a second module under ``src/repro/`` calling one of the deployment
+  builders (``ServerContext``, ``RegisterTable``, ``make_behavior``,
+  ``RegisterServerNode``, ``AsyncRegisterClient``).  What a server hosts
+  is decided in one place (``protocols/fleet.py``), and nodes and clients
+  are made in one place (``runtime/cluster.py``); a second caller is a
+  second recipe, which is how the simulator and the two runtime builders
+  once drifted apart.
 
 Exit status is the number of findings (0 == clean).
 """
@@ -39,6 +46,10 @@ RUNTIME = os.path.join(PACKAGE, "runtime")
 #: ``bytes``) I/O path grew back under ``runtime/``.
 BANNED_IO_NAMES = {"start_server", "open_connection", "StreamReader",
                    "StreamWriter", "drain", "data_received", "Protocol"}
+
+#: Constructors each called from at most one module under ``src/repro/``.
+BUILDERS = ("ServerContext", "RegisterTable", "make_behavior",
+            "RegisterServerNode", "AsyncRegisterClient")
 
 #: Where a reference to an exported name may live.
 REFERENCE_DIRS = ("src", "tests", "bench", "benchmarks", "examples",
@@ -93,8 +104,36 @@ def _banned_io_lines(tree):
             yield node.lineno, name
 
 
+def _builder_calls(tree):
+    """The :data:`BUILDERS` a module calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            if name in BUILDERS:
+                yield name
+
+
+def builder_findings(trees):
+    """One finding per builder called from more than one module.
+
+    ``trees`` maps a module's display path to its parsed AST.
+    """
+    callers = {}
+    for path, tree in trees.items():
+        for name in _builder_calls(tree):
+            callers.setdefault(name, set()).add(path)
+    return [f"{name}( is called from {len(paths)} modules "
+            f"({', '.join(sorted(paths))}); build through one recipe"
+            for name, paths in sorted(callers.items()) if len(paths) > 1]
+
+
 def main():
     findings = []
+    #: src/repro module -> AST, for the one-recipe rule.
+    package_trees = {}
     #: name -> files referencing it (python uses, or words in a doc).
     references = {}
     exports = []
@@ -108,6 +147,7 @@ def main():
                 tree = ast.parse(source, filename=path)
                 names = set(_python_references(tree))
                 if path.startswith(PACKAGE + os.sep):
+                    package_trees[os.path.relpath(path, ROOT)] = tree
                     findings.extend(
                         f"{os.path.relpath(path, ROOT)}:{line}: module-level "
                         "__getattr__ shim; migrate the callers and delete it"
@@ -122,6 +162,7 @@ def main():
                         for line, name in _banned_io_lines(tree))
             for name in names:
                 references.setdefault(name, set()).add(path)
+    findings.extend(builder_findings(package_trees))
     for path, names in exports:
         for name in names:
             if name.startswith("__"):
@@ -134,7 +175,7 @@ def main():
         print(f"dead-code: {finding}")
     if not findings:
         print("dead-code: no shims, no unreferenced exports, no streams "
-              "or copying receivers under runtime/")
+              "or copying receivers under runtime/, one module per builder")
     return len(findings)
 
 

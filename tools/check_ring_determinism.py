@@ -46,7 +46,7 @@ def main() -> int:
     deploy = {key: spec.locate(key) for key in keys}
     client = spec.client("lint-client").placement
     simulator = RegisterSystem("bsr", f=spec.f, n=spec.n,
-                               keyspace=config)._placement
+                               keyspace=config).fleet.placement
     reloaded = ClusterSpec.from_dict(spec.to_dict())
 
     failures = 0
