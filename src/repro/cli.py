@@ -636,10 +636,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         rows.append((op.op_id, op.kind, op.client, op.outcome,
                      f"{op.latency * 1000:.2f}", op.dominant_phase,
                      len(op.servers),
-                     ",".join(op.missing_servers) or "-"))
+                     ",".join(op.missing_servers) or "-",
+                     ",".join(op.held_servers) or "-"))
     print(format_table(
         ("op", "kind", "client", "outcome", "latency(ms)",
-         "dominant phase", "server records", "missing"), rows,
+         "dominant phase", "server records", "missing", "held"), rows,
         title=f"slowest {len(rows)} of {len(stitched)} stitched ops"))
     print(f"drill in: repro trace show <op> --trace {args.trace} "
           f"--spec {args.spec}")

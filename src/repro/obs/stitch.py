@@ -52,7 +52,9 @@ class StitchedOp:
     waits.  ``servers`` are the flight records that matched the op,
     sorted by recv instant.  ``missing_servers`` names servers that
     answered the client but produced no flight record (withheld,
-    evicted, or past the sampling window).
+    evicted, or past the sampling window).  ``held_servers`` names
+    servers the client never sent this op to (thrifty rounds), so their
+    silence is not a fault.
     """
 
     def __init__(self, client_record: Dict,
@@ -76,6 +78,7 @@ class StitchedOp:
             replied.update(phase["replies"])
         recorded = {r.get("node") for r in self.servers}
         self.missing_servers = sorted(replied - recorded)
+        self.held_servers = sorted(client_record.get("held", ()))
 
     def _build_phases(self, phases: Iterable[Dict]) -> List[Dict]:
         built: List[Dict] = []
@@ -206,9 +209,11 @@ def format_timeline(op: StitchedOp) -> str:
             f"{f' ({op.algorithm})' if op.algorithm else ''}"
             f" -- {op.outcome} in {_ms(op.latency)}")
     lines = [head]
-    if op.record.get("throttles") or op.record.get("resends"):
+    if (op.record.get("throttles") or op.record.get("resends")
+            or op.record.get("hedges")):
         lines.append(f"  throttles={op.record.get('throttles', 0)} "
-                     f"resends={op.record.get('resends', 0)}")
+                     f"resends={op.record.get('resends', 0)} "
+                     f"hedges={op.record.get('hedges', 0)}")
     width = 10
     for offset, actor, text in op.events():
         stamp = f"+{_ms(max(0.0, offset))}"
@@ -221,4 +226,6 @@ def format_timeline(op: StitchedOp) -> str:
     if op.missing_servers:
         lines.append("  no server-side records from: "
                      + ", ".join(op.missing_servers))
+    if op.held_servers:
+        lines.append("  held (never asked): " + ", ".join(op.held_servers))
     return "\n".join(lines)

@@ -3,7 +3,9 @@
 A span records what the paper's round-trip claims are *about*: which
 phases the operation ran (``get-tag`` then ``put-data`` for a write, a
 single ``get-data`` round for a semi-fast read), how long each phase
-took, how quickly each server answered, and the quorum-wait breakdown --
+took, which servers it was sent to (a thrifty client holds some back
+unless it hedges), how quickly each server answered, and the
+quorum-wait breakdown --
 the time until ``f + 1`` distinct servers had replied (enough witnesses
 to trust a value) versus the time until ``n - f`` had (enough replies to
 decide).  Spans finish with an outcome: ``ok``, ``retried`` (a lost
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.registry import MetricRegistry
 
@@ -108,13 +110,16 @@ class SamplingSink:
 class PhaseTimings:
     """Mutable per-phase accumulator inside a span."""
 
-    __slots__ = ("name", "started", "ended", "replies", "witness_wait",
-                 "quorum_wait")
+    __slots__ = ("name", "started", "ended", "sent", "replies",
+                 "witness_wait", "quorum_wait")
 
-    def __init__(self, name: str, started: float) -> None:
+    def __init__(self, name: str, started: float,
+                 sent: Tuple[str, ...] = ()) -> None:
         self.name = name
         self.started = started
         self.ended: Optional[float] = None
+        #: Servers the phase's frames went to (a hedge adds the held).
+        self.sent = sent
         #: server id -> seconds from phase start to its first reply.
         self.replies: Dict[str, float] = {}
         self.witness_wait: Optional[float] = None
@@ -125,24 +130,30 @@ class OpSpan:
     """One traced operation; create through :meth:`OpTracer.start`."""
 
     def __init__(self, tracer: "OpTracer", kind: str, op_id: int,
-                 witness: int, quorum: int, started: float) -> None:
+                 witness: int, quorum: int, started: float,
+                 servers: Sequence[str] = ()) -> None:
         self._tracer = tracer
         self.kind = kind
         self.op_id = op_id
         self.witness = witness
         self.quorum = quorum
         self.started = started
+        #: The operation's servers (its quorum group).
+        self.servers = servers
         self.phases: List[PhaseTimings] = []
         self.throttles = 0
         self.resends = 0
+        self.hedges = 0
         self.finished = False
 
     # -- recording ---------------------------------------------------------
-    def begin_phase(self, name: str, now: float) -> None:
-        """Close the current phase (if any) and open ``name``."""
+    def begin_phase(self, name: str, now: float,
+                    sent: Tuple[str, ...] = ()) -> None:
+        """Close the current phase (if any) and open ``name``, whose
+        frames go to ``sent``."""
         if self.phases:
             self.phases[-1].ended = now
-        self.phases.append(PhaseTimings(name, now))
+        self.phases.append(PhaseTimings(name, now, sent))
 
     def record_reply(self, server: str, now: float) -> None:
         """Attribute one accepted reply to the current phase."""
@@ -164,6 +175,18 @@ class OpSpan:
 
     def note_resend(self, frames: int = 1) -> None:
         self.resends += frames
+
+    def note_hedge(self, servers: Tuple[str, ...]) -> None:
+        """The current phase was also sent to the held ``servers``."""
+        self.hedges += 1
+        if self.phases:
+            self.phases[-1].sent += servers
+
+    def held(self) -> List[str]:
+        """Servers of the operation no phase was ever sent to."""
+        asked = {server for phase in self.phases for server in phase.sent}
+        return [str(server) for server in self.servers
+                if server not in asked]
 
     # -- completion --------------------------------------------------------
     def finish(self, outcome: str, now: float) -> None:
@@ -208,8 +231,8 @@ class OpTracer:
         self._server_hists: Dict = {}
 
     def start(self, kind: str, op_id: int, witness: int, quorum: int,
-              now: float) -> OpSpan:
-        span = OpSpan(self, kind, op_id, witness, quorum, now)
+              now: float, servers: Sequence[str] = ()) -> OpSpan:
+        span = OpSpan(self, kind, op_id, witness, quorum, now, servers)
         self._active[op_id] = span
         self._inflight_gauge.set(len(self._active))
         return span
@@ -277,6 +300,9 @@ class OpTracer:
             "latency": latency,
             "throttles": span.throttles,
             "resends": span.resends,
+            "hedges": span.hedges,
+            # Never asked: a server that is silent here was not slow.
+            "held": span.held(),
             # Operations still in flight when this one finished (pipeline
             # depth at completion time).
             "inflight": len(self._active),
@@ -287,6 +313,7 @@ class OpTracer:
                                   else now) - phase.started),
                     "witness_wait": phase.witness_wait,
                     "quorum_wait": phase.quorum_wait,
+                    "sent": [str(server) for server in phase.sent],
                     "replies": dict(phase.replies),
                 }
                 for phase in span.phases

@@ -10,6 +10,18 @@ that server are re-sent -- safe, because every operation is an idempotent
 quorum state machine keyed by ``op_id`` (duplicate requests produce
 duplicate replies, which the reply filter already tolerates).
 
+The client is *thrifty*: a round waits for ``n - f`` replies, so it is
+sent to ``n - f`` servers (a rotation that moves every few hundred
+op_ids, down links and suspects last) and held back from the rest.
+The held servers get the round only through a *hedge*: when an
+addressed link goes down, an addressed server sheds the frame, or the
+round has not decided by an RTO-style estimate of this client's own
+round times.  In the paper's
+asynchronous model a server never sent a round is just a slow one, so
+this changes no safety argument.  Protocols whose servers hold distinct
+coded symbols or relay to each other keep sending every round to
+everyone (the same path with nothing held); see docs/runtime.md.
+
 The client is also *multiplexed*: any number of operations may be in
 flight at once over the same set of connections.  A per-client
 :class:`~repro.runtime.dispatch.OpDispatcher` tables each operation's
@@ -52,7 +64,7 @@ from repro.obs import (
     phase_name,
 )
 from repro.protocols import OpContext, get_spec, runtime_names
-from repro.runtime.dispatch import OpDispatcher, OpState
+from repro.runtime.dispatch import OpDispatcher, OpState, split_group
 from repro.runtime.link import Link
 from repro.transport.auth import Authenticator
 from repro.transport.codec2 import CachedDecoder, CachedEncoder, peek_op_id_v2
@@ -71,6 +83,20 @@ MAX_KEY_STATES = 4096
 #: ... and at this many bytes held by reader states (a BCSR one holds
 #: ``n/k + 1`` times its value); either bound evicts the oldest key.
 MAX_STATE_BYTES = 64 * 1024 * 1024
+
+#: A round with held servers is hedged once it has gone undecided for
+#: ``srtt + 4 * rttvar`` of this client's unhedged rounds (RFC 6298's
+#: estimator), never sooner than this many seconds -- also the delay
+#: before the first round has been timed.
+HEDGE_FLOOR = 0.05
+
+#: Karn's backoff: each timer hedge doubles the delay until a round is
+#: timed again, up to this factor.
+HEDGE_BACKOFF_LIMIT = 64
+
+#: Why a round was hedged: its hedge instant passed, an addressed link
+#: went down, or a server shed one of its frames.
+HEDGE_CAUSES = ("timer", "down", "throttled")
 
 
 def _expire(done: "asyncio.Future") -> None:
@@ -123,6 +149,14 @@ class AsyncRegisterClient:
         # Query rounds repeat (only op_id varies); the cached encoder
         # re-emits the memoized tail instead of re-walking the fields.
         self._encode = CachedEncoder()
+        # ... and replies repeat too: across servers for a replicated
+        # protocol, so one decoder learns them for every link (a thrifty
+        # client spreads replies over all links; a decoder each would
+        # learn the same templates n times over).  A hit is byte-exact,
+        # so a lying server can cost the others cache hits, never a
+        # wrong message.  Coded elements repeat only per server: there
+        # each link keeps its own (see _link).
+        self._decode = CachedDecoder()
         self.addresses = dict(addresses)
         self.servers: List[ProcessId] = sorted(self.addresses)
         self.f = f
@@ -177,6 +211,22 @@ class AsyncRegisterClient:
                          "reply_decodes", "reply_decodes_shared",
                          "delta_expanded", "delta_resets")
         }
+        self._hedges = {
+            cause: self.registry.counter("client_hedges_total",
+                                         client=client, cause=cause)
+            for cause in HEDGE_CAUSES
+        }
+        #: Thrifty rounds, unless servers hold distinct coded symbols (a
+        #: skipped put is a certain decode error later) or relay to each
+        #: other (echo amplification counts on every server).
+        self._thrifty = spec.make_codec is None and not spec.peer_links
+        #: Smoothed duration and mean deviation of this client's rounds
+        #: that were not hedged; ``None`` before the first is timed.
+        self._srtt: Optional[float] = None
+        self._rttvar = 0.0
+        self._rto_backoff = 1
+        #: Server -> (suspected until, consecutive hedges past it).
+        self._suspects: Dict[ProcessId, Tuple[float, int]] = {}
         #: Servers whose coded element a decode located as erroneous.
         self._located: Dict[ProcessId, Any] = {}
         #: Servers :meth:`connect` skipped because no declared key routes
@@ -247,11 +297,13 @@ class AsyncRegisterClient:
     def stats(self) -> Dict[str, int]:
         """Resilience counters: reconnects, disconnects, frames dropped /
         resent, operations retried / queued at the admission gate,
-        throttle backoffs, stale replies dropped, live connections and
-        in-flight operations.  A compatibility view over
+        throttle backoffs, hedged rounds, stale replies dropped, live
+        connections and in-flight operations.  A compatibility view over
         :attr:`registry`."""
         stats = {name: int(counter.value)
                  for name, counter in self._counters.items()}
+        stats["hedges"] = sum(int(counter.value)
+                              for counter in self._hedges.values())
         stats["decode_located"] = sum(
             int(counter.value) for counter in self._located.values())
         stats["connected"] = len(self._connections)
@@ -263,12 +315,13 @@ class AsyncRegisterClient:
         link = self._links.get(pid)
         if link is None:
             expander = Expander(self._counters["delta_expanded"].inc)
+            decode = (CachedDecoder() if self._codec is not None
+                      else self._decode)
             link = self._links[pid] = Link(
                 self.addresses[pid],
                 # One HMAC covers the whole tick's payloads.
                 partial(self.auth.seal_frames, self.client_id),
-                on_frames=partial(self._fold_replies, pid, CachedDecoder(),
-                                  expander),
+                on_frames=partial(self._fold_replies, pid, decode, expander),
                 on_up=partial(self._link_up, pid, expander),
                 on_down=partial(self._link_down, pid),
                 on_flush=self._counters["send_batches"].inc,
@@ -290,6 +343,11 @@ class AsyncRegisterClient:
     def _link_down(self, pid: ProcessId) -> None:
         del self._connections[pid]
         self._counters["disconnects"].inc()
+        for state in self._dispatcher.states():
+            if (state.held and pid in state.addressed
+                    and not state.operation.done):
+                self._hedge(state, "down", state.done.get_loop().time(),
+                            (pid,))
 
     def _link_dropped(self, pid: ProcessId, reason: str, detail: str) -> None:
         self._counters["frames_dropped"].inc()
@@ -310,9 +368,8 @@ class AsyncRegisterClient:
         peek = peek_op_id_v2
         lookup = self._dispatcher.lookup
         stale = self._counters["replies_stale"]
-        # Payloads an op may remember: one per server -- or none, where
-        # coded elements differ per server and a copy could never be shared.
-        room = len(self.servers) if self._codec is None else 0
+        # Coded elements differ per server: a copy could never be shared.
+        remember = self._codec is None
         decodes = shared = 0
         for frame in frames:
             try:
@@ -336,9 +393,11 @@ class AsyncRegisterClient:
                 break
             for payload in payloads:
                 # Route by op_id before paying for the decode: stale
-                # replies are dropped and surplus replies past the quorum
-                # skipped without ever parsing their payloads (a fifth of
-                # reply traffic on a quiet 5-server cluster).
+                # replies are dropped and surplus ones skipped without
+                # ever parsing their payloads.  A thrifty round has no
+                # surplus on a quiet cluster; what is left comes from
+                # hedged rounds, repeated replies, and protocols whose
+                # rounds go to every server.
                 state = None
                 op_id = peek(payload)
                 if op_id is not None:
@@ -366,7 +425,10 @@ class AsyncRegisterClient:
                         self._link_dropped(pid, "bad-frame",
                                            f"dropping bad payload: {exc}")
                         continue
-                    if state is not None and len(state.decoded) < room:
+                    # At most one payload per server of the op.
+                    if remember and state is not None and (
+                            len(state.decoded)
+                            < len(state.addressed) + len(state.held)):
                         state.decoded.append((bytes(payload), message))
                 if not self._dispatch_reply(sender, message, now, state):
                     stale.inc()
@@ -382,9 +444,11 @@ class AsyncRegisterClient:
 
         By default every in-flight operation's frames for that server
         are replayed (the reconnect path -- a healed link can still
-        serve all of them).  ``states`` narrows the replay to specific
-        operations (the throttle path replays only the op that owns the
-        shed frame), and ``only_type`` to frames of one message type
+        serve all of them), except where ``pid`` is held: those frames
+        were never sent, and only a hedge sends them.  ``states``
+        narrows the replay to specific operations (the throttle path
+        replays only the op that owns the shed frame), and ``only_type``
+        to frames of one message type
         (the server names the frame it shed, and replaying anything more
         would spend the refilled token on an already-delivered frame).
         """
@@ -395,6 +459,8 @@ class AsyncRegisterClient:
             states = self._dispatcher.states()
         resent = 0
         for state in states:
+            if pid in state.held:
+                continue
             frames = state.pending_frames(pid, only_type)
             if not frames:
                 continue
@@ -411,8 +477,9 @@ class AsyncRegisterClient:
         """Encode and enqueue one operation's outgoing envelopes.
 
         Payloads are recorded in the op's pending map first (so a link
-        that heals mid-operation can be served by replay), then handed
-        to the live links, which seal each burst at flush time -- one
+        that heals mid-operation can be served by replay, and a held
+        server by a hedge), then handed to the live links of the
+        addressed servers, which seal each burst at flush time -- one
         HMAC covers the whole tick's frames.  Payloads are
         destination-agnostic, so one broadcast message (a query round
         sends the same object to every server) is encoded exactly once.
@@ -423,12 +490,17 @@ class AsyncRegisterClient:
         encoded_cache: Dict[int, tuple] = {}
         connections = self._connections
         pending = state.pending
+        held = state.held
+        for pid in held:
+            pending.pop(pid, None)  # an earlier round; never to be sent
         for dest, message in envelopes:
             entry = encoded_cache.get(id(message))
             if entry is None:
                 entry = (type(message).__name__, self._encode(message))
                 encoded_cache[id(message)] = entry
             pending.setdefault(dest, []).append(entry)
+            if dest in held:
+                continue  # waits for a hedge
             link = connections.get(dest)
             if link is not None:  # else down; resent if it heals in time
                 link.send(entry[1])
@@ -455,6 +527,8 @@ class AsyncRegisterClient:
         if type(message) is Throttled:
             self._handle_throttle(state, sender, message, now)
             return True
+        if self._suspects and state.held and sender in self._suspects:
+            del self._suspects[sender]  # answered before any hedge
         span = state.span
         # Attribute the reply to the phase that solicited it (before
         # on_reply may advance the round).
@@ -465,11 +539,19 @@ class AsyncRegisterClient:
             if state.done is not None and not state.done.done():
                 state.done.set_exception(exc)
             return True
-        if operation.rounds != state.rounds and not operation.done:
-            state.rounds = operation.rounds
-            span.begin_phase(
-                phase_name(operation.kind, state.rounds, self.algorithm),
-                now)
+        if operation.done or operation.rounds != state.rounds:
+            self._time_round(state, now)
+            if not operation.done:
+                state.rounds = operation.rounds
+                self._begin_round(state, now)
+                if state.held and state.hedge_at < state.timer.when():
+                    # Timing the last round shrank the estimate (or ended
+                    # a backoff): move the op's one timer earlier.
+                    state.timer.cancel()
+                    self._arm(state)
+                span.begin_phase(
+                    phase_name(operation.kind, state.rounds, self.algorithm),
+                    now, state.addressed)
         if envelopes:
             self._send_nowait(state, envelopes)
         if operation.done and state.done is not None and not state.done.done():
@@ -484,11 +566,13 @@ class AsyncRegisterClient:
         operation is affected; the pause is a timer (backing off must
         not stall the link) bounded by the op's deadline.  The op may
         finish (or time out) meanwhile, in which case the replay is
-        skipped.
+        skipped.  Meanwhile the round is hedged to the held servers.
         """
         self._counters["throttled"].inc()
         if state.span is not None:
             state.span.note_throttle()
+        if state.held:
+            self._hedge(state, "throttled", now, (sender,))
         pause = min(max(message.retry_after, self.backoff_base),
                     self.backoff_max, max(state.deadline - now, 0.0))
         asyncio.get_running_loop().call_later(
@@ -499,6 +583,93 @@ class AsyncRegisterClient:
         if self._dispatcher.lookup(state.op_id) is state:
             self._resend_pending(sender, only_type=only_type, states=[state])
 
+    # -- thrifty rounds -------------------------------------------------------
+    def _address(self, state: OpState, servers: Sequence[ProcessId],
+                 now: float) -> None:
+        """Split the op's group into the servers it sends to and the held."""
+        keep = len(servers) - self.f if self._thrifty else len(servers)
+        if keep >= len(servers):
+            state.addressed = tuple(servers)
+            return
+        connections, suspects = self._connections, self._suspects
+        last = None
+        if suspects or len(connections) < len(self.servers):
+            def last(pid: ProcessId) -> bool:
+                return (pid not in connections
+                        or suspects.get(pid, (0.0, 0))[0] > now)
+        state.addressed, state.held = split_group(servers, state.op_id,
+                                                  keep, last)
+
+    def _begin_round(self, state: OpState, now: float) -> None:
+        state.round_start = now
+        if state.held:
+            rto = HEDGE_FLOOR
+            if self._srtt is not None:
+                rto = max(rto, self._srtt + 4 * self._rttvar)
+            state.hedge_at = min(now + rto * self._rto_backoff,
+                                 state.deadline)
+
+    def _time_round(self, state: OpState, now: float) -> None:
+        """Fold a decided round's duration into the hedge estimate.
+
+        Only rounds that still hold servers count: a hedged round's
+        duration is ambiguous (Karn's rule), and a full round's is the
+        fastest ``n - f`` of ``n``, not what a thrifty round waits for.
+        """
+        if not state.held:
+            return
+        sample = now - state.round_start
+        if self._srtt is None:
+            self._srtt, self._rttvar = sample, sample / 2
+        else:
+            self._rttvar += (abs(self._srtt - sample) - self._rttvar) / 4
+            self._srtt += (sample - self._srtt) / 8
+        self._rto_backoff = 1
+
+    def _arm(self, state: OpState) -> None:
+        """(Re-)arm the op's one timer: the hedge instant, else the deadline."""
+        at = state.hedge_at if state.held else state.deadline
+        state.timer = state.done.get_loop().call_at(at, self._on_timer,
+                                                    state, at)
+
+    def _on_timer(self, state: OpState, at: float) -> None:
+        if state.done.done():
+            return
+        if at >= state.deadline:
+            _expire(state.done)
+            return
+        if state.held and at >= state.hedge_at:
+            if self._rto_backoff < HEDGE_BACKOFF_LIMIT:
+                self._rto_backoff *= 2
+            replied = state.span.phases[-1].replies
+            self._hedge(state, "timer", at, [
+                pid for pid in state.addressed if pid not in replied])
+        self._arm(state)  # a later round's hedge instant, or the deadline
+
+    def _hedge(self, state: OpState, cause: str, now: float,
+               past: Sequence[ProcessId]) -> None:
+        """Send the current round to the held servers; suspect ``past``.
+
+        The op addresses its whole group from here on.  A suspect goes
+        last when later ops choose whom to address, until it answers an
+        unhedged round or its suspicion runs out: the client's redial
+        backoff, doubling per consecutive hedge past it.
+        """
+        held, state.held = state.held, ()
+        state.addressed += held
+        self._hedges[cause].inc()
+        state.span.note_hedge(held)
+        for pid in past:
+            strikes = self._suspects.get(pid, (0.0, 0))[1] + 1
+            self._suspects[pid] = (now + min(
+                self.backoff_max,
+                self.backoff_base * 2 ** min(strikes - 1, 16)), strikes)
+        for pid in held:
+            link = self._connections.get(pid)
+            if link is not None:
+                for payload in state.pending_frames(pid):
+                    link.send(payload)
+
     async def _run_operation(self, operation: ClientOperation,
                              servers: Optional[Sequence[ProcessId]] = None
                              ) -> Any:
@@ -506,37 +677,40 @@ class AsyncRegisterClient:
         if await self._dispatcher.gate.acquire():
             self._counters["ops_queued"].inc()
         state = self._dispatcher.register(operation)
-        quorum_pool = len(servers) if servers is not None else len(self.servers)
+        group = servers if servers is not None else self.servers
+        now = loop.time()
         span = self._tracer.start(
             kind=operation.kind, op_id=operation.op_id, witness=self.f + 1,
-            quorum=quorum_pool - self.f, now=loop.time())
+            quorum=len(group) - self.f, now=now, servers=group)
         state.span = span
         outcome = "error"
         try:
+            state.deadline = now + self.timeout
+            state.done = loop.create_future()
+            self._address(state, group, now)
             # The phase opens before its frames go out, so send time
             # counts toward the phase that caused it.
             span.begin_phase(phase_name(operation.kind, 1, self.algorithm),
-                             loop.time())
-            deadline = loop.time() + self.timeout
-            state.deadline = deadline
-            state.done = loop.create_future()
+                             now, state.addressed)
             try:
                 # One timer bounds the whole operation (liveness needs
-                # n - f live servers).  Replies are processed inline by
-                # the link (see _dispatch_reply); this task only sends
-                # the opening round and sleeps until the op decides.
-                # The timer is a bare ``call_at`` poking the same done
-                # future the link resolves -- ``asyncio.timeout_at``
-                # buys nothing here but two extra coroutines per op.
+                # n - f live servers) and hedges its rounds on the way.
+                # Replies are processed inline by the link (see
+                # _dispatch_reply); this task only sends the opening
+                # round and sleeps until the op decides.  The timer is a
+                # bare ``call_at`` poking the same done future the link
+                # resolves -- ``asyncio.timeout_at`` buys nothing here
+                # but two extra coroutines per op.
                 envelopes = operation.start()
                 state.rounds = operation.rounds or 1
+                self._begin_round(state, now)
                 self._send_nowait(state, envelopes)
                 if not operation.done:
-                    timer = loop.call_at(deadline, _expire, state.done)
+                    self._arm(state)
                     try:
                         await state.done
                     finally:
-                        timer.cancel()
+                        state.timer.cancel()
             except TimeoutError:
                 outcome = "timeout"
                 raise LivenessError(

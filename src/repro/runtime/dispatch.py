@@ -10,9 +10,10 @@ This module supplies the pieces that make concurrency a property of the
 runtime rather than a per-client accident:
 
 * :class:`OpState` -- the per-operation record: encoded payloads
-  pending per server (replayed to a healed link), the completion future
-  the reply path resolves, the operation's tracing span and its retry
-  flag.
+  pending per server (replayed to a healed link, or sent to a held
+  server by a hedge), which servers the op addresses and which it
+  holds back, the completion future the reply path resolves, the
+  operation's tracing span and its retry flag.
 * :class:`OpDispatcher` -- the in-flight table.  The client looks each
   incoming reply's owner up by ``op_id`` and folds it into that
   operation inline; replies for finished ops (including stale
@@ -21,22 +22,49 @@ runtime rather than a per-client accident:
   also owns the :class:`AdmissionGate`.
 * :class:`AdmissionGate` -- a FIFO gate capping concurrently executing
   operations at ``max_inflight``; excess ops queue in arrival order.
+* :func:`split_group` -- which ``n - f`` servers of a group an
+  operation's rounds go to, and which it holds back.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.types import ProcessId
+
+#: Consecutive op_ids that share one rotation.  Operations in flight
+#: together then address the same servers, so each tick's frames go out
+#: on ``n - f`` links and decide in the same waves; rotating per op
+#: scattered them over all ``n`` and cost more in lost batching (fewer
+#: payloads per socket write and read) than the held frames saved.
+ROTATION_RUN = 256
+
+
+def split_group(servers: Sequence[ProcessId], op_id: int, keep: int,
+                last: Optional[Callable[[ProcessId], bool]] = None
+                ) -> Tuple[Tuple[ProcessId, ...], Tuple[ProcessId, ...]]:
+    """``(addressed, held)``: the first ``keep`` of ``servers`` and the rest.
+
+    The order is ``servers`` rotated by ``op_id // ROTATION_RUN``, so
+    over any ``n`` consecutive runs every server is held for one run;
+    servers for which ``last`` is true (a down link, a suspect) move
+    behind the others, keeping that order among themselves.
+    """
+    turn = op_id // ROTATION_RUN % len(servers)
+    order = list(servers[turn:]) + list(servers[:turn])
+    if last is not None:
+        order.sort(key=last)
+    return tuple(order[:keep]), tuple(order[keep:])
 
 
 class OpState:
     """Everything the runtime tracks for one in-flight operation."""
 
     __slots__ = ("op_id", "operation", "span", "pending", "retried",
-                 "done", "rounds", "deadline", "decoded")
+                 "done", "rounds", "deadline", "decoded", "addressed",
+                 "held", "round_start", "hedge_at", "timer")
 
     def __init__(self, operation: Any) -> None:
         self.op_id: int = operation.op_id
@@ -45,8 +73,22 @@ class OpState:
         self.span: Optional[Any] = None
         #: ``server -> [(message type name, encoded payload)]`` --
         #: replayed on reconnect, and per-type after a throttle (sealed
-        #: at flush time by the link).
+        #: at flush time by the link).  A held server's entry is only
+        #: ever the current round's: a hedge sends that round, and a
+        #: round it was never sent is moot.
         self.pending: Dict[ProcessId, List[Tuple[str, bytes]]] = {}
+        #: Servers this op's frames go to ...
+        self.addressed: Tuple[ProcessId, ...] = ()
+        #: ... and the rest of its group, whose frames wait in
+        #: ``pending`` until a hedge (then empty for the op's remainder).
+        self.held: Tuple[ProcessId, ...] = ()
+        #: Loop time the current round's frames went out ...
+        self.round_start = 0.0
+        #: ... and when its held servers are sent them if it has not
+        #: decided by then.
+        self.hedge_at = 0.0
+        #: The op's one timer: the hedge instant, then the deadline.
+        self.timer: Optional[asyncio.TimerHandle] = None
         #: Whether any frame of this op was re-sent (outcome bookkeeping).
         self.retried = False
         #: Completion future for inline reply processing; set by the
@@ -62,7 +104,7 @@ class OpState:
 
     def pending_frames(self, pid: ProcessId,
                        only_type: Optional[str] = None) -> List[bytes]:
-        """Encoded payloads of this op addressed to ``pid``.
+        """Encoded payloads of this op destined for ``pid``.
 
         ``only_type`` narrows to one message type (the throttle path:
         the server names the frame it shed).

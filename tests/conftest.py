@@ -22,3 +22,12 @@ def constant_delay():
 def jittery_delay():
     """A mildly variable delay model for integration tests."""
     return UniformDelay(0.5, 2.0)
+
+
+@pytest.fixture
+def unhedged(monkeypatch):
+    """Thrifty clients never hedge a round on a timer, however slow the
+    host: for tests that count exactly what the ``n - f`` addressed
+    servers were sent.  (A down link or a ``Throttled`` still hedges.)"""
+    from repro.runtime import client
+    monkeypatch.setattr(client, "HEDGE_FLOOR", float("inf"))

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from repro.deploy import ClusterSpec, ClusterSupervisor
+from tests.runtime.test_thrifty import hold_back
 
 pytestmark = pytest.mark.procs
 
@@ -33,7 +34,9 @@ def cli_env():
     return env
 
 
-def test_status_json_carries_per_node_phase_histograms(tmp_path):
+def test_status_json_carries_per_node_phase_histograms(tmp_path, unhedged):
+    hold_back("s004", [f"s{i:03d}" for i in range(5)])
+
     async def scenario():
         spec = make_spec(tmp_path)
         supervisor = ClusterSupervisor(spec)
@@ -62,11 +65,16 @@ def test_status_json_carries_per_node_phase_histograms(tmp_path):
     for entry in report["nodes"]:
         assert entry["state"] == "healthy"
         health = entry["health"]
-        assert health["frames"] > 0
         assert health["history_len"] >= 1
+        if entry["node"] == "s004":
+            # Every op held s004 back: it served no round, stored nothing.
+            assert entry["phases"] == {}
+            assert health["snapshot_age"] == -1
+            continue
+        assert health["frames"] > 0
         assert health["snapshot_age"] >= 0  # spec persists snapshots
-        # Every node served both write rounds and the read round, and
-        # the histograms keep them apart.
+        # Every other node served both write rounds and the read round,
+        # and the histograms keep them apart.
         phases = entry["phases"]
         assert set(phases) == {"get-tag", "put-data", "get-data"}
         for digest in phases.values():

@@ -14,6 +14,7 @@ import asyncio
 import pytest
 
 from repro.chaos import run_soak
+from tests.runtime.test_thrifty import hold_back
 
 
 def run(coro):
@@ -59,6 +60,8 @@ def test_same_seed_replays_same_fault_sequence():
 
 def test_flaky_links_soak_safe():
     """Dropped/delayed/duplicated frames on one link never break safety."""
+    # The schedule degrades s000: thrifty clients must address it.
+    hold_back("s004", [f"s{i:03d}" for i in range(5)])
     result = run(run_soak(
         algorithm="bsr", f=1, schedule="flaky-links", ops=14, read_ratio=0.5,
         seed=3, start=0.2, period=0.4, timeout=10.0,

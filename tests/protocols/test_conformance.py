@@ -6,8 +6,10 @@ same battery: a sequential write/read sim schedule judged by the MWMR
 safety checker (Definition 1), a multi-writer concurrency schedule
 (skipped for single-writer specs via the capability flag, never by
 name), Byzantine sim schedules for specs whose fault model tolerates
-them, and a flaky-links chaos soak on live TCP for runtime-capable
-specs.  No test here may compare an algorithm string -- gating is
+them, a flaky-links chaos soak on live TCP for runtime-capable
+specs, and a live run with one server silent (or stopped) for specs
+whose clients send each round to ``n - f`` servers only.  No test here
+may compare an algorithm string -- gating is
 always through the spec's declared capabilities, which is the whole
 point of the registry.
 """
@@ -22,12 +24,18 @@ from repro.chaos import run_soak
 from repro.consistency import check_safety
 from repro.core.register import RegisterSystem
 from repro.errors import ConfigurationError
+from repro.obs import MemorySink
 from repro.protocols import BYZANTINE, get_spec, names, runtime_names, specs
+from repro.runtime import LocalCluster
+from tests.runtime.test_thrifty import hold_back
 
 ALL = list(names())
 BYZ = [s.name for s in specs() if s.fault_model == BYZANTINE]
 MULTI_WRITER = [s.name for s in specs() if not s.single_writer]
 RUNTIME = list(runtime_names())
+#: Runtime specs whose clients send each round to n - f servers only.
+THRIFTY = [s.name for s in specs() if s.runtime_ok and s.make_codec is None
+           and not s.peer_links]
 
 
 # -- registry invariants -------------------------------------------------------
@@ -133,3 +141,63 @@ def test_flaky_links_soak_conformance(algorithm):
     assert result.errors == [], f"liveness failures: {result.errors}"
     assert result.safety.ok, str(result.safety)
     assert result.ops_completed >= 10
+
+
+#: Client redial backoff, hence how long a hedged-past server stays a
+#: suspect; longer than a run, so each client hedges about once.
+SUSPICION = 5.0
+#: Iteration before which a crash-only spec's server is stopped.
+CRASH_AT = 2
+
+
+@pytest.mark.parametrize("algorithm", THRIFTY)
+def test_thrifty_rounds_route_around_a_silent_or_stopped_server(algorithm):
+    """Live TCP with one server out: ``silent`` where the fault model is
+    Byzantine, a stopped node where it is crash-only -- one the rotation
+    addresses, so clients must notice it.  Every op decides with the
+    right value; a client hedges past the server about once per
+    suspicion period, and holds it back on every op after that."""
+    spec = get_spec(algorithm)
+    servers = [f"s{i:03d}" for i in range(spec.min_servers(1))]
+    victim = servers[1]
+    hold_back(servers[-1], servers)
+
+    async def scenario():
+        byzantine = ({victim: "silent"} if spec.fault_model == BYZANTINE
+                     else {})
+        cluster = LocalCluster(algorithm, f=1, byzantine=byzantine)
+        assert cluster.server_ids == servers
+        await cluster.start()
+        sink = MemorySink()
+        try:
+            writer, reader = (
+                cluster.client(pid, timeout=10.0, trace_sink=sink,
+                               backoff_base=SUSPICION, backoff_max=SUSPICION)
+                for pid in ("w000", "r000"))
+            await writer.connect()
+            await reader.connect()
+            started = asyncio.get_running_loop().time()
+            for index in range(20):
+                if index == CRASH_AT and not byzantine:
+                    await cluster.crash(victim)
+                value = b"value-%d" % index
+                await writer.write(value)
+                assert await reader.read() == value
+            elapsed = asyncio.get_running_loop().time() - started
+            return elapsed, [writer.stats(), reader.stats()], sink.records
+        finally:
+            await cluster.stop()
+
+    elapsed, stats, records = asyncio.run(scenario())
+    for client_stats in stats:
+        assert client_stats["hedges"] <= 1 + int(elapsed / SUSPICION)
+    for client in ("w000", "r000"):
+        mine = [r for r in records if r["client"] == client]
+        assert len(mine) == 20
+        # Never asked again after the first op that had to hedge past it
+        # (a silent server is asked until then) or after it was stopped.
+        hedged = [i for i, r in enumerate(mine) if r["hedges"]]
+        if spec.fault_model == BYZANTINE:
+            assert hedged, client
+        first = hedged[0] if hedged else CRASH_AT
+        assert all(victim in r["held"] for r in mine[first + 1:]), client

@@ -6,6 +6,7 @@ import pytest
 
 from repro.chaos.faults import FaultPlan
 from repro.runtime import LocalCluster
+from tests.runtime.test_thrifty import hold_back
 
 
 def run(coro):
@@ -101,6 +102,8 @@ def test_severed_link_mid_operations_is_survived():
         await cluster.start()
         try:
             plan.set_policy(str(cluster.server_ids[0]), sever_rate=1.0)
+            # Thrifty clients must address the severed server.
+            hold_back(cluster.server_ids[-1], cluster.server_ids)
             writer = cluster.client("w000", timeout=10.0,
                                     backoff_base=0.02, backoff_max=0.2)
             reader = cluster.client("r000", timeout=10.0,

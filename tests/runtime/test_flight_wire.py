@@ -9,6 +9,9 @@ from repro.obs import MemorySink, stitch_op
 from repro.runtime import LocalCluster
 from repro.sharding import KeyspaceConfig
 from repro.transport.auth import Authenticator, KeyChain
+from tests.runtime.test_thrifty import hold_back
+
+SERVERS = [f"s{i:03d}" for i in range(5)]
 
 
 def run(coro):
@@ -19,7 +22,9 @@ def probe_auth(cluster) -> Authenticator:
     return Authenticator(KeyChain.from_secret(cluster.secret, []))
 
 
-def test_trace_dump_returns_records_that_stitch_with_client_spans():
+def test_trace_dump_returns_records_that_stitch_with_client_spans(unhedged):
+    hold_back("s004", SERVERS)
+
     async def scenario():
         cluster = LocalCluster("bsr", f=1, flight_sample=1)
         await cluster.start()
@@ -31,9 +36,13 @@ def test_trace_dump_returns_records_that_stitch_with_client_spans():
             await writer.write(b"flight-two")
             auth = probe_auth(cluster)
             server_records = []
-            for address in cluster.addresses.values():
+            for pid, address in cluster.addresses.items():
                 ack = await trace_dump(address, auth)
-                assert ack.total >= 2
+                # Both writes held s004 back: it recorded nothing.
+                if pid == "s004":
+                    assert ack.total == 0
+                else:
+                    assert ack.total >= 2
                 server_records.extend(dict(r) for r in ack.records)
             return sink.records, server_records
         finally:
@@ -44,10 +53,13 @@ def test_trace_dump_returns_records_that_stitch_with_client_spans():
     op_id = client_records[-1]["op_id"]
     op = stitch_op(op_id, client_records, server_records)
     assert op is not None
-    # Every node served both write phases and the clocks align, so the
-    # stitched timeline carries the paper's witness/quorum instants.
+    # Every node asked served both write phases and the clocks align, so
+    # the stitched timeline carries the paper's witness/quorum instants;
+    # the node never asked is named as such, not as missing.
     assert op.aligned
     assert not op.missing_servers
+    assert op.held_servers == ["s004"]
+    assert {r["node"] for r in op.servers} == set(SERVERS[:4])
     phases = {r["phase"] for r in op.servers}
     assert phases == {"get-tag", "put-data"}
     texts = [text for _, _, text in op.events()]
@@ -60,6 +72,8 @@ def test_trace_dump_returns_records_that_stitch_with_client_spans():
 
 
 def test_trace_dump_target_op_and_limit_filter_on_the_node():
+    hold_back("s004", SERVERS)  # every write goes to s000
+
     async def scenario():
         cluster = LocalCluster("bsr", f=1, flight_sample=1)
         await cluster.start()
@@ -122,8 +136,10 @@ def test_sampling_modulus_thins_server_records():
     assert all(r["op_id"] % 64 == 0 for r in ack.records)
 
 
-def test_health_ack_occupancy_for_sharded_and_plain_nodes():
+def test_health_ack_occupancy_for_sharded_and_plain_nodes(unhedged):
     from repro.deploy import health_ping
+
+    hold_back("s004", SERVERS)  # both writes go to s000
 
     async def scenario():
         keyspace = KeyspaceConfig(group_size=5, max_resident=8)
@@ -136,21 +152,25 @@ def test_health_ack_occupancy_for_sharded_and_plain_nodes():
             await client.connect()
             await client.write(b"k1", register="key-0001")
             await client.write(b"k2", register="key-0002")
-            sharded_ack = await health_ping(
-                next(iter(sharded.addresses.values())), probe_auth(sharded))
+            sharded_acks = {pid: await health_ping(address,
+                                                   probe_auth(sharded))
+                            for pid, address in sharded.addresses.items()}
             plain_ack = await health_ping(
                 next(iter(plain.addresses.values())), probe_auth(plain))
-            return sharded_ack, plain_ack
+            return sharded_acks, plain_ack
         finally:
             await sharded.stop()
             await plain.stop()
 
-    sharded_ack, plain_ack = run(scenario())
+    sharded_acks, plain_ack = run(scenario())
     # Sharded nodes report RegisterTable occupancy; plain nodes report
-    # the -1 sentinel so status displays can tell the cases apart.
-    assert sharded_ack.keys_resident == 2
-    assert sharded_ack.keys_archived == 0
-    assert sharded_ack.rehydrations == 0
+    # the -1 sentinel so status displays can tell the cases apart.  The
+    # writes held s004 back, so it has no key resident.
+    assert {pid: ack.keys_resident for pid, ack in sharded_acks.items()} == {
+        pid: 0 if pid == "s004" else 2 for pid in SERVERS}
+    for sharded_ack in sharded_acks.values():
+        assert sharded_ack.keys_archived == 0
+        assert sharded_ack.rehydrations == 0
     assert plain_ack.keys_resident == -1
     assert plain_ack.keys_archived == -1
     assert plain_ack.rehydrations == -1

@@ -21,6 +21,7 @@ from repro.transport.codec import frame_burst
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
 from tests.runtime.fake_io import deliver
 from tests.runtime.test_link import Dialer, run, until
+from tests.runtime.test_thrifty import hold_back
 
 SPEC = ClusterSpec(algorithm="bsr", f=1)
 AUTH = SPEC.authenticator()
@@ -82,7 +83,7 @@ def test_keyed_broadcast_is_one_wrapper_one_encode_and_replayable():
         client._encode = lambda m: encoded.append(m) or encode(m)
         task, state = await started_read(client)
         # One query object, one encoder call -- and still one replayable
-        # frame per destination.
+        # frame per destination, held servers included.
         assert len(encoded) == 1
         assert type(encoded[0]) is NamespacedMessage
         assert type(encoded[0].inner) is QueryData
@@ -91,20 +92,30 @@ def test_keyed_broadcast_is_one_wrapper_one_encode_and_replayable():
         assert all(len(entries) == 1 for entries in frames)
         assert all(entries[0][1] is frames[0][0][1] for entries in frames)
         query = frames[0][0][1]
-        for transport in dialer.transports:
-            assert transport.payloads() == [query]
-        # Kill one link mid-operation: it heals and is served by replay.
-        client._links["s004"].connection_lost(None)
-        await until(lambda: "s004" in client._connections)
+        # Only the n - f addressed servers were sent it.
+        assert len(state.addressed) == 4 and len(state.held) == 1
+        transports = dict(zip(SPEC.node_ids, dialer.transports))
+        for pid in state.addressed:
+            assert transports[pid].payloads() == [query]
+        [held] = state.held
+        assert transports[held].writes == []
+        # Kill one addressed link mid-operation: the round is hedged to
+        # the held server, and the link heals and is served by replay.
+        killed = state.addressed[-1]
+        client._links[killed].connection_lost(None)
+        assert state.held == ()
+        await until(lambda: killed in client._connections)
         await asyncio.sleep(0)
         assert len(dialer.transports) == 6
         assert dialer.transports[-1].payloads() == [query]
+        assert transports[held].payloads() == [query]
         assert len(encoded) == 1
-        for pid in ("s004", "s001", "s002", "s003"):
+        for pid in SPEC.node_ids[:4]:
             answer(client, pid, reply_payload(state.op_id))
         assert await task == b"v1"
         stats = client.stats()
         assert stats["frames_resent"] == 1 and stats["reconnects"] == 1
+        assert stats["hedges"] == 1
         await client.close()
 
     run(scenario())
@@ -240,7 +251,12 @@ def test_throttled_and_op_id_less_payloads_take_the_ordinary_path():
 
 
 @pytest.mark.parametrize("behavior", ["forge_tag", "corrupt_value"])
-def test_keyed_read_next_to_a_liar_decodes_at_most_two_payloads(behavior):
+def test_keyed_read_next_to_a_liar_decodes_at_most_two_payloads(behavior,
+                                                               unhedged):
+    # Every write and read goes to the same n - f servers, the liar s004
+    # among them.
+    hold_back("s000", SPEC.node_ids)
+
     async def scenario():
         cluster = LocalCluster(
             "bsr", f=1, n=5, byzantine={4: behavior},
@@ -262,9 +278,9 @@ def test_keyed_read_next_to_a_liar_decodes_at_most_two_payloads(behavior):
                 asked = after["reply_decodes"] - before["reply_decodes"]
                 shared = (after["reply_decodes_shared"]
                           - before["reply_decodes_shared"])
-                assert 4 <= asked <= 5
-                # One payload when the quorum beat the liar, else two.
-                assert 1 <= asked - shared <= 2
+                assert asked == 4
+                # One payload for the quorum, one for the liar.
+                assert asked - shared == 2
         finally:
             await cluster.stop()
 

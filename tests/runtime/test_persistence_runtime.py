@@ -6,14 +6,18 @@ import os
 import pytest
 
 from repro.runtime import LocalCluster
+from tests.runtime.test_thrifty import hold_back
+
+SERVERS = [f"s{i:03d}" for i in range(5)]
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-def test_cluster_state_survives_restart(tmp_path):
+def test_cluster_state_survives_restart(tmp_path, unhedged):
     snapshot_dir = str(tmp_path / "snapshots")
+    hold_back("s004", SERVERS)
 
     async def first_life():
         cluster = LocalCluster("bsr", f=1, snapshot_dir=snapshot_dir)
@@ -36,15 +40,17 @@ def test_cluster_state_survives_restart(tmp_path):
             await cluster.stop()
 
     run(first_life())
-    # Snapshots were written for every server that stored the value.
+    # Snapshots were written for every server that stored the value: the
+    # n - f the write was sent to, not s004, which it held back.
     snapshots = os.listdir(snapshot_dir)
-    assert len(snapshots) == 5
+    assert sorted(snapshots) == [f"{pid}.snapshot" for pid in SERVERS[:4]]
     assert run(second_life()) == b"durable-value"
 
 
-def test_partial_snapshot_loss_is_tolerated(tmp_path):
+def test_partial_snapshot_loss_is_tolerated(tmp_path, unhedged):
     """Losing f snapshots is just f slow servers: reads still succeed."""
     snapshot_dir = str(tmp_path / "snapshots")
+    hold_back("s004", SERVERS)
 
     async def first_life():
         cluster = LocalCluster("bsr", f=1, snapshot_dir=snapshot_dir)
@@ -57,6 +63,8 @@ def test_partial_snapshot_loss_is_tolerated(tmp_path):
             await cluster.stop()
 
     run(first_life())
+    # s004 was never sent the write; s000 loses what it stored.
+    assert "s004.snapshot" not in os.listdir(snapshot_dir)
     os.remove(os.path.join(snapshot_dir, "s000.snapshot"))
 
     async def second_life():

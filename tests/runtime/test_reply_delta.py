@@ -27,6 +27,7 @@ from repro.transport.codec2 import (
 from repro.transport.delta import DELTA_HEAD_MAX, DELTA_MAGIC, Shrinker
 from tests.runtime.fake_io import deliver
 from tests.runtime.test_link import Dialer, run, until
+from tests.runtime.test_thrifty import hold_back
 
 VALUE = bytes(range(256)) * 256  # 64 KiB
 #: One BCSR coded element of VALUE at [n, k] = [8, 3], plus its envelope.
@@ -107,18 +108,24 @@ def test_repeat_bcsr_reads_carry_one_element_per_connection():
     ("bsr-history", b"h" * 3000),  # III-C: replies carry the whole list L
     ("bsr", VALUE),
 ])
-def test_history_and_large_value_bsr_reads_shrink_too(algorithm, value):
+def test_history_and_large_value_bsr_reads_shrink_too(algorithm, value,
+                                                     unhedged):
     async def scenario():
         async with Cluster(algorithm) as cluster:
             client = cluster.client("w000")
             await client.connect()
+            # Every op goes to the n - f servers other than the last.
+            held = cluster.server_ids[-1]
+            hold_back(held, cluster.server_ids)
             await client.write(value)
             for _ in range(4):
                 assert await client.read() == value
-            servers = len(cluster.server_ids)
+            asked = len(cluster.server_ids) - 1
             await until(lambda: node_counts(cluster, "replies_delta")
-                        == 3 * servers)
-            assert node_counts(cluster, "replies_full") == servers
+                        == 3 * asked)
+            assert node_counts(cluster, "replies_full") == asked
+            assert cluster.registry.counter_value(
+                "node_wire_frames_total", node=held) == 0
             assert client.stats()["delta_resets"] == 0
 
     run(scenario())
@@ -281,6 +288,7 @@ def server_end(pid):
 def test_lost_base_then_delta_resets_only_that_link_and_replay_heals_it():
     async def scenario():
         dialer = Dialer()
+        hold_back("s004", SPEC.node_ids)  # the read goes to s000
         client, read, op_id = await reading_client()
         seal = server_end("s000")
         seal([reply(9999)])  # the base: lost on the way

@@ -6,8 +6,10 @@ import pytest
 
 from repro.deploy import stats_ping
 from repro.errors import ConfigurationError
+from repro.obs import MemorySink
 from repro.runtime import LocalCluster
 from repro.sharding import KeyspaceConfig, key_name
+from tests.runtime.test_thrifty import hold_back
 
 
 def run(coro):
@@ -37,23 +39,27 @@ def test_keyed_put_get_roundtrip():
     run(scenario())
 
 
-def test_keys_land_only_on_their_group():
+def test_keys_land_only_on_their_group(unhedged):
     async def scenario():
         keyspace = KeyspaceConfig(group_size=5, seed=3)
         cluster = LocalCluster("bsr", f=1, n=9, keyspace=keyspace)
         await cluster.start()
         try:
-            writer = cluster.client("w000")
+            sink = MemorySink()
+            writer = cluster.client("w000", trace_sink=sink)
             await writer.connect()
             placement = keyspace.placement(cluster.server_ids)
             for i in range(10):
                 await writer.write(b"v", register=key_name(i))
-            for i in range(10):
+            for i, record in enumerate(sink.records):
                 key = key_name(i)
                 group = set(placement.servers_for(key))
-                for pid, node in cluster.nodes.items():
-                    hosted = key in node.protocol.registers
-                    assert hosted == (pid in group), (key, pid)
+                hosts = {pid for pid, node in cluster.nodes.items()
+                         if key in node.protocol.registers}
+                # The write went to the n - f of the group it did not
+                # hold back (thrifty rounds).
+                [held] = record["held"]
+                assert held in group and hosts == group - {held}, key
         finally:
             await cluster.stop()
 
@@ -99,7 +105,9 @@ def test_invalid_key_rejected_client_side():
     run(scenario())
 
 
-def test_eviction_under_live_load():
+def test_eviction_under_live_load(unhedged):
+    hold_back("s004", [f"s{i:03d}" for i in range(5)])
+
     async def scenario():
         cluster = LocalCluster(
             "bsr", f=1, n=5,
@@ -116,9 +124,10 @@ def test_eviction_under_live_load():
             for i in range(16):
                 assert (await reader.read(register=key_name(i))
                         == f"v{i}".encode())
-            for node in cluster.nodes.values():
+            for pid, node in cluster.nodes.items():
                 assert len(node.protocol.registers) <= 4
-                assert len(node.protocol.archived_keys) > 0
+                # Every op held s004 back: it was never sent a write.
+                assert bool(node.protocol.archived_keys) == (pid != "s004")
             snap = cluster.registry.snapshot()
             evictions = sum(c["value"] for c in snap["counters"]
                             if c["name"] == "table_evictions_total")
@@ -131,9 +140,11 @@ def test_eviction_under_live_load():
     run(scenario())
 
 
-def test_scrape_reports_longest_history_and_recvs_of_a_keyed_node():
+def test_scrape_reports_longest_history_and_recvs_of_a_keyed_node(unhedged):
     """What a ``--procs`` node's table holds is visible from outside: the
     gauge is set by the scrape itself, so an unscraped node pays nothing."""
+    hold_back("s004", [f"s{i:03d}" for i in range(5)])  # s000 gets every op
+
     async def scenario():
         cluster = LocalCluster("bsr", f=1, n=5,
                                keyspace=KeyspaceConfig(group_size=5, seed=3))
@@ -156,7 +167,7 @@ def test_scrape_reports_longest_history_and_recvs_of_a_keyed_node():
             ack = await stats_ping(
                 node.address, cluster.authenticator())
             longest = of_s000(ack.metrics["gauges"])["node_history_len_max"]
-            assert longest >= 6  # s000 may trail the quorum by one write
+            assert longest == 7  # v0 and six writes, each needing s000
             assert longest == max(
                 len(server.history)
                 for server in node.protocol.registers.values())

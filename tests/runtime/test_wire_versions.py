@@ -18,14 +18,17 @@ from repro.errors import ConfigurationError
 from repro.runtime import LocalCluster
 from repro.transport.codec import read_frame, write_frame
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
+from tests.runtime.test_thrifty import hold_back
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-def test_concurrent_ops_on_v2_wire_batch_seal():
+def test_concurrent_ops_on_v2_wire_batch_seal(unhedged):
     """Concurrent in-flight ops ride the batched envelope unharmed."""
+    hold_back("s004", [f"s{i:03d}" for i in range(5)])  # s000 gets every op
+
     async def scenario():
         cluster = LocalCluster("bsr", f=1)
         await cluster.start()

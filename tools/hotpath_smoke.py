@@ -26,6 +26,11 @@ register may carry one full coded element per connection per version
 must be exactly what the stateless seal of the same payloads produces
 (small replies never touch the delta layer).  Counts only, no timing.
 
+A fifth, thrifty pass counts frames over the same in-memory pipes: a
+quiet keyed BSR read at ``n = 5, f = 1`` writes exactly ``n - f``
+requests, gets ``n - f`` replies and hedges nothing, while a BCSR read
+(servers hold distinct coded symbols) still writes ``n``.
+
 Exit status: 0 on success, 1 on wrong results or a blown budget.
 """
 
@@ -227,8 +232,8 @@ class Pipe:
 
 class Wiring:
     """Stands in for ``loop.create_connection``: dials reach the spec's
-    nodes through a :class:`Pipe` pair; ``down[node]`` lists the pipes
-    that carried that node's writes."""
+    nodes through a :class:`Pipe` pair; ``down[node]`` / ``up[node]``
+    list the pipes that carried that node's writes / the client's."""
 
     def __init__(self, spec):
         self.loop = asyncio.get_running_loop()
@@ -236,6 +241,13 @@ class Wiring:
         self.nodes = {pid: spec.build_node(pid) for pid in spec.node_ids}
         self.by_address = {spec.address_of(pid): pid for pid in spec.node_ids}
         self.down = {pid: [] for pid in spec.node_ids}
+        self.up = {pid: [] for pid in spec.node_ids}
+
+    def frames(self, direction):
+        """Frames carried so far in ``direction`` (``up`` or ``down``)."""
+        return sum(len(FrameAssembler().feed(burst))
+                   for pipes in getattr(self, direction).values()
+                   for pipe in pipes for burst in pipe.carried)
 
     async def __call__(self, factory, host, port):
         pid = self.by_address[(host, port)]
@@ -243,6 +255,7 @@ class Wiring:
         up, down = Pipe(self.loop), Pipe(self.loop)
         up.peer, down.peer = connection, link
         self.down[pid].append(down)
+        self.up[pid].append(up)
         connection.connection_made(down)
         link.connection_made(up)
         return up, link
@@ -324,16 +337,51 @@ def run_reply_pass():
             "per version, small replies byte-identical to the stateless seal")
 
 
+async def _read_round(spec, register):
+    """(request frames, reply frames, hedges) of one quiet read."""
+    wiring = Wiring(spec)
+    client = spec.client("w000", timeout=10.0)
+    await client.connect()
+    value = b"v" * 64
+    await client.write(value, register=register)
+    up, down = wiring.frames("up"), wiring.frames("down")
+    if await client.read(register=register) != value:
+        return None
+    await asyncio.sleep(0.01)  # surplus replies, if any, land
+    counts = (wiring.frames("up") - up, wiring.frames("down") - down,
+              client.stats().get("hedges"))
+    await client.close()
+    return counts
+
+
+def run_thrifty_pass():
+    """A quiet BSR round goes to n - f servers; a BCSR round to all n."""
+    bsr = ClusterSpec(algorithm="bsr", f=1, n=5, base_port=7000,
+                      keyspace={"group_size": 5})
+    bcsr = ClusterSpec(algorithm="bcsr", f=1, n=6, base_port=7000)
+    for spec, register, want in ((bsr, key_name(0), (4, 4, 0)),
+                                 (bcsr, "default", (6, 6, 0))):
+        got = asyncio.run(_read_round(spec, register))
+        if got != want:
+            print(f"hotpath-smoke: a quiet {spec.algorithm} read at n={spec.n} "
+                  f"made (requests, replies, hedges) = {got}, want {want}")
+            return None
+    return ("hotpath-smoke: thrifty pass -- a keyed BSR read writes 4 "
+            "requests to n=5 servers and 0 hedges; a BCSR read still writes n")
+
+
 def main():
     elapsed = run_pass()
     coded = run_coded_pass()
     keyed = run_keyed_pass()
     replies = run_reply_pass()
-    if elapsed is None or coded is None or keyed is None or replies is None:
+    thrifty = run_thrifty_pass()
+    if None in (elapsed, coded, keyed, replies, thrifty):
         return 1
     print(coded)
     print(keyed)
     print(replies)
+    print(thrifty)
     status = "ok"
     if elapsed > BUDGET_SECONDS:
         status = f"BLOWN BUDGET ({BUDGET_SECONDS:.1f}s)"
