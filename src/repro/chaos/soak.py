@@ -244,7 +244,8 @@ async def run_soak(algorithm: str = "bsr", f: int = 1,
 
     ``procs=True`` runs the workload against a process-per-node cluster
     (one OS process per server, SIGKILL crashes, snapshot-recovery
-    restarts); ``max_history`` bounds every server's history list so long
+    restarts); ``max_history`` bounds the history list of history-serving
+    and Byzantine servers (other correct ones keep one pair) so long
     soaks keep snapshots from growing without bound.  ``concurrency``
     switches each client's loop from closed to open: up to that many
     operations in flight per client at once (see :func:`_client_loop`).

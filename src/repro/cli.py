@@ -981,7 +981,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run against real OS processes (SIGKILL "
                             f"crashes; schedules {PROCESS_SCHEDULES})")
     chaos.add_argument("--max-history", type=int, default=None,
-                       help="bound every server's history list (GC)")
+                       help="bound the history list of history-serving "
+                            "(bsr-history, bsr-2round) and Byzantine "
+                            "servers; other correct servers keep one pair")
     chaos.add_argument("--concurrency", type=int, default=1,
                        help="in-flight operations per client (1 = the "
                             "classic closed loop)")
@@ -1187,7 +1189,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="real connection sets per worker (sessions "
                            "multiplex over them)")
     load.add_argument("--max-history", type=int, default=128,
-                      help="bound every server's per-register history")
+                      help="bound the per-register history of "
+                           "history-serving and Byzantine servers; other "
+                           "correct servers keep one pair")
     load.add_argument("--procs", action="store_true",
                       help="drive a real process-per-node cluster instead "
                            "of the in-process one")

@@ -51,6 +51,10 @@ class BCSRServer:
 
     ``index`` is the server's zero-based codeword position; the initial
     history entry holds the server's coded element of the initial value.
+    Replies only ever carry the newest element, so a deployment builds
+    every correct BCSR server with ``max_history=1``
+    (:meth:`~repro.protocols.fleet.Fleet.server`); a Byzantine one keeps
+    the deployment's bound.
     """
 
     def __init__(self, server_id: ProcessId, index: int, codec: StripedCodec,

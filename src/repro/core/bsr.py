@@ -43,8 +43,11 @@ class BSRServer:
     ``max_history`` bounds the length of ``L`` (the paper keeps it
     unbounded): after every store the oldest entries beyond the bound are
     pruned, newest kept.  Plain BSR only ever serves the newest pair, so
-    pruning is invisible to it; the *history* read variant trades
-    regularity coverage for the reclaimed space -- see the E12 ablation.
+    pruning is invisible to it, and a deployment builds every correct
+    plain-BSR server with ``max_history=1``
+    (:meth:`~repro.protocols.fleet.Fleet.server`); the *history* read
+    variant keeps the deployment's bound and trades regularity coverage
+    for the reclaimed space -- see the E12 ablation.
     """
 
     def __init__(self, server_id: ProcessId, initial_value: Any = b"",

@@ -72,8 +72,9 @@ class LoadProfile:
     #: Real clients (TCP connections sets) per worker; sessions share
     #: them round-robin through the multiplexed dispatcher.
     clients_per_worker: int = 4
-    #: Bound every server's per-register history so long passes do not
-    #: grow node memory without bound.
+    #: Bound the per-register history of history-serving protocols
+    #: and Byzantine servers so long passes do not grow node memory
+    #: without bound (other correct servers keep one pair regardless).
     max_history: Optional[int] = 128
     #: Keys whose every operation is logged into the sampled
     #: consistency trace (filled by the coordinator).

@@ -89,6 +89,7 @@ BSR_HISTORY = register(ProtocolSpec(
         ctx.client_id, ctx.servers, ctx.f, reader_state=ctx.reader_state,
         enforce_bounds=ctx.enforce_bounds),
     make_reader_state=BSRReaderState,
+    serves_history=True,
     read_phases={1: "get-history"},
     message_phases={"QueryHistory": "get-history"},
 ))
@@ -106,6 +107,7 @@ BSR_2ROUND = register(ProtocolSpec(
         ctx.client_id, ctx.servers, ctx.f, reader_state=ctx.reader_state,
         enforce_bounds=ctx.enforce_bounds),
     make_reader_state=BSRReaderState,
+    serves_history=True,
     read_phases={1: "get-tag-history", 2: "get-value"},
     message_phases={"QueryTagHistory": "get-tag-history",
                     "QueryValue": "get-value"},

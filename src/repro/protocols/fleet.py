@@ -134,12 +134,17 @@ class Fleet:
 
         The group is the instance's peer set and fixes its coded-element
         index, so a sharded key's server talks to that key's group only.
+        A correct server of a protocol that answers only from its newest
+        pair keeps just that pair; a Byzantine one, and any server of a
+        history-serving protocol, keeps the deployment's ``max_history``.
         """
         servers = self.group(register)
         return self.spec.make_server(ServerContext(
             server_id=pid, index=servers.index(pid) if pid in servers else 0,
             servers=servers, f=self.f, initial_value=self.initial_value,
-            max_history=self.max_history, codec=self.codec))
+            max_history=(self.max_history if self.spec.serves_history
+                         or pid in self.behaviors else 1),
+            codec=self.codec))
 
     def host(self, pid: ProcessId, registry: Optional[Any] = None) -> Any:
         """What server ``pid`` hosts.

@@ -92,6 +92,9 @@ class ProtocolSpec:
     make_reader_state: Optional[Callable[[Any], Any]] = None
     #: Server state survives a snapshot/restore round-trip.
     snapshot_ok: bool = True
+    #: Reads are answered from older entries of ``L``, not only the
+    #: newest pair; a correct server of any other protocol keeps one pair.
+    serves_history: bool = False
     #: May host many named registers behind one server (sharding needs it).
     namespaced_ok: bool = True
     #: Supported by the asyncio runtime and real deployments (not sim-only).

@@ -318,10 +318,13 @@ class RegisterServerNode:
             restored = restore_server(
                 fh.read(), codec=getattr(self.protocol, "codec", None))
         # Keep the live object (the cluster may hold references); adopt the
-        # durable history in place.
-        self.protocol.history = restored.history
+        # durable history in place, newest pairs within its own bound (a
+        # snapshot written under a larger one may hold more).
+        bound = getattr(self.protocol, "max_history", None)
+        history = restored.history[-bound:] if bound else restored.history
+        self.protocol.history = history
         logger.info("server %s restored %d history entries from %s",
-                    self.server_id, len(restored.history), self.snapshot_path)
+                    self.server_id, len(history), self.snapshot_path)
 
     async def _checkpoint(self) -> None:
         """Write a snapshot without stalling the event loop.
@@ -537,8 +540,10 @@ class RegisterServerNode:
             return False
         repeated = self._note_repeat(sender, message)
         started = loop.time()
+        # A put that stores a pair makes it the newest (a full bounded
+        # history keeps its length), so "mutated" is a new newest pair.
         history = getattr(self.protocol, "history", None)
-        history_before = -1 if history is None else len(history)
+        newest_before = None if history is None else history[-1]
         # Self-addressed envelopes (a broadcast server is one of its own
         # peers) loop back through the protocol right here, so counting
         # the node's own witness/echo never takes a network hop.
@@ -552,7 +557,7 @@ class RegisterServerNode:
                 )
             self._route_envelopes(sender, envelopes, replies, pending)
         mutated = (history is not None
-                   and len(self.protocol.history) != history_before)
+                   and self.protocol.history[-1] is not newest_before)
         # Key the histogram cache by the *inner* class for namespaced
         # wrappers: the phase depends only on the inner message type, so
         # keyed traffic caches one entry per protocol message class

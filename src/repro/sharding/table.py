@@ -24,8 +24,9 @@ most keys are cold at any instant.  :class:`RegisterTable` serves both:
 Archived records are two orders of magnitude smaller than live state
 machines (bytes of JSON vs objects + dict overhead) and there is one per
 *written* key, not per name a client ever touched, which is what keeps
-a million-key node affordable; bound each key's history (``max_history``)
-to bound the archive too.
+a million-key node affordable.  A correct key of a protocol that does
+not serve history keeps one pair, so its record holds one; elsewhere
+bound each key's history (``max_history``) to bound the archive too.
 
 The table speaks the exact protocol surface the runtimes and the
 simulator expect from a server (``handle(sender, message) -> envelopes``)

@@ -94,9 +94,15 @@ def test_build_node_wires_limits_snapshot_and_history(tmp_path):
     assert node.max_connections == 10
     assert node.rate_limit == 100.0
     assert node.snapshot_path.endswith("s001.snapshot")
-    assert node.protocol.max_history == 4
+    # A correct plain-BSR server answers from its newest pair only.
+    assert node.protocol.max_history == 1
     with pytest.raises(ConfigurationError):
         spec.build_node("s999")
+    history = ClusterSpec(algorithm="bsr-history", f=1, max_history=4)
+    assert history.build_node("s001").protocol.max_history == 4
+    byzantine = ClusterSpec(algorithm="bsr", f=1, max_history=4,
+                            byzantine={"s001": "stale"})
+    assert byzantine.build_node("s001").protocol.max_history == 4
 
 
 def test_build_node_applies_byzantine_behavior():

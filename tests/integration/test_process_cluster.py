@@ -11,6 +11,7 @@ import asyncio
 import pytest
 
 from repro.chaos import build_schedule, run_soak
+from repro.core.persistence import restore_server
 from repro.deploy import ClusterSpec, ClusterSupervisor, health_ping
 from repro.obs import MemorySink
 from tests.runtime.test_thrifty import hold_back
@@ -67,6 +68,37 @@ def test_sigkill_mid_write_recovers_from_snapshot(tmp_path):
             await supervisor.stop()
 
     run(scenario())
+
+
+def test_every_acked_put_reaches_a_node_processs_snapshot(tmp_path, unhedged):
+    """Past a full bounded history a put keeps the history's length, and
+    is still checkpointed before the node acks it."""
+    servers = [f"s{i:03d}" for i in range(5)]
+    hold_back("s004", servers)
+
+    async def scenario():
+        spec = ClusterSpec(algorithm="bsr", f=1, max_history=2,
+                           snapshot_dir=str(tmp_path / "snaps"),
+                           secret="checkpoint-every-put")
+        supervisor = ClusterSupervisor(spec)
+        await supervisor.start()
+        try:
+            writer = supervisor.client("w000", timeout=10.0)
+            await writer.connect()
+            for i in range(4):
+                tag = await writer.write(f"v{i + 1}".encode())
+        finally:
+            await supervisor.stop()
+        return tag
+
+    fourth = run(scenario())
+    snapshots = {}
+    for pid in servers:
+        path = tmp_path / "snaps" / f"{pid}.snapshot"
+        if path.exists():
+            snapshots[pid] = [pair.tag for pair in
+                              restore_server(path.read_bytes()).history]
+    assert snapshots == {pid: [fourth] for pid in servers[:4]}
 
 
 def test_acceptance_soak_procs_crash_restart(tmp_path):

@@ -70,9 +70,11 @@ def _name(obj):
 
 
 def _server(server):
-    """Class, peer group (broadcast protocols) and coded index (BCSR)."""
+    """Class, peer group (broadcast protocols), coded index (BCSR) and
+    history bound."""
     return (type(server).__name__, tuple(getattr(server, "peers", ())),
-            getattr(server, "index", None))
+            getattr(server, "index", None),
+            getattr(server, "max_history", None))
 
 
 def _routed(n, keyspace):
@@ -96,10 +98,10 @@ def _describe(host, outer_behavior, keys):
             {key: _server(host.register_server(key)) for key in keys})
 
 
-def _sim(algorithm, mode, behavior):
+def _sim(algorithm, mode, behavior, max_history=None):
     n, keyspace, namespaced = _layout(algorithm, mode)
     system = RegisterSystem(algorithm, f=F, n=n, keyspace=keyspace,
-                            namespaced=namespaced,
+                            namespaced=namespaced, max_history=max_history,
                             byzantine={0: behavior} if behavior else None)
     keys = _routed(n, keyspace)
     return {pid: _describe(system.server_protocols[pid],
@@ -107,19 +109,20 @@ def _sim(algorithm, mode, behavior):
             for pid in system.server_ids}
 
 
-def _local(algorithm, mode, behavior):
+def _local(algorithm, mode, behavior, max_history=None):
     n, keyspace, namespaced = _layout(algorithm, mode)
     cluster = LocalCluster(algorithm, f=F, n=n, keyspace=keyspace,
-                           namespaced=namespaced,
+                           namespaced=namespaced, max_history=max_history,
                            byzantine={0: behavior} if behavior else None)
     keys = _routed(n, keyspace)
     return {pid: _describe(node.protocol, node.behavior, keys(pid))
             for pid, node in cluster.nodes.items()}
 
 
-def _spec(algorithm, mode, behavior):
+def _spec(algorithm, mode, behavior, max_history=None):
     n, keyspace, _ = _layout(algorithm, mode)
     spec = ClusterSpec(algorithm=algorithm, f=F, n=n, base_port=47000,
+                       max_history=max_history,
                        keyspace=keyspace.to_dict() if keyspace else {},
                        byzantine={"s000": behavior} if behavior else {})
     keys = _routed(n, keyspace)
@@ -149,6 +152,28 @@ def test_builders_host_the_same_servers(algorithm, mode, behavior):
     assert _local(algorithm, mode, behavior) == sim
     if mode != "namespaced":  # a spec names registers only via a keyspace
         assert _spec(algorithm, mode, behavior) == sim
+
+
+BOUND = 16
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algorithm",
+                         ["bsr", "bcsr", "abd", "bsr-history", "bsr-2round"])
+def test_only_history_serving_and_byzantine_servers_keep_the_bound(
+        algorithm, mode):
+    """A correct server that answers from its newest pair keeps one pair;
+    s000 (Byzantine) and every server of a history read keep ``BOUND``."""
+    serves = get_spec(algorithm).serves_history
+    assert serves == (algorithm in ("bsr-history", "bsr-2round"))
+    builders = [_sim, _local] + ([_spec] if mode != "namespaced" else [])
+    for build in builders:
+        hosted = build(algorithm, mode, "stale", max_history=BOUND)
+        for pid, (kind, _, _, servers) in hosted.items():
+            bounds = ([servers[3]] if kind == "bare"
+                      else [server[3] for server in servers.values()])
+            want = BOUND if serves or pid == "s000" else 1
+            assert bounds and set(bounds) == {want}, (build.__name__, pid)
 
 
 def test_spec_keyspace_shares_one_codec_across_keys():

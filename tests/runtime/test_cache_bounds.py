@@ -1,4 +1,5 @@
-"""Per-key caches stay bounded: client state, codec caches, placement.
+"""Per-key caches stay bounded: client state, codec caches, placement,
+server histories.
 
 Keyed workloads touch arbitrarily many registers over a long run; every
 per-key lookaside structure must have a hard cap or node/client memory
@@ -20,6 +21,7 @@ from repro.core.tags import Tag
 from repro.runtime import LocalCluster
 from repro.sharding import KeyspaceConfig
 from repro.transport.codec2 import _NS_CACHE_MAX, CachedDecoder, CachedEncoder
+from tests.runtime.test_thrifty import hold_back
 
 
 def run(coro):
@@ -115,3 +117,37 @@ def test_placement_group_cache_is_bounded(monkeypatch):
 
 def test_placement_group_cache_default_cap():
     assert ring_module._GROUP_CACHE == 65536
+
+
+# -- server histories -------------------------------------------------------
+
+WRITES, BOUND = 200, 128
+
+
+async def _history_lengths(algorithm, **cluster_kwargs):
+    cluster = LocalCluster(algorithm, f=1, n=8, max_history=BOUND,
+                           **cluster_kwargs)
+    await cluster.start()
+    try:
+        writer = cluster.client("w000")
+        await writer.connect()
+        for i in range(WRITES):
+            await writer.write(b"v%d" % i)
+        return {pid: len(node.protocol.history)
+                for pid, node in cluster.nodes.items()}
+    finally:
+        await cluster.stop()
+
+
+def test_correct_plain_servers_keep_one_pair_byzantine_ones_the_bound():
+    lengths = run(_history_lengths("bcsr", byzantine={7: "stale"}))
+    assert lengths == {**{f"s{i:03d}": 1 for i in range(7)}, "s007": BOUND}
+
+
+def test_history_serving_servers_keep_the_bound(unhedged):
+    # Thrifty rounds hold one server back per rotation run: pin it, so
+    # every other server is sent all the writes.
+    servers = [f"s{i:03d}" for i in range(8)]
+    hold_back("s007", servers)
+    lengths = run(_history_lengths("bsr-history"))
+    assert lengths == {**{pid: BOUND for pid in servers[:7]}, "s007": 1}

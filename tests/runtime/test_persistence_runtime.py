@@ -5,7 +5,16 @@ import os
 
 import pytest
 
+from repro.core.bcsr import BCSRServer
+from repro.core.bsr import BSRServer
+from repro.core.messages import PutData, QueryData
+from repro.core.persistence import restore_server, snapshot_server
+from repro.core.regular import RegularBSRServer
+from repro.core.tags import Tag
 from repro.runtime import LocalCluster
+from repro.runtime.node import RegisterServerNode
+from repro.transport.auth import Authenticator, KeyChain
+from tests.core.test_persistence import GOLDEN_BCSR, GOLDEN_BSR
 from tests.runtime.test_thrifty import hold_back
 
 SERVERS = [f"s{i:03d}" for i in range(5)]
@@ -105,6 +114,87 @@ def test_bcsr_snapshots_restore_coded_elements(tmp_path):
 
     run(first_life())
     assert run(second_life()) == b"coded and durable"
+
+
+def snapshot_tags(snapshot_dir):
+    """pid -> the tags of the history its snapshot file holds."""
+    tags = {}
+    for name in os.listdir(snapshot_dir):
+        with open(os.path.join(snapshot_dir, name), "rb") as fh:
+            restored = restore_server(fh.read())
+        tags[name.split(".")[0]] = [pair.tag for pair in restored.history]
+    return tags
+
+
+def test_every_acked_put_is_checkpointed_past_a_full_history(tmp_path,
+                                                             unhedged):
+    """A put that leaves a full bounded history's length unchanged still
+    changes what the node must recover; it is acked only once on disk."""
+    snapshot_dir = str(tmp_path / "snapshots")
+    hold_back("s004", SERVERS)
+
+    async def scenario():
+        cluster = LocalCluster("bsr", f=1, n=5, max_history=2,
+                               snapshot_dir=snapshot_dir)
+        await cluster.start()
+        try:
+            writer = cluster.client("w000")
+            await writer.connect()
+            for i in range(4):
+                tag = await writer.write(f"v{i + 1}".encode())
+            return tag
+        finally:
+            await cluster.stop()
+
+    fourth = run(scenario())
+    # Every node sent the puts holds the fourth write, as its one pair.
+    assert snapshot_tags(snapshot_dir) == {pid: [fourth]
+                                           for pid in SERVERS[:4]}
+
+
+def test_a_snapshot_restores_within_the_live_servers_bound(tmp_path):
+    """A snapshot written under a larger bound (an older build's, say)
+    restores as the newest pairs the live server may keep."""
+    snapshot_dir = tmp_path / "snapshots"
+    snapshot_dir.mkdir()
+    deep = RegularBSRServer("s000", initial_value=b"", max_history=None)
+    for i in range(1, 4):
+        deep.handle("w000", PutData(op_id=i, tag=Tag(i, "w000"),
+                                    payload=f"v{i}".encode()))
+    (snapshot_dir / "s000.snapshot").write_bytes(snapshot_server(deep))
+
+    async def scenario():
+        cluster = LocalCluster("bsr-history", f=1, max_history=2,
+                               snapshot_dir=str(snapshot_dir))
+        await cluster.start()
+        try:
+            return list(cluster.nodes["s000"].protocol.history)
+        finally:
+            await cluster.stop()
+
+    assert run(scenario()) == deep.history[-2:]
+
+
+@pytest.mark.parametrize("golden", [GOLDEN_BSR, GOLDEN_BCSR],
+                         ids=["bsr", "bcsr"])
+def test_golden_snapshots_restore_into_a_one_pair_server(tmp_path, golden):
+    recorded = restore_server(golden)
+    if isinstance(recorded, BCSRServer):
+        protocol = BCSRServer(recorded.server_id, recorded.index,
+                              recorded.codec, max_history=1)
+    else:
+        protocol = BSRServer(recorded.server_id, max_history=1)
+    path = tmp_path / "golden.snapshot"
+    path.write_bytes(golden)
+    node = RegisterServerNode(
+        recorded.server_id, protocol,
+        Authenticator(KeyChain.from_secret(b"golden", [recorded.server_id])),
+        snapshot_path=str(path))
+    node._restore_from_snapshot()
+    assert protocol.history == [recorded.history[-1]]
+    [(_, reply)] = protocol.handle("r000", QueryData(op_id=1))
+    assert (reply.tag, reply.payload) == (recorded.latest.tag,
+                                          recorded.latest.value)
 
 
 def test_no_snapshot_dir_means_fresh_start(tmp_path):

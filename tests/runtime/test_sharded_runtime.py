@@ -145,8 +145,8 @@ def test_scrape_reports_longest_history_and_recvs_of_a_keyed_node(unhedged):
     gauge is set by the scrape itself, so an unscraped node pays nothing."""
     hold_back("s004", [f"s{i:03d}" for i in range(5)])  # s000 gets every op
 
-    async def scenario():
-        cluster = LocalCluster("bsr", f=1, n=5,
+    async def scenario(algorithm):
+        cluster = LocalCluster(algorithm, f=1, n=5,
                                keyspace=KeyspaceConfig(group_size=5, seed=3))
         await cluster.start()
         try:
@@ -167,7 +167,6 @@ def test_scrape_reports_longest_history_and_recvs_of_a_keyed_node(unhedged):
             ack = await stats_ping(
                 node.address, cluster.authenticator())
             longest = of_s000(ack.metrics["gauges"])["node_history_len_max"]
-            assert longest == 7  # v0 and six writes, each needing s000
             assert longest == max(
                 len(server.history)
                 for server in node.protocol.registers.values())
@@ -176,10 +175,14 @@ def test_scrape_reports_longest_history_and_recvs_of_a_keyed_node(unhedged):
             counters = of_s000(ack.metrics["counters"])
             assert (counters["node_recv_calls_total"]
                     == counters["node_wire_frames_total"] >= 14)
+            return longest
         finally:
             await cluster.stop()
 
-    run(scenario())
+    # A history-serving server keeps v0 and six writes, each needing s000;
+    # a correct plain-BSR server keeps only the pair it answers from.
+    assert run(scenario("bsr-history")) == 7
+    assert run(scenario("bsr")) == 1
 
 
 def test_client_group_ops_metric():

@@ -31,6 +31,12 @@ quiet keyed BSR read at ``n = 5, f = 1`` writes exactly ``n - f``
 requests, gets ``n - f`` replies and hedges nothing, while a BCSR read
 (servers hold distinct coded symbols) still writes ``n``.
 
+A sixth, memory pass counts what servers keep: after 200 writes of
+64 KiB to a BCSR fleet (``n = 8``, ``max_history = 128``, one ``stale``
+server), each correct server holds exactly one coded element -- the
+only one it ever answers from -- and the Byzantine one ``min(201, 128)``.
+Counts only, no timing.
+
 Exit status: 0 on success, 1 on wrong results or a blown budget.
 """
 
@@ -46,6 +52,7 @@ from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
 from repro.erasure.rs import ReedSolomon
 from repro.erasure.striping import CodedElement, StripedCodec
+from repro.protocols.fleet import Fleet
 from repro.runtime.node import _Connection
 from repro.sharding import RegisterTable, table as table_module
 from repro.transport.auth import Authenticator, KeyChain
@@ -370,18 +377,46 @@ def run_thrifty_pass():
             "requests to n=5 servers and 0 hedges; a BCSR read still writes n")
 
 
+#: Memory pass: writes of ``CODED_SIZE`` bytes under this history bound.
+MEMORY_WRITES, MEMORY_BOUND = 200, 128
+
+
+def run_memory_pass():
+    """Correct BCSR servers keep one element; a Byzantine one its bound."""
+    fleet = Fleet.build("bcsr", f=CODED_F, n=CODED_N,
+                        max_history=MEMORY_BOUND, byzantine={7: "stale"})
+    servers = {pid: fleet.host(pid) for pid in fleet.server_ids}
+    elements = fleet.codec.encode(bytes(range(256)) * (CODED_SIZE // 256))
+    for num in range(1, MEMORY_WRITES + 1):
+        for index, server in enumerate(servers.values()):
+            server.handle("w000", PutData(op_id=num, tag=Tag(num, "w000"),
+                                          payload=elements[index]))
+    held = {pid: len(server.history) for pid, server in servers.items()}
+    want = {pid: (min(MEMORY_WRITES + 1, MEMORY_BOUND)
+                  if pid in fleet.behaviors else 1) for pid in servers}
+    if held != want:
+        print(f"hotpath-smoke: after {MEMORY_WRITES} writes the BCSR servers "
+              f"hold {held} pairs, want {want}")
+        return None
+    return (f"hotpath-smoke: memory pass -- after {MEMORY_WRITES} writes "
+            f"each correct BCSR server holds 1 element, the stale one "
+            f"{want['s007']}")
+
+
 def main():
     elapsed = run_pass()
     coded = run_coded_pass()
     keyed = run_keyed_pass()
     replies = run_reply_pass()
     thrifty = run_thrifty_pass()
-    if None in (elapsed, coded, keyed, replies, thrifty):
+    memory = run_memory_pass()
+    if None in (elapsed, coded, keyed, replies, thrifty, memory):
         return 1
     print(coded)
     print(keyed)
     print(replies)
     print(thrifty)
+    print(memory)
     status = "ok"
     if elapsed > BUDGET_SECONDS:
         status = f"BLOWN BUDGET ({BUDGET_SECONDS:.1f}s)"
