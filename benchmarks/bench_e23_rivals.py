@@ -23,7 +23,7 @@ Run directly (or via ``make bench-rivals``) to write
     PYTHONPATH=src python benchmarks/bench_e23_rivals.py
 
 The pytest entry points are marked ``slow_bench`` and excluded from the
-tier-1 run; they assert the scorecard covers every runtime protocol
+tier-1 run; they assert the scorecard covers every registered protocol
 with a safe trace, and that the measured round counts reproduce the
 paper's comparison (BSR writes in 2 rounds and reads in 1; the rivals
 pay their extra round or their extra replicas).
@@ -38,7 +38,7 @@ import pytest
 
 from repro.consistency import check_safety
 from repro.core.register import RegisterSystem
-from repro.protocols import get_spec, runtime_names, specs
+from repro.protocols import get_spec, names
 from repro.runtime import LocalCluster
 from repro.sim.trace import OpKind, Trace
 
@@ -160,14 +160,12 @@ def scorecard_row(algorithm: str, ops: int = OPS) -> dict:
 
 
 def run_benchmark(ops: int = OPS) -> dict:
-    results = [scorecard_row(name, ops) for name in runtime_names()]
-    sim_only = [s.name for s in specs() if not s.runtime_ok]
+    results = [scorecard_row(name, ops) for name in names()]
     return {
         "experiment": ("E23: rivals scorecard (every registered protocol: "
                        f"resilience, rounds, loopback throughput, f={F})"),
         "ops_per_kind": ops,
         "depth": DEPTH,
-        "sim_only_protocols": sim_only,
         "results": results,
     }
 
@@ -197,7 +195,7 @@ def format_report(report: dict) -> str:
 def test_scorecard_covers_every_runtime_protocol():
     report = run_benchmark(ops=40)
     names_in_report = {row["algorithm"] for row in report["results"]}
-    assert names_in_report == set(runtime_names())
+    assert names_in_report == set(names())
     for row in report["results"]:
         assert row["safety_ok"], f"{row['algorithm']} trace violated safety"
         assert row["ops_per_sec"] > 0
@@ -220,8 +218,6 @@ def main() -> None:
     write_report(report)
     emit(format_report(report))
     emit(f"\nwrote {OUTPUT}")
-    if report["sim_only_protocols"]:
-        emit(f"sim-only (no runtime row): {report['sim_only_protocols']}")
     unsafe = [row["algorithm"] for row in report["results"]
               if not row["safety_ok"]]
     emit("all scorecard traces safe" if not unsafe

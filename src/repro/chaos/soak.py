@@ -215,6 +215,32 @@ async def _client_loop(client, trace: Trace, kinds: List[OpKind],
     await asyncio.gather(*tasks)
 
 
+async def _await_redials(clients, cluster, timeout: float,
+                         errors: List[str]) -> None:
+    """Wait until every client is connected to every running node.
+
+    A process cluster's restarts are respawns that take real time, so the
+    last operations can finish before the clients' backoff re-dials the
+    node the nemesis brought back; the soak ends healed instead, and a
+    client still cut off from a running node after ``timeout`` is
+    recorded as an error.
+    """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while True:
+        running = sum(1 for handle in cluster.handles.values()
+                      if handle.running)
+        behind = [client.client_id for client in clients
+                  if client.stats()["connected"] < running]
+        if not behind:
+            return
+        if loop.time() >= deadline:
+            errors.append(f"clients {behind} did not re-dial every running "
+                          f"node within {timeout}s")
+            return
+        await asyncio.sleep(0.01)
+
+
 def _snapshot_sizes(snapshot_dir: Optional[str]) -> Dict[str, int]:
     """On-disk bytes per node snapshot (empty when nothing persisted)."""
     if snapshot_dir is None or not os.path.isdir(snapshot_dir):
@@ -381,6 +407,9 @@ async def run_soak(algorithm: str = "bsr", f: int = 1,
         plan = cluster.chaos_plan  # None on a process cluster
         if plan is not None:
             plan.heal()
+        if procs:
+            await _await_redials([writer] + readers, cluster, timeout,
+                                 errors)
 
         if keys > 1:
             safety = check_safety_per_register(trace,

@@ -927,7 +927,7 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
-    from repro.protocols import names, runtime_names
+    from repro.protocols import names
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Semi-fast Byzantine-tolerant shared registers "
@@ -965,8 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload on a live TCP cluster under a nemesis "
              "fault schedule and check safety + liveness",
     )
-    chaos.add_argument("--algorithm", default="bsr",
-                       choices=runtime_names())
+    chaos.add_argument("--algorithm", default="bsr", choices=names())
     chaos.add_argument("--schedule", default="combo", choices=SCHEDULES)
     chaos.add_argument("--f", type=int, default=1)
     chaos.add_argument("--ops", type=int, default=40)
@@ -1178,8 +1177,7 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--seed", type=int, default=0)
     load.add_argument("--timeout", type=float, default=10.0,
                       help="per-operation liveness timeout")
-    load.add_argument("--algorithm", default="bsr",
-                      choices=runtime_names())
+    load.add_argument("--algorithm", default="bsr", choices=names())
     load.add_argument("--f", type=int, default=1)
     load.add_argument("--n", type=int, default=None)
     load.add_argument("--workers", type=int, default=2,

@@ -25,15 +25,18 @@ MAX_KEY_LENGTH = 128
 _ALLOWED = frozenset(chr(c) for c in range(0x21, 0x7F))
 
 
-def key_error(name: Any) -> Optional[str]:
-    """Why ``name`` is not a valid key, or ``None`` when it is."""
+def key_error(name: Any, max_len: int = MAX_KEY_LENGTH) -> Optional[str]:
+    """Why ``name`` is not a valid key, or ``None`` when it is.
+
+    ``max_len`` tightens the length bound (a keyspace's ``max_key_len``).
+    """
     if not isinstance(name, str):
         return f"key must be a str, got {type(name).__name__}"
     if not name:
         return "key must not be empty"
-    if len(name) > MAX_KEY_LENGTH:
-        return (f"key length {len(name)} exceeds the {MAX_KEY_LENGTH}-char "
-                "bound")
+    bound = min(max_len, MAX_KEY_LENGTH)
+    if len(name) > bound:
+        return f"key length {len(name)} exceeds the {bound}-char bound"
     for ch in name:
         if ch not in _ALLOWED:
             return f"key contains disallowed character {ch!r}"

@@ -23,9 +23,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.byzantine.behaviors import Behavior
 from repro.core.processes import ClientProcess, ServerProcess
-from repro.core.namespace import DEFAULT_REGISTER, NamespacedOperation
+from repro.core.namespace import DEFAULT_REGISTER
 from repro.errors import ConfigurationError
-from repro.protocols import OpContext
 from repro.protocols.fleet import Fleet
 from repro.sharding import KeyspaceConfig
 from repro.sim.delays import DelayModel
@@ -97,7 +96,6 @@ class RegisterSystem:
         self.n = fleet.n
         self.initial_value = initial_value
         self.read_repair = read_repair
-        self._enforce_bounds = enforce_bounds
         self.sim = Simulator(seed=seed, delay_model=delay_model, horizon=horizon)
         self.server_ids = list(fleet.server_ids)
         self.byzantine = fleet.behaviors
@@ -136,21 +134,16 @@ class RegisterSystem:
         """Schedule ``write(value)`` by the given writer at time ``at``.
 
         ``register`` selects the named register in namespaced deployments
-        (ignored otherwise).
+        (ignored otherwise); a name the fleet rejects raises
+        :class:`ConfigurationError` here, not inside :meth:`run`.
         """
         pid = self._resolve_client(self.writer_ids, writer)
+        self.fleet.group(register)  # checks the name now; built at ``at``
         handle = OpHandle(client=pid, kind="write")
 
         def factory():
-            op = self.spec.make_write(OpContext(
-                client_id=pid, servers=self.fleet.group(register),
-                f=self.f, value=value, initial_value=self.initial_value,
-                codec=self.fleet.codec, enforce_bounds=self._enforce_bounds,
-            ))
-            if self.namespaced:
-                op = NamespacedOperation(register, op)
-            handle.operation = op
-            return op
+            _, handle.operation = self.fleet.write_op(pid, value, register)
+            return handle.operation
 
         self.clients[pid].submit(at, factory, self._completion_callback(handle))
         self._handles.append(handle)
@@ -160,24 +153,17 @@ class RegisterSystem:
              register: str = DEFAULT_REGISTER) -> OpHandle:
         """Schedule a read by the given reader at time ``at``.
 
-        ``register`` selects the named register in namespaced deployments
-        (ignored otherwise).
+        ``register`` is handled as for :meth:`write`.
         """
         pid = self._resolve_client(self.reader_ids, reader)
+        self.fleet.group(register)  # checks the name now; built at ``at``
         handle = OpHandle(client=pid, kind="read")
 
         def factory():
-            op = self.spec.make_read(OpContext(
-                client_id=pid, servers=self.fleet.group(register),
-                f=self.f, initial_value=self.initial_value,
-                reader_state=self._reader_state_for(pid, register),
-                codec=self.fleet.codec, enforce_bounds=self._enforce_bounds,
-                repair=self.read_repair,
-            ))
-            if self.namespaced:
-                op = NamespacedOperation(register, op)
-            handle.operation = op
-            return op
+            _, handle.operation = self.fleet.read_op(
+                pid, self._reader_state_for(pid, register), register,
+                repair=self.read_repair)
+            return handle.operation
 
         self.clients[pid].submit(at, factory, self._completion_callback(handle))
         self._handles.append(handle)
@@ -185,12 +171,9 @@ class RegisterSystem:
 
     def _reader_state_for(self, pid: ProcessId, register: str) -> Any:
         """Per-reader state; per (reader, register) when namespaced."""
-        if self.spec.make_reader_state is None:
-            return None
         key = (pid, register if self.namespaced else DEFAULT_REGISTER)
         if key not in self._reader_states:
-            self._reader_states[key] = self.spec.make_reader_state(
-                self.initial_value)
+            self._reader_states[key] = self.fleet.reader_state()
         return self._reader_states[key]
 
     @staticmethod

@@ -115,7 +115,7 @@ class ClusterSpec:
             keyspace=(KeyspaceConfig.from_dict(self.keyspace)
                       if self.keyspace else None),
             initial_value=self.initial_value.encode(),
-            max_history=self.max_history, runtime=True)
+            max_history=self.max_history)
         self.n = self.fleet.n
         if self.fleet.spec.peer_links:
             # Server-to-server protocols dial peers from this spec, so

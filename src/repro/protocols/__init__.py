@@ -17,7 +17,6 @@ from repro.protocols.registry import (
     get_spec,
     names,
     register,
-    runtime_names,
     specs,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "get_spec",
     "names",
     "register",
-    "runtime_names",
     "specs",
 ]

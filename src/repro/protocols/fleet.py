@@ -1,4 +1,5 @@
-"""One deployment's recipe: the fleet of servers and what each one hosts.
+"""One deployment's recipe: the fleet of servers, what each one hosts,
+and how a client operation on it is built.
 
 In the paper's model (Section II-A) a deployment is one fleet of ``n``
 servers, at most ``f`` of them Byzantine.  :class:`Fleet` is that fleet,
@@ -10,6 +11,12 @@ the in-process :class:`~repro.runtime.cluster.LocalCluster` and the
 process-per-node :class:`~repro.deploy.spec.ClusterSpec` -- asks it what a
 server hosts (:meth:`Fleet.host`) and which layer applies a Byzantine
 behaviour (:meth:`Fleet.host_behavior`), so the three cannot disagree.
+
+A client operation is fixed by the same fleet (Figs. 1 and 3): the
+simulator's clients and the socket
+:class:`~repro.runtime.client.AsyncRegisterClient` both get theirs from
+:meth:`Fleet.write_op` / :meth:`Fleet.read_op`, which check the register
+name and pick its group the same way, and differ only in how they walk it.
 """
 
 from __future__ import annotations
@@ -19,16 +26,20 @@ from functools import partial
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.byzantine.behaviors import Behavior, make_behavior
-from repro.core.namespace import DEFAULT_REGISTER
+from repro.core.keys import MAX_KEY_LENGTH, key_error
+from repro.core.namespace import DEFAULT_REGISTER, NamespacedOperation
 from repro.errors import ConfigurationError
 from repro.protocols.registry import (
+    OpContext,
     ProtocolSpec,
     ServerContext,
     get_spec,
-    runtime_names,
 )
 from repro.sharding import KeyspaceConfig, Placement, RegisterTable
 from repro.types import ProcessId, server_id
+
+#: A quorum group: the servers one register's operations run against.
+Group = Tuple[ProcessId, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,13 +55,16 @@ class Fleet:
 
     spec: ProtocolSpec
     f: int
-    server_ids: Tuple[ProcessId, ...]
+    server_ids: Group
     #: server id -> the Byzantine behaviour it runs.
     behaviors: Mapping[ProcessId, Behavior]
     keyspace: Optional[KeyspaceConfig]
     namespaced: bool
     initial_value: Any
     max_history: Optional[int]
+    #: False admits the lower-bound scenarios' configurations (see
+    #: :meth:`build`); operations carry it too.
+    enforce_bounds: bool
     codec: Any
     placement: Optional[Placement]
 
@@ -61,21 +75,17 @@ class Fleet:
               keyspace: Optional[KeyspaceConfig] = None,
               namespaced: bool = False, initial_value: Any = b"",
               max_history: Optional[int] = None,
-              enforce_bounds: bool = True, runtime: bool = False,
+              enforce_bounds: bool = True,
               bcsr_k: Optional[int] = None) -> "Fleet":
         """Validate a deployment and resolve everything its servers share.
 
         ``enforce_bounds=False`` admits ``n`` below the protocol's bound
         and more than ``f`` Byzantine servers (the lower-bound scenarios);
-        ``runtime=True`` rejects simulator-only protocols; ``bcsr_k``
-        overrides the code dimension (Theorem 6 needs an ``[n, k]`` code
-        at ``n = 5f``, where the paper's ``k = n - 5f`` is undefined).
+        ``bcsr_k`` overrides the code dimension (Theorem 6 needs an
+        ``[n, k]`` code at ``n = 5f``, where the paper's ``k = n - 5f`` is
+        undefined).
         """
         spec = get_spec(algorithm)
-        if runtime and not spec.runtime_ok:
-            raise ConfigurationError(
-                f"algorithm {algorithm!r} not supported by the asyncio "
-                f"runtime; choose from {runtime_names()}")
         if f < 0:
             raise ConfigurationError(f"f must be non-negative, got {f}")
         n = n if n is not None else spec.min_servers(f)
@@ -96,9 +106,6 @@ class Fleet:
         if keyspace is not None:
             keyspace.validate(algorithm, f, n)
         namespaced = namespaced or keyspace is not None
-        if namespaced and not spec.namespaced_ok:
-            raise ConfigurationError(
-                f"algorithm {algorithm!r} does not support namespacing")
         if spec.make_codec is None:
             codec = None
         elif bcsr_k is not None:
@@ -110,7 +117,7 @@ class Fleet:
             spec=spec, f=f, server_ids=server_ids, behaviors=behaviors,
             keyspace=keyspace, namespaced=namespaced,
             initial_value=initial_value, max_history=max_history,
-            codec=codec,
+            enforce_bounds=enforce_bounds, codec=codec,
             placement=(keyspace.placement(server_ids)
                        if keyspace is not None else None))
 
@@ -118,16 +125,59 @@ class Fleet:
     def n(self) -> int:
         return len(self.server_ids)
 
-    def group(self, register: str = DEFAULT_REGISTER) -> Tuple[ProcessId, ...]:
+    def group(self, register: str = DEFAULT_REGISTER) -> Group:
         """The servers an operation on ``register`` runs against.
 
         With a keyspace this is the key's consistent-hash quorum group
         (quorum arithmetic then runs against the group size); otherwise
-        it is the whole fleet.
+        it is the whole fleet.  A namespaced fleet rejects a register
+        name its servers would drop (bad charset, or longer than the
+        keyspace's ``max_key_len``) here, so the caller fails at once
+        instead of waiting on replies that never come.  A single-register
+        fleet ignores the name.
         """
+        if not self.namespaced:
+            return self.server_ids
+        reason = key_error(register, self.keyspace.max_key_len
+                           if self.keyspace is not None else MAX_KEY_LENGTH)
+        if reason is not None:
+            raise ConfigurationError(
+                f"invalid register name {register!r}: {reason}")
         if self.placement is None:
             return self.server_ids
         return self.placement.servers_for(register)
+
+    def reader_state(self) -> Any:
+        """A fresh semi-fast reader state for one reader of one register
+        (``None`` for protocols without one)."""
+        make = self.spec.make_reader_state
+        return make(self.initial_value) if make is not None else None
+
+    def write_op(self, client_id: ProcessId, value: Any,
+                 register: str = DEFAULT_REGISTER) -> Tuple[Group, Any]:
+        """``(group, operation)`` of ``client_id`` writing ``value`` to
+        ``register``; raises :class:`ConfigurationError` for a bad name."""
+        servers = self.group(register)
+        return servers, self._named(register, self.spec.make_write(OpContext(
+            client_id=client_id, servers=servers, f=self.f, value=value,
+            initial_value=self.initial_value, codec=self.codec,
+            enforce_bounds=self.enforce_bounds)))
+
+    def read_op(self, client_id: ProcessId, reader_state: Any,
+                register: str = DEFAULT_REGISTER,
+                repair: bool = False) -> Tuple[Group, Any]:
+        """``(group, operation)`` of ``client_id`` reading ``register``
+        with its ``reader_state`` (see :meth:`reader_state`)."""
+        servers = self.group(register)
+        return servers, self._named(register, self.spec.make_read(OpContext(
+            client_id=client_id, servers=servers, f=self.f,
+            initial_value=self.initial_value, reader_state=reader_state,
+            codec=self.codec, enforce_bounds=self.enforce_bounds,
+            repair=repair)))
+
+    def _named(self, register: str, operation: Any) -> Any:
+        return (NamespacedOperation(register, operation) if self.namespaced
+                else operation)
 
     def server(self, pid: ProcessId, register: str = DEFAULT_REGISTER) -> Any:
         """One protocol instance for ``pid`` inside ``register``'s group.

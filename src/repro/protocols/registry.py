@@ -95,10 +95,6 @@ class ProtocolSpec:
     #: Reads are answered from older entries of ``L``, not only the
     #: newest pair; a correct server of any other protocol keeps one pair.
     serves_history: bool = False
-    #: May host many named registers behind one server (sharding needs it).
-    namespaced_ok: bool = True
-    #: Supported by the asyncio runtime and real deployments (not sim-only).
-    runtime_ok: bool = True
     #: Servers exchange messages with each other (needs a peer mesh and
     #: pinned ports in multi-process deployments).
     peer_links: bool = False
@@ -161,11 +157,6 @@ def get_spec(name: str) -> ProtocolSpec:
 def names() -> Tuple[str, ...]:
     """Every registered protocol name, in registration order."""
     return tuple(_REGISTRY)
-
-
-def runtime_names() -> Tuple[str, ...]:
-    """Protocols the asyncio runtime (and real deployments) support."""
-    return tuple(name for name, spec in _REGISTRY.items() if spec.runtime_ok)
 
 
 def specs() -> Tuple[ProtocolSpec, ...]:

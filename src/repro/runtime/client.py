@@ -50,10 +50,8 @@ from collections import OrderedDict
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.keys import key_error
-from repro.core.namespace import DEFAULT_REGISTER, NamespacedOperation
+from repro.core.namespace import DEFAULT_REGISTER
 from repro.core.messages import Throttled
-from repro.sharding.ring import Placement
 from repro.core.operation import ClientOperation
 from repro.errors import AuthenticationError, ConfigurationError, LivenessError, OperationAborted, ProtocolError
 from repro.obs import (
@@ -63,7 +61,7 @@ from repro.obs import (
     SamplingSink,
     phase_name,
 )
-from repro.protocols import OpContext, get_spec, runtime_names
+from repro.protocols.fleet import Fleet, Group
 from repro.runtime.dispatch import OpDispatcher, OpState, split_group
 from repro.runtime.link import Link
 from repro.transport.auth import Authenticator
@@ -106,11 +104,12 @@ def _expire(done: "asyncio.Future") -> None:
 
 
 class AsyncRegisterClient:
-    """Execute reads/writes of one register over TCP.
+    """Execute reads/writes of a fleet's registers over TCP.
 
     The client opens one connection per server (lazily, tolerating servers
     that are down -- the protocols only need ``n - f`` of them) and drives
-    the same operation state machines the simulator uses.  With
+    the operations ``fleet`` builds -- the simulator's recipe, so the two
+    differ only in how an operation is walked.  With
     ``reconnect=True`` (the default) lost or never-established connections
     are re-dialed in the background with exponential backoff and jitter.
     Operations may be issued concurrently (``asyncio.gather`` of reads
@@ -119,7 +118,7 @@ class AsyncRegisterClient:
 
     Usage::
 
-        client = AsyncRegisterClient("w000", addresses, f=1, auth=auth)
+        client = make_client(fleet, "w000", addresses, secret)
         await client.connect()
         await client.write(b"hello")
         values = await asyncio.gather(*[client.read() for _ in range(16)])
@@ -127,25 +126,19 @@ class AsyncRegisterClient:
         await client.close()
     """
 
-    def __init__(self, client_id: ProcessId,
-                 addresses: Dict[ProcessId, Tuple[str, int]], f: int,
-                 auth: Authenticator, algorithm: str = "bsr",
-                 timeout: float = 30.0, initial_value: bytes = b"",
-                 namespaced: bool = False, reconnect: bool = True,
+    def __init__(self, client_id: ProcessId, fleet: Fleet,
+                 addresses: Dict[ProcessId, Tuple[str, int]],
+                 auth: Authenticator, timeout: float = 30.0,
+                 reconnect: bool = True,
                  backoff_base: float = 0.05, backoff_max: float = 2.0,
                  max_inflight: Optional[int] = None,
                  registry: Optional[MetricRegistry] = None,
                  trace_sink: Optional[Any] = None,
-                 trace_sample: Optional[int] = None,
-                 placement: Optional[Placement] = None) -> None:
-        spec = get_spec(algorithm)
-        if not spec.runtime_ok:
-            raise ConfigurationError(
-                f"algorithm {algorithm!r} not supported by the asyncio "
-                f"runtime; choose from {runtime_names()}"
-            )
-        self.spec = spec
+                 trace_sample: Optional[int] = None) -> None:
         self.client_id = client_id
+        #: What every operation is built from (see :meth:`Fleet.write_op`):
+        #: protocol, ``f``, codec, initial value, namespacing, placement.
+        self.fleet = fleet
         # Query rounds repeat (only op_id varies); the cached encoder
         # re-emits the memoized tail instead of re-walking the fields.
         self._encode = CachedEncoder()
@@ -159,31 +152,18 @@ class AsyncRegisterClient:
         self._decode = CachedDecoder()
         self.addresses = dict(addresses)
         self.servers: List[ProcessId] = sorted(self.addresses)
-        self.f = f
         self.auth = auth
-        self.algorithm = algorithm
         self.timeout = timeout
-        self.initial_value = initial_value
-        #: Key -> quorum-group resolver of a sharded keyspace.  When set,
-        #: every operation is routed to its key's group (a subset of the
-        #: connections) instead of the whole fleet; sharded deployments
-        #: are namespaced by construction.
-        self.placement = placement
-        self.namespaced = namespaced or placement is not None
         self.reconnect = reconnect
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.max_inflight = max_inflight
-        self.reader_state = (spec.make_reader_state(initial_value)
-                             if spec.make_reader_state is not None else None)
+        #: Register -> its semi-fast reader state (the one register of a
+        #: plain fleet is :data:`DEFAULT_REGISTER`), least recent first.
         self._register_states: "OrderedDict[str, Any]" = OrderedDict()
         #: register -> bytes its state held after its last read; their sum.
         self._state_sizes: Dict[str, int] = {}
         self._state_bytes = 0
-        self._codec = (spec.make_codec(
-            placement.group_size if placement is not None
-            else len(self.servers), f)
-            if spec.make_codec is not None else None)
         #: One link per server ever dialed, up or down ...
         self._links: Dict[ProcessId, Link] = {}
         #: ... and the ones that are up right now (what frames go to).
@@ -219,7 +199,7 @@ class AsyncRegisterClient:
         #: Thrifty rounds, unless servers hold distinct coded symbols (a
         #: skipped put is a certain decode error later) or relay to each
         #: other (echo amplification counts on every server).
-        self._thrifty = spec.make_codec is None and not spec.peer_links
+        self._thrifty = fleet.codec is None and not fleet.spec.peer_links
         #: Smoothed duration and mean deviation of this client's rounds
         #: that were not hedged; ``None`` before the first is timed.
         self._srtt: Optional[float] = None
@@ -239,7 +219,7 @@ class AsyncRegisterClient:
             # sampled operation can be stitched end-to-end.
             trace_sink = SamplingSink(trace_sink, trace_sample)
         self._tracer = OpTracer(self.registry, sink=trace_sink,
-                                client_id=client, algorithm=algorithm)
+                                client_id=client, algorithm=fleet.spec.name)
         self._log = LogGate(logger, self.registry,
                             component=f"client/{client}")
 
@@ -261,13 +241,13 @@ class AsyncRegisterClient:
         """
         allowed = None
         if keys is not None:
-            if self.placement is None:
+            if self.fleet.placement is None:
                 raise ConfigurationError(
                     "connect(keys=...) requires a key-routed client "
-                    "(placement is not configured)")
+                    "(the fleet has no keyspace)")
             allowed = set()
             for key in keys:
-                allowed.update(self.placement.servers_for(key))
+                allowed.update(self.fleet.group(key))
         for pid in self.servers:
             if pid in self._connections:
                 continue
@@ -315,7 +295,7 @@ class AsyncRegisterClient:
         link = self._links.get(pid)
         if link is None:
             expander = Expander(self._counters["delta_expanded"].inc)
-            decode = (CachedDecoder() if self._codec is not None
+            decode = (CachedDecoder() if self.fleet.codec is not None
                       else self._decode)
             link = self._links[pid] = Link(
                 self.addresses[pid],
@@ -369,7 +349,7 @@ class AsyncRegisterClient:
         lookup = self._dispatcher.lookup
         stale = self._counters["replies_stale"]
         # Coded elements differ per server: a copy could never be shared.
-        remember = self._codec is None
+        remember = self.fleet.codec is None
         decodes = shared = 0
         for frame in frames:
             try:
@@ -550,7 +530,8 @@ class AsyncRegisterClient:
                     state.timer.cancel()
                     self._arm(state)
                 span.begin_phase(
-                    phase_name(operation.kind, state.rounds, self.algorithm),
+                    phase_name(operation.kind, state.rounds,
+                               self.fleet.spec.name),
                     now, state.addressed)
         if envelopes:
             self._send_nowait(state, envelopes)
@@ -587,7 +568,7 @@ class AsyncRegisterClient:
     def _address(self, state: OpState, servers: Sequence[ProcessId],
                  now: float) -> None:
         """Split the op's group into the servers it sends to and the held."""
-        keep = len(servers) - self.f if self._thrifty else len(servers)
+        keep = len(servers) - self.fleet.f if self._thrifty else len(servers)
         if keep >= len(servers):
             state.addressed = tuple(servers)
             return
@@ -671,17 +652,16 @@ class AsyncRegisterClient:
                     link.send(payload)
 
     async def _run_operation(self, operation: ClientOperation,
-                             servers: Optional[Sequence[ProcessId]] = None
-                             ) -> Any:
+                             group: Group) -> Any:
         loop = asyncio.get_running_loop()
         if await self._dispatcher.gate.acquire():
             self._counters["ops_queued"].inc()
         state = self._dispatcher.register(operation)
-        group = servers if servers is not None else self.servers
         now = loop.time()
+        f = self.fleet.f
         span = self._tracer.start(
-            kind=operation.kind, op_id=operation.op_id, witness=self.f + 1,
-            quorum=len(group) - self.f, now=now, servers=group)
+            kind=operation.kind, op_id=operation.op_id, witness=f + 1,
+            quorum=len(group) - f, now=now, servers=group)
         state.span = span
         outcome = "error"
         try:
@@ -690,8 +670,9 @@ class AsyncRegisterClient:
             self._address(state, group, now)
             # The phase opens before its frames go out, so send time
             # counts toward the phase that caused it.
-            span.begin_phase(phase_name(operation.kind, 1, self.algorithm),
-                             now, state.addressed)
+            span.begin_phase(
+                phase_name(operation.kind, 1, self.fleet.spec.name),
+                now, state.addressed)
             try:
                 # One timer bounds the whole operation (liveness needs
                 # n - f live servers) and hedges its rounds on the way.
@@ -731,21 +712,6 @@ class AsyncRegisterClient:
             if state.retried:
                 self._counters["ops_retried"].inc()
 
-    def _reader_state_for(self, register: str) -> Any:
-        if self.spec.make_reader_state is None:
-            return None
-        if not self.namespaced:
-            return self.reader_state
-        state = self._register_states.get(register)
-        if state is None:
-            state = self._register_states[register] = (
-                self.spec.make_reader_state(self.initial_value))
-            if len(self._register_states) > MAX_KEY_STATES:
-                self._evict_state()
-        else:
-            self._register_states.move_to_end(register)
-        return state
-
     def _evict_state(self) -> None:
         register, _ = self._register_states.popitem(last=False)
         self._state_bytes -= self._state_sizes.pop(register, 0)
@@ -772,11 +738,6 @@ class AsyncRegisterClient:
                    and len(self._register_states) > 1):
                 self._evict_state()
 
-    def _maybe_namespace(self, operation: ClientOperation, register: str):
-        if self.namespaced:
-            return NamespacedOperation(register, operation)
-        return operation
-
     def _write_lock_for(self, register: str) -> asyncio.Lock:
         lock = self._write_locks.get(register)
         if lock is None:
@@ -794,80 +755,72 @@ class AsyncRegisterClient:
             self._write_locks.move_to_end(register)
         return lock
 
-    def _servers_for(self, register: str) -> List[ProcessId]:
-        """The servers an operation on ``register`` talks to.
-
-        Key-routed clients resolve the key's quorum group through the
-        placement (and count the op per group); plain clients always use
-        the whole fleet.  Namespaced keys are validated here, client
-        side, so a typo fails fast instead of timing out against servers
-        that silently drop the invalid name.
-        """
-        if self.placement is not None:
-            group = self.placement.servers_for(register)
+    def _route(self, group: Group) -> None:
+        """Count a key-routed operation against its group, and dial the
+        group's servers this client has no link to yet."""
+        placement = self.fleet.placement
+        if placement is not None:
             counter = self._group_counters.get(group)
             if counter is None:
                 counter = self._group_counters[group] = self.registry.counter(
                     "client_group_ops_total", client=str(self.client_id),
-                    group=self.placement.group_label(group))
+                    group=placement.group_label(group))
             counter.inc()
-            servers = list(group)
-        else:
-            if self.namespaced:
-                reason = key_error(register)
-                if reason is not None:
-                    raise ConfigurationError(
-                        f"invalid register name {register!r}: {reason}")
-            servers = self.servers
         if len(self._links) < len(self.servers) or self._pruned:
             # Never connected, or the working set drifted past the keys
             # declared at connect time: dial what this operation routes
             # to in the background; its pending frames are replayed once
             # the link is up.
-            for pid in servers:
+            for pid in group:
                 if pid not in self._links or pid in self._pruned:
                     self._pruned.discard(pid)
                     self._link(pid).redial(at_once=True)
-        return servers
 
     async def write(self, value: Any,
                     register: str = DEFAULT_REGISTER) -> Any:
         """Write ``value``; returns the tag the write committed under.
 
-        ``register`` selects the named register on namespaced clusters
-        and, on key-routed clients, the quorum group the write is placed
-        on.  Concurrent writes by this client to the same register are
+        ``register`` selects the named register on namespaced fleets
+        and, with a keyspace, the quorum group the write is placed on; a
+        name the fleet rejects raises :class:`ConfigurationError` at once.
+        Concurrent writes by this client to the same register are
         executed in turn (see the module docstring); they still overlap
         freely with this client's reads and with other clients.
         """
-        servers, f = self._servers_for(register), self.f
+        if not self.fleet.namespaced:
+            register = DEFAULT_REGISTER  # a plain fleet has one register
+        group, operation = self.fleet.write_op(self.client_id, value,
+                                               register)
+        self._route(group)
         closes = self._closes
         async with self._write_lock_for(register):
             if closes != self._closes:
                 raise self._closed_error()
-            operation = self.spec.make_write(OpContext(
-                client_id=self.client_id, servers=tuple(servers), f=f,
-                value=value, initial_value=self.initial_value,
-                codec=self._codec))
-            return await self._run_operation(
-                self._maybe_namespace(operation, register), servers=servers)
+            return await self._run_operation(operation, group)
 
     async def read(self, register: str = DEFAULT_REGISTER) -> Any:
         """Read the register; returns the value.
 
-        ``register`` selects the named register on namespaced clusters
-        (the key's quorum group on key-routed clients).  Reads multiplex
-        freely: any number may be in flight at once (subject to
-        ``max_inflight``).
+        ``register`` is routed and checked as for :meth:`write`.  Reads
+        multiplex freely: any number may be in flight at once (subject
+        to ``max_inflight``).
         """
-        servers, f = self._servers_for(register), self.f
-        state = self._reader_state_for(register)
-        operation = self.spec.make_read(OpContext(
-            client_id=self.client_id, servers=tuple(servers), f=f,
-            initial_value=self.initial_value, reader_state=state,
-            codec=self._codec))
-        value = await self._run_operation(
-            self._maybe_namespace(operation, register), servers=servers)
+        if not self.fleet.namespaced:
+            register = DEFAULT_REGISTER
+        state = self._register_states.get(register)
+        kept = state is not None
+        if not kept:
+            state = self.fleet.reader_state()
+        group, operation = self.fleet.read_op(self.client_id, state,
+                                              register)
+        if kept:
+            self._register_states.move_to_end(register)
+        elif state is not None:  # kept only once the fleet took the name
+            self._register_states[register] = state
+            if len(self._register_states) > MAX_KEY_STATES:
+                self._evict_state()
+        self._route(group)
+        value = await self._run_operation(operation, group)
         if state is not None:
-            self._settle(register, state, servers)
+            self._settle(register, state, group)
         return value

@@ -64,18 +64,15 @@ def make_node(fleet: Fleet, pid: ProcessId, auth: Authenticator,
 def make_client(fleet: Fleet, client_id: ProcessId,
                 addresses: Dict[ProcessId, Tuple[str, int]], secret: bytes,
                 **client_kwargs) -> AsyncRegisterClient:
-    """A client of ``fleet`` dialing ``addresses``.
+    """A client of ``fleet`` dialing ``addresses``, keyed from ``secret``.
 
-    Keyed from ``secret`` and routed by the fleet's placement when it has
-    a keyspace; ``client_kwargs`` (``timeout``, ``registry``,
-    ``max_inflight`` ...) pass through.
+    The fleet builds its operations (and so routes them by its placement
+    when it has a keyspace); ``client_kwargs`` (``timeout``,
+    ``registry``, ``max_inflight`` ...) pass through.
     """
-    client_kwargs.setdefault("placement", fleet.placement)
     return AsyncRegisterClient(
-        client_id, addresses, fleet.f,
-        authenticator(fleet, secret, client_id),
-        algorithm=fleet.spec.name, initial_value=fleet.initial_value,
-        namespaced=fleet.namespaced, **client_kwargs)
+        client_id, fleet, addresses,
+        authenticator(fleet, secret, client_id), **client_kwargs)
 
 
 class LocalCluster:
@@ -121,7 +118,7 @@ class LocalCluster:
         self.fleet = Fleet.build(
             algorithm, f=f, n=n, byzantine=byzantine, keyspace=keyspace,
             namespaced=namespaced, initial_value=initial_value,
-            max_history=max_history, runtime=True)
+            max_history=max_history)
         self.server_ids = list(self.fleet.server_ids)
         self.host = host
         self.secret = secret

@@ -110,10 +110,6 @@ class KeyspaceConfig:
         """
         from repro.protocols import get_spec
         spec = get_spec(algorithm)
-        if not spec.namespaced_ok:
-            raise ConfigurationError(
-                f"algorithm {algorithm!r} does not support sharded "
-                "keyspaces")
         if self.group_size < spec.min_servers(f):
             raise ConfigurationError(
                 f"{algorithm} groups need >= {spec.min_servers(f)} servers "

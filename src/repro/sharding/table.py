@@ -135,16 +135,6 @@ class RegisterTable:
         return live + sum(len(blob) for blob in self._archive.values())
 
     # -- key lifecycle -----------------------------------------------------
-    def key_error(self, name: Any) -> Optional[str]:
-        """Why ``name`` is rejected by this table, or ``None``."""
-        reason = key_error(name)
-        if reason is not None:
-            return reason
-        if len(name) > self.max_key_len:
-            return (f"key length {len(name)} exceeds this table's "
-                    f"{self.max_key_len}-char bound")
-        return None
-
     def register_server(self, name: str) -> Any:
         """The live per-key server for ``name`` (created or rehydrated).
 
@@ -238,7 +228,7 @@ class RegisterTable:
             return []
         if (message.register not in self.registers
                 and message.register not in self._archive
-                and self.key_error(message.register) is not None):
+                and key_error(message.register, self.max_key_len) is not None):
             if self._c_rejected is not None:
                 self._c_rejected.inc()
             return []

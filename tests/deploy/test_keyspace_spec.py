@@ -87,8 +87,8 @@ def test_build_protocol_returns_register_table():
 def test_spec_client_gets_placement():
     spec = make_spec()
     client = spec.client("w000")
-    assert client.placement is not None
-    assert client.placement.group_size == 5
+    assert client.fleet.placement is not None
+    assert client.fleet.placement.group_size == 5
 
 
 @pytest.mark.procs

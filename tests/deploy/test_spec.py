@@ -115,8 +115,9 @@ def test_client_from_spec():
     spec = ClusterSpec(algorithm="bcsr", f=1, base_port=7400)
     client = spec.client("w000", timeout=3.0)
     assert isinstance(client, AsyncRegisterClient)
-    assert client.algorithm == "bcsr"
-    assert client.f == 1
+    assert client.fleet is spec.fleet
+    assert client.fleet.spec.name == "bcsr"
+    assert client.fleet.f == 1
     assert client.addresses == spec.addresses
     assert client.timeout == 3.0
     override = {pid: ("127.0.0.1", 12000 + i)

@@ -25,16 +25,15 @@ from repro.consistency import check_safety
 from repro.core.register import RegisterSystem
 from repro.errors import ConfigurationError
 from repro.obs import MemorySink
-from repro.protocols import BYZANTINE, get_spec, names, runtime_names, specs
+from repro.protocols import BYZANTINE, get_spec, names, specs
 from repro.runtime import LocalCluster
 from tests.runtime.test_thrifty import hold_back
 
 ALL = list(names())
 BYZ = [s.name for s in specs() if s.fault_model == BYZANTINE]
 MULTI_WRITER = [s.name for s in specs() if not s.single_writer]
-RUNTIME = list(runtime_names())
-#: Runtime specs whose clients send each round to n - f servers only.
-THRIFTY = [s.name for s in specs() if s.runtime_ok and s.make_codec is None
+#: Specs whose clients send each round to n - f servers only.
+THRIFTY = [s.name for s in specs() if s.make_codec is None
            and not s.peer_links]
 
 
@@ -43,7 +42,6 @@ THRIFTY = [s.name for s in specs() if s.runtime_ok and s.make_codec is None
 def test_registry_covers_the_expected_protocols():
     assert set(ALL) >= {"bsr", "bsr-history", "bsr-2round", "bcsr",
                         "rb", "abd", "mpr", "rb2"}
-    assert set(RUNTIME) <= set(ALL)
 
 
 def test_lint_names_match_registry():
@@ -128,12 +126,12 @@ def test_crash_only_specs_are_excluded_from_byzantine_runs():
     assert not set(crash_only) & set(BYZ)
 
 
-# -- live TCP under flaky links (runtime-capable specs) ------------------------
+# -- live TCP under flaky links (every spec) ----------------------------------
 
-@pytest.mark.parametrize("algorithm", RUNTIME)
+@pytest.mark.parametrize("algorithm", ALL)
 def test_flaky_links_soak_conformance(algorithm):
     """Dropped/delayed/duplicated frames on live TCP: every operation
-    completes and the trace stays safe, for every runtime protocol."""
+    completes and the trace stays safe, for every protocol."""
     result = asyncio.run(run_soak(
         algorithm=algorithm, f=1, schedule="flaky-links", ops=10,
         read_ratio=0.5, seed=5, start=0.2, period=0.3, timeout=12.0,

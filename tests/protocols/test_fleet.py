@@ -2,13 +2,15 @@
 
 All three deployment builders go through one recipe,
 :class:`repro.protocols.fleet.Fleet`.  These tests pin what that buys:
-they reject the same bad Byzantine maps with the same error, and on every
-server they host the same thing -- server class, per-key quorum group
-and coded index, and the layer that applies a Byzantine behaviour --
-for every registered protocol in every deployment mode.
+they reject the same bad Byzantine maps and the same bad register names
+with the same error, and on every server they host the same thing --
+server class, per-key quorum group and coded index, and the layer that
+applies a Byzantine behaviour -- for every registered protocol in every
+deployment mode.
 """
 
 import ast
+import asyncio
 import importlib.util
 import os
 
@@ -19,7 +21,13 @@ from repro.deploy import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.protocols import get_spec, names
 from repro.runtime import LocalCluster
-from repro.sharding import KeyspaceConfig, RegisterTable, key_name
+from repro.sharding import (
+    MAX_KEY_LENGTH,
+    KeyspaceConfig,
+    RegisterTable,
+    key_error,
+    key_name,
+)
 from repro.types import server_id
 
 F = 1
@@ -48,6 +56,52 @@ def test_every_builder_rejects_the_same_byzantine_maps(byzantine):
             build(byzantine)
         messages[name] = str(info.value)
     assert len(set(messages.values())) == 1, messages
+
+
+#: mode -> (deployment, longest register name it accepts).
+NAMED = {
+    "namespaced": ({"namespaced": True}, MAX_KEY_LENGTH),
+    "keyspace": ({"keyspace": KeyspaceConfig(group_size=5, max_key_len=16)},
+                 16),
+}
+
+
+@pytest.mark.parametrize("problem", ["charset", "over-max-key-len"])
+@pytest.mark.parametrize("mode", sorted(NAMED))
+@pytest.mark.parametrize("builder", ["sim", "local"])
+def test_every_builder_rejects_a_bad_register_name_at_once(
+        builder, mode, problem):
+    """Scheduling (sim) or calling (socket client) an operation on a name
+    the servers would drop raises at once -- never a hang or a timeout --
+    and the client keeps no per-key state for it."""
+    deployment, bound = NAMED[mode]
+    name = "bad key" if problem == "charset" else "k" * (bound + 1)
+    expected = f"invalid register name {name!r}: {key_error(name, bound)}"
+    if builder == "sim":
+        system = RegisterSystem("bsr", f=F, **deployment)
+        for schedule in (lambda: system.write(b"v", register=name),
+                         lambda: system.read(register=name)):
+            with pytest.raises(ConfigurationError) as info:
+                schedule()
+            assert str(info.value) == expected
+        return
+
+    async def scenario():
+        cluster = LocalCluster("bsr", f=F, **deployment)
+        await cluster.start()
+        try:
+            client = cluster.client("w000", timeout=1.0)
+            await client.connect()
+            for call in (lambda: client.write(b"v", register=name),
+                         lambda: client.read(register=name)):
+                with pytest.raises(ConfigurationError) as info:
+                    await call()
+                assert str(info.value) == expected
+            assert not client._register_states and not client._write_locks
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
 
 
 # -- what each server hosts ----------------------------------------------------
@@ -136,9 +190,6 @@ def _spec(algorithm, mode, behavior, max_history=None):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("algorithm", names())
 def test_builders_host_the_same_servers(algorithm, mode, behavior):
-    spec = get_spec(algorithm)
-    if mode != "single" and not spec.namespaced_ok:
-        pytest.skip(f"{algorithm} does not host named registers")
     sim = _sim(algorithm, mode, behavior)
     # A table applies the behaviour per key; a bare server's process does.
     _, table_behavior, outer_behavior, _ = sim["s000"]
@@ -147,8 +198,6 @@ def test_builders_host_the_same_servers(algorithm, mode, behavior):
         assert (table_behavior, outer_behavior) == (None, carried)
     else:
         assert (table_behavior, outer_behavior) == (carried, None)
-    if not spec.runtime_ok:
-        return
     assert _local(algorithm, mode, behavior) == sim
     if mode != "namespaced":  # a spec names registers only via a keyspace
         assert _spec(algorithm, mode, behavior) == sim
@@ -198,14 +247,21 @@ def dead_code_lint():
 
 def test_lint_allows_each_builder_in_one_module_only(dead_code_lint):
     modules = {
-        "fleet.py": ast.parse("ctx = ServerContext(1)\nRegisterTable(pid)\n"),
+        "fleet.py": ast.parse(
+            "ctx = ServerContext(1)\nRegisterTable(pid)\n"
+            "op = NamespacedOperation(key, spec.make_read(OpContext(1)))\n"),
         "cluster.py": ast.parse(
             "node = RegisterServerNode(pid)\n"
             "hint = ServerContext  # a name, not a call\n"),
     }
     assert dead_code_lint.builder_findings(modules) == []
     modules["spec.py"] = ast.parse("ctx = protocols.ServerContext(2)\n")
+    modules["client.py"] = ast.parse(
+        "op = core.NamespacedOperation(key, spec.make_write(OpContext(2)))\n")
     findings = dead_code_lint.builder_findings(modules)
-    assert len(findings) == 1
-    assert findings[0].startswith("ServerContext( is called from 2 modules")
-    assert "fleet.py" in findings[0] and "spec.py" in findings[0]
+    assert [finding.split("(")[0] for finding in findings] == [
+        "NamespacedOperation", "OpContext", "ServerContext"]
+    for finding, second in zip(findings, ("client.py", "client.py",
+                                          "spec.py")):
+        assert " is called from 2 modules" in finding
+        assert "fleet.py" in finding and second in finding

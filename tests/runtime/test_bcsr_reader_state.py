@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.namespace import DEFAULT_REGISTER
 from repro.runtime import LocalCluster
 from repro.runtime import client as client_module
 
@@ -75,6 +76,32 @@ def test_reader_states_are_evicted_by_bytes_held(monkeypatch):
             before = reader.stats()["decode_memo_misses"]
             assert await reader.read(register=registers[0]) == values[registers[0]]
             assert reader.stats()["decode_memo_misses"] == before + 1
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+def test_a_single_register_clients_state_is_weighed_like_any_key():
+    """A plain fleet's one register keeps its state in the same bounded
+    table as a keyed client's, under ``DEFAULT_REGISTER`` whatever name
+    an operation gives (and its writes share one write lock)."""
+    async def scenario():
+        cluster = LocalCluster("bcsr", f=1, n=8)
+        await cluster.start()
+        try:
+            writer, reader = cluster.client("w000"), cluster.client("r000")
+            await writer.connect()
+            await reader.connect()
+            value = random.Random(7).randbytes(65536)
+            await writer.write(value, register="any-name")
+            assert await reader.read() == value
+            assert await reader.read(register="other-name") == value
+            [(register, state)] = reader._register_states.items()
+            assert register == DEFAULT_REGISTER
+            assert reader._state_bytes == state.held_bytes() > len(value)
+            assert reader.stats()["decode_memo_hits"] == 1
+            assert list(writer._write_locks) == [DEFAULT_REGISTER]
         finally:
             await cluster.stop()
 

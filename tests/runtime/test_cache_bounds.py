@@ -43,9 +43,10 @@ def test_write_locks_and_reader_states_are_bounded(monkeypatch):
         await cluster.start()
         try:
             client = cluster.client("c-bounds")
+            await client.connect()
             for i in range(100):
                 client._write_lock_for(key_name(i))
-                client._reader_state_for(key_name(i))
+                await client.read(register=key_name(i))
             assert len(client._write_locks) <= 8
             assert len(client._register_states) <= 8
         finally:

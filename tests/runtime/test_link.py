@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.deploy import ClusterSpec
-from repro.runtime import AsyncRegisterClient, LocalCluster
+from repro.runtime import LocalCluster
 from repro.runtime.link import PEER_QUEUE_LIMIT, Link
 from repro.transport.codec import (
     MAX_FRAME_BYTES,
@@ -85,9 +85,8 @@ async def make_link(owner):
     """An established link as ``owner`` builds it -> (link, owner object)."""
     if owner == "client":
         addresses = {pid: ("127.0.0.1", 1) for pid in SPEC.node_ids}
-        client = AsyncRegisterClient("w000", addresses, 1,
-                                     SPEC.authenticator(),
-                                     backoff_base=0.05, backoff_max=1.0)
+        client = SPEC.client("w000", addresses=addresses,
+                             backoff_base=0.05, backoff_max=1.0)
         link = client._link("s000")
         assert await link.dial()
         return link, client

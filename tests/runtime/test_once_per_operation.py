@@ -15,7 +15,9 @@ from repro.core.messages import DataReply, QueryData, Throttled
 from repro.core.namespace import NamespacedMessage
 from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
-from repro.runtime import AsyncRegisterClient, LocalCluster
+from repro.protocols.fleet import Fleet
+from repro.runtime import LocalCluster
+from repro.runtime.cluster import make_client
 from repro.sharding import KeyspaceConfig
 from repro.transport.codec import frame_burst
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
@@ -31,10 +33,9 @@ KEY = "users/42"
 async def keyed_client(**kwargs):
     """A namespaced client with an established (fake) link per server."""
     addresses = {pid: ("127.0.0.1", 1) for pid in SPEC.node_ids}
-    client = AsyncRegisterClient("r000", addresses, 1, SPEC.authenticator(),
-                                 namespaced=True, timeout=5.0,
-                                 backoff_base=0.01, backoff_max=0.05,
-                                 **kwargs)
+    client = make_client(Fleet.build("bsr", f=1, namespaced=True), "r000",
+                         addresses, SPEC.secret_bytes, timeout=5.0,
+                         backoff_base=0.01, backoff_max=0.05, **kwargs)
     assert await client.connect() == len(addresses)
     return client
 

@@ -17,7 +17,7 @@ from repro.core.messages import DataReply, QueryData, TagReply
 from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
 from repro.deploy.serve import health_ping, stats_ping
-from repro.runtime import AsyncRegisterClient, LocalCluster
+from repro.runtime import LocalCluster
 from repro.transport.codec import frame_burst, read_frame, write_frame
 from repro.transport.codec2 import (
     MAGIC_V2,
@@ -265,9 +265,8 @@ BODY = b"b" * 4000
 async def reading_client():
     """A client with fake links and one read in flight -> (client, op_id)."""
     addresses = {pid: ("127.0.0.1", 1) for pid in SPEC.node_ids}
-    client = AsyncRegisterClient("r000", addresses, 1, SPEC.authenticator(),
-                                 timeout=5.0, backoff_base=0.01,
-                                 backoff_max=0.05)
+    client = SPEC.client("r000", addresses=addresses, timeout=5.0,
+                         backoff_base=0.01, backoff_max=0.05)
     assert await client.connect() == 5
     read = asyncio.get_running_loop().create_task(client.read())
     await until(lambda: client._dispatcher.inflight == 1)

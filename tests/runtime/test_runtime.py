@@ -5,8 +5,9 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigurationError, LivenessError
-from repro.runtime import AsyncRegisterClient, LocalCluster
-from repro.transport.auth import Authenticator, KeyChain
+from repro.protocols.fleet import Fleet
+from repro.runtime import LocalCluster
+from repro.runtime.cluster import make_client
 
 
 def run(coro):
@@ -129,11 +130,8 @@ def test_wrong_secret_client_is_ignored():
         cluster = LocalCluster("bsr", f=1, secret=b"right")
         await cluster.start()
         try:
-            rogue = AsyncRegisterClient(
-                "w666", cluster.addresses, 1,
-                Authenticator(KeyChain.from_secret(b"wrong")),
-                algorithm="bsr", timeout=0.5,
-            )
+            rogue = make_client(cluster.fleet, "w666", cluster.addresses,
+                                b"wrong", timeout=0.5)
             await rogue.connect()
             with pytest.raises(LivenessError):
                 await rogue.write(b"forged")
@@ -148,9 +146,7 @@ def test_unsupported_algorithm_rejected():
     with pytest.raises(ConfigurationError):
         LocalCluster("no-such-algo", f=1)
     with pytest.raises(ConfigurationError):
-        AsyncRegisterClient("c", {}, 1,
-                            Authenticator(KeyChain.from_secret(b"s")),
-                            algorithm="no-such-algo")
+        Fleet.build("no-such-algo")
 
 
 def test_cluster_rejects_below_bound():

@@ -22,7 +22,9 @@ from repro.core.operation import next_op_id
 from repro.core.tags import TAG_ZERO, Tag
 from repro.deploy import ClusterSpec
 from repro.errors import OperationAborted
-from repro.runtime import AsyncRegisterClient, LocalCluster
+from repro.protocols.fleet import Fleet
+from repro.runtime import LocalCluster
+from repro.runtime.cluster import make_client
 from repro.runtime.client import HEDGE_FLOOR
 from repro.runtime.dispatch import ROTATION_RUN, OpState, split_group
 from repro.transport.codec import frame_burst
@@ -30,7 +32,8 @@ from repro.transport.codec2 import decode_message_v2, encode_message_v2
 from tests.runtime.fake_io import deliver
 from tests.runtime.test_link import Dialer, FakeOperation, run, until
 
-AUTH = ClusterSpec(algorithm="bsr", f=1).authenticator()
+SPEC = ClusterSpec(algorithm="bsr", f=1)
+AUTH = SPEC.authenticator()
 SERVERS = [f"s{i:03d}" for i in range(5)]
 
 
@@ -56,8 +59,8 @@ async def fake_client(algorithm="bsr", n=5, **kwargs):
     addresses = {f"s{i:03d}": ("127.0.0.1", 1) for i in range(n)}
     kwargs.setdefault("backoff_base", 0.5)
     kwargs.setdefault("backoff_max", 0.5)
-    client = AsyncRegisterClient("c000", addresses, 1, AUTH,
-                                 algorithm=algorithm, timeout=5.0, **kwargs)
+    client = make_client(Fleet.build(algorithm, f=1, n=n), "c000",
+                         addresses, SPEC.secret_bytes, timeout=5.0, **kwargs)
     assert await client.connect() == n
     return client, dict(zip(sorted(addresses), dialer.transports))
 

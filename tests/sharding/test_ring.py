@@ -86,8 +86,6 @@ def test_adding_a_node_moves_a_minority_of_singleton_groups():
 
 def test_config_floor_per_algorithm():
     for spec in specs():
-        if not spec.namespaced_ok:
-            continue
         floor = spec.min_servers(1)
         KeyspaceConfig(group_size=floor).validate(spec.name, 1, floor)
         with pytest.raises(ConfigurationError):

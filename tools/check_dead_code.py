@@ -22,12 +22,13 @@ Ways dead or duplicate code hides in a package, all cheap to detect:
   ``sock.recv(256 KiB)``: a fresh allocation above the mmap threshold,
   two page faults, per read;
 * a second module under ``src/repro/`` calling one of the deployment
-  builders (``ServerContext``, ``RegisterTable``, ``make_behavior``,
-  ``RegisterServerNode``, ``AsyncRegisterClient``).  What a server hosts
-  is decided in one place (``protocols/fleet.py``), and nodes and clients
-  are made in one place (``runtime/cluster.py``); a second caller is a
-  second recipe, which is how the simulator and the two runtime builders
-  once drifted apart.
+  builders (``ServerContext``, ``OpContext``, ``NamespacedOperation``,
+  ``RegisterTable``, ``make_behavior``, ``RegisterServerNode``,
+  ``AsyncRegisterClient``).  What a server hosts and how a client
+  operation is built are decided in one place (``protocols/fleet.py``),
+  and nodes and clients are made in one place (``runtime/cluster.py``);
+  a second caller is a second recipe, which is how the simulator and the
+  runtime builders once drifted apart.
 
 Exit status is the number of findings (0 == clean).
 """
@@ -48,8 +49,9 @@ BANNED_IO_NAMES = {"start_server", "open_connection", "StreamReader",
                    "StreamWriter", "drain", "data_received", "Protocol"}
 
 #: Constructors each called from at most one module under ``src/repro/``.
-BUILDERS = ("ServerContext", "RegisterTable", "make_behavior",
-            "RegisterServerNode", "AsyncRegisterClient")
+BUILDERS = ("ServerContext", "OpContext", "NamespacedOperation",
+            "RegisterTable", "make_behavior", "RegisterServerNode",
+            "AsyncRegisterClient")
 
 #: Where a reference to an exported name may live.
 REFERENCE_DIRS = ("src", "tests", "bench", "benchmarks", "examples",

@@ -44,7 +44,7 @@ def main() -> int:
 
     # The four independent derivation paths.
     deploy = {key: spec.locate(key) for key in keys}
-    client = spec.client("lint-client").placement
+    client = spec.client("lint-client").fleet.placement
     simulator = RegisterSystem("bsr", f=spec.f, n=spec.n,
                                keyspace=config).fleet.placement
     reloaded = ClusterSpec.from_dict(spec.to_dict())
