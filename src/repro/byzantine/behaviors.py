@@ -19,11 +19,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.core.messages import (
+    DataHeld,
     DataReply,
     HistoryReply,
     PutAck,
     PutData,
     QueryData,
+    QueryDataHeld,
     QueryHistory,
     QueryTag,
     QueryTagHistory,
@@ -154,7 +156,13 @@ class CorruptValueBehavior(Behavior):
     def on_message(self, server, sender, message, correct_replies):
         corrupted: List[Envelope] = []
         for dest, reply in correct_replies:
-            if isinstance(reply, DataReply):
+            if isinstance(reply, DataHeld):
+                # Eliding the value would hide it from corruption: send
+                # the held pair in full, corrupted.
+                latest = server.latest
+                reply = DataReply(op_id=reply.op_id, tag=latest.tag,
+                                  payload=self._corrupt(latest.value))
+            elif isinstance(reply, DataReply):
                 reply = DataReply(op_id=reply.op_id, tag=reply.tag,
                                   payload=self._corrupt(reply.payload))
             elif isinstance(reply, ValueReply):
@@ -168,6 +176,24 @@ class CorruptValueBehavior(Behavior):
                 )
             corrupted.append((dest, reply))
         return corrupted
+
+
+class ClaimHeldBehavior(Behavior):
+    """Answers every conditional read with :class:`DataHeld`, whatever it
+    stores.
+
+    The lie "I still hold the pair you named" costs the server nothing to
+    tell: it vouches for a pair the reader adopted with ``f + 1``
+    witnesses, i.e. genuine written data, never a value it made up -- the
+    same lie as replaying an old pair in full, sent without the bytes.
+    """
+
+    name = "claim_held"
+
+    def on_message(self, server, sender, message, correct_replies):
+        if isinstance(message, QueryDataHeld):
+            return [(sender, DataHeld(op_id=message.op_id))]
+        return correct_replies
 
 
 class HistoryReplayBehavior(Behavior):
@@ -306,6 +332,7 @@ BEHAVIOR_REGISTRY = {
     "forge_tag": ForgeTagBehavior,
     "history_replay": HistoryReplayBehavior,
     "corrupt_value": CorruptValueBehavior,
+    "claim_held": ClaimHeldBehavior,
     "equivocate": EquivocateBehavior,
     "multi_reply": MultiReplyBehavior,
     "flip_flop": FlipFlopBehavior,

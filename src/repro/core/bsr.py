@@ -14,6 +14,15 @@ Faithful implementation of Figures 1-3:
   falls back to the last value it ever returned (initially ``v0``) when no
   pair qualifies.
 
+*Conditional reads* (an extension, not in the paper): a reader that
+already holds a pair above ``TAG_ZERO`` names its tag in the query, and a
+server whose newest tag is that tag answers :class:`DataHeld` without the
+value.  The read counts each such reply as a reply of the pair it named.
+That is exact: the pair was returned with ``f + 1`` witnesses, so a
+correct writer wrote it, and a tag names one value, so every correct
+server holding the tag holds that value; a Byzantine ``DataHeld`` only
+replays a genuine pair, which that server could have sent in full.
+
 Resilience: ``n >= 4f + 1`` (validated at construction; Theorems 2 and 5).
 """
 
@@ -23,10 +32,12 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.messages import (
+    DataHeld,
     DataReply,
     PutAck,
     PutData,
     QueryData,
+    QueryDataHeld,
     QueryTag,
     TagReply,
     stored_size,
@@ -115,6 +126,8 @@ class BSRServer:
 
     def _get_data_resp(self, sender: ProcessId, message: QueryData) -> List[Envelope]:
         latest = self.latest
+        if type(message) is QueryDataHeld and message.tag == latest.tag:
+            return [(sender, DataHeld(op_id=message.op_id))]
         return [(sender, DataReply(op_id=message.op_id, tag=latest.tag,
                                    payload=latest.value))]
 
@@ -183,6 +196,8 @@ class BSRReaderState:
 
     def __init__(self, initial_value: Any = b"") -> None:
         self.local = TaggedValue(TAG_ZERO, initial_value)
+        #: :class:`DataHeld` replies reads counted since :meth:`take_held`.
+        self.held_replies = 0
 
     def update(self, candidate: TaggedValue) -> None:
         """Adopt ``candidate`` if it carries a strictly higher tag."""
@@ -192,6 +207,11 @@ class BSRReaderState:
     def held_bytes(self) -> int:
         """What the owner of many states weighs against its byte bound."""
         return stored_size(self.local.value)
+
+    def take_held(self) -> int:
+        """:class:`DataHeld` replies counted since the last call."""
+        held, self.held_replies = self.held_replies, 0
+        return held
 
 
 class BSRReadOperation(ClientOperation):
@@ -205,6 +225,12 @@ class BSRReadOperation(ClientOperation):
     window in which Theorem-3-style scatter can starve later reads.
     Safety is unaffected: the repaired pair has ``f + 1`` witnesses, so it
     is genuine written data under its original tag.
+
+    The query names the reader's ``local`` pair as it stood at
+    :meth:`start` (see the module docstring), and a :class:`DataHeld`
+    stands for that captured pair even if an overlapping read of the same
+    reader has moved ``local`` on since: the server compared against the
+    tag this query named, not whatever the reader holds now.
     """
 
     kind = "read"
@@ -218,17 +244,32 @@ class BSRReadOperation(ClientOperation):
         self.reader_state = reader_state if reader_state is not None else BSRReaderState()
         self.repair = repair
         self._replies = ReplyCollector(self.servers)
+        #: The reply a :class:`DataHeld` stands for: the pair the query
+        #: named, captured at start (``None`` when it named none).
+        self._held: Optional[DataReply] = None
 
     def start(self) -> List[Envelope]:
         self.rounds = 1
+        local = self.reader_state.local
+        if local.tag != TAG_ZERO:  # local never falls below TAG_ZERO
+            self._held = DataReply(op_id=self.op_id, tag=local.tag,
+                                   payload=local.value)
+            return self.broadcast(QueryDataHeld(op_id=self.op_id,
+                                                tag=local.tag))
         return self.broadcast(QueryData(op_id=self.op_id))
 
     def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if self.done or not self.accepts(message) or not isinstance(message, DataReply):
+        if self.done or not self.accepts(message):
             return []
-        if not isinstance(message.tag, Tag):
-            return []  # malformed Byzantine reply
-        self._replies.add(sender, message)
+        if isinstance(message, DataReply):
+            if not isinstance(message.tag, Tag):
+                return []  # malformed Byzantine reply
+            self._replies.add(sender, message)
+        elif isinstance(message, DataHeld) and self._held is not None:
+            if self._replies.add(sender, self._held):
+                self.reader_state.held_replies += 1
+        else:
+            return []
         if len(self._replies) >= self.quorum:
             return self._finish()
         return []

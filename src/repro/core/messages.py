@@ -137,6 +137,28 @@ class DataReply(BaseMessage):
         return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
 
 
+@dataclass(frozen=True)
+class QueryDataHeld(QueryData):
+    """``QUERY-DATA`` naming the tag of the pair the reader already holds.
+
+    An extension (not in the paper): a server whose newest tag is ``tag``
+    may answer with :class:`DataHeld` instead of repeating the value.
+    It subclasses :class:`QueryData`, so every server and behaviour that
+    answers a ``QUERY-DATA`` answers this one too.
+    """
+
+    tag: Tag
+
+    def wire_size(self) -> int:
+        return HEADER_BYTES + TAG_BYTES
+
+
+@dataclass(frozen=True)
+class DataHeld(BaseMessage):
+    """Answer to :class:`QueryDataHeld`: the server's newest pair is the
+    one the query named, so the reply carries neither tag nor value."""
+
+
 # --------------------------------------------------------------------------
 # Regular-register extensions (Section III-C)
 # --------------------------------------------------------------------------

@@ -121,9 +121,12 @@ class NamespacedOperation:
     def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
         """Unwrap a namespaced reply and feed it to the wrapped operation.
 
-        Replies for other registers (or bare messages) are ignored -- a
-        Byzantine server cannot cross-wire two registers because the reader
-        only accepts replies tagged for the register it asked about.
+        Replies for other registers (or bare messages) are ignored.  That
+        stops a correct server's reply that reached the wrong operation;
+        it does not stop a Byzantine server, which can tag a reply with
+        any register it likes.  What defeats that server is the wrapped
+        operation's witness counting: its reply is one voice among the
+        ``f + 1`` a pair needs.
         """
         if not isinstance(message, NamespacedMessage):
             return []

@@ -330,6 +330,7 @@ PHASE_BY_MESSAGE = {
     "QueryTag": "get-tag",
     "PutData": "put-data",
     "QueryData": "get-data",
+    "QueryDataHeld": "get-data",
 }
 
 #: algorithm -> {"write": {round: phase}, "read": {round: phase}},

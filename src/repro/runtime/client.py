@@ -189,7 +189,7 @@ class AsyncRegisterClient:
                          "send_batches", "connections_pruned", "recv_calls",
                          "decode_memo_hits", "decode_memo_misses",
                          "reply_decodes", "reply_decodes_shared",
-                         "delta_expanded", "delta_resets")
+                         "delta_expanded", "delta_resets", "replies_held")
         }
         self._hedges = {
             cause: self.registry.counter("client_hedges_total",
@@ -719,7 +719,11 @@ class AsyncRegisterClient:
     def _settle(self, register: str, state: Any,
                 servers: Sequence[ProcessId]) -> None:
         """After a read: fold the state's counters, re-weigh what it holds."""
-        if hasattr(state, "take_counts"):
+        if hasattr(state, "take_held"):
+            held = state.take_held()
+            if held:
+                self._counters["replies_held"].inc(held)
+        elif hasattr(state, "take_counts"):
             hits, misses, located = state.take_counts()
             self._counters["decode_memo_hits"].inc(hits)
             self._counters["decode_memo_misses"].inc(misses)

@@ -393,13 +393,15 @@ class RegisterServerNode:
         """``(host, port)`` of the bound listener."""
         return (self.host, self.port)
 
-    def _note_repeat(self, sender: ProcessId, message: Any) -> bool:
+    def _note_repeat(self, key: tuple) -> bool:
         """Count frames the node has already seen (client re-sends).
 
-        Returns whether this frame was a repeat, so the flight recorder
-        can tag re-served operations in stitched timelines.
+        ``key`` is ``(sender, op_id, message class)``, plus the register
+        for a namespaced frame, whose class is the inner message's: the
+        wrapper class alone would make a write's put-data repeat its
+        get-tag.  Returns whether this frame was a repeat, so the flight
+        recorder can tag re-served operations in stitched timelines.
         """
-        key = (sender, message.op_id, type(message))
         recent = self._recent_frames
         if key in recent:
             recent.move_to_end(key)
@@ -538,7 +540,17 @@ class RegisterServerNode:
                     "repeat": False,
                 })
             return False
-        repeated = self._note_repeat(sender, message)
+        # Namespaced wrappers are keyed and bucketed by their *inner*
+        # class: the phase depends only on the inner message type, so
+        # keyed traffic caches one histogram per protocol message class.
+        inner = getattr(message, "inner", None)
+        if inner is None:
+            cls = type(message)
+            repeated = self._note_repeat((sender, message.op_id, cls))
+        else:
+            cls = type(inner)
+            repeated = self._note_repeat(
+                (sender, message.op_id, cls, message.register))
         started = loop.time()
         # A put that stores a pair makes it the newest (a full bounded
         # history keeps its length), so "mutated" is a new newest pair.
@@ -558,12 +570,6 @@ class RegisterServerNode:
             self._route_envelopes(sender, envelopes, replies, pending)
         mutated = (history is not None
                    and self.protocol.history[-1] is not newest_before)
-        # Key the histogram cache by the *inner* class for namespaced
-        # wrappers: the phase depends only on the inner message type, so
-        # keyed traffic caches one entry per protocol message class
-        # instead of re-resolving the phase on every frame.
-        inner = getattr(message, "inner", None)
-        cls = type(message) if inner is None else type(inner)
         hist = self._hist_by_cls.get(cls)
         if hist is None:
             phase = self._frame_phase(message)

@@ -5,6 +5,7 @@ import pytest
 from repro.byzantine.behaviors import (
     BEHAVIOR_REGISTRY,
     Behavior,
+    ClaimHeldBehavior,
     CorruptValueBehavior,
     EquivocateBehavior,
     FlipFlopBehavior,
@@ -18,9 +19,11 @@ from repro.byzantine.behaviors import (
 )
 from repro.core.bsr import BSRServer
 from repro.core.messages import (
+    DataHeld,
     DataReply,
     PutData,
     QueryData,
+    QueryDataHeld,
     QueryTag,
     TagReply,
 )
@@ -110,6 +113,31 @@ def test_corrupt_value_flips_bytes(server):
     assert reply.tag == server.max_tag  # tag untouched
 
 
+def test_corrupt_value_sends_an_elided_reply_in_full_and_corrupted(server):
+    behavior = CorruptValueBehavior(xor_mask=0xFF)
+    message = QueryDataHeld(op_id=5, tag=server.max_tag)
+    replies = correct_replies(server, "r0", message)
+    assert replies == [("r0", DataHeld(op_id=5))]  # what it would elide
+    [(dest, reply)] = behavior.on_message(server, "r0", message, replies)
+    assert dest == "r0"
+    assert reply == DataReply(op_id=5, tag=server.max_tag,
+                              payload=bytes(b ^ 0xFF for b in b"v2"))
+
+
+def test_claim_held_answers_every_held_query_whatever_it_stores(server):
+    behavior = make_behavior("claim_held")
+    assert isinstance(behavior, ClaimHeldBehavior)
+    for named in (server.max_tag, Tag(1, "w000"), Tag(99, "w009")):
+        message = QueryDataHeld(op_id=6, tag=named)
+        assert behavior.on_message(
+            server, "r0", message, correct_replies(server, "r0", message)
+        ) == [("r0", DataHeld(op_id=6))]
+    # Anything else it answers honestly.
+    for message in (QueryData(op_id=7), QueryTag(op_id=8)):
+        replies = correct_replies(server, "r0", message)
+        assert behavior.on_message(server, "r0", message, replies) == replies
+
+
 def test_corrupt_value_handles_coded_elements(server):
     behavior = CorruptValueBehavior(xor_mask=0x01)
     original = DataReply(op_id=5, tag=Tag(1, "w"),
@@ -194,6 +222,7 @@ def test_registry_and_factory():
     assert set(BEHAVIOR_REGISTRY) >= {
         "honest", "silent", "stale", "forge_tag", "history_replay",
         "corrupt_value", "equivocate", "multi_reply", "flip_flop", "random",
+        "claim_held",
     }
     assert isinstance(make_behavior("stale"), StaleBehavior)
     assert isinstance(make_behavior("forge_tag", boost=5), ForgeTagBehavior)

@@ -13,10 +13,12 @@ from repro.core.bsr import (
     BSRWriteOperation,
 )
 from repro.core.messages import (
+    DataHeld,
     DataReply,
     PutAck,
     PutData,
     QueryData,
+    QueryDataHeld,
     QueryTag,
     TagReply,
 )
@@ -251,3 +253,124 @@ def test_read_ignores_malformed_tag():
     op.start()
     op.on_reply(SERVERS[0], data_reply(op, "garbage-tag", b"x"))
     assert len(op._replies) == 0
+
+
+# -- conditional reads (extension) ---------------------------------------------
+
+def test_server_elides_only_when_its_newest_tag_is_the_named_one():
+    server = BSRServer("s000", max_history=None)
+    older, newest = Tag(1, "w000"), Tag(2, "w001")
+    server.handle("w000", PutData(op_id=1, tag=older, payload=b"old"))
+    server.handle("w001", PutData(op_id=2, tag=newest, payload=b"new"))
+    [(dest, held)] = server.handle("r000", QueryDataHeld(op_id=3, tag=newest))
+    assert dest == "r000" and held == DataHeld(op_id=3)
+    # Stored but not newest, never stored, or not named: the full pair.
+    for query in (QueryDataHeld(op_id=4, tag=older),
+                  QueryDataHeld(op_id=5, tag=Tag(3, "w000")),
+                  QueryDataHeld(op_id=6, tag=Tag(2, "w000")),
+                  QueryData(op_id=7)):
+        [(_, reply)] = server.handle("r000", query)
+        assert reply == DataReply(op_id=query.op_id, tag=newest,
+                                  payload=b"new")
+
+
+def serve(servers, envelopes):
+    """Deliver ``envelopes`` to ``servers`` -> ``[(server, reply)]``."""
+    return [(dest, reply) for dest, message in envelopes
+            for _, reply in servers[dest].handle("r000", message)]
+
+
+def write_everywhere(servers, tag, value):
+    for server in servers.values():
+        server.handle(tag.writer, PutData(op_id=0, tag=tag, payload=value))
+
+
+def read_from(servers, state):
+    """One read against every server; replies fed in server order."""
+    op = BSRReadOperation("r000", SERVERS, F, reader_state=state)
+    replies = serve(servers, op.start())
+    for sender, reply in replies:
+        op.on_reply(sender, reply)
+    assert op.done
+    return op, [reply for _, reply in replies]
+
+
+def test_a_read_of_an_unchanged_key_returns_the_value_with_held_replies():
+    servers = {sid: BSRServer(sid, max_history=1) for sid in SERVERS}
+    state = BSRReaderState(b"v0")
+    tag = Tag(1, "w000")
+    write_everywhere(servers, tag, b"value")
+    first, replies = read_from(servers, state)
+    assert first.result == b"value"
+    assert all(type(r) is DataReply for r in replies)  # named no pair yet
+    assert state.take_held() == 0
+    second, replies = read_from(servers, state)
+    assert all(type(r) is DataHeld for r in replies)
+    assert second.result == b"value" and second.result_tag == tag
+    assert state.take_held() == len(SERVERS) - F  # the quorum, no more
+    assert state.take_held() == 0
+
+
+def test_a_read_after_a_write_gets_full_replies():
+    servers = {sid: BSRServer(sid, max_history=1) for sid in SERVERS}
+    state = BSRReaderState(b"v0")
+    write_everywhere(servers, Tag(1, "w000"), b"first")
+    read_from(servers, state)
+    newer = Tag(2, "w001")
+    write_everywhere(servers, newer, b"second")
+    op, replies = read_from(servers, state)
+    assert replies == [DataReply(op_id=op.op_id, tag=newer, payload=b"second")
+                       ] * len(SERVERS)
+    assert op.result == b"second" and state.take_held() == 0
+
+
+def test_held_replies_need_a_named_pair_and_count_once_per_server():
+    state = BSRReaderState(b"v0")
+    fresh = BSRReadOperation("r000", SERVERS, F, reader_state=state)
+    # TAG_ZERO names nothing.
+    assert all(type(query) is QueryData for _, query in fresh.start())
+    for sid in SERVERS:
+        fresh.on_reply(sid, DataHeld(op_id=fresh.op_id))
+    assert not fresh.done  # a DataHeld to an unnamed query means nothing
+    state.update(TaggedValue(Tag(4, "w000"), b"kept"))
+    op = BSRReadOperation("r000", SERVERS, F, reader_state=state)
+    assert all(q == QueryDataHeld(op_id=op.op_id, tag=Tag(4, "w000"))
+               for _, q in op.start())
+    for _ in range(3):
+        op.on_reply(SERVERS[0], DataHeld(op_id=op.op_id))
+    op.on_reply(SERVERS[1], DataHeld(op_id=op.op_id + 1))  # someone else's
+    assert len(op._replies) == 1
+    for sid in SERVERS[1:4]:
+        op.on_reply(sid, DataHeld(op_id=op.op_id))
+    assert op.done and op.result == b"kept"
+    assert state.take_held() == 4
+
+
+def test_an_overlapping_read_substitutes_the_pair_it_captured():
+    """Two reads of one register by one reader overlap; the later one
+    finishes first and moves ``local`` on.  The earlier one's DataHeld
+    replies still stand for the pair *its* query named."""
+    servers = {sid: BSRServer(sid, max_history=1) for sid in SERVERS}
+    state = BSRReaderState(b"v0")
+    old, new = Tag(1, "w000"), Tag(2, "w001")
+    write_everywhere(servers, old, b"old")
+    read_from(servers, state)
+    assert state.local == TaggedValue(old, b"old")
+
+    earlier = BSRReadOperation("r000", SERVERS, F, reader_state=state,
+                               repair=True)
+    held = serve(servers, earlier.start())  # answered before the write
+    write_everywhere(servers, new, b"new")
+    later, _ = read_from(servers, state)
+    assert later.result == b"new"
+    assert state.local == TaggedValue(new, b"new")
+
+    follow_ups = []
+    for sender, reply in held:
+        assert type(reply) is DataHeld
+        follow_ups += earlier.on_reply(sender, reply)
+    assert earlier.done
+    # Four witnesses of the captured pair, never of the live one: the
+    # repair pushes back what the servers vouched for.
+    assert {(m.tag, m.payload) for _, m in follow_ups} == {(old, b"old")}
+    assert earlier.result == b"new"  # the reader never goes back

@@ -9,14 +9,22 @@ every safety argument leans on, independent of any schedule:
 2. with at most f arbitrary ("Byzantine") replies injected, a pair that
    f + 1 honest servers reported can never lose to a *fabricated* pair;
 3. the reader's cached tag never decreases across reads.
+
+A seeded simulation property covers conditional reads: a correct
+server's ``DataHeld`` always stands for the pair it stores.
 """
 
+import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.consistency import check_safety
 from repro.core.bsr import BSRReadOperation, BSRReaderState
-from repro.core.messages import DataReply
+from repro.core.messages import DataHeld, DataReply, QueryDataHeld
+from repro.core.register import RegisterSystem
+from repro.sim.delays import ExponentialDelay
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.types import server_id
 
@@ -91,3 +99,43 @@ def test_cached_tag_is_monotone_across_reads(reply_lists):
         run_read(reply_list, state)
         assert state.local.tag >= previous
         previous = state.local.tag
+
+
+# -- conditional reads in seeded simulations -----------------------------------
+
+@pytest.mark.parametrize("seed", range(8))
+def test_every_held_reply_of_a_correct_server_is_the_pair_it_stores(seed):
+    """Random schedules, random delays, one Byzantine server: whenever a
+    correct server answers :class:`DataHeld`, the pair the read will
+    count for it is exactly the pair that server stores right then."""
+    rng = random.Random(seed)
+    behavior = ("claim_held", "stale", "corrupt_value", "honest")[seed % 4]
+    system = RegisterSystem("bsr", f=F, seed=seed, num_writers=2,
+                            num_readers=2, byzantine={0: behavior},
+                            delay_model=ExponentialDelay(mean=1.0))
+    for index in range(30):
+        at = rng.uniform(0.0, 60.0)
+        if rng.random() < 0.3:
+            system.write(b"v%d-%d" % (seed, index), writer=rng.randrange(2),
+                         at=at)
+        else:
+            system.read(reader=rng.randrange(2), at=at)
+    named = {}  # op_id -> the pair its query named
+
+    def tap(src, dst, message):
+        if type(message) is QueryDataHeld and message.op_id not in named:
+            [read] = [h.operation for h in system.handles
+                      if h.operation is not None
+                      and h.operation.op_id == message.op_id]
+            named[message.op_id] = read.reader_state.local
+            assert read.reader_state.local.tag == message.tag
+        elif type(message) is DataHeld and src != SERVERS[0]:
+            assert system.server_protocols[src].latest == named[message.op_id]
+            held.append(message)
+
+    held = []
+    system.sim.network.add_tap(tap)
+    trace = system.run()
+    assert held, "the schedule never exercised a held reply"
+    assert all(handle.done for handle in system.handles)
+    assert check_safety(trace, initial_value=b"").ok

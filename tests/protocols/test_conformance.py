@@ -104,7 +104,8 @@ def test_concurrent_writers_stay_safe(algorithm):
 
 # -- Byzantine schedules (gated by the spec's fault model) ---------------------
 
-@pytest.mark.parametrize("behavior", ["silent", "stale", "forge_tag"])
+@pytest.mark.parametrize("behavior", ["silent", "stale", "forge_tag",
+                                      "claim_held"])
 @pytest.mark.parametrize("algorithm", BYZ)
 def test_byzantine_budget_is_tolerated(algorithm, behavior):
     """f misbehaving servers -- omission, stale replays, forged
@@ -116,6 +117,27 @@ def test_byzantine_budget_is_tolerated(algorithm, behavior):
     trace = system.run()
     assert read.done, f"{algorithm} read blocked by one {behavior} server"
     assert read.value == b"genuine"
+    assert check_safety(trace, initial_value=b"").ok
+
+
+@pytest.mark.parametrize("behavior", ["claim_held", "corrupt_value",
+                                      "history_replay"])
+@pytest.mark.parametrize("algorithm", BYZ)
+def test_a_reader_holding_a_pair_still_sees_the_next_write(algorithm,
+                                                           behavior):
+    """The reader already holds ``v1`` when ``v2`` is written, so a
+    conditional read names ``v1``: a server that claims to still hold it
+    (or replays it) is one voice, never the ``f + 1`` that keep the
+    reader on ``v1``."""
+    system = RegisterSystem(algorithm, f=1, seed=11,
+                            byzantine={0: behavior})
+    system.write(b"v1", writer=0, at=0.0)
+    first = system.read(reader=0, at=100.0)
+    system.write(b"v2", writer=1, at=200.0)
+    second = system.read(reader=0, at=300.0)
+    third = system.read(reader=0, at=400.0)
+    trace = system.run()
+    assert (first.value, second.value, third.value) == (b"v1", b"v2", b"v2")
     assert check_safety(trace, initial_value=b"").ok
 
 

@@ -304,3 +304,56 @@ def test_coded_replies_are_never_remembered():
             await cluster.stop()
 
     run(scenario())
+
+
+# -- a node counts a frame as retried only when it is one -----------------------
+
+def drop_after_serving(node):
+    """The next frame ``node`` serves gets no reply: its connection dies
+    right after, as if the reply were lost with it."""
+    serve = node._serve_frame
+
+    def serving(frame, replies, loop, received=None, connection=None):
+        node._serve_frame = serve  # one frame only
+        mutated = serve(frame, replies, loop, received, connection)
+        replies.clear()
+        connection.transport.abort()
+        return mutated
+
+    node._serve_frame = serving
+
+
+def test_keyed_writes_are_not_retried_frames_and_a_replayed_query_is():
+    async def scenario():
+        cluster = LocalCluster("bsr", f=1, namespaced=True)
+        await cluster.start()
+        try:
+            client = cluster.client("w000", backoff_base=0.02,
+                                    backoff_max=0.05)
+            await client.connect()
+
+            def retried():
+                return sum(cluster.registry.counter_value(
+                    "node_frames_retried_total", node=pid)
+                    for pid in cluster.server_ids)
+
+            for index in range(10):
+                await client.write(b"v%d" % index, register=KEY)
+            # A write's put-data is not a repeat of its get-tag.
+            assert retried() == 0
+            assert client.stats()["frames_resent"] == 0
+            # Two addressed servers take the read's query and lose the
+            # connection before answering: three replies are not a
+            # quorum, so the read waits for the links to come back and
+            # replay the query, which the servers see a second time.
+            hold_back("s004", cluster.server_ids)
+            for pid in ("s001", "s002"):
+                drop_after_serving(cluster.nodes[pid])
+            assert await client.read(register=KEY) == b"v9"
+            assert client.stats()["frames_resent"] >= 1
+            await until(
+                lambda: retried() == client.stats()["frames_resent"])
+        finally:
+            await cluster.stop()
+
+    run(scenario())

@@ -104,12 +104,20 @@ def test_repeat_bcsr_reads_carry_one_element_per_connection():
     run(scenario())
 
 
+#: Per repeat read and addressed server: (delta replies, DataHeld replies).
+#: A plain BSR reader names the pair it holds, so its repeat reads get
+#: no value to shrink; a history reader names none.
+REPEAT_REPLIES = {"bsr-history": (1, 0), "bsr": (0, 1)}
+
+
 @pytest.mark.parametrize("algorithm, value", [
     ("bsr-history", b"h" * 3000),  # III-C: replies carry the whole list L
     ("bsr", VALUE),
 ])
 def test_history_and_large_value_bsr_reads_shrink_too(algorithm, value,
                                                      unhedged):
+    deltas, held_replies = REPEAT_REPLIES[algorithm]
+
     async def scenario():
         async with Cluster(algorithm) as cluster:
             client = cluster.client("w000")
@@ -122,8 +130,9 @@ def test_history_and_large_value_bsr_reads_shrink_too(algorithm, value,
                 assert await client.read() == value
             asked = len(cluster.server_ids) - 1
             await until(lambda: node_counts(cluster, "replies_delta")
-                        == 3 * asked)
+                        == deltas * 3 * asked)
             assert node_counts(cluster, "replies_full") == asked
+            assert client.stats()["replies_held"] == held_replies * 3 * asked
             assert cluster.registry.counter_value(
                 "node_wire_frames_total", node=held) == 0
             assert client.stats()["delta_resets"] == 0

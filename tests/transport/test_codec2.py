@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import (
     BaseMessage,
+    DataHeld,
     DataReply,
     HealthAck,
     HealthPing,
@@ -24,6 +25,7 @@ from repro.core.messages import (
     PutAck,
     PutData,
     QueryData,
+    QueryDataHeld,
     QueryHistory,
     QueryTag,
     QueryTagHistory,
@@ -69,6 +71,8 @@ SAMPLES = {
     "QueryData": QueryData(op_id=5),
     "DataReply": DataReply(op_id=6, tag=TAG,
                            payload=CodedElement(2, b"\x00\xff coded")),
+    "QueryDataHeld": QueryDataHeld(op_id=29, tag=TAG),
+    "DataHeld": DataHeld(op_id=30),
     "QueryHistory": QueryHistory(op_id=7),
     "HistoryReply": HistoryReply(op_id=8, history=(
         TaggedValue(Tag(0, ""), b""), TaggedValue(TAG, b"v2"))),
@@ -136,6 +140,7 @@ ENCODED_SIZES = {
     "Rb2Send": 23, "Rb2Witness": 23, "StatsAck": 93, "StatsPing": 5,
     "TagHistoryReply": 17, "TagReply": 12, "Throttled": 23, "TraceAck": 136,
     "TraceDump": 10, "ValueReply": 13,
+    "QueryDataHeld": 12, "DataHeld": 5,
 }
 
 

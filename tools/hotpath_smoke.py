@@ -37,16 +37,32 @@ server), each correct server holds exactly one coded element -- the
 only one it ever answers from -- and the Byzantine one ``min(201, 128)``.
 Counts only, no timing.
 
+A seventh, held pass counts conditional reads over the in-memory pipes: a
+repeat keyed BSR read of an unchanged key writes ``n - f`` requests and
+gets ``n - f`` ``DataHeld`` replies, none carrying the value, while the
+first read after a write still gets full replies; and a BCSR read (whose
+reader names no pair) writes exactly as many bytes as it always did, op_ids
+pinned so the count is exact.  Counts only, no timing.
+
 Exit status: 0 on success, 1 on wrong results or a blown budget.
 """
 
 import asyncio
+import itertools
 import sys
 import time
 
+from repro.core import operation as operation_module
 from repro.core.bsr import BSRReadOperation, BSRServer
 from repro.core.keys import key_name
-from repro.core.messages import DataReply, PutData, QueryData, QueryTag
+from repro.core.messages import (
+    DataHeld,
+    DataReply,
+    PutData,
+    QueryData,
+    QueryDataHeld,
+    QueryTag,
+)
 from repro.core.namespace import NamespacedMessage, NamespacedOperation
 from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
@@ -403,6 +419,111 @@ def run_memory_pass():
             f"{want['s007']}")
 
 
+def _messages(wiring, direction, opened):
+    """``(payload, inner message)`` carried in ``direction`` since the
+    last call; forgets them."""
+    found = []
+    for pipes in getattr(wiring, direction).values():
+        for pipe in pipes:
+            for burst in pipe.carried:
+                for frame in FrameAssembler().feed(burst):
+                    for payload in opened(frame)[1]:
+                        message = decode_message_v2(payload)
+                        found.append(
+                            (payload, getattr(message, "inner", message)))
+            pipe.carried.clear()
+    return found
+
+
+async def _held_reads():
+    """Problem string of a keyed BSR client's conditional reads, or None."""
+    spec = ClusterSpec(algorithm="bsr", f=1, n=5, base_port=7000,
+                       keyspace={"group_size": 5})
+    auth = spec.authenticator()
+    wiring = Wiring(spec)
+    client = spec.client("w000", timeout=10.0)
+    await client.connect()
+    key, quorum = key_name(0), spec.n - spec.f
+    old, new = b"\x5a" * 64, b"\xa5" * 64
+    await client.write(old, register=key)
+    await client.read(register=key)  # the reader now holds ``old``
+    await client.write(new, register=key)
+    for expect, value in (("full", new), ("held", new)):
+        _messages(wiring, "up", auth.open_any)
+        _messages(wiring, "down", auth.open_any)
+        if await client.read(register=key) != value:
+            return "a keyed BSR read returned a wrong value"
+        await asyncio.sleep(0.01)  # surplus replies, if any, land
+        up = _messages(wiring, "up", auth.open_any)
+        down = _messages(wiring, "down", auth.open_any)
+        want = DataReply if expect == "full" else DataHeld
+        if (len(up) != quorum or len(down) != quorum
+                or any(type(m) is not QueryDataHeld for _, m in up)
+                or any(type(m) is not want for _, m in down)):
+            return (f"a {expect} read wrote {[type(m).__name__ for _, m in up]}"
+                    f" and got {[type(m).__name__ for _, m in down]}")
+        carrying = sum(value in bytes(payload) for payload, _ in down)
+        if carrying != (quorum if expect == "full" else 0):
+            return f"{carrying} replies of a {expect} read carried the value"
+    held = client.stats()["replies_held"]
+    await client.close()
+    if held != quorum:
+        return f"the client counted {held} held replies, want {quorum}"
+    return None
+
+
+#: Bytes a BCSR read at ``n = 6, f = 1`` of a 64 B value writes (requests,
+#: replies) with op_ids pinned to ``2**40 + 1`` onwards.
+BCSR_READ_BYTES = (312, 780)
+
+
+async def _bcsr_read_bytes():
+    spec = ClusterSpec(algorithm="bcsr", f=1, n=6, base_port=7000)
+    wiring = Wiring(spec)
+    client = spec.client("w000", timeout=10.0)
+    await client.connect()
+    value = bytes(range(64))
+    await client.write(value)
+
+    def carried(direction):
+        return sum(len(burst) for pipes in getattr(wiring, direction).values()
+                   for pipe in pipes for burst in pipe.carried)
+
+    before = carried("up"), carried("down")
+    if await client.read() != value:
+        return None
+    await asyncio.sleep(0.01)
+    await client.close()
+    return carried("up") - before[0], carried("down") - before[1]
+
+
+def _pinned(scenario):
+    """Run ``scenario`` with op_ids from ``2**40 + 1``: exact byte counts,
+    and a thrifty client's writes and reads all in one rotation run."""
+    counter = operation_module._op_counter
+    operation_module._op_counter = itertools.count((1 << 40) | 1)
+    try:
+        return asyncio.run(scenario())
+    finally:
+        operation_module._op_counter = counter
+
+
+def run_held_pass():
+    """Repeat BSR reads elide the value; BCSR reads move as many bytes."""
+    problem = _pinned(_held_reads)
+    if problem is not None:
+        print(f"hotpath-smoke: {problem}")
+        return None
+    got = _pinned(_bcsr_read_bytes)
+    if got != BCSR_READ_BYTES:
+        print(f"hotpath-smoke: a BCSR read wrote (requests, replies) = {got}"
+              f" bytes, want {BCSR_READ_BYTES}")
+        return None
+    return ("hotpath-smoke: held pass -- a repeat keyed BSR read writes 4 "
+            "requests and gets 4 DataHeld replies without the value; a "
+            f"BCSR read writes {BCSR_READ_BYTES} bytes as before")
+
+
 def main():
     elapsed = run_pass()
     coded = run_coded_pass()
@@ -410,13 +531,15 @@ def main():
     replies = run_reply_pass()
     thrifty = run_thrifty_pass()
     memory = run_memory_pass()
-    if None in (elapsed, coded, keyed, replies, thrifty, memory):
+    held = run_held_pass()
+    if None in (elapsed, coded, keyed, replies, thrifty, memory, held):
         return 1
     print(coded)
     print(keyed)
     print(replies)
     print(thrifty)
     print(memory)
+    print(held)
     status = "ok"
     if elapsed > BUDGET_SECONDS:
         status = f"BLOWN BUDGET ({BUDGET_SECONDS:.1f}s)"
