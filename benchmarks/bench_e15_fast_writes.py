@@ -16,8 +16,8 @@ from repro.core.bcsr import (
     BCSRFastWriteOperation,
     BCSRReadOperation,
     BCSRServer,
-    BCSRWriteOperation,
     WriterSequence,
+    coded_write,
     make_codec,
 )
 from repro.core.processes import ClientProcess, ServerProcess
@@ -49,8 +49,8 @@ def run_write_stream(fast: bool):
             writer.submit(i * 10.0, lambda v=value: BCSRFastWriteOperation(
                 "w000", SERVER_IDS, F, v, sequence, codec=codec))
         else:
-            writer.submit(i * 10.0, lambda v=value: BCSRWriteOperation(
-                "w000", SERVER_IDS, F, v, codec=codec))
+            writer.submit(i * 10.0, lambda v=value: coded_write(
+                "w000", SERVER_IDS, F, v, codec))
     reader.submit(WRITES * 10.0 + 5.0, lambda: BCSRReadOperation(
         "r000", SERVER_IDS, F, codec=codec, initial_value=b"v0"))
     sim.run()

@@ -11,58 +11,38 @@ paper's rule the tag grows by exactly 1 per write; with max-selection it
 absorbs the forged boost on every write.
 """
 
-from typing import List
+from typing import Optional
 
-from repro.core.bsr import BSRWriteOperation
-from repro.core.messages import PutData
-from repro.core.quorum import kth_highest
 from repro.core.register import RegisterSystem
 from repro.metrics import format_table
 from repro.sim.delays import ConstantDelay
-from repro.types import Envelope, ProcessId
 
 from benchmarks.conftest import emit
 
 NUM_WRITES = 5
 BOOST = 1000
+#: The ablated writer: the shared write walk with tag rank 1, i.e. the
+#: *maximum* tag (no Byzantine filtering), as crash-only ABD takes it.
+MAX_TAG_RANK = 1
 
 
-class MaxTagWriteOperation(BSRWriteOperation):
-    """Ablated writer: adopts the *maximum* tag (no Byzantine filtering)."""
-
-    def _on_tag_reply(self, sender: ProcessId, message) -> List[Envelope]:
-        from repro.core.tags import Tag
-        if not isinstance(message.tag, Tag):
-            return []
-        self._tag_replies.add(sender, message)
-        if len(self._tag_replies) < self.quorum:
-            return []
-        tags = [reply.tag for reply in self._tag_replies.values()]
-        self._tag = kth_highest(tags, 1).next_for(self.client_id)  # max
-        self._phase = "put-data"
-        self.rounds = 2
-        return self.broadcast(PutData(op_id=self.op_id, tag=self._tag,
-                                      payload=self.value))
-
-
-def chain_of_writes(op_class) -> int:
-    """Run NUM_WRITES sequential writes; returns the final tag number."""
+def chain_of_writes(rank: Optional[int] = None) -> int:
+    """Run NUM_WRITES sequential writes, each taking the ``rank``-th
+    highest tag (``None``: the paper's ``f + 1``); returns the final tag
+    number."""
     system = RegisterSystem("bsr", f=1, seed=1,
                             delay_model=ConstantDelay(0.5),
                             byzantine={0: "forge_tag"})
-    final_tag_num = 0
     for i in range(NUM_WRITES):
-        handle = system.write(f"w{i}".encode(), writer=0, at=i * 10.0)
-        # Swap the operation class for the ablated rule.
-        if op_class is not BSRWriteOperation:
-            original_factory = system.clients["w000"]._pending[-1][2]
+        system.write(f"w{i}".encode(), writer=0, at=i * 10.0)
+        if rank is not None:
+            entry = system.clients["w000"]._pending[-1]
 
-            def ablated_factory(original=original_factory):
+            def ablated_factory(original=entry[2]):
                 op = original()
-                op.__class__ = op_class
+                op.rank = rank
                 return op
 
-            entry = system.clients["w000"]._pending[-1]
             system.clients["w000"]._pending[-1] = (
                 entry[0], entry[1], ablated_factory, entry[3],
             )
@@ -74,8 +54,8 @@ def chain_of_writes(op_class) -> int:
 
 
 def run_experiment():
-    paper_rule = chain_of_writes(BSRWriteOperation)
-    max_rule = chain_of_writes(MaxTagWriteOperation)
+    paper_rule = chain_of_writes()
+    max_rule = chain_of_writes(MAX_TAG_RANK)
     return paper_rule, max_rule
 
 

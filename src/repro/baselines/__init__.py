@@ -1,27 +1,34 @@
 """Baseline register emulations the paper compares against.
 
-* :mod:`repro.baselines.rb_register`: the prior-work design (Section I-B,
-  e.g. Kanjani et al. [15]) -- ``n >= 3f + 1`` servers, writes disseminated
-  through Bracha reliable broadcast with server-to-server relay.  Fewer
-  servers than BSR, but every write pays ~1.5 extra rounds and reads may
-  have to wait out the relay.
+* :mod:`repro.baselines.rb_register`: the prior-work design family
+  (Section I-B, e.g. Kanjani et al. [15]) -- writes disseminated through
+  reliable broadcast with server-to-server relay.  One server class,
+  :class:`BroadcastRegisterServer`, serves both ``rb`` (Bracha,
+  ``n >= 3f + 1``) and ``rb2`` (Imbs-Raynal, ``n >= 5f + 1``); the
+  broadcast is its :class:`BroadcastScheme`, and both share
+  :class:`RelayReadOperation`.  Fewer servers than BSR, but every write
+  pays extra server hops and reads may have to wait out the relay.
 * :mod:`repro.baselines.abd`: the classic crash-tolerant ABD atomic register
   (``n >= 2f + 1``, two-round reads and writes) as a non-Byzantine sanity
   baseline for the workload experiments.
+
+Every baseline writes with the shared
+:class:`~repro.core.operation.WriteOperation`.
 """
 
-from repro.baselines.abd import ABDReadOperation, ABDServer, ABDWriteOperation
+from repro.baselines.abd import ABDReadOperation, ABDServer
 from repro.baselines.rb_register import (
-    RBRegisterServer,
-    RBReadOperation,
-    RBWriteOperation,
+    BRACHA,
+    BroadcastRegisterServer,
+    BroadcastScheme,
+    RelayReadOperation,
 )
 
 __all__ = [
-    "RBRegisterServer",
-    "RBWriteOperation",
-    "RBReadOperation",
+    "BRACHA",
+    "BroadcastRegisterServer",
+    "BroadcastScheme",
+    "RelayReadOperation",
     "ABDServer",
-    "ABDWriteOperation",
     "ABDReadOperation",
 ]

@@ -5,7 +5,8 @@ failures only (no Byzantine defence whatsoever -- a single lying server
 breaks it, which experiment E6 uses as a reference point for what Byzantine
 tolerance costs).
 
-* Write: query a majority for tags, pick ``max + 1``, put to a majority.
+* Write: the shared :class:`~repro.core.operation.WriteOperation` with tag
+  rank 1 -- query a majority for tags, pick ``max + 1``, put to a majority.
 * Read: query a majority for ``(tag, value)``, pick the max pair,
   *write it back* to a majority (the write-back is what upgrades regularity
   to atomicity), then return.  Both operations take two rounds.
@@ -13,31 +14,13 @@ tolerance costs).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.bsr import BSRServer
-from repro.core.messages import (
-    DataReply,
-    PutAck,
-    PutData,
-    QueryData,
-    QueryTag,
-    TagReply,
-)
-from repro.core.operation import ClientOperation, ReplyCollector
-from repro.core.quorum import abd_min_servers
-from repro.core.tags import Tag, TaggedValue
-from repro.errors import QuorumError
-from repro.types import Envelope, ProcessId
-
-
-def validate_abd_config(n: int, f: int) -> None:
-    """Raise :class:`QuorumError` unless ``n >= 2f + 1``."""
-    if n < abd_min_servers(f):
-        raise QuorumError(
-            f"ABD requires n >= 2f + 1 = {abd_min_servers(f)} servers, "
-            f"got n={n} with f={f}"
-        )
+from repro.core.messages import DataReply
+from repro.core.operation import ReplyCollector, WriteBackRead
+from repro.core.tags import TaggedValue
+from repro.types import ProcessId
 
 
 class ABDServer(BSRServer):
@@ -49,83 +32,19 @@ class ABDServer(BSRServer):
     """
 
 
-class ABDWriteOperation(ClientOperation):
-    """Two-phase ABD write: max tag + 1, then put to a majority."""
-
-    kind = "write"
-
-    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
-                 value: Any) -> None:
-        super().__init__(client_id, servers, f)
-        validate_abd_config(self.n, f)
-        self.value = value
-        self._phase = "idle"
-        self._tag_replies = ReplyCollector(self.servers)
-        self._acks = ReplyCollector(self.servers)
-        self._tag: Optional[Tag] = None
-
-    def start(self) -> List[Envelope]:
-        self._phase = "get-tag"
-        self.rounds = 1
-        return self.broadcast(QueryTag(op_id=self.op_id))
-
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if not self.accepts(message) or self.done:
-            return []
-        if self._phase == "get-tag" and isinstance(message, TagReply):
-            self._tag_replies.add(sender, message)
-            if len(self._tag_replies) < self.quorum:
-                return []
-            # Crash-only model: the plain maximum is trustworthy.
-            top = max(reply.tag for reply in self._tag_replies.values())
-            self._tag = top.next_for(self.client_id)
-            self._phase = "put-data"
-            self.rounds = 2
-            return self.broadcast(PutData(op_id=self.op_id, tag=self._tag,
-                                          payload=self.value))
-        if self._phase == "put-data" and isinstance(message, PutAck):
-            if message.tag == self._tag:
-                self._acks.add(sender, message)
-                if len(self._acks) >= self.quorum:
-                    self._complete(self._tag)
-        return []
-
-
-class ABDReadOperation(ClientOperation):
+class ABDReadOperation(WriteBackRead):
     """Two-phase ABD read: query a majority, write the max pair back."""
 
-    kind = "read"
-
-    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int) -> None:
+    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId],
+                 f: int) -> None:
         super().__init__(client_id, servers, f)
-        validate_abd_config(self.n, f)
-        self._phase = "idle"
         self._replies = ReplyCollector(self.servers)
-        self._acks = ReplyCollector(self.servers)
-        self._chosen: Optional[TaggedValue] = None
 
-    def start(self) -> List[Envelope]:
-        self._phase = "get-data"
-        self.rounds = 1
-        return self.broadcast(QueryData(op_id=self.op_id))
-
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if not self.accepts(message) or self.done:
-            return []
-        if self._phase == "get-data" and isinstance(message, DataReply):
-            self._replies.add(sender, message)
-            if len(self._replies) < self.quorum:
-                return []
-            best = max(self._replies.values(), key=lambda reply: reply.tag)
-            self._chosen = TaggedValue(best.tag, best.payload)
-            self._phase = "write-back"
-            self.rounds = 2
-            return self.broadcast(PutData(op_id=self.op_id, tag=self._chosen.tag,
-                                          payload=self._chosen.value))
-        if self._phase == "write-back" and isinstance(message, PutAck):
-            if message.tag == self._chosen.tag:
-                self._acks.add(sender, message)
-                if len(self._acks) >= self.quorum:
-                    self._tag = self._chosen.tag
-                    self._complete(self._chosen.value)
-        return []
+    def _select(self, sender: ProcessId, message: Any) -> Optional[TaggedValue]:
+        if not isinstance(message, DataReply):
+            return None
+        self._replies.add(sender, message)
+        if len(self._replies) < self.quorum:
+            return None
+        best = max(self._replies.values(), key=lambda reply: reply.tag)
+        return TaggedValue(best.tag, best.payload)

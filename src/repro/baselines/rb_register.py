@@ -1,34 +1,46 @@
-"""The prior-work baseline: a register built on reliable broadcast.
+"""The prior-work baselines: registers built on reliable broadcast.
 
 Models the design family the paper contrasts itself with (Section I-B;
-Kanjani et al. [15]): ``n >= 3f + 1`` servers -- *f fewer machines than BSR*
--- but writes are disseminated with Bracha reliable broadcast among the
-servers, and servers *relay* newly delivered values to readers with pending
-queries.  The consequences the experiments measure:
+Kanjani et al. [15]): writes are disseminated with a reliable broadcast
+among the servers, and servers *relay* newly delivered values to readers
+with pending queries.  Two registers share everything here but the
+broadcast, which :class:`BroadcastRegisterServer` takes as data
+(a :class:`BroadcastScheme`):
+
+* ``rb`` -- :data:`BRACHA`, Bracha's SEND/ECHO/READY at ``n >= 3f + 1``
+  servers, *f fewer machines than BSR*;
+* ``rb2`` -- the Imbs-Raynal 2-step INIT/WITNESS broadcast at
+  ``n >= 5f + 1`` (its scheme lives with its spec, in
+  :mod:`repro.protocols.rb2`).
+
+The consequences the experiments measure:
 
 * A write's ``put-data`` phase costs one client-to-server hop **plus** the
-  ECHO and READY server-to-server hops before any server acks -- the
-  "1.5 rounds" blow-up of Section I-B.
+  server-to-server hops of the broadcast before any server acks -- the
+  "1.5 rounds" blow-up of Section I-B for Bracha's ECHO and READY.
 * A read cannot always terminate on its first ``n - f`` replies; it waits
   until some pair is witnessed by ``f + 1`` servers *and* is at least as
   fresh as the ``(f+1)``-th highest tag seen.  Relay guarantees this
   eventually happens, but "eventually" may span extra server hops.
 
-The RB layer gives the register regularity-grade freshness with fewer
-servers; the price is latency, which is exactly the trade-off of the paper.
+A dissemination starts only from the writer: a server drops a start
+message sent by a peer, since a Byzantine server forging one in a
+writer's name would otherwise rally the correct servers into storing a
+value nobody wrote.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
-from repro.broadcast.bracha import BrachaInstance
+from repro.broadcast.bracha import ECHO, READY, BrachaInstance
 from repro.core.messages import (
     DataReply,
     PushData,
     PutAck,
-    PutData,
     QueryData,
     QueryTag,
     RBEcho,
@@ -37,23 +49,50 @@ from repro.core.messages import (
     TagReply,
     stored_size,
 )
-from repro.core.operation import ClientOperation, ReplyCollector
-from repro.core.quorum import kth_highest, validate_rb_config, witness_threshold
+from repro.core.operation import ClientOperation
+from repro.core.quorum import kth_highest, witness_threshold
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.types import Envelope, ProcessId
 
 
-class RBRegisterServer:
-    """A baseline server: BSR-like storage + Bracha participation + relay."""
+@dataclass(frozen=True)
+class BroadcastScheme:
+    """One reliable broadcast, as a register server drives it.
+
+    ``instance(server_id, peers, f)`` builds a server's broadcast state.
+    The writer's ``start`` message goes to ``on_start(instance, key,
+    payload)``; each server-to-server message class in ``relays`` to its
+    handler ``(instance, key, payload, sender)``.  Handlers return
+    ``("broadcast", phase, payload)`` and ``("deliver", payload, None)``
+    outputs, and ``phases`` names the message class each broadcast phase
+    is sent as.
+    """
+
+    instance: Callable[..., Any]
+    start: type
+    on_start: Callable[..., List[Tuple[str, Any, Any]]]
+    relays: Mapping[type, Callable[..., List[Tuple[str, Any, Any]]]]
+    phases: Mapping[str, type]
+
+
+#: ``rb``'s broadcast: Bracha's SEND, ECHO and READY.
+BRACHA = BroadcastScheme(
+    instance=BrachaInstance, start=RBSend, on_start=BrachaInstance.on_send,
+    relays={RBEcho: BrachaInstance.on_echo, RBReady: BrachaInstance.on_ready},
+    phases={ECHO: RBEcho, READY: RBReady})
+
+
+class BroadcastRegisterServer:
+    """BSR-like storage + broadcast participation + relay to readers."""
 
     def __init__(self, server_id: ProcessId, peers: Sequence[ProcessId], f: int,
-                 initial_value: Any = b"") -> None:
-        validate_rb_config(len(peers), f)
+                 scheme: BroadcastScheme, initial_value: Any = b"") -> None:
         self.server_id = server_id
         self.peers = list(peers)
         self.f = f
+        self.scheme = scheme
         self.history: List[TaggedValue] = [TaggedValue(TAG_ZERO, initial_value)]
-        self.bracha = BrachaInstance(server_id, self.peers, f)
+        self.broadcast = scheme.instance(server_id, self.peers, f)
         #: reader -> op_id of its most recent (assumed pending) query.
         self._pending_readers: Dict[ProcessId, int] = {}
         #: broadcast instances we already acked, to dedupe deliveries.
@@ -83,19 +122,20 @@ class RBRegisterServer:
             latest = self.latest
             return [(sender, DataReply(op_id=message.op_id, tag=latest.tag,
                                        payload=latest.value))]
-        if isinstance(message, RBSend):
-            return self._rb_outputs(
-                message, self.bracha.on_send(self._key(message),
-                                             (message.tag, message.payload)))
-        if isinstance(message, RBEcho):
-            return self._rb_outputs(
-                message, self.bracha.on_echo(self._key(message),
-                                             (message.tag, message.payload), sender))
-        if isinstance(message, RBReady):
-            return self._rb_outputs(
-                message, self.bracha.on_ready(self._key(message),
-                                              (message.tag, message.payload), sender))
-        return []
+        scheme = self.scheme
+        if type(message) is scheme.start:
+            # Writer-only: a start from a peer is a Byzantine forgery.
+            if sender in self.peers:
+                return []
+            return self._rb_outputs(message, scheme.on_start(
+                self.broadcast, self._key(message),
+                (message.tag, message.payload)))
+        relay = scheme.relays.get(type(message))
+        if relay is None:
+            return []
+        return self._rb_outputs(message, relay(
+            self.broadcast, self._key(message),
+            (message.tag, message.payload), sender))
 
     @staticmethod
     def _key(message: Any) -> Tuple[str, int]:
@@ -106,9 +146,9 @@ class RBRegisterServer:
         for action, arg1, arg2 in outputs:
             if action == "broadcast":
                 phase, payload = arg1, arg2
-                cls = RBEcho if phase == "echo" else RBReady
-                relayed = cls(op_id=message.op_id, tag=payload[0], payload=payload[1],
-                              source=message.source)
+                relayed = self.scheme.phases[phase](
+                    op_id=message.op_id, tag=payload[0], payload=payload[1],
+                    source=message.source)
                 envelopes.extend((peer, relayed) for peer in self.peers)
             elif action == "deliver":
                 tag, value = arg1
@@ -134,63 +174,19 @@ class RBRegisterServer:
         return envelopes
 
 
-class RBWriteOperation(ClientOperation):
-    """Baseline write: ``get-tag`` like BSR, then reliable-broadcast the data."""
+class RelayReadOperation(ClientOperation):
+    """Read: wait for a witnessed pair at least as fresh as the
+    ``(f+1)``-th highest tag; relayed pushes may be needed to get there.
 
-    kind = "write"
-
-    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
-                 value: Any) -> None:
-        super().__init__(client_id, servers, f)
-        validate_rb_config(self.n, f)
-        self.value = value
-        self._phase = "idle"
-        self._tag_replies = ReplyCollector(self.servers)
-        self._acks = ReplyCollector(self.servers)
-        self._tag: Optional[Tag] = None
-
-    def start(self) -> List[Envelope]:
-        self._phase = "get-tag"
-        self.rounds = 1
-        return self.broadcast(QueryTag(op_id=self.op_id))
-
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if not self.accepts(message) or self.done:
-            return []
-        if self._phase == "get-tag" and isinstance(message, TagReply):
-            if not isinstance(message.tag, Tag):
-                return []
-            self._tag_replies.add(sender, message)
-            if len(self._tag_replies) < self.quorum:
-                return []
-            tags = [reply.tag for reply in self._tag_replies.values()]
-            self._tag = kth_highest(tags, self.f + 1).next_for(self.client_id)
-            self._phase = "put-data"
-            # The RB dissemination happens server-side; from the client's
-            # point of view this is still its second round, but acks only
-            # come back after ECHO + READY complete.
-            self.rounds = 2
-            return self.broadcast(RBSend(op_id=self.op_id, tag=self._tag,
-                                         payload=self.value, source=self.client_id))
-        if self._phase == "put-data" and isinstance(message, PutAck):
-            if message.tag == self._tag:
-                self._acks.add(sender, message)
-                if len(self._acks) >= self.quorum:
-                    self._complete(self._tag)
-        return []
-
-
-class RBReadOperation(ClientOperation):
-    """Baseline read: wait for a witnessed pair at least as fresh as the
-    ``(f+1)``-th highest tag; relayed pushes may be needed to get there."""
+    ``_select`` is also the first round of MPR's atomic read, which
+    writes the pair back before returning it.
+    """
 
     kind = "read"
 
-    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
-                 initial_value: Any = b"") -> None:
+    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId],
+                 f: int) -> None:
         super().__init__(client_id, servers, f)
-        validate_rb_config(self.n, f)
-        self.initial_value = initial_value
         #: server -> freshest (tag, value) heard from it (query reply or push)
         self._latest: Dict[ProcessId, TaggedValue] = {}
 
@@ -201,20 +197,23 @@ class RBReadOperation(ClientOperation):
     def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
         if self.done or not self.accepts(message):
             return []
+        best = self._select(sender, message)
+        if best is not None:
+            self._tag = best.tag
+            self._complete(best.value)
+        return []
+
+    def _select(self, sender: ProcessId, message: Any) -> Optional[TaggedValue]:
         if not isinstance(message, (DataReply, PushData)):
-            return []
+            return None
         if not isinstance(message.tag, Tag) or sender not in self.servers:
-            return []
+            return None
         pair = TaggedValue(message.tag, message.payload)
         current = self._latest.get(sender)
         if current is None or pair.tag > current.tag:
             self._latest[sender] = pair
-        self._try_finish()
-        return []
-
-    def _try_finish(self) -> None:
         if len(self._latest) < self.quorum:
-            return
+            return None
         # Freshness bar: the (f+1)-th highest tag cannot be Byzantine-forged.
         tags = [pair.tag for pair in self._latest.values()]
         bar = kth_highest(tags, self.f + 1)
@@ -227,7 +226,4 @@ class RBReadOperation(ClientOperation):
         threshold = witness_threshold(self.f)
         witnessed = [pair for pair, count in counts.items()
                      if count >= threshold and pair.tag >= bar]
-        if witnessed:
-            best = max(witnessed, key=lambda tv: tv.tag)
-            self._tag = best.tag
-            self._complete(best.value)
+        return max(witnessed, key=lambda tv: tv.tag) if witnessed else None

@@ -16,6 +16,7 @@ replies to a certain request".
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Optional
 
 from repro.core.messages import (
@@ -34,6 +35,7 @@ from repro.core.messages import (
     TagReply,
     ValueReply,
 )
+from repro.core.operation import next_op_id
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.erasure.striping import CodedElement
 from repro.sim.rng import SimRng
@@ -235,6 +237,34 @@ class HistoryReplayBehavior(Behavior):
         return correct_replies
 
 
+class ForgeBroadcastBehavior(Behavior):
+    """Forges a dissemination start in a writer's name, to its peers.
+
+    On a dissemination start -- a message carrying a ``source`` that
+    its source sent itself (a peer's echo carries the writer's
+    ``source`` too, but comes from the peer) -- the server answers
+    honestly and also sends every peer a copy under a fresh ``op_id``,
+    a higher tag and a fabricated value.  A server that started a
+    broadcast on a peer's word would store a value nobody wrote, so the
+    broadcast registers accept a start only from a non-peer.  Messages
+    without a ``source`` are answered honestly.
+    """
+
+    name = "forge_broadcast"
+    boost = 1_000
+    fake_value = b"forged"
+
+    def on_message(self, server, sender, message, correct_replies):
+        if getattr(message, "source", None) != sender:
+            return correct_replies
+        forged = dataclasses.replace(
+            message, op_id=next_op_id(),
+            tag=Tag(message.tag.num + self.boost, message.source),
+            payload=self.fake_value)
+        return correct_replies + [(peer, forged)
+                                  for peer in getattr(server, "peers", ())]
+
+
 class EquivocateBehavior(Behavior):
     """Tells different readers different stories.
 
@@ -333,6 +363,7 @@ BEHAVIOR_REGISTRY = {
     "history_replay": HistoryReplayBehavior,
     "corrupt_value": CorruptValueBehavior,
     "claim_held": ClaimHeldBehavior,
+    "forge_broadcast": ForgeBroadcastBehavior,
     "equivocate": EquivocateBehavior,
     "multi_reply": MultiReplyBehavior,
     "flip_flop": FlipFlopBehavior,

@@ -4,7 +4,9 @@ All protocol logic is written as transport-agnostic state machines:
 
 * servers implement ``handle(sender, message) -> [(dest, message), ...]``;
 * client operations implement ``start()`` / ``on_reply(...)`` returning
-  batches of outgoing messages, plus ``done`` / ``result``.
+  batches of outgoing messages, plus ``done`` / ``result``.  Every
+  protocol writes with the one :class:`WriteOperation`; BCSR's
+  :func:`coded_write` gives it per-server coded elements to put.
 
 The same classes run inside the discrete-event simulator
 (:mod:`repro.core.processes`) and over real sockets (:mod:`repro.runtime`).
@@ -17,15 +19,10 @@ from repro.core.quorum import (
     kth_highest,
     rb_min_servers,
     validate_bcsr_config,
-    validate_bsr_config,
 )
-from repro.core.bsr import (
-    BSRReadOperation,
-    BSRReaderState,
-    BSRServer,
-    BSRWriteOperation,
-)
-from repro.core.bcsr import BCSRReadOperation, BCSRServer, BCSRWriteOperation
+from repro.core.operation import WriteOperation
+from repro.core.bsr import BSRReadOperation, BSRReaderState, BSRServer
+from repro.core.bcsr import BCSRReadOperation, BCSRServer, coded_write
 from repro.core.regular import (
     HistoryReadOperation,
     RegularBSRServer,
@@ -41,14 +38,13 @@ __all__ = [
     "bcsr_min_servers",
     "rb_min_servers",
     "kth_highest",
-    "validate_bsr_config",
     "validate_bcsr_config",
+    "WriteOperation",
     "BSRServer",
-    "BSRWriteOperation",
     "BSRReadOperation",
     "BSRReaderState",
     "BCSRServer",
-    "BCSRWriteOperation",
+    "coded_write",
     "BCSRReadOperation",
     "RegularBSRServer",
     "HistoryReadOperation",

@@ -6,8 +6,9 @@ Reed-Solomon code with ``k = n - 5f`` (Section IV-A, error budget
 
 * **Server** (Fig 6): identical to BSR except that it stores its own coded
   element ``c_i`` instead of the full value.
-* **Write** (Fig 4): same two phases as BSR, but ``put-data`` sends server
-  ``i`` only its element ``c_i = Phi_i(v)``.
+* **Write** (Fig 4): the same two phases as BSR (the shared
+  :class:`~repro.core.operation.WriteOperation`), but ``put-data`` sends
+  server ``i`` only its element ``c_i = Phi_i(v)`` (:func:`coded_write`).
 * **Read** (Fig 5): one round.  The reader collects ``n - f`` coded
   elements and attempts to decode; stale or corrupted elements (at most
   ``2f`` of them, by Lemma 4's counting) are fixed by the Berlekamp-Welch
@@ -23,6 +24,7 @@ spares it a decode an earlier read already did -- observationally identical.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.messages import (
@@ -33,8 +35,8 @@ from repro.core.messages import (
     QueryTag,
     TagReply,
 )
-from repro.core.operation import ClientOperation, ReplyCollector
-from repro.core.quorum import bcsr_dimension, kth_highest, validate_bcsr_config
+from repro.core.operation import ClientOperation, ReplyCollector, WriteOperation
+from repro.core.quorum import bcsr_dimension
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.erasure.striping import CodedElement, DecodeMemo, StripedCodec
 from repro.errors import DecodingError
@@ -104,68 +106,23 @@ class BCSRServer:
         return []
 
 
-class BCSRWriteOperation(ClientOperation):
-    """A two-phase BCSR write (Fig 4): per-server coded elements."""
+def put_elements(codec: StripedCodec, op: WriteOperation,
+                 tag: Tag) -> List[Envelope]:
+    """Fig 4 line 7: server ``i`` receives only its own element ``c_i``."""
+    elements = codec.encode(op.value)
+    return [(server, PutData(op_id=op.op_id, tag=tag, payload=elements[i]))
+            for i, server in enumerate(op.servers)]
 
-    kind = "write"
 
-    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
-                 value: bytes, codec: Optional[StripedCodec] = None) -> None:
-        super().__init__(client_id, servers, f)
-        if not isinstance(value, (bytes, bytearray)):
-            raise TypeError("BCSR values must be bytes")
-        self.value = bytes(value)
-        if codec is None:
-            # Only validate when we derive the code ourselves; an explicit
-            # codec means the deployment chose its own [n, k] (used by the
-            # Theorem 6 below-the-bound experiments).
-            validate_bcsr_config(self.n, f)
-            codec = make_codec(self.n, f)
-        self.codec = codec
-        self._phase = "idle"
-        self._tag_replies = ReplyCollector(self.servers)
-        self._acks = ReplyCollector(self.servers)
-        self._tag: Optional[Tag] = None
-
-    def start(self) -> List[Envelope]:
-        self._phase = "get-tag"
-        self.rounds = 1
-        return self.broadcast(QueryTag(op_id=self.op_id))
-
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if not self.accepts(message) or self.done:
-            return []
-        if self._phase == "get-tag" and isinstance(message, TagReply):
-            return self._on_tag_reply(sender, message)
-        if self._phase == "put-data" and isinstance(message, PutAck):
-            return self._on_ack(sender, message)
-        return []
-
-    def _on_tag_reply(self, sender: ProcessId, message: TagReply) -> List[Envelope]:
-        if not isinstance(message.tag, Tag):
-            return []
-        self._tag_replies.add(sender, message)
-        if len(self._tag_replies) < self.quorum:
-            return []
-        tags = [reply.tag for reply in self._tag_replies.values()]
-        self._tag = kth_highest(tags, self.f + 1).next_for(self.client_id)
-        self._phase = "put-data"
-        self.rounds = 2
-        elements = self.codec.encode(self.value)
-        # Fig 4 line 7: server i receives only its own element c_i.
-        return [
-            (server, PutData(op_id=self.op_id, tag=self._tag, payload=elements[i]))
-            for i, server in enumerate(self.servers)
-        ]
-
-    def _on_ack(self, sender: ProcessId, message: PutAck) -> List[Envelope]:
-        if message.tag != self._tag:
-            return []
-        self._acks.add(sender, message)
-        if len(self._acks) >= self.quorum:
-            self._phase = "done"
-            self._complete(self._tag)
-        return []
+def coded_write(client_id: ProcessId, servers: Sequence[ProcessId], f: int,
+                value: bytes, codec: StripedCodec) -> WriteOperation:
+    """A two-phase BCSR write (Fig 4): the shared write walk, putting
+    per-server coded elements.  ``codec`` is the deployment's ``[n, k]``
+    code (the Theorem 6 experiments choose their own ``k``)."""
+    if not isinstance(value, (bytes, bytearray)):
+        raise TypeError("BCSR values must be bytes")
+    return WriteOperation(client_id, servers, f, bytes(value),
+                          put=partial(put_elements, codec))
 
 
 class WriterSequence:
@@ -221,10 +178,7 @@ class BCSRFastWriteOperation(ClientOperation):
         if sequence.writer_id != client_id:
             raise ValueError("a writer may only use its own sequence")
         self.value = bytes(value)
-        if codec is None:
-            validate_bcsr_config(self.n, f)
-            codec = make_codec(self.n, f)
-        self.codec = codec
+        self.codec = codec if codec is not None else make_codec(self.n, f)
         self.sequence = sequence
         self._acks = ReplyCollector(self.servers)
         self._tag: Optional[Tag] = None
@@ -259,10 +213,7 @@ class BCSRReadOperation(ClientOperation):
                  initial_value: bytes = b"",
                  reader_state: Optional[DecodeMemo] = None) -> None:
         super().__init__(client_id, servers, f)
-        if codec is None:
-            validate_bcsr_config(self.n, f)
-            codec = make_codec(self.n, f)
-        self.codec = codec
+        self.codec = codec if codec is not None else make_codec(self.n, f)
         self.initial_value = initial_value
         self.reader_state = reader_state if reader_state is not None else DecodeMemo()
         self._replies = ReplyCollector(self.servers)

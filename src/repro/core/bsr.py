@@ -8,7 +8,8 @@ Faithful implementation of Figures 1-3:
   holding the highest tag.
 * **Write** (Fig 1): ``get-tag`` collects ``n - f`` tag replies and selects
   the ``(f+1)``-th highest tag ``t``; ``put-data`` sends
-  ``(t.num + 1, writer)`` with the value and waits for ``n - f`` acks.
+  ``(t.num + 1, writer)`` with the value and waits for ``n - f`` acks --
+  the shared :class:`~repro.core.operation.WriteOperation`.
 * **Read** (Fig 2): one round.  The reader collects ``n - f`` data replies,
   keeps the pairs with at least ``f + 1`` witnesses, takes the highest, and
   falls back to the last value it ever returned (initially ``v0``) when no
@@ -23,13 +24,14 @@ correct writer wrote it, and a tag names one value, so every correct
 server holding the tag holds that value; a Byzantine ``DataHeld`` only
 replays a genuine pair, which that server could have sent in full.
 
-Resilience: ``n >= 4f + 1`` (validated at construction; Theorems 2 and 5).
+Resilience: ``n >= 4f + 1`` (Theorems 2 and 5), checked once per deployment
+by :meth:`~repro.protocols.fleet.Fleet.build`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 from repro.core.messages import (
     DataHeld,
@@ -43,7 +45,7 @@ from repro.core.messages import (
     stored_size,
 )
 from repro.core.operation import ClientOperation, ReplyCollector
-from repro.core.quorum import kth_highest, validate_bsr_config, witness_threshold
+from repro.core.quorum import witness_threshold
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.types import Envelope, ProcessId
 
@@ -132,61 +134,6 @@ class BSRServer:
                                    payload=latest.value))]
 
 
-class BSRWriteOperation(ClientOperation):
-    """A two-phase BSR write (Fig 1)."""
-
-    kind = "write"
-
-    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
-                 value: Any, enforce_bounds: bool = True) -> None:
-        super().__init__(client_id, servers, f)
-        if enforce_bounds:
-            validate_bsr_config(self.n, f)
-        self.value = value
-        self._phase = "idle"
-        self._tag_replies = ReplyCollector(self.servers)
-        self._acks = ReplyCollector(self.servers)
-        self._tag: Optional[Tag] = None
-
-    def start(self) -> List[Envelope]:
-        self._phase = "get-tag"
-        self.rounds = 1
-        return self.broadcast(QueryTag(op_id=self.op_id))
-
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if not self.accepts(message) or self.done:
-            return []
-        if self._phase == "get-tag" and isinstance(message, TagReply):
-            return self._on_tag_reply(sender, message)
-        if self._phase == "put-data" and isinstance(message, PutAck):
-            return self._on_ack(sender, message)
-        return []
-
-    def _on_tag_reply(self, sender: ProcessId, message: TagReply) -> List[Envelope]:
-        if not isinstance(message.tag, Tag):
-            return []  # malformed Byzantine reply
-        self._tag_replies.add(sender, message)
-        if len(self._tag_replies) < self.quorum:
-            return []
-        # Fig 1 line 4: the (f+1)-th highest tag survives up to f forged
-        # high tags from Byzantine servers.
-        tags = [reply.tag for reply in self._tag_replies.values()]
-        base = kth_highest(tags, self.f + 1)
-        self._tag = base.next_for(self.client_id)
-        self._phase = "put-data"
-        self.rounds = 2
-        return self.broadcast(PutData(op_id=self.op_id, tag=self._tag, payload=self.value))
-
-    def _on_ack(self, sender: ProcessId, message: PutAck) -> List[Envelope]:
-        if message.tag != self._tag:
-            return []  # ack for something else (or forged)
-        self._acks.add(sender, message)
-        if len(self._acks) >= self.quorum:
-            self._phase = "done"
-            self._complete(self._tag)
-        return []
-
-
 class BSRReaderState:
     """Persistent per-reader state: the last ``(tag, value)`` returned.
 
@@ -237,10 +184,8 @@ class BSRReadOperation(ClientOperation):
 
     def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
                  reader_state: Optional[BSRReaderState] = None,
-                 enforce_bounds: bool = True, repair: bool = False) -> None:
+                 repair: bool = False) -> None:
         super().__init__(client_id, servers, f)
-        if enforce_bounds:
-            validate_bsr_config(self.n, f)
         self.reader_state = reader_state if reader_state is not None else BSRReaderState()
         self.repair = repair
         self._replies = ReplyCollector(self.servers)

@@ -8,6 +8,10 @@ messages (e.g. the ``put-data`` phase of a write).  The surrounding runtime
 
 Operations track their round count so the round-complexity experiment (E7)
 can read it off directly instead of inferring it from timings.
+
+Every register here writes the same way (:class:`WriteOperation`), and the
+two atomic reads (ABD, MPR) end with the same write-back round
+(:class:`WriteBackRead`).
 """
 
 from __future__ import annotations
@@ -15,8 +19,11 @@ from __future__ import annotations
 import abc
 import itertools
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.core.messages import PutAck, PutData, QueryData, QueryTag, TagReply
+from repro.core.quorum import kth_highest
+from repro.core.tags import Tag, TaggedValue
 from repro.errors import ProtocolError
 from repro.types import Envelope, ProcessId
 
@@ -140,3 +147,124 @@ class ReplyCollector:
     def values(self) -> List[Any]:
         """All collected reply messages."""
         return list(self._replies.values())
+
+
+def put_data(op: "WriteOperation", tag: Tag) -> List[Envelope]:
+    """The plain put step: ``PUT-DATA(tag, value)`` to every server."""
+    return op.broadcast(PutData(op_id=op.op_id, tag=tag, payload=op.value))
+
+
+def put_start(start: type, op: "WriteOperation", tag: Tag) -> List[Envelope]:
+    """A broadcast register's put step: the ``start`` message of its
+    dissemination, stamped with the writer as its source, to every server
+    (bind ``start`` with :func:`functools.partial`)."""
+    return op.broadcast(start(op_id=op.op_id, tag=tag, payload=op.value,
+                              source=op.client_id))
+
+
+class WriteOperation(ClientOperation):
+    """The one write walk (Figs. 1 and 4), shared by every protocol.
+
+    ``get-tag`` collects ``n - f`` tags and takes the ``rank``-th highest
+    ``t``; the put step sends the value under ``(t.num + 1, writer)``; the
+    write completes on ``n - f`` acks for that tag.  Two parts differ
+    between protocols and are passed in:
+
+    * ``rank`` -- ``f + 1`` (the default), which survives ``f`` forged
+      high tags (Fig 1 line 4); crash-only ABD trusts the maximum, ``1``;
+    * ``put(op, tag)`` -- the put step's envelopes: :func:`put_data`
+      (the default), one coded element per server (BCSR), or a broadcast
+      start (:func:`put_start`).
+    """
+
+    kind = "write"
+
+    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId],
+                 f: int, value: Any,
+                 put: Callable[["WriteOperation", Tag], List[Envelope]] = put_data,
+                 rank: Optional[int] = None) -> None:
+        super().__init__(client_id, servers, f)
+        self.value = value
+        self.put = put
+        self.rank = f + 1 if rank is None else rank
+        self._phase = "idle"
+        self._tag_replies = ReplyCollector(self.servers)
+        self._acks = ReplyCollector(self.servers)
+        self._tag: Optional[Tag] = None
+
+    def start(self) -> List[Envelope]:
+        self._phase = "get-tag"
+        self.rounds = 1
+        return self.broadcast(QueryTag(op_id=self.op_id))
+
+    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
+        if not self.accepts(message) or self.done:
+            return []
+        if self._phase == "get-tag" and isinstance(message, TagReply):
+            return self._on_tag_reply(sender, message)
+        if self._phase == "put-data" and isinstance(message, PutAck):
+            return self._on_ack(sender, message)
+        return []
+
+    def _on_tag_reply(self, sender: ProcessId, message: TagReply) -> List[Envelope]:
+        if not isinstance(message.tag, Tag):
+            return []  # malformed Byzantine reply
+        self._tag_replies.add(sender, message)
+        if len(self._tag_replies) < self.quorum:
+            return []
+        tags = [reply.tag for reply in self._tag_replies.values()]
+        self._tag = kth_highest(tags, self.rank).next_for(self.client_id)
+        self._phase = "put-data"
+        self.rounds = 2
+        return self.put(self, self._tag)
+
+    def _on_ack(self, sender: ProcessId, message: PutAck) -> List[Envelope]:
+        if message.tag != self._tag:
+            return []  # ack for something else (or forged)
+        self._acks.add(sender, message)
+        if len(self._acks) >= self.quorum:
+            self._phase = "done"
+            self._complete(self._tag)
+        return []
+
+
+class WriteBackRead(ClientOperation):
+    """A read that writes its chosen pair back before returning.
+
+    The second round that upgrades a regular-grade read to an atomic one
+    (ABD, MPR): ``PUT-DATA`` of the chosen pair to every server, and the
+    read returns its value on ``n - f`` acks for its tag.  Subclasses
+    (or a mixin after this class) fold first-round replies in with
+    ``_select(sender, message)``, which returns the pair once one is
+    chosen (``None`` until then).
+    """
+
+    kind = "read"
+
+    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId],
+                 f: int) -> None:
+        super().__init__(client_id, servers, f)
+        self._chosen: Optional[TaggedValue] = None
+        self._acks = ReplyCollector(self.servers)
+
+    def start(self) -> List[Envelope]:
+        self.rounds = 1
+        return self.broadcast(QueryData(op_id=self.op_id))
+
+    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
+        if self.done or not self.accepts(message):
+            return []
+        if self._chosen is None:
+            chosen = self._select(sender, message)
+            if chosen is None:
+                return []
+            self._chosen = chosen
+            self._tag = chosen.tag
+            self.rounds = 2
+            return self.broadcast(PutData(op_id=self.op_id, tag=chosen.tag,
+                                          payload=chosen.value))
+        if isinstance(message, PutAck) and message.tag == self._chosen.tag:
+            self._acks.add(sender, message)
+            if len(self._acks) >= self.quorum:
+                self._complete(self._chosen.value)
+        return []

@@ -9,6 +9,10 @@ code never hard-codes a threshold:
 * RB-based prior work needs ``n >= 3f + 1`` (Section I-B; Bracha broadcast).
 * Every operation waits for at most ``n - f`` replies (Lemma 6).
 * Read witnesses: at least ``f + 1`` (Lemma 5).
+
+A deployment's bound is checked once, by
+:meth:`~repro.protocols.registry.ProtocolSpec.validate_config` when its
+fleet is built; operations and servers do not check it again.
 """
 
 from __future__ import annotations
@@ -66,48 +70,12 @@ def _check_f(f: int) -> None:
         raise QuorumError(f"f must be non-negative, got {f}")
 
 
-def validate_bsr_config(n: int, f: int) -> None:
-    """Raise :class:`QuorumError` unless ``n >= 4f + 1``."""
-    if n < bsr_min_servers(f):
-        raise QuorumError(
-            f"BSR requires n >= 4f + 1 = {bsr_min_servers(f)} servers "
-            f"(Theorem 5), got n={n} with f={f}"
-        )
-
-
 def validate_bcsr_config(n: int, f: int) -> None:
     """Raise :class:`QuorumError` unless ``n >= 5f + 1``."""
     if n < bcsr_min_servers(f):
         raise QuorumError(
             f"BCSR requires n >= 5f + 1 = {bcsr_min_servers(f)} servers "
             f"(Theorem 6), got n={n} with f={f}"
-        )
-
-
-def validate_rb_config(n: int, f: int) -> None:
-    """Raise :class:`QuorumError` unless ``n >= 3f + 1``."""
-    if n < rb_min_servers(f):
-        raise QuorumError(
-            f"the RB-based register requires n >= 3f + 1 = {rb_min_servers(f)} "
-            f"servers, got n={n} with f={f}"
-        )
-
-
-def validate_rb2_config(n: int, f: int) -> None:
-    """Raise :class:`QuorumError` unless ``n >= 5f + 1``."""
-    if n < rb2_min_servers(f):
-        raise QuorumError(
-            f"the 2-step-broadcast register requires n >= 5f + 1 = "
-            f"{rb2_min_servers(f)} servers, got n={n} with f={f}"
-        )
-
-
-def validate_mpr_config(n: int, f: int) -> None:
-    """Raise :class:`QuorumError` unless ``n >= 3f + 1``."""
-    if n < mpr_min_servers(f):
-        raise QuorumError(
-            f"the MPR register requires n >= 3f + 1 = {mpr_min_servers(f)} "
-            f"servers, got n={n} with f={f}"
         )
 
 

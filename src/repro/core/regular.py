@@ -45,7 +45,7 @@ from repro.core.messages import (
     ValueReply,
 )
 from repro.core.operation import ClientOperation, ReplyCollector
-from repro.core.quorum import validate_bsr_config, witness_threshold
+from repro.core.quorum import witness_threshold
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.types import Envelope, ProcessId
 
@@ -89,11 +89,8 @@ class HistoryReadOperation(ClientOperation):
     kind = "read"
 
     def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
-                 reader_state: Optional[BSRReaderState] = None,
-                 enforce_bounds: bool = True) -> None:
+                 reader_state: Optional[BSRReaderState] = None) -> None:
         super().__init__(client_id, servers, f)
-        if enforce_bounds:
-            validate_bsr_config(self.n, f)
         self.reader_state = reader_state if reader_state is not None else BSRReaderState()
         self._replies = ReplyCollector(self.servers)
 
@@ -137,11 +134,8 @@ class TwoRoundReadOperation(ClientOperation):
     kind = "read"
 
     def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
-                 reader_state: Optional[BSRReaderState] = None,
-                 enforce_bounds: bool = True) -> None:
+                 reader_state: Optional[BSRReaderState] = None) -> None:
         super().__init__(client_id, servers, f)
-        if enforce_bounds:
-            validate_bsr_config(self.n, f)
         self.reader_state = reader_state if reader_state is not None else BSRReaderState()
         self._phase = "idle"
         self._tag_replies = ReplyCollector(self.servers)

@@ -50,7 +50,7 @@ from repro.errors import ConfigurationError
 from repro.load.profile import LoadProfile, SloPolicy
 from repro.load.report import LoadReport, pass_metrics
 from repro.load.worker import run_worker
-from repro.obs import SnapshotLog, merge_registry_snapshots
+from repro.obs import SnapshotLog, counter_sum, merge_registry_snapshots
 from repro.runtime.cluster import LocalCluster
 from repro.sim.trace import OpKind, Trace
 from repro.workloads.arrivals import sample_keys as spread_sample_keys
@@ -216,7 +216,7 @@ def _rebuild_trace(records: List[Dict], per_register: bool) -> Trace:
 def _check_pass(outcome: PassOutcome, profile: LoadProfile,
                 initial_value: bytes) -> None:
     """Judge a sampled pass's trace; records violations on the outcome."""
-    anomalies = int(_counter_sum(outcome.snapshot,
+    anomalies = int(counter_sum(outcome.snapshot,
                                  "load_value_anomalies_total"))
     if not outcome.sampled:
         outcome.violations = anomalies
@@ -241,17 +241,6 @@ def _check_pass(outcome: PassOutcome, profile: LoadProfile,
     outcome.safety_detail = (
         f"{len(trace)} sampled ops: {safety}"
         + (f"; {anomalies} prefix anomalies" if anomalies else ""))
-
-
-def _counter_sum(snapshot: Dict, name: str, **labels: str) -> float:
-    total = 0.0
-    for entry in snapshot.get("counters", ()):
-        if entry.get("name") != name:
-            continue
-        entry_labels = entry.get("labels", {})
-        if all(entry_labels.get(k) == v for k, v in labels.items()):
-            total += float(entry["value"])
-    return total
 
 
 async def run_load(profile: LoadProfile, procs: bool = False,

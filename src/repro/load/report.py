@@ -17,21 +17,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.load.profile import LoadProfile, SloPolicy
 from repro.metrics import format_table
-from repro.obs import aggregate_histograms, bucket_percentile
+from repro.obs import aggregate_histograms, bucket_percentile, counter_sum
 
 #: Operation outcomes a pass accounts for (``ok`` + the failure modes).
 OUTCOMES = ("ok", "error", "timeout", "abandoned")
-
-
-def _counter_sum(snapshot: Dict, name: str, **labels: str) -> float:
-    total = 0.0
-    for entry in snapshot.get("counters", ()):
-        if entry.get("name") != name:
-            continue
-        entry_labels = entry.get("labels", {})
-        if all(entry_labels.get(k) == v for k, v in labels.items()):
-            total += float(entry["value"])
-    return total
 
 
 def _percentile_ms(entry: Optional[Dict], fraction: float) -> float:
@@ -49,9 +38,9 @@ def pass_metrics(outcome, slo: SloPolicy) -> Dict[str, Any]:
     """
     snapshot = outcome.snapshot
     duration = outcome.measure_duration
-    arrivals = _counter_sum(snapshot, "load_arrivals_total",
+    arrivals = counter_sum(snapshot, "load_arrivals_total",
                             window="measure")
-    counts = {name: int(_counter_sum(snapshot, "load_ops_total",
+    counts = {name: int(counter_sum(snapshot, "load_ops_total",
                                      window="measure", outcome=name))
               for name in OUTCOMES}
     total = sum(counts.values())
@@ -84,8 +73,8 @@ def pass_metrics(outcome, slo: SloPolicy) -> Dict[str, Any]:
                                  window="measure"), 0.99),
         "service_p99_ms": _percentile_ms(service, 0.99),
         "queue_delay_p99_ms": _percentile_ms(queue_delay, 0.99),
-        "queued": int(_counter_sum(snapshot, "load_ops_queued_total")),
-        "throttled": int(_counter_sum(snapshot, "client_throttled_total")),
+        "queued": int(counter_sum(snapshot, "load_ops_queued_total")),
+        "throttled": int(counter_sum(snapshot, "client_throttled_total")),
         "max_backlog": max((s.get("max_backlog", 0)
                             for s in outcome.summaries), default=0),
         "violations": outcome.violations,

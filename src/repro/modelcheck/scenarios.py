@@ -5,14 +5,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.byzantine.behaviors import Behavior, HistoryReplayBehavior
-from repro.core.bcsr import BCSRReadOperation, BCSRServer, BCSRWriteOperation
-from repro.core.bsr import (
-    BSRReadOperation,
-    BSRReaderState,
-    BSRServer,
-    BSRWriteOperation,
-)
+from repro.core.bcsr import BCSRReadOperation, BCSRServer, coded_write
+from repro.core.bsr import BSRReadOperation, BSRReaderState, BSRServer
 from repro.core.messages import PutData
+from repro.core.operation import WriteOperation
 from repro.core.tags import Tag, TaggedValue
 from repro.erasure.striping import StripedCodec
 from repro.modelcheck.world import OpSpec, World
@@ -53,16 +49,15 @@ def bsr_two_writes_one_read(n: int, f: int = 1,
             server_id(i): HistoryReplayBehavior(offset=1) for i in range(liars)
         }
         ops = [
-            OpSpec(writer_id(0), lambda: BSRWriteOperation(
-                writer_id(0), servers_ids, f, FIRST, enforce_bounds=False)),
-            OpSpec(writer_id(1), lambda: BSRWriteOperation(
-                writer_id(1), servers_ids, f, SECOND, enforce_bounds=False)),
+            OpSpec(writer_id(0), lambda: WriteOperation(
+                writer_id(0), servers_ids, f, FIRST)),
+            OpSpec(writer_id(1), lambda: WriteOperation(
+                writer_id(1), servers_ids, f, SECOND)),
             # The reader state is created at instantiation time so cloned
             # worlds never share mutable state through the spec closure.
             OpSpec(reader_id(0), lambda: BSRReadOperation(
                 reader_id(0), servers_ids, f,
-                reader_state=BSRReaderState(INITIAL),
-                enforce_bounds=False)),
+                reader_state=BSRReaderState(INITIAL))),
         ]
         return World(servers, ops, behaviors=behaviors)
 
@@ -97,12 +92,11 @@ def bsr_preseeded_write_read(n: int, f: int = 1,
             server_id(i): HistoryReplayBehavior(offset=1) for i in range(liars)
         }
         ops = [
-            OpSpec(writer_id(1), lambda: BSRWriteOperation(
-                writer_id(1), servers_ids, f, SECOND, enforce_bounds=False)),
+            OpSpec(writer_id(1), lambda: WriteOperation(
+                writer_id(1), servers_ids, f, SECOND)),
             OpSpec(reader_id(0), lambda: BSRReadOperation(
                 reader_id(0), servers_ids, f,
-                reader_state=BSRReaderState(INITIAL),
-                enforce_bounds=False)),
+                reader_state=BSRReaderState(INITIAL))),
         ]
         return World(servers, ops, behaviors=behaviors)
 
@@ -156,8 +150,7 @@ def bsr_read_stage(n: int, f: int, w1_quorum: Tuple[int, ...],
         ops = [
             OpSpec(reader_id(0), lambda: BSRReadOperation(
                 reader_id(0), servers_ids, f,
-                reader_state=BSRReaderState(INITIAL),
-                enforce_bounds=False)),
+                reader_state=BSRReaderState(INITIAL))),
         ]
         return World(servers, ops, behaviors=behaviors,
                      initial_pending=leftovers)
@@ -254,10 +247,10 @@ def bcsr_two_writes_one_read(n: int, f: int = 1, k: Optional[int] = None,
             server_id(i): HistoryReplayBehavior(offset=1) for i in range(liars)
         }
         ops = [
-            OpSpec(writer_id(0), lambda: BCSRWriteOperation(
-                writer_id(0), servers_ids, f, FIRST, codec=codec)),
-            OpSpec(writer_id(1), lambda: BCSRWriteOperation(
-                writer_id(1), servers_ids, f, SECOND, codec=codec)),
+            OpSpec(writer_id(0), lambda: coded_write(
+                writer_id(0), servers_ids, f, FIRST, codec)),
+            OpSpec(writer_id(1), lambda: coded_write(
+                writer_id(1), servers_ids, f, SECOND, codec)),
             OpSpec(reader_id(0), lambda: BCSRReadOperation(
                 reader_id(0), servers_ids, f, codec=codec,
                 initial_value=INITIAL)),

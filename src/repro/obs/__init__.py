@@ -42,6 +42,7 @@ from repro.obs.registry import (
     Histogram,
     MetricRegistry,
     aggregate_histograms,
+    counter_sum,
     merge_registry_snapshots,
     merge_snapshots,
     render_prometheus,
@@ -102,6 +103,7 @@ __all__ = [
     "StitchedOp",
     "aggregate_histograms",
     "bucket_percentile",
+    "counter_sum",
     "format_timeline",
     "iter_snapshot_log",
     "merge_registry_snapshots",

@@ -345,6 +345,18 @@ def merge_registry_snapshots(snapshots: Iterable[Dict],
     }
 
 
+def counter_sum(snapshot: Dict, name: str, **labels: str) -> float:
+    """Sum every ``name`` counter matching ``labels`` (a subset match,
+    as in :func:`aggregate_histograms`)."""
+    total = 0.0
+    for entry in snapshot.get("counters", ()):
+        if (entry.get("name") == name
+                and all(entry.get("labels", {}).get(k) == v
+                        for k, v in labels.items())):
+            total += float(entry["value"])
+    return total
+
+
 def aggregate_histograms(snapshot: Dict, name: str,
                          **labels: str) -> Optional[Dict]:
     """Fold every ``name`` histogram matching ``labels`` into one entry.

@@ -8,24 +8,22 @@ fault model and display metadata.
 
 from __future__ import annotations
 
-from repro.baselines.abd import ABDReadOperation, ABDServer, ABDWriteOperation
+from functools import partial
+
+from repro.baselines.abd import ABDReadOperation, ABDServer
 from repro.baselines.rb_register import (
-    RBReadOperation,
-    RBRegisterServer,
-    RBWriteOperation,
+    BRACHA,
+    BroadcastRegisterServer,
+    RelayReadOperation,
 )
 from repro.core.bcsr import (
     BCSRReadOperation,
     BCSRServer,
-    BCSRWriteOperation,
+    coded_write,
     make_codec,
 )
-from repro.core.bsr import (
-    BSRReadOperation,
-    BSRReaderState,
-    BSRServer,
-    BSRWriteOperation,
-)
+from repro.core.bsr import BSRReadOperation, BSRReaderState, BSRServer
+from repro.core.operation import WriteOperation, put_start
 from repro.core.quorum import (
     abd_min_servers,
     bcsr_min_servers,
@@ -46,9 +44,8 @@ from repro.protocols.registry import (
 )
 
 
-def _bsr_write(ctx):
-    return BSRWriteOperation(ctx.client_id, ctx.servers, ctx.f, ctx.value,
-                             enforce_bounds=ctx.enforce_bounds)
+def _write(ctx):
+    return WriteOperation(ctx.client_id, ctx.servers, ctx.f, ctx.value)
 
 
 def _bsr_server(ctx):
@@ -69,10 +66,10 @@ BSR = register(ProtocolSpec(
     fault_model=BYZANTINE,
     read_rounds="1",
     make_server=_bsr_server,
-    make_write=_bsr_write,
+    make_write=_write,
     make_read=lambda ctx: BSRReadOperation(
         ctx.client_id, ctx.servers, ctx.f, reader_state=ctx.reader_state,
-        enforce_bounds=ctx.enforce_bounds, repair=ctx.repair),
+        repair=ctx.repair),
     make_reader_state=BSRReaderState,
 ))
 
@@ -84,10 +81,9 @@ BSR_HISTORY = register(ProtocolSpec(
     fault_model=BYZANTINE,
     read_rounds="1",
     make_server=_regular_server,
-    make_write=_bsr_write,
+    make_write=_write,
     make_read=lambda ctx: HistoryReadOperation(
-        ctx.client_id, ctx.servers, ctx.f, reader_state=ctx.reader_state,
-        enforce_bounds=ctx.enforce_bounds),
+        ctx.client_id, ctx.servers, ctx.f, reader_state=ctx.reader_state),
     make_reader_state=BSRReaderState,
     serves_history=True,
     read_phases={1: "get-history"},
@@ -102,10 +98,9 @@ BSR_2ROUND = register(ProtocolSpec(
     fault_model=BYZANTINE,
     read_rounds="2",
     make_server=_regular_server,
-    make_write=_bsr_write,
+    make_write=_write,
     make_read=lambda ctx: TwoRoundReadOperation(
-        ctx.client_id, ctx.servers, ctx.f, reader_state=ctx.reader_state,
-        enforce_bounds=ctx.enforce_bounds),
+        ctx.client_id, ctx.servers, ctx.f, reader_state=ctx.reader_state),
     make_reader_state=BSRReaderState,
     serves_history=True,
     read_phases={1: "get-tag-history", 2: "get-value"},
@@ -123,8 +118,8 @@ BCSR = register(ProtocolSpec(
     make_server=lambda ctx: BCSRServer(
         ctx.server_id, ctx.index, ctx.codec,
         initial_value=ctx.initial_value, max_history=ctx.max_history),
-    make_write=lambda ctx: BCSRWriteOperation(
-        ctx.client_id, ctx.servers, ctx.f, ctx.value, codec=ctx.codec),
+    make_write=lambda ctx: coded_write(
+        ctx.client_id, ctx.servers, ctx.f, ctx.value, ctx.codec),
     make_read=lambda ctx: BCSRReadOperation(
         ctx.client_id, ctx.servers, ctx.f, codec=ctx.codec,
         initial_value=ctx.initial_value, reader_state=ctx.reader_state),
@@ -142,12 +137,14 @@ RB = register(ProtocolSpec(
     min_servers=rb_min_servers,
     fault_model=BYZANTINE,
     read_rounds="1+relay",
-    make_server=lambda ctx: RBRegisterServer(
-        ctx.server_id, ctx.servers, ctx.f, initial_value=ctx.initial_value),
-    make_write=lambda ctx: RBWriteOperation(
-        ctx.client_id, ctx.servers, ctx.f, ctx.value),
-    make_read=lambda ctx: RBReadOperation(
-        ctx.client_id, ctx.servers, ctx.f, initial_value=ctx.initial_value),
+    make_server=lambda ctx: BroadcastRegisterServer(
+        ctx.server_id, ctx.servers, ctx.f, BRACHA,
+        initial_value=ctx.initial_value),
+    make_write=lambda ctx: WriteOperation(
+        ctx.client_id, ctx.servers, ctx.f, ctx.value,
+        put=partial(put_start, BRACHA.start)),
+    make_read=lambda ctx: RelayReadOperation(
+        ctx.client_id, ctx.servers, ctx.f),
     snapshot_ok=False,
     peer_links=True,
     message_phases={"RBSend": "put-data", "RBEcho": "rb-echo",
@@ -164,8 +161,9 @@ ABD = register(ProtocolSpec(
     make_server=lambda ctx: ABDServer(
         ctx.server_id, initial_value=ctx.initial_value,
         max_history=ctx.max_history),
-    make_write=lambda ctx: ABDWriteOperation(
-        ctx.client_id, ctx.servers, ctx.f, ctx.value),
+    # Crash-only: the plain maximum tag is trustworthy.
+    make_write=lambda ctx: WriteOperation(
+        ctx.client_id, ctx.servers, ctx.f, ctx.value, rank=1),
     make_read=lambda ctx: ABDReadOperation(ctx.client_id, ctx.servers, ctx.f),
     read_phases={1: "get-data", 2: "write-back"},
 ))

@@ -62,9 +62,6 @@ class Fleet:
     namespaced: bool
     initial_value: Any
     max_history: Optional[int]
-    #: False admits the lower-bound scenarios' configurations (see
-    #: :meth:`build`); operations carry it too.
-    enforce_bounds: bool
     codec: Any
     placement: Optional[Placement]
 
@@ -117,7 +114,7 @@ class Fleet:
             spec=spec, f=f, server_ids=server_ids, behaviors=behaviors,
             keyspace=keyspace, namespaced=namespaced,
             initial_value=initial_value, max_history=max_history,
-            enforce_bounds=enforce_bounds, codec=codec,
+            codec=codec,
             placement=(keyspace.placement(server_ids)
                        if keyspace is not None else None))
 
@@ -160,8 +157,7 @@ class Fleet:
         servers = self.group(register)
         return servers, self._named(register, self.spec.make_write(OpContext(
             client_id=client_id, servers=servers, f=self.f, value=value,
-            initial_value=self.initial_value, codec=self.codec,
-            enforce_bounds=self.enforce_bounds)))
+            initial_value=self.initial_value, codec=self.codec)))
 
     def read_op(self, client_id: ProcessId, reader_state: Any,
                 register: str = DEFAULT_REGISTER,
@@ -172,8 +168,7 @@ class Fleet:
         return servers, self._named(register, self.spec.make_read(OpContext(
             client_id=client_id, servers=servers, f=self.f,
             initial_value=self.initial_value, reader_state=reader_state,
-            codec=self.codec, enforce_bounds=self.enforce_bounds,
-            repair=repair)))
+            codec=self.codec, repair=repair)))
 
     def _named(self, register: str, operation: Any) -> Any:
         return (NamespacedOperation(register, operation) if self.namespaced

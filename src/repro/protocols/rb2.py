@@ -2,7 +2,7 @@
 
 The second RB-era rival of ROADMAP item 4 [Imbs-Raynal 2015,
 arXiv:1510.06882]: same register construction as the Bracha-based ``rb``
-baseline -- a BSR-style ``get-tag`` phase, then the data disseminated by
+baseline -- the shared ``get-tag`` write, then the data disseminated by
 reliable broadcast among the servers, with delivery-time relay to
 pending readers -- but the broadcast itself is the 2-step INIT/WITNESS
 protocol.  That removes one server-to-server hop from every write at
@@ -10,231 +10,34 @@ the cost of a much steeper resilience bound: ``n >= 5f + 1`` instead of
 Bracha's ``3f + 1``.  The scorecard experiment (E23) measures exactly
 this trade against the paper's broadcast-free registers.
 
-This module is also the registry's worked example: server, operations
-and :class:`~repro.protocols.registry.ProtocolSpec` in one file, plugged
-into every layer (sim, asyncio runtime, sharding, chaos, load rig, CLI)
-by the single :func:`~repro.protocols.registry.register` call at the
-bottom.
+The register is ``rb``'s (:mod:`repro.baselines.rb_register`); this
+module only supplies the broadcast, as the :data:`IR2` scheme, and the
+:class:`~repro.protocols.registry.ProtocolSpec` that plugs it into every
+layer (sim, asyncio runtime, sharding, chaos, load rig, CLI) by the
+single :func:`~repro.protocols.registry.register` call at the bottom.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
 
-from repro.broadcast.imbs_raynal import IR2Instance
-from repro.core.messages import (
-    DataReply,
-    PushData,
-    PutAck,
-    QueryData,
-    QueryTag,
-    Rb2Send,
-    Rb2Witness,
-    TagReply,
-    stored_size,
+from repro.baselines.rb_register import (
+    BroadcastRegisterServer,
+    BroadcastScheme,
+    RelayReadOperation,
 )
-from repro.core.operation import ClientOperation, ReplyCollector
-from repro.core.quorum import (
-    kth_highest,
-    rb2_min_servers,
-    validate_rb2_config,
-    witness_threshold,
-)
-from repro.core.tags import TAG_ZERO, Tag, TaggedValue
+from repro.broadcast.imbs_raynal import WITNESS, IR2Instance
+from repro.core.messages import Rb2Send, Rb2Witness
+from repro.core.operation import WriteOperation, put_start
+from repro.core.quorum import rb2_min_servers
 from repro.protocols.registry import BYZANTINE, ProtocolSpec, register
-from repro.types import Envelope, ProcessId
 
-
-class Rb2RegisterServer:
-    """BSR-like storage + 2-step broadcast participation + relay."""
-
-    def __init__(self, server_id: ProcessId, peers: Sequence[ProcessId],
-                 f: int, initial_value: Any = b"") -> None:
-        validate_rb2_config(len(peers), f)
-        self.server_id = server_id
-        self.peers = list(peers)
-        self.f = f
-        self.history: List[TaggedValue] = [TaggedValue(TAG_ZERO, initial_value)]
-        self.broadcast = IR2Instance(server_id, self.peers, f)
-        #: reader -> op_id of its most recent (assumed pending) query.
-        self._pending_readers: Dict[ProcessId, int] = {}
-        #: broadcast instances we already acked, to dedupe deliveries.
-        self._acked: Set[Any] = set()
-
-    @property
-    def latest(self) -> TaggedValue:
-        """The stored pair with the highest tag."""
-        return self.history[-1]
-
-    @property
-    def max_tag(self) -> Tag:
-        """The highest stored tag."""
-        return self.history[-1].tag
-
-    def storage_bytes(self) -> int:
-        """Bytes of user data stored (full replication, like BSR)."""
-        return stored_size(self.latest.value)
-
-    # -- message handling ---------------------------------------------------
-    def handle(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        """Dispatch one incoming message; returns outgoing envelopes."""
-        if isinstance(message, QueryTag):
-            return [(sender, TagReply(op_id=message.op_id, tag=self.max_tag))]
-        if isinstance(message, QueryData):
-            self._pending_readers[sender] = message.op_id
-            latest = self.latest
-            return [(sender, DataReply(op_id=message.op_id, tag=latest.tag,
-                                       payload=latest.value))]
-        if isinstance(message, Rb2Send):
-            # INIT must come from the (trusted) writer itself; a Byzantine
-            # *server* forging one would otherwise rally enough witnesses
-            # to smuggle a never-written value into storage.
-            if sender in self.peers:
-                return []
-            return self._rb_outputs(
-                message, self.broadcast.on_init(self._key(message),
-                                                (message.tag, message.payload)))
-        if isinstance(message, Rb2Witness):
-            return self._rb_outputs(
-                message, self.broadcast.on_witness(
-                    self._key(message), (message.tag, message.payload), sender))
-        return []
-
-    @staticmethod
-    def _key(message: Any) -> Tuple[str, int]:
-        return (message.source, message.op_id)
-
-    def _rb_outputs(self, message: Any, outputs) -> List[Envelope]:
-        envelopes: List[Envelope] = []
-        for action, arg1, arg2 in outputs:
-            if action == "broadcast":
-                payload = arg2
-                relayed = Rb2Witness(op_id=message.op_id, tag=payload[0],
-                                     payload=payload[1], source=message.source)
-                envelopes.extend((peer, relayed) for peer in self.peers)
-            elif action == "deliver":
-                tag, value = arg1
-                envelopes.extend(self._deliver(message, tag, value))
-        return envelopes
-
-    def _deliver(self, message: Any, tag: Tag, value: Any) -> List[Envelope]:
-        envelopes: List[Envelope] = []
-        if tag > self.max_tag:
-            self.history.append(TaggedValue(tag, value))
-            # Relay: push the fresh pair to every reader with a pending
-            # query so stuck reads can converge on f + 1 witnesses.
-            for reader, read_op_id in self._pending_readers.items():
-                envelopes.append(
-                    (reader, PushData(op_id=read_op_id, tag=tag, payload=value))
-                )
-        key = self._key(message)
-        if key not in self._acked:
-            self._acked.add(key)
-            envelopes.append(
-                (message.source, PutAck(op_id=message.op_id, tag=tag))
-            )
-        return envelopes
-
-
-class Rb2WriteOperation(ClientOperation):
-    """Write: ``get-tag`` like BSR, then 2-step-broadcast the data."""
-
-    kind = "write"
-
-    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId],
-                 f: int, value: Any) -> None:
-        super().__init__(client_id, servers, f)
-        validate_rb2_config(self.n, f)
-        self.value = value
-        self._phase = "idle"
-        self._tag_replies = ReplyCollector(self.servers)
-        self._acks = ReplyCollector(self.servers)
-        self._tag: Optional[Tag] = None
-
-    def start(self) -> List[Envelope]:
-        self._phase = "get-tag"
-        self.rounds = 1
-        return self.broadcast(QueryTag(op_id=self.op_id))
-
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if not self.accepts(message) or self.done:
-            return []
-        if self._phase == "get-tag" and isinstance(message, TagReply):
-            if not isinstance(message.tag, Tag):
-                return []
-            self._tag_replies.add(sender, message)
-            if len(self._tag_replies) < self.quorum:
-                return []
-            tags = [reply.tag for reply in self._tag_replies.values()]
-            self._tag = kth_highest(tags, self.f + 1).next_for(self.client_id)
-            self._phase = "put-data"
-            # Dissemination happens server-side: still the client's second
-            # round, but acks only come back after one WITNESS wave (one
-            # hop fewer than Bracha's ECHO + READY).
-            self.rounds = 2
-            return self.broadcast(Rb2Send(op_id=self.op_id, tag=self._tag,
-                                          payload=self.value,
-                                          source=self.client_id))
-        if self._phase == "put-data" and isinstance(message, PutAck):
-            if message.tag == self._tag:
-                self._acks.add(sender, message)
-                if len(self._acks) >= self.quorum:
-                    self._complete(self._tag)
-        return []
-
-
-class Rb2ReadOperation(ClientOperation):
-    """Read: wait for a witnessed pair at least as fresh as the
-    ``(f+1)``-th highest tag; relayed pushes may be needed to get there."""
-
-    kind = "read"
-
-    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId],
-                 f: int, initial_value: Any = b"") -> None:
-        super().__init__(client_id, servers, f)
-        validate_rb2_config(self.n, f)
-        self.initial_value = initial_value
-        #: server -> freshest (tag, value) heard from it (reply or push)
-        self._latest: Dict[ProcessId, TaggedValue] = {}
-
-    def start(self) -> List[Envelope]:
-        self.rounds = 1
-        return self.broadcast(QueryData(op_id=self.op_id))
-
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if self.done or not self.accepts(message):
-            return []
-        if not isinstance(message, (DataReply, PushData)):
-            return []
-        if not isinstance(message.tag, Tag) or sender not in self.servers:
-            return []
-        pair = TaggedValue(message.tag, message.payload)
-        current = self._latest.get(sender)
-        if current is None or pair.tag > current.tag:
-            self._latest[sender] = pair
-        self._try_finish()
-        return []
-
-    def _try_finish(self) -> None:
-        if len(self._latest) < self.quorum:
-            return
-        # Freshness bar: the (f+1)-th highest tag cannot be Byzantine-forged.
-        tags = [pair.tag for pair in self._latest.values()]
-        bar = kth_highest(tags, self.f + 1)
-        counts: Counter = Counter()
-        for pair in self._latest.values():
-            try:
-                counts[pair] += 1
-            except TypeError:
-                continue
-        threshold = witness_threshold(self.f)
-        witnessed = [pair for pair, count in counts.items()
-                     if count >= threshold and pair.tag >= bar]
-        if witnessed:
-            best = max(witnessed, key=lambda tv: tv.tag)
-            self._tag = best.tag
-            self._complete(best.value)
+#: ``rb2``'s broadcast: INIT, then one wave of WITNESS (one hop fewer
+#: than Bracha's ECHO + READY before a server acks).
+IR2 = BroadcastScheme(
+    instance=IR2Instance, start=Rb2Send, on_start=IR2Instance.on_init,
+    relays={Rb2Witness: IR2Instance.on_witness},
+    phases={WITNESS: Rb2Witness})
 
 
 SPEC = register(ProtocolSpec(
@@ -244,12 +47,14 @@ SPEC = register(ProtocolSpec(
     min_servers=rb2_min_servers,
     fault_model=BYZANTINE,
     read_rounds="1+relay",
-    make_server=lambda ctx: Rb2RegisterServer(
-        ctx.server_id, ctx.servers, ctx.f, initial_value=ctx.initial_value),
-    make_write=lambda ctx: Rb2WriteOperation(
-        ctx.client_id, ctx.servers, ctx.f, ctx.value),
-    make_read=lambda ctx: Rb2ReadOperation(
-        ctx.client_id, ctx.servers, ctx.f, initial_value=ctx.initial_value),
+    make_server=lambda ctx: BroadcastRegisterServer(
+        ctx.server_id, ctx.servers, ctx.f, IR2,
+        initial_value=ctx.initial_value),
+    make_write=lambda ctx: WriteOperation(
+        ctx.client_id, ctx.servers, ctx.f, ctx.value,
+        put=partial(put_start, IR2.start)),
+    make_read=lambda ctx: RelayReadOperation(
+        ctx.client_id, ctx.servers, ctx.f),
     snapshot_ok=False,
     peer_links=True,
     message_phases={"Rb2Send": "put-data", "Rb2Witness": "rb2-witness"},

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, QuorumError
 from repro.obs import register_phase_names
 from repro.types import ProcessId
 
@@ -58,7 +58,6 @@ class OpContext:
     initial_value: Any = b""
     reader_state: Any = None      #: semi-fast reader hint state, if any
     codec: Any = None             #: erasure codec (coded protocols)
-    enforce_bounds: bool = True   #: False for below-the-bound experiments
     repair: bool = False          #: opt-in read repair (BSR)
 
 
@@ -112,10 +111,10 @@ class ProtocolSpec:
     message_phases: Mapping[str, str] = field(default_factory=dict)
 
     def validate_config(self, n: int, f: int) -> None:
-        """Raise :class:`ConfigurationError` unless ``n`` meets the bound."""
+        """Raise :class:`QuorumError` unless ``n`` meets the bound."""
         floor = self.min_servers(f)
         if n < floor:
-            raise ConfigurationError(
+            raise QuorumError(
                 f"{self.name} requires n >= {self.quorum_rule} = {floor} "
                 f"for f={f}, got n={n}"
             )

@@ -2,28 +2,30 @@
 
 import pytest
 
-from repro.baselines.abd import (
-    ABDReadOperation,
-    ABDServer,
-    ABDWriteOperation,
-    validate_abd_config,
-)
+from repro.baselines.abd import ABDReadOperation, ABDServer
 from repro.core.messages import DataReply, PutAck, PutData, QueryTag, TagReply
 from repro.core.tags import TAG_ZERO, Tag
 from repro.errors import QuorumError
+from repro.protocols.fleet import Fleet
 
 SERVERS = [f"s{i:03d}" for i in range(3)]  # n=3, f=1
 F = 1
 
 
 def test_config_validation():
-    validate_abd_config(3, 1)
+    # Checked once per deployment, when its fleet is built.
+    assert Fleet.build("abd", f=1, n=3).n == 3
     with pytest.raises(QuorumError):
-        validate_abd_config(2, 1)
+        Fleet.build("abd", f=1, n=2)
+
+
+def abd_write(value):
+    """An ABD write, as a deployment builds it."""
+    return Fleet.build("abd", f=F).write_op("w000", value)[1]
 
 
 def test_write_uses_plain_max_tag():
-    op = ABDWriteOperation("w000", SERVERS, F, b"v")
+    op = abd_write(b"v")
     op.start()
     op.on_reply(SERVERS[0], TagReply(op_id=op.op_id, tag=Tag(4, "w9")))
     out = op.on_reply(SERVERS[1], TagReply(op_id=op.op_id, tag=Tag(2, "w3")))
@@ -32,7 +34,7 @@ def test_write_uses_plain_max_tag():
 
 
 def test_write_completes_on_majority_acks():
-    op = ABDWriteOperation("w000", SERVERS, F, b"v")
+    op = abd_write(b"v")
     op.start()
     for sid in SERVERS[:2]:
         op.on_reply(sid, TagReply(op_id=op.op_id, tag=TAG_ZERO))

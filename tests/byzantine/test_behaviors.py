@@ -9,6 +9,7 @@ from repro.byzantine.behaviors import (
     CorruptValueBehavior,
     EquivocateBehavior,
     FlipFlopBehavior,
+    ForgeBroadcastBehavior,
     ForgeTagBehavior,
     HistoryReplayBehavior,
     MultiReplyBehavior,
@@ -17,6 +18,7 @@ from repro.byzantine.behaviors import (
     StaleBehavior,
     make_behavior,
 )
+from repro.baselines.rb_register import BRACHA, BroadcastRegisterServer
 from repro.core.bsr import BSRServer
 from repro.core.messages import (
     DataHeld,
@@ -25,6 +27,8 @@ from repro.core.messages import (
     QueryData,
     QueryDataHeld,
     QueryTag,
+    RBEcho,
+    RBSend,
     TagReply,
 )
 from repro.core.tags import TAG_ZERO, Tag
@@ -222,12 +226,35 @@ def test_registry_and_factory():
     assert set(BEHAVIOR_REGISTRY) >= {
         "honest", "silent", "stale", "forge_tag", "history_replay",
         "corrupt_value", "equivocate", "multi_reply", "flip_flop", "random",
-        "claim_held",
+        "claim_held", "forge_broadcast",
     }
     assert isinstance(make_behavior("stale"), StaleBehavior)
     assert isinstance(make_behavior("forge_tag", boost=5), ForgeTagBehavior)
     with pytest.raises(ValueError):
         make_behavior("nonexistent")
+
+
+def test_forge_broadcast_forges_only_a_start_its_source_sent():
+    peers = [f"s{i:03d}" for i in range(4)]
+    rb_server = BroadcastRegisterServer("s000", peers, 1, BRACHA)
+    behavior = ForgeBroadcastBehavior()
+    start = RBSend(op_id=1, tag=Tag(1, "w000"), payload=b"v", source="w000")
+    honest = rb_server.handle("w000", start)
+    out = behavior.on_message(rb_server, "w000", start, honest)
+    assert out[:len(honest)] == honest
+    forged = out[len(honest):]
+    assert [dest for dest, _ in forged] == peers
+    [copy] = {message for _, message in forged}
+    assert isinstance(copy, RBSend) and copy.source == "w000"
+    assert copy.op_id != 1 and copy.tag > start.tag
+    assert copy.payload == b"forged"
+    # A peer's echo carries the writer's source too; it is not a start.
+    echo = RBEcho(op_id=1, tag=start.tag, payload=b"v", source="w000")
+    assert behavior.on_message(rb_server, "s001", echo, []) == []
+    # Messages without a source are answered honestly.
+    query = QueryTag(op_id=2)
+    replies = rb_server.handle("w000", query)
+    assert behavior.on_message(rb_server, "w000", query, replies) == replies
 
 
 def test_corrupt_value_validates_mask():

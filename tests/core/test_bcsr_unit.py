@@ -5,7 +5,7 @@ import pytest
 from repro.core.bcsr import (
     BCSRReadOperation,
     BCSRServer,
-    BCSRWriteOperation,
+    coded_write,
     make_codec,
 )
 from repro.core.messages import (
@@ -19,6 +19,7 @@ from repro.core.messages import (
 from repro.core.tags import TAG_ZERO, Tag
 from repro.erasure.striping import CodedElement
 from repro.errors import QuorumError
+from repro.protocols.fleet import Fleet
 
 N, F = 6, 1
 SERVERS = [f"s{i:03d}" for i in range(N)]
@@ -66,17 +67,18 @@ def test_server_data_reply_carries_element(codec):
 
 
 def test_write_requires_bcsr_bound_without_codec():
+    # Checked once per deployment, when its fleet is built.
     with pytest.raises(QuorumError):
-        BCSRWriteOperation("w000", SERVERS[:5], F, b"v")
+        Fleet.build("bcsr", f=F, n=5)
 
 
 def test_write_rejects_non_bytes(codec):
     with pytest.raises(TypeError):
-        BCSRWriteOperation("w000", SERVERS, F, "text", codec=codec)
+        coded_write("w000", SERVERS, F, "text", codec)
 
 
 def test_write_sends_distinct_elements_per_server(codec):
-    op = BCSRWriteOperation("w000", SERVERS, F, b"payload-value", codec=codec)
+    op = coded_write("w000", SERVERS, F, b"payload-value", codec)
     op.start()
     for sid in SERVERS[:N - F]:
         out = op.on_reply(sid, TagReply(op_id=op.op_id, tag=TAG_ZERO))
@@ -89,7 +91,7 @@ def test_write_sends_distinct_elements_per_server(codec):
 
 
 def test_write_completes_after_quorum_acks(codec):
-    op = BCSRWriteOperation("w000", SERVERS, F, b"v", codec=codec)
+    op = coded_write("w000", SERVERS, F, b"v", codec)
     op.start()
     for sid in SERVERS[:N - F]:
         op.on_reply(sid, TagReply(op_id=op.op_id, tag=TAG_ZERO))

@@ -6,12 +6,7 @@ transition of Figs 1-3.
 
 import pytest
 
-from repro.core.bsr import (
-    BSRReadOperation,
-    BSRReaderState,
-    BSRServer,
-    BSRWriteOperation,
-)
+from repro.core.bsr import BSRReadOperation, BSRReaderState, BSRServer
 from repro.core.messages import (
     DataHeld,
     DataReply,
@@ -22,8 +17,10 @@ from repro.core.messages import (
     QueryTag,
     TagReply,
 )
+from repro.core.operation import WriteOperation
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.errors import QuorumError
+from repro.protocols.fleet import Fleet
 
 SERVERS = [f"s{i:03d}" for i in range(5)]
 F = 1
@@ -90,12 +87,13 @@ def tag_reply(op, tag):
 
 
 def test_write_requires_bsr_bound():
+    # Checked once per deployment, when its fleet is built.
     with pytest.raises(QuorumError):
-        BSRWriteOperation("w000", SERVERS[:4], F, b"v")
+        Fleet.build("bsr", f=F, n=4)
 
 
 def test_write_happy_path():
-    op = BSRWriteOperation("w000", SERVERS, F, b"v1")
+    op = WriteOperation("w000", SERVERS, F, b"v1")
     start = op.start()
     assert len(start) == 5 and all(isinstance(m, QueryTag) for _, m in start)
     # n - f - 1 tag replies: not yet enough
@@ -114,7 +112,7 @@ def test_write_happy_path():
 
 
 def test_write_selects_f_plus_1_th_highest_tag():
-    op = BSRWriteOperation("w000", SERVERS, F, b"v")
+    op = WriteOperation("w000", SERVERS, F, b"v")
     op.start()
     replies = [Tag(9, "byz"), Tag(3, "w1"), Tag(3, "w1"), Tag(2, "w1")]
     for sid, tag in zip(SERVERS, replies):
@@ -124,7 +122,7 @@ def test_write_selects_f_plus_1_th_highest_tag():
 
 
 def test_write_ignores_malformed_tag_replies():
-    op = BSRWriteOperation("w000", SERVERS, F, b"v")
+    op = WriteOperation("w000", SERVERS, F, b"v")
     op.start()
     assert op.on_reply(SERVERS[0], TagReply(op_id=op.op_id, tag="not-a-tag")) == []
     # the malformed reply must not count toward the quorum
@@ -135,7 +133,7 @@ def test_write_ignores_malformed_tag_replies():
 
 
 def test_write_ignores_duplicate_replies_from_same_server():
-    op = BSRWriteOperation("w000", SERVERS, F, b"v")
+    op = WriteOperation("w000", SERVERS, F, b"v")
     op.start()
     for _ in range(10):
         assert op.on_reply(SERVERS[0], tag_reply(op, TAG_ZERO)) == []
@@ -143,7 +141,7 @@ def test_write_ignores_duplicate_replies_from_same_server():
 
 
 def test_write_ignores_acks_for_other_tags():
-    op = BSRWriteOperation("w000", SERVERS, F, b"v")
+    op = WriteOperation("w000", SERVERS, F, b"v")
     op.start()
     for sid in SERVERS[:4]:
         op.on_reply(sid, tag_reply(op, TAG_ZERO))
@@ -153,7 +151,7 @@ def test_write_ignores_acks_for_other_tags():
 
 
 def test_write_ignores_wrong_op_id():
-    op = BSRWriteOperation("w000", SERVERS, F, b"v")
+    op = WriteOperation("w000", SERVERS, F, b"v")
     op.start()
     assert op.on_reply(SERVERS[0], TagReply(op_id=op.op_id + 1, tag=TAG_ZERO)) == []
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import RegisterSystem
-from repro.core.bsr import BSRServer, BSRWriteOperation
+from repro.core.bsr import BSRServer
+from repro.core.operation import WriteOperation
 from repro.core.processes import ClientProcess, ServerProcess
 from repro.sim.delays import ConstantDelay
 from repro.sim.simulator import Simulator
@@ -21,7 +22,7 @@ def make_sim():
 
 
 def write_factory(value):
-    return lambda: BSRWriteOperation("w000", SERVER_IDS, F, value)
+    return lambda: WriteOperation("w000", SERVER_IDS, F, value)
 
 
 def test_single_operation_completes():

@@ -11,11 +11,10 @@ from repro.core.quorum import (
     rb_min_servers,
     reply_quorum,
     validate_bcsr_config,
-    validate_bsr_config,
-    validate_rb_config,
     witness_threshold,
 )
 from repro.errors import QuorumError
+from repro.protocols import get_spec
 
 
 @pytest.mark.parametrize("f,expected", [(0, 1), (1, 5), (2, 9), (3, 13)])
@@ -44,10 +43,12 @@ def test_negative_f_rejected():
 
 
 def test_validate_bsr_boundary():
-    validate_bsr_config(5, 1)
-    validate_bsr_config(6, 1)
+    # The deployment-time check (Fleet.build calls it).
+    validate = get_spec("bsr").validate_config
+    validate(5, 1)
+    validate(6, 1)
     with pytest.raises(QuorumError):
-        validate_bsr_config(4, 1)
+        validate(4, 1)
 
 
 def test_validate_bcsr_boundary():
@@ -57,9 +58,10 @@ def test_validate_bcsr_boundary():
 
 
 def test_validate_rb_boundary():
-    validate_rb_config(4, 1)
+    validate = get_spec("rb").validate_config
+    validate(4, 1)
     with pytest.raises(QuorumError):
-        validate_rb_config(3, 1)
+        validate(3, 1)
 
 
 def test_bcsr_dimension_formula():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.bsr import BSRReadOperation, BSRReaderState, BSRServer, BSRWriteOperation
+from repro.core.bsr import BSRReadOperation, BSRReaderState, BSRServer
+from repro.core.operation import WriteOperation
 from repro.core.messages import PutData, QueryTag
 from repro.core.tags import Tag, TaggedValue
 from repro.modelcheck import OpSpec, World
@@ -14,8 +15,8 @@ SERVER_IDS = [server_id(i) for i in range(N)]
 
 def write_world():
     servers = {pid: BSRServer(pid, initial_value=b"v0") for pid in SERVER_IDS}
-    ops = [OpSpec(writer_id(0), lambda: BSRWriteOperation(
-        writer_id(0), SERVER_IDS, F, b"v1", enforce_bounds=False))]
+    ops = [OpSpec(writer_id(0), lambda: WriteOperation(
+        writer_id(0), SERVER_IDS, F, b"v1"))]
     return World(servers, ops)
 
 
@@ -71,7 +72,7 @@ def test_state_key_merges_symmetric_servers():
             TaggedValue(Tag(1, "w"), b"x"))
         ops = [OpSpec(reader_id(0), lambda: BSRReadOperation(
             reader_id(0), SERVER_IDS, F,
-            reader_state=BSRReaderState(b"v0"), enforce_bounds=False))]
+            reader_state=BSRReaderState(b"v0")))]
         return World(servers, ops)
 
     assert world_with_extra(1).state_key() == world_with_extra(2).state_key()
@@ -83,7 +84,7 @@ def test_initial_pending_delivered_like_any_message():
                 PutData(op_id=1, tag=Tag(1, writer_id(0)), payload=b"v1"))
     ops = [OpSpec(reader_id(0), lambda: BSRReadOperation(
         reader_id(0), SERVER_IDS, F,
-        reader_state=BSRReaderState(b"v0"), enforce_bounds=False))]
+        reader_state=BSRReaderState(b"v0")))]
     world = World(servers, ops, initial_pending=[leftover])
     assert len(world.pending) == 1 + N  # leftover + read queries
     # Find and deliver the leftover put.
@@ -96,11 +97,11 @@ def test_initial_pending_delivered_like_any_message():
 def test_sequential_chain_starts_next_op():
     servers = {pid: BSRServer(pid, initial_value=b"v0") for pid in SERVER_IDS}
     ops = [
-        OpSpec(writer_id(0), lambda: BSRWriteOperation(
-            writer_id(0), SERVER_IDS, F, b"v1", enforce_bounds=False)),
+        OpSpec(writer_id(0), lambda: WriteOperation(
+            writer_id(0), SERVER_IDS, F, b"v1")),
         OpSpec(reader_id(0), lambda: BSRReadOperation(
             reader_id(0), SERVER_IDS, F,
-            reader_state=BSRReaderState(b"v0"), enforce_bounds=False)),
+            reader_state=BSRReaderState(b"v0"))),
     ]
     world = World(servers, ops)
     while not world.done:
@@ -113,7 +114,7 @@ def test_stuck_detection():
     servers = {pid: BSRServer(pid, initial_value=b"v0") for pid in SERVER_IDS}
     ops = [OpSpec(reader_id(0), lambda: BSRReadOperation(
         reader_id(0), SERVER_IDS, F,
-        reader_state=BSRReaderState(b"v0"), enforce_bounds=False))]
+        reader_state=BSRReaderState(b"v0")))]
     world = World(servers, ops)
     # Drop every message by delivering to a black-hole: simulate by
     # clearing pending -- the world is then stuck.

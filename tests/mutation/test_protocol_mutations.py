@@ -15,9 +15,9 @@ import pytest
 
 from repro import RegisterSystem
 from repro.consistency import check_safety
-from repro.core.bsr import BSRReadOperation, BSRWriteOperation
+from repro.core.bsr import BSRReadOperation
 from repro.core.messages import PutData, QueryData
-from repro.core.operation import ReplyCollector
+from repro.core.operation import ReplyCollector, WriteOperation
 from repro.core.quorum import kth_highest
 from repro.core.tags import Tag, TaggedValue
 from repro.sim.delays import ConstantDelay, RuleBasedDelays, UniformDelay
@@ -38,7 +38,7 @@ class GullibleReadOperation(BSRReadOperation):
         return [pair for pair, count in counts.items() if count >= 1]
 
 
-class ShallowWriteOperation(BSRWriteOperation):
+class ShallowWriteOperation(WriteOperation):
     """MUTATION: declares the write complete after f + 1 acks (not n - f)."""
 
     def _on_ack(self, sender, message):
@@ -51,7 +51,7 @@ class ShallowWriteOperation(BSRWriteOperation):
         return []
 
 
-class NonIncrementingWriteOperation(BSRWriteOperation):
+class NonIncrementingWriteOperation(WriteOperation):
     """MUTATION: reuses the observed tag number instead of incrementing."""
 
     def _on_tag_reply(self, sender, message):
@@ -61,12 +61,11 @@ class NonIncrementingWriteOperation(BSRWriteOperation):
         if len(self._tag_replies) < self.quorum:
             return []
         tags = [reply.tag for reply in self._tag_replies.values()]
-        base = kth_highest(tags, self.f + 1)
+        base = kth_highest(tags, self.rank)
         self._tag = Tag(max(base.num, 1), self.client_id)  # no + 1
         self._phase = "put-data"
         self.rounds = 2
-        return self.broadcast(PutData(op_id=self.op_id, tag=self._tag,
-                                      payload=self.value))
+        return self.put(self, self._tag)
 
 
 def swap_operation_class(system, client, cls):

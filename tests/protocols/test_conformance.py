@@ -22,10 +22,13 @@ import pytest
 
 from repro.chaos import run_soak
 from repro.consistency import check_safety
+from repro.core.messages import PutAck, QueryTag, TagReply
 from repro.core.register import RegisterSystem
+from repro.core.tags import TAG_ZERO, Tag
 from repro.errors import ConfigurationError
 from repro.obs import MemorySink
-from repro.protocols import BYZANTINE, get_spec, names, specs
+from repro.protocols import BYZANTINE, CRASH, get_spec, names, specs
+from repro.protocols.fleet import Fleet
 from repro.runtime import LocalCluster
 from tests.runtime.test_thrifty import hold_back
 
@@ -70,6 +73,26 @@ def test_spec_metadata_is_coherent(algorithm):
         spec.validate_config(floor - 1, 1)
 
 
+@pytest.mark.parametrize("algorithm", ALL)
+def test_every_write_takes_its_tag_by_one_rule(algorithm):
+    """Every protocol writes through the one walk; only the tag rank
+    differs.  Given tag replies whose maximum (9) and second highest (4)
+    differ, crash-only specs commit ``max + 1`` and Byzantine-model ones
+    the ``(f+1)``-th highest ``+ 1``."""
+    fleet = Fleet.build(algorithm, f=1)
+    servers, op = fleet.write_op("w000", b"v")
+    expected = Tag(10 if fleet.spec.fault_model == CRASH else 5, "w000")
+    assert {type(m) for _, m in op.start()} == {QueryTag}
+    tags = [Tag(9, "w009"), Tag(4, "w004")] + [TAG_ZERO] * len(servers)
+    puts = []
+    for server, tag in zip(servers[:op.quorum], tags):
+        puts = op.on_reply(server, TagReply(op_id=op.op_id, tag=tag))
+    assert puts and {m.tag for _, m in puts} == {expected}
+    for server in servers[:op.quorum]:
+        op.on_reply(server, PutAck(op_id=op.op_id, tag=expected))
+    assert op.done and op.result == expected and op.rounds == 2
+
+
 # -- fault-free schedules ------------------------------------------------------
 
 @pytest.mark.parametrize("algorithm", ALL)
@@ -105,11 +128,12 @@ def test_concurrent_writers_stay_safe(algorithm):
 # -- Byzantine schedules (gated by the spec's fault model) ---------------------
 
 @pytest.mark.parametrize("behavior", ["silent", "stale", "forge_tag",
-                                      "claim_held"])
+                                      "claim_held", "forge_broadcast"])
 @pytest.mark.parametrize("algorithm", BYZ)
 def test_byzantine_budget_is_tolerated(algorithm, behavior):
     """f misbehaving servers -- omission, stale replays, forged
-    timestamps -- must cost neither liveness nor safety."""
+    timestamps, a dissemination forged in the writer's name to the peers
+    -- must cost neither liveness nor safety."""
     system = RegisterSystem(algorithm, f=1, seed=3,
                             byzantine={0: behavior})
     system.write(b"genuine", writer=0, at=0.0)
@@ -139,6 +163,29 @@ def test_a_reader_holding_a_pair_still_sees_the_next_write(algorithm,
     trace = system.run()
     assert (first.value, second.value, third.value) == (b"v1", b"v2", b"v2")
     assert check_safety(trace, initial_value=b"").ok
+
+
+def test_a_broadcast_forged_over_the_live_mesh_is_not_stored():
+    """``forge_broadcast`` on live TCP: the forged start reaches the
+    correct ``rb`` servers over the peer mesh, and none of them starts
+    a broadcast on a peer's word."""
+
+    async def scenario():
+        cluster = LocalCluster("rb", f=1, byzantine={0: "forge_broadcast"})
+        await cluster.start()
+        try:
+            writer, reader = (cluster.client(pid, timeout=10.0)
+                              for pid in ("w000", "r000"))
+            await writer.connect()
+            await reader.connect()
+            await writer.write(b"genuine")
+            first = await reader.read()
+            await writer.write(b"second")
+            return first, await reader.read()
+        finally:
+            await cluster.stop()
+
+    assert asyncio.run(scenario()) == (b"genuine", b"second")
 
 
 def test_crash_only_specs_are_excluded_from_byzantine_runs():

@@ -253,15 +253,23 @@ def test_lint_allows_each_builder_in_one_module_only(dead_code_lint):
         "cluster.py": ast.parse(
             "node = RegisterServerNode(pid)\n"
             "hint = ServerContext  # a name, not a call\n"),
+        "operation.py": ast.parse(
+            "query = QueryTag(op_id=self.op_id)\n"),
+        "behaviors.py": ast.parse(
+            "if isinstance(message, QueryTag):  # a name, not a call\n"
+            "    pass\n"),
     }
     assert dead_code_lint.builder_findings(modules) == []
     modules["spec.py"] = ast.parse("ctx = protocols.ServerContext(2)\n")
     modules["client.py"] = ast.parse(
         "op = core.NamespacedOperation(key, spec.make_write(OpContext(2)))\n")
+    # A second write walk, asking for tags on its own.
+    modules["bsr.py"] = ast.parse("query = messages.QueryTag(op_id=2)\n")
     findings = dead_code_lint.builder_findings(modules)
     assert [finding.split("(")[0] for finding in findings] == [
-        "NamespacedOperation", "OpContext", "ServerContext"]
-    for finding, second in zip(findings, ("client.py", "client.py",
-                                          "spec.py")):
+        "NamespacedOperation", "OpContext", "QueryTag", "ServerContext"]
+    for finding, pair in zip(findings, (
+            ("client.py", "fleet.py"), ("client.py", "fleet.py"),
+            ("bsr.py", "operation.py"), ("fleet.py", "spec.py"))):
         assert " is called from 2 modules" in finding
-        assert "fleet.py" in finding and second in finding
+        assert all(module in finding for module in pair)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.abd import ABDServer
+from repro.baselines.rb_register import BroadcastRegisterServer
 from repro.core import persistence
 from repro.core.bcsr import BCSRServer
 from repro.core.bsr import BSRServer
@@ -28,7 +29,7 @@ from repro.core.regular import RegularBSRServer
 from repro.core.tags import Tag
 from repro.erasure.striping import StripedCodec
 from repro.protocols.mpr import MPRServer
-from repro.protocols.rb2 import Rb2RegisterServer
+from repro.protocols.rb2 import IR2
 from repro.sharding import RegisterTable, key_name
 from repro.sharding import table as table_module
 
@@ -209,8 +210,8 @@ def test_eviction_counters_tell_snapshots_from_free_evictions():
 
 @pytest.mark.parametrize("make_server", [
     lambda: MPRServer("s000", ["s000", "s001", "s002", "s003"], 1),
-    lambda: Rb2RegisterServer(
-        "s000", [f"s{i:03d}" for i in range(6)], 1),
+    lambda: BroadcastRegisterServer(
+        "s000", [f"s{i:03d}" for i in range(6)], 1, IR2),
 ], ids=["mpr", "rb2"])
 def test_unsnapshotable_protocol_is_pinned_not_dropped(make_server, snapshots):
     table = RegisterTable("s000", factory=lambda name: make_server(),

@@ -28,7 +28,10 @@ Ways dead or duplicate code hides in a package, all cheap to detect:
   operation is built are decided in one place (``protocols/fleet.py``),
   and nodes and clients are made in one place (``runtime/cluster.py``);
   a second caller is a second recipe, which is how the simulator and the
-  runtime builders once drifted apart.
+  runtime builders once drifted apart.  ``QueryTag`` counts as a builder
+  too: the one write walk (``core/operation.py``) is the only module
+  that asks for tags, so a second write cannot grow back beside it -- six
+  near-copies once did, and one of them lost the writer-only start rule.
 
 Exit status is the number of findings (0 == clean).
 """
@@ -51,7 +54,7 @@ BANNED_IO_NAMES = {"start_server", "open_connection", "StreamReader",
 #: Constructors each called from at most one module under ``src/repro/``.
 BUILDERS = ("ServerContext", "OpContext", "NamespacedOperation",
             "RegisterTable", "make_behavior", "RegisterServerNode",
-            "AsyncRegisterClient")
+            "AsyncRegisterClient", "QueryTag")
 
 #: Where a reference to an exported name may live.
 REFERENCE_DIRS = ("src", "tests", "bench", "benchmarks", "examples",
@@ -177,7 +180,8 @@ def main():
         print(f"dead-code: {finding}")
     if not findings:
         print("dead-code: no shims, no unreferenced exports, no streams "
-              "or copying receivers under runtime/, one module per builder")
+              "or copying receivers under runtime/, one module per builder "
+              "and one write walk")
     return len(findings)
 
 
