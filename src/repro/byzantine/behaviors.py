@@ -17,6 +17,7 @@ replies to a certain request".
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Any, Dict, List, Optional
 
 from repro.core.messages import (
@@ -28,6 +29,7 @@ from repro.core.messages import (
     QueryData,
     QueryDataHeld,
     QueryHistory,
+    QueryHistoryAbove,
     QueryTag,
     QueryTagHistory,
     QueryValue,
@@ -181,12 +183,14 @@ class CorruptValueBehavior(Behavior):
 
 
 class ClaimHeldBehavior(Behavior):
-    """Answers every conditional read with :class:`DataHeld`, whatever it
-    stores.
+    """Answers every conditional read as if it held nothing newer than
+    what the reader named, whatever it stores: :class:`DataHeld`, or an
+    empty history above the named tag.
 
     The lie "I still hold the pair you named" costs the server nothing to
     tell: it vouches for a pair the reader adopted with ``f + 1``
-    witnesses, i.e. genuine written data, never a value it made up -- the
+    witnesses (or for the BCSR column it sent of a version the reader
+    decoded), i.e. genuine written data, never a value it made up -- the
     same lie as replaying an old pair in full, sent without the bytes.
     """
 
@@ -195,7 +199,31 @@ class ClaimHeldBehavior(Behavior):
     def on_message(self, server, sender, message, correct_replies):
         if isinstance(message, QueryDataHeld):
             return [(sender, DataHeld(op_id=message.op_id))]
+        if isinstance(message, QueryHistoryAbove):
+            return [(sender, HistoryReply(op_id=message.op_id, history=()))]
         return correct_replies
+
+
+class MalformedBehavior(Behavior):
+    """Replaces every field of its replies but the ``op_id`` with a value
+    of the wrong type: ``None`` and an int, by turns per message.
+
+    A reader must treat such a reply as junk from that one server, the
+    way it skips junk pairs inside a well-formed reply; raising out of
+    ``on_reply`` would fail the whole operation over one liar.
+    """
+
+    name = "malformed"
+
+    def __init__(self) -> None:
+        self._junk = itertools.cycle((None, 7))
+
+    def on_message(self, server, sender, message, correct_replies):
+        junk = next(self._junk)
+        return [(dest, dataclasses.replace(reply, **{
+                    field.name: junk for field in dataclasses.fields(reply)
+                    if field.name != "op_id"}))
+                for dest, reply in correct_replies]
 
 
 class HistoryReplayBehavior(Behavior):
@@ -363,6 +391,7 @@ BEHAVIOR_REGISTRY = {
     "history_replay": HistoryReplayBehavior,
     "corrupt_value": CorruptValueBehavior,
     "claim_held": ClaimHeldBehavior,
+    "malformed": MalformedBehavior,
     "forge_broadcast": ForgeBroadcastBehavior,
     "equivocate": EquivocateBehavior,
     "multi_reply": MultiReplyBehavior,

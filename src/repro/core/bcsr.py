@@ -20,6 +20,15 @@ Resilience: ``n >= 5f + 1`` (Lemma 4 and Theorem 6).  Values are ``bytes``.
 
 Extension, not in Fig 5: the reader's :class:`~repro.erasure.striping.DecodeMemo`
 spares it a decode an earlier read already did -- observationally identical.
+It also names the version that decode returned in the next query: the
+highest tag under which at least ``f + 1`` servers sent a column the decode
+verified.  Each such server is asked ``QueryDataHeld(tag)`` and the rest
+plain ``QUERY-DATA``; a server whose newest tag is ``tag`` answers
+:class:`DataHeld`, which the read counts as that same server's verified
+column.  A correct server holds one element per tag, so the column is
+exactly what it would have sent; a Byzantine server's ``DataHeld`` only
+re-sends the correct element of a version the reader already decoded,
+which it could have sent in full.
 """
 
 from __future__ import annotations
@@ -28,15 +37,22 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.messages import (
+    DataHeld,
     DataReply,
     PutAck,
     PutData,
     QueryData,
+    QueryDataHeld,
     QueryTag,
     TagReply,
 )
-from repro.core.operation import ClientOperation, ReplyCollector, WriteOperation
-from repro.core.quorum import bcsr_dimension
+from repro.core.operation import (
+    ClientOperation,
+    ReplyCollector,
+    WriteOperation,
+    held_query,
+)
+from repro.core.quorum import bcsr_dimension, witness_threshold
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.erasure.striping import CodedElement, DecodeMemo, StripedCodec
 from repro.errors import DecodingError
@@ -101,6 +117,8 @@ class BCSRServer:
             return [(sender, PutAck(op_id=message.op_id, tag=message.tag))]
         if isinstance(message, QueryData):
             latest = self.latest
+            if type(message) is QueryDataHeld and message.tag == latest.tag:
+                return [(sender, DataHeld(op_id=message.op_id))]
             return [(sender, DataReply(op_id=message.op_id, tag=latest.tag,
                                        payload=latest.value))]
         return []
@@ -204,7 +222,12 @@ class BCSRFastWriteOperation(ClientOperation):
 
 
 class BCSRReadOperation(ClientOperation):
-    """A one-shot BCSR read (Fig 5): collect ``n - f`` elements, decode."""
+    """A one-shot BCSR read (Fig 5): collect ``n - f`` elements, decode.
+
+    The query names the version the reader's memo last decoded (see the
+    module docstring); what a :class:`DataHeld` stands for is captured
+    at :meth:`start`, as for :class:`~repro.core.bsr.BSRReadOperation`.
+    """
 
     kind = "read"
 
@@ -220,21 +243,36 @@ class BCSRReadOperation(ClientOperation):
         self._server_index: Dict[ProcessId, int] = {
             server: i for i, server in enumerate(self.servers)
         }
+        #: Server -> the reply its :class:`DataHeld` stands for.
+        self._held: Dict[ProcessId, DataReply] = {}
 
     def start(self) -> List[Envelope]:
         self.rounds = 1
-        return self.broadcast(QueryData(op_id=self.op_id))
+        memo = self.reader_state
+        envelopes, self._held = held_query(self, memo.tag, {
+            self.servers[p]: CodedElement(p, memo.verified[p])
+            for p in memo.named})
+        return envelopes
 
     def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if self.done or not self.accepts(message) or not isinstance(message, DataReply):
+        if self.done or not self.accepts(message):
             return []
-        self._replies.add(sender, message)
+        if isinstance(message, DataReply):
+            self._replies.add(sender, message)
+        elif isinstance(message, DataHeld):
+            stand_in = self._held.get(sender)
+            if stand_in is None or not self._replies.add(sender, stand_in):
+                return []
+            self.reader_state.held_replies += 1
+        else:
+            return []
         if len(self._replies) >= self.quorum:
             self._finish()
         return []
 
     def _finish(self) -> None:
         elements = []
+        tags = []
         for server, reply in self._replies.replies.items():
             payload = reply.payload
             # A coded element's position is bound to the authenticated
@@ -242,11 +280,35 @@ class BCSRReadOperation(ClientOperation):
             # impersonate another codeword position.
             if isinstance(payload, CodedElement):
                 elements.append(CodedElement(self._server_index[server], payload.data))
+                tags.append(reply.tag)
         try:
             value = self.codec.decode(elements, max_errors=2 * self.f,
                                       memo=self.reader_state)
         except (DecodingError, ValueError):
             # Fig 5 line 4: "if possible; otherwise return v0".
             value = self.initial_value
+        else:
+            self._name_version(elements, tags)
         self._tag = None
         self._complete(value)
+
+    def _name_version(self, elements: List[CodedElement],
+                      tags: List[Any]) -> None:
+        """Name the version just decoded in the reader's next query.
+
+        The highest tag under which ``f + 1`` servers sent a column the
+        memo holds as verified, and the positions that did; nothing when
+        no tag has that many.
+        """
+        memo = self.reader_state
+        verified = memo.verified
+        by_tag: Dict[Tag, List[int]] = {}
+        for element, tag in zip(elements, tags):
+            if (isinstance(tag, Tag)
+                    and verified.get(element.index) == element.data):
+                by_tag.setdefault(tag, []).append(element.index)
+        named = [tag for tag, positions in by_tag.items()
+                 if len(positions) >= witness_threshold(self.f)]
+        memo.tag = max(named) if named else None
+        memo.named = (frozenset(by_tag[memo.tag]) if named
+                      else frozenset())

@@ -31,7 +31,7 @@ by :meth:`~repro.protocols.fleet.Fleet.build`.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.messages import (
     DataHeld,
@@ -44,7 +44,7 @@ from repro.core.messages import (
     TagReply,
     stored_size,
 )
-from repro.core.operation import ClientOperation, ReplyCollector
+from repro.core.operation import ClientOperation, ReplyCollector, held_query
 from repro.core.quorum import witness_threshold
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.types import Envelope, ProcessId
@@ -189,19 +189,18 @@ class BSRReadOperation(ClientOperation):
         self.reader_state = reader_state if reader_state is not None else BSRReaderState()
         self.repair = repair
         self._replies = ReplyCollector(self.servers)
-        #: The reply a :class:`DataHeld` stands for: the pair the query
-        #: named, captured at start (``None`` when it named none).
-        self._held: Optional[DataReply] = None
+        #: Server -> the reply its :class:`DataHeld` stands for: the pair
+        #: the query named, captured at start (empty when it named none).
+        self._held: Dict[ProcessId, DataReply] = {}
 
     def start(self) -> List[Envelope]:
         self.rounds = 1
         local = self.reader_state.local
-        if local.tag != TAG_ZERO:  # local never falls below TAG_ZERO
-            self._held = DataReply(op_id=self.op_id, tag=local.tag,
-                                   payload=local.value)
-            return self.broadcast(QueryDataHeld(op_id=self.op_id,
-                                                tag=local.tag))
-        return self.broadcast(QueryData(op_id=self.op_id))
+        # local never falls below TAG_ZERO, which names nothing.
+        envelopes, self._held = held_query(
+            self, local.tag, dict.fromkeys(self.servers, local.value)
+            if local.tag != TAG_ZERO else {})
+        return envelopes
 
     def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
         if self.done or not self.accepts(message):
@@ -210,9 +209,11 @@ class BSRReadOperation(ClientOperation):
             if not isinstance(message.tag, Tag):
                 return []  # malformed Byzantine reply
             self._replies.add(sender, message)
-        elif isinstance(message, DataHeld) and self._held is not None:
-            if self._replies.add(sender, self._held):
-                self.reader_state.held_replies += 1
+        elif isinstance(message, DataHeld):
+            stand_in = self._held.get(sender)
+            if stand_in is None or not self._replies.add(sender, stand_in):
+                return []
+            self.reader_state.held_replies += 1
         else:
             return []
         if len(self._replies) >= self.quorum:

@@ -59,6 +59,12 @@ def stored_size(value: Any) -> int:
     return len(repr(value))
 
 
+def items(field: Any) -> Tuple[Any, ...]:
+    """A reply's list field, or nothing when a Byzantine server sent
+    something else there (the items are vetted one by one by the reader)."""
+    return field if isinstance(field, (tuple, list)) else ()
+
+
 @dataclass(frozen=True)
 class BaseMessage:
     """Common shape: every protocol message has an originating ``op_id``."""
@@ -142,7 +148,8 @@ class QueryDataHeld(QueryData):
     """``QUERY-DATA`` naming the tag of the pair the reader already holds.
 
     An extension (not in the paper): a server whose newest tag is ``tag``
-    may answer with :class:`DataHeld` instead of repeating the value.
+    may answer with :class:`DataHeld` instead of repeating the value (or,
+    for BCSR, its coded element).
     It subclasses :class:`QueryData`, so every server and behaviour that
     answers a ``QUERY-DATA`` answers this one too.
     """
@@ -169,6 +176,21 @@ class QueryHistory(BaseMessage):
 
 
 @dataclass(frozen=True)
+class QueryHistoryAbove(QueryHistory):
+    """Variant (a) query naming the tag of the pair the reader holds.
+
+    An extension (not in the paper): a server answers with only the
+    pairs of ``L`` above ``tag``.  It subclasses :class:`QueryHistory`,
+    so every server and behaviour that answers one answers this one too.
+    """
+
+    tag: Tag
+
+    def wire_size(self) -> int:
+        return HEADER_BYTES + TAG_BYTES
+
+
+@dataclass(frozen=True)
 class HistoryReply(BaseMessage):
     """Variant (a): the server's entire write history ``L``."""
 
@@ -176,7 +198,7 @@ class HistoryReply(BaseMessage):
 
     def wire_size(self) -> int:
         return HEADER_BYTES + sum(
-            TAG_BYTES + payload_size(tv.value) for tv in self.history
+            TAG_BYTES + payload_size(tv.value) for tv in items(self.history)
         )
 
 
@@ -192,7 +214,7 @@ class TagHistoryReply(BaseMessage):
     tags: Tuple[Tag, ...]
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES * len(self.tags)
+        return HEADER_BYTES + TAG_BYTES * len(items(self.tags))
 
 
 @dataclass(frozen=True)

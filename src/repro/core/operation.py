@@ -9,9 +9,10 @@ messages (e.g. the ``put-data`` phase of a write).  The surrounding runtime
 Operations track their round count so the round-complexity experiment (E7)
 can read it off directly instead of inferring it from timings.
 
-Every register here writes the same way (:class:`WriteOperation`), and the
+Every register here writes the same way (:class:`WriteOperation`), the
 two atomic reads (ABD, MPR) end with the same write-back round
-(:class:`WriteBackRead`).
+(:class:`WriteBackRead`), and the one-shot reads that name what they
+already hold (BSR, BCSR) build their query with :func:`held_query`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,17 @@ from __future__ import annotations
 import abc
 import itertools
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.messages import PutAck, PutData, QueryData, QueryTag, TagReply
+from repro.core.messages import (
+    DataReply,
+    PutAck,
+    PutData,
+    QueryData,
+    QueryDataHeld,
+    QueryTag,
+    TagReply,
+)
 from repro.core.quorum import kth_highest
 from repro.core.tags import Tag, TaggedValue
 from repro.errors import ProtocolError
@@ -147,6 +156,42 @@ class ReplyCollector:
     def values(self) -> List[Any]:
         """All collected reply messages."""
         return list(self._replies.values())
+
+
+def held_query(op: ClientOperation, tag: Any, held: Mapping[ProcessId, Any]
+               ) -> Tuple[List[Envelope], Dict[ProcessId, DataReply]]:
+    """A conditional read's query round, and what each held answer stands for.
+
+    ``held`` maps a server to the payload the reader already holds of
+    that server's newest pair, tagged ``tag``: plain BSR's value for every
+    server, BCSR's verified column per position.  Those servers are asked
+    ``QueryDataHeld(tag)`` and the rest plain ``QueryData``; the map
+    returned is the :class:`DataReply` a :class:`DataHeld` from each named
+    server counts as.  A read calls this once, in ``start()``, so a held
+    answer stands for what its query named, whatever the reader's state
+    holds by the time the answer arrives.
+    """
+    if not held:
+        return op.broadcast(QueryData(op_id=op.op_id)), {}
+    named = QueryDataHeld(op_id=op.op_id, tag=tag)
+    plain = None
+    envelopes = []
+    for server in op.servers:
+        if server in held:
+            envelopes.append((server, named))
+            continue
+        if plain is None:
+            plain = QueryData(op_id=op.op_id)
+        envelopes.append((server, plain))
+    stand_ins: Dict[ProcessId, DataReply] = {}
+    by_payload: Dict[int, DataReply] = {}  # BSR: one reply for every server
+    for server, payload in held.items():
+        reply = by_payload.get(id(payload))
+        if reply is None:
+            reply = by_payload[id(payload)] = DataReply(
+                op_id=op.op_id, tag=tag, payload=payload)
+        stand_ins[server] = reply
+    return envelopes, stand_ins
 
 
 def put_data(op: "WriteOperation", tag: Tag) -> List[Envelope]:

@@ -10,7 +10,10 @@ return their entire write history ``L`` instead of only the latest pair.
 Any write that completed before the read put its pair on ``n - f`` servers,
 so the pair appears in at least ``n - 2f >= 2f + 1 > f`` of the reader's
 ``n - f`` histories and is witnessed.  Reads stay one-shot; the price is
-larger messages.
+larger messages.  A reader holding a pair above ``TAG_ZERO`` asks only for
+the pairs above its tag (:class:`QueryHistoryAbove`, an extension): the read
+adopts a witnessed pair only if it is strictly above that tag, so the pairs
+left out could never change its result.
 
 **Variant (b) -- two-round reads** (:class:`TwoRoundReadOperation`):
 round 1 gathers tag histories and picks a target tag; round 2 fetches the
@@ -38,11 +41,13 @@ from repro.core.bsr import BSRReaderState, BSRServer
 from repro.core.messages import (
     HistoryReply,
     QueryHistory,
+    QueryHistoryAbove,
     QueryTagHistory,
     QueryValue,
     TagHistoryReply,
     TagReply,
     ValueReply,
+    items,
 )
 from repro.core.operation import ClientOperation, ReplyCollector
 from repro.core.quorum import witness_threshold
@@ -56,7 +61,8 @@ class RegularBSRServer(BSRServer):
     Handles everything :class:`BSRServer` does, plus:
 
     * ``QueryHistory`` -> ``HistoryReply`` with the whole list ``L``
-      (variant a; the paper's "change line 9 of Algorithm 3").
+      (variant a; the paper's "change line 9 of Algorithm 3"), or only
+      its pairs above the tag a ``QueryHistoryAbove`` names.
     * ``QueryTagHistory`` -> ``TagHistoryReply`` with every stored tag
       (variant b, round 1).
     * ``QueryValue(tag)`` -> ``ValueReply`` with the matching pair, or a
@@ -65,8 +71,15 @@ class RegularBSRServer(BSRServer):
 
     def handle(self, sender: ProcessId, message: Any) -> List[Envelope]:
         if isinstance(message, QueryHistory):
+            history = self.history
+            if (type(message) is QueryHistoryAbove
+                    and isinstance(message.tag, Tag)):
+                above = len(history)  # ascending: scan the newest end
+                while above and history[above - 1].tag > message.tag:
+                    above -= 1
+                history = history[above:]
             return [(sender, HistoryReply(op_id=message.op_id,
-                                          history=tuple(self.history)))]
+                                          history=tuple(history)))]
         if isinstance(message, QueryTagHistory):
             tags = tuple(pair.tag for pair in self.history)
             return [(sender, TagHistoryReply(op_id=message.op_id, tags=tags))]
@@ -84,7 +97,11 @@ class RegularBSRServer(BSRServer):
 
 
 class HistoryReadOperation(ClientOperation):
-    """Variant (a): one-shot read over full histories."""
+    """Variant (a): one-shot read over full histories.
+
+    A reader holding a pair names its tag (see the module docstring);
+    an answer with no pair above it counts as a held reply.
+    """
 
     kind = "read"
 
@@ -93,15 +110,23 @@ class HistoryReadOperation(ClientOperation):
         super().__init__(client_id, servers, f)
         self.reader_state = reader_state if reader_state is not None else BSRReaderState()
         self._replies = ReplyCollector(self.servers)
+        self._conditional = False
 
     def start(self) -> List[Envelope]:
         self.rounds = 1
+        local = self.reader_state.local
+        if local.tag != TAG_ZERO:  # local never falls below TAG_ZERO
+            self._conditional = True
+            return self.broadcast(QueryHistoryAbove(op_id=self.op_id,
+                                                    tag=local.tag))
         return self.broadcast(QueryHistory(op_id=self.op_id))
 
     def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
         if self.done or not self.accepts(message) or not isinstance(message, HistoryReply):
             return []
-        self._replies.add(sender, message)
+        if (self._replies.add(sender, message) and self._conditional
+                and message.history == ()):
+            self.reader_state.held_replies += 1
         if len(self._replies) >= self.quorum:
             self._finish()
         return []
@@ -110,16 +135,16 @@ class HistoryReadOperation(ClientOperation):
         counts: Counter = Counter()
         for reply in self._replies.values():
             seen = set()
-            for pair in reply.history:
+            for pair in items(reply.history):
                 if not isinstance(pair, TaggedValue) or not isinstance(pair.tag, Tag):
                     continue  # Byzantine junk
-                if pair in seen:
-                    continue  # a server is counted once per distinct pair
-                seen.add(pair)
                 try:
-                    counts[pair] += 1
+                    if pair in seen:
+                        continue  # a server is counted once per distinct pair
+                    seen.add(pair)
                 except TypeError:
-                    continue
+                    continue  # an unhashable value: junk too
+                counts[pair] += 1
         threshold = witness_threshold(self.f)
         witnessed = [pair for pair, count in counts.items() if count >= threshold]
         if witnessed:
@@ -163,7 +188,7 @@ class TwoRoundReadOperation(ClientOperation):
         counts: Counter = Counter()
         for reply in self._tag_replies.values():
             seen = set()
-            for tag in reply.tags:
+            for tag in items(reply.tags):
                 if isinstance(tag, Tag) and tag not in seen:
                     seen.add(tag)
                     counts[tag] += 1

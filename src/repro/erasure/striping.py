@@ -27,7 +27,7 @@ the codeword within the error budget of what was received, or an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.erasure import kernels
 from repro.erasure.rs import ReedSolomon
@@ -71,10 +71,17 @@ class DecodeMemo:
     verified: Dict[int, bytes] = field(default_factory=dict)
     #: Positions the last decode located: where the next one looks last.
     suspects: FrozenSet[int] = frozenset()
-    #: Since :meth:`take_counts`; the owner folds them into its registry.
+    #: The version a reader's next query names (``None``: none), and the
+    #: positions whose ``verified`` column was sent under it -- set by
+    #: the reader, which knows the tags; the codec never reads them.
+    tag: Any = None
+    named: FrozenSet[int] = frozenset()
+    #: Since :meth:`take_counts` / :meth:`take_held`; the owner folds
+    #: them into its registry.
     hits: int = 0
     misses: int = 0
     located: List[int] = field(default_factory=list)
+    held_replies: int = 0
 
     def recall(self, positions: Sequence[int], cols: Sequence[bytes],
                budget: int) -> Optional[bytes]:
@@ -96,6 +103,11 @@ class DecodeMemo:
         counts = self.hits, self.misses, self.located
         self.hits, self.misses, self.located = 0, 0, []
         return counts
+
+    def take_held(self) -> int:
+        """Held replies reads counted since the last call."""
+        held, self.held_replies = self.held_replies, 0
+        return held
 
     def held_bytes(self) -> int:
         return len(self.value or b"") + sum(map(len, self.verified.values()))

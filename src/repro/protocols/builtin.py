@@ -87,7 +87,8 @@ BSR_HISTORY = register(ProtocolSpec(
     make_reader_state=BSRReaderState,
     serves_history=True,
     read_phases={1: "get-history"},
-    message_phases={"QueryHistory": "get-history"},
+    message_phases={"QueryHistory": "get-history",
+                    "QueryHistoryAbove": "get-history"},
 ))
 
 BSR_2ROUND = register(ProtocolSpec(

@@ -18,9 +18,11 @@ addressed link goes down, an addressed server sheds the frame, or the
 round has not decided by an RTO-style estimate of this client's own
 round times.  In the paper's
 asynchronous model a server never sent a round is just a slow one, so
-this changes no safety argument.  Protocols whose servers hold distinct
-coded symbols or relay to each other keep sending every round to
-everyone (the same path with nothing held); see docs/runtime.md.
+this changes no safety argument.  A coded write (servers hold distinct
+coded symbols) and every round of a protocol whose servers relay to each
+other keep going to everyone (the same path with nothing held); a coded
+read is thrifty too, its decoder's located positions last.  See
+docs/runtime.md.
 
 The client is also *multiplexed*: any number of operations may be in
 flight at once over the same set of connections.  A per-client
@@ -196,10 +198,12 @@ class AsyncRegisterClient:
                                          client=client, cause=cause)
             for cause in HEDGE_CAUSES
         }
-        #: Thrifty rounds, unless servers hold distinct coded symbols (a
-        #: skipped put is a certain decode error later) or relay to each
-        #: other (echo amplification counts on every server).
-        self._thrifty = fleet.codec is None and not fleet.spec.peer_links
+        #: Thrifty rounds, unless servers relay to each other (echo
+        #: amplification counts on every server) or the op is a coded
+        #: write (servers hold distinct coded symbols: a skipped put is a
+        #: certain decode error later).
+        self._thrifty = not fleet.spec.peer_links
+        self._coded = fleet.codec is not None
         #: Smoothed duration and mean deviation of this client's rounds
         #: that were not hedged; ``None`` before the first is timed.
         self._srtt: Optional[float] = None
@@ -566,17 +570,21 @@ class AsyncRegisterClient:
 
     # -- thrifty rounds -------------------------------------------------------
     def _address(self, state: OpState, servers: Sequence[ProcessId],
-                 now: float) -> None:
-        """Split the op's group into the servers it sends to and the held."""
-        keep = len(servers) - self.fleet.f if self._thrifty else len(servers)
+                 now: float, located: Sequence[ProcessId] = ()) -> None:
+        """Split the op's group into the servers it sends to and the held;
+        ``located`` (servers a coded read's last decode found wrong) go
+        last, with down links and suspects."""
+        thrifty = self._thrifty and not (
+            self._coded and state.operation.kind == "write")
+        keep = len(servers) - self.fleet.f if thrifty else len(servers)
         if keep >= len(servers):
             state.addressed = tuple(servers)
             return
         connections, suspects = self._connections, self._suspects
         last = None
-        if suspects or len(connections) < len(self.servers):
+        if located or suspects or len(connections) < len(self.servers):
             def last(pid: ProcessId) -> bool:
-                return (pid not in connections
+                return (pid not in connections or pid in located
                         or suspects.get(pid, (0.0, 0))[0] > now)
         state.addressed, state.held = split_group(servers, state.op_id,
                                                   keep, last)
@@ -651,8 +659,8 @@ class AsyncRegisterClient:
                 for payload in state.pending_frames(pid):
                     link.send(payload)
 
-    async def _run_operation(self, operation: ClientOperation,
-                             group: Group) -> Any:
+    async def _run_operation(self, operation: ClientOperation, group: Group,
+                             located: Sequence[ProcessId] = ()) -> Any:
         loop = asyncio.get_running_loop()
         if await self._dispatcher.gate.acquire():
             self._counters["ops_queued"].inc()
@@ -667,7 +675,7 @@ class AsyncRegisterClient:
         try:
             state.deadline = now + self.timeout
             state.done = loop.create_future()
-            self._address(state, group, now)
+            self._address(state, group, now, located)
             # The phase opens before its frames go out, so send time
             # counts toward the phase that caused it.
             span.begin_phase(
@@ -719,11 +727,10 @@ class AsyncRegisterClient:
     def _settle(self, register: str, state: Any,
                 servers: Sequence[ProcessId]) -> None:
         """After a read: fold the state's counters, re-weigh what it holds."""
-        if hasattr(state, "take_held"):
-            held = state.take_held()
-            if held:
-                self._counters["replies_held"].inc(held)
-        elif hasattr(state, "take_counts"):
+        held = state.take_held()
+        if held:
+            self._counters["replies_held"].inc(held)
+        if hasattr(state, "take_counts"):
             hits, misses, located = state.take_counts()
             self._counters["decode_memo_hits"].inc(hits)
             self._counters["decode_memo_misses"].inc(misses)
@@ -824,7 +831,9 @@ class AsyncRegisterClient:
             if len(self._register_states) > MAX_KEY_STATES:
                 self._evict_state()
         self._route(group)
-        value = await self._run_operation(operation, group)
+        # A coded read asks the servers its last decode found wrong last.
+        located = [group[p] for p in getattr(state, "suspects", ())]
+        value = await self._run_operation(operation, group, located)
         if state is not None:
             self._settle(register, state, group)
         return value

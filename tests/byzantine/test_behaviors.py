@@ -12,6 +12,7 @@ from repro.byzantine.behaviors import (
     ForgeBroadcastBehavior,
     ForgeTagBehavior,
     HistoryReplayBehavior,
+    MalformedBehavior,
     MultiReplyBehavior,
     RandomBehavior,
     SilentBehavior,
@@ -20,12 +21,16 @@ from repro.byzantine.behaviors import (
 )
 from repro.baselines.rb_register import BRACHA, BroadcastRegisterServer
 from repro.core.bsr import BSRServer
+from repro.core.regular import RegularBSRServer
 from repro.core.messages import (
     DataHeld,
     DataReply,
+    HistoryReply,
+    PutAck,
     PutData,
     QueryData,
     QueryDataHeld,
+    QueryHistoryAbove,
     QueryTag,
     RBEcho,
     RBSend,
@@ -136,10 +141,33 @@ def test_claim_held_answers_every_held_query_whatever_it_stores(server):
         assert behavior.on_message(
             server, "r0", message, correct_replies(server, "r0", message)
         ) == [("r0", DataHeld(op_id=6))]
+    # ... and every history query naming a tag with nothing above it.
+    history = RegularBSRServer("s000", initial_value=b"v0")
+    history.handle("w000", PutData(op_id=1, tag=Tag(1, "w000"), payload=b"v1"))
+    message = QueryHistoryAbove(op_id=9, tag=TAG_ZERO)
+    assert behavior.on_message(
+        history, "r0", message, correct_replies(history, "r0", message)
+    ) == [("r0", HistoryReply(op_id=9, history=()))]
     # Anything else it answers honestly.
     for message in (QueryData(op_id=7), QueryTag(op_id=8)):
         replies = correct_replies(server, "r0", message)
         assert behavior.on_message(server, "r0", message, replies) == replies
+
+
+def test_malformed_keeps_the_op_id_and_junks_every_other_field(server):
+    behavior = make_behavior("malformed")
+    assert isinstance(behavior, MalformedBehavior)
+    seen = []
+    for message in (QueryData(op_id=5), QueryTag(op_id=6),
+                    PutData(op_id=7, tag=Tag(3, "w000"), payload=b"v3")):
+        [(dest, reply)] = behavior.on_message(
+            server, "r0", message, correct_replies(server, "r0", message))
+        assert dest == "r0" and reply.op_id == message.op_id
+        assert type(reply) in (DataReply, TagReply, PutAck)
+        fields = [v for k, v in vars(reply).items() if k != "op_id"]
+        assert len(set(map(type, fields))) == 1
+        seen.append(type(fields[0]))
+    assert seen == [type(None), int, type(None)]  # by turns
 
 
 def test_corrupt_value_handles_coded_elements(server):
@@ -226,7 +254,7 @@ def test_registry_and_factory():
     assert set(BEHAVIOR_REGISTRY) >= {
         "honest", "silent", "stale", "forge_tag", "history_replay",
         "corrupt_value", "equivocate", "multi_reply", "flip_flop", "random",
-        "claim_held", "forge_broadcast",
+        "claim_held", "forge_broadcast", "malformed",
     }
     assert isinstance(make_behavior("stale"), StaleBehavior)
     assert isinstance(make_behavior("forge_tag", boost=5), ForgeTagBehavior)

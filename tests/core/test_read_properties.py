@@ -10,8 +10,9 @@ every safety argument leans on, independent of any schedule:
    f + 1 honest servers reported can never lose to a *fabricated* pair;
 3. the reader's cached tag never decreases across reads.
 
-A seeded simulation property covers conditional reads: a correct
-server's ``DataHeld`` always stands for the pair it stores.
+Seeded simulation properties cover conditional reads: a correct
+server's ``DataHeld`` always stands for the pair (BSR) or the coded
+element (BCSR) it stores.
 """
 
 import random
@@ -134,6 +135,41 @@ def test_every_held_reply_of_a_correct_server_is_the_pair_it_stores(seed):
             held.append(message)
 
     held = []
+    system.sim.network.add_tap(tap)
+    trace = system.run()
+    assert held, "the schedule never exercised a held reply"
+    assert all(handle.done for handle in system.handles)
+    assert check_safety(trace, initial_value=b"").ok
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_every_held_bcsr_reply_of_a_correct_server_is_the_element_it_stores(
+        seed):
+    """The BCSR twin: one writer, two readers, one Byzantine server; the
+    column a read counts for a correct server's :class:`DataHeld` is
+    exactly the coded element that server stores right then."""
+    rng = random.Random(seed)
+    behavior = ("claim_held", "stale", "corrupt_value", "honest")[seed % 4]
+    system = RegisterSystem("bcsr", f=F, seed=seed, num_writers=1,
+                            num_readers=2, byzantine={0: behavior},
+                            delay_model=ExponentialDelay(mean=1.0))
+    for index in range(30):
+        at = rng.uniform(0.0, 60.0)
+        if rng.random() < 0.3:
+            system.write(b"v%d-%d" % (seed, index), writer=0, at=at)
+        else:
+            system.read(reader=rng.randrange(2), at=at)
+    held = []
+
+    def tap(src, dst, message):
+        if type(message) is DataHeld and src != "s000":
+            [read] = [h.operation for h in system.handles
+                      if h.operation is not None
+                      and h.operation.op_id == message.op_id]
+            stored = system.server_protocols[src].latest.value
+            assert read._held[src].payload == stored
+            held.append(message)
+
     system.sim.network.add_tap(tap)
     trace = system.run()
     assert held, "the schedule never exercised a held reply"

@@ -7,6 +7,7 @@ from repro.core.messages import (
     HistoryReply,
     PutData,
     QueryHistory,
+    QueryHistoryAbove,
     QueryTagHistory,
     QueryValue,
     TagHistoryReply,
@@ -117,6 +118,52 @@ def test_history_read_ignores_junk_entries():
     op.on_reply(SERVERS[2], history_reply(op, []))
     op.on_reply(SERVERS[3], history_reply(op, []))
     assert op.result == b"ok"
+
+
+def test_query_history_above_returns_only_newer_pairs():
+    server = loaded_server()
+    for above, values in ((TAG_ZERO, [b"v1", b"v2"]),
+                          (Tag(1, "w000"), [b"v2"]), (Tag(2, "w001"), []),
+                          (Tag(9, "w000"), [])):
+        [(_, reply)] = server.handle("r000",
+                                     QueryHistoryAbove(op_id=5, tag=above))
+        assert [pair.value for pair in reply.history] == values
+    # A malformed tag names nothing: the whole list.
+    [(_, reply)] = server.handle("r000", QueryHistoryAbove(op_id=6, tag=None))
+    assert len(reply.history) == 3
+
+
+def test_a_history_reader_holding_a_pair_asks_only_above_it():
+    servers = [loaded_server(sid) for sid in SERVERS]
+    state = BSRReaderState(b"v0")
+    for expect_query, held in ((QueryHistory, 0), (QueryHistoryAbove, 4)):
+        op = HistoryReadOperation("r000", SERVERS, F, reader_state=state)
+        [(_, query)] = op.start()[:1]
+        assert type(query) is expect_query
+        for server, sid in zip(servers, SERVERS[:4]):
+            [(_, reply)] = server.handle("r000", query)
+            op.on_reply(sid, reply)
+        assert op.result == b"v2" and state.take_held() == held
+        assert state.local.tag == Tag(2, "w001")
+
+
+@pytest.mark.parametrize("junk", [None, 7])
+def test_a_reply_list_of_the_wrong_type_is_junk_from_that_server(junk):
+    """One Byzantine server's non-list field costs its own reply only."""
+    good = TaggedValue(Tag(1, "w000"), b"ok")
+    op = HistoryReadOperation("r000", SERVERS, F)
+    op.start()
+    op.on_reply(SERVERS[0], HistoryReply(op_id=op.op_id, history=junk))
+    for sid in SERVERS[1:4]:
+        op.on_reply(sid, history_reply(op, [good]))
+    assert op.result == b"ok"
+    op = TwoRoundReadOperation("r000", SERVERS, F)
+    op.start()
+    op.on_reply(SERVERS[0], TagHistoryReply(op_id=op.op_id, tags=junk))
+    for sid in SERVERS[1:4]:
+        op.on_reply(sid, TagHistoryReply(op_id=op.op_id,
+                                         tags=(TAG_ZERO, good.tag)))
+    assert op._target == good.tag
 
 
 # -- two-round reads -----------------------------------------------------------------

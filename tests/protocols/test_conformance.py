@@ -128,12 +128,13 @@ def test_concurrent_writers_stay_safe(algorithm):
 # -- Byzantine schedules (gated by the spec's fault model) ---------------------
 
 @pytest.mark.parametrize("behavior", ["silent", "stale", "forge_tag",
-                                      "claim_held", "forge_broadcast"])
+                                      "claim_held", "forge_broadcast",
+                                      "malformed"])
 @pytest.mark.parametrize("algorithm", BYZ)
 def test_byzantine_budget_is_tolerated(algorithm, behavior):
     """f misbehaving servers -- omission, stale replays, forged
-    timestamps, a dissemination forged in the writer's name to the peers
-    -- must cost neither liveness nor safety."""
+    timestamps, a dissemination forged in the writer's name to the peers,
+    wrong-typed reply fields -- must cost neither liveness nor safety."""
     system = RegisterSystem(algorithm, f=1, seed=3,
                             byzantine={0: behavior})
     system.write(b"genuine", writer=0, at=0.0)

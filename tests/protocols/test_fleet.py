@@ -254,22 +254,27 @@ def test_lint_allows_each_builder_in_one_module_only(dead_code_lint):
             "node = RegisterServerNode(pid)\n"
             "hint = ServerContext  # a name, not a call\n"),
         "operation.py": ast.parse(
-            "query = QueryTag(op_id=self.op_id)\n"),
+            "query = QueryTag(op_id=self.op_id)\n"
+            "held = QueryDataHeld(op_id=op.op_id, tag=tag)\n"),
         "behaviors.py": ast.parse(
-            "if isinstance(message, QueryTag):  # a name, not a call\n"
+            "if isinstance(message, (QueryTag, QueryDataHeld)):  # names\n"
             "    pass\n"),
     }
     assert dead_code_lint.builder_findings(modules) == []
     modules["spec.py"] = ast.parse("ctx = protocols.ServerContext(2)\n")
     modules["client.py"] = ast.parse(
         "op = core.NamespacedOperation(key, spec.make_write(OpContext(2)))\n")
-    # A second write walk, asking for tags on its own.
+    # A second write walk, asking for tags on its own ...
     modules["bsr.py"] = ast.parse("query = messages.QueryTag(op_id=2)\n")
+    # ... and a read capturing its held pair outside the one helper.
+    modules["bcsr.py"] = ast.parse("query = QueryDataHeld(op_id=3, tag=t)\n")
     findings = dead_code_lint.builder_findings(modules)
     assert [finding.split("(")[0] for finding in findings] == [
-        "NamespacedOperation", "OpContext", "QueryTag", "ServerContext"]
+        "NamespacedOperation", "OpContext", "QueryDataHeld", "QueryTag",
+        "ServerContext"]
     for finding, pair in zip(findings, (
             ("client.py", "fleet.py"), ("client.py", "fleet.py"),
-            ("bsr.py", "operation.py"), ("fleet.py", "spec.py"))):
+            ("bcsr.py", "operation.py"), ("bsr.py", "operation.py"),
+            ("fleet.py", "spec.py"))):
         assert " is called from 2 modules" in finding
         assert all(module in finding for module in pair)

@@ -1,10 +1,13 @@
 """A reply body crosses a connection once (``transport/delta.py`` in place).
 
-Live clusters over real sockets for what the layer saves and what it
-must not weaken (Byzantine servers, a killed link, raw-socket probes),
-fake transports for every way the two ends can fall out of step.
-Everything is counted -- bytes, full bodies, deltas, resets -- nothing
-is timed.
+A reader that names the version it holds gets ``DataHeld`` for a repeat
+read, so sequential repeats never reach the layer; what it still shrinks
+is a large reply repeated on a connection anyway (reads in flight
+together, a lying server's full replies, raw queries).  Live clusters
+over real sockets for what is saved and what must not weaken (Byzantine
+servers, a killed link, raw-socket probes), fake transports for every
+way the two ends can fall out of step.  Everything is counted -- bytes,
+full bodies, deltas, held replies, resets -- nothing is timed.
 """
 
 import asyncio
@@ -13,7 +16,7 @@ from functools import partial
 
 import pytest
 
-from repro.core.messages import DataReply, QueryData, TagReply
+from repro.core.messages import DataHeld, DataReply, QueryData, TagReply
 from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
 from repro.deploy.serve import health_ping, stats_ping
@@ -67,27 +70,30 @@ def count_received(client):
 
 # -- live: what is saved -------------------------------------------------------
 
-def test_repeat_bcsr_reads_carry_one_element_per_connection():
+def test_repeat_bcsr_reads_carry_one_element_per_connection(unhedged):
+    """A BCSR reader names the version it decoded: its repeat reads are
+    answered ``DataHeld`` by the ``n - f`` servers it asks, with no
+    element and so no delta either."""
     async def scenario():
         async with Cluster("bcsr", n=8) as cluster:
+            asked = cluster.server_ids[:7]
+            hold_back(cluster.server_ids[7], cluster.server_ids)
             writer, reader = cluster.client("w000"), cluster.client("r000")
             await writer.connect()
             await reader.connect()
             await writer.write(VALUE)
             received = count_received(reader)
-            for _ in range(51):  # the first fetches the element in full
+            for _ in range(51):  # the first fetches the elements in full
                 assert await reader.read() == VALUE
-            # (wait out the eighth, surplus replies)
-            await until(
-                lambda: node_counts(cluster, "replies_delta") == 8 * 50)
-            assert set(received) == set(cluster.server_ids)
+            # A coded read asks n - f servers, like any read.
+            assert set(received) == set(asked)
             for pid, nbytes in received.items():
                 assert ELEMENT - 400 < nbytes <= ELEMENT + 50 * 256, pid
-            assert node_counts(cluster, "replies_full") == 8
-            assert node_counts(cluster, "reply_bytes_elided") > 8 * 50 * 21_000
+            assert node_counts(cluster, "replies_full") == 7
+            assert node_counts(cluster, "replies_delta") == 0
             stats = reader.stats()
-            assert stats["delta_expanded"] >= 7 * 50
-            assert stats["delta_resets"] == 0
+            assert stats["replies_held"] == 7 * 50
+            assert stats["delta_expanded"] == stats["delta_resets"] == 0
             # The decode memo still sees whole, equal elements.
             assert stats["decode_memo_hits"] == 50
 
@@ -95,19 +101,13 @@ def test_repeat_bcsr_reads_carry_one_element_per_connection():
             await writer.write(VALUE[::-1])
             for _ in range(5):
                 assert await reader.read() == VALUE[::-1]
-            await until(
-                lambda: node_counts(cluster, "replies_delta") == 8 * 54)
-            assert node_counts(cluster, "replies_full") == 16
+            assert node_counts(cluster, "replies_full") == 14
+            assert node_counts(cluster, "replies_delta") == 0
             for pid, nbytes in received.items():
                 assert nbytes <= 2 * ELEMENT + 54 * 256, pid
+            assert reader.stats()["replies_held"] == 7 * 54
 
     run(scenario())
-
-
-#: Per repeat read and addressed server: (delta replies, DataHeld replies).
-#: A plain BSR reader names the pair it holds, so its repeat reads get
-#: no value to shrink; a history reader names none.
-REPEAT_REPLIES = {"bsr-history": (1, 0), "bsr": (0, 1)}
 
 
 @pytest.mark.parametrize("algorithm, value", [
@@ -116,8 +116,8 @@ REPEAT_REPLIES = {"bsr-history": (1, 0), "bsr": (0, 1)}
 ])
 def test_history_and_large_value_bsr_reads_shrink_too(algorithm, value,
                                                      unhedged):
-    deltas, held_replies = REPEAT_REPLIES[algorithm]
-
+    """Both readers name what they hold: a repeat plain read is answered
+    ``DataHeld``, a repeat history read with no pair above its tag."""
     async def scenario():
         async with Cluster(algorithm) as cluster:
             client = cluster.client("w000")
@@ -129,10 +129,9 @@ def test_history_and_large_value_bsr_reads_shrink_too(algorithm, value,
             for _ in range(4):
                 assert await client.read() == value
             asked = len(cluster.server_ids) - 1
-            await until(lambda: node_counts(cluster, "replies_delta")
-                        == deltas * 3 * asked)
+            assert node_counts(cluster, "replies_delta") == 0
             assert node_counts(cluster, "replies_full") == asked
-            assert client.stats()["replies_held"] == held_replies * 3 * asked
+            assert client.stats()["replies_held"] == 3 * asked
             assert cluster.registry.counter_value(
                 "node_wire_frames_total", node=held) == 0
             assert client.stats()["delta_resets"] == 0
@@ -155,9 +154,10 @@ def test_small_replies_never_touch_the_delta_path():
     run(scenario())
 
 
-def test_killing_a_link_mid_read_heals_and_the_read_completes():
+def test_killing_a_link_mid_read_heals_and_the_read_completes(unhedged):
     async def scenario():
         async with Cluster("bcsr", n=8) as cluster:
+            hold_back("s007", cluster.server_ids)
             client = cluster.client("w000", backoff_base=0.02,
                                     backoff_max=0.05)
             await client.connect()
@@ -168,15 +168,18 @@ def test_killing_a_link_mid_read_heals_and_the_read_completes():
             await until(lambda: client.stats()["connected"] == 7)
             full_before = cluster.registry.counter_value(
                 "node_replies_full_total", node="s003")
+            held_before = client.stats()["replies_held"]
             read = asyncio.ensure_future(client.read())
             client._links["s003"]._transport.abort()
             assert await asyncio.wait_for(read, 5.0) == VALUE
             stats = client.stats()
             assert stats["reconnects"] >= 1 and stats["frames_resent"] >= 1
             assert stats["delta_resets"] == 0
-            # The fresh connection started from nothing: a full body.
+            # The replayed query still names the version: the fresh
+            # connection carries no body at all.
+            assert stats["replies_held"] == held_before + 7
             assert cluster.registry.counter_value(
-                "node_replies_full_total", node="s003") == full_before + 1
+                "node_replies_full_total", node="s003") == full_before
             assert await client.read() == VALUE
 
     run(scenario())
@@ -184,10 +187,22 @@ def test_killing_a_link_mid_read_heals_and_the_read_completes():
 
 # -- live: what must not weaken ------------------------------------------------
 
-@pytest.mark.parametrize("behavior", ["corrupt_value", "stale", "forge_tag"])
-def test_byzantine_servers_next_to_the_delta_path(behavior):
-    async def scenario():
-        async with Cluster("bcsr", n=8, byzantine={2: behavior}) as cluster:
+#: Liars whose element the decoder locates as wrong: a corrupted one, and
+#: the stale column a held reply stands for once the version moved on.
+#: (A ``forge_tag`` reply carries no element and a ``stale`` one the
+#: initial value's, of another length: the decode drops both first.)
+LOCATED = ("corrupt_value", "claim_held")
+
+
+@pytest.mark.parametrize("behavior", ["corrupt_value", "stale", "forge_tag",
+                                      "claim_held"])
+def test_byzantine_servers_next_to_the_delta_path(behavior, unhedged):
+    """Held BCSR reads next to one liar, at a systematic and at a parity
+    position: every written value is read, no link resets, and the
+    decoder locates no server but the liar."""
+    async def scenario(liar):
+        async with Cluster("bcsr", n=8, byzantine={liar: behavior}) as cluster:
+            hold_back("s007", cluster.server_ids)  # the liar is asked
             writer, reader = cluster.client("w000"), cluster.client("r000")
             await writer.connect()
             await reader.connect()
@@ -195,10 +210,17 @@ def test_byzantine_servers_next_to_the_delta_path(behavior):
                 await writer.write(value)
                 for _ in range(4):
                     assert await reader.read() == value
-            assert node_counts(cluster, "replies_delta") > 0
-            assert reader.stats()["delta_resets"] == 0
+            stats = reader.stats()
+            assert stats["replies_held"] > 0 and stats["delta_resets"] == 0
+            found = {pid for pid in cluster.server_ids
+                     if reader.registry.counter_value(
+                         "client_decode_located_total", client="r000",
+                         server=pid)}
+            assert found == ({f"s{liar:03d}"} if behavior in LOCATED
+                             else set())
 
-    run(scenario())
+    for liar in (2, 6):  # k = 3: positions 0-2 are systematic
+        run(scenario(liar))
 
 
 @pytest.mark.parametrize("forged", [
@@ -209,6 +231,7 @@ def test_byzantine_servers_next_to_the_delta_path(behavior):
 def test_a_forged_delta_costs_one_link_reset_and_the_read_completes(forged):
     async def scenario():
         async with Cluster("bcsr", n=8) as cluster:
+            hold_back("s007", cluster.server_ids)  # the liar is asked
             client = cluster.client("w000", backoff_base=0.02,
                                     backoff_max=0.05)
             await client.connect()
@@ -218,7 +241,7 @@ def test_a_forged_delta_costs_one_link_reset_and_the_read_completes(forged):
             encode, lies = liar._encode, []
 
             def lying(message):
-                if isinstance(message, DataReply) and not lies:
+                if isinstance(message, DataHeld) and not lies:
                     lies.append(message)
                     return forged  # sealed and signed like any reply
                 return encode(message)

@@ -18,9 +18,11 @@ from repro.core.messages import (
     TagReply,
     Throttled,
 )
+from repro.core.namespace import DEFAULT_REGISTER
 from repro.core.operation import next_op_id
 from repro.core.tags import TAG_ZERO, Tag
 from repro.deploy import ClusterSpec
+from repro.erasure.striping import DecodeMemo
 from repro.errors import OperationAborted
 from repro.protocols.fleet import Fleet
 from repro.runtime import LocalCluster
@@ -304,16 +306,46 @@ def test_slow_healthy_servers_cost_a_hedge_or_two_not_one_per_round():
 
 @pytest.mark.parametrize("algorithm, n", [("bcsr", 6), ("rb2", 6)])
 def test_coded_and_mesh_protocols_hold_nobody(algorithm, n):
+    """A coded write (each server needs its own symbol) and every round
+    of a mesh protocol go to all ``n`` servers."""
+    ops = [lambda client: client.write(b"v")]
+    if Fleet.build(algorithm, f=1, n=n).spec.peer_links:
+        ops.append(lambda client: client.read())
+
     async def scenario():
-        client, transports = await fake_client(algorithm, n=n)
-        task, state = await started(client, client.read())
-        assert state.held == ()
-        assert sorted(state.addressed) == sorted(transports)
-        for transport in transports.values():
-            assert len(sent(transport)) == 1
-        await client.close()
-        with pytest.raises(OperationAborted):
-            await task
+        for op in ops:
+            client, transports = await fake_client(algorithm, n=n)
+            task, state = await started(client, op(client))
+            assert state.held == ()
+            assert sorted(state.addressed) == sorted(transports)
+            for transport in transports.values():
+                assert len(sent(transport)) == 1
+            await client.close()
+            with pytest.raises(OperationAborted):
+                await task
+
+    run(scenario())
+
+
+def test_a_coded_read_holds_f_and_asks_located_servers_last():
+    """A BCSR read changes no server, so it is thrifty like any read; a
+    server its reader's last decode located goes last."""
+    servers = [f"s{i:03d}" for i in range(6)]
+    hold_back("s005", servers)
+
+    async def scenario():
+        for suspects, held in ((frozenset(), "s005"),
+                               (frozenset({1}), "s001")):
+            client, transports = await fake_client("bcsr", n=6)
+            client._register_states[DEFAULT_REGISTER] = DecodeMemo(
+                suspects=suspects)
+            task, state = await started(client, client.read())
+            assert state.held == (held,)
+            assert [len(sent(transports[pid])) for pid in servers] == [
+                0 if pid == held else 1 for pid in servers]
+            await client.close()
+            with pytest.raises(OperationAborted):
+                await task
 
     run(scenario())
 

@@ -27,6 +27,7 @@ from repro.core.messages import (
     QueryData,
     QueryDataHeld,
     QueryHistory,
+    QueryHistoryAbove,
     QueryTag,
     QueryTagHistory,
     QueryValue,
@@ -74,6 +75,7 @@ SAMPLES = {
     "QueryDataHeld": QueryDataHeld(op_id=29, tag=TAG),
     "DataHeld": DataHeld(op_id=30),
     "QueryHistory": QueryHistory(op_id=7),
+    "QueryHistoryAbove": QueryHistoryAbove(op_id=31, tag=TAG),
     "HistoryReply": HistoryReply(op_id=8, history=(
         TaggedValue(Tag(0, ""), b""), TaggedValue(TAG, b"v2"))),
     "QueryTagHistory": QueryTagHistory(op_id=9),
@@ -140,7 +142,7 @@ ENCODED_SIZES = {
     "Rb2Send": 23, "Rb2Witness": 23, "StatsAck": 93, "StatsPing": 5,
     "TagHistoryReply": 17, "TagReply": 12, "Throttled": 23, "TraceAck": 136,
     "TraceDump": 10, "ValueReply": 13,
-    "QueryDataHeld": 12, "DataHeld": 5,
+    "QueryDataHeld": 12, "DataHeld": 5, "QueryHistoryAbove": 12,
 }
 
 

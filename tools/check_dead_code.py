@@ -54,7 +54,7 @@ BANNED_IO_NAMES = {"start_server", "open_connection", "StreamReader",
 #: Constructors each called from at most one module under ``src/repro/``.
 BUILDERS = ("ServerContext", "OpContext", "NamespacedOperation",
             "RegisterTable", "make_behavior", "RegisterServerNode",
-            "AsyncRegisterClient", "QueryTag")
+            "AsyncRegisterClient", "QueryTag", "QueryDataHeld")
 
 #: Where a reference to an exported name may live.
 REFERENCE_DIRS = ("src", "tests", "bench", "benchmarks", "examples",

@@ -20,16 +20,19 @@ must not serialise it, and a keyed broadcast must stay one message
 object (the client encodes per object).  Counts only, no timing.
 
 A fourth, reply pass runs real clients against real nodes over in-memory
-transports and counts what the nodes write: repeat reads of a 64 KiB BCSR
-register may carry one full coded element per connection per version
-(the rest are tail deltas), and with 64 B keyed BSR values every frame
-must be exactly what the stateless seal of the same payloads produces
-(small replies never touch the delta layer).  Counts only, no timing.
+transports and counts what the nodes write: after each write of a 64 KiB
+BCSR value at ``n = 8, f = 1``, the first read gets ``n - f`` full coded
+elements, and a repeat read writes ``n - f`` ``QueryDataHeld`` and gets
+``n - f`` ``DataHeld`` replies carrying no element (nothing is left for
+the tail-delta layer); and with 64 B keyed BSR values every frame must be
+exactly what the stateless seal of the same payloads produces (small
+replies never touch the delta layer).  Counts only, no timing.
 
 A fifth, thrifty pass counts frames over the same in-memory pipes: a
-quiet keyed BSR read at ``n = 5, f = 1`` writes exactly ``n - f``
-requests, gets ``n - f`` replies and hedges nothing, while a BCSR read
-(servers hold distinct coded symbols) still writes ``n``.
+quiet write and read at ``f = 1`` -- a keyed BSR read writes exactly
+``n - f`` requests, gets ``n - f`` replies and hedges nothing, and so does
+a BCSR read, while a BCSR write (servers hold distinct coded symbols)
+still goes to all ``n``.
 
 A sixth, memory pass counts what servers keep: after 200 writes of
 64 KiB to a BCSR fleet (``n = 8``, ``max_history = 128``, one ``stale``
@@ -40,9 +43,9 @@ Counts only, no timing.
 A seventh, held pass counts conditional reads over the in-memory pipes: a
 repeat keyed BSR read of an unchanged key writes ``n - f`` requests and
 gets ``n - f`` ``DataHeld`` replies, none carrying the value, while the
-first read after a write still gets full replies; and a BCSR read (whose
-reader names no pair) writes exactly as many bytes as it always did, op_ids
-pinned so the count is exact.  Counts only, no timing.
+first read after a write still gets full replies; and the first BCSR read
+after a write moves an exact number of bytes, op_ids pinned so the count
+is exact.  Counts only, no timing.
 
 Exit status: 0 on success, 1 on wrong results or a blown budget.
 """
@@ -51,6 +54,7 @@ import asyncio
 import itertools
 import sys
 import time
+from functools import partial
 
 from repro.core import operation as operation_module
 from repro.core.bsr import BSRReadOperation, BSRServer
@@ -74,7 +78,6 @@ from repro.sharding import RegisterTable, table as table_module
 from repro.transport.auth import Authenticator, KeyChain
 from repro.transport.codec import FrameAssembler, frame_burst
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
-from repro.transport.delta import DELTA_MIN_BYTES
 
 #: Messages in the pass.
 COUNT = 10_000
@@ -284,34 +287,6 @@ class Wiring:
         return up, link
 
 
-async def _bcsr_reads():
-    spec = ClusterSpec(algorithm="bcsr", f=CODED_F, n=CODED_N,
-                       base_port=7000)
-    wiring = Wiring(spec)
-    client = spec.client("w000", timeout=10.0)
-    await client.connect()
-    versions, reads = 3, 10
-    for version in range(versions):
-        value = bytes([version]) * CODED_SIZE
-        await client.write(value)
-        for _ in range(reads):
-            if await client.read() != value:
-                return "a BCSR read returned a wrong value"
-    await client.close()
-    for pid, pipes in wiring.down.items():
-        if len(pipes) != 1:
-            return f"{len(pipes)} connections to {pid} (want 1)"
-        full = [frame for burst in pipes[0].carried
-                for frame in FrameAssembler().feed(burst)
-                if len(frame) >= DELTA_MIN_BYTES]
-        if len(full) > versions:
-            return (f"the connection to {pid} carried {len(full)} full "
-                    f"elements for {versions} versions")
-    if client.stats()["delta_resets"]:
-        return "a clean run reset a link"
-    return None
-
-
 async def _keyed_small_values():
     spec = ClusterSpec(algorithm="bsr", f=1, n=5, base_port=7000,
                        keyspace={"group_size": 5})
@@ -350,47 +325,62 @@ async def _keyed_small_values():
 
 
 def run_reply_pass():
-    """One full element per version; small replies sealed statelessly."""
-    for scenario in (_bcsr_reads, _keyed_small_values):
-        problem = asyncio.run(scenario())
-        if problem is not None:
-            print(f"hotpath-smoke: {problem}")
-            return None
-    return ("hotpath-smoke: reply pass -- <= 1 full element per connection "
-            "per version, small replies byte-identical to the stateless seal")
+    """Per version one full element per addressed server, then DataHeld;
+    small replies sealed statelessly."""
+    spec = ClusterSpec(algorithm="bcsr", f=CODED_F, n=CODED_N,
+                       base_port=7000)
+    values = [bytes([version]) * CODED_SIZE for version in range(3)]
+    problem = _pinned(partial(_conditional_reads, spec, "default", values,
+                              CODED_SIZE // CODED_K))
+    if problem is None:
+        problem = asyncio.run(_keyed_small_values())
+    if problem is not None:
+        print(f"hotpath-smoke: {problem}")
+        return None
+    quorum = CODED_N - CODED_F
+    return (f"hotpath-smoke: reply pass -- per version {quorum} full "
+            f"elements, then {quorum} QueryDataHeld answered by {quorum} "
+            "DataHeld carrying none; small replies byte-identical to the "
+            "stateless seal")
 
 
-async def _read_round(spec, register):
-    """(request frames, reply frames, hedges) of one quiet read."""
+async def _quiet_rounds(spec, register):
+    """``(requests, replies, hedges)`` of one quiet write, then one read."""
     wiring = Wiring(spec)
     client = spec.client("w000", timeout=10.0)
     await client.connect()
     value = b"v" * 64
-    await client.write(value, register=register)
-    up, down = wiring.frames("up"), wiring.frames("down")
-    if await client.read(register=register) != value:
-        return None
-    await asyncio.sleep(0.01)  # surplus replies, if any, land
-    counts = (wiring.frames("up") - up, wiring.frames("down") - down,
-              client.stats().get("hedges"))
+    counts = []
+    for operation in (partial(client.write, value), client.read):
+        up, down = wiring.frames("up"), wiring.frames("down")
+        hedges = client.stats()["hedges"]
+        result = await operation(register=register)
+        if operation is client.read and result != value:
+            return None
+        await asyncio.sleep(0.01)  # surplus replies, if any, land
+        counts.append((wiring.frames("up") - up, wiring.frames("down") - down,
+                       client.stats()["hedges"] - hedges))
     await client.close()
     return counts
 
 
 def run_thrifty_pass():
-    """A quiet BSR round goes to n - f servers; a BCSR round to all n."""
+    """Quiet rounds go to n - f servers; a BCSR write's to all n."""
     bsr = ClusterSpec(algorithm="bsr", f=1, n=5, base_port=7000,
                       keyspace={"group_size": 5})
     bcsr = ClusterSpec(algorithm="bcsr", f=1, n=6, base_port=7000)
-    for spec, register, want in ((bsr, key_name(0), (4, 4, 0)),
-                                 (bcsr, "default", (6, 6, 0))):
-        got = asyncio.run(_read_round(spec, register))
+    for spec, register, want in (
+            (bsr, key_name(0), [(8, 8, 0), (4, 4, 0)]),
+            (bcsr, "default", [(12, 12, 0), (5, 5, 0)])):
+        got = asyncio.run(_quiet_rounds(spec, register))
         if got != want:
-            print(f"hotpath-smoke: a quiet {spec.algorithm} read at n={spec.n} "
-                  f"made (requests, replies, hedges) = {got}, want {want}")
+            print(f"hotpath-smoke: a quiet {spec.algorithm} write and read at "
+                  f"n={spec.n} made (requests, replies, hedges) = {got}, "
+                  f"want {want}")
             return None
     return ("hotpath-smoke: thrifty pass -- a keyed BSR read writes 4 "
-            "requests to n=5 servers and 0 hedges; a BCSR read still writes n")
+            "requests to n=5 servers and 0 hedges, a BCSR read 5 to n=6; "
+            "a BCSR write still writes n per round")
 
 
 #: Memory pass: writes of ``CODED_SIZE`` bytes under this history bound.
@@ -435,46 +425,59 @@ def _messages(wiring, direction, opened):
     return found
 
 
-async def _held_reads():
-    """Problem string of a keyed BSR client's conditional reads, or None."""
-    spec = ClusterSpec(algorithm="bsr", f=1, n=5, base_port=7000,
-                       keyspace={"group_size": 5})
+async def _conditional_reads(spec, register, values, share):
+    """Problem string of one client's conditional reads, or None.
+
+    After each write of ``values`` to ``register``, a first read gets
+    ``n - f`` full replies (its query names a pair from the second write
+    on) and a repeat read writes ``n - f`` ``QueryDataHeld`` and gets
+    ``n - f`` ``DataHeld`` replies, none longer than ``share`` (what one
+    server stores of a value).
+    """
     auth = spec.authenticator()
     wiring = Wiring(spec)
     client = spec.client("w000", timeout=10.0)
     await client.connect()
-    key, quorum = key_name(0), spec.n - spec.f
-    old, new = b"\x5a" * 64, b"\xa5" * 64
-    await client.write(old, register=key)
-    await client.read(register=key)  # the reader now holds ``old``
-    await client.write(new, register=key)
-    for expect, value in (("full", new), ("held", new)):
-        _messages(wiring, "up", auth.open_any)
-        _messages(wiring, "down", auth.open_any)
-        if await client.read(register=key) != value:
-            return "a keyed BSR read returned a wrong value"
-        await asyncio.sleep(0.01)  # surplus replies, if any, land
-        up = _messages(wiring, "up", auth.open_any)
-        down = _messages(wiring, "down", auth.open_any)
-        want = DataReply if expect == "full" else DataHeld
-        if (len(up) != quorum or len(down) != quorum
-                or any(type(m) is not QueryDataHeld for _, m in up)
-                or any(type(m) is not want for _, m in down)):
-            return (f"a {expect} read wrote {[type(m).__name__ for _, m in up]}"
-                    f" and got {[type(m).__name__ for _, m in down]}")
-        carrying = sum(value in bytes(payload) for payload, _ in down)
-        if carrying != (quorum if expect == "full" else 0):
-            return f"{carrying} replies of a {expect} read carried the value"
-    held = client.stats()["replies_held"]
+    quorum = spec.n - spec.f
+    for number, value in enumerate(values):
+        await client.write(value, register=register)
+        for expect in ("full", "held"):
+            _messages(wiring, "up", auth.open_any)
+            _messages(wiring, "down", auth.open_any)
+            if await client.read(register=register) != value:
+                return f"a {spec.algorithm} read returned a wrong value"
+            await asyncio.sleep(0.01)  # surplus replies, if any, land
+            up = _messages(wiring, "up", auth.open_any)
+            down = _messages(wiring, "down", auth.open_any)
+            query = (QueryData if expect == "full" and number == 0
+                     else QueryDataHeld)
+            reply = DataReply if expect == "full" else DataHeld
+            if (len(up) != quorum or len(down) != quorum
+                    or any(type(m) is not query for _, m in up)
+                    or any(type(m) is not reply for _, m in down)):
+                return (f"a {expect} {spec.algorithm} read wrote "
+                        f"{[type(m).__name__ for _, m in up]} and got "
+                        f"{[type(m).__name__ for _, m in down]}")
+            carrying = sum(len(payload) > share for payload, _ in down)
+            if carrying != (quorum if expect == "full" else 0):
+                return (f"{carrying} replies of a {expect} {spec.algorithm} "
+                        "read carried the value")
+    stats = client.stats()
+    held = stats["replies_held"]
     await client.close()
-    if held != quorum:
-        return f"the client counted {held} held replies, want {quorum}"
+    if stats["delta_expanded"] or stats["delta_resets"]:
+        return (f"{spec.algorithm} replies went as tail deltas "
+                f"({stats['delta_expanded']}, {stats['delta_resets']} resets)")
+    if held != quorum * len(values):
+        return (f"the client counted {held} held replies, want "
+                f"{quorum * len(values)}")
     return None
 
 
 #: Bytes a BCSR read at ``n = 6, f = 1`` of a 64 B value writes (requests,
-#: replies) with op_ids pinned to ``2**40 + 1`` onwards.
-BCSR_READ_BYTES = (312, 780)
+#: replies) with op_ids pinned to ``2**40 + 1`` onwards: ``n - f`` plain
+#: queries answered by ``n - f`` coded elements (the reader holds none).
+BCSR_READ_BYTES = (260, 650)
 
 
 async def _bcsr_read_bytes():
@@ -509,8 +512,11 @@ def _pinned(scenario):
 
 
 def run_held_pass():
-    """Repeat BSR reads elide the value; BCSR reads move as many bytes."""
-    problem = _pinned(_held_reads)
+    """Repeat BSR reads elide the value; a BCSR read's bytes are pinned."""
+    spec = ClusterSpec(algorithm="bsr", f=1, n=5, base_port=7000,
+                       keyspace={"group_size": 5})
+    problem = _pinned(partial(_conditional_reads, spec, key_name(0),
+                              [b"\x5a" * 64, b"\xa5" * 64], 64))
     if problem is not None:
         print(f"hotpath-smoke: {problem}")
         return None
@@ -521,7 +527,7 @@ def run_held_pass():
         return None
     return ("hotpath-smoke: held pass -- a repeat keyed BSR read writes 4 "
             "requests and gets 4 DataHeld replies without the value; a "
-            f"BCSR read writes {BCSR_READ_BYTES} bytes as before")
+            f"BCSR read writes {BCSR_READ_BYTES} bytes")
 
 
 def main():
