@@ -7,11 +7,14 @@ a pure state machine, multiplexing is a thin, protocol-agnostic wrapper:
 * :class:`NamespacedMessage` tags any protocol message with a register name.
 * :class:`~repro.sharding.RegisterTable` (the server side) routes each
   tagged message to a per-register server instance (created on demand
-  from a factory) and tags the replies.  A Byzantine behaviour, when
-  present, is applied *per register server*, so every strategy from
-  :mod:`repro.byzantine.behaviors` works unchanged.
+  from a factory); replies to the requesting party go back bare, and
+  messages to peers and pushes to other parties stay tagged.  A
+  Byzantine behaviour, when present, is applied *per register server*,
+  so every strategy from :mod:`repro.byzantine.behaviors` works
+  unchanged.
 * :class:`NamespacedOperation` wraps a client operation so its outgoing
-  messages carry the register name and incoming replies are unwrapped.
+  messages carry the register name; bare replies pass straight to the
+  wrapped operation, tagged ones only for its own register.
 
 Safety/regularity guarantees are per register: operations on different
 names never interact (they touch disjoint server state), which mirrors how
@@ -119,17 +122,22 @@ class NamespacedOperation:
         return self._wrap(self.operation.start())
 
     def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        """Unwrap a namespaced reply and feed it to the wrapped operation.
+        """Feed a reply to the wrapped operation.
 
-        Replies for other registers (or bare messages) are ignored.  That
-        stops a correct server's reply that reached the wrong operation;
-        it does not stop a Byzantine server, which can tag a reply with
-        any register it likes.  What defeats that server is the wrapped
+        A register table answers the requesting party *bare*: the reply
+        reaches this operation only through its own client's connection
+        and its ``op_id`` (unique per process), which the wrapped
+        operation checks, so the register it asked is implied.  A
+        wrapped reply (a push, or a peer-routed ack) is accepted only for
+        this operation's own register.  That stops a correct server's
+        reply that reached the wrong operation; it does not stop a
+        Byzantine server, which can tag a reply with any register it
+        likes, or send it bare.  What defeats that server is the wrapped
         operation's witness counting: its reply is one voice among the
         ``f + 1`` a pair needs.
         """
-        if not isinstance(message, NamespacedMessage):
-            return []
-        if message.register != self.register:
-            return []
-        return self._wrap(self.operation.on_reply(sender, message.inner))
+        if isinstance(message, NamespacedMessage):
+            if message.register != self.register:
+                return []
+            message = message.inner
+        return self._wrap(self.operation.on_reply(sender, message))

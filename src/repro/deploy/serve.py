@@ -114,6 +114,12 @@ async def _node_ping(address: Tuple[str, int], auth: Authenticator, ping,
             raise ProtocolError(
                 f"expected {expect.__name__} from {sender}, got "
                 f"{type(message).__name__}")
+        if message.node_id != sender:
+            # Any key the probe knows verifies the frame; only the
+            # signer may speak for a node.
+            raise ProtocolError(
+                f"{expect.__name__} signed by {sender} claims to come "
+                f"from {message.node_id}")
         return message
     finally:
         writer.close()

@@ -202,7 +202,7 @@ class Fleet:
             return self.server(pid)
         return RegisterTable(
             pid, partial(self.server, pid), behavior=self.behaviors.get(pid),
-            registry=registry,
+            registry=registry, peers=self.server_ids,
             **(self.keyspace.table_bounds()
                if self.keyspace is not None else {}))
 

@@ -357,16 +357,12 @@ class AsyncRegisterClient:
         decodes = shared = 0
         for frame in frames:
             try:
-                sender, payloads = self.auth.open_any(frame)
+                # Verified under pid's key (a named frame must name pid):
+                # a Byzantine server cannot speak for another server.
+                payloads = self.auth.open_any(frame, pid)[1]
             except (AuthenticationError, ProtocolError) as exc:
                 self._link_dropped(pid, "bad-frame",
                                    f"dropping bad frame: {exc}")
-                continue
-            if sender != pid:
-                # A Byzantine server cannot speak for another server:
-                # the signature pins the sender.
-                self._link_dropped(pid, "wrong-sender", "dropping a frame "
-                                   f"signed by {sender}")
                 continue
             try:
                 payloads = expander.expand(frame, payloads)
@@ -414,7 +410,7 @@ class AsyncRegisterClient:
                             len(state.decoded)
                             < len(state.addressed) + len(state.held)):
                         state.decoded.append((bytes(payload), message))
-                if not self._dispatch_reply(sender, message, now, state):
+                if not self._dispatch_reply(pid, message, now, state):
                     stale.inc()
         if decodes:
             self._counters["reply_decodes"].inc(decodes)

@@ -40,6 +40,11 @@ RETRY_WINDOW = 2048
 #: of vanished clients can pin in memory.
 UNDELIVERED_LIMIT = 1024
 
+#: Node-level requests: answered by the node itself, before the protocol
+#: and exempt from rate limiting, so readiness probes and scrapes work
+#: under load.
+PROBES = frozenset((HealthPing, StatsPing, TraceDump))
+
 
 class _Connection(asyncio.BufferedProtocol):
     """One inbound connection: serve each chunk whole, reply once.
@@ -67,7 +72,8 @@ class _Connection(asyncio.BufferedProtocol):
         self._durable: Optional[asyncio.Task] = None
         #: What this connection already carried in full (starts empty).
         self._shrinker = Shrinker(
-            partial(node.auth.seal_frames, node.server_id), node._tally_reply)
+            partial(node.auth.seal_frames, node.server_id, named=False),
+            node._tally_reply)
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         node = self.node
@@ -142,10 +148,20 @@ class _Connection(asyncio.BufferedProtocol):
         if not self._write_paused:
             self.transport.resume_reading()
 
-    def write(self, payloads: List[bytes]) -> None:
+    def write(self, payloads: List[bytes], named: bool = False) -> None:
         """Seal ``payloads`` under one HMAC, write them as one burst (a
-        large one in full once, then as a tail delta while it repeats)."""
+        large one in full once, then as a tail delta while it repeats).
+
+        Replies and pushes go to a party that dialed this node by id, so
+        they are sealed nameless; ``named`` (probe acks: a probe dials an
+        address) seals them whole, past the delta layer.
+        """
         if not payloads or self.transport.is_closing():
+            return
+        if named:
+            node = self.node
+            self.transport.write(frame_burst(
+                node.auth.seal_frames(node.server_id, payloads)))
             return
         if len(payloads) > 1:
             self.node._counters["reply_batches"].inc()
@@ -441,6 +457,7 @@ class RegisterServerNode:
                 self._undelivered_count -= len(parked)
                 replies.extend(parked)
         needs_checkpoint = False
+        acks = []
         for payload in payloads:
             try:
                 message = self._decode(payload)
@@ -449,20 +466,18 @@ class RegisterServerNode:
                 self._log.warning("bad-frame", "server %s dropping bad "
                                   "payload: %s", self.server_id, exc)
                 continue
-            if self._serve_message(sender, message, replies, loop, received):
+            if type(message) in PROBES:
+                self._c_frames.inc()
+                acks.append(self._encode(self._probe_ack(message)))
+            elif self._serve_message(sender, message, replies, loop,
+                                     received):
                 needs_checkpoint = True
+        if acks and connection is not None:
+            connection.write(acks, named=True)
         return needs_checkpoint
 
-    def _serve_message(self, sender: ProcessId, message: Any,
-                       replies: list,
-                       loop: asyncio.AbstractEventLoop,
-                       received: Optional[float] = None) -> bool:
-        """Run one verified message through the node/protocol layers.
-
-        Returns whether the message changed the protocol's durable
-        history (i.e. a checkpoint is due).
-        """
-        self._c_frames.inc()
+    def _probe_ack(self, message: Any) -> Any:
+        """The node's own answer to a probe (a :data:`PROBES` message)."""
         if isinstance(message, HealthPing):
             # Answered by the node, not the protocol, and exempt from
             # rate limiting: readiness probes must work under load.
@@ -475,7 +490,7 @@ class RegisterServerNode:
             if resident is not None:
                 rehydrations = int(self.registry.counter_value(
                     "table_rehydrations_total", node=str(self.server_id)))
-            ack = HealthAck(
+            return HealthAck(
                 op_id=message.op_id, node_id=str(self.server_id),
                 history_len=len(getattr(self.protocol, "history", ())),
                 frames=int(self._counters["frames"].value),
@@ -485,8 +500,6 @@ class RegisterServerNode:
                 keys_archived=-1 if archived is None else len(archived),
                 rehydrations=rehydrations,
             )
-            replies.append(self._encode(ack))
-            return False
         if isinstance(message, StatsPing):
             # The scrape path: same exemption as health pings, so
             # metrics stay readable exactly when the node is drowning.
@@ -499,24 +512,30 @@ class RegisterServerNode:
                     "node_history_len_max", node=str(self.server_id),
                 ).set(max((len(server.history)
                            for server in registers.values()), default=0))
-            ack = StatsAck(op_id=message.op_id,
-                           node_id=str(self.server_id),
-                           metrics=self.registry.snapshot())
-            replies.append(self._encode(ack))
-            return False
-        if isinstance(message, TraceDump):
-            # Flight-recorder scrape: node-level like the pings above,
-            # so stitched timelines stay reachable under protocol load.
-            self._counters["trace_dumps"].inc()
-            fl = self.flight
-            ack = TraceAck(
-                op_id=message.op_id, node_id=str(self.server_id),
-                records=(fl.dump(message.target_op, message.limit)
-                         if fl is not None else []),
-                total=fl.total if fl is not None else 0,
-            )
-            replies.append(self._encode(ack))
-            return False
+            return StatsAck(op_id=message.op_id,
+                            node_id=str(self.server_id),
+                            metrics=self.registry.snapshot())
+        # A TraceDump -- the flight-recorder scrape: node-level like the
+        # pings above, so stitched timelines stay reachable under load.
+        self._counters["trace_dumps"].inc()
+        fl = self.flight
+        return TraceAck(
+            op_id=message.op_id, node_id=str(self.server_id),
+            records=(fl.dump(message.target_op, message.limit)
+                     if fl is not None else []),
+            total=fl.total if fl is not None else 0,
+        )
+
+    def _serve_message(self, sender: ProcessId, message: Any,
+                       replies: list,
+                       loop: asyncio.AbstractEventLoop,
+                       received: Optional[float] = None) -> bool:
+        """Run one verified message through the node/protocol layers.
+
+        Returns whether the message changed the protocol's durable
+        history (i.e. a checkpoint is due).
+        """
+        self._c_frames.inc()
         fl = self.flight
         if (self._buckets is not None and sender not in self._peers
                 and not self._buckets.allow(sender)):

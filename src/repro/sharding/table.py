@@ -38,7 +38,7 @@ process-per-node deployment and the simulator unchanged.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.keys import MAX_KEY_LENGTH, key_error
 from repro.core.namespace import NamespacedMessage
@@ -60,7 +60,8 @@ class RegisterTable:
     per-key server instance, exactly as in the single-register case.
     ``max_resident`` caps live per-key state machines (``None`` =
     unbounded); ``max_key_len`` tightens the global key-length bound per
-    deployment.
+    deployment; ``peers`` are the fleet's servers, whose messages are
+    answered wrapped (see :meth:`handle`).
 
     Metrics land in ``registry`` when one is given (the node's):
     ``table_keys_resident``, ``table_keys_archived``,
@@ -75,7 +76,8 @@ class RegisterTable:
                  behavior: Optional[Any] = None,
                  max_resident: Optional[int] = None,
                  max_key_len: int = MAX_KEY_LENGTH,
-                 registry: Optional[Any] = None) -> None:
+                 registry: Optional[Any] = None,
+                 peers: Iterable[ProcessId] = ()) -> None:
         if max_resident is not None and max_resident < 1:
             raise ValueError("max_resident must be at least 1")
         self.server_id = server_id
@@ -83,6 +85,8 @@ class RegisterTable:
         self.behavior = behavior
         self.max_resident = max_resident
         self.max_key_len = max_key_len
+        #: Servers whose own tables this one talks to (never sent bare).
+        self.peers = frozenset(peers)
         #: key -> live protocol instance, least-recently-touched first.
         self.registers: "OrderedDict[str, Any]" = OrderedDict()
         #: key -> compact archived state of demoted cold keys.
@@ -223,21 +227,32 @@ class RegisterTable:
 
     # -- message flow ------------------------------------------------------
     def handle(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        """Validate, route to the key's server, re-wrap the replies."""
+        """Validate, route to the key's server, wrap what needs it.
+
+        A reply to the requesting party goes back *bare*: the reader
+        named the register in its own query, and its ``op_id`` already
+        pins the operation (see :meth:`NamespacedOperation.on_reply`).
+        Everything else -- messages to peer servers, whose tables route
+        by register, and pushes to parties other than the sender --
+        keeps the wrapper.
+        """
         if not isinstance(message, NamespacedMessage):
             return []
-        if (message.register not in self.registers
-                and message.register not in self._archive
-                and key_error(message.register, self.max_key_len) is not None):
+        register = message.register
+        if (register not in self.registers
+                and register not in self._archive
+                and key_error(register, self.max_key_len) is not None):
             if self._c_rejected is not None:
                 self._c_rejected.inc()
             return []
-        server = self.register_server(message.register)
+        server = self.register_server(register)
         replies = server.handle(sender, message.inner)
         if self.behavior is not None:
             replies = self.behavior.on_message(
                 server, sender, message.inner, replies)
+        origin = None if sender in self.peers else sender
         return [
-            (dest, NamespacedMessage(register=message.register, inner=reply))
+            (dest, reply if dest == origin
+             else NamespacedMessage(register=register, inner=reply))
             for dest, reply in replies
         ]

@@ -54,8 +54,17 @@ _PACK_F64 = Struct(">d")
 _UNPACK_F64 = _PACK_F64.unpack_from
 
 
+#: Payload bits of the longest varint either side accepts (11 bytes), and
+#: so the bound on every encoded integer: ``0 <= n < 2 ** VARINT_BITS``,
+#: negatives down to ``-(2 ** VARINT_BITS)`` (sent as ``-(n + 1)``).  The
+#: encoder refuses what the decoder would reject.
+VARINT_BITS = 77
+
+
 def _uvarint(out: bytearray, n: int) -> None:
-    """Append ``n >= 0`` as an unsigned LEB128 varint."""
+    """Append ``0 <= n < 2 ** VARINT_BITS`` as an unsigned LEB128 varint."""
+    if n >> VARINT_BITS:  # also -1 for any negative n
+        raise ProtocolError(f"integer {n} is outside the varint range")
     while n > 0x7F:
         out.append((n & 0x7F) | 0x80)
         n >>= 7
@@ -72,7 +81,7 @@ def _read_uvarint(data, pos: int) -> Tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
-        if shift > 70:
+        if shift >= VARINT_BITS:
             raise ProtocolError("varint too long")
 
 

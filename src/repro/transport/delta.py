@@ -17,6 +17,7 @@ from struct import Struct
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.errors import ProtocolError
+from repro.transport.auth import single_signature
 
 #: Payloads shorter than this are never bases and never deltas.
 DELTA_MIN_BYTES = 1024
@@ -30,12 +31,6 @@ _HEADER = Struct(">B8sI")
 
 class DeltaDesync(ProtocolError):
     """A delta names a base this end of the connection does not hold."""
-
-
-def _frame_id(frame) -> bytes:
-    """Leading 8 bytes of a single envelope's HMAC tag."""
-    at = 2 + (frame[0] << 8 | frame[1])
-    return bytes(frame[at:at + 8])
 
 
 class Shrinker:
@@ -58,7 +53,8 @@ class Shrinker:
                 if delta is None:  # the new base, alone in its envelope
                     frames += seal(chunk) if chunk else ()
                     frames += seal([payload])
-                    self._base, self._id = payload, _frame_id(frames[-1])
+                    self._base = payload
+                    self._id = single_signature(frames[-1])[:8]
                     chunk = []
                     continue
                 payload = delta
@@ -94,11 +90,12 @@ class Expander:
 
     def expand(self, frame, payloads: Sequence) -> Sequence:
         """The verified ``payloads`` of ``frame`` as the sender held them."""
-        if (len(payloads) == 1 and frame[0] != 0xFF  # a single envelope
-                and len(payloads[0]) >= DELTA_MIN_BYTES
+        if (len(payloads) == 1 and len(payloads[0]) >= DELTA_MIN_BYTES
                 and payloads[0][0] != DELTA_MAGIC):
-            self._base, self._id = bytes(payloads[0]), _frame_id(frame)
-            return (self._base,)
+            signature = single_signature(frame)
+            if signature is not None:  # a base comes alone, in a single
+                self._base, self._id = bytes(payloads[0]), signature[:8]
+                return (self._base,)
         return [self._whole(p) if len(p) and p[0] == DELTA_MAGIC else p
                 for p in payloads]
 

@@ -5,7 +5,7 @@ import pytest
 from repro import RegisterSystem
 from repro.consistency import check_safety
 from repro.core.bsr import BSRServer
-from repro.core.messages import DataReply, QueryData, QueryTag
+from repro.core.messages import DataReply, QueryData, QueryTag, TagReply
 from repro.core.namespace import (
     DEFAULT_REGISTER,
     NamespacedMessage,
@@ -39,13 +39,17 @@ def test_registers_created_on_demand():
 def test_factory_receives_register_name():
     server = make_server()
     [(_, reply)] = server.handle("r0", NamespacedMessage("users", QueryData(op_id=1)))
-    assert reply.inner.payload == b"users"  # initial value derived from name
+    assert reply.payload == b"users"  # initial value derived from name
 
 
-def test_replies_are_wrapped_with_same_register():
-    server = make_server()
+def test_replies_go_bare_to_the_requester_and_wrapped_to_peers():
+    server = RegisterTable("s000", factory=lambda name: BSRServer("s000"),
+                           peers=["s000", "s001"])
     [(dest, reply)] = server.handle("w0", NamespacedMessage("a", QueryTag(op_id=1)))
     assert dest == "w0"
+    assert type(reply) is TagReply and reply.tag == TAG_ZERO
+    [(dest, reply)] = server.handle("s001", NamespacedMessage("a", QueryTag(op_id=2)))
+    assert dest == "s001"
     assert isinstance(reply, NamespacedMessage) and reply.register == "a"
     assert reply.inner.tag == TAG_ZERO
 
@@ -62,7 +66,7 @@ def test_behavior_applies_per_register_server():
     server.handle("w0", NamespacedMessage("a", PutData(op_id=1, tag=Tag(1, "w"),
                                                        payload=b"fresh")))
     [(_, reply)] = server.handle("r0", NamespacedMessage("a", QueryData(op_id=2)))
-    assert reply.inner.payload == b"a"  # stale behaviour: the initial value
+    assert reply.payload == b"a"  # stale behaviour: the initial value
 
 
 def test_namespaced_message_exposes_op_id_and_size():
@@ -196,7 +200,7 @@ def test_valid_names_still_served_after_rejections():
     server.handle("r0", NamespacedMessage("x" * 500, QueryData(op_id=1)))
     [(_, reply)] = server.handle(
         "r0", NamespacedMessage("legit", QueryData(op_id=2)))
-    assert reply.register == "legit"
+    assert reply.op_id == 2 and reply.payload == b"legit"
     assert set(server.registers) == {"legit"}
 
 

@@ -64,7 +64,7 @@ def test_burst_split_at_any_byte_offset_is_served_identically():
         assert node.stats["frames"] == 6 and node.stats["frames_bad"] == 0
         return [decode_message_v2(payload)
                 for frame in FrameAssembler().feed(bytes(transport.written))
-                for payload in auth.open_any(frame)[1]]
+                for payload in auth.open_any(frame, "s000")[1]]
 
     whole = run(serve([burst]))
     assert [reply.op_id for reply in whole] == [1, 2, 3, 4, 5, 6]
@@ -132,7 +132,7 @@ def test_ack_waits_for_the_durable_snapshot_and_keeps_order(
             while len(replies) < 2:
                 frame = await asyncio.wait_for(read_frame(reader), 5.0)
                 replies.extend(decode_message_v2(payload)
-                               for payload in auth.open_any(frame)[1])
+                               for payload in auth.open_any(frame, "s000")[1])
             ack, data = replies
             assert isinstance(ack, PutAck) and ack.op_id == 1
             assert isinstance(data, DataReply) and data.op_id == 2

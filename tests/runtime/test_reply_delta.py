@@ -21,6 +21,7 @@ from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
 from repro.deploy.serve import health_ping, stats_ping
 from repro.runtime import LocalCluster
+from repro.transport.auth import NAMELESS
 from repro.transport.codec import frame_burst, read_frame, write_frame
 from repro.transport.codec2 import (
     MAGIC_V2,
@@ -276,8 +277,8 @@ def test_raw_socket_probes_on_a_fresh_connection_get_plain_envelopes():
                 write_frame(writer, auth.seal("probe", encode_message_v2(
                     QueryData(op_id=op_id))))
                 frame = await asyncio.wait_for(read_frame(reader), 2.0)
-                assert frame[:2] != b"\xff\xff"  # a single envelope
-                [payload] = auth.open_any(frame)[1]
+                assert frame[0] == NAMELESS  # a single envelope, no name
+                [payload] = auth.open_any(frame, "s000")[1]
                 assert (payload[0] == DELTA_MAGIC) is shrunk
                 if not shrunk:
                     assert payload[0] == MAGIC_V2 and len(payload) > 21_000
@@ -313,7 +314,7 @@ def reply(op_id, body=BODY):
 
 def server_end(pid):
     """What ``pid``'s connection does to its replies -> frames."""
-    return Shrinker(partial(AUTH.seal_frames, pid)).seal
+    return Shrinker(partial(AUTH.seal_frames, pid, named=False)).seal
 
 
 def test_lost_base_then_delta_resets_only_that_link_and_replay_heals_it():

@@ -93,7 +93,7 @@ def test_signed_json_payload_is_counted_and_dropped():
                     "w000", encode_message_v2(message)))
                 await writer.drain()
                 frame = await asyncio.wait_for(read_frame(reader), 5.0)
-                sender, payloads = auth.open_any(frame)
+                sender, payloads = auth.open_any(frame, "s000")
                 assert sender == "s000"
                 return decode_message_v2(payloads[0])
 
@@ -113,7 +113,7 @@ def test_signed_json_payload_is_counted_and_dropped():
             assert not node._recent_frames
 
             reply = await exchange(NamespacedMessage("k", QueryTag(op_id=3)))
-            assert isinstance(reply.inner, TagReply)
+            assert isinstance(reply, TagReply)  # bare: it answers op 3
             assert bad_frames() == 1
             writer.close()
         finally:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.byzantine.behaviors import StaleBehavior
 from repro.core.bsr import BSRServer
-from repro.core.messages import DataReply, PutData, QueryData, QueryTag
+from repro.core.messages import DataReply, PutData, QueryData, QueryTag, TagReply
 from repro.core.namespace import NamespacedMessage
 from repro.core.tags import TAG_ZERO, Tag
 from repro.obs import MetricRegistry
@@ -36,10 +36,13 @@ def test_keys_created_on_first_touch():
     assert set(table.resident_keys) == {"users", "carts"}
 
 
-def test_replies_rewrapped_with_key():
-    table = make_table()
+def test_replies_bare_to_the_requester_rewrapped_with_key_to_peers():
+    table = make_table(peers=["s000", "s001"])
     [(dest, reply)] = table.handle("w0", NamespacedMessage("a", QueryTag(op_id=1)))
     assert dest == "w0"
+    assert type(reply) is TagReply and reply.tag == TAG_ZERO
+    [(dest, reply)] = table.handle("s001", NamespacedMessage("a", QueryTag(op_id=2)))
+    assert dest == "s001"
     assert isinstance(reply, NamespacedMessage) and reply.register == "a"
     assert reply.inner.tag == TAG_ZERO
 
@@ -111,9 +114,9 @@ def test_rehydrated_key_keeps_its_tag_and_value():
     table.handle("w0", put("other", op_id=2, seq=1, value=b"v"))  # demotes "hot"
     assert table.archived_keys == ["hot"]
     [(_, reply)] = table.handle("r0", query("hot", op_id=3))
-    assert isinstance(reply.inner, DataReply)
-    assert reply.inner.payload == b"payload"
-    assert reply.inner.tag.num == 7
+    assert isinstance(reply, DataReply)
+    assert reply.payload == b"payload"
+    assert reply.tag.num == 7
     assert table.archived_keys == ["other"]
 
 
@@ -148,7 +151,7 @@ def test_behavior_applies_per_key():
     table.handle("w0", put("k", op_id=1, seq=5, value=b"new"))
     [(_, reply)] = table.handle("r0", query("k", op_id=2))
     # the stale behaviour suppresses the new value
-    assert reply.inner.tag.num != 5 or reply.inner.payload != b"new"
+    assert reply.tag.num != 5 or reply.payload != b"new"
 
 
 def test_storage_bytes_counts_live_and_archived():

@@ -174,7 +174,7 @@ def test_unchanged_rehydrated_key_goes_back_as_the_same_bytes(snapshots):
     record = table._archive["hot"]
     for op_id in range(5):                           # read it back, evict it
         [(_, reply)] = table.handle("r0", query("hot", op_id=op_id))
-        assert reply.inner.payload == b"payload"
+        assert reply.payload == b"payload"
         table.handle("r0", query("other"))
         assert table._archive["hot"] is record
     assert len(snapshots) == 1
@@ -187,7 +187,7 @@ def test_unchanged_rehydrated_key_goes_back_as_the_same_bytes(snapshots):
     table.handle("r0", query("other"))
     assert table._archive["hot"] != record and len(snapshots) == 2
     [(_, reply)] = table.handle("r0", query("hot"))
-    assert reply.inner.payload == b"newer" and reply.inner.tag.num == 4
+    assert reply.payload == b"newer" and reply.tag.num == 4
     assert table._clean.keys() <= set(table.registers)
 
 
@@ -233,10 +233,10 @@ def test_record_from_an_older_build_rehydrates_or_falls_back():
     table._archive["old"] = persistence.snapshot_server(FACTORIES["bsr"]("old"))
     table._archive["junk"] = b'{"type":"NoSuchServer","history":[]}'
     [(_, reply)] = table.handle("r0", query("old"))
-    assert reply.inner.payload == b"" and reply.inner.tag.num == 0
+    assert reply.payload == b"" and reply.tag.num == 0
     [(_, reply)] = table.handle("r0", query("junk"))     # factory fallback
-    assert reply.inner.payload == b"" and reply.inner.tag.num == 0
+    assert reply.payload == b"" and reply.tag.num == 0
     table.handle("w0", put("junk", seq=1, value=b"fresh"))
     table.handle("r0", query("old"))
     [(_, reply)] = table.handle("r0", query("junk"))
-    assert reply.inner.payload == b"fresh"
+    assert reply.payload == b"fresh"

@@ -52,6 +52,7 @@ from repro.errors import ProtocolError
 from repro.transport.codec2 import (
     MAGIC_V2,
     MESSAGE_TYPES,
+    VARINT_BITS,
     CachedDecoder,
     CachedEncoder,
     decode_message_v2,
@@ -223,6 +224,27 @@ def test_unregistered_type_rejected_at_encode():
         encode_message_v2(object())
     with pytest.raises(ProtocolError):
         encode_message_v2(Tag(1, "w"))   # a value, not a message
+
+
+def test_one_integer_bound_on_both_sides():
+    largest = 2 ** VARINT_BITS - 1
+    for message in (TagReply(op_id=largest, tag=Tag(largest, "w")),
+                    Throttled(op_id=-largest - 1)):
+        assert decode_message_v2(encode_message_v2(message)) == message
+        assert CachedDecoder()(CachedEncoder()(message)) == message
+    for message in (TagReply(op_id=1, tag=Tag(largest + 1, "w")),
+                    TagReply(op_id=largest + 1, tag=TAG),
+                    Throttled(op_id=-largest - 2)):
+        with pytest.raises(ProtocolError, match="varint range"):
+            encode_message_v2(message)
+    # The same next value, written by hand, is refused on decode.
+    good = encode_message_v2(TagReply(op_id=1, tag=Tag(largest, "w")))
+    longest = b"\xff" * (VARINT_BITS // 7 - 1) + b"\x7f"
+    assert good.count(longest) == 1
+    bad = good.replace(longest, b"\x80" * (VARINT_BITS // 7) + b"\x01")
+    for decode in (decode_message_v2, CachedDecoder()):
+        with pytest.raises(ProtocolError, match="varint too long"):
+            decode(bad)
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,8 +25,8 @@ BCSR value at ``n = 8, f = 1``, the first read gets ``n - f`` full coded
 elements, and a repeat read writes ``n - f`` ``QueryDataHeld`` and gets
 ``n - f`` ``DataHeld`` replies carrying no element (nothing is left for
 the tail-delta layer); and with 64 B keyed BSR values every frame must be
-exactly what the stateless seal of the same payloads produces (small
-replies never touch the delta layer).  Counts only, no timing.
+exactly what the stateless nameless seal of the same payloads produces
+(small replies never touch the delta layer).  Counts only, no timing.
 
 A fifth, thrifty pass counts frames over the same in-memory pipes: a
 quiet write and read at ``f = 1`` -- a keyed BSR read writes exactly
@@ -44,8 +44,9 @@ A seventh, held pass counts conditional reads over the in-memory pipes: a
 repeat keyed BSR read of an unchanged key writes ``n - f`` requests and
 gets ``n - f`` ``DataHeld`` replies, none carrying the value, while the
 first read after a write still gets full replies; and the first BCSR read
-after a write moves an exact number of bytes, op_ids pinned so the count
-is exact.  Counts only, no timing.
+and the first keyed BSR read after a write move an exact number of bytes,
+op_ids pinned so the count is exact (replies carry neither the server's
+name nor the register wrapper).  Counts only, no timing.
 
 Exit status: 0 on success, 1 on wrong results or a blown budget.
 """
@@ -207,7 +208,7 @@ def run_keyed_pass():
                           f"then unmodified key (round {round_})")
                     return None
                 [(_, reply)] = touch("hot")
-                if reply.inner.payload != b"v":
+                if reply.payload != b"v":  # bare: to the requester
                     print("hotpath-smoke: rehydrated key lost its value")
                     return None
             del snapshots[:]
@@ -294,11 +295,11 @@ async def _keyed_small_values():
     differing = []
     real_write = _Connection.write
 
-    def checked(self, payloads):
+    def checked(self, payloads, named=False):
         before = len(self.transport.carried)
-        real_write(self, payloads)
+        real_write(self, payloads, named)
         stateless = frame_burst(self.node.auth.seal_frames(
-            self.node.server_id, payloads)) if payloads else b""
+            self.node.server_id, payloads, named=named)) if payloads else b""
         if b"".join(self.transport.carried[before:]) != stateless:
             differing.append(self.node.server_id)
 
@@ -341,7 +342,7 @@ def run_reply_pass():
     return (f"hotpath-smoke: reply pass -- per version {quorum} full "
             f"elements, then {quorum} QueryDataHeld answered by {quorum} "
             "DataHeld carrying none; small replies byte-identical to the "
-            "stateless seal")
+            "stateless nameless seal")
 
 
 async def _quiet_rounds(spec, register):
@@ -409,15 +410,16 @@ def run_memory_pass():
             f"{want['s007']}")
 
 
-def _messages(wiring, direction, opened):
+def _messages(wiring, direction, auth):
     """``(payload, inner message)`` carried in ``direction`` since the
     last call; forgets them."""
     found = []
-    for pipes in getattr(wiring, direction).values():
+    for pid, pipes in getattr(wiring, direction).items():
+        peer = pid if direction == "down" else None  # replies are nameless
         for pipe in pipes:
             for burst in pipe.carried:
                 for frame in FrameAssembler().feed(burst):
-                    for payload in opened(frame)[1]:
+                    for payload in auth.open_any(frame, peer)[1]:
                         message = decode_message_v2(payload)
                         found.append(
                             (payload, getattr(message, "inner", message)))
@@ -442,13 +444,13 @@ async def _conditional_reads(spec, register, values, share):
     for number, value in enumerate(values):
         await client.write(value, register=register)
         for expect in ("full", "held"):
-            _messages(wiring, "up", auth.open_any)
-            _messages(wiring, "down", auth.open_any)
+            _messages(wiring, "up", auth)
+            _messages(wiring, "down", auth)
             if await client.read(register=register) != value:
                 return f"a {spec.algorithm} read returned a wrong value"
             await asyncio.sleep(0.01)  # surplus replies, if any, land
-            up = _messages(wiring, "up", auth.open_any)
-            down = _messages(wiring, "down", auth.open_any)
+            up = _messages(wiring, "up", auth)
+            down = _messages(wiring, "down", auth)
             query = (QueryData if expect == "full" and number == 0
                      else QueryDataHeld)
             reply = DataReply if expect == "full" else DataHeld
@@ -477,23 +479,32 @@ async def _conditional_reads(spec, register, values, share):
 #: Bytes a BCSR read at ``n = 6, f = 1`` of a 64 B value writes (requests,
 #: replies) with op_ids pinned to ``2**40 + 1`` onwards: ``n - f`` plain
 #: queries answered by ``n - f`` coded elements (the reader holds none).
-BCSR_READ_BYTES = (260, 650)
+#: Each reply frame is nameless: 5 B under a named one (a 1-byte marker
+#: where ``name_len(2) | "s00i"`` stood), so (260, 650) became (260, 625).
+BCSR_READ_BYTES = (260, 625)
+
+#: ... and a keyed BSR read at ``n = 5, f = 1`` of a 64 B value on
+#: ``key-0000``, the first after its write: ``n - f`` queries answered by
+#: ``n - f`` full replies, each bare and nameless -- 19 B under a wrapped,
+#: named one (the 14-byte register wrapper plus those 5 B), so the
+#: replies were 556 B when they carried both.
+KEYED_READ_BYTES = (264, 480)
 
 
-async def _bcsr_read_bytes():
-    spec = ClusterSpec(algorithm="bcsr", f=1, n=6, base_port=7000)
+async def _read_bytes(spec, register):
+    """``(requests, replies)`` bytes of the first read after a write."""
     wiring = Wiring(spec)
     client = spec.client("w000", timeout=10.0)
     await client.connect()
     value = bytes(range(64))
-    await client.write(value)
+    await client.write(value, register=register)
 
     def carried(direction):
         return sum(len(burst) for pipes in getattr(wiring, direction).values()
                    for pipe in pipes for burst in pipe.carried)
 
     before = carried("up"), carried("down")
-    if await client.read() != value:
+    if await client.read(register=register) != value:
         return None
     await asyncio.sleep(0.01)
     await client.close()
@@ -512,22 +523,27 @@ def _pinned(scenario):
 
 
 def run_held_pass():
-    """Repeat BSR reads elide the value; a BCSR read's bytes are pinned."""
-    spec = ClusterSpec(algorithm="bsr", f=1, n=5, base_port=7000,
-                       keyspace={"group_size": 5})
-    problem = _pinned(partial(_conditional_reads, spec, key_name(0),
+    """Repeat BSR reads elide the value; first reads' bytes are pinned."""
+    keyed = ClusterSpec(algorithm="bsr", f=1, n=5, base_port=7000,
+                        keyspace={"group_size": 5})
+    problem = _pinned(partial(_conditional_reads, keyed, key_name(0),
                               [b"\x5a" * 64, b"\xa5" * 64], 64))
     if problem is not None:
         print(f"hotpath-smoke: {problem}")
         return None
-    got = _pinned(_bcsr_read_bytes)
-    if got != BCSR_READ_BYTES:
-        print(f"hotpath-smoke: a BCSR read wrote (requests, replies) = {got}"
-              f" bytes, want {BCSR_READ_BYTES}")
-        return None
+    for spec, register, want in (
+            (ClusterSpec(algorithm="bcsr", f=1, n=6, base_port=7000),
+             "default", BCSR_READ_BYTES),
+            (keyed, key_name(0), KEYED_READ_BYTES)):
+        got = _pinned(partial(_read_bytes, spec, register))
+        if got != want:
+            print(f"hotpath-smoke: a {spec.algorithm} read of {register} "
+                  f"wrote (requests, replies) = {got} bytes, want {want}")
+            return None
     return ("hotpath-smoke: held pass -- a repeat keyed BSR read writes 4 "
             "requests and gets 4 DataHeld replies without the value; a "
-            f"BCSR read writes {BCSR_READ_BYTES} bytes")
+            f"BCSR read writes {BCSR_READ_BYTES} bytes, a keyed BSR read "
+            f"{KEYED_READ_BYTES}")
 
 
 def main():
