@@ -53,7 +53,7 @@ from repro.core.operation import (
     held_query,
 )
 from repro.core.quorum import bcsr_dimension, witness_threshold
-from repro.core.tags import TAG_ZERO, Tag, TaggedValue
+from repro.core.tags import TAG_ZERO, Tag, TaggedValue, tag_in_range
 from repro.erasure.striping import CodedElement, DecodeMemo, StripedCodec
 from repro.errors import DecodingError
 from repro.types import Envelope, ProcessId
@@ -109,6 +109,8 @@ class BCSRServer:
         if isinstance(message, QueryTag):
             return [(sender, TagReply(op_id=message.op_id, tag=self.max_tag))]
         if isinstance(message, PutData):
+            if not tag_in_range(message.tag):
+                return []  # refused where it enters, as in BSRServer
             if message.tag > self.max_tag:
                 self.history.append(TaggedValue(message.tag, message.payload))
                 if (self.max_history is not None

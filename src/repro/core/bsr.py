@@ -46,7 +46,7 @@ from repro.core.messages import (
 )
 from repro.core.operation import ClientOperation, ReplyCollector, held_query
 from repro.core.quorum import witness_threshold
-from repro.core.tags import TAG_ZERO, Tag, TaggedValue
+from repro.core.tags import TAG_ZERO, Tag, TaggedValue, tag_in_range
 from repro.types import Envelope, ProcessId
 
 
@@ -111,6 +111,8 @@ class BSRServer:
         return [(sender, TagReply(op_id=message.op_id, tag=self.max_tag))]
 
     def _put_data_resp(self, sender: ProcessId, message: PutData) -> List[Envelope]:
+        if not tag_in_range(message.tag):
+            return []  # refused where it enters: stored, it could never leave
         if message.tag > self.max_tag:
             self.history.append(TaggedValue(message.tag, message.payload))
             self._prune()

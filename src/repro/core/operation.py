@@ -38,24 +38,27 @@ from repro.types import Envelope, ProcessId
 
 
 def _op_id_base() -> int:
-    """Start of this process's private op_id range.
+    """Where this process starts numbering its operations.
 
-    A bare ``count(1)`` collides across processes: two load-rig workers
-    both number their operations 1, 2, 3, ..., and the flight recorder's
-    ``op_id % sample`` stitching can then merge records from *different*
-    operations into one bogus trace.  Folding the pid into the high bits
-    gives every process a disjoint 2**40 range while leaving the low bits
-    -- the only part ``op_id % sample`` looks at -- counting exactly as
-    before.
+    An operation is known by its invoker plus a local counter -- the
+    channels are authenticated point-to-point links, so whoever receives
+    an op_id knows whose it is, and wherever ids of different processes
+    meet (flight records, stitching) an operation is ``(party,
+    op_id)``.  The counter starts at a random point below ``2**20``, so
+    an op_id stays a two- or three-byte varint on the wire and a restarted
+    client does not replay its old ids.  The start is drawn from
+    ``os.urandom``, never from the global ``random`` state that seeded
+    experiments share, and is ``1 mod 64``, so ``op_id % sample`` counts
+    exactly as from 1 for every sampling modulus up to 64.
     """
-    return ((os.getpid() & 0xFFFFF) << 40) | 1
+    return (int.from_bytes(os.urandom(2), "big") >> 2) << 6 | 1
 
 
 _op_counter = itertools.count(_op_id_base())
 
 
 def next_op_id() -> int:
-    """Operation identifier unique across cooperating processes."""
+    """This process's next operation identifier."""
     return next(_op_counter)
 
 

@@ -20,6 +20,18 @@ from repro.types import ProcessId
 #: wrappers) and the tagged values themselves charge the same amount.
 TAG_BYTES = 12
 
+#: The largest tag number anything here accepts.  The codec refuses a
+#: larger one on encode and on decode, and a correct server refuses to
+#: store one (the simulator hands objects over without the codec), so a
+#: tag out of range is turned away where it enters, on every path.
+TAG_MAX = 2 ** 63 - 1
+
+
+def tag_in_range(tag: Any) -> bool:
+    """Whether ``tag`` is a :class:`Tag` whose number is at most
+    :data:`TAG_MAX` -- what a correct server may store."""
+    return type(tag) is Tag and tag.num <= TAG_MAX
+
 
 @functools.total_ordering
 @dataclass(frozen=True)

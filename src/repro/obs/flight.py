@@ -48,9 +48,12 @@ class FlightRecorder:
     false); ``sample == 1`` records every operation.  ``record`` accepts
     any dict -- by convention the node writes::
 
-        {"op_id": int, "node": str, "phase": str, "recv": float,
-         "queue_wait": float, "service": float,
+        {"op_id": int, "party": str, "node": str, "phase": str,
+         "recv": float, "queue_wait": float, "service": float,
          "verdict": "served" | "throttled", "repeat": bool}
+
+    ``party`` is who sent the frame: op_ids are numbered per party, so
+    an operation is ``(party, op_id)``.
 
     Mutation happens under a lock; the operations are a deque append and
     an int increment, so contention is negligible at frame rates, and

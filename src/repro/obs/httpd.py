@@ -7,8 +7,11 @@ background daemon thread and serves four endpoints:
 ``/metrics``              Prometheus text exposition, merged across every
                           snapshot the ``scrape`` callback returns.
 ``/metrics.json``         The same merged snapshot as plain JSON.
-``/traces/<op_id>``       JSON flight/span records for one operation via the
-                          ``trace_lookup`` callback (404 when absent).
+``/traces/<op_id>``       JSON flight/span records for one op_id via the
+                          ``trace_lookup`` callback (404 when absent); each
+                          names the ``party`` that sent it, and
+                          ``/traces/<party>/<op_id>`` keeps only that
+                          party's operation.
 ``/healthz``              ``ok`` once the server is up (a liveness probe for
                           the sidecar itself, not the cluster).
 ========================  ===================================================
@@ -144,6 +147,9 @@ def _make_handler(exporter: MetricsExporter):
                 self._send(404, "text/plain; charset=utf-8",
                            b"trace lookup not configured\n")
                 return
+            # op_ids are numbered per party: /traces/<party>/<op_id>
+            # names one operation, /traces/<op_id> every party's.
+            party, _, raw = raw.rpartition("/")
             try:
                 op_id = int(raw)
             except ValueError:
@@ -151,6 +157,10 @@ def _make_handler(exporter: MetricsExporter):
                            b"op_id must be an integer\n")
                 return
             found = exporter.trace_lookup(op_id)
+            if party and isinstance(found, list):
+                found = [record for record in found
+                         if isinstance(record, dict)
+                         and record.get("party") == party]
             if not found:
                 self._send(404, "text/plain; charset=utf-8",
                            f"no records for op {op_id}\n".encode())

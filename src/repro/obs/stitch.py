@@ -5,7 +5,7 @@ A sampled operation leaves two kinds of evidence: the client's
 n-f quorum instants) and each server's flight-recorder entry (when the
 frame arrived, how long it queued behind earlier frames in the burst,
 how long the protocol handler ran, and whether it was served or shed).
-This module joins them by ``op_id`` into one causal timeline::
+This module joins them into one causal timeline::
 
     client op start
       -> phase begins
@@ -14,6 +14,13 @@ This module joins them by ``op_id`` into one causal timeline::
       -> f+1 witness instant
       -> n-f quorum instant
     client op finish
+
+An operation is ``(party, op_id)``: every party numbers its own
+operations, so two clients can hold the same op_id at once.  A client
+record names its ``client`` and a flight record the ``party`` whose
+frame it served, and a record joins the op only when the two agree (a
+flight record that names no party, as recorded before records carried
+one, joins on ``op_id`` alone).
 
 Both sides stamp ``time.monotonic()`` instants (CLOCK_MONOTONIC is
 system-wide on Linux), so client and server events from processes on
@@ -163,13 +170,22 @@ def _ms(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}ms"
 
 
-def _index_servers(server_records: Iterable[Dict]) -> Dict[int, List[Dict]]:
-    by_op: Dict[int, List[Dict]] = {}
+def _index_servers(server_records: Iterable[Dict]
+                   ) -> Dict[Tuple[Optional[str], int], List[Dict]]:
+    by_op: Dict[Tuple[Optional[str], int], List[Dict]] = {}
     for record in server_records or ():
         op_id = record.get("op_id")
         if isinstance(op_id, int):
-            by_op.setdefault(op_id, []).append(record)
+            by_op.setdefault((record.get("party"), op_id), []).append(record)
     return by_op
+
+
+def _records_of(by_op: Dict[Tuple[Optional[str], int], List[Dict]],
+                client_record: Dict) -> List[Dict]:
+    """The flight records of the operation ``client_record`` describes."""
+    op_id = client_record.get("op_id")
+    return (by_op.get((client_record.get("client"), op_id), [])
+            + by_op.get((None, op_id), []))
 
 
 def stitch(client_records: Iterable[Dict],
@@ -180,11 +196,8 @@ def stitch(client_records: Iterable[Dict],
     side drives: without a span there is no envelope to hang them on).
     """
     by_op = _index_servers(server_records)
-    stitched = []
-    for record in client_records or ():
-        op_id = record.get("op_id")
-        stitched.append(StitchedOp(record, by_op.get(op_id, ())))
-    return stitched
+    return [StitchedOp(record, _records_of(by_op, record))
+            for record in client_records or ()]
 
 
 def stitch_op(op_id: int, client_records: Iterable[Dict],
@@ -193,7 +206,7 @@ def stitch_op(op_id: int, client_records: Iterable[Dict],
     for record in client_records or ():
         if record.get("op_id") == op_id:
             return StitchedOp(
-                record, _index_servers(server_records).get(op_id, ()))
+                record, _records_of(_index_servers(server_records), record))
     return None
 
 

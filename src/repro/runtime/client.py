@@ -349,6 +349,7 @@ class AsyncRegisterClient:
         finished ops) are dropped and counted as ``replies_stale``.
         """
         self._counters["recv_calls"].inc()
+        link = self._links[pid]
         peek = peek_op_id_v2
         lookup = self._dispatcher.lookup
         stale = self._counters["replies_stale"]
@@ -364,12 +365,15 @@ class AsyncRegisterClient:
                 self._link_dropped(pid, "bad-frame",
                                    f"dropping bad frame: {exc}")
                 continue
+            # pid answered on this connection, so it has bound the
+            # connection to us: our requests may leave our name off.
+            link.bound = True
             try:
                 payloads = expander.expand(frame, payloads)
             except DeltaDesync as exc:
                 # Base lost (or a lie): replay on a fresh, stateless link.
                 self._counters["delta_resets"].inc()
-                self._links[pid].reset("delta-desync", exc)
+                link.reset("delta-desync", exc)
                 break
             for payload in payloads:
                 # Route by op_id before paying for the decode: stale

@@ -9,6 +9,11 @@ told what to do with inbound frames and with going up or down.
   queue is batch-sealed and handed to the transport in one ``write``.
   The queue is bounded; past :data:`PEER_QUEUE_LIMIT` the *oldest*
   payload is shed and reported through ``on_drop``.
+* **Naming** is per connection: a burst is sealed with the sender's
+  name until the owner marks the link :attr:`~Link.bound` -- it has
+  verified a reply on this connection, so the far end has bound the
+  connection to the sender -- and nameless after that.  A fresh
+  connection starts named again.
 * **Flow control** is the transport's own: ``pause_writing`` holds the
   queue, ``resume_writing`` flushes it in order.  There is no timer.
 * **Inbound** bytes are received *into* one ``FrameAssembler`` (the
@@ -46,7 +51,8 @@ def _ignore(*args: Any) -> None:
 class Link(asyncio.BufferedProtocol):
     """One self-healing outbound connection to ``address``.
 
-    ``seal`` maps a tick's payloads to wire frames.  The handlers are
+    ``seal(payloads, named=)`` maps a tick's payloads to wire frames.
+    The handlers are
     all optional: ``on_frames(frames, now)`` fires once per read with
     the frames it completed (possibly none) and the loop time the bytes
     arrived -- the frames are ``memoryview`` slices of the receive
@@ -87,6 +93,10 @@ class Link(asyncio.BufferedProtocol):
         self._paused = False
         self._closed = False
         self._task: Optional[asyncio.Task] = None
+        #: The current connection delivered a verified reply, so its far
+        #: end knows the sender: bursts go nameless.  Set by the owner
+        #: (only it holds the keys), cleared by every new connection.
+        self.bound = False
 
     @property
     def redialing(self) -> bool:
@@ -168,7 +178,8 @@ class Link(asyncio.BufferedProtocol):
             return
         payloads = list(self._queue)
         self._queue.clear()
-        transport.write(frame_burst(self.seal(payloads)))
+        transport.write(frame_burst(self.seal(payloads,
+                                              named=not self.bound)))
         self.on_flush()
 
     # -- asyncio.BufferedProtocol --------------------------------------------
@@ -179,6 +190,7 @@ class Link(asyncio.BufferedProtocol):
         self._transport = transport
         self._assembler = FrameAssembler()
         self._paused = False
+        self.bound = False
         self.on_up()
         self._flush()
 

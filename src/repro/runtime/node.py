@@ -58,11 +58,19 @@ class _Connection(asyncio.BufferedProtocol):
     out as one batch-sealed frame (a single HMAC covers them all) in a
     single write.  A party that stops reading its replies stops being
     read from: its own connection pauses, nobody else's.
+
+    A connection is *bound* to the party of its first verified named
+    frame, and to that party only: later frames may leave the name off
+    (they are verified under the party's key), and a named frame naming
+    anyone else is rejected.  Until it is bound, a nameless frame has no
+    key to be verified under and is dropped as a bad frame.
     """
 
     def __init__(self, node: "RegisterServerNode") -> None:
         self.node = node
         self.transport: Optional[asyncio.Transport] = None
+        #: The party this connection is bound to (``None``: not yet).
+        self.party: Optional[ProcessId] = None
         self._assembler = FrameAssembler()
         self._loop = asyncio.get_running_loop()
         #: The transport's write buffer is over its high-water mark.
@@ -439,14 +447,16 @@ class RegisterServerNode:
         Returns whether any message mutated durable state (the caller
         checkpoints before writing the acks).
         """
+        party = connection.party if connection is not None else None
         try:
-            sender, payloads = self.auth.open_any(frame)
+            sender, payloads = self.auth.open_any(frame, party)
         except (AuthenticationError, ProtocolError) as exc:
             self._c_frames_bad.inc()
             self._log.warning("bad-frame", "server %s dropping bad "
                               "frame: %s", self.server_id, exc)
             return False
         if connection is not None:
+            connection.party = sender
             # Remember where this authenticated party lives so pushed
             # envelopes (relays to waiting readers, acks whose trigger
             # arrived via a peer first) can reach it, and flush anything
@@ -550,7 +560,8 @@ class RegisterServerNode:
             if fl is not None and fl.wants(op_id):
                 now = loop.time()
                 fl.record({
-                    "op_id": op_id, "node": str(self.server_id),
+                    "op_id": op_id, "party": sender,
+                    "node": str(self.server_id),
                     "phase": self._frame_phase(message),
                     "recv": received if received is not None else now,
                     "queue_wait": (now - received
@@ -604,7 +615,8 @@ class RegisterServerNode:
             op_id = getattr(message, "op_id", None)
             if fl.wants(op_id):
                 fl.record({
-                    "op_id": op_id, "node": str(self.server_id),
+                    "op_id": op_id, "party": sender,
+                    "node": str(self.server_id),
                     "phase": self._frame_phase(message),
                     "recv": received if received is not None else started,
                     "queue_wait": (started - received

@@ -1,18 +1,31 @@
-"""The wire codec: compact tagged binary, length-delimited, no base64.
+"""The wire codec: compact binary, a header the schema fixes, no base64.
 
 Every protocol message (a frozen dataclass registered in
-:data:`MESSAGE_TYPES`) is encoded into a flat tagged binary form:
+:data:`MESSAGE_TYPES`) is encoded as:
 
 * one magic byte (``0xB2``); a payload that starts with anything else
   is rejected with :class:`~repro.errors.ProtocolError`;
 * a varint message-type id (stable: assigned from the sorted registry
-  names) and field count, pre-packed per class into a cached prefix;
-* fields in dataclass order as tagged values -- raw ``bytes`` carried
-  verbatim (sliced back out of the receive buffer via ``memoryview``,
-  copied exactly once into the decoded object), varint integers,
-  inlined ``Tag``/``TaggedValue``/``CodedElement`` shapes, and nested
-  messages (``NamespacedMessage``) by recursion.
+  names), pre-packed per class with the magic into a cached prefix.
+  That is the whole header: the class fixes how many fields follow and
+  in what order, so no field count travels;
+* the fields in dataclass order.  What the class fixes goes bare: the
+  ``op_id`` every protocol message starts with is a varint with no value
+  tag, and a ``NamespacedMessage`` is its register's length and UTF-8
+  followed by its inner message's type id and fields (no value tags, no
+  nested magic or count).  Every other field is a tagged value -- raw
+  ``bytes`` carried verbatim (sliced back out of the receive buffer via
+  ``memoryview``, copied exactly once into the decoded object), varint
+  integers, inlined ``Tag``/``TaggedValue``/``CodedElement`` shapes, and
+  nested messages (``_T_MSG``, type id, fields) by recursion;
+* a bare field whose value lacks the shape its class fixes (an op_id
+  that is not a non-negative int, a register that is not a string, an
+  inner that is not a registered message) is written as :data:`ESCAPE`
+  and the value in tagged form, so everything the fields held before
+  still round-trips.
 
+Integers are bounded by :data:`VARINT_BITS` and tag numbers by
+:data:`~repro.core.tags.TAG_MAX`, on encode and on decode alike.
 Round-trips are exact at the object level (``decode(encode(m)) == m``
 for every registered type; ``tests/transport/test_codec2.py``).
 """
@@ -26,12 +39,17 @@ from typing import Any, Dict, List, Tuple
 
 from repro.core import messages as message_module
 from repro.core.namespace import NamespacedMessage
-from repro.core.tags import Tag, TaggedValue
+from repro.core.tags import TAG_MAX, Tag, TaggedValue
 from repro.erasure.striping import CodedElement
 from repro.errors import ProtocolError
 
 #: First byte of every payload.
 MAGIC_V2 = 0xB2
+
+#: What a schema'd field holds when its value lacks the shape its class
+#: fixes: a varint no encoder writes (zero, padded to two bytes), then
+#: the value in its tagged form.
+ESCAPE = b"\x80\x00"
 
 # Value tags.  One byte each; the hot shapes (bytes, ints, tags) come
 # first only by convention -- dispatch is by exact byte.
@@ -48,7 +66,7 @@ _T_TAGGED = 0x09     # inlined tag + value
 _T_CODED = 0x0A      # varint index + varint length + raw bytes
 _T_SEQ = 0x0B        # varint count + values (lists and tuples)
 _T_DICT = 0x0C       # varint count + alternating key/value values
-_T_MSG = 0x0D        # nested message (full v2 encoding, recursive)
+_T_MSG = 0x0D        # nested message: type id + fields, recursive
 
 _PACK_F64 = Struct(">d")
 _UNPACK_F64 = _PACK_F64.unpack_from
@@ -101,38 +119,44 @@ _FIELDS: Dict[type, tuple] = {
     cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in _BY_ID}
 
 
-def _prefix(type_id: int, nfields: int) -> bytes:
-    out = bytearray([MAGIC_V2])
-    _uvarint(out, type_id)
-    _uvarint(out, nfields)
+def _varint(n: int) -> bytes:
+    out = bytearray()
+    _uvarint(out, n)
     return bytes(out)
 
 
+#: class -> its type id as a varint: the header of a nested message.
+_IDS: Dict[type, bytes] = {
+    cls: _varint(type_id) for type_id, cls in enumerate(_BY_ID)}
+#: class -> magic byte + type id: the whole header of a payload.
 _PREFIXES: Dict[type, bytes] = {
-    cls: _prefix(type_id, len(_FIELDS[cls]))
-    for type_id, cls in enumerate(_BY_ID)}
+    cls: bytes([MAGIC_V2]) + ids for cls, ids in _IDS.items()}
+#: op_id-first class -> its tagged fields (every one after the op_id).
+_REST: Dict[type, tuple] = {
+    cls: names[1:] for cls, names in _FIELDS.items()
+    if names[:1] == ("op_id",)}
+_OPID_FIRST: List[bool] = [cls in _REST for cls in _BY_ID]
 # Decoding may skip the dataclass __init__ (building the instance
 # __dict__ directly) only when the class runs no validation on
 # construction and stores fields in a plain __dict__.
 _BYPASS_INIT: Dict[type, bool] = {
     cls: not hasattr(cls, "__post_init__") and not hasattr(cls, "__slots__")
     for cls in _BY_ID}
-_OPID_FIRST: List[bool] = [_FIELDS[cls][:1] == ("op_id",) for cls in _BY_ID]
 
 _NEW = object.__new__
 
 # Namespaced (keyed) traffic wraps every hot message in a
-# NamespacedMessage, whose first field is the register name rather than
-# an op_id -- so without help it misses every op_id-keyed fast path
-# below.  The wrapper's wire shape is fixed (magic, type id, nfields=2,
-# _T_STR register, _T_MSG inner), which lets the caches and the peek see
-# *through* it: skip the register string, then treat the inner message
-# exactly like an unwrapped one.  The byte-level dispatch assumes the
-# wrapper's type id fits one varint byte; guard it so registry growth
-# degrades to the slow path instead of misparsing.
+# NamespacedMessage, whose fields are the register name and the inner
+# message -- so without help it misses every op_id-keyed fast path
+# below.  Its header is the two prefix bytes, the register length and
+# the inner type id, which lets the caches and the peek see *through*
+# it: skip the register string, then treat the inner message exactly
+# like an unwrapped one.  The byte-level dispatch assumes the wrapper's
+# type id fits one varint byte; guard it so registry growth degrades to
+# the slow path instead of misparsing.
 _NS_ID = _BY_ID.index(NamespacedMessage)
 _NS_PREFIX = _PREFIXES[NamespacedMessage]
-_NS_FAST = _NS_ID < 0x80 and len(_NS_PREFIX) == 3
+_NS_FAST = len(_NS_PREFIX) == 2
 #: Tail templates kept per shape by the namespaced decoder cache, and
 #: register entries kept by the namespaced encoder cache.  Keyed
 #: workloads touch many registers round-robin, so a single slot would
@@ -144,41 +168,33 @@ _NS_CACHE_MAX = 512
 _NS_SHAPES_MAX = 64
 
 
-def _ns_spans(blob: bytes):
-    """Template spans of a namespaced v2 payload, or ``None``.
+def _read_head(data, pos: int) -> Tuple[Any, int]:
+    """The varint a schema'd field starts with; ``None`` at an ESCAPE."""
+    byte = data[pos]
+    if byte < 0x80:
+        return byte, pos + 1
+    if byte == 0x80 and data[pos + 1] == 0:
+        return None, pos + 2
+    return _read_uvarint(data, pos)
 
-    Returns ``(register_bytes, head_end, opid_end)`` where
-    ``blob[:head_end]`` covers everything up to and including the inner
-    ``_T_INT`` op_id marker and ``blob[opid_end:]`` is the remainder
-    after the op_id varint.  ``None`` when the payload is not the
-    one-byte-length shape the fast paths handle (callers fall back to
-    the full decode, which stays authoritative).
-    """
-    if blob[2] != 2 or blob[3] != _T_STR:
-        return None
-    rlen = blob[4]
-    if rlen >= 0x80:
-        return None
-    rend = 5 + rlen
-    if blob[rend] != _T_MSG or blob[rend + 1] != MAGIC_V2:
-        return None
-    pos = rend + 2
-    if blob[pos] < 0x80:
-        pos += 1
-    else:
-        _, pos = _read_uvarint(blob, pos)
-    if blob[pos] < 0x80:
-        pos += 1
-    else:
-        _, pos = _read_uvarint(blob, pos)
-    if blob[pos] != _T_INT:
-        return None
-    head_end = pos + 1
-    if blob[head_end] < 0x80:
-        opid_end = head_end + 1
-    else:
-        _, opid_end = _read_uvarint(blob, head_end)
-    return blob[5:rend], head_end, opid_end
+
+def _op_id_at(data, pos: int):
+    """``(op_id, end)`` of the bare op_id at ``pos``, one- to three-byte
+    varints inline; ``None`` for an ESCAPE (or a zero-padded varint),
+    which only the full decode reads."""
+    byte = data[pos]
+    if byte < 0x80:
+        return byte, pos + 1
+    second = data[pos + 1]
+    if second < 0x80:
+        if not second:
+            return None
+        return (byte & 0x7F) | (second << 7), pos + 2
+    third = data[pos + 2]
+    if third < 0x80:
+        return ((byte & 0x7F) | ((second & 0x7F) << 7) | (third << 14),
+                pos + 3)
+    return _read_uvarint(data, pos)
 
 # Tag.__post_init__ only rejects negative numbers, and the wire carries
 # tag numbers as unsigned varints -- no byte sequence can decode to a
@@ -227,7 +243,7 @@ def _encode_value(out: bytearray, value: Any) -> None:
         if 0 <= num < 0x80:
             out.append(num)
         else:
-            _uvarint(out, num)
+            _tag_num(out, num)
         raw = value.writer.encode()
         length = len(raw)
         if length < 0x80:
@@ -244,7 +260,7 @@ def _encode_value(out: bytearray, value: Any) -> None:
         if 0 <= num < 0x80:
             out.append(num)
         else:
-            _uvarint(out, num)
+            _tag_num(out, num)
         raw = tag.writer.encode()
         length = len(raw)
         if length < 0x80:
@@ -274,9 +290,10 @@ def _encode_value(out: bytearray, value: Any) -> None:
         for key, item in value.items():
             _encode_value(out, key)
             _encode_value(out, item)
-    elif kind in _PREFIXES:
+    elif kind in _IDS:
         out.append(_T_MSG)
-        _encode_into(out, value)
+        out += _IDS[kind]
+        _encode_body(out, value)
     else:
         # Tolerate subclasses the exact-type fast paths missed.
         if isinstance(value, (bytes, bytearray)):
@@ -300,31 +317,71 @@ def _encode_value(out: bytearray, value: Any) -> None:
                 f"cannot serialize {type(value).__name__}: {value!r}")
 
 
-def _encode_into(out: bytearray, message: Any) -> None:
+def _tag_num(out: bytearray, num: int) -> None:
+    """Append a tag number, refusing one above :data:`TAG_MAX`."""
+    if num > TAG_MAX:
+        raise ProtocolError(f"tag number {num} is above TAG_MAX")
+    _uvarint(out, num)
+
+
+def _encode_op_id(out: bytearray, op_id: Any) -> None:
+    """Append an op_id: a bare varint, or ESCAPE and the tagged value
+    for anything but a non-negative int."""
+    if type(op_id) is int and op_id >= 0:
+        if op_id < 0x80:
+            out.append(op_id)
+        else:
+            _uvarint(out, op_id)
+    else:
+        out += ESCAPE
+        _encode_value(out, op_id)
+
+
+def _encode_body(out: bytearray, message: Any) -> None:
+    """Append everything of ``message`` after its header (its fields)."""
     cls = type(message)
-    prefix = _PREFIXES.get(cls)
-    if prefix is None:
-        raise ProtocolError(
-            f"{cls.__name__} is not a registered message type")
-    out += prefix
-    encode_value = _encode_value
-    for name in _FIELDS[cls]:
-        encode_value(out, getattr(message, name))
+    rest = _REST.get(cls)
+    if rest is not None:
+        _encode_op_id(out, message.op_id)
+        encode_value = _encode_value
+        for name in rest:
+            encode_value(out, getattr(message, name))
+        return
+    # A NamespacedMessage: the register's length and UTF-8, then the
+    # inner message's type id and fields -- or ESCAPE and a tagged value
+    # for a register that is not a string or an inner that is not a
+    # registered message.
+    register = message.register
+    if type(register) is str:
+        raw = register.encode()
+        length = len(raw)
+        if length < 0x80:
+            out.append(length)
+        else:
+            _uvarint(out, length)
+        out += raw
+    else:
+        out += ESCAPE
+        _encode_value(out, register)
+    inner = message.inner
+    ids = _IDS.get(type(inner))
+    if ids is None:
+        out += ESCAPE
+        _encode_value(out, inner)
+    else:
+        out += ids
+        _encode_body(out, inner)
 
 
 def encode_message_v2(message: Any) -> bytes:
     """Serialize one protocol message to compact binary bytes."""
-    # _encode_into's body, inlined: one call layer per message matters
-    # at wire-path rates.
     cls = type(message)
     prefix = _PREFIXES.get(cls)
     if prefix is None:
         raise ProtocolError(
             f"{cls.__name__} is not a registered message type")
     out = bytearray(prefix)
-    encode_value = _encode_value
-    for name in _FIELDS[cls]:
-        encode_value(out, getattr(message, name))
+    _encode_body(out, message)
     return bytes(out)
 
 
@@ -373,6 +430,8 @@ def _decode_value(data, pos: int) -> Tuple[Any, int]:
             pos += 1
         else:
             num, pos = _read_uvarint(data, pos)
+            if num > TAG_MAX:
+                raise ProtocolError(f"tag number {num} is above TAG_MAX")
         length = data[pos]
         if length < 0x80:
             pos += 1
@@ -396,6 +455,8 @@ def _decode_value(data, pos: int) -> Tuple[Any, int]:
             pos += 1
         else:
             num, pos = _read_uvarint(data, pos)
+            if num > TAG_MAX:
+                raise ProtocolError(f"tag number {num} is above TAG_MAX")
         length = data[pos]
         if length < 0x80:
             pos += 1
@@ -444,7 +505,12 @@ def _decode_value(data, pos: int) -> Tuple[Any, int]:
             mapping[key] = value
         return mapping, pos
     if tag == _T_MSG:
-        return _decode_message_at(data, pos)
+        type_id = data[pos]
+        if type_id < 0x80:
+            pos += 1
+        else:
+            type_id, pos = _read_uvarint(data, pos)
+        return _decode_body(data, pos, type_id)
     if tag == _T_TRUE:
         return True, pos
     if tag == _T_FALSE:
@@ -456,45 +522,56 @@ def _decode_value(data, pos: int) -> Tuple[Any, int]:
     raise ProtocolError(f"unknown value tag 0x{tag:02x}")
 
 
-def _decode_message_at(data, pos: int) -> Tuple[Any, int]:
-    if pos >= len(data) or data[pos] != MAGIC_V2:
-        raise ProtocolError("nested message lacks the v2 magic byte")
-    pos += 1
-    type_id = data[pos]
-    if type_id < 0x80:
-        pos += 1
-    else:
-        type_id, pos = _read_uvarint(data, pos)
-    if type_id >= len(_BY_ID):
-        raise ProtocolError(f"unknown message type id {type_id}")
-    cls = _BY_ID[type_id]
-    field_names = _FIELDS[cls]
-    nfields = data[pos]
-    if nfields < 0x80:
-        pos += 1
-    else:
-        nfields, pos = _read_uvarint(data, pos)
-    if nfields != len(field_names):
-        raise ProtocolError(
-            f"{cls.__name__} carries {nfields} fields, "
-            f"expected {len(field_names)}")
-    values = []
-    for _ in range(nfields):
-        value, pos = _decode_value(data, pos)
-        values.append(value)
+def _build(cls: type, values: list) -> Any:
+    """An instance of ``cls`` from its decoded field values."""
     # Sequences flatten to lists on the wire; restore tuples at the top
     # level for frozen-dataclass equality.
+    field_names = _FIELDS[cls]
     if _BYPASS_INIT[cls]:
         decoded = _NEW(cls)
         fields = decoded.__dict__
         for name, value in zip(field_names, values):
             fields[name] = tuple(value) if type(value) is list else value
+        return decoded
+    decoded = cls(*values)
+    for name, value in zip(field_names, values):
+        if type(value) is list:
+            object.__setattr__(decoded, name, tuple(value))
+    return decoded
+
+
+def _decode_body(data, pos: int, type_id: int) -> Tuple[Any, int]:
+    """The message of type ``type_id`` whose fields start at ``pos``."""
+    if type_id >= len(_BY_ID):
+        raise ProtocolError(f"unknown message type id {type_id}")
+    cls = _BY_ID[type_id]
+    rest = _REST.get(cls)
+    if rest is not None:
+        op_id, pos = _read_head(data, pos)
+        if op_id is None:
+            op_id, pos = _decode_value(data, pos)
+        values = [op_id]
+        decode_value = _decode_value
+        for _ in rest:
+            value, pos = decode_value(data, pos)
+            values.append(value)
+        return _build(cls, values), pos
+    # A NamespacedMessage (see _encode_body).
+    length, pos = _read_head(data, pos)
+    if length is None:
+        register, pos = _decode_value(data, pos)
     else:
-        decoded = cls(*values)
-        for name, value in zip(field_names, values):
-            if type(value) is list:
-                object.__setattr__(decoded, name, tuple(value))
-    return decoded, pos
+        end = pos + length
+        if end > len(data):
+            raise ProtocolError("truncated register name")
+        register = str(data[pos:end], "utf-8")
+        pos = end
+    inner_id, pos = _read_head(data, pos)
+    if inner_id is None:
+        inner, pos = _decode_value(data, pos)
+    else:
+        inner, pos = _decode_body(data, pos, inner_id)
+    return _build(cls, [register, inner]), pos
 
 
 def decode_message_v2(data) -> Any:
@@ -504,47 +581,17 @@ def decode_message_v2(data) -> Any:
     receive buffer -- every field is copied out into an owned object, so
     the caller may recycle the buffer as soon as this returns.
     """
-    # _decode_message_at's body, inlined for the top-level message (the
-    # overwhelmingly common case); the helper remains for nested ones.
     try:
         if not data or data[0] != MAGIC_V2:
             raise ProtocolError(
                 f"not a v2 payload (first byte 0x{data[0]:02x})" if data
                 else "empty payload")
-        pos = 1
-        type_id = data[pos]
+        type_id = data[1]
         if type_id < 0x80:
-            pos += 1
+            pos = 2
         else:
-            type_id, pos = _read_uvarint(data, pos)
-        if type_id >= len(_BY_ID):
-            raise ProtocolError(f"unknown message type id {type_id}")
-        cls = _BY_ID[type_id]
-        field_names = _FIELDS[cls]
-        nfields = data[pos]
-        if nfields < 0x80:
-            pos += 1
-        else:
-            nfields, pos = _read_uvarint(data, pos)
-        if nfields != len(field_names):
-            raise ProtocolError(
-                f"{cls.__name__} carries {nfields} fields, "
-                f"expected {len(field_names)}")
-        decode_value = _decode_value
-        values = []
-        for _ in range(nfields):
-            value, pos = decode_value(data, pos)
-            values.append(value)
-        if _BYPASS_INIT[cls]:
-            decoded = _NEW(cls)
-            fields = decoded.__dict__
-            for name, value in zip(field_names, values):
-                fields[name] = tuple(value) if type(value) is list else value
-        else:
-            decoded = cls(*values)
-            for name, value in zip(field_names, values):
-                if type(value) is list:
-                    object.__setattr__(decoded, name, tuple(value))
+            type_id, pos = _read_uvarint(data, 1)
+        decoded, pos = _decode_body(data, pos, type_id)
     except ProtocolError:
         raise
     except Exception as exc:
@@ -557,6 +604,20 @@ def decode_message_v2(data) -> Any:
 
 #: Field types whose encoding cannot change behind an identity check.
 _IMMUTABLE_FIELD_TYPES = (bytes, str, int, float, bool, type(None), Tag)
+
+
+def _ns_head(register: str, icls: type) -> bytearray:
+    """A namespaced payload up to its inner op_id: prefix, register,
+    inner type id."""
+    out = bytearray(_NS_PREFIX)
+    raw = register.encode()
+    if len(raw) < 0x80:
+        out.append(len(raw))
+    else:
+        _uvarint(out, len(raw))
+    out += raw
+    out += _IDS[icls]
+    return out
 
 
 class CachedEncoder:
@@ -574,7 +635,7 @@ class CachedEncoder:
 
     Namespaced (keyed) messages get the same treatment twice over: a
     per-register LRU caches the full head (wrapper prefix + register +
-    inner prefix) for hot keys, and a per-inner-class fallback caches
+    inner type id) for hot keys, and a per-inner-class fallback caches
     just the tail for the cold tail of a large keyspace -- every
     untouched key's reply shares the same ``(TAG_ZERO, b"")`` objects,
     and every request the same empty field list, so identity matching
@@ -596,77 +657,49 @@ class CachedEncoder:
         register = message.register
         inner = message.inner
         icls = type(inner)
+        op_id = getattr(inner, "op_id", None)
         ns = self._ns
         entry = ns.get(register)
-        if entry is not None and entry[0] is icls:
-            names = _FIELDS[icls]
-            vals = entry[1]
+        if (entry is not None and entry[0] is icls
+                and type(op_id) is int and op_id >= 0):
             match = True
-            for name, cached in zip(names[1:], vals):
+            for name, cached in zip(_REST[icls], entry[1]):
                 if getattr(inner, name) is not cached:
                     match = False
                     break
-            op_id = inner.op_id
-            if match and type(op_id) is int and op_id >= 0:
-                # The cached head ends at the inner ``_T_INT`` marker;
-                # only the op_id varint goes between head and tail.
+            if match:
+                # The cached head ends at the inner type id; only the
+                # op_id varint goes between head and tail.
                 out = bytearray(entry[2])
-                if op_id < 0x80:
-                    out.append(op_id)
-                elif op_id < 0x4000:
-                    out.append((op_id & 0x7F) | 0x80)
-                    out.append(op_id >> 7)
-                else:
-                    _uvarint(out, op_id)
+                _encode_op_id(out, op_id)
                 out += entry[3]
                 ns.move_to_end(register)
                 return bytes(out)
-        names = _FIELDS.get(icls)
-        if (not names or names[0] != "op_id"
-                or type(register) is not str or len(register) >= 0x80):
+        rest = _REST.get(icls)
+        if rest is None or type(register) is not str:
             return encode_message_v2(message)
         shape = self._shape.get(icls)
-        if shape is not None:
-            op_id = inner.op_id
-            match = type(op_id) is int and op_id >= 0
-            if match:
-                for name, cached in zip(names[1:], shape[0]):
-                    if getattr(inner, name) is not cached:
-                        match = False
-                        break
+        if shape is not None and type(op_id) is int and op_id >= 0:
+            match = True
+            for name, cached in zip(rest, shape[0]):
+                if getattr(inner, name) is not cached:
+                    match = False
+                    break
             if match:
                 # Cold-key fast path: rebuild the head from the live
                 # register (cheap -- one short string) and reuse the
                 # cached tail shared by every register in this state.
-                out = bytearray(_NS_PREFIX)
-                raw = register.encode()
-                out.append(_T_STR)
-                if len(raw) < 0x80:
-                    out.append(len(raw))
-                else:
-                    _uvarint(out, len(raw))
-                out += raw
-                out.append(_T_MSG)
-                out += _PREFIXES[icls]
-                out.append(_T_INT)
-                if op_id < 0x80:
-                    out.append(op_id)
-                elif op_id < 0x4000:
-                    out.append((op_id & 0x7F) | 0x80)
-                    out.append(op_id >> 7)
-                else:
-                    _uvarint(out, op_id)
+                out = _ns_head(register, icls)
+                _encode_op_id(out, op_id)
                 out += shape[1]
                 return bytes(out)
-        out = bytearray(_NS_PREFIX)
-        _encode_value(out, register)
-        out.append(_T_MSG)
-        out += _PREFIXES[icls]
-        _encode_value(out, inner.op_id)
-        start = len(out)
+        out = _ns_head(register, icls)
+        head_end = len(out)
+        _encode_op_id(out, op_id)
+        tail_at = len(out)
         vals = []
-        cacheable = type(inner.op_id) is int and inner.op_id >= 0
-        for name in names[1:]:
+        cacheable = type(op_id) is int and op_id >= 0
+        for name in rest:
             value = getattr(inner, name)
             _encode_value(out, value)
             if type(value) not in _IMMUTABLE_FIELD_TYPES:
@@ -674,15 +707,12 @@ class CachedEncoder:
             vals.append(value)
         blob = bytes(out)
         if cacheable:
-            tail = blob[start:]
+            tail = blob[tail_at:]
             self._shape[icls] = (tuple(vals), tail)
-            spans = _ns_spans(blob)
-            if spans is not None:
-                _, head_end, _ = spans
-                ns[register] = (icls, tuple(vals), blob[:head_end], tail)
-                ns.move_to_end(register)
-                if len(ns) > _NS_CACHE_MAX:
-                    ns.popitem(last=False)
+            ns[register] = (icls, tuple(vals), blob[:head_end], tail)
+            ns.move_to_end(register)
+            if len(ns) > _NS_CACHE_MAX:
+                ns.popitem(last=False)
         return blob
 
     def __call__(self, message: Any) -> bytes:
@@ -690,37 +720,25 @@ class CachedEncoder:
         if cls is NamespacedMessage and _NS_FAST:
             return self._encode_namespaced(message)
         if cls is self._cls:
-            names = _FIELDS[cls]
             match = True
-            for name, cached in zip(names[1:], self._vals):
+            for name, cached in zip(_REST[cls], self._vals):
                 if getattr(message, name) is not cached:
                     match = False
                     break
             if match:
                 out = bytearray(_PREFIXES[cls])
-                op_id = message.op_id
-                if type(op_id) is int and 0 <= op_id < 0x4000:
-                    # One- or two-byte varint: every op_id a long-lived
-                    # client issues short of its 16384th operation.
-                    out.append(_T_INT)
-                    if op_id < 0x80:
-                        out.append(op_id)
-                    else:
-                        out.append((op_id & 0x7F) | 0x80)
-                        out.append(op_id >> 7)
-                else:
-                    _encode_value(out, op_id)
+                _encode_op_id(out, message.op_id)
                 out += self._tail
                 return bytes(out)
-        names = _FIELDS.get(cls)
-        if not names or names[0] != "op_id":
+        rest = _REST.get(cls)
+        if rest is None:
             return encode_message_v2(message)
         out = bytearray(_PREFIXES[cls])
-        _encode_value(out, message.op_id)
+        _encode_op_id(out, message.op_id)
         start = len(out)
         vals = []
         cacheable = True
-        for name in names[1:]:
+        for name in rest:
             value = getattr(message, name)
             _encode_value(out, value)
             if type(value) not in _IMMUTABLE_FIELD_TYPES:
@@ -747,16 +765,15 @@ class CachedDecoder:
     types are cached).  Byte equality against a payload that already
     decoded successfully implies the same structure, so hits are exactly
     what the full decode would have produced.  Everything else --
-    differing bytes, mutable or op_id-less shapes -- falls through to
-    :func:`decode_message_v2` verbatim.
+    differing bytes, mutable or op_id-less shapes, an escaped op_id --
+    falls through to :func:`decode_message_v2` verbatim.
 
     Namespaced payloads cache by *shape*, not by register: the template
-    key is the five fixed bytes after the register string (``_T_MSG``,
-    inner magic, type id, field count, ``_T_INT``) plus the byte-exact
-    tail after the op_id varint.  A keyed read fleet answers most
-    requests from a handful of shapes -- every untouched key shares one
-    ``DataReply`` template, every query one request template -- so the
-    hit rate is independent of how many keys are live.  The register
+    key is the inner type id after the register string, plus the
+    byte-exact tail after the op_id varint.  A keyed read fleet answers
+    most requests from a handful of shapes -- every untouched key shares
+    one ``DataReply`` template, every query one request template -- so
+    the hit rate is independent of how many keys are live.  The register
     string is parsed fresh on every hit (it feeds the rebuilt wrapper),
     so templates are register-agnostic by construction.
     """
@@ -768,8 +785,8 @@ class CachedDecoder:
         self._tail = b""
         self._cls: Any = None
         self._pairs: dict = {}
-        #: inner-prefix bytes -> tail bytes -> (inner class, pairs)
-        self._ns: Dict[bytes, "OrderedDict[bytes, tuple]"] = {}
+        #: inner type id -> tail bytes -> (inner class, pairs)
+        self._ns: Dict[int, "OrderedDict[bytes, tuple]"] = {}
 
     def _decode_namespaced(self, data):
         """Rebuild a namespaced payload from a learned shape template.
@@ -778,30 +795,21 @@ class CachedDecoder:
         decode (and re-learns the template from its result).
         """
         try:
-            if data[3] != _T_STR:
-                return None
-            rlen = data[4]
+            rlen = data[2]
             if rlen >= 0x80:
                 return None
-            rend = 5 + rlen
-            tails = self._ns.get(bytes(data[rend:rend + 5]))
+            rend = 3 + rlen
+            tails = self._ns.get(data[rend])
             if tails is None:
                 return None
-            pos = rend + 5
-            op_id = data[pos]
-            if op_id < 0x80:
-                end = pos + 1
-            else:
-                second = data[pos + 1]
-                if second < 0x80:
-                    op_id = (op_id & 0x7F) | (second << 7)
-                    end = pos + 2
-                else:
-                    op_id, end = _read_uvarint(data, pos)
+            found = _op_id_at(data, rend + 1)
+            if found is None:
+                return None
+            op_id, end = found
             entry = tails.get(bytes(data[end:]))
             if entry is None:
                 return None
-            register = str(data[5:rend], "utf-8")
+            register = str(data[3:rend], "utf-8")
         except (IndexError, ProtocolError, UnicodeDecodeError):
             return None
         inner = _NEW(entry[0])
@@ -817,37 +825,35 @@ class CachedDecoder:
     def _learn_namespaced(self, data, message) -> None:
         inner = message.inner
         icls = type(inner)
-        names = _FIELDS.get(icls)
-        if not (names and names[0] == "op_id" and _BYPASS_INIT.get(icls)):
+        rest = _REST.get(icls)
+        if rest is None or not _BYPASS_INIT[icls]:
             return
         fields = inner.__dict__
-        values = [fields[name] for name in names[1:]]
+        values = [fields[name] for name in rest]
         if not all(type(v) in _IMMUTABLE_FIELD_TYPES for v in values):
             return
         blob = bytes(data)
-        try:
-            spans = _ns_spans(blob)
-        except IndexError:
+        rlen = blob[2]
+        type_id = blob[3 + rlen] if rlen < 0x80 else 0x80
+        if type_id >= 0x80:
+            return  # a long register or inner type id; stay on the slow path
+        found = _op_id_at(blob, 4 + rlen)
+        if found is None:
             return
-        if spans is None:
-            return
-        rkey, head_end, opid_end = spans
-        rend = 5 + len(rkey)
-        if head_end != rend + 5:
-            return  # multi-byte inner type id; stay on the slow path
         ns = self._ns
-        tails = ns.get(blob[rend:head_end])
+        tails = ns.get(type_id)
         if tails is None:
             if len(ns) >= _NS_SHAPES_MAX:
                 return
-            tails = ns[blob[rend:head_end]] = OrderedDict()
-        tails[blob[opid_end:]] = (icls, dict(zip(names[1:], values)))
-        tails.move_to_end(blob[opid_end:])
+            tails = ns[type_id] = OrderedDict()
+        tail = blob[found[1]:]
+        tails[tail] = (icls, dict(zip(rest, values)))
+        tails.move_to_end(tail)
         if len(tails) > _NS_CACHE_MAX:
             tails.popitem(last=False)
 
     def __call__(self, data) -> Any:
-        if (_NS_FAST and self._ns and len(data) > 5
+        if (_NS_FAST and self._ns and len(data) > 3
                 and data[0] == MAGIC_V2 and data[1] == _NS_ID):
             message = self._decode_namespaced(data)
             if message is not None:
@@ -857,25 +863,14 @@ class CachedDecoder:
             hl = len(head)
             if len(data) > hl and data[:hl] == head:
                 try:
-                    op_id = data[hl]
-                    if op_id < 0x80:
-                        end = hl + 1
-                    else:
-                        second = data[hl + 1]
-                        if second < 0x80:
-                            # Two-byte varint: op_ids live here from the
-                            # 129th operation of a client's lifetime on.
-                            op_id = (op_id & 0x7F) | (second << 7)
-                            end = hl + 2
-                        else:
-                            op_id, end = _read_uvarint(data, hl)
+                    found = _op_id_at(data, hl)
                 except (IndexError, ProtocolError):
-                    end = None  # truncated varint; let the full decode report it
-                if end is not None and data[end:] == self._tail:
+                    found = None  # truncated; let the full decode report it
+                if found is not None and data[found[1]:] == self._tail:
                     message = _NEW(self._cls)
                     fields = message.__dict__
                     fields.update(self._pairs)
-                    fields["op_id"] = op_id
+                    fields["op_id"] = found[0]
                     return message
         message = decode_message_v2(data)
         cls = type(message)
@@ -883,31 +878,19 @@ class CachedDecoder:
             if _NS_FAST:
                 self._learn_namespaced(data, message)
             return message
-        names = _FIELDS.get(cls)
-        if names and names[0] == "op_id" and _BYPASS_INIT.get(cls):
+        rest = _REST.get(cls)
+        if rest is not None and _BYPASS_INIT[cls]:
             fields = message.__dict__
-            values = [fields[name] for name in names[1:]]
+            values = [fields[name] for name in rest]
             if all(type(v) in _IMMUTABLE_FIELD_TYPES for v in values):
                 blob = bytes(data)
-                pos = 1
-                if blob[pos] < 0x80:
-                    pos += 1
-                else:
-                    _, pos = _read_uvarint(blob, pos)
-                if blob[pos] < 0x80:
-                    pos += 1
-                else:
-                    _, pos = _read_uvarint(blob, pos)
-                if blob[pos] == _T_INT:
-                    head_end = pos + 1
-                    if blob[head_end] < 0x80:
-                        opid_end = head_end + 1
-                    else:
-                        _, opid_end = _read_uvarint(blob, head_end)
+                head_end = 2 if blob[1] < 0x80 else _read_uvarint(blob, 1)[1]
+                found = _op_id_at(blob, head_end)
+                if found is not None:
                     self._head = blob[:head_end]
-                    self._tail = blob[opid_end:]
+                    self._tail = blob[found[1]:]
                     self._cls = cls
-                    self._pairs = dict(zip(names[1:], values))
+                    self._pairs = dict(zip(rest, values))
         return message
 
 
@@ -917,61 +900,32 @@ def peek_op_id_v2(data) -> Any:
     Namespaced payloads are peeked *through*: the register string is
     skipped and the inner message's ``op_id`` returned, so keyed reply
     streams route as cheaply as bare ones.  Returns ``None`` for
-    anything else -- non-v2 bytes, messages whose first field is not
-    ``op_id``, or bytes too malformed to peek at; callers fall back to
-    the full decode, which reports malformations properly.  Reply pumps
-    use this to route (or drop) a reply by ``op_id`` before paying for
-    its decode: surplus replies past the quorum and stale replies to
+    anything else -- non-v2 bytes, messages without an ``op_id``, an
+    escaped op_id, or bytes too malformed to peek at; callers fall back
+    to the full decode, which reports malformations properly.  Reply
+    pumps use this to route (or drop) a reply by ``op_id`` before paying
+    for its decode: surplus replies past the quorum and stale replies to
     finished operations never need their payloads parsed at all.
     """
     try:
         if data[0] != MAGIC_V2:
             return None
-        pos = 1
-        type_id = data[pos]
+        type_id = data[1]
         if type_id < 0x80:
-            pos += 1
+            pos = 2
         else:
-            type_id, pos = _read_uvarint(data, pos)
+            type_id, pos = _read_uvarint(data, 1)
         if type_id == _NS_ID:
-            # Skip the wrapper: nfields, register string, _T_MSG, magic.
-            nfields = data[pos]
-            if nfields < 0x80:
-                pos += 1
-            else:
-                nfields, pos = _read_uvarint(data, pos)
-            if data[pos] != _T_STR:
+            # Skip the wrapper: the register, then the inner type id.
+            rlen, pos = _read_head(data, pos)
+            if rlen is None:
                 return None
-            rlen = data[pos + 1]
-            if rlen < 0x80:
-                pos += 2
-            else:
-                rlen, pos = _read_uvarint(data, pos + 1)
-            pos += rlen
-            if data[pos] != _T_MSG or data[pos + 1] != MAGIC_V2:
+            type_id, pos = _read_head(data, pos + rlen)
+            if type_id is None:
                 return None
-            pos += 2
-            type_id = data[pos]
-            if type_id < 0x80:
-                pos += 1
-            else:
-                type_id, pos = _read_uvarint(data, pos)
         if type_id >= len(_BY_ID) or not _OPID_FIRST[type_id]:
             return None
-        nfields = data[pos]
-        if nfields < 0x80:
-            pos += 1
-        else:
-            nfields, pos = _read_uvarint(data, pos)
-        if data[pos] != _T_INT:
-            return None
-        value = data[pos + 1]
-        if value < 0x80:
-            return value
-        second = data[pos + 2]
-        if second < 0x80:
-            return (value & 0x7F) | (second << 7)
-        value, _ = _read_uvarint(data, pos + 1)
-        return value
+        found = _op_id_at(data, pos)
+        return None if found is None else found[0]
     except (IndexError, ProtocolError):
         return None

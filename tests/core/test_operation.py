@@ -34,10 +34,11 @@ def test_op_ids_are_unique_and_increasing():
 _CHILD_SNIPPET = """
 import sys
 sys.path.insert(0, {src!r})
-import os
+import random
+random.seed(0)  # a seeded experiment: the start must not follow it
 from repro.core.operation import next_op_id
 ids = [next_op_id() for _ in range(5)]
-print(os.getpid(), *ids)
+print(*ids)
 """
 
 
@@ -47,30 +48,38 @@ def _spawn_op_id_child():
         [sys.executable, "-c", _CHILD_SNIPPET.format(src=os.path.abspath(src))],
         capture_output=True, text=True, check=True,
     ).stdout.split()
-    return int(out[0]), [int(x) for x in out[1:]]
+    return [int(x) for x in out]
 
 
-def test_op_ids_disjoint_across_processes():
-    # Regression: a bare count(1) numbered operations 1, 2, 3, ... in every
-    # process, so two load-rig workers (or a --procs cluster and its client)
-    # minted colliding op_ids and the flight recorder stitched records from
-    # different operations into one bogus trace.
-    pid_a, ids_a = _spawn_op_id_child()
-    pid_b, ids_b = _spawn_op_id_child()
-    assert pid_a != pid_b
-    assert not set(ids_a) & set(ids_b)
-    # The pid lives in the high bits: each process's range is disjoint.
-    assert (ids_a[0] >> 40) == (pid_a & 0xFFFFF)
-    assert (ids_b[0] >> 40) == (pid_b & 0xFFFFF)
-    # ... and disjoint from this (parent) process's range too.
-    assert (next_op_id() >> 40) == (os.getpid() & 0xFFFFF)
+def test_op_ids_count_per_process_from_a_random_start_below_2_20():
+    # An operation is (party, op_id): a process numbers its own, from a
+    # start drawn from os.urandom -- two processes seeding the global
+    # random state alike still start apart (a clash is 1 in 2**14, and
+    # harmless: the ids are told apart by their party).  Below 2**20 an
+    # op_id is a three-byte varint at most, where a pid salt made it 8-9.
+    starts = {_spawn_op_id_child()[0] for _ in range(3)}
+    assert len(starts) > 1
+    ids = _spawn_op_id_child()
+    assert ids == list(range(ids[0], ids[0] + 5))
+    assert all(0 < op_id < 2 ** 20 for op_id in ids)
+
+
+def test_op_id_start_is_drawn_from_urandom(monkeypatch):
+    from repro.core import operation
+
+    monkeypatch.setattr(operation.os, "urandom",
+                        lambda size: b"\xff" * size)
+    assert operation._op_id_base() == 2 ** 20 - 63
+    monkeypatch.setattr(operation.os, "urandom",
+                        lambda size: b"\x00" * size)
+    assert operation._op_id_base() == 1
 
 
 def test_op_id_offset_preserves_sampling_alignment():
-    # The tracer samples with op_id % sample; the per-process offset is a
-    # multiple of every power-of-two sample rate, so low-bit counting is
-    # unchanged: the k-th op in any process has the same residue as before.
-    _, ids = _spawn_op_id_child()
+    # The tracer samples with op_id % sample; the per-process start is
+    # 1 mod 64, so low-bit counting is unchanged: the k-th op in any
+    # process has the same residue as when every process counted from 1.
+    ids = _spawn_op_id_child()
     for sample in (2, 16, 64):
         assert [i % sample for i in ids] == [(k + 1) % sample for k in range(5)]
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.tags import TAG_ZERO, Tag, TaggedValue
+from repro.core.tags import TAG_MAX, TAG_ZERO, Tag, TaggedValue, tag_in_range
 
 writers = st.text(alphabet="abcdwrs0123456789", min_size=1, max_size=6)
 tags = st.builds(Tag, st.integers(min_value=0, max_value=1000), writers)
@@ -76,3 +76,38 @@ def test_total_order_transitivity(a, b, c):
 @given(tags, writers)
 def test_next_for_strictly_increases(tag, writer):
     assert tag < tag.next_for(writer)
+
+
+def _servers():
+    from repro.core.bcsr import BCSRServer, make_codec
+    from repro.core.bsr import BSRServer
+    from repro.core.regular import RegularBSRServer
+
+    return (BSRServer("s000"), RegularBSRServer("s000"),
+            BCSRServer("s000", 0, make_codec(6, 1)))
+
+
+def _put(server, num):
+    from repro.core.messages import PutData
+
+    payload = (server.codec.encode(b"v")[0] if hasattr(server, "codec")
+               else b"v")
+    return server.handle("w000", PutData(op_id=1, tag=Tag(num, "w000"),
+                                         payload=payload))
+
+
+def test_every_correct_server_refuses_a_tag_above_tag_max():
+    # The simulator hands objects over without the codec, so the store
+    # enforces the bound itself: a pair out of range is neither kept nor
+    # acknowledged (kept, it would outrank every later write for good).
+    for server in _servers():
+        assert _put(server, TAG_MAX + 1) == []
+        assert server.max_tag == TAG_ZERO
+        [(_, ack)] = _put(server, TAG_MAX)
+        assert ack.tag.num == TAG_MAX and server.max_tag.num == TAG_MAX
+
+
+def test_tag_in_range():
+    assert tag_in_range(Tag(TAG_MAX, "w")) and tag_in_range(TAG_ZERO)
+    assert not tag_in_range(Tag(2 ** 63, "w"))
+    assert not tag_in_range(None) and not tag_in_range((1, "w"))

@@ -105,3 +105,17 @@ def test_stop_is_idempotent_and_start_returns_address():
     assert exporter.start() == (host, port)  # second start is a no-op
     exporter.stop()
     exporter.stop()
+
+
+def test_trace_endpoint_narrows_to_one_party():
+    records = [{"op_id": 7, "party": "w000", "node": "s000"},
+               {"op_id": 7, "party": "w001", "node": "s001"}]
+    with MetricsExporter(lambda: [], trace_lookup=lambda op: records,
+                         port=0) as server:
+        _, _, body = _get(server.port, "/traces/7")
+        assert json.loads(body) == records
+        _, _, body = _get(server.port, "/traces/w001/7")
+        assert json.loads(body) == records[1:]
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _get(server.port, "/traces/w002/7")
+        assert info.value.code == 404

@@ -127,3 +127,53 @@ def test_throttle_line_and_repeat_marker():
     rendered = format_timeline(stitch_op(64, [record], [shed]))
     assert "throttles=2" in rendered
     assert "[repeat]" in rendered and "throttled" in rendered
+
+
+def _of(party, record):
+    return dict(record, party=party)
+
+
+def test_two_clients_with_one_op_id_stitch_apart():
+    # Every party numbers its own operations: an operation is
+    # (party, op_id), and a flight record joins the op of its party only.
+    mine = _client_record()
+    theirs = dict(_client_record(), client="w001")
+    records = [_of("w000", _flight(node="s000")),
+               _of("w001", _flight(node="s001", phase="put-data")),
+               _of("w001", _flight(node="s002", phase="put-data"))]
+    first, second = stitch([mine, theirs], records)
+    assert [r["node"] for r in first.servers] == ["s000"]
+    assert [r["node"] for r in second.servers] == ["s001", "s002"]
+    assert [r["node"] for r in stitch_op(64, [mine], records).servers] == [
+        "s000"]
+    # A record that names no party (recorded before records named one)
+    # cannot be told apart, and joins on op_id alone, as it did.
+    legacy = stitch_op(64, [mine], records + [_flight(node="s003")])
+    assert [r["node"] for r in legacy.servers] == ["s000", "s003"]
+
+
+def test_trace_show_picks_the_records_of_its_client(tmp_path, monkeypatch,
+                                                    capsys):
+    import json
+
+    from repro import cli
+
+    spec = tmp_path / "cluster.json"
+    spec.write_text(json.dumps({"algorithm": "bsr", "f": 1}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"nodes": {
+        "s000": {"host": "127.0.0.1", "port": 1}}}))
+    trace = tmp_path / "spans.jsonl"
+    trace.write_text(json.dumps(_client_record()) + "\n")
+    scraped = [_of("w000", _flight(node="s000")),
+               _of("w001", dict(_flight(node="s001"), verdict="throttled"))]
+
+    async def scrape(addresses, auth, timeout, target_op=-1):
+        assert target_op == 64
+        return scraped
+
+    monkeypatch.setattr(cli, "_scrape_flights", scrape)
+    assert cli.main(["trace", "show", "64", "--trace", str(trace),
+                     "--spec", str(spec), "--state", str(state)]) == 0
+    shown = capsys.readouterr().out
+    assert "served" in shown and "throttled" not in shown

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.deploy import trace_dump
-from repro.obs import MemorySink, stitch_op
+from repro.obs import MemorySink, stitch, stitch_op
 from repro.runtime import LocalCluster
 from repro.sharding import KeyspaceConfig
 from repro.transport.auth import Authenticator, KeyChain
@@ -174,3 +174,44 @@ def test_health_ack_occupancy_for_sharded_and_plain_nodes(unhedged):
     assert plain_ack.keys_resident == -1
     assert plain_ack.keys_archived == -1
     assert plain_ack.rehydrations == -1
+
+
+def test_two_clients_with_one_op_id_keep_their_own_server_records(unhedged):
+    # Regression: flight records carried no party and stitching joined on
+    # op_id alone, so two clients whose op_ids coincide -- every party
+    # numbers its own operations -- had their server records merged into
+    # one bogus timeline.
+    import itertools
+
+    from repro.core import operation as operation_module
+
+    async def scenario():
+        cluster = LocalCluster("bsr", f=1, flight_sample=1)
+        await cluster.start()
+        saved = operation_module._op_counter
+        try:
+            sink = MemorySink()
+            clients = [cluster.client(pid, trace_sink=sink)
+                       for pid in ("w000", "w001")]
+            for client in clients:
+                await client.connect()
+                operation_module._op_counter = itertools.count(4097)
+                await client.write(b"from " + client.client_id.encode())
+            auth = probe_auth(cluster)
+            server_records = []
+            for address in cluster.addresses.values():
+                ack = await trace_dump(address, auth, target_op=4097)
+                server_records.extend(dict(r) for r in ack.records)
+            return sink.records, server_records
+        finally:
+            operation_module._op_counter = saved
+            await cluster.stop()
+
+    client_records, server_records = run(scenario())
+    assert [r["op_id"] for r in client_records] == [4097, 4097]
+    assert {r["party"] for r in server_records} == {"w000", "w001"}
+    for op in stitch(client_records, server_records):
+        # n - f servers served both phases of this client's write, and
+        # nothing of the other client's.
+        assert len(op.servers) == 8
+        assert {r["party"] for r in op.servers} == {op.client}

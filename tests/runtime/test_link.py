@@ -53,12 +53,13 @@ class FakeTransport:
     def is_closing(self):
         return self.closed
 
-    def payloads(self, write=-1):
-        """The payloads of one recorded write, verified and in order."""
+    def payloads(self, write=-1, sender=None):
+        """The payloads of one recorded write, verified and in order
+        (nameless frames -- a bound link's -- under ``sender``'s key)."""
         auth = SPEC.authenticator()
         return [bytes(payload)
                 for frame in FrameAssembler().feed(self.writes[write])
-                for payload in auth.open_any(frame)[1]]
+                for payload in auth.open_any(frame, sender)[1]]
 
 
 class Dialer:

@@ -119,13 +119,17 @@ def test_a_node_answers_a_party_nameless_and_a_probe_named():
         await cluster.start()
         try:
             auth = cluster.authenticator()
-            reader, writer = await asyncio.open_connection(
-                *cluster.nodes["s000"].address)
 
             async def exchange(sender, message):
+                # A connection of its own each: a node binds a connection
+                # to the party of its first named frame.
+                reader, writer = await asyncio.open_connection(
+                    *cluster.nodes["s000"].address)
                 write_frame(writer, auth.seal(sender, encode_message_v2(
                     message)))
-                return await asyncio.wait_for(read_frame(reader), 5.0)
+                frame = await asyncio.wait_for(read_frame(reader), 5.0)
+                writer.close()
+                return frame
 
             frame = await exchange("w009", NamespacedMessage(
                 "k", QueryData(op_id=2)))
@@ -142,7 +146,6 @@ def test_a_node_answers_a_party_nameless_and_a_probe_named():
             sender, [payload] = auth.open_any(frame)
             assert sender == "s000"
             assert decode_message_v2(payload).node_id == "s000"
-            writer.close()
         finally:
             await cluster.stop()
 

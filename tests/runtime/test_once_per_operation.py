@@ -235,7 +235,9 @@ def test_throttled_and_op_id_less_payloads_take_the_ordinary_path():
         await asyncio.sleep(0)
         for transport in dialer.transports[:2]:
             assert len(transport.writes) == 2
-            assert transport.payloads(0) == transport.payloads(1)
+            # The replay goes nameless: the Throttled bound the link.
+            assert (transport.payloads(0, "r000")
+                    == transport.payloads(1, "r000"))
         # No op_id to peek: decoded, owned by nobody, counted stale.
         stale = client.stats()["replies_stale"]
         for orphan in (NamespacedMessage(KEY, b"raw"),

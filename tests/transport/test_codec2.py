@@ -46,10 +46,12 @@ from repro.core.messages import (
     ValueReply,
 )
 from repro.core.namespace import NamespacedMessage
-from repro.core.tags import Tag, TaggedValue
+from repro.core.tags import TAG_MAX, Tag, TaggedValue
 from repro.erasure.striping import CodedElement
 from repro.errors import ProtocolError
 from repro.transport.codec2 import (
+    _PREFIXES,
+    ESCAPE,
     MAGIC_V2,
     MESSAGE_TYPES,
     VARINT_BITS,
@@ -57,6 +59,7 @@ from repro.transport.codec2 import (
     CachedEncoder,
     decode_message_v2,
     encode_message_v2,
+    peek_op_id_v2,
 )
 
 TAG = Tag(7, "w001")
@@ -134,16 +137,20 @@ def test_differential_roundtrip(name):
 
 #: Encoded bytes of each sample.  ``wire_bytes_per_op`` is a benchmarked
 #: metric, so a type growing on the wire must be a deliberate edit here.
+#: The header is the magic and the type id: every type is 2 bytes under
+#: a header that also carried a field count and tagged its op_id, and
+#: the namespaced sample 6 (its wrapper tagged the register and the
+#: inner message, and the inner message had a header of its own).
 ENCODED_SIZES = {
-    "BaseMessage": 5, "DataReply": 23, "HealthAck": 32, "HealthPing": 5,
-    "HistoryReply": 23, "MprEcho": 19, "MprWrite": 23,
-    "NamespacedMessage": 31, "PushData": 18, "PutAck": 12, "PutData": 19,
-    "QueryData": 5, "QueryHistory": 5, "QueryTag": 5, "QueryTagHistory": 5,
-    "QueryValue": 12, "RBEcho": 22, "RBReady": 19, "RBSend": 22,
-    "Rb2Send": 23, "Rb2Witness": 23, "StatsAck": 93, "StatsPing": 5,
-    "TagHistoryReply": 17, "TagReply": 12, "Throttled": 23, "TraceAck": 136,
-    "TraceDump": 10, "ValueReply": 13,
-    "QueryDataHeld": 12, "DataHeld": 5, "QueryHistoryAbove": 12,
+    "BaseMessage": 3, "DataReply": 21, "HealthAck": 30, "HealthPing": 3,
+    "HistoryReply": 21, "MprEcho": 17, "MprWrite": 21,
+    "NamespacedMessage": 25, "PushData": 16, "PutAck": 10, "PutData": 17,
+    "QueryData": 3, "QueryHistory": 3, "QueryTag": 3, "QueryTagHistory": 3,
+    "QueryValue": 10, "RBEcho": 20, "RBReady": 17, "RBSend": 20,
+    "Rb2Send": 21, "Rb2Witness": 21, "StatsAck": 91, "StatsPing": 3,
+    "TagHistoryReply": 15, "TagReply": 10, "Throttled": 21, "TraceAck": 134,
+    "TraceDump": 8, "ValueReply": 11,
+    "QueryDataHeld": 10, "DataHeld": 3, "QueryHistoryAbove": 10,
 }
 
 
@@ -197,8 +204,9 @@ def test_tuples_survive_as_tuples():
     b"\xb2",                              # magic only
     b"\xb2\xff",                          # unterminated type-id varint
     b"\xb2\xf0\x01",                      # unknown type id
-    b"\xb2\x00",                          # type ok, missing field count
-    b"\xb2\x00\x05",                      # wrong field count
+    b"\xb2\x00",                          # type ok, missing op_id
+    b"\xb2\x00\x85",                      # op_id varint cut short
+    b"\xb2\x00\x80\x00",                  # escaped op_id, no value
     encode_message_v2(QueryTag(op_id=1))[:-1],   # truncated last field
     encode_message_v2(QueryTag(op_id=1)) + b"!",  # trailing bytes
     b"\xb2" + b"\xff" * 32,               # varint bomb
@@ -212,8 +220,9 @@ def test_garbage_raises_protocol_error(blob):
 
 def test_unknown_value_tag_raises():
     good = encode_message_v2(TagReply(op_id=1, tag=TAG))
-    # Clobber the first field's value tag with an unassigned byte.
+    # Clobber the first tagged field's value tag with an unassigned byte.
     bad = bytearray(good)
+    assert bad[3] == 0x08  # magic, type id, bare op_id, then the tag
     bad[3] = 0x7E
     with pytest.raises(ProtocolError):
         decode_message_v2(bytes(bad))
@@ -228,23 +237,103 @@ def test_unregistered_type_rejected_at_encode():
 
 def test_one_integer_bound_on_both_sides():
     largest = 2 ** VARINT_BITS - 1
-    for message in (TagReply(op_id=largest, tag=Tag(largest, "w")),
+    for message in (HealthAck(op_id=largest, frames=largest),
                     Throttled(op_id=-largest - 1)):
         assert decode_message_v2(encode_message_v2(message)) == message
         assert CachedDecoder()(CachedEncoder()(message)) == message
-    for message in (TagReply(op_id=1, tag=Tag(largest + 1, "w")),
-                    TagReply(op_id=largest + 1, tag=TAG),
+    for message in (HealthAck(op_id=1, frames=largest + 1),
+                    HealthAck(op_id=largest + 1),
                     Throttled(op_id=-largest - 2)):
         with pytest.raises(ProtocolError, match="varint range"):
             encode_message_v2(message)
     # The same next value, written by hand, is refused on decode.
-    good = encode_message_v2(TagReply(op_id=1, tag=Tag(largest, "w")))
+    good = encode_message_v2(HealthAck(op_id=1, frames=largest))
     longest = b"\xff" * (VARINT_BITS // 7 - 1) + b"\x7f"
     assert good.count(longest) == 1
     bad = good.replace(longest, b"\x80" * (VARINT_BITS // 7) + b"\x01")
     for decode in (decode_message_v2, CachedDecoder()):
         with pytest.raises(ProtocolError, match="varint too long"):
             decode(bad)
+
+
+def test_one_tag_bound_on_both_sides():
+    """``TAG_MAX`` bounds a tag number in every shape a tag travels in."""
+    def shapes(num):
+        tag = Tag(num, "w")
+        return (TagReply(op_id=1, tag=tag),
+                HistoryReply(op_id=1, history=(TaggedValue(tag, b"v"),)),
+                NamespacedMessage("k", PutData(op_id=1, tag=tag,
+                                               payload=b"v")))
+
+    for message in shapes(TAG_MAX):
+        assert decode_message_v2(encode_message_v2(message)) == message
+        assert CachedDecoder()(CachedEncoder()(message)) == message
+    for message in shapes(TAG_MAX + 1):  # 2**63: it encoded before
+        for encode in (encode_message_v2, CachedEncoder()):
+            with pytest.raises(ProtocolError, match="TAG_MAX"):
+                encode(message)
+    # The next number, written by hand, is refused on decode.
+    high, higher = (_varint(TAG_MAX), _varint(TAG_MAX + 1))
+    for message in shapes(TAG_MAX):
+        good = encode_message_v2(message)
+        assert good.count(high) == 1
+        for decode in (decode_message_v2, CachedDecoder()):
+            with pytest.raises(ProtocolError, match="TAG_MAX"):
+                decode(good.replace(high, higher))
+
+
+def _varint(n):
+    out = bytearray()
+    while n > 0x7F:
+        out.append((n & 0x7F) | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+#: Fields the schema fixes, holding what the schema does not: each one
+#: escapes to a tagged value and round-trips through every path.
+ESCAPED = {
+    "negative op_id": Throttled(op_id=-3, retry_after=0.5),
+    "str op_id": QueryData(op_id="x"),
+    "None op_id": DataHeld(op_id=None),
+    "bytes register": NamespacedMessage(b"k", QueryData(op_id=1)),
+    "bytes inner": NamespacedMessage("k", b"raw"),
+    "escaped op_id inside": NamespacedMessage("k", QueryData(op_id=-1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPED))
+def test_escaped_fields_round_trip(name):
+    message = ESCAPED[name]
+    blob = encode_message_v2(message)
+    assert ESCAPE in blob
+    assert decode_message_v2(blob) == message
+    encode, decode = CachedEncoder(), CachedDecoder()
+    for _ in range(2):
+        assert encode(message) == blob
+        assert decode(blob) == message
+    if name.endswith("op_id"):
+        assert peek_op_id_v2(blob) is None  # the full decode reads it
+
+
+def test_the_header_is_the_magic_and_the_type_id():
+    """What the class fixes does not travel: no field count, no value tag
+    before an op_id, and a keyed message's register and inner message
+    bare behind the wrapper's own two header bytes."""
+    op_id = (1 << 20) - 1  # a three-byte varint, as in a long run
+    query = encode_message_v2(QueryData(op_id=op_id))
+    assert query == _PREFIXES[QueryData] + _varint(op_id)
+    assert len(_PREFIXES[QueryData]) == 2
+    keyed = encode_message_v2(NamespacedMessage(
+        "key-0000", QueryDataHeld(op_id=op_id, tag=TAG)))
+    assert keyed == (_PREFIXES[NamespacedMessage] + b"\x08key-0000"
+                     + _PREFIXES[QueryDataHeld][1:] + _varint(op_id)
+                     + encode_message_v2(TagReply(op_id=0, tag=TAG))[3:])
+    for payload, want in ((query, op_id), (keyed, op_id)):
+        assert peek_op_id_v2(payload) == want
+        decode = CachedDecoder()
+        assert decode(payload) == decode(payload)  # learn, then hit
 
 
 @settings(max_examples=200, deadline=None)

@@ -46,7 +46,15 @@ gets ``n - f`` ``DataHeld`` replies, none carrying the value, while the
 first read after a write still gets full replies; and the first BCSR read
 and the first keyed BSR read after a write move an exact number of bytes,
 op_ids pinned so the count is exact (replies carry neither the server's
-name nor the register wrapper).  Counts only, no timing.
+name nor the register wrapper, requests on a bound link carry no name,
+and no payload carries what its class fixes).  Counts only, no timing.
+
+An eighth, binding pass counts envelope shapes: over the in-memory pipes a
+client link seals its first burst named and, once a reply on that
+connection verified, every later burst nameless -- and every one is
+answered; and a node drops a nameless frame on a connection no named
+frame has bound yet, counting it as a bad frame, then serves the same
+frame once a named one bound the connection.  Counts only, no timing.
 
 Exit status: 0 on success, 1 on wrong results or a blown budget.
 """
@@ -415,7 +423,8 @@ def _messages(wiring, direction, auth):
     last call; forgets them."""
     found = []
     for pid, pipes in getattr(wiring, direction).items():
-        peer = pid if direction == "down" else None  # replies are nameless
+        # Replies are nameless, and so are requests on a bound link.
+        peer = pid if direction == "down" else "w000"
         for pipe in pipes:
             for burst in pipe.carried:
                 for frame in FrameAssembler().feed(burst):
@@ -477,18 +486,28 @@ async def _conditional_reads(spec, register, values, share):
 
 
 #: Bytes a BCSR read at ``n = 6, f = 1`` of a 64 B value writes (requests,
-#: replies) with op_ids pinned to ``2**40 + 1`` onwards: ``n - f`` plain
-#: queries answered by ``n - f`` coded elements (the reader holds none).
-#: Each reply frame is nameless: 5 B under a named one (a 1-byte marker
-#: where ``name_len(2) | "s00i"`` stood), so (260, 650) became (260, 625).
-BCSR_READ_BYTES = (260, 625)
+#: replies) with op_ids pinned to :data:`PINNED_OP_ID` onwards: ``n - f``
+#: plain queries answered by ``n - f`` coded elements (the reader holds
+#: none).  Each request goes nameless on a link the write bound (5 B: a
+#: 1-byte marker where ``name_len(2) | "w000"`` stood) with a two-byte
+#: header (2 B: no field count, no value tag before the op_id), and each
+#: reply has the same header; both carry a three-byte op_id where the
+#: earlier pin of ``2**40 + 1`` took six (3 B).  So (260, 625) became
+#: (210, 600): 10 B per request, 5 B per reply.
+BCSR_READ_BYTES = (210, 600)
 
 #: ... and a keyed BSR read at ``n = 5, f = 1`` of a 64 B value on
 #: ``key-0000``, the first after its write: ``n - f`` queries answered by
-#: ``n - f`` full replies, each bare and nameless -- 19 B under a wrapped,
-#: named one (the 14-byte register wrapper plus those 5 B), so the
-#: replies were 556 B when they carried both.
-KEYED_READ_BYTES = (264, 480)
+#: ``n - f`` full replies, each bare and nameless.  A request saves 14 B:
+#: its name (5 B), a header that also held the wrapper's field count and
+#: value tags and the inner message's magic, field count and op_id tag
+#: (6 B), and three op_id bytes; a reply saves 5 B as above.  So
+#: (264, 480) became (208, 460).
+KEYED_READ_BYTES = (208, 460)
+
+#: The pinned start of the op_id counter: inside the range a process
+#: draws its start from, where an op_id is a three-byte varint.
+PINNED_OP_ID = (1 << 19) | 1
 
 
 async def _read_bytes(spec, register):
@@ -512,10 +531,11 @@ async def _read_bytes(spec, register):
 
 
 def _pinned(scenario):
-    """Run ``scenario`` with op_ids from ``2**40 + 1``: exact byte counts,
-    and a thrifty client's writes and reads all in one rotation run."""
+    """Run ``scenario`` with op_ids from :data:`PINNED_OP_ID`: exact byte
+    counts, and a thrifty client's writes and reads all in one rotation
+    run."""
     counter = operation_module._op_counter
-    operation_module._op_counter = itertools.count((1 << 40) | 1)
+    operation_module._op_counter = itertools.count(PINNED_OP_ID)
     try:
         return asyncio.run(scenario())
     finally:
@@ -546,6 +566,80 @@ def run_held_pass():
             f"{KEYED_READ_BYTES}")
 
 
+async def _bound_links(spec, register):
+    """``(named, nameless, replies)`` frames of a quiet write and read."""
+    wiring = Wiring(spec)
+    client = spec.client("w000", timeout=10.0)
+    await client.connect()
+    await client.write(b"v" * 64, register=register)
+    if await client.read(register=register) != b"v" * 64:
+        return None
+    await asyncio.sleep(0.01)
+    await client.close()
+    shapes = [bytes(frame[:1]) in (b"\xfe", b"\xfd")
+              for pipes in wiring.up.values() for pipe in pipes
+              for burst in pipe.carried
+              for frame in FrameAssembler().feed(burst)]
+    bad = sum(node.stats["frames_bad"] for node in wiring.nodes.values())
+    return (shapes.count(False), shapes.count(True), wiring.frames("down"),
+            bad)
+
+
+class Sink:
+    """A transport that keeps what is written to it and delivers nothing."""
+
+    def __init__(self):
+        self.carried = []
+
+    def write(self, data):
+        self.carried.append(bytes(data))
+
+    def is_closing(self):
+        return False
+
+
+async def _unbound_connection(spec, register):
+    """Bad frames and written bursts after a nameless frame on an unbound
+    connection, then a named one, then the nameless one again."""
+    node = spec.build_node(spec.node_ids[0])
+    connection, sink = _Connection(node), Sink()
+    connection.connection_made(sink)
+    inbound = Pipe(asyncio.get_running_loop())
+    inbound.peer = connection
+    auth = spec.authenticator()
+    payload = encode_message_v2(NamespacedMessage(
+        register, QueryTag(op_id=PINNED_OP_ID)))
+    counts = []
+    for named in (False, True, False):
+        inbound._deliver(frame_burst(
+            auth.seal_frames("w000", [payload], named=named)))
+        counts.append((node.stats["frames_bad"], len(sink.carried)))
+    return counts
+
+
+def run_binding_pass():
+    """A link goes nameless once bound; a node binds before it listens."""
+    keyed = ClusterSpec(algorithm="bsr", f=1, n=5, base_port=7000,
+                        keyspace={"group_size": 5})
+    got = _pinned(partial(_bound_links, keyed, key_name(0)))
+    # Three rounds to the same n - f = 4 servers: each link's get-tag
+    # goes named, its put-data and read query nameless, all answered.
+    if got != (4, 8, 12, 0):
+        print(f"hotpath-smoke: a quiet keyed write and read made (named, "
+              f"nameless, replies, bad frames) = {got}, want (4, 8, 12, 0)")
+        return None
+    got = asyncio.run(_unbound_connection(keyed, key_name(0)))
+    want = [(1, 0), (1, 1), (1, 2)]
+    if got != want:
+        print(f"hotpath-smoke: a node connection fed nameless, named, "
+              f"nameless made (bad frames, bursts written) = {got}, "
+              f"want {want}")
+        return None
+    return ("hotpath-smoke: binding pass -- a link's first burst named, "
+            "the 8 after its first verified reply nameless and answered; "
+            "a nameless frame on an unbound connection dropped and counted")
+
+
 def main():
     elapsed = run_pass()
     coded = run_coded_pass()
@@ -554,7 +648,9 @@ def main():
     thrifty = run_thrifty_pass()
     memory = run_memory_pass()
     held = run_held_pass()
-    if None in (elapsed, coded, keyed, replies, thrifty, memory, held):
+    binding = run_binding_pass()
+    if None in (elapsed, coded, keyed, replies, thrifty, memory, held,
+                binding):
         return 1
     print(coded)
     print(keyed)
@@ -562,6 +658,7 @@ def main():
     print(thrifty)
     print(memory)
     print(held)
+    print(binding)
     status = "ok"
     if elapsed > BUDGET_SECONDS:
         status = f"BLOWN BUDGET ({BUDGET_SECONDS:.1f}s)"
