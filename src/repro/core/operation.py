@@ -45,8 +45,9 @@ def _op_id_base() -> int:
     an op_id knows whose it is, and wherever ids of different processes
     meet (flight records, stitching) an operation is ``(party,
     op_id)``.  The counter starts at a random point below ``2**20``, so
-    an op_id stays a two- or three-byte varint on the wire and a restarted
-    client does not replay its old ids.  The start is drawn from
+    an op_id is at most a three-byte varint on the wire for the first
+    million operations, and a restarted process rarely starts where it
+    began before.  The start is drawn from
     ``os.urandom``, never from the global ``random`` state that seeded
     experiments share, and is ``1 mod 64``, so ``op_id % sample`` counts
     exactly as from 1 for every sampling modulus up to 64.

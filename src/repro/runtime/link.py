@@ -52,20 +52,19 @@ class Link(asyncio.BufferedProtocol):
     """One self-healing outbound connection to ``address``.
 
     ``seal(payloads, named=)`` maps a tick's payloads to wire frames.
-    The handlers are
-    all optional: ``on_frames(frames, now)`` fires once per read with
-    the frames it completed (possibly none) and the loop time the bytes
-    arrived -- the frames are ``memoryview`` slices of the receive
-    buffer, valid until the link's next read (the assembler's next
-    ``writable()``), so a handler copies what must outlive that;
-    ``on_up()`` / ``on_down()`` bracket
-    each established connection; ``on_flush()`` fires once per burst
-    written; ``on_drop(reason, detail)`` once per payload shed from a
-    full queue and once per oversized inbound frame.
+    The handlers are all optional: ``on_frames(frames, now)`` fires once
+    per read with the frames it completed (possibly none) and the loop
+    time the bytes arrived -- the frames are ``memoryview`` slices of the
+    receive buffer, valid until the link's next read (the assembler's
+    next ``writable()``), so a handler copies what must outlive that;
+    ``on_up()`` / ``on_down()`` bracket each established connection;
+    ``on_flush()`` fires once per burst written; ``on_drop(reason,
+    detail)`` once per payload shed from a full queue and once per
+    oversized inbound frame.
     """
 
     def __init__(self, address: Tuple[str, int],
-                 seal: Callable[[List[bytes]], Sequence[bytes]], *,
+                 seal: Callable[..., Sequence[bytes]], *,
                  on_frames: Callable[[List[memoryview], float], Any] = _ignore,
                  on_up: Callable[[], Any] = _ignore,
                  on_down: Callable[[], Any] = _ignore,

@@ -196,6 +196,7 @@ def _op_id_at(data, pos: int):
                 pos + 3)
     return _read_uvarint(data, pos)
 
+
 # Tag.__post_init__ only rejects negative numbers, and the wire carries
 # tag numbers as unsigned varints -- no byte sequence can decode to a
 # negative num -- so decode may skip the frozen-dataclass __init__ and

@@ -1,9 +1,11 @@
 """Server-side flight recording scraped over TraceDump, end to end."""
 
 import asyncio
+import itertools
 
 import pytest
 
+from repro.core import operation as operation_module
 from repro.deploy import trace_dump
 from repro.obs import MemorySink, stitch, stitch_op
 from repro.runtime import LocalCluster
@@ -181,10 +183,6 @@ def test_two_clients_with_one_op_id_keep_their_own_server_records(unhedged):
     # op_id alone, so two clients whose op_ids coincide -- every party
     # numbers its own operations -- had their server records merged into
     # one bogus timeline.
-    import itertools
-
-    from repro.core import operation as operation_module
-
     async def scenario():
         cluster = LocalCluster("bsr", f=1, flight_sample=1)
         await cluster.start()

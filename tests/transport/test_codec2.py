@@ -137,10 +137,7 @@ def test_differential_roundtrip(name):
 
 #: Encoded bytes of each sample.  ``wire_bytes_per_op`` is a benchmarked
 #: metric, so a type growing on the wire must be a deliberate edit here.
-#: The header is the magic and the type id: every type is 2 bytes under
-#: a header that also carried a field count and tagged its op_id, and
-#: the namespaced sample 6 (its wrapper tagged the register and the
-#: inner message, and the inner message had a header of its own).
+#: The header is the magic and the type id; an op_id goes untagged.
 ENCODED_SIZES = {
     "BaseMessage": 3, "DataReply": 21, "HealthAck": 30, "HealthPing": 3,
     "HistoryReply": 21, "MprEcho": 17, "MprWrite": 21,
