@@ -135,7 +135,6 @@ _PREFIXES: Dict[type, bytes] = {
 _REST: Dict[type, tuple] = {
     cls: names[1:] for cls, names in _FIELDS.items()
     if names[:1] == ("op_id",)}
-_OPID_FIRST: List[bool] = [cls in _REST for cls in _BY_ID]
 # Decoding may skip the dataclass __init__ (building the instance
 # __dict__ directly) only when the class runs no validation on
 # construction and stores fields in a plain __dict__.
@@ -338,6 +337,21 @@ def _encode_op_id(out: bytearray, op_id: Any) -> None:
         _encode_value(out, op_id)
 
 
+def _encode_register(out: bytearray, register: Any) -> None:
+    """Append a register name: its length and UTF-8, or ESCAPE and the
+    tagged value for a name that is not a string."""
+    if type(register) is str:
+        raw = register.encode()
+        if len(raw) < 0x80:
+            out.append(len(raw))
+        else:
+            _uvarint(out, len(raw))
+        out += raw
+    else:
+        out += ESCAPE
+        _encode_value(out, register)
+
+
 def _encode_body(out: bytearray, message: Any) -> None:
     """Append everything of ``message`` after its header (its fields)."""
     cls = type(message)
@@ -348,22 +362,10 @@ def _encode_body(out: bytearray, message: Any) -> None:
         for name in rest:
             encode_value(out, getattr(message, name))
         return
-    # A NamespacedMessage: the register's length and UTF-8, then the
-    # inner message's type id and fields -- or ESCAPE and a tagged value
-    # for a register that is not a string or an inner that is not a
-    # registered message.
-    register = message.register
-    if type(register) is str:
-        raw = register.encode()
-        length = len(raw)
-        if length < 0x80:
-            out.append(length)
-        else:
-            _uvarint(out, length)
-        out += raw
-    else:
-        out += ESCAPE
-        _encode_value(out, register)
+    # A NamespacedMessage: the register, then the inner message's type id
+    # and fields -- or ESCAPE and a tagged value for an inner that is not
+    # a registered message.
+    _encode_register(out, message.register)
     inner = message.inner
     ids = _IDS.get(type(inner))
     if ids is None:
@@ -611,12 +613,7 @@ def _ns_head(register: str, icls: type) -> bytearray:
     """A namespaced payload up to its inner op_id: prefix, register,
     inner type id."""
     out = bytearray(_NS_PREFIX)
-    raw = register.encode()
-    if len(raw) < 0x80:
-        out.append(len(raw))
-    else:
-        _uvarint(out, len(raw))
-    out += raw
+    _encode_register(out, register)
     out += _IDS[icls]
     return out
 
@@ -924,7 +921,7 @@ def peek_op_id_v2(data) -> Any:
             type_id, pos = _read_head(data, pos + rlen)
             if type_id is None:
                 return None
-        if type_id >= len(_BY_ID) or not _OPID_FIRST[type_id]:
+        if type_id >= len(_BY_ID) or _BY_ID[type_id] not in _REST:
             return None
         found = _op_id_at(data, pos)
         return None if found is None else found[0]

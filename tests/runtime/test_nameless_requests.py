@@ -19,6 +19,7 @@ from repro.transport.codec import FrameAssembler, read_frame, write_frame
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
 from tests.runtime.test_link import FakeTransport, run, until
 from tests.runtime.test_nameless_replies import TAG, answer, reading
+from tests.runtime.test_thrifty import hold_back
 
 
 def named(write):
@@ -118,6 +119,10 @@ class DropFirstFrame(FaultPlan):
 
 
 def test_a_dropped_first_frame_never_strands_a_connection():
+    # Every operation addresses s000 (and holds s004 back), so the one
+    # whose frame is dropped completes only through a hedge.
+    hold_back("s004", [f"s{i:03d}" for i in range(5)])
+
     async def scenario():
         plan = DropFirstFrame("s000")
         cluster = LocalCluster("bsr", f=1, chaos_plan=plan)
