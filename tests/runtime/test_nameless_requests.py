@@ -18,7 +18,7 @@ from repro.transport.auth import NAMELESS, NAMELESS_BATCH
 from repro.transport.codec import FrameAssembler, read_frame, write_frame
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
 from tests.runtime.test_link import FakeTransport, run, until
-from tests.runtime.test_nameless_replies import TAG, answer, reading
+from tests.runtime.test_nameless_replies import SERVERS, TAG, answer, reading
 from tests.runtime.test_thrifty import hold_back
 
 
@@ -32,6 +32,8 @@ def named(write):
 
 
 def test_a_link_goes_nameless_after_a_verified_reply_and_named_on_redial():
+    hold_back("s004", SERVERS)  # both reads address s000 ... s003
+
     async def scenario():
         client, task, state = await reading()
         pid, other = state.addressed[0], state.addressed[1]
@@ -121,7 +123,7 @@ class DropFirstFrame(FaultPlan):
 def test_a_dropped_first_frame_never_strands_a_connection():
     # Every operation addresses s000 (and holds s004 back), so the one
     # whose frame is dropped completes only through a hedge.
-    hold_back("s004", [f"s{i:03d}" for i in range(5)])
+    hold_back("s004", SERVERS)
 
     async def scenario():
         plan = DropFirstFrame("s000")
