@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-codec bench-hotpath bench-keyspace bench-load bench-obs bench-pipeline bench-rivals bench-tables chaos-soak cluster-smoke examples lint load-smoke metrics-smoke obs-smoke modelcheck clean
+.PHONY: install test tables bench bench-codec bench-hotpath bench-keyspace bench-load bench-obs bench-pipeline bench-rivals bench-tables chaos-soak cluster-smoke examples lint load-smoke metrics-smoke obs-smoke modelcheck clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -63,6 +63,12 @@ bench-obs:
 bench-rivals:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_e23_rivals.py
 	PYTHONPATH=src $(PYTHON) tools/check_bench_schema.py BENCH_rivals.json
+
+# E1-E9 and E11-E15 rows plus `repro scenario t3/t5/t6`, seeded, under
+# PYTHONHASHSEED=0, into tables.txt (~3 min): a refactor that changes no
+# behaviour leaves this file byte-identical, so checking one is a diff.
+tables:
+	$(PYTHON) tools/tables.py > tables.txt
 
 # Regenerate every experiment table (what EXPERIMENTS.md records).
 bench-tables:

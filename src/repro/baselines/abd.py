@@ -14,11 +14,11 @@ tolerance costs).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.core.bsr import BSRServer
 from repro.core.messages import DataReply
-from repro.core.operation import ReplyCollector, WriteBackRead
+from repro.core.operation import WriteBackRead
 from repro.core.tags import TaggedValue
 from repro.types import ProcessId
 
@@ -34,11 +34,6 @@ class ABDServer(BSRServer):
 
 class ABDReadOperation(WriteBackRead):
     """Two-phase ABD read: query a majority, write the max pair back."""
-
-    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId],
-                 f: int) -> None:
-        super().__init__(client_id, servers, f)
-        self._replies = ReplyCollector(self.servers)
 
     def _select(self, sender: ProcessId, message: Any) -> Optional[TaggedValue]:
         if not isinstance(message, DataReply):

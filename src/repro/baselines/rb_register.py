@@ -31,7 +31,6 @@ value nobody wrote.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Set, Tuple)
@@ -49,8 +48,8 @@ from repro.core.messages import (
     TagReply,
     stored_size,
 )
-from repro.core.operation import ClientOperation
-from repro.core.quorum import kth_highest, witness_threshold
+from repro.core.operation import ClientOperation, witnessed
+from repro.core.quorum import kth_highest
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.types import Envelope, ProcessId
 
@@ -214,16 +213,9 @@ class RelayReadOperation(ClientOperation):
             self._latest[sender] = pair
         if len(self._latest) < self.quorum:
             return None
+        reported = [(server, pair.tag, pair.value)
+                    for server, pair in self._latest.items()]
         # Freshness bar: the (f+1)-th highest tag cannot be Byzantine-forged.
-        tags = [pair.tag for pair in self._latest.values()]
-        bar = kth_highest(tags, self.f + 1)
-        counts: Counter = Counter()
-        for pair in self._latest.values():
-            try:
-                counts[pair] += 1
-            except TypeError:
-                continue
-        threshold = witness_threshold(self.f)
-        witnessed = [pair for pair, count in counts.items()
-                     if count >= threshold and pair.tag >= bar]
-        return max(witnessed, key=lambda tv: tv.tag) if witnessed else None
+        bar = kth_highest([tag for _, tag, _ in reported], self.f + 1)
+        fresh = [pair for pair in witnessed(reported, self.f) if pair.tag >= bar]
+        return max(fresh, key=lambda tv: tv.tag) if fresh else None

@@ -34,7 +34,7 @@ which it could have sent in full.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.messages import (
     DataHeld,
@@ -47,12 +47,12 @@ from repro.core.messages import (
     TagReply,
 )
 from repro.core.operation import (
-    ClientOperation,
-    ReplyCollector,
+    QuorumRead,
     WriteOperation,
     held_query,
+    witnessed,
 )
-from repro.core.quorum import bcsr_dimension, witness_threshold
+from repro.core.quorum import bcsr_dimension
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue, tag_in_range
 from repro.erasure.striping import CodedElement, DecodeMemo, StripedCodec
 from repro.errors import DecodingError
@@ -176,7 +176,7 @@ class WriterSequence:
         return self._num
 
 
-class BCSRFastWriteOperation(ClientOperation):
+class BCSRFastWriteOperation(WriteOperation):
     """A one-round SWMR write: ``put-data`` only (extension, not in paper).
 
     Valid only under the strict single-writer regime BCSR is stated for:
@@ -184,54 +184,38 @@ class BCSRFastWriteOperation(ClientOperation):
     the ``get-tag`` phase the paper keeps (Fig 4) buys nothing.  This makes
     the register fully fast for its single writer -- one round for writes
     *and* reads -- without touching safety (tags remain monotone and
-    unique).  Ablated against the two-phase write in benchmark E15.
+    unique).  The shared write walk, started at its put step under the
+    tag ``sequence`` mints.  Ablated against the two-phase write in
+    benchmark E15.
     """
-
-    kind = "write"
 
     def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
                  value: bytes, sequence: WriterSequence,
                  codec: Optional[StripedCodec] = None) -> None:
-        super().__init__(client_id, servers, f)
+        super().__init__(client_id, servers, f, value)
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("BCSR values must be bytes")
         if sequence.writer_id != client_id:
             raise ValueError("a writer may only use its own sequence")
         self.value = bytes(value)
-        self.codec = codec if codec is not None else make_codec(self.n, f)
+        self.put = partial(put_elements, codec if codec is not None
+                           else make_codec(self.n, f))
         self.sequence = sequence
-        self._acks = ReplyCollector(self.servers)
-        self._tag: Optional[Tag] = None
 
     def start(self) -> List[Envelope]:
+        self._phase = "put-data"
         self.rounds = 1
         self._tag = self.sequence.next_tag()
-        elements = self.codec.encode(self.value)
-        return [
-            (server, PutData(op_id=self.op_id, tag=self._tag, payload=elements[i]))
-            for i, server in enumerate(self.servers)
-        ]
-
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if self.done or not self.accepts(message) or not isinstance(message, PutAck):
-            return []
-        if message.tag != self._tag:
-            return []
-        self._acks.add(sender, message)
-        if len(self._acks) >= self.quorum:
-            self._complete(self._tag)
-        return []
+        return self.put(self, self._tag)
 
 
-class BCSRReadOperation(ClientOperation):
+class BCSRReadOperation(QuorumRead):
     """A one-shot BCSR read (Fig 5): collect ``n - f`` elements, decode.
 
     The query names the version the reader's memo last decoded (see the
     module docstring); what a :class:`DataHeld` stands for is captured
     at :meth:`start`, as for :class:`~repro.core.bsr.BSRReadOperation`.
     """
-
-    kind = "read"
 
     def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
                  codec: Optional[StripedCodec] = None,
@@ -241,41 +225,20 @@ class BCSRReadOperation(ClientOperation):
         self.codec = codec if codec is not None else make_codec(self.n, f)
         self.initial_value = initial_value
         self.reader_state = reader_state if reader_state is not None else DecodeMemo()
-        self._replies = ReplyCollector(self.servers)
         self._server_index: Dict[ProcessId, int] = {
             server: i for i, server in enumerate(self.servers)
         }
-        #: Server -> the reply its :class:`DataHeld` stands for.
-        self._held: Dict[ProcessId, DataReply] = {}
 
-    def start(self) -> List[Envelope]:
-        self.rounds = 1
+    def query(self) -> Tuple[List[Envelope], Dict[ProcessId, DataReply]]:
         memo = self.reader_state
-        envelopes, self._held = held_query(self, memo.tag, {
+        return held_query(self, memo.tag, {
             self.servers[p]: CodedElement(p, memo.verified[p])
             for p in memo.named})
-        return envelopes
 
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if self.done or not self.accepts(message):
-            return []
-        if isinstance(message, DataReply):
-            self._replies.add(sender, message)
-        elif isinstance(message, DataHeld):
-            stand_in = self._held.get(sender)
-            if stand_in is None or not self._replies.add(sender, stand_in):
-                return []
-            self.reader_state.held_replies += 1
-        else:
-            return []
-        if len(self._replies) >= self.quorum:
-            self._finish()
-        return []
-
-    def _finish(self) -> None:
+    def select(self, replies: Dict[ProcessId, Any]) -> List[Envelope]:
         elements = []
         tags = []
-        for server, reply in self._replies.replies.items():
+        for server, reply in replies.items():
             payload = reply.payload
             # A coded element's position is bound to the authenticated
             # sender, so a Byzantine server can corrupt its *data* but not
@@ -293,6 +256,7 @@ class BCSRReadOperation(ClientOperation):
             self._name_version(elements, tags)
         self._tag = None
         self._complete(value)
+        return []
 
     def _name_version(self, elements: List[CodedElement],
                       tags: List[Any]) -> None:
@@ -303,14 +267,11 @@ class BCSRReadOperation(ClientOperation):
         no tag has that many.
         """
         memo = self.reader_state
-        verified = memo.verified
-        by_tag: Dict[Tag, List[int]] = {}
-        for element, tag in zip(elements, tags):
-            if (isinstance(tag, Tag)
-                    and verified.get(element.index) == element.data):
-                by_tag.setdefault(tag, []).append(element.index)
-        named = [tag for tag, positions in by_tag.items()
-                 if len(positions) >= witness_threshold(self.f)]
-        memo.tag = max(named) if named else None
-        memo.named = (frozenset(by_tag[memo.tag]) if named
+        columns = [(element.index, tag, None)
+                   for element, tag in zip(elements, tags)
+                   if memo.verified.get(element.index) == element.data]
+        named = witnessed(columns, self.f)
+        memo.tag = max(named).tag if named else None
+        memo.named = (frozenset(index for index, tag, _ in columns
+                                if tag == memo.tag) if named
                       else frozenset())

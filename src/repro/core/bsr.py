@@ -30,8 +30,7 @@ by :meth:`~repro.protocols.fleet.Fleet.build`.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.messages import (
     DataHeld,
@@ -44,8 +43,7 @@ from repro.core.messages import (
     TagReply,
     stored_size,
 )
-from repro.core.operation import ClientOperation, ReplyCollector, held_query
-from repro.core.quorum import witness_threshold
+from repro.core.operation import QuorumRead, held_query, witnessed
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue, tag_in_range
 from repro.types import Envelope, ProcessId
 
@@ -163,7 +161,7 @@ class BSRReaderState:
         return held
 
 
-class BSRReadOperation(ClientOperation):
+class BSRReadOperation(QuorumRead):
     """A one-shot BSR read (Fig 2).
 
     ``repair=True`` enables *read repair* (an extension, not in the paper):
@@ -182,50 +180,33 @@ class BSRReadOperation(ClientOperation):
     tag this query named, not whatever the reader holds now.
     """
 
-    kind = "read"
-
     def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
                  reader_state: Optional[BSRReaderState] = None,
                  repair: bool = False) -> None:
         super().__init__(client_id, servers, f)
         self.reader_state = reader_state if reader_state is not None else BSRReaderState()
         self.repair = repair
-        self._replies = ReplyCollector(self.servers)
-        #: Server -> the reply its :class:`DataHeld` stands for: the pair
-        #: the query named, captured at start (empty when it named none).
-        self._held: Dict[ProcessId, DataReply] = {}
 
-    def start(self) -> List[Envelope]:
-        self.rounds = 1
+    def query(self) -> Tuple[List[Envelope], Dict[ProcessId, DataReply]]:
         local = self.reader_state.local
         # local never falls below TAG_ZERO, which names nothing.
-        envelopes, self._held = held_query(
-            self, local.tag, dict.fromkeys(self.servers, local.value)
-            if local.tag != TAG_ZERO else {})
-        return envelopes
+        return held_query(self, local.tag, dict.fromkeys(self.servers, local.value)
+                          if local.tag != TAG_ZERO else {})
 
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if self.done or not self.accepts(message):
-            return []
-        if isinstance(message, DataReply):
-            if not isinstance(message.tag, Tag):
-                return []  # malformed Byzantine reply
-            self._replies.add(sender, message)
-        elif isinstance(message, DataHeld):
-            stand_in = self._held.get(sender)
-            if stand_in is None or not self._replies.add(sender, stand_in):
-                return []
-            self.reader_state.held_replies += 1
-        else:
-            return []
-        if len(self._replies) >= self.quorum:
-            return self._finish()
-        return []
+    def admits(self, message: Any) -> bool:
+        # A reply whose tag is not a Tag is malformed: it is not counted.
+        return isinstance(message, DataReply) and isinstance(message.tag, Tag)
 
-    def _finish(self) -> List[Envelope]:
-        # Fig 2 line 5: pairs witnessed by at least f + 1 distinct servers.
-        witnessed = self._witnessed_pairs()
-        best = max(witnessed, key=lambda tv: tv.tag) if witnessed else None
+    def _reported(self, replies: Dict[ProcessId, Any]) -> List[Tuple[ProcessId, Any, Any]]:
+        """``(server, tag, value)`` of each pair the replies report."""
+        return [(server, reply.tag, reply.payload)
+                for server, reply in replies.items()]
+
+    def select(self, replies: Dict[ProcessId, Any]) -> List[Envelope]:
+        # Fig 2 lines 5-8: the highest pair witnessed by at least f + 1
+        # distinct servers, else the last value this reader returned.
+        pairs = witnessed(self._reported(replies), self.f)
+        best = max(pairs, key=lambda tv: tv.tag) if pairs else None
         if best is not None:
             self.reader_state.update(best)
         self._tag = self.reader_state.local.tag
@@ -235,23 +216,3 @@ class BSRReadOperation(ClientOperation):
             return self.broadcast(PutData(op_id=self.op_id, tag=best.tag,
                                           payload=best.value))
         return []
-
-    def _witnessed_pairs(self) -> List[TaggedValue]:
-        replies = list(self._replies.values())
-        # Fast path: in a quiet system every server returns the same
-        # pair, and quorum >= f + 1 witnesses it outright -- no need to
-        # hash every (tag, value) into a Counter.
-        first = replies[0]
-        if (len(replies) >= witness_threshold(self.f)
-                and all(reply.tag == first.tag
-                        and reply.payload == first.payload
-                        for reply in replies[1:])):
-            return [TaggedValue(first.tag, first.payload)]
-        counts: Counter = Counter()
-        for reply in replies:
-            try:
-                counts[TaggedValue(reply.tag, reply.payload)] += 1
-            except TypeError:
-                continue  # unhashable junk from a Byzantine server
-        threshold = witness_threshold(self.f)
-        return [pair for pair, count in counts.items() if count >= threshold]

@@ -10,9 +10,11 @@ Operations track their round count so the round-complexity experiment (E7)
 can read it off directly instead of inferring it from timings.
 
 Every register here writes the same way (:class:`WriteOperation`), the
-two atomic reads (ABD, MPR) end with the same write-back round
-(:class:`WriteBackRead`), and the one-shot reads that name what they
-already hold (BSR, BCSR) build their query with :func:`held_query`.
+one-shot reads (BSR, history, BCSR) walk the same way (:class:`QuorumRead`:
+one query, ``n - f`` replies, select), the two atomic reads (ABD, MPR) end
+with the same write-back round (:class:`WriteBackRead`), and every read
+that believes a pair on ``f + 1`` witnesses counts them with
+:func:`witnessed`.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from __future__ import annotations
 import abc
 import itertools
 import os
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from collections import Counter
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.core.messages import (
+    DataHeld,
     DataReply,
     PutAck,
     PutData,
@@ -31,7 +36,7 @@ from repro.core.messages import (
     QueryTag,
     TagReply,
 )
-from repro.core.quorum import kth_highest
+from repro.core.quorum import kth_highest, witness_threshold
 from repro.core.tags import Tag, TaggedValue
 from repro.errors import ProtocolError
 from repro.types import Envelope, ProcessId
@@ -162,6 +167,50 @@ class ReplyCollector:
         return list(self._replies.values())
 
 
+def witnessed(pairs: Iterable[Tuple[ProcessId, Any, Any]], f: int
+              ) -> List[TaggedValue]:
+    """The pairs more than ``f`` servers reported, in first-seen order.
+
+    ``pairs`` yields ``(server, tag, value)``, one entry per pair a
+    server reported.  A server witnesses a pair once however often it
+    repeats it, and an entry whose tag is not a :class:`Tag` or whose
+    value is unhashable is Byzantine junk, skipped.  With ``f`` the fault
+    bound the threshold is Lemma 5's ``f + 1``.  Results keep the order
+    their pairs were first seen in, so ``max`` breaks ties by it.
+    """
+    pairs = pairs if isinstance(pairs, list) else list(pairs)
+    if not pairs:
+        return []
+    threshold = witness_threshold(f)
+    _, first_tag, first_value = pairs[0]
+    # Fast path: in a quiet system every server reports the same pair,
+    # so there is no need to hash every (tag, value) into a Counter.
+    if (isinstance(first_tag, Tag)
+            and all(tag == first_tag and value == first_value
+                    for _, tag, value in pairs[1:])):
+        try:
+            hash(first_value)
+        except TypeError:
+            return []  # an unhashable value: junk
+        if len({server for server, _, _ in pairs}) < threshold:
+            return []
+        return [TaggedValue(first_tag, first_value)]
+    counts: Counter = Counter()
+    seen = set()
+    for server, tag, value in pairs:
+        if not isinstance(tag, Tag):
+            continue  # junk
+        pair = TaggedValue(tag, value)
+        try:
+            if (server, pair) in seen:
+                continue  # a server witnesses a pair once
+        except TypeError:
+            continue  # an unhashable value: junk too
+        seen.add((server, pair))
+        counts[pair] += 1
+    return [pair for pair, count in counts.items() if count >= threshold]
+
+
 def held_query(op: ClientOperation, tag: Any, held: Mapping[ProcessId, Any]
                ) -> Tuple[List[Envelope], Dict[ProcessId, DataReply]]:
     """A conditional read's query round, and what each held answer stands for.
@@ -171,9 +220,8 @@ def held_query(op: ClientOperation, tag: Any, held: Mapping[ProcessId, Any]
     server, BCSR's verified column per position.  Those servers are asked
     ``QueryDataHeld(tag)`` and the rest plain ``QueryData``; the map
     returned is the :class:`DataReply` a :class:`DataHeld` from each named
-    server counts as.  A read calls this once, in ``start()``, so a held
-    answer stands for what its query named, whatever the reader's state
-    holds by the time the answer arrives.
+    server counts as.  A :class:`QuorumRead` calls this from its
+    ``query()``, once, at ``start()``.
     """
     if not held:
         return op.broadcast(QueryData(op_id=op.op_id)), {}
@@ -196,6 +244,66 @@ def held_query(op: ClientOperation, tag: Any, held: Mapping[ProcessId, Any]
                 op_id=op.op_id, tag=tag, payload=payload)
         stand_ins[server] = reply
     return envelopes, stand_ins
+
+
+class QuorumRead(ClientOperation):
+    """The one-shot read walk: one query, ``n - f`` replies, select.
+
+    Figs. 2 and 5 and Section III-C(a) all read this way; a reader
+    supplies its :meth:`query`, which replies it :meth:`admits`, and its
+    :meth:`select`, called once on the first ``n - f`` servers' replies.
+    A *held* answer (:meth:`is_held`) carries nothing: it counts as the
+    reply ``_held`` maps its server to, which the query fixed at
+    :meth:`start` -- what the query named, whatever the reader's state
+    holds by the time the answer arrives -- and as one of the reader
+    state's ``held_replies``.
+    """
+
+    kind = "read"
+
+    def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId],
+                 f: int) -> None:
+        super().__init__(client_id, servers, f)
+        self._replies = ReplyCollector(self.servers)
+        #: Server -> the reply its held answer stands for (empty when the
+        #: query named nothing).
+        self._held: Dict[ProcessId, Any] = {}
+
+    @abc.abstractmethod
+    def query(self) -> Tuple[List[Envelope], Dict[ProcessId, Any]]:
+        """The query's envelopes, and what each held answer stands for."""
+
+    def admits(self, message: Any) -> bool:
+        """Whether ``message`` is a full reply this read folds in."""
+        return isinstance(message, DataReply)
+
+    def is_held(self, message: Any) -> bool:
+        """Whether ``message`` is a held answer."""
+        return type(message) is DataHeld
+
+    @abc.abstractmethod
+    def select(self, replies: Dict[ProcessId, Any]) -> List[Envelope]:
+        """Act on ``n - f`` servers' replies: complete the read, or start
+        its next round; returns the envelopes to send."""
+
+    def start(self) -> List[Envelope]:
+        self.rounds = 1
+        envelopes, self._held = self.query()
+        return envelopes
+
+    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
+        if self.done or not self.accepts(message):
+            return []
+        if self._held and self.is_held(message):
+            stand_in = self._held.get(sender)
+            if stand_in is None or not self._replies.add(sender, stand_in):
+                return []
+            self.reader_state.held_replies += 1
+        elif not (self.admits(message) and self._replies.add(sender, message)):
+            return []
+        if len(self._replies) < self.quorum:
+            return []
+        return self.select(self._replies.replies)
 
 
 def put_data(op: "WriteOperation", tag: Tag) -> List[Envelope]:
@@ -285,7 +393,8 @@ class WriteBackRead(ClientOperation):
     read returns its value on ``n - f`` acks for its tag.  Subclasses
     (or a mixin after this class) fold first-round replies in with
     ``_select(sender, message)``, which returns the pair once one is
-    chosen (``None`` until then).
+    chosen (``None`` until then); ``_replies`` is there for a ``_select``
+    that counts ``n - f`` of them (ABD).
     """
 
     kind = "read"
@@ -294,6 +403,7 @@ class WriteBackRead(ClientOperation):
                  f: int) -> None:
         super().__init__(client_id, servers, f)
         self._chosen: Optional[TaggedValue] = None
+        self._replies = ReplyCollector(self.servers)
         self._acks = ReplyCollector(self.servers)
 
     def start(self) -> List[Envelope]:

@@ -34,10 +34,9 @@ value written under that tag and waits for ``f + 1`` matching replies.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bsr import BSRReaderState, BSRServer
+from repro.core.bsr import BSRReaderState, BSRReadOperation, BSRServer
 from repro.core.messages import (
     HistoryReply,
     QueryHistory,
@@ -45,12 +44,10 @@ from repro.core.messages import (
     QueryTagHistory,
     QueryValue,
     TagHistoryReply,
-    TagReply,
     ValueReply,
     items,
 )
-from repro.core.operation import ClientOperation, ReplyCollector
-from repro.core.quorum import witness_threshold
+from repro.core.operation import QuorumRead, witnessed
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.types import Envelope, ProcessId
 
@@ -96,125 +93,83 @@ class RegularBSRServer(BSRServer):
                                     payload=None))]
 
 
-class HistoryReadOperation(ClientOperation):
-    """Variant (a): one-shot read over full histories.
+class HistoryReadOperation(BSRReadOperation):
+    """Variant (a): BSR's one-shot read (Fig 2) over full histories.
 
-    A reader holding a pair names its tag (see the module docstring);
-    an answer with no pair above it counts as a held reply.
+    Each server witnesses every distinct pair of its history.  A reader
+    holding a pair names its tag (see the module docstring); an answer
+    with no pair above it is a held answer.
     """
 
-    kind = "read"
-
     def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
                  reader_state: Optional[BSRReaderState] = None) -> None:
-        super().__init__(client_id, servers, f)
-        self.reader_state = reader_state if reader_state is not None else BSRReaderState()
-        self._replies = ReplyCollector(self.servers)
-        self._conditional = False
+        super().__init__(client_id, servers, f, reader_state)  # no repair
 
-    def start(self) -> List[Envelope]:
-        self.rounds = 1
+    def query(self) -> Tuple[List[Envelope], Dict[ProcessId, HistoryReply]]:
         local = self.reader_state.local
-        if local.tag != TAG_ZERO:  # local never falls below TAG_ZERO
-            self._conditional = True
-            return self.broadcast(QueryHistoryAbove(op_id=self.op_id,
-                                                    tag=local.tag))
-        return self.broadcast(QueryHistory(op_id=self.op_id))
+        if local.tag == TAG_ZERO:  # local never falls below TAG_ZERO
+            return self.broadcast(QueryHistory(op_id=self.op_id)), {}
+        nothing_above = HistoryReply(op_id=self.op_id, history=())
+        return (self.broadcast(QueryHistoryAbove(op_id=self.op_id, tag=local.tag)),
+                dict.fromkeys(self.servers, nothing_above))
 
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if self.done or not self.accepts(message) or not isinstance(message, HistoryReply):
-            return []
-        if (self._replies.add(sender, message) and self._conditional
-                and message.history == ()):
-            self.reader_state.held_replies += 1
-        if len(self._replies) >= self.quorum:
-            self._finish()
-        return []
+    def admits(self, message: Any) -> bool:
+        return isinstance(message, HistoryReply)
 
-    def _finish(self) -> None:
-        counts: Counter = Counter()
-        for reply in self._replies.values():
-            seen = set()
-            for pair in items(reply.history):
-                if not isinstance(pair, TaggedValue) or not isinstance(pair.tag, Tag):
-                    continue  # Byzantine junk
-                try:
-                    if pair in seen:
-                        continue  # a server is counted once per distinct pair
-                    seen.add(pair)
-                except TypeError:
-                    continue  # an unhashable value: junk too
-                counts[pair] += 1
-        threshold = witness_threshold(self.f)
-        witnessed = [pair for pair, count in counts.items() if count >= threshold]
-        if witnessed:
-            self.reader_state.update(max(witnessed, key=lambda tv: tv.tag))
-        self._tag = self.reader_state.local.tag
-        self._complete(self.reader_state.local.value)
+    def is_held(self, message: Any) -> bool:
+        return isinstance(message, HistoryReply) and message.history == ()
+
+    def _reported(self, replies: Dict[ProcessId, Any]) -> List[Tuple[ProcessId, Any, Any]]:
+        return [(server, pair.tag, pair.value)
+                for server, reply in replies.items()
+                for pair in items(reply.history)
+                if isinstance(pair, TaggedValue)]
 
 
-class TwoRoundReadOperation(ClientOperation):
-    """Variant (b): a slow (two-round) regular read."""
+class TwoRoundReadOperation(QuorumRead):
+    """Variant (b): a slow (two-round) regular read.
 
-    kind = "read"
+    Round 1 is the one-shot walk over tag histories; round 2 asks for the
+    value under the target tag and returns once ``f + 1`` servers agree.
+    """
 
     def __init__(self, client_id: ProcessId, servers: Sequence[ProcessId], f: int,
                  reader_state: Optional[BSRReaderState] = None) -> None:
         super().__init__(client_id, servers, f)
         self.reader_state = reader_state if reader_state is not None else BSRReaderState()
-        self._phase = "idle"
-        self._tag_replies = ReplyCollector(self.servers)
-        self._value_replies = ReplyCollector(self.servers)
         self._target: Optional[Tag] = None
+        #: Server -> its first round-2 reply carrying a value for the target.
+        self._values: Dict[ProcessId, ValueReply] = {}
 
-    def start(self) -> List[Envelope]:
-        self._phase = "get-tag"
-        self.rounds = 1
-        return self.broadcast(QueryTagHistory(op_id=self.op_id))
+    def query(self) -> Tuple[List[Envelope], Dict[ProcessId, Any]]:
+        return self.broadcast(QueryTagHistory(op_id=self.op_id)), {}
 
-    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        if self.done or not self.accepts(message):
-            return []
-        if self._phase == "get-tag" and isinstance(message, TagHistoryReply):
-            return self._on_tag_history(sender, message)
-        if self._phase == "get-data" and isinstance(message, ValueReply):
-            return self._on_value(sender, message)
-        return []
+    def admits(self, message: Any) -> bool:
+        return isinstance(message, TagHistoryReply)
 
-    def _on_tag_history(self, sender: ProcessId, message: TagHistoryReply) -> List[Envelope]:
-        self._tag_replies.add(sender, message)
-        if len(self._tag_replies) < self.quorum:
-            return []
-        counts: Counter = Counter()
-        for reply in self._tag_replies.values():
-            seen = set()
-            for tag in items(reply.tags):
-                if isinstance(tag, Tag) and tag not in seen:
-                    seen.add(tag)
-                    counts[tag] += 1
+    def select(self, replies: Dict[ProcessId, Any]) -> List[Envelope]:
         # 2f + 1 witnesses guarantee f + 1 correct holders (see module note);
         # TAG_ZERO is held by every correct server, so a target always exists.
-        strong = [tag for tag, count in counts.items() if count >= 2 * self.f + 1]
-        self._target = max(strong) if strong else TAG_ZERO
-        self._phase = "get-data"
+        strong = witnessed([(server, tag, None)
+                            for server, reply in replies.items()
+                            for tag in items(reply.tags)], 2 * self.f)
+        self._target = max(strong).tag if strong else TAG_ZERO
         self.rounds = 2
         return self.broadcast(QueryValue(op_id=self.op_id, tag=self._target))
 
-    def _on_value(self, sender: ProcessId, message: ValueReply) -> List[Envelope]:
-        if message.tag != self._target or message.payload is None:
+    def on_reply(self, sender: ProcessId, message: Any) -> List[Envelope]:
+        if self._target is None:
+            return super().on_reply(sender, message)
+        if (self.done or not self.accepts(message)
+                or not isinstance(message, ValueReply)
+                or message.tag != self._target or message.payload is None):
             return []
-        self._value_replies.add(sender, message)
-        counts: Counter = Counter()
-        for reply in self._value_replies.values():
-            try:
-                counts[reply.payload] += 1
-            except TypeError:
-                continue
-        threshold = witness_threshold(self.f)
-        for value, count in counts.items():
-            if count >= threshold:
-                self.reader_state.update(TaggedValue(self._target, value))
-                self._tag = self.reader_state.local.tag
-                self._complete(self.reader_state.local.value)
-                break
+        if sender in self.servers:
+            self._values.setdefault(sender, message)
+        agreed = witnessed([(server, reply.tag, reply.payload)
+                            for server, reply in self._values.items()], self.f)
+        if agreed:
+            self.reader_state.update(agreed[0])
+            self._tag = self.reader_state.local.tag
+            self._complete(self.reader_state.local.value)
         return []

@@ -7,8 +7,13 @@ import sys
 import pytest
 
 from repro.core.messages import QueryTag, TagReply
-from repro.core.operation import ClientOperation, ReplyCollector, next_op_id
-from repro.core.tags import Tag
+from repro.core.operation import (
+    ClientOperation,
+    ReplyCollector,
+    next_op_id,
+    witnessed,
+)
+from repro.core.tags import Tag, TaggedValue
 from repro.errors import ProtocolError
 
 
@@ -138,3 +143,44 @@ def test_collector_contains_and_values():
     collector.add("s002", 22)
     assert "s001" in collector and "s003" not in collector
     assert sorted(collector.values()) == [11, 22]
+
+
+OLD, NEW = Tag(1, "w000"), Tag(2, "w001")
+
+
+def alike(servers, tag=OLD, value=b"a"):
+    return [(server, tag, value) for server in servers]
+
+
+# (case, (server, tag, value) entries, f, witnessed pairs in order)
+WITNESS_CASES = [
+    ("f witnesses are not enough", alike("ab"), 2, []),
+    ("f + 1 witnesses are", alike("abc"), 2, [TaggedValue(OLD, b"a")]),
+    ("a tag that is not a Tag is junk",
+     alike("ab", tag=(1, "w000")), 1, []),
+    ("an unhashable value is junk", alike("ab", value=[1]), 1, []),
+    ("junk beside a witnessed pair",
+     [("a", "junk", b"a"), ("b", OLD, [1])] + alike("cd"), 1,
+     [TaggedValue(OLD, b"a")]),
+    ("a server repeating a pair witnesses it once", alike("aaa"), 1, []),
+    ("... also among other pairs",
+     alike("aa", NEW, b"b") + alike("b"), 1, []),
+    ("a quiet system", alike("abc"), 1, [TaggedValue(OLD, b"a")]),
+    ("a straggler beside the quiet pair",
+     alike("ab") + alike("c", NEW, b"b"), 1, [TaggedValue(OLD, b"a")]),
+    ("ties come back first seen first",
+     alike("a", NEW, b"y") + alike("bc", NEW, b"x") + alike("d", NEW, b"y"),
+     1, [TaggedValue(NEW, b"y"), TaggedValue(NEW, b"x")]),
+]
+
+
+@pytest.mark.parametrize("case, entries, f, expected", WITNESS_CASES,
+                         ids=[case[0] for case in WITNESS_CASES])
+def test_witnessed(case, entries, f, expected):
+    assert witnessed(entries, f) == expected
+    assert witnessed(iter(entries), f) == expected
+    # A trailing junk entry forces the counted path: same answer as the
+    # quiet-system fast path.
+    assert witnessed(entries + [("z", None, b"a")], f) == expected
+    if expected:  # max keeps the first of equal tags
+        assert max(expected, key=lambda tv: tv.tag) == expected[0]

@@ -7,6 +7,7 @@ checkers' sensitivity, and double as executable documentation of why each
 protocol rule exists:
 
 * witness threshold ``f + 1`` (Lemma 5)            -> GullibleReadOperation
+* one witness per server and pair (Lemma 5)      -> RepeatCountingHistoryRead
 * writes reaching ``n - f`` servers (Lemma 7)      -> ShallowWriteOperation
 * fresh tag per write (Lemma 2)                    -> NonIncrementingWrite
 """
@@ -14,11 +15,13 @@ protocol rule exists:
 import pytest
 
 from repro import RegisterSystem
+from repro.byzantine.behaviors import Behavior
 from repro.consistency import check_safety
 from repro.core.bsr import BSRReadOperation
-from repro.core.messages import PutData, QueryData
+from repro.core.messages import HistoryReply, PutData, QueryData, QueryHistory
 from repro.core.operation import ReplyCollector, WriteOperation
 from repro.core.quorum import kth_highest
+from repro.core.regular import HistoryReadOperation
 from repro.core.tags import Tag, TaggedValue
 from repro.sim.delays import ConstantDelay, RuleBasedDelays, UniformDelay
 from repro.types import server_id, writer_id
@@ -27,15 +30,34 @@ from repro.types import server_id, writer_id
 class GullibleReadOperation(BSRReadOperation):
     """MUTATION: accepts a pair on a single witness (drops Lemma 5)."""
 
-    def _witnessed_pairs(self):
-        from collections import Counter
-        counts = Counter()
-        for reply in self._replies.values():
-            try:
-                counts[TaggedValue(reply.tag, reply.payload)] += 1
-            except TypeError:
-                continue
-        return [pair for pair, count in counts.items() if count >= 1]
+    def select(self, replies):
+        self.f = 0  # selects as if no server could lie
+        return super().select(replies)
+
+
+class RepeatCountingHistoryRead(HistoryReadOperation):
+    """MUTATION: a pair a server's history repeats counts once per repeat."""
+
+    def _reported(self, replies):
+        return [((server, i), tag, value) for i, (server, tag, value)
+                in enumerate(super()._reported(replies))]
+
+
+class RepeatedForgery(Behavior):
+    """Byzantine: its history ends in one forged high-tag pair, ``f + 1``
+    times over."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def on_message(self, server, sender, message, correct_replies):
+        if not isinstance(message, QueryHistory):
+            return correct_replies
+        forged = TaggedValue(Tag(server.max_tag.num + 1_000_000,
+                                 server.server_id), b"\xde\xad")
+        return [(sender, HistoryReply(
+            op_id=message.op_id,
+            history=tuple(server.history) + (forged,) * (self.f + 1)))]
 
 
 class ShallowWriteOperation(WriteOperation):
@@ -107,6 +129,32 @@ def test_correct_reader_survives_the_same_adversary():
     system.write(b"real", writer=0, at=0.0)
     read = system.read(reader=0, at=10.0)
     trace = system.run()
+    assert read.value == b"real"
+    assert check_safety(trace, initial_value=b"v0").ok
+
+
+def history_read_against_repeated_forgery(mutant):
+    system = RegisterSystem("bsr-history", f=1, seed=4, initial_value=b"v0",
+                            byzantine={0: RepeatedForgery(f=1)},
+                            delay_model=ConstantDelay(1.0))
+    system.write(b"real", writer=0, at=0.0)
+    read = system.read(reader=0, at=10.0)
+    if mutant:
+        swap_operation_class(system, "r000", RepeatCountingHistoryRead)
+    return read, system.run()
+
+
+def test_repeat_counting_history_reader_is_caught_by_validity_check():
+    """One server repeating a forged pair f + 1 times fools the mutant."""
+    read, trace = history_read_against_repeated_forgery(mutant=True)
+    assert read.value == b"\xde\xad"
+    result = check_safety(trace, initial_value=b"v0")
+    assert not result.ok
+    assert any("clause (i)" in str(v) for v in result.violations)
+
+
+def test_correct_history_reader_survives_the_same_adversary():
+    read, trace = history_read_against_repeated_forgery(mutant=False)
     assert read.value == b"real"
     assert check_safety(trace, initial_value=b"v0").ok
 

@@ -278,3 +278,16 @@ def test_lint_allows_each_builder_in_one_module_only(dead_code_lint):
             ("fleet.py", "spec.py"))):
         assert " is called from 2 modules" in finding
         assert all(module in finding for module in pair)
+    # A read collecting its own replies beside the walks: one finding.
+    walks = {"operation.py": ast.parse(
+                 "self._replies = ReplyCollector(self.servers)\n"
+                 "self._acks = ReplyCollector(self.servers)\n"),
+             "world.py": ast.parse(
+                 "if isinstance(value, ReplyCollector):  # a name\n"
+                 "    pass\n")}
+    assert dead_code_lint.builder_findings(walks) == []
+    walks["regular.py"] = ast.parse(
+        "values = operation.ReplyCollector(self.servers)\n")
+    [finding] = dead_code_lint.builder_findings(walks)
+    assert finding.startswith("ReplyCollector( is called from 2 modules")
+    assert "operation.py" in finding and "regular.py" in finding

@@ -32,6 +32,9 @@ Ways dead or duplicate code hides in a package, all cheap to detect:
   too: the one write walk (``core/operation.py``) is the only module
   that asks for tags, so a second write cannot grow back beside it -- six
   near-copies once did, and one of them lost the writer-only start rule.
+  So does ``ReplyCollector``: the walks in ``core/operation.py`` own every
+  collector, so a read cannot count its replies, or judge its held
+  answers, in a copy of its own -- four once counted witnesses four ways.
 
 Exit status is the number of findings (0 == clean).
 """
@@ -54,7 +57,8 @@ BANNED_IO_NAMES = {"start_server", "open_connection", "StreamReader",
 #: Constructors each called from at most one module under ``src/repro/``.
 BUILDERS = ("ServerContext", "OpContext", "NamespacedOperation",
             "RegisterTable", "make_behavior", "RegisterServerNode",
-            "AsyncRegisterClient", "QueryTag", "QueryDataHeld")
+            "AsyncRegisterClient", "QueryTag", "QueryDataHeld",
+            "ReplyCollector")
 
 #: Where a reference to an exported name may live.
 REFERENCE_DIRS = ("src", "tests", "bench", "benchmarks", "examples",
@@ -180,8 +184,8 @@ def main():
         print(f"dead-code: {finding}")
     if not findings:
         print("dead-code: no shims, no unreferenced exports, no streams "
-              "or copying receivers under runtime/, one module per builder "
-              "and one write walk")
+              "or copying receivers under runtime/, one module per builder, "
+              "one write walk and one read walk")
     return len(findings)
 
 
