@@ -10,13 +10,14 @@
   pays extra server hops and reads may have to wait out the relay.
 * :mod:`repro.baselines.abd`: the classic crash-tolerant ABD atomic register
   (``n >= 2f + 1``, two-round reads and writes) as a non-Byzantine sanity
-  baseline for the workload experiments.
+  baseline for the workload experiments; its servers are plain
+  :class:`~repro.core.bsr.BSRServer` instances.
 
 Every baseline writes with the shared
 :class:`~repro.core.operation.WriteOperation`.
 """
 
-from repro.baselines.abd import ABDReadOperation, ABDServer
+from repro.baselines.abd import ABDReadOperation
 from repro.baselines.rb_register import (
     BRACHA,
     BroadcastRegisterServer,
@@ -29,6 +30,5 @@ __all__ = [
     "BroadcastRegisterServer",
     "BroadcastScheme",
     "RelayReadOperation",
-    "ABDServer",
     "ABDReadOperation",
 ]

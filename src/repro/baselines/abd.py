@@ -5,6 +5,9 @@ failures only (no Byzantine defence whatsoever -- a single lying server
 breaks it, which experiment E6 uses as a reference point for what Byzantine
 tolerance costs).
 
+* Server: a plain :class:`~repro.core.bsr.BSRServer` -- store the
+  highest-tagged pair, answer tag and data queries; the algorithms differ
+  purely on the client side.
 * Write: the shared :class:`~repro.core.operation.WriteOperation` with tag
   rank 1 -- query a majority for tags, pick ``max + 1``, put to a majority.
 * Read: query a majority for ``(tag, value)``, pick the max pair,
@@ -16,20 +19,10 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.bsr import BSRServer
 from repro.core.messages import DataReply
 from repro.core.operation import WriteBackRead
 from repro.core.tags import TaggedValue
 from repro.types import ProcessId
-
-
-class ABDServer(BSRServer):
-    """An ABD server.
-
-    State and message handling are identical to a BSR server (store the
-    highest-tagged pair, answer tag and data queries); the algorithms differ
-    purely on the client side, so we inherit.
-    """
 
 
 class ABDReadOperation(WriteBackRead):

@@ -45,12 +45,11 @@ from repro.core.messages import (
     RBEcho,
     RBReady,
     RBSend,
-    TagReply,
-    stored_size,
 )
 from repro.core.operation import ClientOperation, witnessed
 from repro.core.quorum import kth_highest
-from repro.core.tags import TAG_ZERO, Tag, TaggedValue
+from repro.core.store import RegisterStore
+from repro.core.tags import Tag, TaggedValue, tag_in_range
 from repro.types import Envelope, ProcessId
 
 
@@ -81,64 +80,81 @@ BRACHA = BroadcastScheme(
     phases={ECHO: RBEcho, READY: RBReady})
 
 
-class BroadcastRegisterServer:
-    """BSR-like storage + broadcast participation + relay to readers."""
+class RelayServer(RegisterStore):
+    """The register store of a mesh server, relaying to pending readers.
+
+    What the broadcast registers and MPR share: both answer queries from
+    the store, and both *adopt, then push*: a pair that entered ``L`` is
+    sent as :class:`PushData` to every reader with a pending query, so
+    stuck reads can converge on ``f + 1`` witnesses.  There is no direct
+    ``PUT-DATA`` store path: a pair reaches ``L`` only through the
+    protocol's own dissemination (a delivered broadcast, an
+    echo-validated write), so a Byzantine peer cannot put one around it.
+    """
 
     def __init__(self, server_id: ProcessId, peers: Sequence[ProcessId], f: int,
-                 scheme: BroadcastScheme, initial_value: Any = b"") -> None:
-        self.server_id = server_id
+                 initial_value: Any = b"",
+                 max_history: Optional[int] = None) -> None:
+        super().__init__(server_id, initial_value, max_history)
         self.peers = list(peers)
         self.f = f
-        self.scheme = scheme
-        self.history: List[TaggedValue] = [TaggedValue(TAG_ZERO, initial_value)]
-        self.broadcast = scheme.instance(server_id, self.peers, f)
         #: reader -> op_id of its most recent (assumed pending) query.
         self._pending_readers: Dict[ProcessId, int] = {}
+
+    def handle(self, sender: ProcessId, message: Any) -> List[Envelope]:
+        """Answer the queries; everything else is ignored."""
+        if isinstance(message, QueryTag):
+            return self._get_tag_resp(sender, message)
+        if isinstance(message, QueryData):
+            self._pending_readers[sender] = message.op_id
+            return self._get_data_resp(sender, message)
+        return []
+
+    @staticmethod
+    def _key(message: Any) -> Tuple[str, int]:
+        """The dissemination instance ``message`` belongs to."""
+        return (message.source, message.op_id)
+
+    def _adopt_and_push(self, pair: TaggedValue) -> List[Envelope]:
+        """Adopt ``pair``; if it entered ``L``, push it to pending readers."""
+        if not self.adopt(pair):
+            return []
+        return [(reader, PushData(op_id=read_op_id, tag=pair.tag,
+                                  payload=pair.value))
+                for reader, read_op_id in self._pending_readers.items()]
+
+
+class BroadcastRegisterServer(RelayServer):
+    """The relaying register store + broadcast participation."""
+
+    def __init__(self, server_id: ProcessId, peers: Sequence[ProcessId], f: int,
+                 scheme: BroadcastScheme, initial_value: Any = b"",
+                 max_history: Optional[int] = None) -> None:
+        super().__init__(server_id, peers, f, initial_value, max_history)
+        self.scheme = scheme
+        self.broadcast = scheme.instance(server_id, self.peers, f)
         #: broadcast instances we already acked, to dedupe deliveries.
         self._acked: Set[Any] = set()
 
-    @property
-    def latest(self) -> TaggedValue:
-        """The stored pair with the highest tag."""
-        return self.history[-1]
-
-    @property
-    def max_tag(self) -> Tag:
-        """The highest stored tag."""
-        return self.history[-1].tag
-
-    def storage_bytes(self) -> int:
-        """Bytes of user data stored (full replication, like BSR)."""
-        return stored_size(self.latest.value)
-
-    # -- message handling ---------------------------------------------------
     def handle(self, sender: ProcessId, message: Any) -> List[Envelope]:
         """Dispatch one incoming message; returns outgoing envelopes."""
-        if isinstance(message, QueryTag):
-            return [(sender, TagReply(op_id=message.op_id, tag=self.max_tag))]
-        if isinstance(message, QueryData):
-            self._pending_readers[sender] = message.op_id
-            latest = self.latest
-            return [(sender, DataReply(op_id=message.op_id, tag=latest.tag,
-                                       payload=latest.value))]
         scheme = self.scheme
         if type(message) is scheme.start:
-            # Writer-only: a start from a peer is a Byzantine forgery.
-            if sender in self.peers:
+            # Writer-only: a start from a peer is a Byzantine forgery.  A
+            # tag out of range is refused where it enters, as by the store.
+            if sender in self.peers or not tag_in_range(message.tag):
                 return []
             return self._rb_outputs(message, scheme.on_start(
                 self.broadcast, self._key(message),
                 (message.tag, message.payload)))
         relay = scheme.relays.get(type(message))
         if relay is None:
+            return super().handle(sender, message)
+        if not tag_in_range(message.tag):
             return []
         return self._rb_outputs(message, relay(
             self.broadcast, self._key(message),
             (message.tag, message.payload), sender))
-
-    @staticmethod
-    def _key(message: Any) -> Tuple[str, int]:
-        return (message.source, message.op_id)
 
     def _rb_outputs(self, message: Any, outputs) -> List[Envelope]:
         envelopes: List[Envelope] = []
@@ -151,25 +167,12 @@ class BroadcastRegisterServer:
                 envelopes.extend((peer, relayed) for peer in self.peers)
             elif action == "deliver":
                 tag, value = arg1
-                envelopes.extend(self._deliver(message, tag, value))
-        return envelopes
-
-    def _deliver(self, message: Any, tag: Tag, value: Any) -> List[Envelope]:
-        envelopes: List[Envelope] = []
-        if tag > self.max_tag:
-            self.history.append(TaggedValue(tag, value))
-            # Relay: push the fresh pair to every reader with a pending query
-            # so stuck reads can converge on f + 1 witnesses.
-            for reader, read_op_id in self._pending_readers.items():
-                envelopes.append(
-                    (reader, PushData(op_id=read_op_id, tag=tag, payload=value))
-                )
-        key = self._key(message)
-        if key not in self._acked:
-            self._acked.add(key)
-            envelopes.append(
-                (message.source, PutAck(op_id=message.op_id, tag=tag))
-            )
+                envelopes.extend(self._adopt_and_push(TaggedValue(tag, value)))
+                key = self._key(message)
+                if key not in self._acked:
+                    self._acked.add(key)
+                    envelopes.append(
+                        (message.source, PutAck(op_id=message.op_id, tag=tag)))
         return envelopes
 
 

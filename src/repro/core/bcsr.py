@@ -4,8 +4,8 @@ Faithful implementation of Figures 4-6 on top of the ``[n, k]``
 Reed-Solomon code with ``k = n - 5f`` (Section IV-A, error budget
 ``e = 2f``):
 
-* **Server** (Fig 6): identical to BSR except that it stores its own coded
-  element ``c_i`` instead of the full value.
+* **Server** (Fig 6): a BSR server that stores its own coded element
+  ``c_i`` instead of the full value.
 * **Write** (Fig 4): the same two phases as BSR (the shared
   :class:`~repro.core.operation.WriteOperation`), but ``put-data`` sends
   server ``i`` only its element ``c_i = Phi_i(v)`` (:func:`coded_write`).
@@ -36,16 +36,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.messages import (
-    DataHeld,
-    DataReply,
-    PutAck,
-    PutData,
-    QueryData,
-    QueryDataHeld,
-    QueryTag,
-    TagReply,
-)
+from repro.core.bsr import BSRServer
+from repro.core.messages import DataReply, PutData
 from repro.core.operation import (
     QuorumRead,
     WriteOperation,
@@ -53,7 +45,7 @@ from repro.core.operation import (
     witnessed,
 )
 from repro.core.quorum import bcsr_dimension
-from repro.core.tags import TAG_ZERO, Tag, TaggedValue, tag_in_range
+from repro.core.tags import Tag
 from repro.erasure.striping import CodedElement, DecodeMemo, StripedCodec
 from repro.errors import DecodingError
 from repro.types import Envelope, ProcessId
@@ -64,15 +56,12 @@ def make_codec(n: int, f: int) -> StripedCodec:
     return StripedCodec(n, bcsr_dimension(n, f))
 
 
-class BCSRServer:
-    """State machine for one BCSR server (Fig 6).
+class BCSRServer(BSRServer):
+    """State machine for one BCSR server (Fig 6): a BSR server whose
+    values are its own coded elements.
 
     ``index`` is the server's zero-based codeword position; the initial
     history entry holds the server's coded element of the initial value.
-    Replies only ever carry the newest element, so a deployment builds
-    every correct BCSR server with ``max_history=1``
-    (:meth:`~repro.protocols.fleet.Fleet.server`); a Byzantine one keeps
-    the deployment's bound.
     """
 
     def __init__(self, server_id: ProcessId, index: int, codec: StripedCodec,
@@ -80,50 +69,15 @@ class BCSRServer:
                  max_history: Optional[int] = None) -> None:
         if not 0 <= index < codec.n:
             raise ValueError(f"server index {index} outside codeword [0, {codec.n})")
-        if max_history is not None and max_history < 1:
-            raise ValueError("max_history must be at least 1")
-        self.server_id = server_id
+        super().__init__(server_id, codec.encode(initial_value)[index],
+                         max_history)
         self.index = index
         self.codec = codec
-        self.max_history = max_history
-        initial_element = codec.encode(initial_value)[index]
-        self.history: List[TaggedValue] = [TaggedValue(TAG_ZERO, initial_element)]
-
-    @property
-    def latest(self) -> TaggedValue:
-        """The ``(tag, coded element)`` pair with the highest tag."""
-        return self.history[-1]
-
-    @property
-    def max_tag(self) -> Tag:
-        """The highest tag in ``L``."""
-        return self.history[-1].tag
 
     def storage_bytes(self) -> int:
         """Bytes of coded data currently stored (for experiment E4)."""
         element = self.latest.value
         return len(element.data) if isinstance(element, CodedElement) else 0
-
-    def handle(self, sender: ProcessId, message: Any) -> List[Envelope]:
-        """Dispatch one incoming message; returns outgoing envelopes."""
-        if isinstance(message, QueryTag):
-            return [(sender, TagReply(op_id=message.op_id, tag=self.max_tag))]
-        if isinstance(message, PutData):
-            if not tag_in_range(message.tag):
-                return []  # refused where it enters, as in BSRServer
-            if message.tag > self.max_tag:
-                self.history.append(TaggedValue(message.tag, message.payload))
-                if (self.max_history is not None
-                        and len(self.history) > self.max_history):
-                    del self.history[: len(self.history) - self.max_history]
-            return [(sender, PutAck(op_id=message.op_id, tag=message.tag))]
-        if isinstance(message, QueryData):
-            latest = self.latest
-            if type(message) is QueryDataHeld and message.tag == latest.tag:
-                return [(sender, DataHeld(op_id=message.op_id))]
-            return [(sender, DataReply(op_id=message.op_id, tag=latest.tag,
-                                       payload=latest.value))]
-        return []
 
 
 def put_elements(codec: StripedCodec, op: WriteOperation,

@@ -2,10 +2,11 @@
 
 Faithful implementation of Figures 1-3:
 
-* **Server** (Fig 3): keeps a list ``L`` of ``(tag, value)`` pairs; answers
-  ``QUERY-TAG`` with its maximum tag, stores ``PUT-DATA`` pairs whose tag
-  exceeds its current maximum, and answers ``QUERY-DATA`` with the pair
-  holding the highest tag.
+* **Server** (Fig 3): keeps a list ``L`` of ``(tag, value)`` pairs (the
+  :class:`~repro.core.store.RegisterStore`); answers ``QUERY-TAG`` with
+  its maximum tag, stores ``PUT-DATA`` pairs whose tag exceeds its current
+  maximum, and answers ``QUERY-DATA`` with the pair holding the highest
+  tag.
 * **Write** (Fig 1): ``get-tag`` collects ``n - f`` tag replies and selects
   the ``(f+1)``-th highest tag ``t``; ``put-data`` sends
   ``(t.num + 1, writer)`` with the value and waits for ``n - f`` acks --
@@ -33,64 +34,29 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.messages import (
-    DataHeld,
     DataReply,
     PutAck,
     PutData,
     QueryData,
-    QueryDataHeld,
     QueryTag,
-    TagReply,
     stored_size,
 )
 from repro.core.operation import QuorumRead, held_query, witnessed
+from repro.core.store import RegisterStore
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue, tag_in_range
 from repro.types import Envelope, ProcessId
 
 
-class BSRServer:
-    """State machine for one BSR server (Fig 3).
+class BSRServer(RegisterStore):
+    """State machine for one BSR server (Fig 3): the register store plus
+    the direct ``PUT-DATA`` path.
 
-    ``max_history`` bounds the length of ``L`` (the paper keeps it
-    unbounded): after every store the oldest entries beyond the bound are
-    pruned, newest kept.  Plain BSR only ever serves the newest pair, so
-    pruning is invisible to it, and a deployment builds every correct
-    plain-BSR server with ``max_history=1``
-    (:meth:`~repro.protocols.fleet.Fleet.server`); the *history* read
-    variant keeps the deployment's bound and trades regularity coverage
-    for the reclaimed space -- see the E12 ablation.
+    Plain BSR only ever serves the newest pair, so pruning ``L`` to
+    ``max_history`` is invisible to it (see :class:`RegisterStore`); the
+    *history* read variant keeps the deployment's bound and trades
+    regularity coverage for the reclaimed space.
     """
 
-    def __init__(self, server_id: ProcessId, initial_value: Any = b"",
-                 max_history: Optional[int] = None) -> None:
-        if max_history is not None and max_history < 1:
-            raise ValueError("max_history must be at least 1")
-        self.server_id = server_id
-        self.max_history = max_history
-        #: The write history ``L``; ``L[0]`` is the initial pair.  Kept in
-        #: ascending tag order (puts only append strictly higher tags).
-        self.history: List[TaggedValue] = [TaggedValue(TAG_ZERO, initial_value)]
-
-    # -- state inspection ---------------------------------------------------
-    @property
-    def latest(self) -> TaggedValue:
-        """The pair with the highest tag in ``L``."""
-        return self.history[-1]
-
-    @property
-    def max_tag(self) -> Tag:
-        """The highest tag in ``L``."""
-        return self.history[-1].tag
-
-    def storage_bytes(self) -> int:
-        """Approximate bytes of user data stored (for experiment E4).
-
-        Charges only the *current* value, matching the replication baseline
-        of Section I-C where each server stores one copy of the register.
-        """
-        return stored_size(self.latest.value)
-
-    # -- message handling -----------------------------------------------------
     def handle(self, sender: ProcessId, message: Any) -> List[Envelope]:
         """Dispatch one incoming message; returns outgoing envelopes."""
         # QueryData first: reads are one round of them, and the paper's
@@ -100,38 +66,15 @@ class BSRServer:
         if isinstance(message, QueryTag):
             return self._get_tag_resp(sender, message)
         if isinstance(message, PutData):
-            return self._put_data_resp(sender, message)
-        # Unknown messages are ignored (a correct server never crashes on
-        # garbage a Byzantine client might send).
+            # The ack is unconditional for a tag in range (Fig 3 line 7):
+            # late or duplicate puts still get acknowledged, otherwise slow
+            # writers would block forever.
+            if (self.adopt(TaggedValue(message.tag, message.payload))
+                    or tag_in_range(message.tag)):
+                return [(sender, PutAck(op_id=message.op_id, tag=message.tag))]
+        # Unknown messages, and puts out of range, are ignored (a correct
+        # server never crashes on garbage a Byzantine client might send).
         return []
-
-    def _get_tag_resp(self, sender: ProcessId, message: QueryTag) -> List[Envelope]:
-        return [(sender, TagReply(op_id=message.op_id, tag=self.max_tag))]
-
-    def _put_data_resp(self, sender: ProcessId, message: PutData) -> List[Envelope]:
-        if not tag_in_range(message.tag):
-            return []  # refused where it enters: stored, it could never leave
-        if message.tag > self.max_tag:
-            self.history.append(TaggedValue(message.tag, message.payload))
-            self._prune()
-        # The ack is unconditional (Fig 3 line 7): late or duplicate puts
-        # still get acknowledged, otherwise slow writers would block forever.
-        return [(sender, PutAck(op_id=message.op_id, tag=message.tag))]
-
-    def _prune(self) -> None:
-        if self.max_history is not None and len(self.history) > self.max_history:
-            del self.history[: len(self.history) - self.max_history]
-
-    def history_bytes(self) -> int:
-        """Approximate bytes of the whole list ``L`` (for the E12 ablation)."""
-        return sum(stored_size(pair.value) for pair in self.history)
-
-    def _get_data_resp(self, sender: ProcessId, message: QueryData) -> List[Envelope]:
-        latest = self.latest
-        if type(message) is QueryDataHeld and message.tag == latest.tag:
-            return [(sender, DataHeld(op_id=message.op_id))]
-        return [(sender, DataReply(op_id=message.op_id, tag=latest.tag,
-                                   payload=latest.value))]
 
 
 class BSRReaderState:

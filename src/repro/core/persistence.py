@@ -17,7 +17,6 @@ import base64
 import json
 from typing import Any, Optional
 
-from repro.baselines.abd import ABDServer
 from repro.core.bcsr import BCSRServer
 from repro.core.bsr import BSRServer
 from repro.core.regular import RegularBSRServer
@@ -25,11 +24,13 @@ from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.erasure.striping import CodedElement, StripedCodec
 from repro.errors import ProtocolError
 
-#: Server classes persistence understands, by stable type name.
+#: Server classes persistence understands, by stable type name.  ABD's
+#: servers were once an ``ABDServer`` class of their own; snapshots on disk
+#: that name it restore as the :class:`BSRServer` it always behaved as.
 _SERVER_TYPES = {
     "BSRServer": BSRServer,
     "RegularBSRServer": RegularBSRServer,
-    "ABDServer": ABDServer,
+    "ABDServer": BSRServer,
     "BCSRServer": BCSRServer,
 }
 

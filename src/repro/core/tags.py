@@ -9,9 +9,8 @@ thereby broken deterministically (Lemma 2, Case 2).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any
 
 from repro.types import ProcessId
 
@@ -33,8 +32,7 @@ def tag_in_range(tag: Any) -> bool:
     return type(tag) is Tag and tag.num <= TAG_MAX
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Tag:
     """A write timestamp ``(num, writer)`` with lexicographic total order."""
 
@@ -45,27 +43,9 @@ class Tag:
         if self.num < 0:
             raise ValueError(f"tag number must be non-negative, got {self.num}")
 
-    def _key(self) -> Tuple[int, ProcessId]:
-        return (self.num, self.writer)
-
-    def __lt__(self, other: "Tag") -> bool:
-        if not isinstance(other, Tag):
-            return NotImplemented
-        return self._key() < other._key()
-
     def next_for(self, writer: ProcessId) -> "Tag":
         """The tag a write by ``writer`` creates after observing this tag."""
         return Tag(self.num + 1, writer)
-
-    def to_wire(self) -> Tuple[int, str]:
-        """Serializable representation (used by the asyncio codec)."""
-        return (self.num, self.writer)
-
-    @classmethod
-    def from_wire(cls, wire: Tuple[int, str]) -> "Tag":
-        """Inverse of :meth:`to_wire`."""
-        num, writer = wire
-        return cls(int(num), str(writer))
 
     def wire_size(self) -> int:
         """Approximate on-the-wire size of a tag."""

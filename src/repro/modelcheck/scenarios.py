@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.byzantine.behaviors import Behavior, HistoryReplayBehavior
 from repro.core.bcsr import BCSRReadOperation, BCSRServer, coded_write
@@ -86,7 +86,7 @@ def bsr_preseeded_write_read(n: int, f: int = 1,
         for i, pid in enumerate(servers_ids):
             server = BSRServer(pid, initial_value=INITIAL)
             if i < n - f:  # W1's quorum: the first n - f servers
-                server.history.append(TaggedValue(first_tag, FIRST))
+                server.adopt(TaggedValue(first_tag, FIRST))
             servers[pid] = server
         behaviors: Dict[str, Behavior] = {
             server_id(i): HistoryReplayBehavior(offset=1) for i in range(liars)
@@ -132,13 +132,13 @@ def bsr_read_stage(n: int, f: int, w1_quorum: Tuple[int, ...],
         for i, pid in enumerate(servers_ids):
             server = BSRServer(pid, initial_value=INITIAL)
             if i in w1_quorum:
-                server.history.append(TaggedValue(tag1, FIRST))
+                server.adopt(TaggedValue(tag1, FIRST))
             else:
                 leftovers.append(
                     (writer_id(0), pid, PutData(op_id=10_001, tag=tag1,
                                                 payload=FIRST)))
             if i in w2_quorum:
-                server.history.append(TaggedValue(tag2, SECOND))
+                server.adopt(TaggedValue(tag2, SECOND))
             else:
                 leftovers.append(
                     (writer_id(1), pid, PutData(op_id=10_002, tag=tag2,
@@ -189,13 +189,13 @@ def bcsr_read_stage(n: int, f: int, w1_quorum: Tuple[int, ...],
         for i, pid in enumerate(servers_ids):
             server = BCSRServer(pid, i, codec, initial_value=INITIAL)
             if i in w1_quorum:
-                server.history.append(TaggedValue(tag1, elements1[i]))
+                server.adopt(TaggedValue(tag1, elements1[i]))
             else:
                 leftovers.append(
                     (writer_id(0), pid, PutData(op_id=10_001, tag=tag1,
                                                 payload=elements1[i])))
             if i in w2_quorum:
-                server.history.append(TaggedValue(tag2, elements2[i]))
+                server.adopt(TaggedValue(tag2, elements2[i]))
             else:
                 leftovers.append(
                     (writer_id(1), pid, PutData(op_id=10_002, tag=tag2,

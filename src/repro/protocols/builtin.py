@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.baselines.abd import ABDReadOperation, ABDServer
+from repro.baselines.abd import ABDReadOperation
 from repro.baselines.rb_register import (
     BRACHA,
     BroadcastRegisterServer,
@@ -140,7 +140,7 @@ RB = register(ProtocolSpec(
     read_rounds="1+relay",
     make_server=lambda ctx: BroadcastRegisterServer(
         ctx.server_id, ctx.servers, ctx.f, BRACHA,
-        initial_value=ctx.initial_value),
+        initial_value=ctx.initial_value, max_history=ctx.max_history),
     make_write=lambda ctx: WriteOperation(
         ctx.client_id, ctx.servers, ctx.f, ctx.value,
         put=partial(put_start, BRACHA.start)),
@@ -159,9 +159,7 @@ ABD = register(ProtocolSpec(
     min_servers=abd_min_servers,
     fault_model=CRASH,
     read_rounds="2",
-    make_server=lambda ctx: ABDServer(
-        ctx.server_id, initial_value=ctx.initial_value,
-        max_history=ctx.max_history),
+    make_server=_bsr_server,
     # Crash-only: the plain maximum tag is trustworthy.
     make_write=lambda ctx: WriteOperation(
         ctx.client_id, ctx.servers, ctx.f, ctx.value, rank=1),

@@ -31,24 +31,13 @@ is per ``(writer, op_id)`` instance rather than per writer sequence.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set
 
-from repro.baselines.rb_register import RelayReadOperation
-from repro.core.messages import (
-    DataReply,
-    MprEcho,
-    MprWrite,
-    PushData,
-    PutAck,
-    PutData,
-    QueryData,
-    QueryTag,
-    TagReply,
-    stored_size,
-)
+from repro.baselines.rb_register import RelayReadOperation, RelayServer
+from repro.core.messages import MprEcho, MprWrite, PutAck, PutData
 from repro.core.operation import WriteBackRead, WriteOperation, put_start
 from repro.core.quorum import mpr_min_servers
-from repro.core.tags import TAG_ZERO, Tag, TaggedValue
+from repro.core.tags import TaggedValue, tag_in_range
 from repro.protocols.registry import BYZANTINE, ProtocolSpec, register
 from repro.types import Envelope, ProcessId
 
@@ -63,59 +52,35 @@ def validation_threshold(f: int) -> int:
     return 2 * f + 1
 
 
-class MPRServer:
+class MPRServer(RelayServer):
     """Echo-validated storage + relay to pending readers."""
 
     def __init__(self, server_id: ProcessId, peers: Sequence[ProcessId],
-                 f: int, initial_value: Any = b"") -> None:
-        self.server_id = server_id
-        self.peers = list(peers)
-        self.f = f
-        self.history: List[TaggedValue] = [TaggedValue(TAG_ZERO, initial_value)]
+                 f: int, initial_value: Any = b"",
+                 max_history: Optional[int] = None) -> None:
+        super().__init__(server_id, peers, f, initial_value, max_history)
         #: instance key -> pair -> servers whose echo we counted.
         self._echoes: Dict[Any, Dict[TaggedValue, Set[ProcessId]]] = {}
         #: instance key -> pairs we already echoed ourselves.
         self._echoed: Dict[Any, Set[TaggedValue]] = {}
         #: instances we already validated (and acked), to dedupe.
         self._validated: Set[Any] = set()
-        #: reader -> op_id of its most recent (assumed pending) query.
-        self._pending_readers: Dict[ProcessId, int] = {}
-
-    @property
-    def latest(self) -> TaggedValue:
-        """The stored pair with the highest tag."""
-        return self.history[-1]
-
-    @property
-    def max_tag(self) -> Tag:
-        """The highest stored tag."""
-        return self.history[-1].tag
-
-    def storage_bytes(self) -> int:
-        """Bytes of user data stored (full replication)."""
-        return stored_size(self.latest.value)
 
     # -- message handling ---------------------------------------------------
     def handle(self, sender: ProcessId, message: Any) -> List[Envelope]:
         """Dispatch one incoming message; returns outgoing envelopes."""
-        if isinstance(message, QueryTag):
-            return [(sender, TagReply(op_id=message.op_id, tag=self.max_tag))]
-        if isinstance(message, QueryData):
-            self._pending_readers[sender] = message.op_id
-            latest = self.latest
-            return [(sender, DataReply(op_id=message.op_id, tag=latest.tag,
-                                       payload=latest.value))]
+        # A tag out of range is refused where it enters, as by the store.
         if isinstance(message, MprWrite):
             # Writes must come from the (trusted) writer itself, never a
             # peer: echoing a Byzantine server's fabrication would let it
             # rally the 2f + 1 echoes validation requires.
-            if sender in self.peers or not isinstance(message.tag, Tag):
+            if sender in self.peers or not tag_in_range(message.tag):
                 return []
             return self._echo(self._key(message),
                               TaggedValue(message.tag, message.payload),
                               message)
         if isinstance(message, MprEcho):
-            if sender not in self.peers or not isinstance(message.tag, Tag):
+            if sender not in self.peers or not tag_in_range(message.tag):
                 return []
             return self._count_echo(sender, message)
         if isinstance(message, PutData):
@@ -123,17 +88,14 @@ class MPRServer:
             # trusted here -- the Byzantine budget is all server-side --
             # but a peer must not get a direct-store path around echo
             # validation.
-            if sender in self.peers or not isinstance(message.tag, Tag):
+            if sender in self.peers or not tag_in_range(message.tag):
                 return []
-            envelopes = self._store(TaggedValue(message.tag, message.payload))
+            envelopes = self._adopt_and_push(
+                TaggedValue(message.tag, message.payload))
             envelopes.append(
                 (sender, PutAck(op_id=message.op_id, tag=message.tag)))
             return envelopes
-        return []
-
-    @staticmethod
-    def _key(message: Any) -> Tuple[str, int]:
-        return (message.source, message.op_id)
+        return super().handle(sender, message)
 
     def _echo(self, key: Any, pair: TaggedValue, message: Any) -> List[Envelope]:
         echoed = self._echoed.setdefault(key, set())
@@ -158,21 +120,9 @@ class MPRServer:
         if (len(witnesses) >= validation_threshold(self.f)
                 and key not in self._validated):
             self._validated.add(key)
-            envelopes.extend(self._store(pair))
+            envelopes.extend(self._adopt_and_push(pair))
             envelopes.append(
                 (message.source, PutAck(op_id=message.op_id, tag=pair.tag)))
-        return envelopes
-
-    def _store(self, pair: TaggedValue) -> List[Envelope]:
-        """Adopt ``pair`` if fresher; relay it to pending readers."""
-        envelopes: List[Envelope] = []
-        if pair.tag > self.max_tag:
-            self.history.append(pair)
-            for reader, read_op_id in self._pending_readers.items():
-                envelopes.append(
-                    (reader, PushData(op_id=read_op_id, tag=pair.tag,
-                                      payload=pair.value))
-                )
         return envelopes
 
 
@@ -190,7 +140,8 @@ SPEC = register(ProtocolSpec(
     fault_model=BYZANTINE,
     read_rounds="2",
     make_server=lambda ctx: MPRServer(
-        ctx.server_id, ctx.servers, ctx.f, initial_value=ctx.initial_value),
+        ctx.server_id, ctx.servers, ctx.f, initial_value=ctx.initial_value,
+        max_history=ctx.max_history),
     make_write=lambda ctx: WriteOperation(
         ctx.client_id, ctx.servers, ctx.f, ctx.value,
         put=partial(put_start, MprWrite)),

@@ -49,7 +49,7 @@ SPEC = register(ProtocolSpec(
     read_rounds="1+relay",
     make_server=lambda ctx: BroadcastRegisterServer(
         ctx.server_id, ctx.servers, ctx.f, IR2,
-        initial_value=ctx.initial_value),
+        initial_value=ctx.initial_value, max_history=ctx.max_history),
     make_write=lambda ctx: WriteOperation(
         ctx.client_id, ctx.servers, ctx.f, ctx.value,
         put=partial(put_start, IR2.start)),

@@ -41,11 +41,6 @@ def test_next_for_increments_and_rebrands():
     assert tag < successor
 
 
-def test_wire_roundtrip():
-    tag = Tag(17, "w003")
-    assert Tag.from_wire(tag.to_wire()) == tag
-
-
 def test_tag_is_hashable_and_usable_in_sets():
     assert len({Tag(1, "a"), Tag(1, "a"), Tag(2, "a")}) == 2
 
@@ -96,15 +91,54 @@ def _put(server, num):
                                          payload=payload))
 
 
+def _disseminate(algorithm, num):
+    """A writer's start of ``Tag(num, "w000")`` handed to every server of
+    an all-correct ``algorithm`` deployment, and the server-to-server
+    traffic carried until quiet; the servers, and what they sent the
+    writer."""
+    from collections import deque
+
+    from repro.core.messages import MprWrite, RBSend, Rb2Send
+    from repro.protocols.fleet import Fleet
+
+    start = {"rb": RBSend, "rb2": Rb2Send, "mpr": MprWrite}[algorithm]
+    fleet = Fleet.build(algorithm, f=1)
+    servers = {pid: fleet.server(pid) for pid in fleet.server_ids}
+    message = start(op_id=1, tag=Tag(num, "w000"), payload=b"v",
+                    source="w000")
+    pending = deque(("w000", pid, message) for pid in servers)
+    to_writer = []
+    while pending:
+        sender, pid, message = pending.popleft()
+        for dest, out in servers[pid].handle(sender, message):
+            if dest in servers:
+                pending.append((pid, dest, out))
+            else:
+                to_writer.append(out)
+    return list(servers.values()), to_writer
+
+
 def test_every_correct_server_refuses_a_tag_above_tag_max():
     # The simulator hands objects over without the codec, so the store
     # enforces the bound itself: a pair out of range is neither kept nor
     # acknowledged (kept, it would outrank every later write for good).
-    for server in _servers():
+    from repro.protocols.fleet import Fleet
+
+    mpr = Fleet.build("mpr", f=1).server("s000")  # a reader's write-back
+    for server in _servers() + (mpr,):
         assert _put(server, TAG_MAX + 1) == []
         assert server.max_tag == TAG_ZERO
         [(_, ack)] = _put(server, TAG_MAX)
         assert ack.tag.num == TAG_MAX and server.max_tag.num == TAG_MAX
+    # A mesh server stores only what its dissemination delivers: a
+    # broadcast (rb, rb2) or an echo-validated write (mpr).
+    for algorithm in ("rb", "rb2", "mpr"):
+        servers, to_writer = _disseminate(algorithm, TAG_MAX + 1)
+        assert to_writer == []
+        assert all(server.max_tag == TAG_ZERO for server in servers)
+        servers, to_writer = _disseminate(algorithm, TAG_MAX)
+        assert [ack.tag.num for ack in to_writer] == [TAG_MAX] * len(servers)
+        assert all(server.max_tag.num == TAG_MAX for server in servers)
 
 
 def test_tag_in_range():

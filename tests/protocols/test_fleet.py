@@ -208,7 +208,8 @@ BOUND = 16
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("algorithm",
-                         ["bsr", "bcsr", "abd", "bsr-history", "bsr-2round"])
+                         ["bsr", "bcsr", "abd", "bsr-history", "bsr-2round",
+                          "rb", "rb2", "mpr"])
 def test_only_history_serving_and_byzantine_servers_keep_the_bound(
         algorithm, mode):
     """A correct server that answers from its newest pair keeps one pair;
@@ -291,3 +292,25 @@ def test_lint_allows_each_builder_in_one_module_only(dead_code_lint):
     [finding] = dead_code_lint.builder_findings(walks)
     assert finding.startswith("ReplyCollector( is called from 2 modules")
     assert "operation.py" in finding and "regular.py" in finding
+
+
+def test_lint_allows_history_writes_in_the_store_only(dead_code_lint):
+    store = {
+        "store.py": ast.parse(
+            "self.history.append(pair)\n"
+            "del self.history[: len(self.history) - self.max_history]\n"),
+        "scenarios.py": ast.parse("server.adopt(TaggedValue(tag, value))\n"),
+        "world.py": ast.parse("copied.history = list(server.history)\n"),
+        "gate.py": ast.parse("self.history[key].append(record)\n"),
+    }
+    assert dead_code_lint.history_findings(store) == []
+    # A second server appending to its own L, around the admission rule.
+    store["mpr.py"] = ast.parse("self.history.append(pair)\n")
+    [finding] = dead_code_lint.history_findings(store)
+    assert finding.startswith(".history is appended to or deleted from "
+                              "in 2 modules (mpr.py, store.py)")
+    # Pruning in place counts too.
+    del store["mpr.py"]
+    store["bcsr.py"] = ast.parse("del server.history[:-1]\n")
+    [finding] = dead_code_lint.history_findings(store)
+    assert "(bcsr.py, store.py)" in finding

@@ -8,6 +8,7 @@ import pytest
 from repro.core.namespace import DEFAULT_REGISTER
 from repro.runtime import LocalCluster
 from repro.runtime import client as client_module
+from tests.runtime.test_thrifty import hold_back
 
 
 def located_servers(client):
@@ -26,6 +27,9 @@ def test_corrupting_server_is_located_and_every_value_returned(liar):
             writer, reader = cluster.client("w000"), cluster.client("r000")
             await writer.connect()
             await reader.connect()
+            # A read asks n - f servers, one held back per rotation run:
+            # pin the run so the liar is asked and its lie decoded.
+            hold_back("s007", sorted(cluster.nodes))
             rng = random.Random(liar)
             for _ in range(4):
                 value = rng.randbytes(4096)

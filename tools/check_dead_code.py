@@ -34,7 +34,12 @@ Ways dead or duplicate code hides in a package, all cheap to detect:
   near-copies once did, and one of them lost the writer-only start rule.
   So does ``ReplyCollector``: the walks in ``core/operation.py`` own every
   collector, so a read cannot count its replies, or judge its held
-  answers, in a copy of its own -- four once counted witnesses four ways.
+  answers, in a copy of its own -- four once counted witnesses four ways;
+* a second module under ``src/repro/`` writing a server's list ``L`` in
+  place (``….history.append(`` or ``del ….history[``).  A pair enters
+  ``L`` only through ``RegisterStore.adopt`` (``core/store.py``), which
+  checks the tag bound and prunes to ``max_history``; five servers once
+  kept five copies of that rule, and three of them lost both checks.
 
 Exit status is the number of findings (0 == clean).
 """
@@ -139,6 +144,38 @@ def builder_findings(trees):
             for name, paths in sorted(callers.items()) if len(paths) > 1]
 
 
+def _writes_history(tree):
+    """Whether a module appends to, or deletes from, some ``….history``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "append"
+                    and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "history"):
+                return True
+        elif isinstance(node, ast.Delete):
+            if any(isinstance(target, ast.Subscript)
+                   and isinstance(target.value, ast.Attribute)
+                   and target.value.attr == "history"
+                   for target in node.targets):
+                return True
+    return False
+
+
+def history_findings(trees):
+    """One finding if more than one module writes ``….history`` in place.
+
+    ``trees`` maps a module's display path to its parsed AST.
+    """
+    writers = sorted(path for path, tree in trees.items()
+                     if _writes_history(tree))
+    if len(writers) <= 1:
+        return []
+    return [f".history is appended to or deleted from in {len(writers)} "
+            f"modules ({', '.join(writers)}); a pair enters L only through "
+            "RegisterStore.adopt"]
+
+
 def main():
     findings = []
     #: src/repro module -> AST, for the one-recipe rule.
@@ -172,6 +209,7 @@ def main():
             for name in names:
                 references.setdefault(name, set()).add(path)
     findings.extend(builder_findings(package_trees))
+    findings.extend(history_findings(package_trees))
     for path, names in exports:
         for name in names:
             if name.startswith("__"):
@@ -185,7 +223,7 @@ def main():
     if not findings:
         print("dead-code: no shims, no unreferenced exports, no streams "
               "or copying receivers under runtime/, one module per builder, "
-              "one write walk and one read walk")
+              "one write walk and one read walk, one store admits pairs")
     return len(findings)
 
 
