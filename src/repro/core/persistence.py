@@ -143,5 +143,5 @@ def restore_server(snapshot: bytes, codec: Optional[StripedCodec] = None) -> Any
     else:
         server = cls(payload["server_id"],
                      max_history=payload.get("max_history"))
-    server.history = history
+    server.restore(history)
     return server

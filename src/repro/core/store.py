@@ -13,7 +13,8 @@ bound hold on every server alike.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+import copy
+from typing import Any, List, Optional, Sequence
 
 from repro.core.messages import (
     DataHeld,
@@ -84,6 +85,26 @@ class RegisterStore:
         if self.max_history is not None and len(self.history) > self.max_history:
             del self.history[: len(self.history) - self.max_history]
         return True
+
+    def restore(self, pairs: Sequence[TaggedValue]) -> None:
+        """Replay a snapshot's pairs, oldest first, into this fresh store.
+
+        A leading ``TAG_ZERO`` pair is the initial pair the snapshot's
+        server was built with, and replaces this one's; every other pair
+        enters through :meth:`adopt`, so a scribbled tag is dropped and
+        only the newest ``max_history`` pairs are kept.
+        """
+        if pairs and pairs[0].tag == TAG_ZERO:
+            self.history = [pairs[0]]
+        for pair in pairs:
+            self.adopt(pair)
+
+    def copy(self) -> "RegisterStore":
+        """A shallow copy with a list ``L`` of its own (pairs are
+        immutable, so the copies share them)."""
+        twin = copy.copy(self)
+        twin.history = list(self.history)
+        return twin
 
     def _get_tag_resp(self, sender: ProcessId, message: QueryTag) -> List[Envelope]:
         return [(sender, TagReply(op_id=message.op_id, tag=self.max_tag))]

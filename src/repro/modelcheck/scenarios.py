@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.byzantine.behaviors import Behavior, HistoryReplayBehavior
-from repro.core.bcsr import BCSRReadOperation, BCSRServer, coded_write
+from repro.core.bcsr import BCSRReadOperation, BCSRServer
 from repro.core.bsr import BSRReadOperation, BSRReaderState, BSRServer
 from repro.core.messages import PutData
 from repro.core.operation import WriteOperation
@@ -29,39 +29,6 @@ def _read_predicate(results: List) -> Optional[str]:
         return (f"completed read returned {read_value!r} although "
                 f"{SECOND!r} was the latest completed write")
     return None
-
-
-def bsr_two_writes_one_read(n: int, f: int = 1,
-                            liar_count: Optional[int] = None):
-    """Theorem 5's shape: write v1; write v2; read -- as a checkable world.
-
-    ``liar_count`` servers (default ``f``) replay their previous state on
-    reads.  Returns ``(world_factory, predicate)`` for a
-    :class:`~repro.modelcheck.checker.ModelChecker`.
-    """
-    liars = f if liar_count is None else liar_count
-    servers_ids = [server_id(i) for i in range(n)]
-
-    def factory() -> World:
-        servers = {pid: BSRServer(pid, initial_value=INITIAL)
-                   for pid in servers_ids}
-        behaviors: Dict[str, Behavior] = {
-            server_id(i): HistoryReplayBehavior(offset=1) for i in range(liars)
-        }
-        ops = [
-            OpSpec(writer_id(0), lambda: WriteOperation(
-                writer_id(0), servers_ids, f, FIRST)),
-            OpSpec(writer_id(1), lambda: WriteOperation(
-                writer_id(1), servers_ids, f, SECOND)),
-            # The reader state is created at instantiation time so cloned
-            # worlds never share mutable state through the spec closure.
-            OpSpec(reader_id(0), lambda: BSRReadOperation(
-                reader_id(0), servers_ids, f,
-                reader_state=BSRReaderState(INITIAL))),
-        ]
-        return World(servers, ops, behaviors=behaviors)
-
-    return factory, _read_predicate
 
 
 def bsr_preseeded_write_read(n: int, f: int = 1,
@@ -224,37 +191,3 @@ def all_quorum_pairs(n: int, f: int):
             yield w1, w2
 
 
-def bcsr_two_writes_one_read(n: int, f: int = 1, k: Optional[int] = None,
-                             liar_count: Optional[int] = None):
-    """Theorem 6's shape for the coded register.
-
-    ``k`` defaults to the paper's ``n - 5f`` (clamped to 1 below the
-    bound, the most favourable choice for the defender).
-    """
-    liars = f if liar_count is None else liar_count
-    if k is None:
-        k = n - 5 * f if n > 5 * f else 1
-    servers_ids = [server_id(i) for i in range(n)]
-    codec = StripedCodec(n, k)
-
-    def factory() -> World:
-        servers = {
-            server_id(i): BCSRServer(server_id(i), i, codec,
-                                     initial_value=INITIAL)
-            for i in range(n)
-        }
-        behaviors: Dict[str, Behavior] = {
-            server_id(i): HistoryReplayBehavior(offset=1) for i in range(liars)
-        }
-        ops = [
-            OpSpec(writer_id(0), lambda: coded_write(
-                writer_id(0), servers_ids, f, FIRST, codec)),
-            OpSpec(writer_id(1), lambda: coded_write(
-                writer_id(1), servers_ids, f, SECOND, codec)),
-            OpSpec(reader_id(0), lambda: BCSRReadOperation(
-                reader_id(0), servers_ids, f, codec=codec,
-                initial_value=INITIAL)),
-        ]
-        return World(servers, ops, behaviors=behaviors)
-
-    return factory, _read_predicate

@@ -75,11 +75,8 @@ class World:
         twin = World.__new__(World)
         twin.behaviors = self.behaviors            # stateless, shared
         twin.op_specs = self.op_specs              # immutable specs, shared
-        twin.servers = {}
-        for pid, server in self.servers.items():
-            copied = copy.copy(server)
-            copied.history = list(server.history)
-            twin.servers[pid] = copied
+        twin.servers = {pid: server.copy()
+                        for pid, server in self.servers.items()}
         memo = {}
         # Reader state may be shared between a spec closure and an op;
         # deepcopy with a shared memo keeps that aliasing intact.

@@ -341,14 +341,13 @@ class RegisterServerNode:
         with open(self.snapshot_path, "rb") as fh:
             restored = restore_server(
                 fh.read(), codec=getattr(self.protocol, "codec", None))
-        # Keep the live object (the cluster may hold references); adopt the
-        # durable history in place, newest pairs within its own bound (a
+        # Keep the live object (the cluster may hold references); replay
+        # the durable history into it, newest pairs within its own bound (a
         # snapshot written under a larger one may hold more).
-        bound = getattr(self.protocol, "max_history", None)
-        history = restored.history[-bound:] if bound else restored.history
-        self.protocol.history = history
+        self.protocol.restore(restored.history)
         logger.info("server %s restored %d history entries from %s",
-                    self.server_id, len(history), self.snapshot_path)
+                    self.server_id, len(self.protocol.history),
+                    self.snapshot_path)
 
     async def _checkpoint(self) -> None:
         """Write a snapshot without stalling the event loop.

@@ -1,4 +1,4 @@
-"""HMAC-SHA256 message authentication.
+"""HMAC-SHA-256-128 message authentication.
 
 The system model assumes channels "provide message authentication using
 digital signatures", preventing Byzantine servers from spreading
@@ -8,18 +8,19 @@ every verifier knows every process's key (a symmetric stand-in for a PKI --
 adequate because the model's adversary forges *senders*, not arbitrary
 third-party messages).
 
-Four envelope shapes share the wire.  Every one carries the full 32-byte
-HMAC-SHA256 over ``sender | payload`` under the sender's key; they differ
-only in whether the sender's *name* travels too:
+Four envelope shapes share the wire.  Every one carries a 16-byte tag,
+the leading :data:`MAC_BYTES` of the HMAC-SHA256 over ``sender |
+payload`` under the sender's key; they differ only in whether the
+sender's *name* travels too:
 
-* **single** -- ``name_len(2) | sender | sig(32) | payload``: one MAC
+* **single** -- ``name_len(2) | sender | sig(16) | payload``: one MAC
   around one payload.  Names are capped at :data:`MAX_SENDER_BYTES`, so
   its first byte is always ``0x00``.
-* **batch** -- ``0xFFFF | name_len(2) | sender | sig(32) | count(4) |
+* **batch** -- ``0xFFFF | name_len(2) | sender | sig(16) | count(4) |
   (len(4) | payload)*``: one MAC over a whole coalesced burst, with
   per-frame offsets recovered from the length prefixes.
-* **nameless single** -- ``0xFE | sig(32) | payload`` and **nameless
-  batch** -- ``0xFD | sig(32) | count(4) | (len(4) | payload)*``: the
+* **nameless single** -- ``0xFE | sig(16) | payload`` and **nameless
+  batch** -- ``0xFD | sig(16) | count(4) | (len(4) | payload)*``: the
   same MACs without the name, for a receiver that already knows who is
   at the other end.  A node answers on a connection that a protocol
   party dialed *by id* through a :class:`~repro.runtime.link.Link`, so
@@ -32,6 +33,15 @@ envelope starts with ``0xFE`` or ``0xFD``), and a connection may mix
 them freely.  Given a peer, a *named* frame must name that peer: a frame
 of another sender replayed onto the link fails either way (wrong name, or
 the peer's key does not verify it).
+
+Why 16 bytes: an HMAC's output may be truncated to its leading bits
+(RFC 2104 section 5), and HMAC-SHA-256-128 is the standard 128-bit
+truncation (RFC 4868).  A MAC only has to stop forgery, not collisions
+an attacker can search for offline: without the key, each guess at a
+tag is one frame sent to a verifier, so forging one takes about 2**128
+online tries.  The payloads it guards are mostly 5-80 bytes, so the
+digest's second half would be most of an envelope's overhead.  A frame
+carrying the whole untruncated digest is simply a bad frame.
 
 Hot-path caches: per-sender key lookups, encoded names and the HMAC key
 schedule (via ``hmac.new(...).copy()``) are computed once per sender and
@@ -65,8 +75,9 @@ BATCH_MARKER = b"\xff\xff"
 #: First byte of a nameless single / nameless batch envelope.
 NAMELESS, NAMELESS_BATCH = 0xFE, 0xFD
 
-#: Byte length of an HMAC-SHA256 signature.
-_SIG_BYTES = 32
+#: Byte length of the tag every envelope carries: HMAC-SHA256 truncated
+#: to its leading 128 bits (HMAC-SHA-256-128, RFC 4868).
+MAC_BYTES = 16
 
 #: Soft cap on the payload bytes one batch envelope carries; bursts
 #: larger than this are split so no frame approaches the frame cap.
@@ -144,21 +155,27 @@ class _SenderState:
         #: skips the per-message key schedule.
         self.mac = hmac.new(key, raw + b"|", hashlib.sha256)
 
+    def tag(self, body) -> bytes:
+        """The :data:`MAC_BYTES` tag of ``sender | body``."""
+        mac = self.mac.copy()
+        mac.update(body)
+        return mac.digest()[:MAC_BYTES]
+
 
 def single_signature(frame) -> Optional[bytes]:
     """The HMAC tag of a single envelope (named or nameless), ``None``
     for a batch one; ``frame`` must be well formed (already opened)."""
     first = frame[0]
     if first == NAMELESS:
-        return bytes(frame[1:1 + _SIG_BYTES])
+        return bytes(frame[1:1 + MAC_BYTES])
     if first == 0:  # a named single: name_len < 256
         at = 2 + frame[1]
-        return bytes(frame[at:at + _SIG_BYTES])
+        return bytes(frame[at:at + MAC_BYTES])
     return None
 
 
 class Authenticator:
-    """Signs and verifies framed messages with HMAC-SHA256."""
+    """Signs and verifies framed messages with HMAC-SHA-256-128."""
 
     def __init__(self, keychain: KeyChain) -> None:
         self.keychain = keychain
@@ -201,9 +218,7 @@ class Authenticator:
 
     def sign(self, sender: ProcessId, payload) -> bytes:
         """MAC over ``sender || payload`` with the sender's key."""
-        mac = self._state_for(sender).mac.copy()
-        mac.update(payload)
-        return mac.digest()
+        return self._state_for(sender).tag(payload)
 
     def verify(self, sender: ProcessId, payload, signature) -> None:
         """Raise :class:`AuthenticationError` unless the MAC checks out."""
@@ -217,10 +232,8 @@ class Authenticator:
         """Produce a self-contained signed envelope: sender|sig|payload
         (``sig|payload`` behind the nameless marker unless ``named``)."""
         state = self._state_for(sender)
-        mac = state.mac.copy()
-        mac.update(payload)
         return ((state.head if named else _NAMELESS_HEAD)
-                + mac.digest() + payload)
+                + state.tag(payload) + payload)
 
     def seal_batch(self, sender: ProcessId, payloads: List[bytes],
                    named: bool = True) -> bytes:
@@ -237,10 +250,8 @@ class Authenticator:
             parts.append(_PACK_U32(len(payload)))
             parts.append(payload)
         body = b"".join(parts)
-        mac = state.mac.copy()
-        mac.update(body)
         return ((BATCH_MARKER + state.head if named else _NAMELESS_BATCH_HEAD)
-                + mac.digest() + body)
+                + state.tag(body) + body)
 
     def seal_frames(self, sender: ProcessId, payloads: List[bytes],
                     batch: bool = True, named: bool = True) -> List[bytes]:
@@ -292,7 +303,7 @@ class Authenticator:
                 raise AuthenticationError(
                     f"absurd sender name length {name_len}")
             at = head + 2 + name_len
-        if size < at + _SIG_BYTES + (4 if batch else 0):
+        if size < at + MAC_BYTES + (4 if batch else 0):
             raise AuthenticationError("truncated envelope")
         cached = True
         if peer is not None:
@@ -304,11 +315,9 @@ class Authenticator:
         else:
             raw = bytes(view[at - name_len:at])
             sender, state, cached = self._state_for_name(raw)
-        body = view[at + _SIG_BYTES:]
-        mac = state.mac.copy()
-        mac.update(body)
-        if not hmac.compare_digest(mac.digest(),
-                                   bytes(view[at:at + _SIG_BYTES])):
+        body = view[at + MAC_BYTES:]
+        if not hmac.compare_digest(state.tag(body),
+                                   bytes(view[at:at + MAC_BYTES])):
             raise AuthenticationError(
                 f"bad signature on a frame claiming to be from {sender!r}")
         if not cached:

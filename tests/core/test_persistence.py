@@ -84,6 +84,37 @@ def test_restored_server_continues_protocol():
     assert restored.latest.value == b"post"
 
 
+def scribbled(snapshot):
+    """``snapshot`` with the newest pair's tag edited by hand to
+    ``Tag(2**64, "zz")``, above ``TAG_MAX``."""
+    edited = snapshot.replace(b'{"__tag__":[2,"w1"]}',
+                              b'{"__tag__":[%d,"zz"]}' % 2 ** 64)
+    assert edited != snapshot
+    return edited
+
+
+@pytest.mark.parametrize("cls", [BSRServer, RegularBSRServer])
+def test_a_scribbled_tag_is_dropped_on_restore(cls):
+    """A pair enters a restored ``L`` through the admission rule: a tag
+    out of range stays out, and the server still stores later puts."""
+    original = populated(cls)
+    restored = restore_server(scribbled(snapshot_server(original)))
+    assert restored.history == original.history[:-1]
+    assert restored.max_tag == Tag(1, "w0")
+    restored.handle("w9", PutData(op_id=51, tag=Tag(3, "w9"), payload=b"post"))
+    assert (restored.max_tag, restored.latest.value) == (Tag(3, "w9"), b"post")
+
+
+def test_restore_keeps_the_newest_pairs_within_the_bound():
+    server = BSRServer("s000")
+    for i in range(1, 6):
+        server.handle("w", PutData(op_id=i, tag=Tag(i, "w"),
+                                   payload=f"v{i}".encode()))
+    snapshot = snapshot_server(server).replace(b'"max_history":null',
+                                               b'"max_history":2')
+    assert restore_server(snapshot).history == server.history[-2:]
+
+
 def test_snapshot_rejects_unknown_types():
     class Impostor:
         server_id = "x"

@@ -300,17 +300,33 @@ def test_lint_allows_history_writes_in_the_store_only(dead_code_lint):
             "self.history.append(pair)\n"
             "del self.history[: len(self.history) - self.max_history]\n"),
         "scenarios.py": ast.parse("server.adopt(TaggedValue(tag, value))\n"),
-        "world.py": ast.parse("copied.history = list(server.history)\n"),
+        "world.py": ast.parse("copied = server.copy()\n"),
         "gate.py": ast.parse("self.history[key].append(record)\n"),
     }
     assert dead_code_lint.history_findings(store) == []
     # A second server appending to its own L, around the admission rule.
     store["mpr.py"] = ast.parse("self.history.append(pair)\n")
     [finding] = dead_code_lint.history_findings(store)
-    assert finding.startswith(".history is appended to or deleted from "
-                              "in 2 modules (mpr.py, store.py)")
+    assert finding.startswith(".history is assigned, appended to or "
+                              "deleted from in 2 modules (mpr.py, store.py)")
     # Pruning in place counts too.
     del store["mpr.py"]
     store["bcsr.py"] = ast.parse("del server.history[:-1]\n")
     [finding] = dead_code_lint.history_findings(store)
     assert "(bcsr.py, store.py)" in finding
+
+
+@pytest.mark.parametrize("source", [
+    "server.history = history\n",
+    "self.protocol.history = restored.history[-bound:]\n",
+    "copied.history = list(server.history)\n",
+    "server.history += [pair]\n",
+    "server.history[0] = pair\n",
+])
+def test_lint_counts_assigning_history_as_a_write(dead_code_lint, source):
+    # A restore that assigns a snapshot's L wholesale skips the tag bound
+    # the way an append would.
+    store = {"store.py": ast.parse("self.history = [pair]\n"),
+             "persistence.py": ast.parse(source)}
+    [finding] = dead_code_lint.history_findings(store)
+    assert "(persistence.py, store.py)" in finding

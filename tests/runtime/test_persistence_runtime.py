@@ -14,7 +14,12 @@ from repro.core.tags import Tag
 from repro.runtime import LocalCluster
 from repro.runtime.node import RegisterServerNode
 from repro.transport.auth import Authenticator, KeyChain
-from tests.core.test_persistence import GOLDEN_BCSR, GOLDEN_BSR
+from tests.core.test_persistence import (
+    GOLDEN_BCSR,
+    GOLDEN_BSR,
+    populated,
+    scribbled,
+)
 from tests.runtime.test_thrifty import hold_back
 
 SERVERS = [f"s{i:03d}" for i in range(5)]
@@ -195,6 +200,35 @@ def test_golden_snapshots_restore_into_a_one_pair_server(tmp_path, golden):
     [(_, reply)] = protocol.handle("r000", QueryData(op_id=1))
     assert (reply.tag, reply.payload) == (recorded.latest.tag,
                                           recorded.latest.value)
+
+
+def test_a_restarted_node_drops_a_scribbled_tag(tmp_path):
+    """A node restarting from a snapshot edited to carry a tag above
+    ``TAG_MAX`` does not hold that pair, and stores a later put."""
+    snapshot_dir = tmp_path / "snapshots"
+    snapshot_dir.mkdir()
+    path = snapshot_dir / "s000.snapshot"
+    recorded = populated(BSRServer)
+
+    async def scenario():
+        cluster = LocalCluster("bsr", f=1, snapshot_dir=str(snapshot_dir))
+        await cluster.start()
+        try:
+            await cluster.crash("s000")
+            path.write_bytes(scribbled(snapshot_server(recorded)))
+            await cluster.restart("s000")
+            protocol = cluster.nodes["s000"].protocol
+            held = [pair.tag for pair in protocol.history]
+            protocol.handle("w9", PutData(op_id=51, tag=Tag(3, "w9"),
+                                          payload=b"post"))
+            return held, protocol.latest
+        finally:
+            await cluster.stop()
+
+    held, latest = run(scenario())
+    assert Tag(2 ** 64, "zz") not in held
+    assert held[-1] == Tag(1, "w0")
+    assert (latest.tag, latest.value) == (Tag(3, "w9"), b"post")
 
 
 def test_no_snapshot_dir_means_fresh_start(tmp_path):

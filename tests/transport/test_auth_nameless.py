@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AuthenticationError
 from repro.transport.auth import (
+    MAC_BYTES,
     NAMELESS,
     NAMELESS_BATCH,
     Authenticator,
@@ -66,7 +67,8 @@ def test_forged_names_leave_no_authentication_state():
     sizes = len(auth._names), len(auth._senders), len(chain._keys)
     for i in range(10_000):
         name = f"fake{i}".encode()
-        forged = len(name).to_bytes(2, "big") + name + b"\x00" * 32 + b"x"
+        forged = (len(name).to_bytes(2, "big") + name
+                  + b"\x00" * MAC_BYTES + b"x")
         with pytest.raises(AuthenticationError):
             auth.open_any(forged)
     assert (len(auth._names), len(auth._senders), len(chain._keys)) == sizes

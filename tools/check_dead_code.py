@@ -35,11 +35,13 @@ Ways dead or duplicate code hides in a package, all cheap to detect:
   So does ``ReplyCollector``: the walks in ``core/operation.py`` own every
   collector, so a read cannot count its replies, or judge its held
   answers, in a copy of its own -- four once counted witnesses four ways;
-* a second module under ``src/repro/`` writing a server's list ``L`` in
-  place (``….history.append(`` or ``del ….history[``).  A pair enters
-  ``L`` only through ``RegisterStore.adopt`` (``core/store.py``), which
-  checks the tag bound and prunes to ``max_history``; five servers once
-  kept five copies of that rule, and three of them lost both checks.
+* a second module under ``src/repro/`` writing a server's list ``L``
+  (``….history = …``, ``….history.append(`` or ``del ….history[``).  A
+  pair enters ``L`` only through ``RegisterStore.adopt``
+  (``core/store.py``), which checks the tag bound and prunes to
+  ``max_history``; five servers once kept five copies of that rule, and
+  three of them lost both checks.  Two restore paths once assigned a
+  snapshot's ``L`` around it, scribbled tags and all.
 
 Exit status is the number of findings (0 == clean).
 """
@@ -144,20 +146,22 @@ def builder_findings(trees):
             for name, paths in sorted(callers.items()) if len(paths) > 1]
 
 
+def _is_history(node):
+    return isinstance(node, ast.Attribute) and node.attr == "history"
+
+
 def _writes_history(tree):
-    """Whether a module appends to, or deletes from, some ``….history``."""
+    """Whether a module assigns, appends to or deletes from some
+    ``….history`` (or one of its items)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            func = node.func
-            if (isinstance(func, ast.Attribute) and func.attr == "append"
-                    and isinstance(func.value, ast.Attribute)
-                    and func.value.attr == "history"):
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "append"
+                    and _is_history(node.func.value)):
                 return True
-        elif isinstance(node, ast.Delete):
-            if any(isinstance(target, ast.Subscript)
-                   and isinstance(target.value, ast.Attribute)
-                   and target.value.attr == "history"
-                   for target in node.targets):
+        elif isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+            if _is_history(node) or (isinstance(node, ast.Subscript)
+                                     and _is_history(node.value)):
                 return True
     return False
 
@@ -171,9 +175,9 @@ def history_findings(trees):
                      if _writes_history(tree))
     if len(writers) <= 1:
         return []
-    return [f".history is appended to or deleted from in {len(writers)} "
-            f"modules ({', '.join(writers)}); a pair enters L only through "
-            "RegisterStore.adopt"]
+    return [f".history is assigned, appended to or deleted from in "
+            f"{len(writers)} modules ({', '.join(writers)}); a pair enters "
+            "L only through RegisterStore.adopt"]
 
 
 def main():

@@ -493,8 +493,10 @@ async def _conditional_reads(spec, register, values, share):
 #: header (2 B: no field count, no value tag before the op_id), and each
 #: reply has the same header; both carry a three-byte op_id where the
 #: earlier pin of ``2**40 + 1`` took six (3 B).  So (260, 625) became
-#: (210, 600): 10 B per request, 5 B per reply.
-BCSR_READ_BYTES = (210, 600)
+#: (210, 600): 10 B per request, 5 B per reply.  Every envelope then
+#: carried a 16-byte tag where the full 32-byte digest stood, 16 B on
+#: each of the 5 requests and 5 replies: (130, 520).
+BCSR_READ_BYTES = (130, 520)
 
 #: ... and a keyed BSR read at ``n = 5, f = 1`` of a 64 B value on
 #: ``key-0000``, the first after its write: ``n - f`` queries answered by
@@ -502,8 +504,9 @@ BCSR_READ_BYTES = (210, 600)
 #: its name (5 B), a header that also held the wrapper's field count and
 #: value tags and the inner message's magic, field count and op_id tag
 #: (6 B), and three op_id bytes; a reply saves 5 B as above.  So
-#: (264, 480) became (208, 460).
-KEYED_READ_BYTES = (208, 460)
+#: (264, 480) became (208, 460); the 16-byte tag then saved 16 B on each
+#: of the 4 requests and 4 replies: (144, 396).
+KEYED_READ_BYTES = (144, 396)
 
 #: The pinned start of the op_id counter: inside the range a process
 #: draws its start from, where an op_id is a three-byte varint.
