@@ -7,7 +7,8 @@ Subcommands:
 * ``workload``  -- run a synthetic workload and print latency statistics.
 * ``chaos``     -- run a live TCP workload under a nemesis fault schedule
   (``--procs`` runs it against real OS processes).
-* ``node``      -- serve exactly one register node in this process.
+* ``node``      -- serve exactly one register node in this process
+  (``zygote`` forks them on request, for the cluster supervisor).
 * ``cluster``   -- serve / inspect / signal a process-per-node cluster
   (``status --metrics`` adds scraped per-phase latency histograms).
 * ``metrics``   -- scrape a served cluster's metric registries and dump
@@ -196,8 +197,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_node(args: argparse.Namespace) -> int:
     from repro.deploy import ClusterSpec, serve_node
+    from repro.deploy.serve import run_zygote
 
     spec = ClusterSpec.from_file(args.spec)
+    if args.node_command == "zygote":
+        return run_zygote(spec)
     try:
         asyncio.run(serve_node(spec, args.node, port=args.port))
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
@@ -1013,8 +1017,12 @@ def build_parser() -> argparse.ArgumentParser:
     node_serve.add_argument("--node", required=True,
                             help="node id to serve (e.g. s002)")
     node_serve.add_argument("--port", type=int, default=None,
-                            help="override the spec's port (supervisors pin "
-                                 "a restarted node's previous port)")
+                            help="override the spec's port")
+    node_zygote = node_sub.add_parser(
+        "zygote", help="fork one node process per `spawn <node> [port]` "
+                       "line on stdin (what `cluster serve` runs)")
+    node_zygote.add_argument("--spec", required=True,
+                             help="cluster spec file (.toml or .json)")
 
     cluster = sub.add_parser(
         "cluster",

@@ -63,6 +63,20 @@ def _op_id_base() -> int:
 _op_counter = itertools.count(_op_id_base())
 
 
+def _redraw_op_counter() -> None:
+    """Give a forked child a start of its own.
+
+    A child forked after import would otherwise count on from its
+    parent's counter -- every node forked from one warm interpreter from
+    the same start, and a restarted node from where the last one was.
+    """
+    global _op_counter
+    _op_counter = itertools.count(_op_id_base())
+
+
+os.register_at_fork(after_in_child=_redraw_op_counter)
+
+
 def next_op_id() -> int:
     """This process's next operation identifier."""
     return next(_op_counter)

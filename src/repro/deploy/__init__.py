@@ -12,15 +12,16 @@ everything a node needs travels in one :class:`ClusterSpec` file.
   algorithm, fault budget, addresses, snapshot dirs, shared key
   material, flow-control limits.
 * :func:`serve_node` / ``repro node serve`` -- the single-node process
-  entrypoint with a readiness line and an authenticated health ping.
+  entrypoint with a readiness line and an authenticated health ping;
+  ``repro node zygote`` forks node processes that run it.
 * :class:`ClusterSupervisor` / ``repro cluster serve|status|kill`` --
-  spawns all node processes, waits for readiness, monitors liveness,
-  and exposes ``kill``/``restart`` for the nemesis' real-crash mode.
+  forks all node processes through the zygote, waits for readiness,
+  monitors liveness, and exposes ``kill``/``restart`` for the nemesis'
+  real-crash mode.
 """
 
 from repro.deploy.serve import (
     PING_FAILURES,
-    READY_PREFIX,
     health_ping,
     serve_node,
     stats_ping,
@@ -39,7 +40,6 @@ __all__ = [
     "ClusterSupervisor",
     "NodeHandle",
     "PING_FAILURES",
-    "READY_PREFIX",
     "default_state_path",
     "health_ping",
     "read_state",

@@ -8,8 +8,8 @@ listen, and the shared secret derives the per-process HMAC keys
 
 * ``repro node serve --spec cluster.toml --node s002`` -- one OS process
   hosting exactly one :class:`~repro.runtime.node.RegisterServerNode`,
-* :class:`~repro.deploy.supervisor.ClusterSupervisor` -- spawns and
-  babysits all node processes, and
+* :class:`~repro.deploy.supervisor.ClusterSupervisor` -- forks and
+  babysits all node processes (through ``repro node zygote``), and
 * :meth:`ClusterSpec.client` -- an
   :class:`~repro.runtime.client.AsyncRegisterClient` wired to the
   cluster's addresses, algorithm, fault budget and key material.

@@ -1,12 +1,23 @@
 """Process supervision: spawn, watch, kill and restart real node processes.
 
 :class:`ClusterSupervisor` turns a :class:`~repro.deploy.spec.ClusterSpec`
-into a running cluster of OS processes -- one ``repro node serve`` child
-per node -- and is the hand the chaos nemesis uses for *real* crashes:
-:meth:`crash` delivers SIGKILL (no cooperation, no flushing, exactly what
-the paper's crash fault model means by a server stopping), and
-:meth:`restart` respawns the process, which recovers from its snapshot
-and rebinds its previous port so clients can re-dial.
+into a running cluster of OS processes, one per node, and is the hand
+the chaos nemesis uses for *real* crashes: :meth:`crash` delivers
+SIGKILL (no cooperation, no flushing, exactly what the paper's crash
+fault model means by a server stopping), and :meth:`restart` brings the
+node back, recovering from its snapshot and rebinding its previous port
+so clients can re-dial.
+
+The supervisor execs one child, ``repro node zygote``
+(:func:`~repro.deploy.serve.run_zygote`), which imports the package once
+and forks every node on request -- a ``spawn <node> [port]`` line on its
+stdin.  Each node writes ``READY <node> <host> <port> <pid>`` to the
+zygote's stdout, which the supervisor reads; the zygote adds
+``EXIT <node> <pid> <status>`` for every node it reaps.  So starting a
+node, and restarting one, costs a fork rather than an interpreter, while
+every node is still an OS process of its own that SIGKILL ends.  Closing
+the zygote's stdin stops it and all its nodes -- which is also what
+happens when the supervisor dies.
 
 The supervisor exposes the same surface the in-process
 :class:`~repro.runtime.cluster.LocalCluster` offers a
@@ -23,6 +34,7 @@ operate on a cluster served by another process.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import os
@@ -33,9 +45,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.deploy.serve import (
+    EXIT,
     PING_FAILURES,
+    READY,
     health_ping,
-    parse_ready_line,
+    parse_line,
     stats_ping,
     trace_dump,
 )
@@ -50,21 +64,19 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class NodeHandle:
-    """One supervised node process."""
+    """One supervised node process (a child of the zygote)."""
 
     node_id: ProcessId
-    process: Optional[asyncio.subprocess.Process] = None
+    pid: Optional[int] = None
     address: Optional[Tuple[str, int]] = None
     restarts: int = 0
-    _drain_task: Optional[asyncio.Task] = field(default=None, repr=False)
+    running: bool = False
+    #: Resolved with the next line about this node (None: zygote gone).
+    _next_line: Optional[asyncio.Future] = field(default=None, repr=False)
 
-    @property
-    def pid(self) -> Optional[int]:
-        return self.process.pid if self.process is not None else None
-
-    @property
-    def running(self) -> bool:
-        return self.process is not None and self.process.returncode is None
+    def expect_line(self) -> asyncio.Future:
+        self._next_line = asyncio.get_running_loop().create_future()
+        return self._next_line
 
 
 def child_env() -> Dict[str, str]:
@@ -100,7 +112,7 @@ def read_state(state_path: str) -> Dict:
 
 
 class ClusterSupervisor:
-    """Spawn one ``repro node serve`` process per node and babysit them.
+    """Fork one process per node through a zygote and babysit them.
 
     Usage::
 
@@ -137,24 +149,32 @@ class ClusterSupervisor:
             pid: NodeHandle(pid) for pid in self.server_ids}
         self.proxies: Dict[ProcessId, object] = {}
         self._clients: List[AsyncRegisterClient] = []
-        self._own_spec_file = False
+        #: The ``repro node zygote`` child every node is forked from, and
+        #: the task reading its stdout.
+        self._zygote: Optional[asyncio.subprocess.Process] = None
+        self._reader: Optional[asyncio.Task] = None
         #: HTTP metrics exporter sidecar (``observability.exporter_port``
         #: in the spec); ``None`` when not configured.
         self.exporter: Optional[MetricsExporter] = None
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        """Spawn every node, wait for readiness, health-ping each one."""
+        """Fork every node, wait for readiness, health-ping each one."""
         if self.spec_path is None:
-            # Children re-load their configuration from disk: write an
-            # exact copy of this spec where they (and `repro cluster
+            # The zygote loads its configuration from disk: write an
+            # exact copy of this spec where it (and `repro cluster
             # status`) can find it.
             directory = self.spec.snapshot_dir or tempfile.mkdtemp(
                 prefix="repro-cluster-")
             os.makedirs(directory, exist_ok=True)
             self.spec_path = self.spec.save(
                 os.path.join(directory, "cluster.json"))
-            self._own_spec_file = True
+        self._zygote = await asyncio.create_subprocess_exec(
+            self.python, "-m", "repro", "node", "zygote",
+            "--spec", self.spec_path, env=child_env(),
+            stdin=asyncio.subprocess.PIPE, stdout=asyncio.subprocess.PIPE)
+        self._reader = asyncio.ensure_future(
+            self._read_zygote(self._zygote.stdout))
         results = await asyncio.gather(
             *(self._spawn(pid) for pid in self.server_ids),
             return_exceptions=True)
@@ -168,9 +188,9 @@ class ClusterSupervisor:
             except BaseException as exc:
                 failures.append(exc)
         if failures:
-            # A partial cluster is worse than none: reap every child we
-            # managed to spawn before reporting the failure.
-            await self._reap_all()
+            # A partial cluster is worse than none: stop every node we
+            # managed to start before reporting the failure.
+            await self._stop_zygote()
             raise failures[0]
         self._start_exporter()
         self._write_state()
@@ -221,98 +241,87 @@ class ClusterSupervisor:
                     *self.exporter.address)
 
     async def stop(self) -> None:
-        """Close clients, then SIGTERM every node (SIGKILL stragglers)."""
+        """Close clients, then stop every node and the zygote.
+
+        Returns once every process of the cluster has exited and the
+        zygote's pipes are closed: nothing of it writes anywhere after.
+        """
         if self.exporter is not None:
             self.exporter.stop()
             self.exporter = None
         for client in self._clients:
             await client.close()
         self._clients.clear()
-        for handle in self.handles.values():
-            if handle.running:
-                handle.process.send_signal(signal.SIGTERM)
-        await self._reap_all()
+        await self._stop_zygote()
         if os.path.exists(self.state_path):
             os.unlink(self.state_path)
 
-    async def _reap_all(self) -> None:
-        """Wait for every spawned child (SIGKILL any that linger)."""
-        for handle in self.handles.values():
-            if handle.process is None:
-                continue
-            try:
-                await asyncio.wait_for(handle.process.wait(), timeout=5.0)
-            except asyncio.TimeoutError:  # pragma: no cover - stuck child
-                handle.process.kill()
-                await handle.process.wait()
-            if handle._drain_task is not None:
-                handle._drain_task.cancel()
+    async def _stop_zygote(self) -> None:
+        """EOF on the zygote's stdin: it SIGTERMs its nodes, waits, exits."""
+        zygote, self._zygote = self._zygote, None
+        if zygote is None:
+            return
+        zygote.stdin.close()
+        try:
+            await asyncio.wait_for(zygote.wait(), timeout=10.0)
+        except asyncio.TimeoutError:  # pragma: no cover - stuck zygote
+            zygote.kill()
+            for handle in self.handles.values():
+                if handle.running:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(handle.pid, signal.SIGKILL)
+            await zygote.wait()
+        # EOF on its stdout: the last process holding the pipe is gone.
+        await self._reader
 
     # -- spawning ----------------------------------------------------------
-    def _command(self, node_id: ProcessId,
-                 port: Optional[int]) -> List[str]:
-        command = [self.python, "-m", "repro", "node", "serve",
-                   "--spec", self.spec_path, "--node", str(node_id)]
-        if port:
-            command += ["--port", str(port)]
-        return command
-
     async def _spawn(self, node_id: ProcessId,
                      port: Optional[int] = None) -> None:
+        """Have the zygote fork ``node_id``; wait for its READY line."""
         handle = self.handles[node_id]
-        if handle._drain_task is not None:
-            handle._drain_task.cancel()
-            handle._drain_task = None
-        process = await asyncio.create_subprocess_exec(
-            *self._command(node_id, port), env=child_env(),
-            stdout=asyncio.subprocess.PIPE)
-        handle.process = process
+        stdin = self._zygote.stdin if self._zygote is not None else None
+        if stdin is None or stdin.is_closing():
+            raise ConfigurationError(
+                f"cannot start {node_id}: the node zygote is not running")
+        ready = handle.expect_line()
+        stdin.write(f"spawn {node_id} {port or ''}\n".encode())
         try:
-            ready = await asyncio.wait_for(
-                self._read_until_ready(node_id, process),
-                timeout=self.ready_timeout)
+            line = await asyncio.wait_for(ready, timeout=self.ready_timeout)
         except asyncio.TimeoutError:
-            process.kill()
-            await process.wait()
             raise ConfigurationError(
                 f"node {node_id} did not report readiness within "
                 f"{self.ready_timeout}s")
-        handle.address = (ready[1], ready[2])
-        handle._drain_task = asyncio.ensure_future(
-            self._drain_stdout(node_id, process))
+        if line is None or line[0] != READY:
+            raise ConfigurationError(
+                f"node {node_id} exited ({line or 'zygote gone'}) before "
+                f"reporting readiness")
         self.registry.counter("supervisor_spawns_total",
                               node=str(node_id)).inc()
-        logger.info("node %s up: pid %d at %s:%d", node_id, process.pid,
+        logger.info("node %s up: pid %d at %s:%d", node_id, handle.pid,
                     *handle.address)
 
-    async def _read_until_ready(self, node_id: ProcessId,
-                                process) -> Tuple[str, str, int]:
+    async def _read_zygote(self, stdout: asyncio.StreamReader) -> None:
+        """Apply the zygote's READY / EXIT lines until its stdout closes."""
         while True:
-            line = await process.stdout.readline()
-            if not line:
-                raise ConfigurationError(
-                    f"node {node_id} exited (rc={process.returncode}) "
-                    f"before reporting readiness")
-            ready = parse_ready_line(line.decode(errors="replace"))
-            if ready is not None:
-                if ready[0] != str(node_id):
-                    raise ConfigurationError(
-                        f"process for {node_id} reported readiness as "
-                        f"{ready[0]}")
-                return ready
-
-    async def _drain_stdout(self, node_id: ProcessId, process) -> None:
-        # Keep the pipe from filling (a full pipe blocks the child) and
-        # forward anything the node prints to our logger.
-        try:
-            while True:
-                line = await process.stdout.readline()
-                if not line:
-                    return
-                logger.debug("node %s: %s", node_id,
-                             line.decode(errors="replace").rstrip())
-        except asyncio.CancelledError:  # pragma: no cover - teardown
-            return
+            raw = await stdout.readline()
+            if not raw:
+                break
+            line = parse_line(raw.decode(errors="replace"))
+            handle = self.handles.get(line[1]) if line else None
+            if handle is None:
+                logger.debug("zygote: %s", raw.decode(errors="replace"))
+                continue
+            if line[0] == READY:
+                handle.address, handle.pid = (line[2], line[3]), line[4]
+                handle.running = True
+            elif line[2] == handle.pid:
+                handle.running = False
+            if handle._next_line is not None and not handle._next_line.done():
+                handle._next_line.set_result(line)
+        for handle in self.handles.values():
+            handle.running = False
+            if handle._next_line is not None and not handle._next_line.done():
+                handle._next_line.set_result(None)
 
     # -- fault injection ---------------------------------------------------
     def kill(self, node_id: ProcessId,
@@ -321,23 +330,21 @@ class ClusterSupervisor:
         handle = self.handles[node_id]
         if not handle.running:
             raise ConfigurationError(f"node {node_id} is not running")
-        handle.process.send_signal(signum)
-        return handle.process.pid
+        os.kill(handle.pid, signum)
+        return handle.pid
 
     async def crash(self, node_id: ProcessId) -> None:
-        """SIGKILL the node process and wait until the OS reaps it."""
+        """SIGKILL the node process and wait until the zygote reaps it."""
         self.kill(node_id, signal.SIGKILL)
         handle = self.handles[node_id]
-        await handle.process.wait()
-        if handle._drain_task is not None:
-            await handle._drain_task
-            handle._drain_task = None
+        while handle.running:
+            await handle.expect_line()
         self.registry.counter("supervisor_crashes_total",
                               node=str(node_id)).inc()
         logger.info("node %s crashed (SIGKILL)", node_id)
 
     async def restart(self, node_id: ProcessId) -> None:
-        """Respawn a dead node; it recovers from its snapshot.
+        """Fork a dead node afresh; it recovers from its snapshot.
 
         The previously-bound port is pinned so clients' reconnect loops
         find the node at the address they already know.
@@ -410,6 +417,7 @@ class ClusterSupervisor:
     def _write_state(self) -> None:
         state = {
             "spec_path": self.spec_path,
+            "zygote_pid": self._zygote.pid if self._zygote else None,
             "exporter": (
                 {"host": self.exporter.host, "port": self.exporter.port}
                 if self.exporter is not None else None),

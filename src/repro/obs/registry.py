@@ -219,11 +219,6 @@ class MetricRegistry:
         metric = self._counters.get((name, _label_pairs(labels)))
         return metric.value if metric is not None else 0.0
 
-    def sum_counters(self, name: str) -> float:
-        """Sum of ``name`` across every label set."""
-        return sum(metric.value for (n, _), metric in self._counters.items()
-                   if n == name)
-
     def histograms_named(self, name: str) -> List[Histogram]:
         """Every histogram registered under ``name`` (any labels)."""
         return [metric for (n, _), metric in self._histograms.items()

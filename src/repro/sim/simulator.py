@@ -144,8 +144,3 @@ class Simulator:
                 break
             self.step()
         self.clock.advance_to(deadline)
-
-    @property
-    def events_executed(self) -> int:
-        """Total events executed so far."""
-        return self._events_executed

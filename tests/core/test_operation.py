@@ -80,6 +80,33 @@ def test_op_id_start_is_drawn_from_urandom(monkeypatch):
     assert operation._op_id_base() == 1
 
 
+def test_a_forked_child_draws_a_start_of_its_own(monkeypatch):
+    # Nodes are forked from one warm interpreter that imported this
+    # module once: each child must start where its own draw says, not
+    # count on from the parent's counter.
+    from repro.core import operation
+
+    def pid_bytes(size):
+        return ((os.getpid() % 2 ** 14) << 2).to_bytes(size, "big")
+
+    monkeypatch.setattr(operation.os, "urandom", pid_bytes)
+    monkeypatch.setattr(operation, "_op_counter",
+                        operation.itertools.count(operation._op_id_base()))
+    read_fd, write_fd = os.pipe()
+    child = os.fork()
+    if child == 0:  # pragma: no cover - runs in the forked child
+        os.close(read_fd)
+        os.write(write_fd, str(operation.next_op_id()).encode())
+        os._exit(0)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        child_first = int(pipe.read())
+    os.waitpid(child, 0)
+    parent_first = operation.next_op_id()
+    assert parent_first == (os.getpid() % 2 ** 14) << 6 | 1
+    assert child_first == (child % 2 ** 14) << 6 | 1
+
+
 def test_op_id_offset_preserves_sampling_alignment():
     # The tracer samples with op_id % sample; the per-process start is
     # 1 mod 64, so low-bit counting is unchanged: the k-th op in any

@@ -1,8 +1,8 @@
 """ClusterSupervisor against real OS processes (``procs`` marker).
 
-Each test spawns genuine ``repro node serve`` children, so these are the
-slowest unit-level tests in the tree; ``make cluster-smoke`` runs just
-this marker.
+Each test starts a genuine ``repro node zygote`` child that forks one
+node process per node, so these are the slowest unit-level tests in the
+tree; ``make cluster-smoke`` runs just this marker.
 """
 
 import asyncio
@@ -152,7 +152,8 @@ def test_state_file_tracks_pids_and_is_removed_on_stop(tmp_path):
 def test_unready_child_raises_instead_of_hanging(tmp_path):
     async def scenario():
         spec = make_spec(tmp_path)
-        # A python that exits immediately never prints a READY line.
+        # A python that exits at once never forks a node that could
+        # write a READY line.
         supervisor = ClusterSupervisor(spec, ready_timeout=5.0)
         supervisor.python = "/bin/false"
         with pytest.raises(ConfigurationError):

@@ -13,6 +13,8 @@ import ast
 import asyncio
 import importlib.util
 import os
+import re
+from collections import Counter
 
 import pytest
 
@@ -330,3 +332,19 @@ def test_lint_counts_assigning_history_as_a_write(dead_code_lint, source):
              "persistence.py": ast.parse(source)}
     [finding] = dead_code_lint.history_findings(store)
     assert "(persistence.py, store.py)" in finding
+
+
+def test_lint_finds_a_definition_nothing_references(dead_code_lint):
+    source = ("class Table:\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def do_GET(self):\n        pass\n"
+              "def used():\n    return Table()\n"
+              "def unused_helper():\n    return used()\n")
+    modules = {"helpers.py": ast.parse(source)}
+    words = Counter(re.findall(r"\w+", source))
+    [finding] = dead_code_lint.unreferenced_definitions(modules, words)
+    assert finding == ("helpers.py:8: 'unused_helper' is defined but "
+                       "referenced nowhere")
+    # One mention anywhere else -- a test, a doc -- is a reference.
+    words["unused_helper"] += 1
+    assert dead_code_lint.unreferenced_definitions(modules, words) == []

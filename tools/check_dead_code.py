@@ -11,6 +11,11 @@ Ways dead or duplicate code hides in a package, all cheap to detect:
   ``examples/``, ``tools/`` nor ``docs/``.  The ``__init__.py`` that
   exports the name does not count as a reference to it, and neither
   does the statement that defines it;
+* a ``def`` or ``class`` under ``src/repro/`` whose name occurs nowhere
+  in those roots but where it is defined -- counted as a word, in code,
+  comments and docs alike, so a name used through ``getattr`` or only
+  in prose still counts.  Dunders are exempt, and so are the few
+  methods the standard library calls by name (:data:`CALLED_BY_NAME`);
 * a second I/O style under ``src/repro/runtime/``.  The runtime's I/O
   is two ``asyncio.BufferedProtocol`` classes (``runtime/link.py``
   outbound, the node's inbound connection) that receive *into* the
@@ -50,6 +55,7 @@ import ast
 import os
 import re
 import sys
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "repro")
@@ -70,6 +76,13 @@ BUILDERS = ("ServerContext", "OpContext", "NamespacedOperation",
 #: Where a reference to an exported name may live.
 REFERENCE_DIRS = ("src", "tests", "bench", "benchmarks", "examples",
                   "tools", "docs")
+
+#: Overrides the standard library calls by name: ``http.server``
+#: dispatches a request to ``do_<VERB>`` and logs through
+#: ``log_message``.
+CALLED_BY_NAME = frozenset({"do_GET", "log_message"})
+
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _files(top, suffixes):
@@ -180,8 +193,38 @@ def history_findings(trees):
             "L only through RegisterStore.adopt"]
 
 
+def _definitions(tree):
+    """``(name, line)`` of every function and class a module defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node.lineno
+
+
+def unreferenced_definitions(trees, words):
+    """One finding per def/class whose name is never used.
+
+    ``trees`` maps a module's display path to its parsed AST; ``words``
+    counts every word of every file the lint searches, definitions
+    included -- so a name that occurs only as often as it is defined is
+    referenced nowhere.
+    """
+    sites = {}
+    for path, tree in trees.items():
+        for name, line in _definitions(tree):
+            sites.setdefault(name, []).append(f"{path}:{line}")
+    return [f"{site}: {name!r} is defined but referenced nowhere"
+            for name, places in sorted(sites.items())
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in CALLED_BY_NAME
+            and words[name] <= len(places)
+            for site in places]
+
+
 def main():
     findings = []
+    #: every word of every searched file, for the unused-definition scan.
+    words = Counter()
     #: src/repro module -> AST, for the one-recipe rule.
     package_trees = {}
     #: name -> files referencing it (python uses, or words in a doc).
@@ -191,8 +234,9 @@ def main():
         for path in _files(os.path.join(ROOT, top), (".py", ".md")):
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
+            words.update(WORD.findall(source))
             if path.endswith(".md"):
-                names = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", source))
+                names = set(WORD.findall(source))
             else:
                 tree = ast.parse(source, filename=path)
                 names = set(_python_references(tree))
@@ -214,6 +258,7 @@ def main():
                 references.setdefault(name, set()).add(path)
     findings.extend(builder_findings(package_trees))
     findings.extend(history_findings(package_trees))
+    findings.extend(unreferenced_definitions(package_trees, words))
     for path, names in exports:
         for name in names:
             if name.startswith("__"):
@@ -225,7 +270,8 @@ def main():
     for finding in findings:
         print(f"dead-code: {finding}")
     if not findings:
-        print("dead-code: no shims, no unreferenced exports, no streams "
+        print("dead-code: no shims, no unreferenced exports or "
+              "definitions, no streams "
               "or copying receivers under runtime/, one module per builder, "
               "one write walk and one read walk, one store admits pairs")
     return len(findings)

@@ -6,8 +6,7 @@ module; only the CLI front-ends (``cli.py``, ``metrics/report.py``) may
 write to stdout directly.  Benchmark scripts report through
 :func:`repro.metrics.report.emit` so their output stays greppable and
 redirectable as one stream.  A ``print`` that routes to an explicit
-stream (``print(..., file=stream)``) is allowed anywhere -- that is how
-node processes emit their READY line to the supervisor pipe.
+stream (``print(..., file=stream)``) is allowed anywhere.
 
 Exit status is the number of violations (0 == clean).
 """
