@@ -223,7 +223,7 @@ def _serve_forked(spec: ClusterSpec, node_id: ProcessId,
         os.close(devnull)
         asyncio.run(serve_node(spec, node_id, port=port))
         status = 0
-    except BaseException:
+    except Exception:
         logger.exception("node %s failed", node_id)
     finally:
         os._exit(status)

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.deploy.serve import (
-    EXIT,
     PING_FAILURES,
     READY,
     health_ping,
@@ -77,6 +76,10 @@ class NodeHandle:
     def expect_line(self) -> asyncio.Future:
         self._next_line = asyncio.get_running_loop().create_future()
         return self._next_line
+
+    def deliver(self, line: Optional[Tuple]) -> None:
+        if self._next_line is not None and not self._next_line.done():
+            self._next_line.set_result(line)
 
 
 def child_env() -> Dict[str, str]:
@@ -316,12 +319,10 @@ class ClusterSupervisor:
                 handle.running = True
             elif line[2] == handle.pid:
                 handle.running = False
-            if handle._next_line is not None and not handle._next_line.done():
-                handle._next_line.set_result(line)
+            handle.deliver(line)
         for handle in self.handles.values():
             handle.running = False
-            if handle._next_line is not None and not handle._next_line.done():
-                handle._next_line.set_result(None)
+            handle.deliver(None)
 
     # -- fault injection ---------------------------------------------------
     def kill(self, node_id: ProcessId,
