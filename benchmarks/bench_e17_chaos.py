@@ -12,7 +12,8 @@ bounded by the reconnect backoff rather than by the fault duration.
 
 import asyncio
 
-from repro.chaos import SCHEDULES, run_soak
+from repro.chaos.nemesis import SCHEDULES
+from repro.chaos.soak import run_soak
 from repro.metrics import format_table
 
 from benchmarks.conftest import emit

@@ -36,7 +36,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.load import LoadProfile, SloPolicy, run_load
+from repro.load.coordinator import run_load
+from repro.load.profile import LoadProfile, SloPolicy
 
 pytestmark = pytest.mark.slow_bench
 

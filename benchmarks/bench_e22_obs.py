@@ -41,7 +41,8 @@ from pathlib import Path
 import pytest
 
 from repro.deploy import stats_ping
-from repro.obs import MetricsExporter, NullSink, SamplingSink
+from repro.obs import NullSink, SamplingSink
+from repro.obs.httpd import MetricsExporter
 from repro.runtime import LocalCluster
 
 pytestmark = pytest.mark.slow_bench

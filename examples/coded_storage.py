@@ -10,7 +10,7 @@ Run with::
     python examples/coded_storage.py
 """
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.metrics import format_table
 from repro.sim.delays import UniformDelay
 

@@ -17,7 +17,7 @@ Run with::
     python examples/geo_replication.py
 """
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.metrics import format_table
 from repro.sim.delays import TopologyDelay
 from repro.types import reader_id, server_id, writer_id

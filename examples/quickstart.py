@@ -9,7 +9,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import check_safety
 from repro.sim.delays import UniformDelay
 

@@ -10,7 +10,7 @@ Run with::
     python examples/read_heavy_workload.py
 """
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import check_safety
 from repro.metrics import format_table, summarize_trace
 from repro.sim.delays import UniformDelay

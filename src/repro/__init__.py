@@ -17,37 +17,16 @@ A production-quality reproduction of Konwar, Kumar & Tseng (ICDCS 2020):
 
 Quickstart::
 
-    from repro import RegisterSystem
+    from repro.core.register import RegisterSystem
 
     system = RegisterSystem("bsr", f=1)      # 5 servers, 1 Byzantine
     system.write(b"hello", writer=0, at=0.0)
     read = system.read(reader=0, at=10.0)
     system.run()
     assert read.value == b"hello"
+
+The package re-exports nothing: every ``repro`` process -- each node,
+each command -- imports this module, so it imports no subsystem.
 """
 
-from repro.core.register import OpHandle, RegisterSystem
-from repro.core.tags import TAG_ZERO, Tag, TaggedValue
-from repro.errors import (
-    ConfigurationError,
-    ConsistencyViolation,
-    DecodingError,
-    QuorumError,
-    ReproError,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "RegisterSystem",
-    "OpHandle",
-    "Tag",
-    "TaggedValue",
-    "TAG_ZERO",
-    "ReproError",
-    "ConfigurationError",
-    "QuorumError",
-    "DecodingError",
-    "ConsistencyViolation",
-    "__version__",
-]

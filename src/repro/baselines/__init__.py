@@ -15,20 +15,6 @@
 
 Every baseline writes with the shared
 :class:`~repro.core.operation.WriteOperation`.
+
+The package imports neither module: ``abd`` needs no broadcast.
 """
-
-from repro.baselines.abd import ABDReadOperation
-from repro.baselines.rb_register import (
-    BRACHA,
-    BroadcastRegisterServer,
-    BroadcastScheme,
-    RelayReadOperation,
-)
-
-__all__ = [
-    "BRACHA",
-    "BroadcastRegisterServer",
-    "BroadcastScheme",
-    "RelayReadOperation",
-    "ABDReadOperation",
-]

@@ -9,9 +9,6 @@ Two broadcasts are available:
   ``n >= 3f + 1`` (SEND / ECHO / READY).
 * :class:`IR2Instance` -- the Imbs-Raynal 2-step protocol at
   ``n >= 5f + 1`` (INIT / WITNESS), one communication step cheaper.
+
+The package imports neither module: ``rb`` needs only Bracha's.
 """
-
-from repro.broadcast.bracha import BrachaInstance, BrachaState
-from repro.broadcast.imbs_raynal import IR2Instance, IR2State
-
-__all__ = ["BrachaInstance", "BrachaState", "IR2Instance", "IR2State"]

@@ -5,28 +5,7 @@ The paper's fault model lets up to ``f`` servers "behave arbitrarily".
 deviations the paper names explicitly (wrong values, wrong timestamps, no
 reply, multiple replies, stale data) and :mod:`repro.byzantine.scenarios`
 scripts the exact adversarial executions of Theorems 3, 5 and 6.
+
+The package imports neither module: a fleet without Byzantine entries
+never loads them.
 """
-
-from repro.byzantine.behaviors import (
-    BEHAVIOR_REGISTRY,
-    Behavior,
-    CorruptValueBehavior,
-    EquivocateBehavior,
-    ForgeTagBehavior,
-    MultiReplyBehavior,
-    SilentBehavior,
-    StaleBehavior,
-    make_behavior,
-)
-
-__all__ = [
-    "Behavior",
-    "SilentBehavior",
-    "StaleBehavior",
-    "ForgeTagBehavior",
-    "CorruptValueBehavior",
-    "EquivocateBehavior",
-    "MultiReplyBehavior",
-    "BEHAVIOR_REGISTRY",
-    "make_behavior",
-]

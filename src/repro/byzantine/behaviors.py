@@ -39,7 +39,7 @@ from repro.core.messages import (
 )
 from repro.core.operation import next_op_id
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
-from repro.erasure.striping import CodedElement
+from repro.erasure.element import CodedElement
 from repro.sim.rng import SimRng
 from repro.types import Envelope, ProcessId
 

@@ -21,30 +21,7 @@ Three layers:
   concurrently with a workload; :func:`~repro.chaos.soak.run_soak` ties
   a schedule and a mixed read/write workload together and checks the
   result against the paper's safety definition.
+
+The package imports none of its modules: a cluster without chaos never
+loads them, and one with it loads the plan and proxy, not the soak.
 """
-
-from repro.chaos.faults import Decision, FaultKind, FaultPlan, LinkPolicy
-from repro.chaos.nemesis import (
-    PROCESS_SCHEDULES,
-    SCHEDULES,
-    Nemesis,
-    NemesisStep,
-    build_schedule,
-)
-from repro.chaos.proxy import ChaosProxy
-from repro.chaos.soak import SoakResult, run_soak
-
-__all__ = [
-    "ChaosProxy",
-    "Decision",
-    "FaultKind",
-    "FaultPlan",
-    "LinkPolicy",
-    "Nemesis",
-    "NemesisStep",
-    "PROCESS_SCHEDULES",
-    "SCHEDULES",
-    "SoakResult",
-    "build_schedule",
-    "run_soak",
-]

@@ -38,26 +38,11 @@ import signal as signal_module
 import sys
 from typing import Dict, List, Optional
 
-from repro.chaos import PROCESS_SCHEDULES, SCHEDULES, run_soak
-
-from repro.byzantine.scenarios import (
-    theorem3_regularity_violation,
-    theorem5_bsr_below_bound,
-    theorem6_bcsr_below_bound,
-)
-from repro.consistency import check_regularity, check_safety
-from repro.core.register import RegisterSystem
-from repro.metrics import format_table, summarize_trace
-from repro.sim.delays import UniformDelay
-from repro.sim.rng import SimRng
-from repro.modelcheck import ModelChecker
-from repro.modelcheck.scenarios import all_quorum_pairs, bsr_read_stage
-from repro.workloads import WorkloadSpec, apply_schedule, generate_schedule
-
 
 def _cmd_algorithms(args: argparse.Namespace) -> int:
     # Generated from the protocol registry: registering a plugin is all
     # it takes to appear here (and everywhere else).
+    from repro.metrics import format_table
     from repro.protocols import specs
 
     rows = [
@@ -71,6 +56,10 @@ def _cmd_algorithms(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from repro.consistency import check_safety
+    from repro.core.register import RegisterSystem
+    from repro.sim.delays import UniformDelay
+
     system = RegisterSystem(args.algorithm, f=args.f, seed=args.seed,
                             delay_model=UniformDelay(0.5, 2.0))
     system.write(b"paper", writer=0, at=0.0)
@@ -85,13 +74,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.byzantine import scenarios
+
     if args.name == "t3":
-        result = theorem3_regularity_violation(args.algorithm or "bsr",
-                                               seed=args.seed)
+        result = scenarios.theorem3_regularity_violation(
+            args.algorithm or "bsr", seed=args.seed)
     elif args.name == "t5":
-        result = theorem5_bsr_below_bound(n=args.n, seed=args.seed)
+        result = scenarios.theorem5_bsr_below_bound(n=args.n, seed=args.seed)
     else:
-        result = theorem6_bcsr_below_bound(n=args.n, seed=args.seed)
+        result = scenarios.theorem6_bcsr_below_bound(n=args.n, seed=args.seed)
     print(result.description)
     print(result.trace.format())
     print(f"\nread returned: {result.read_value!r}")
@@ -103,6 +94,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
+    from repro.consistency import check_safety
+    from repro.core.register import RegisterSystem
+    from repro.metrics import format_table, summarize_trace
+    from repro.sim.delays import UniformDelay
+    from repro.sim.rng import SimRng
+    from repro.workloads import WorkloadSpec, apply_schedule, generate_schedule
+
     spec = WorkloadSpec(num_ops=args.ops, read_ratio=args.read_ratio,
                         value_size=args.value_size,
                         mean_interarrival=args.interarrival)
@@ -130,6 +128,9 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.chaos.soak import run_soak
+    from repro.metrics import format_table
+
     client_kwargs = ({"max_inflight": args.max_inflight}
                      if args.max_inflight is not None else None)
     result = asyncio.run(run_soak(
@@ -223,6 +224,8 @@ def _parse_signal(name: str) -> int:
 
 
 def _print_cluster_status(rows) -> None:
+    from repro.metrics import format_table
+
     print(format_table(("node", "pid", "address", "state", "restarts"), rows))
 
 
@@ -434,7 +437,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.metrics_command == "serve":
         import time as time_module
 
-        from repro.obs import MetricsExporter
+        from repro.obs.httpd import MetricsExporter
 
         addresses = _state_addresses(state)
 
@@ -564,6 +567,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         stitch,
         stitch_op,
     )
+    from repro.metrics import format_table
 
     spec = ClusterSpec.from_file(args.spec)
     state_path = args.state or default_state_path(spec, args.spec)
@@ -711,6 +715,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         read_state,
         stats_ping,
     )
+    from repro.metrics import format_table
     from repro.obs import merge_snapshots
 
     spec = ClusterSpec.from_file(args.spec)
@@ -793,7 +798,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
-    from repro.load import LoadProfile, SloPolicy, parse_mix, run_load
+    from repro.load.coordinator import run_load
+    from repro.load.profile import LoadProfile, SloPolicy, parse_mix
 
     profile = LoadProfile(
         users=args.users, rps=args.rps, read_ratio=parse_mix(args.mix),
@@ -820,13 +826,14 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_load_worker(args: argparse.Namespace) -> int:
-    from repro.load import worker_main
+    from repro.load.worker import worker_main
 
     return worker_main()
 
 
 def _cmd_keys(args: argparse.Namespace) -> int:
     from repro.deploy import ClusterSpec
+    from repro.metrics import format_table
     from repro.sharding import HashRing, key_name
 
     spec = ClusterSpec.from_file(args.spec)
@@ -903,6 +910,10 @@ def _cmd_keys(args: argparse.Namespace) -> int:
 
 
 def _cmd_modelcheck(args: argparse.Namespace) -> int:
+    from repro.metrics import format_table
+    from repro.modelcheck import ModelChecker
+    from repro.modelcheck.scenarios import all_quorum_pairs, bsr_read_stage
+
     n, f = args.n, args.f
     print(f"model-checking the BSR read stage at n={n}, f={f} "
           f"(bound: n >= {4 * f + 1})")
@@ -927,6 +938,18 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
     print(format_table(("W1 quorum", "W2 quorum", "outcome", "detail"), rows))
     print(f"\n{violating} of {len(rows)} quorum pairs admit a violation")
     return 0 if (violating == 0) == (n >= 4 * f + 1) else 1
+
+
+def _schedule(name: str) -> str:
+    """``--schedule``'s check: the chaos package loads only when a chaos
+    command is parsed, not to build the parser."""
+    from repro.chaos.nemesis import SCHEDULES
+
+    if name not in SCHEDULES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from "
+            f"{', '.join(map(repr, SCHEDULES))})")
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -970,7 +993,9 @@ def build_parser() -> argparse.ArgumentParser:
              "fault schedule and check safety + liveness",
     )
     chaos.add_argument("--algorithm", default="bsr", choices=names())
-    chaos.add_argument("--schedule", default="combo", choices=SCHEDULES)
+    chaos.add_argument("--schedule", default="combo", type=_schedule,
+                       metavar="SCHEDULE",
+                       help="nemesis fault schedule (default: combo)")
     chaos.add_argument("--f", type=int, default=1)
     chaos.add_argument("--ops", type=int, default=40)
     chaos.add_argument("--read-ratio", type=float, default=0.6)
@@ -982,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--procs", action="store_true",
                        help="run against real OS processes (SIGKILL "
-                            f"crashes; schedules {PROCESS_SCHEDULES})")
+                            "crashes; crash/restart schedules only)")
     chaos.add_argument("--max-history", type=int, default=None,
                        help="bound the history list of history-serving "
                             "(bsr-history, bsr-2round) and Byzantine "

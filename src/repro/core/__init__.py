@@ -10,44 +10,8 @@ All protocol logic is written as transport-agnostic state machines:
 
 The same classes run inside the discrete-event simulator
 (:mod:`repro.core.processes`) and over real sockets (:mod:`repro.runtime`).
+
+The package imports none of its modules: a node serving BSR needs
+:mod:`repro.core.bsr` but not the coded register, the regular variants
+or the simulator facade (:mod:`repro.core.register`).
 """
-
-from repro.core.tags import TAG_ZERO, Tag, TaggedValue
-from repro.core.quorum import (
-    bcsr_min_servers,
-    bsr_min_servers,
-    kth_highest,
-    rb_min_servers,
-    validate_bcsr_config,
-)
-from repro.core.operation import WriteOperation
-from repro.core.bsr import BSRReadOperation, BSRReaderState, BSRServer
-from repro.core.bcsr import BCSRReadOperation, BCSRServer, coded_write
-from repro.core.regular import (
-    HistoryReadOperation,
-    RegularBSRServer,
-    TwoRoundReadOperation,
-)
-from repro.core.register import RegisterSystem
-
-__all__ = [
-    "Tag",
-    "TaggedValue",
-    "TAG_ZERO",
-    "bsr_min_servers",
-    "bcsr_min_servers",
-    "rb_min_servers",
-    "kth_highest",
-    "validate_bcsr_config",
-    "WriteOperation",
-    "BSRServer",
-    "BSRReadOperation",
-    "BSRReaderState",
-    "BCSRServer",
-    "coded_write",
-    "BCSRReadOperation",
-    "RegularBSRServer",
-    "HistoryReadOperation",
-    "TwoRoundReadOperation",
-    "RegisterSystem",
-]

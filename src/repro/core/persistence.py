@@ -14,24 +14,24 @@ slow/faulty server).
 from __future__ import annotations
 
 import base64
+import importlib
 import json
 from typing import Any, Optional
 
-from repro.core.bcsr import BCSRServer
-from repro.core.bsr import BSRServer
-from repro.core.regular import RegularBSRServer
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
-from repro.erasure.striping import CodedElement, StripedCodec
+from repro.erasure.element import CodedElement
 from repro.errors import ProtocolError
 
-#: Server classes persistence understands, by stable type name.  ABD's
+#: Server classes persistence understands: stable type name -> the module
+#: and class it restores as, imported only when a snapshot is restored
+#: (a node snapshotting BSR servers never loads the erasure codec).  ABD's
 #: servers were once an ``ABDServer`` class of their own; snapshots on disk
 #: that name it restore as the :class:`BSRServer` it always behaved as.
 _SERVER_TYPES = {
-    "BSRServer": BSRServer,
-    "RegularBSRServer": RegularBSRServer,
-    "ABDServer": BSRServer,
-    "BCSRServer": BCSRServer,
+    "BSRServer": ("repro.core.bsr", "BSRServer"),
+    "RegularBSRServer": ("repro.core.regular", "RegularBSRServer"),
+    "ABDServer": ("repro.core.bsr", "BSRServer"),
+    "BCSRServer": ("repro.core.bcsr", "BCSRServer"),
 }
 
 
@@ -111,13 +111,13 @@ def snapshot_server(server: Any) -> bytes:
         "max_history": getattr(server, "max_history", None),
         "history": [_to_json(pair) for pair in server.history],
     }
-    if isinstance(server, BCSRServer):
+    if type_name == "BCSRServer":
         payload["index"] = server.index
         payload["codec"] = {"n": server.codec.n, "k": server.codec.k}
     return json.dumps(payload, separators=(",", ":")).encode()
 
 
-def restore_server(snapshot: bytes, codec: Optional[StripedCodec] = None) -> Any:
+def restore_server(snapshot: bytes, codec: Any = None) -> Any:
     """Rebuild a server from :func:`snapshot_server` output.
 
     ``codec`` overrides the recorded ``[n, k]`` shape for BCSR servers
@@ -126,7 +126,7 @@ def restore_server(snapshot: bytes, codec: Optional[StripedCodec] = None) -> Any
     """
     try:
         payload = json.loads(snapshot.decode())
-        cls = _SERVER_TYPES[payload["type"]]
+        module, name = _SERVER_TYPES[payload["type"]]
         history = [_from_json(pair) for pair in payload["history"]]
     except ProtocolError:
         raise
@@ -134,12 +134,14 @@ def restore_server(snapshot: bytes, codec: Optional[StripedCodec] = None) -> Any
         raise ProtocolError(f"malformed server snapshot: {exc}") from exc
     if not history or not all(isinstance(p, TaggedValue) for p in history):
         raise ProtocolError("snapshot history is empty or malformed")
-    if cls is BCSRServer:
+    cls = getattr(importlib.import_module(module), name)
+    if name == "BCSRServer":
         if codec is None:
+            from repro.erasure.striping import StripedCodec
             shape = payload["codec"]
             codec = StripedCodec(int(shape["n"]), int(shape["k"]))
-        server = BCSRServer(payload["server_id"], int(payload["index"]), codec,
-                            max_history=payload.get("max_history"))
+        server = cls(payload["server_id"], int(payload["index"]), codec,
+                     max_history=payload.get("max_history"))
     else:
         server = cls(payload["server_id"],
                      max_history=payload.get("max_history"))

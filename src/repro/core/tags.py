@@ -32,9 +32,15 @@ def tag_in_range(tag: Any) -> bool:
     return type(tag) is Tag and tag.num <= TAG_MAX
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False)
 class Tag:
-    """A write timestamp ``(num, writer)`` with lexicographic total order."""
+    """A write timestamp ``(num, writer)`` with lexicographic total order.
+
+    Equality, hashing and the four orderings are those of the tuple
+    ``(num, writer)``, written out so a comparison builds no tuples: a
+    read compares a tag per reply.  Each returns ``NotImplemented`` for
+    anything but a :class:`Tag`.
+    """
 
     num: int
     writer: ProcessId
@@ -42,6 +48,42 @@ class Tag:
     def __post_init__(self) -> None:
         if self.num < 0:
             raise ValueError(f"tag number must be non-negative, got {self.num}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Tag:
+            return NotImplemented
+        return self.num == other.num and self.writer == other.writer
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.writer))
+
+    def __lt__(self, other: "Tag") -> bool:
+        if other.__class__ is not Tag:
+            return NotImplemented
+        if self.num != other.num:
+            return self.num < other.num
+        return self.writer < other.writer
+
+    def __le__(self, other: "Tag") -> bool:
+        if other.__class__ is not Tag:
+            return NotImplemented
+        if self.num != other.num:
+            return self.num < other.num
+        return self.writer <= other.writer
+
+    def __gt__(self, other: "Tag") -> bool:
+        if other.__class__ is not Tag:
+            return NotImplemented
+        if self.num != other.num:
+            return self.num > other.num
+        return self.writer > other.writer
+
+    def __ge__(self, other: "Tag") -> bool:
+        if other.__class__ is not Tag:
+            return NotImplemented
+        if self.num != other.num:
+            return self.num > other.num
+        return self.writer >= other.writer
 
     def next_for(self, writer: ProcessId) -> "Tag":
         """The tag a write by ``writer`` creates after observing this tag."""

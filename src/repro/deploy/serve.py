@@ -12,7 +12,7 @@ depend on it:
 
 Two entries run :func:`serve_node`.  ``repro node serve`` hosts one node
 in its own interpreter, for hand-run and multi-host deployments.
-``repro node zygote`` (:func:`run_zygote`) imports the package once and
+``repro node zygote`` (:func:`run_zygote`) imports a node's code once and
 forks one node process per ``spawn <node> [port]`` line on its stdin;
 :class:`~repro.deploy.supervisor.ClusterSupervisor` starts and restarts
 every node that way, so a node costs a fork, not an interpreter.  The
@@ -142,7 +142,9 @@ def run_zygote(spec: ClusterSpec) -> int:
     signal.signal(signal.SIGINT, lambda *_: stopping.append(True))
     signal.set_wakeup_fd(wake_w)
     # Everything imported so far is shared with every child; keep the
-    # collector from writing to (and so copying) those pages.
+    # collector from writing to (and so copying) those pages.  Building
+    # ``spec`` looked its protocol up, which imported the protocol's
+    # module, so a child imports nothing of the package after the fork.
     gc.freeze()
 
     def reap(flags: int) -> None:

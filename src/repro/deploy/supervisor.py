@@ -9,7 +9,7 @@ node back, recovering from its snapshot and rebinding its previous port
 so clients can re-dial.
 
 The supervisor execs one child, ``repro node zygote``
-(:func:`~repro.deploy.serve.run_zygote`), which imports the package once
+(:func:`~repro.deploy.serve.run_zygote`), which imports a node's code once
 and forks every node on request -- a ``spawn <node> [port]`` line on its
 stdin.  Each node writes ``READY <node> <host> <port> <pid>`` to the
 zygote's stdout, which the supervisor reads; the zygote adds
@@ -42,7 +42,7 @@ import signal
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.deploy.serve import (
     PING_FAILURES,
@@ -54,9 +54,12 @@ from repro.deploy.serve import (
 )
 from repro.deploy.spec import ClusterSpec
 from repro.errors import ConfigurationError
-from repro.obs import MetricRegistry, MetricsExporter
+from repro.obs import MetricRegistry
 from repro.runtime.client import AsyncRegisterClient
 from repro.types import ProcessId
+
+if TYPE_CHECKING:  # pragma: no cover - loads http.server
+    from repro.obs.httpd import MetricsExporter
 
 logger = logging.getLogger(__name__)
 
@@ -209,6 +212,7 @@ class ClusterSupervisor:
         port = self.spec.observability.get("exporter_port")
         if port is None or self.exporter is not None:
             return
+        from repro.obs.httpd import MetricsExporter
         host = str(self.spec.observability.get("exporter_host",
                                                "127.0.0.1"))
         auth = self.spec.authenticator()

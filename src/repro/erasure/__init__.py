@@ -8,13 +8,12 @@ any ``k`` correct coded elements determine the value, and a decoder given
 ``N`` elements of which at most ``e`` are erroneous succeeds whenever
 ``N >= k + 2e`` -- exactly the property Lemma 4 of the paper relies on with
 ``k = n - 5f``, ``N = n - f`` and ``e = 2f``.
+
+The modules, leaf first: :mod:`~repro.erasure.gf256` (the field),
+:mod:`~repro.erasure.kernels` (bulk GF(256) column kernels),
+:mod:`~repro.erasure.poly`, :mod:`~repro.erasure.rs` (the code and its
+decoder), :mod:`~repro.erasure.element` (:class:`CodedElement`, what a
+server stores) and :mod:`~repro.erasure.striping` (values of any length).
+This package imports none of them: code that only carries coded
+elements imports :mod:`~repro.erasure.element` alone.
 """
-
-from repro.erasure import kernels
-from repro.erasure.gf256 import GF256
-from repro.erasure.poly import Poly
-from repro.erasure.rs import ReedSolomon
-from repro.erasure.striping import CodedElement, StripedCodec
-
-__all__ = ["GF256", "Poly", "ReedSolomon", "StripedCodec", "CodedElement",
-           "kernels"]

@@ -30,29 +30,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.erasure import kernels
+from repro.erasure.element import CodedElement
 from repro.erasure.rs import ReedSolomon
 from repro.errors import DecodingError
 
 _LENGTH_PREFIX = 4
-
-#: Bytes a compact wire encoding spends on one coded element beyond its
-#: data: a 4-byte codeword index plus a 4-byte length prefix.
-_ELEMENT_OVERHEAD = 8
-
-
-@dataclass(frozen=True)
-class CodedElement:
-    """One server's share of an encoded value."""
-
-    index: int
-    data: bytes
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def wire_size(self) -> int:
-        """Actual encoded length on the wire: index + length + data."""
-        return _ELEMENT_OVERHEAD + len(self.data)
 
 
 @dataclass

@@ -21,30 +21,7 @@ open-loop answer, layered on everything below it:
   ``BENCH_load.json`` document and its human rendering.
 
 Surfaced as ``repro load`` and benchmark E21 (``make bench-load``).
+
+The package imports none of its modules: a ``repro load-worker``
+process imports the worker, not the coordinator that started it.
 """
-
-from repro.load.coordinator import PassOutcome, run_load
-from repro.load.profile import LoadProfile, SloPolicy, parse_mix
-from repro.load.report import LoadReport, pass_metrics
-from repro.load.worker import (
-    OpenLoopEngine,
-    make_value,
-    run_worker,
-    value_anomaly,
-    worker_main,
-)
-
-__all__ = [
-    "LoadProfile",
-    "LoadReport",
-    "OpenLoopEngine",
-    "PassOutcome",
-    "SloPolicy",
-    "make_value",
-    "parse_mix",
-    "pass_metrics",
-    "run_load",
-    "run_worker",
-    "value_anomaly",
-    "worker_main",
-]

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.operation import ReplyCollector
 from repro.core.tags import Tag, TaggedValue
-from repro.erasure.striping import CodedElement
+from repro.erasure.element import CodedElement
 from repro.types import Envelope, ProcessId
 
 

@@ -18,8 +18,10 @@ coded BCSR reads -- and this package is how the live runtime shows them:
   halves of those spans (recv/queue/service per frame, scraped over
   ``TraceDump``) and the joiner that stitches both sides into one
   causal timeline per operation.
-* :class:`MetricsExporter` -- a stdlib HTTP sidecar serving merged
-  Prometheus text (``/metrics``), JSON snapshots and per-op traces.
+* :class:`~repro.obs.httpd.MetricsExporter` -- a stdlib HTTP sidecar
+  serving merged Prometheus text (``/metrics``), JSON snapshots and
+  per-op traces.  Not re-exported: it loads ``http.server``, which only
+  a process that serves HTTP should pay for.
 * :class:`SnapshotLog` -- the JSONL time-series sidecar, with
   size-based rotation and per-window percentile deltas.
 * :class:`LogGate` -- per-reason rate limiting on warnings so a
@@ -33,7 +35,6 @@ depend on it without cycles.
 """
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.httpd import MetricsExporter
 from repro.obs.loglimit import LogGate
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -92,7 +93,6 @@ __all__ = [
     "LogGate",
     "MemorySink",
     "MetricRegistry",
-    "MetricsExporter",
     "NullSink",
     "OpSpan",
     "OpTracer",

@@ -365,10 +365,12 @@ def register_phase_names(algorithm: str, write_phases, read_phases,
 
 def phase_name(kind: str, round_number: int, algorithm: str = "") -> str:
     """Human name of a client round (``get-tag``, ``put-data``, ...)."""
-    if algorithm and not _ROUND_PHASES:
-        # Lazily pull in the registrations; importing the registry from
-        # here at module load would be circular.
-        import repro.protocols  # noqa: F401
+    if algorithm and algorithm not in _ROUND_PHASES:
+        # Looking a protocol up registers its phases; importing the
+        # registry from here at module load would be circular.
+        from repro.protocols.registry import HOMES, get_spec
+        if algorithm in HOMES:
+            get_spec(algorithm)
     table = _ROUND_PHASES.get(algorithm, _DEFAULT_PHASES)
     name = table.get(kind, {}).get(round_number)
     if name is None:

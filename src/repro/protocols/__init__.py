@@ -1,8 +1,10 @@
 """Protocol plugin registry -- every register algorithm, declaratively.
 
-Importing this package registers the built-in protocols (``bsr``,
-``bsr-history``, ``bsr-2round``, ``bcsr``, ``rb``, ``abd``) and the
-RB-era rival plugins (``rb2``, ``mpr``).  Everything else -- sim,
+The built-in protocols (``bsr``, ``bsr-history``, ``bsr-2round``,
+``bcsr``, ``rb``, ``abd``) and the RB-era rival plugins (``rb2``,
+``mpr``) each register from a module of their own, imported on the
+first :func:`get_spec` of one of their names
+(:data:`~repro.protocols.registry.HOMES`).  Everything else -- sim,
 asyncio runtime, ``--procs`` deployment, sharding, chaos, load rig,
 CLI -- consumes the registry through :func:`get_spec` and friends
 instead of comparing algorithm strings.
@@ -19,11 +21,6 @@ from repro.protocols.registry import (
     register,
     specs,
 )
-
-# Importing the implementation modules is what registers them.
-from repro.protocols import builtin as _builtin  # noqa: F401
-from repro.protocols import mpr as _mpr  # noqa: F401
-from repro.protocols import rb2 as _rb2  # noqa: F401
 
 __all__ = [
     "BYZANTINE",

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.byzantine.behaviors import Behavior, make_behavior
 from repro.core.keys import MAX_KEY_LENGTH, key_error
 from repro.core.namespace import DEFAULT_REGISTER, NamespacedOperation
 from repro.errors import ConfigurationError
@@ -37,6 +36,9 @@ from repro.protocols.registry import (
 )
 from repro.sharding import KeyspaceConfig, Placement, RegisterTable
 from repro.types import ProcessId, server_id
+
+if TYPE_CHECKING:  # pragma: no cover - loaded for Byzantine entries only
+    from repro.byzantine.behaviors import Behavior
 
 #: A quorum group: the servers one register's operations run against.
 Group = Tuple[ProcessId, ...]
@@ -90,6 +92,8 @@ class Fleet:
             spec.validate_config(n, f)
         server_ids = tuple(server_id(i) for i in range(n))
         behaviors: Dict[ProcessId, Behavior] = {}
+        if byzantine:
+            from repro.byzantine.behaviors import make_behavior
         for key, value in (byzantine or {}).items():
             pid = server_id(key) if isinstance(key, int) else key
             if pid not in server_ids:

@@ -10,14 +10,19 @@ the fault model, capability flags and display metadata, registered once
 via :func:`register` and consumed everywhere through :func:`get_spec`.
 
 Adding a protocol is now one module that builds a spec and registers it
-(see ``repro/protocols/rb2.py`` for a complete worked example); the sim,
-the asyncio runtime, ``--procs`` deployment, sharding, chaos soaks, the
-load rig, ``repro algorithms`` and the conformance suite all pick it up
-from the registration alone.
+(see ``repro/protocols/rb2.py`` for a complete worked example), plus its
+line in :data:`HOMES`; the sim, the asyncio runtime, ``--procs``
+deployment, sharding, chaos soaks, the load rig, ``repro algorithms`` and
+the conformance suite all pick it up from the registration alone.
+
+A protocol's module is imported on its first :func:`get_spec`, not
+before: :func:`names` reads :data:`HOMES` and imports nothing, so a BSR
+node or client never loads the erasure codec or the broadcast baselines.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -120,6 +125,19 @@ class ProtocolSpec:
             )
 
 
+#: Every built-in protocol, in display order, and the module whose import
+#: registers it.
+HOMES: Mapping[str, str] = {
+    "bsr": "repro.protocols.bsr",
+    "bsr-history": "repro.protocols.regular",
+    "bsr-2round": "repro.protocols.regular",
+    "bcsr": "repro.protocols.bcsr",
+    "rb": "repro.protocols.rb",
+    "abd": "repro.protocols.abd",
+    "mpr": "repro.protocols.mpr",
+    "rb2": "repro.protocols.rb2",
+}
+
 _REGISTRY: Dict[str, ProtocolSpec] = {}
 
 
@@ -144,20 +162,22 @@ def register(spec: ProtocolSpec) -> ProtocolSpec:
 
 
 def get_spec(name: str) -> ProtocolSpec:
-    """Look up a registered protocol, with a helpful error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    """Look up a protocol, importing its module on first use."""
+    spec = _REGISTRY.get(name)
+    if spec is None and name in HOMES:
+        importlib.import_module(HOMES[name])
+        spec = _REGISTRY.get(name)
+    if spec is None:
         raise ConfigurationError(
-            f"unknown algorithm {name!r}; choose from {names()}"
-        ) from None
+            f"unknown algorithm {name!r}; choose from {names()}")
+    return spec
 
 
 def names() -> Tuple[str, ...]:
-    """Every registered protocol name, in registration order."""
-    return tuple(_REGISTRY)
+    """Every protocol name: the built-ins, then any registered since."""
+    return (*HOMES, *(name for name in _REGISTRY if name not in HOMES))
 
 
 def specs() -> Tuple[ProtocolSpec, ...]:
-    """Every registered spec, in registration order."""
-    return tuple(_REGISTRY.values())
+    """Every spec, in :func:`names` order (imports every protocol)."""
+    return tuple(get_spec(name) for name in names())

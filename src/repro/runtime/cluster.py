@@ -11,11 +11,8 @@ module's :class:`LocalCluster` and for the process-per-node
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-from repro.byzantine.behaviors import Behavior
-from repro.chaos.faults import FaultPlan
-from repro.chaos.proxy import ChaosProxy
 from repro.obs import MetricRegistry
 from repro.protocols.fleet import Fleet
 from repro.runtime.client import AsyncRegisterClient
@@ -23,6 +20,11 @@ from repro.runtime.node import RegisterServerNode
 from repro.sharding import KeyspaceConfig
 from repro.transport.auth import Authenticator, KeyChain
 from repro.types import ProcessId
+
+if TYPE_CHECKING:  # pragma: no cover - only chaos clusters load these
+    from repro.byzantine.behaviors import Behavior
+    from repro.chaos.faults import FaultPlan
+    from repro.chaos.proxy import ChaosProxy
 
 
 def authenticator(fleet: Fleet, secret: bytes, *parties: ProcessId
@@ -128,8 +130,10 @@ class LocalCluster:
         #: deployment.
         self.registry = registry if registry is not None else MetricRegistry()
         self.chaos = chaos or chaos_plan is not None
-        self.chaos_plan: Optional[FaultPlan] = (
-            (chaos_plan or FaultPlan(chaos_seed)) if self.chaos else None)
+        self.chaos_plan: Optional[FaultPlan] = None
+        if self.chaos:
+            from repro.chaos.faults import FaultPlan
+            self.chaos_plan = chaos_plan or FaultPlan(chaos_seed)
         auth = self.authenticator()
         #: ``flight_sample=0`` turns server-side trace recording off --
         #: the bench baseline.
@@ -150,6 +154,8 @@ class LocalCluster:
 
     async def start(self) -> None:
         """Start every server node (and its chaos proxy, when enabled)."""
+        if self.chaos:
+            from repro.chaos.proxy import ChaosProxy
         for pid, node in self.nodes.items():
             await node.start()
             if self.chaos:

@@ -7,49 +7,8 @@ delays, and crash/Byzantine failure injection.
 
 The simulator is deterministic given a seed, which makes the adversarial
 executions of Theorems 3, 5 and 6 exactly reproducible.
+
+Import the module you need (:mod:`repro.sim.simulator`,
+:mod:`repro.sim.trace`, ...): the package imports none of them, so a
+consistency check over a live trace does not load the simulator.
 """
-
-from repro.sim.clock import VirtualClock
-from repro.sim.events import Event, EventQueue
-from repro.sim.rng import SimRng
-from repro.sim.delays import (
-    ConstantDelay,
-    DelayModel,
-    DelayRule,
-    ExponentialDelay,
-    HOLD,
-    LogNormalDelay,
-    RuleBasedDelays,
-    SizeDependentDelay,
-    TopologyDelay,
-    UniformDelay,
-)
-from repro.sim.process import Process, ProcessContext
-from repro.sim.network import Network, NetworkStats
-from repro.sim.simulator import Simulator
-from repro.sim.trace import OpKind, OperationRecord, Trace
-
-__all__ = [
-    "VirtualClock",
-    "Event",
-    "EventQueue",
-    "SimRng",
-    "DelayModel",
-    "ConstantDelay",
-    "UniformDelay",
-    "ExponentialDelay",
-    "LogNormalDelay",
-    "SizeDependentDelay",
-    "TopologyDelay",
-    "DelayRule",
-    "RuleBasedDelays",
-    "HOLD",
-    "Process",
-    "ProcessContext",
-    "Network",
-    "NetworkStats",
-    "Simulator",
-    "Trace",
-    "OperationRecord",
-    "OpKind",
-]

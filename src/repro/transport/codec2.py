@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Tuple
 from repro.core import messages as message_module
 from repro.core.namespace import NamespacedMessage
 from repro.core.tags import TAG_MAX, Tag, TaggedValue
-from repro.erasure.striping import CodedElement
+from repro.erasure.element import CodedElement
 from repro.errors import ProtocolError
 
 #: First byte of every payload.

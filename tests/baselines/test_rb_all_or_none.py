@@ -8,7 +8,7 @@ the *source crashes mid-broadcast*.
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.core.messages import RBSend
 from repro.sim.delays import ConstantDelay, RuleBasedDelays
 from repro.types import server_id, writer_id

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.byzantine.collusion import (
     ColludingStaleBehavior,
     CollusionState,

@@ -1,6 +1,6 @@
 """Tests for the finite-run liveness checker."""
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import check_liveness
 from repro.sim.delays import ConstantDelay
 

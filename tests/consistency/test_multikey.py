@@ -8,7 +8,7 @@ sharded system and check each guarantee key by key.
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import (
     check_atomicity_by_tags,
     check_atomicity_per_register,

@@ -12,7 +12,7 @@ long as writes are not concurrent".  These tests pin both sides:
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import check_safety
 from repro.core.messages import PutData
 from repro.sim.delays import ConstantDelay, RuleBasedDelays, UniformDelay

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.core.bcsr import BCSRServer, make_codec
 from repro.core.bsr import BSRServer
 from repro.core.messages import PutData, QueryData

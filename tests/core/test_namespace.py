@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import check_safety
 from repro.core.bsr import BSRServer
 from repro.core.messages import DataReply, QueryData, QueryTag, TagReply

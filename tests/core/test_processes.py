@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.core.bsr import BSRServer
 from repro.core.operation import WriteOperation
 from repro.core.processes import ClientProcess, ServerProcess

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import check_safety
 from repro.core.messages import PutData
 from repro.core.tags import TAG_ZERO

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.byzantine.behaviors import make_behavior
 from repro.consistency import check_atomicity_by_tags, check_safety
 from repro.errors import ConfigurationError

@@ -68,6 +68,35 @@ def test_total_order_transitivity(a, b, c):
         assert a < c
 
 
+# Few nums and short writers, so equal nums and equal tags come up often.
+close_tags = st.one_of(
+    st.just(TAG_ZERO),
+    st.builds(Tag, st.integers(min_value=0, max_value=3),
+              st.text(alphabet="ab0", max_size=2)))
+
+
+@given(close_tags, close_tags)
+def test_comparisons_and_hash_match_the_tuple(a, b):
+    ta, tb = (a.num, a.writer), (b.num, b.writer)
+    assert (a == b) == (ta == tb) and (a != b) == (ta != tb)
+    assert (a < b) == (ta < tb) and (a <= b) == (ta <= tb)
+    assert (a > b) == (ta > tb) and (a >= b) == (ta >= tb)
+    assert hash(a) == hash(ta)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("other", [(1, "w"), 1, "w", None])
+def test_comparing_with_a_non_tag(other):
+    tag = Tag(1, "w")
+    assert tag.__eq__(other) is NotImplemented
+    for method in (tag.__lt__, tag.__le__, tag.__gt__, tag.__ge__):
+        assert method(other) is NotImplemented
+    assert tag != other and not tag == other
+    with pytest.raises(TypeError):
+        tag < other  # noqa: B015 - the comparison is the test
+
+
 @given(tags, writers)
 def test_next_for_strictly_increases(tag, writer):
     assert tag < tag.next_for(writer)

@@ -13,7 +13,7 @@ import asyncio
 
 import pytest
 
-from repro.chaos import run_soak
+from repro.chaos.soak import run_soak
 from tests.runtime.test_thrifty import hold_back
 
 

@@ -10,7 +10,7 @@ import asyncio
 
 import pytest
 
-from repro.chaos import run_soak
+from repro.chaos.soak import run_soak
 from repro.consistency.registers import REGISTER_META
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.byzantine.scenarios import theorem3_regularity_violation
 from repro.sim.delays import ConstantDelay
 from repro.sim.eventlog import EventLog

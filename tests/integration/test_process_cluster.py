@@ -10,7 +10,8 @@ import asyncio
 
 import pytest
 
-from repro.chaos import build_schedule, run_soak
+from repro.chaos.nemesis import build_schedule
+from repro.chaos.soak import run_soak
 from repro.core.persistence import restore_server
 from repro.deploy import ClusterSpec, ClusterSupervisor, health_ping
 from repro.obs import MemorySink

@@ -10,7 +10,7 @@ here would be a bug in either the algorithms or the paper.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import check_regularity, check_safety
 from repro.sim.delays import ExponentialDelay, UniformDelay
 from repro.sim.failures import random_failure_schedule

@@ -7,7 +7,7 @@ operator actually runs (over-provisioned n, multi-fault budgets).
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import check_liveness, check_regularity, check_safety
 from repro.sim.delays import UniformDelay
 from repro.sim.rng import SimRng

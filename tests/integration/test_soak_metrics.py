@@ -2,7 +2,7 @@
 
 import asyncio
 
-from repro.chaos import run_soak
+from repro.chaos.soak import run_soak
 
 
 def run(coro):

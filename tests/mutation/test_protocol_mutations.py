@@ -14,7 +14,7 @@ protocol rule exists:
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.byzantine.behaviors import Behavior
 from repro.consistency import check_safety
 from repro.core.bsr import BSRReadOperation

@@ -6,7 +6,8 @@ import urllib.request
 
 import pytest
 
-from repro.obs import MetricRegistry, MetricsExporter
+from repro.obs import MetricRegistry
+from repro.obs.httpd import MetricsExporter
 
 
 def _get(port, path):

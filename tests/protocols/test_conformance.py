@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro.chaos import run_soak
+from repro.chaos.soak import run_soak
 from repro.consistency import check_safety
 from repro.core.messages import PutAck, QueryTag, TagReply
 from repro.core.register import RegisterSystem

@@ -1,6 +1,6 @@
 """Tests for the message-flow event log."""
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.sim.delays import ConstantDelay
 from repro.sim.eventlog import EventLog
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.sim.delays import TopologyDelay
 from repro.sim.rng import SimRng
 from repro.types import reader_id, server_id, writer_id

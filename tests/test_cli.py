@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import importlib.util
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.protocols import get_spec, register, registry
+from repro.protocols import get_spec, names, register, registry
 
 
 def test_algorithms_lists_all(capsys):
@@ -80,6 +82,83 @@ def test_parser_rejects_unknown_command():
 def test_parser_rejects_unknown_algorithm():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["demo", "--algorithm", "raft"])
+
+
+#: ``repro --help`` at 80 columns, from its usage line to the options.
+HELP = """\
+usage: repro [-h]
+             {algorithms,demo,scenario,workload,chaos,node,cluster,metrics,trace,top,load,load-worker,keys,modelcheck}
+             ...
+
+Semi-fast Byzantine-tolerant shared registers (ICDCS 2020 reproduction)
+
+positional arguments:
+  {algorithms,demo,scenario,workload,chaos,node,cluster,metrics,trace,top,load,load-worker,keys,modelcheck}
+    algorithms          list implemented algorithms
+    demo                run a tiny write/read execution
+    scenario            replay a proof execution
+    workload            run a synthetic workload
+    chaos               run a workload on a live TCP cluster under a nemesis
+                        fault schedule and check safety + liveness
+    node                serve a single register node in this process
+    cluster             serve / inspect / signal a process-per-node cluster
+    metrics             scrape a served cluster's metrics (Prometheus text or
+                        JSON)
+    trace               record client spans and stitch them with server flight
+                        records into causal per-op timelines
+    top                 live cluster dashboard: node health, frame rates,
+                        windowed per-phase percentiles
+    load                open-loop multi-process load generator with honest
+                        latency and an SLO sweep
+    load-worker         internal: one load-rig worker (config on stdin, JSONL
+                        out)
+    keys                inspect a sharded keyspace: placement stats, key
+                        location, rebalance dry-runs
+    modelcheck          exhaustively explore read-stage schedules (Theorem 5)
+"""
+
+
+def test_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(HELP)
+    # Then only the options heading (its name varies across Pythons).
+    assert out[len(HELP):].splitlines()[2:] == [
+        "  -h, --help            show this help message and exit"]
+
+
+def test_algorithms_lists_the_eight_protocols_of_the_lint(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "check_protocol_dispatch", os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "tools", "check_protocol_dispatch.py"))
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    assert len(names()) == 8 and set(names()) == lint.PROTOCOL_NAMES
+    assert main(["algorithms"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    listed = [row.split()[0] for row in rows
+              if row.split() and row.split()[0] in lint.PROTOCOL_NAMES]
+    assert listed == list(names())
+
+
+@pytest.mark.parametrize("argv, choices", [
+    (["demo", "--algorithm", "raft"],
+     "'bsr', 'bsr-history', 'bsr-2round', 'bcsr', 'rb', 'abd', 'mpr', "
+     "'rb2'"),
+    (["chaos", "--schedule", "tornado"],
+     "'none', 'crash-restart', 'rolling-partition', 'flaky-links', "
+     "'combo', 'f-concurrent', 'exceed-f'"),
+], ids=["algorithm", "schedule"])
+def test_an_unknown_choice_exits_2_naming_the_choices(argv, choices, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid choice: {argv[-1]!r} (choose from {choices})" in err
 
 
 def test_modelcheck_below_bound_finds_violations(capsys):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import check_safety
 from repro.sim.delays import UniformDelay
 from repro.sim.rng import SimRng

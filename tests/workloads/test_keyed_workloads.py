@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RegisterSystem
+from repro.core.register import RegisterSystem
 from repro.consistency import (
     check_safety_per_register,
     split_trace_by_register,

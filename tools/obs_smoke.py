@@ -23,12 +23,8 @@ import sys
 import urllib.request
 
 from repro.deploy import stats_ping, trace_dump
-from repro.obs import (
-    MemorySink,
-    MetricsExporter,
-    merge_registry_snapshots,
-    stitch_op,
-)
+from repro.obs import MemorySink, merge_registry_snapshots, stitch_op
+from repro.obs.httpd import MetricsExporter
 from repro.runtime import LocalCluster
 
 OPS = 4
