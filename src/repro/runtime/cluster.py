@@ -21,7 +21,7 @@ from repro.sharding import KeyspaceConfig
 from repro.transport.auth import Authenticator, KeyChain
 from repro.types import ProcessId
 
-if TYPE_CHECKING:  # pragma: no cover - only chaos clusters load these
+if TYPE_CHECKING:  # pragma: no cover - loaded where a cluster uses them
     from repro.byzantine.behaviors import Behavior
     from repro.chaos.faults import FaultPlan
     from repro.chaos.proxy import ChaosProxy
