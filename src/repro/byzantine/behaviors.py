@@ -16,7 +16,6 @@ replies to a certain request".
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Any, Dict, List, Optional
 
@@ -38,6 +37,7 @@ from repro.core.messages import (
     ValueReply,
 )
 from repro.core.operation import next_op_id
+from repro.core.record import with_fields
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.erasure.element import CodedElement
 from repro.sim.rng import SimRng
@@ -220,9 +220,8 @@ class MalformedBehavior(Behavior):
 
     def on_message(self, server, sender, message, correct_replies):
         junk = next(self._junk)
-        return [(dest, dataclasses.replace(reply, **{
-                    field.name: junk for field in dataclasses.fields(reply)
-                    if field.name != "op_id"}))
+        return [(dest, with_fields(reply, **{
+                    name: junk for name in reply._fields if name != "op_id"}))
                 for dest, reply in correct_replies]
 
 
@@ -285,7 +284,7 @@ class ForgeBroadcastBehavior(Behavior):
     def on_message(self, server, sender, message, correct_replies):
         if getattr(message, "source", None) != sender:
             return correct_replies
-        forged = dataclasses.replace(
+        forged = with_fields(
             message, op_id=next_op_id(),
             tag=Tag(message.tag.num + self.boost, message.source),
             payload=self.fake_value)

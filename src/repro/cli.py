@@ -197,17 +197,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_node(args: argparse.Namespace) -> int:
-    from repro.deploy import ClusterSpec, serve_node
-    from repro.deploy.serve import run_zygote
+    from repro.node.serve import run_node
 
-    spec = ClusterSpec.from_file(args.spec)
-    if args.node_command == "zygote":
-        return run_zygote(spec)
-    try:
-        asyncio.run(serve_node(spec, args.node, port=args.port))
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    return 0
+    return run_node(args.node_command, args.spec, getattr(args, "node", None),
+                    getattr(args, "port", None))
 
 
 def _parse_signal(name: str) -> int:

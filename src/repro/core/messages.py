@@ -1,5 +1,11 @@
 """Protocol messages for BSR, BCSR, the regular variants and the baselines.
 
+Every message is declared by one row of :data:`SCHEMA`: its name, the
+message it extends, the fields it adds and their defaults.  The module
+builds a frozen slotted :class:`~repro.core.record.Record` class per row
+and the wire codec (:mod:`repro.transport.codec2`) reads the same
+classes, so adding a message is adding a row.
+
 Every request carries an ``op_id`` unique per client so replies can be
 matched to the operation that triggered them (clients run one operation at a
 time, but stale replies from earlier operations may still arrive -- the
@@ -12,10 +18,10 @@ per message plus the payload (values, coded elements, histories).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.core.tags import TAG_BYTES, Tag, TaggedValue
+from repro.core.record import Record
+from repro.core.tags import TAG_BYTES
 
 #: Fixed per-message overhead charged by ``wire_size`` (type, ids, framing).
 HEADER_BYTES = 24
@@ -65,390 +71,177 @@ def items(field: Any) -> Tuple[Any, ...]:
     return field if isinstance(field, (tuple, list)) else ()
 
 
-@dataclass(frozen=True)
-class BaseMessage:
+#: What ``wire_size`` charges per field beyond the header, by field name.
+#: Any other field (ids, telemetry, a broadcast's ``source``) is header.
+_CHARGES = {
+    "tag": lambda tag: TAG_BYTES,
+    "payload": payload_size,
+    "history": lambda history: sum(
+        TAG_BYTES + payload_size(tv.value) for tv in items(history)),
+    "tags": lambda tags: TAG_BYTES * len(items(tags)),
+}
+
+
+class BaseMessage(Record):
     """Common shape: every protocol message has an originating ``op_id``."""
 
-    op_id: int
+    __slots__ = ("op_id",)
+    #: ``(field, charge)`` for every field ``wire_size`` charges.
+    _charged: tuple = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._charged = tuple((name, _CHARGES[name]) for name in cls._fields
+                             if name in _CHARGES)
 
     def wire_size(self) -> int:
         """Approximate on-the-wire size in bytes."""
-        return HEADER_BYTES
-
-
-# --------------------------------------------------------------------------
-# Write path (Figs 1, 3, 4, 6)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QueryTag(BaseMessage):
-    """``QUERY-TAG``: first phase of a write (Fig 1 line 2)."""
-
-
-@dataclass(frozen=True)
-class TagReply(BaseMessage):
-    """Server's ``get-tag-resp``: its highest stored tag (Fig 3 line 3)."""
-
-    tag: Tag
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES
-
-
-@dataclass(frozen=True)
-class PutData(BaseMessage):
-    """``PUT-DATA``: second phase of a write (Fig 1 line 7 / Fig 4 line 7).
-
-    ``payload`` is the full value for BSR and a :class:`CodedElement` for
-    BCSR.
-    """
-
-    tag: Tag
-    payload: Any
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-@dataclass(frozen=True)
-class PutAck(BaseMessage):
-    """Server acknowledgement of a ``PUT-DATA`` (Fig 3 line 7)."""
-
-    tag: Tag
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES
-
-
-# --------------------------------------------------------------------------
-# Read path (Figs 2, 3, 5, 6)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QueryData(BaseMessage):
-    """``QUERY-DATA``: the single round of a one-shot read (Fig 2 line 3)."""
-
-
-@dataclass(frozen=True)
-class DataReply(BaseMessage):
-    """Server's ``get-data-resp``: its highest ``(tag, value)`` pair.
-
-    For BCSR the ``payload`` is the server's coded element.
-    """
-
-    tag: Tag
-    payload: Any
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-@dataclass(frozen=True)
-class QueryDataHeld(QueryData):
-    """``QUERY-DATA`` naming the tag of the pair the reader already holds.
-
-    An extension (not in the paper): a server whose newest tag is ``tag``
-    may answer with :class:`DataHeld` instead of repeating the value (or,
-    for BCSR, its coded element).
-    It subclasses :class:`QueryData`, so every server and behaviour that
-    answers a ``QUERY-DATA`` answers this one too.
-    """
-
-    tag: Tag
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES
-
-
-@dataclass(frozen=True)
-class DataHeld(BaseMessage):
-    """Answer to :class:`QueryDataHeld`: the server's newest pair is the
-    one the query named, so the reply carries neither tag nor value."""
-
-
-# --------------------------------------------------------------------------
-# Regular-register extensions (Section III-C)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QueryHistory(BaseMessage):
-    """Variant (a): one-shot read requesting the full write history."""
-
-
-@dataclass(frozen=True)
-class QueryHistoryAbove(QueryHistory):
-    """Variant (a) query naming the tag of the pair the reader holds.
-
-    An extension (not in the paper): a server answers with only the
-    pairs of ``L`` above ``tag``.  It subclasses :class:`QueryHistory`,
-    so every server and behaviour that answers one answers this one too.
-    """
-
-    tag: Tag
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES
-
-
-@dataclass(frozen=True)
-class HistoryReply(BaseMessage):
-    """Variant (a): the server's entire write history ``L``."""
-
-    history: Tuple[TaggedValue, ...]
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + sum(
-            TAG_BYTES + payload_size(tv.value) for tv in items(self.history)
-        )
-
-
-@dataclass(frozen=True)
-class QueryTagHistory(BaseMessage):
-    """Variant (b) round 1: ask for all tags the server has seen."""
-
-
-@dataclass(frozen=True)
-class TagHistoryReply(BaseMessage):
-    """Variant (b) round 1 response: every tag in ``L``."""
-
-    tags: Tuple[Tag, ...]
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES * len(items(self.tags))
-
-
-@dataclass(frozen=True)
-class QueryValue(BaseMessage):
-    """Variant (b) round 2: ask for the value written under ``tag``."""
-
-    tag: Tag
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES
-
-
-@dataclass(frozen=True)
-class ValueReply(BaseMessage):
-    """Variant (b) round 2 response: the requested ``(tag, value)``.
-
-    ``payload`` is ``None`` when the server does not hold the tag.
-    """
-
-    tag: Tag
-    payload: Any
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-# --------------------------------------------------------------------------
-# Reliable-broadcast baseline (Bracha phases + relayed data)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RBSend(BaseMessage):
-    """Bracha SEND from the broadcast source."""
-
-    tag: Tag
-    payload: Any
-    source: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-@dataclass(frozen=True)
-class RBEcho(BaseMessage):
-    """Bracha ECHO (server-to-server)."""
-
-    tag: Tag
-    payload: Any
-    source: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-@dataclass(frozen=True)
-class RBReady(BaseMessage):
-    """Bracha READY (server-to-server)."""
-
-    tag: Tag
-    payload: Any
-    source: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-@dataclass(frozen=True)
-class Rb2Send(BaseMessage):
-    """Imbs-Raynal 2-step broadcast INIT from the source (writer)."""
-
-    tag: Tag
-    payload: Any
-    source: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-@dataclass(frozen=True)
-class Rb2Witness(BaseMessage):
-    """Imbs-Raynal 2-step broadcast WITNESS (server-to-server)."""
-
-    tag: Tag
-    payload: Any
-    source: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-@dataclass(frozen=True)
-class MprWrite(BaseMessage):
-    """MPR register write from the writer to every server."""
-
-    tag: Tag
-    payload: Any
-    source: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-@dataclass(frozen=True)
-class MprEcho(BaseMessage):
-    """MPR write echo (server-to-server vouching for a write)."""
-
-    tag: Tag
-    payload: Any
-    source: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-@dataclass(frozen=True)
-class PushData(BaseMessage):
-    """Unsolicited server-to-reader update (the baseline's *relay*).
-
-    Sent to readers with a pending query when a newer value arrives, so that
-    baseline reads terminate even when the initial reply set never
-    accumulates ``f + 1`` matching pairs.
-    """
-
-    tag: Tag
-    payload: Any
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + TAG_BYTES + payload_size(self.payload)
-
-
-# --------------------------------------------------------------------------
-# Runtime-level messages (not part of any paper protocol)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HealthPing(BaseMessage):
-    """Node-level liveness probe, answered by the TCP node itself.
-
-    Handled before the protocol state machine, so a probe works against
-    any hosted algorithm (the supervisor's readiness and status checks
-    use it).
-    """
-
-
-@dataclass(frozen=True)
-class HealthAck(BaseMessage):
-    """Reply to :class:`HealthPing` with a little node telemetry.
-
-    Beyond identity and history length, the ack carries the counters a
-    supervisor wants before deciding a node is merely *alive* versus
-    *well*: how many frames it has served, how many it shed to rate
-    limiting, and how stale its durable snapshot is (``-1`` when the
-    node does not persist, or has not checkpointed yet).
-    """
-
-    node_id: str = ""
-    history_len: int = 0
-    frames: int = 0
-    throttled: int = 0
-    snapshot_age: float = -1.0
-    #: RegisterTable occupancy (sharded nodes only; ``-1`` when the node
-    #: hosts a single register and has no table).
-    keys_resident: int = -1
-    keys_archived: int = -1
-    rehydrations: int = -1
-
-
-@dataclass(frozen=True)
-class StatsPing(BaseMessage):
-    """Scrape request: ask a node for its full metric registry.
-
-    Like :class:`HealthPing` it is answered by the TCP node itself
-    (before the protocol state machine, exempt from rate limiting), so
-    ``repro cluster status --metrics`` and ``repro metrics dump`` can
-    scrape any hosted algorithm over the normal authenticated framing.
-    """
-
-
-@dataclass(frozen=True)
-class StatsAck(BaseMessage):
-    """Reply to :class:`StatsPing`: a metric-registry snapshot.
-
-    ``metrics`` is the plain-JSON document produced by
-    :meth:`repro.obs.MetricRegistry.snapshot` (counters, gauges and
-    histogram buckets), renderable to Prometheus text with
-    :func:`repro.obs.render_prometheus`.
-    """
-
-    node_id: str = ""
-    metrics: Any = None
-
-
-@dataclass(frozen=True)
-class TraceDump(BaseMessage):
-    """Scrape request for a node's flight-recorder records.
-
-    Like :class:`StatsPing` it is answered by the TCP node itself,
-    before the protocol state machine and exempt from rate limiting.
-    ``target_op`` of ``-1`` asks for every retained record; a specific
-    op_id narrows the dump to that operation.  ``limit`` of ``0`` means
-    no cap (the recorder itself is bounded).
-    """
-
-    target_op: int = -1
-    limit: int = 0
-
-
-@dataclass(frozen=True)
-class TraceAck(BaseMessage):
-    """Reply to :class:`TraceDump`: retained server-side span records.
-
-    ``records`` is a list of plain dicts as produced by
-    :class:`repro.obs.FlightRecorder` (op_id, phase, recv instant, queue
-    wait, service time, verdict); ``total`` counts every record the
-    recorder has ever captured, so a scraper can tell how much history
-    the bounded buffer has already evicted.
-    """
-
-    node_id: str = ""
-    records: Any = None
-    total: int = 0
-
-
-@dataclass(frozen=True)
-class Throttled(BaseMessage):
-    """Flow-control error: the node shed this frame (rate limit exceeded).
-
-    ``retry_after`` is the server's estimate of when the client's token
-    bucket will hold a token again, and ``dropped`` names the shed
-    message's type; the client backs off for that long and re-sends only
-    the matching in-flight frame (re-sending everything pending would
-    spend each refilled token on the oldest frame and starve the shed
-    one).
-    """
-
-    retry_after: float = 0.0
-    dropped: str = ""
+        size = HEADER_BYTES
+        for name, charge in self._charged:
+            size += charge(getattr(self, name))
+        return size
+
+
+#: The message schema: name -> (the message it extends, the fields it
+#: adds, their defaults, what it is).  Payloads are the full value for
+#: BSR and a coded element for BCSR; ``source`` names a broadcast's writer.
+SCHEMA: Dict[str, Tuple[str, str, Dict[str, Any], str]] = {
+    # -- write path (Figs 1, 3, 4, 6) --------------------------------------
+    "QueryTag": ("BaseMessage", "", {},
+                 "QUERY-TAG: first phase of a write (Fig 1 line 2)."),
+    "TagReply": ("BaseMessage", "tag", {},
+                 "get-tag-resp: the server's highest stored tag (Fig 3 "
+                 "line 3)."),
+    "PutData": ("BaseMessage", "tag payload", {},
+                "PUT-DATA: second phase of a write (Fig 1 line 7 / Fig 4 "
+                "line 7)."),
+    "PutAck": ("BaseMessage", "tag", {},
+               "Server acknowledgement of a PUT-DATA (Fig 3 line 7)."),
+    # -- read path (Figs 2, 3, 5, 6) ---------------------------------------
+    "QueryData": ("BaseMessage", "", {},
+                  "QUERY-DATA: the single round of a one-shot read (Fig 2 "
+                  "line 3)."),
+    "DataReply": ("BaseMessage", "tag payload", {},
+                  "get-data-resp: the server's highest (tag, value) pair."),
+    # An extension (not in the paper): a QUERY-DATA naming the tag the
+    # reader holds, answered by DataHeld when that is the newest pair; as
+    # a QueryData subclass every server and behaviour answers it too.
+    "QueryDataHeld": ("QueryData", "tag", {},
+                      "QUERY-DATA naming the tag of the pair the reader "
+                      "already holds."),
+    "DataHeld": ("BaseMessage", "", {},
+                 "Answer to QueryDataHeld: the server's newest pair is the "
+                 "one the query named."),
+    # -- regular-register extensions (Section III-C) -----------------------
+    "QueryHistory": ("BaseMessage", "", {},
+                     "Variant (a): one-shot read requesting the full write "
+                     "history."),
+    # An extension, as QueryDataHeld: answered with the pairs of L above
+    # ``tag`` only.
+    "QueryHistoryAbove": ("QueryHistory", "tag", {},
+                          "Variant (a) query naming the tag of the pair "
+                          "the reader holds."),
+    "HistoryReply": ("BaseMessage", "history", {},
+                     "Variant (a): the server's write history L."),
+    "QueryTagHistory": ("BaseMessage", "", {},
+                        "Variant (b) round 1: ask for every tag the server "
+                        "has seen."),
+    "TagHistoryReply": ("BaseMessage", "tags", {},
+                        "Variant (b) round 1 response: every tag in L."),
+    "QueryValue": ("BaseMessage", "tag", {},
+                   "Variant (b) round 2: ask for the value written under "
+                   "tag."),
+    "ValueReply": ("BaseMessage", "tag payload", {},
+                   "Variant (b) round 2 response; payload is None when the "
+                   "server does not hold the tag."),
+    # -- reliable-broadcast baselines --------------------------------------
+    "RBSend": ("BaseMessage", "tag payload source", {},
+               "Bracha SEND from the broadcast source."),
+    "RBEcho": ("BaseMessage", "tag payload source", {},
+               "Bracha ECHO (server-to-server)."),
+    "RBReady": ("BaseMessage", "tag payload source", {},
+                "Bracha READY (server-to-server)."),
+    "Rb2Send": ("BaseMessage", "tag payload source", {},
+                "Imbs-Raynal 2-step broadcast INIT from the writer."),
+    "Rb2Witness": ("BaseMessage", "tag payload source", {},
+                   "Imbs-Raynal 2-step broadcast WITNESS "
+                   "(server-to-server)."),
+    "MprWrite": ("BaseMessage", "tag payload source", {},
+                 "MPR register write from the writer to every server."),
+    "MprEcho": ("BaseMessage", "tag payload source", {},
+                "MPR write echo (server-to-server vouching for a write)."),
+    "PushData": ("BaseMessage", "tag payload", {},
+                 "Unsolicited server-to-reader update (the baseline's "
+                 "relay), so baseline reads terminate."),
+    # -- runtime-level messages (not part of any paper protocol) -----------
+    # Answered by the TCP node itself, before the protocol state machine
+    # and exempt from rate limiting, whatever algorithm it hosts.
+    "HealthPing": ("BaseMessage", "", {},
+                   "Node-level liveness probe."),
+    # snapshot_age is -1 when the node does not persist or has not
+    # checkpointed; the keys_* and rehydrations counters are -1 on a node
+    # hosting one register and no table.
+    "HealthAck": ("BaseMessage",
+                  "node_id history_len frames throttled snapshot_age "
+                  "keys_resident keys_archived rehydrations",
+                  {"node_id": "", "history_len": 0, "frames": 0,
+                   "throttled": 0, "snapshot_age": -1.0,
+                   "keys_resident": -1, "keys_archived": -1,
+                   "rehydrations": -1},
+                  "Reply to HealthPing with a little node telemetry."),
+    "StatsPing": ("BaseMessage", "", {},
+                  "Scrape request for a node's metric registry."),
+    # metrics is MetricRegistry.snapshot()'s plain-JSON document.
+    "StatsAck": ("BaseMessage", "node_id metrics",
+                 {"node_id": "", "metrics": None},
+                 "Reply to StatsPing: a metric-registry snapshot."),
+    # target_op -1 asks for every retained record, limit 0 for no cap.
+    "TraceDump": ("BaseMessage", "target_op limit",
+                  {"target_op": -1, "limit": 0},
+                  "Scrape request for a node's flight-recorder records."),
+    # records are FlightRecorder dicts; total counts every record ever
+    # captured, so a scraper can tell how much the ring has evicted.
+    "TraceAck": ("BaseMessage", "node_id records total",
+                 {"node_id": "", "records": None, "total": 0},
+                 "Reply to TraceDump: retained server-side span records."),
+    # retry_after is when the client's token bucket holds a token again;
+    # dropped names the shed message's type, the one frame to re-send.
+    "Throttled": ("BaseMessage", "retry_after dropped",
+                  {"retry_after": 0.0, "dropped": ""},
+                  "Flow-control error: the node shed this frame."),
+}
+
+_store = object.__setattr__
+
+
+# Constructors for the shapes every operation builds and decodes, which
+# bind their arguments as fast as a dataclass's; any other shape takes
+# the generic Record.__init__.
+def _init_op(self, op_id):
+    _store(self, "op_id", op_id)
+
+
+def _init_tag(self, op_id, tag):
+    _store(self, "op_id", op_id)
+    _store(self, "tag", tag)
+
+
+def _init_payload(self, op_id, tag, payload):
+    _store(self, "op_id", op_id)
+    _store(self, "tag", tag)
+    _store(self, "payload", payload)
+
+
+#: A class's fields -> the constructor it takes instead of Record's.
+_INITS = {("op_id",): _init_op, ("op_id", "tag"): _init_tag,
+          ("op_id", "tag", "payload"): _init_payload}
+
+#: name -> message class, :class:`BaseMessage` and one per schema row.
+MESSAGE_TYPES: Dict[str, type] = {"BaseMessage": BaseMessage}
+for _name, (_base, _fields, _defaults, _doc) in SCHEMA.items():
+    _cls = MESSAGE_TYPES[_name] = type(_name, (MESSAGE_TYPES[_base],), {
+        "__slots__": tuple(_fields.split()), "_defaults": _defaults,
+        "__doc__": _doc, "__module__": __name__})
+    if _cls._fields in _INITS:
+        _cls.__init__ = _INITS[_cls._fields]
+globals().update(MESSAGE_TYPES)

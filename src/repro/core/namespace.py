@@ -23,22 +23,26 @@ per-key consistency is stated for production KV stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro.core.messages import HEADER_BYTES
+from repro.core.record import Record
 from repro.types import Envelope, ProcessId
+
+_store = object.__setattr__
 
 #: Name used when the caller does not pick one.
 DEFAULT_REGISTER = "default"
 
 
-@dataclass(frozen=True)
-class NamespacedMessage:
+class NamespacedMessage(Record):
     """A protocol message addressed to one named register."""
 
-    register: str
-    inner: Any
+    __slots__ = ("register", "inner")
+
+    def __init__(self, register: str, inner: Any) -> None:
+        _store(self, "register", register)
+        _store(self, "inner", inner)
 
     @property
     def op_id(self):

@@ -9,10 +9,12 @@ thereby broken deterministically (Lemma 2, Case 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from repro.core.record import Record
 from repro.types import ProcessId
+
+_store = object.__setattr__
 
 #: Bytes a tag occupies on the wire (an int plus a short writer id).  Lives
 #: here, next to the type, so payload carriers (messages, namespace
@@ -32,8 +34,7 @@ def tag_in_range(tag: Any) -> bool:
     return type(tag) is Tag and tag.num <= TAG_MAX
 
 
-@dataclass(frozen=True, eq=False)
-class Tag:
+class Tag(Record):
     """A write timestamp ``(num, writer)`` with lexicographic total order.
 
     Equality, hashing and the four orderings are those of the tuple
@@ -42,12 +43,13 @@ class Tag:
     anything but a :class:`Tag`.
     """
 
-    num: int
-    writer: ProcessId
+    __slots__ = ("num", "writer")
 
-    def __post_init__(self) -> None:
-        if self.num < 0:
-            raise ValueError(f"tag number must be non-negative, got {self.num}")
+    def __init__(self, num: int, writer: ProcessId) -> None:
+        if num < 0:
+            raise ValueError(f"tag number must be non-negative, got {num}")
+        _store(self, "num", num)
+        _store(self, "writer", writer)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Tag:
@@ -102,16 +104,26 @@ class Tag:
 TAG_ZERO = Tag(0, "")
 
 
-@dataclass(frozen=True)
-class TaggedValue:
+class TaggedValue(Record):
     """A ``(tag, value)`` pair as stored by servers and exchanged on the wire.
 
     ``value`` must be hashable (bytes recommended) so readers can count
     witnesses per distinct pair.
     """
 
-    tag: Tag
-    value: Any
+    __slots__ = ("tag", "value")
+
+    def __init__(self, tag: Tag, value: Any) -> None:
+        _store(self, "tag", tag)
+        _store(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TaggedValue:
+            return NotImplemented
+        return self.tag == other.tag and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.value))
 
     def __lt__(self, other: "TaggedValue") -> bool:
         return self.tag < other.tag

@@ -18,22 +18,26 @@ everything a node needs travels in one :class:`ClusterSpec` file.
   forks all node processes through the zygote, waits for readiness,
   monitors liveness, and exposes ``kill``/``restart`` for the nemesis'
   real-crash mode.
+
+The spec and the node entrypoints live in :mod:`repro.node`, what a
+node process imports without this package's supervisor; they are
+re-exported here.
 """
 
-from repro.deploy.serve import (
-    PING_FAILURES,
-    health_ping,
-    serve_node,
-    stats_ping,
-    trace_dump,
-)
-from repro.deploy.spec import ClusterSpec, reserve_ports
 from repro.deploy.supervisor import (
     ClusterSupervisor,
     NodeHandle,
     default_state_path,
     read_state,
 )
+from repro.node.serve import (
+    PING_FAILURES,
+    health_ping,
+    serve_node,
+    stats_ping,
+    trace_dump,
+)
+from repro.node.spec import ClusterSpec, reserve_ports
 
 __all__ = [
     "ClusterSpec",

@@ -1,6 +1,6 @@
 """Process supervision: spawn, watch, kill and restart real node processes.
 
-:class:`ClusterSupervisor` turns a :class:`~repro.deploy.spec.ClusterSpec`
+:class:`ClusterSupervisor` turns a :class:`~repro.node.spec.ClusterSpec`
 into a running cluster of OS processes, one per node, and is the hand
 the chaos nemesis uses for *real* crashes: :meth:`crash` delivers
 SIGKILL (no cooperation, no flushing, exactly what the paper's crash
@@ -9,7 +9,7 @@ node back, recovering from its snapshot and rebinding its previous port
 so clients can re-dial.
 
 The supervisor execs one child, ``repro node zygote``
-(:func:`~repro.deploy.serve.run_zygote`), which imports a node's code once
+(:func:`~repro.node.serve.run_zygote`), which imports a node's code once
 and forks every node on request -- a ``spawn <node> [port]`` line on its
 stdin.  Each node writes ``READY <node> <host> <port> <pid>`` to the
 zygote's stdout, which the supervisor reads; the zygote adds
@@ -44,7 +44,8 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.deploy.serve import (
+from repro.errors import ConfigurationError
+from repro.node.serve import (
     PING_FAILURES,
     READY,
     health_ping,
@@ -52,8 +53,7 @@ from repro.deploy.serve import (
     stats_ping,
     trace_dump,
 )
-from repro.deploy.spec import ClusterSpec
-from repro.errors import ConfigurationError
+from repro.node.spec import ClusterSpec
 from repro.obs import MetricRegistry
 from repro.runtime.client import AsyncRegisterClient
 from repro.types import ProcessId
@@ -83,6 +83,19 @@ class NodeHandle:
     def deliver(self, line: Optional[Tuple]) -> None:
         if self._next_line is not None and not self._next_line.done():
             self._next_line.set_result(line)
+
+
+def zygote_command(python: str, spec_path: str) -> List[str]:
+    """What the supervisor execs: ``repro node zygote``, which
+    ``repro/__main__.py`` runs without importing the CLI.
+
+    ``-S``: a node runs only the standard library and this package (on
+    the ``PYTHONPATH`` :func:`child_env` sets), so the interpreter skips
+    ``site`` -- its scan of site-packages and whatever ``.pth`` hooks the
+    host installed there.
+    """
+    return [python, "-S", "-m", "repro", "node", "zygote", "--spec",
+            spec_path]
 
 
 def child_env() -> Dict[str, str]:
@@ -176,8 +189,7 @@ class ClusterSupervisor:
             self.spec_path = self.spec.save(
                 os.path.join(directory, "cluster.json"))
         self._zygote = await asyncio.create_subprocess_exec(
-            self.python, "-m", "repro", "node", "zygote",
-            "--spec", self.spec_path, env=child_env(),
+            *zygote_command(self.python, self.spec_path), env=child_env(),
             stdin=asyncio.subprocess.PIPE, stdout=asyncio.subprocess.PIPE)
         self._reader = asyncio.ensure_future(
             self._read_zygote(self._zygote.stdout))
@@ -187,12 +199,12 @@ class ClusterSupervisor:
         failures = [r for r in results if isinstance(r, BaseException)]
         if not failures:
             auth = self.spec.authenticator()
-            try:
-                for pid in self.server_ids:
-                    await health_ping(self.handles[pid].address, auth,
-                                      timeout=self.ready_timeout)
-            except BaseException as exc:
-                failures.append(exc)
+            results = await asyncio.gather(
+                *(health_ping(self.handles[pid].address, auth,
+                              timeout=self.ready_timeout)
+                  for pid in self.server_ids),
+                return_exceptions=True)
+            failures = [r for r in results if isinstance(r, BaseException)]
         if failures:
             # A partial cluster is worse than none: stop every node we
             # managed to start before reporting the failure.

@@ -21,7 +21,7 @@ as JSON on stdin, mirroring the node supervisor's pipe-per-child idiom.
 Workers stream registry snapshots back as JSON lines; the coordinator
 tees them into the optional time-series log and, at the end, *aggregates*
 the final per-worker registries with
-:func:`~repro.obs.registry.merge_registry_snapshots`, so the reported
+:func:`~repro.telemetry.registry.merge_registry_snapshots`, so the reported
 percentiles are computed from one merged histogram, not averaged
 per-worker numbers.
 
@@ -44,12 +44,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.consistency import check_safety, check_safety_per_register
 from repro.consistency.registers import REGISTER_META
 from repro.core.namespace import DEFAULT_REGISTER
-from repro.deploy.spec import ClusterSpec
 from repro.deploy.supervisor import ClusterSupervisor, child_env
 from repro.errors import ConfigurationError
 from repro.load.profile import LoadProfile, SloPolicy
 from repro.load.report import LoadReport, pass_metrics
 from repro.load.worker import run_worker
+from repro.node.spec import ClusterSpec
 from repro.obs import SnapshotLog, counter_sum, merge_registry_snapshots
 from repro.runtime.cluster import LocalCluster
 from repro.sim.trace import OpKind, Trace

@@ -2,10 +2,10 @@
 
 Every number here is computed from the pass's *merged* registry snapshot
 (one bucket-wise aggregated histogram across all workers -- see
-:func:`~repro.obs.registry.merge_registry_snapshots`), restricted to the
+:func:`~repro.telemetry.registry.merge_registry_snapshots`), restricted to the
 measured window by the ``window="measure"`` label the workers stamped at
 scheduling time.  p999 comes from the same fixed buckets as p50/p99 via
-:func:`~repro.obs.stats.bucket_percentile`; the estimate errs upward by
+:func:`~repro.telemetry.stats.bucket_percentile`; the estimate errs upward by
 at most one bucket width and is clamped by the exact observed maximum.
 """
 

@@ -342,7 +342,7 @@ async def run_worker(config: Dict[str, Any],
     worker derives keys and placement exactly as any client would), the
     live address map, this worker's profile slice and its index.
     """
-    from repro.deploy.spec import ClusterSpec
+    from repro.node.spec import ClusterSpec
     from repro.load.profile import LoadProfile
 
     worker = int(config.get("worker", 0))

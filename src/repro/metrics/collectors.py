@@ -2,7 +2,7 @@
 
 The order statistics themselves (:class:`LatencySummary`,
 :func:`percentile`, :func:`summarize_latencies`) live in
-:mod:`repro.obs.stats` -- one nearest-rank implementation shared with
+:mod:`repro.telemetry.stats` -- one nearest-rank implementation shared with
 the live histogram snapshots -- and are re-exported here for
 compatibility.
 """
@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.obs.stats import (  # noqa: F401 -- re-exported compatibility names
+from repro.sim.trace import OpKind, Trace
+from repro.telemetry.stats import (  # noqa: F401 -- re-exported compatibility names
     LatencySummary,
     percentile,
     summarize_latencies,
 )
-from repro.sim.trace import OpKind, Trace
 
 
 @dataclass

@@ -3,7 +3,7 @@
 A node process's lifecycle is deliberately boring, because supervisors
 depend on it:
 
-1. build the node from the :class:`~repro.deploy.spec.ClusterSpec`,
+1. build the node from the :class:`~repro.node.spec.ClusterSpec`,
 2. bind the listener (restoring any snapshot first),
 3. write one line -- ``READY <node> <host> <port> <pid>`` -- to stdout
    (the port matters because specs default to ephemeral ports),
@@ -50,8 +50,8 @@ from repro.core.messages import (
     TraceAck,
     TraceDump,
 )
-from repro.deploy.spec import ClusterSpec
 from repro.errors import ProtocolError
+from repro.node.spec import ClusterSpec
 from repro.transport.auth import Authenticator
 from repro.transport.codec import read_frame, write_frame
 from repro.transport.codec2 import decode_message_v2, encode_message_v2
@@ -121,6 +121,21 @@ async def serve_node(spec: ClusterSpec, node_id: ProcessId,
         logger.info("node %s stopped", node_id)
 
 
+def run_node(command: str, spec_path: str, node_id: Optional[ProcessId] = None,
+             port: Optional[int] = None) -> int:
+    """``repro node zygote`` (fork nodes on request) or ``repro node
+    serve`` (host ``node_id`` in this process) from the spec file."""
+    spec = ClusterSpec.from_file(spec_path)
+    if command == "zygote":
+        return run_zygote(spec)
+    gc.enable()
+    try:
+        asyncio.run(serve_node(spec, node_id, port=port))
+    except KeyboardInterrupt:  # pragma: no cover - interactive exit
+        pass
+    return 0
+
+
 def run_zygote(spec: ClusterSpec) -> int:
     """Fork one :func:`serve_node` process per ``spawn`` line on stdin.
 
@@ -145,7 +160,9 @@ def run_zygote(spec: ClusterSpec) -> int:
     # collector from writing to (and so copying) those pages.  Building
     # ``spec`` looked its protocol up, which imported the protocol's
     # module, so a child imports nothing of the package after the fork.
+    # (``python -m repro`` starts a node with the collector off.)
     gc.freeze()
+    gc.enable()
 
     def reap(flags: int) -> None:
         while children:

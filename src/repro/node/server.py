@@ -8,7 +8,7 @@ import os
 import time
 from collections import OrderedDict, deque
 from functools import partial
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import (
     HealthAck,
@@ -20,14 +20,20 @@ from repro.core.messages import (
     TraceDump,
 )
 from repro.errors import AuthenticationError, ProtocolError
-from repro.obs import PHASE_BY_MESSAGE, FlightRecorder, LogGate, MetricRegistry
-from repro.runtime.limits import PerClientBuckets
-from repro.runtime.link import Link
-from repro.transport.auth import Authenticator
+from repro.node.limits import PerClientBuckets
+from repro.node.link import Link
+from repro.telemetry.flight import FlightRecorder
+from repro.telemetry.loglimit import LogGate
+from repro.telemetry.phases import PHASE_BY_MESSAGE
+from repro.telemetry.registry import MetricRegistry
+from repro.transport.auth import Authenticator, KeyChain
 from repro.transport.codec import FrameAssembler, frame_burst
 from repro.transport.codec2 import CachedDecoder, CachedEncoder
 from repro.transport.delta import Shrinker
 from repro.types import ProcessId
+
+if TYPE_CHECKING:  # pragma: no cover - a node is handed its fleet
+    from repro.protocols.fleet import Fleet
 
 logger = logging.getLogger(__name__)
 
@@ -193,7 +199,7 @@ class RegisterServerNode:
     elsewhere are routed: to the node itself (a broadcast protocol counting
     its own echo) they loop back through the protocol in place; to a peer
     server (see :meth:`set_peers`) they go out over a dedicated
-    :class:`~repro.runtime.link.Link`; to any other party with a live
+    :class:`~repro.node.link.Link`; to any other party with a live
     inbound connection they are written directly; and otherwise they are
     parked in a bounded stash flushed when that party next sends a frame
     (a reader whose relay raced ahead of its own request).  Only with no
@@ -706,3 +712,39 @@ class RegisterServerNode:
         inner = getattr(message, "inner", message)  # unwrap namespacing
         name = type(inner).__name__
         return PHASE_BY_MESSAGE.get(name, name)
+
+
+def authenticator(fleet: Fleet, secret: bytes, *parties: ProcessId
+                  ) -> Authenticator:
+    """HMAC material of the fleet's servers and ``parties``.
+
+    Every key derives from the one shared ``secret``, so the listed ids
+    only pre-derive; any other party's key is derived on first use.
+    """
+    return Authenticator(
+        KeyChain.from_secret(secret, [*fleet.server_ids, *parties]))
+
+
+def make_node(fleet: Fleet, pid: ProcessId, auth: Authenticator,
+              snapshot_dir: Optional[str] = None,
+              registry: Optional[MetricRegistry] = None,
+              **node_kwargs) -> RegisterServerNode:
+    """The (unstarted) node serving ``fleet.host(pid)``.
+
+    The node applies ``pid``'s behaviour only when the hosted object does
+    not (see :meth:`Fleet.host_behavior`), and checkpoints to
+    ``snapshot_dir`` only a bare server that can snapshot -- a register
+    table keeps its own per-key archive.  The table records into the
+    node's ``registry``.  ``node_kwargs`` (``host``, ``port``, limits,
+    flight settings) pass through.
+    """
+    registry = registry if registry is not None else MetricRegistry()
+    snapshot_path = None
+    if (snapshot_dir is not None and not fleet.namespaced
+            and fleet.spec.snapshot_ok):
+        os.makedirs(snapshot_dir, exist_ok=True)
+        snapshot_path = os.path.join(snapshot_dir, f"{pid}.snapshot")
+    return RegisterServerNode(
+        pid, fleet.host(pid, registry), auth,
+        behavior=fleet.host_behavior(pid), snapshot_path=snapshot_path,
+        registry=registry, **node_kwargs)

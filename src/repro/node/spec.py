@@ -7,7 +7,7 @@ listen, and the shared secret derives the per-process HMAC keys
 (:class:`~repro.transport.auth.KeyChain`).  The same spec file drives
 
 * ``repro node serve --spec cluster.toml --node s002`` -- one OS process
-  hosting exactly one :class:`~repro.runtime.node.RegisterServerNode`,
+  hosting exactly one :class:`~repro.node.server.RegisterServerNode`,
 * :class:`~repro.deploy.supervisor.ClusterSupervisor` -- forks and
   babysits all node processes (through ``repro node zygote``), and
 * :meth:`ClusterSpec.client` -- an
@@ -27,17 +27,18 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.node.server import RegisterServerNode, authenticator, make_node
 from repro.protocols import get_spec
 from repro.protocols.fleet import Fleet
-from repro.runtime.client import AsyncRegisterClient
-from repro.runtime.cluster import authenticator, make_client, make_node
-from repro.runtime.node import RegisterServerNode
 from repro.sharding import HashRing, KeyspaceConfig
 from repro.transport.auth import Authenticator
 from repro.types import ProcessId, server_id
+
+if TYPE_CHECKING:  # pragma: no cover - a node process builds no client
+    from repro.runtime.client import AsyncRegisterClient
 
 
 def reserve_ports(count: int, host: str = "127.0.0.1") -> List[int]:
@@ -255,6 +256,8 @@ class ClusterSpec:
         applies unless overridden here.  Extra keyword arguments pass
         through (``timeout``, ``reconnect``, ``backoff_base`` ...).
         """
+        from repro.runtime.cluster import make_client
+
         client_kwargs.setdefault("max_inflight", self.max_inflight)
         return make_client(
             self.fleet, client_id,

@@ -26,37 +26,17 @@ coded BCSR reads -- and this package is how the live runtime shows them:
   size-based rotation and per-window percentile deltas.
 * :class:`LogGate` -- per-reason rate limiting on warnings so a
   Byzantine peer cannot turn logging into a denial of service.
-* :mod:`repro.obs.stats` -- the single nearest-rank percentile
+* :mod:`repro.telemetry.stats` -- the single nearest-rank percentile
   implementation everything summarizes with.
 
-The package imports nothing from the rest of the repository (except its
-own modules), so every layer -- transport, runtime, chaos, deploy -- can
-depend on it without cycles.
+The recording half -- registry, stats, flight recorder, tracing, log
+gate -- lives in :mod:`repro.telemetry`, which a node process imports
+without this package's analysis half; every public name is re-exported
+here.  The package imports nothing else from the repository, so every
+layer -- transport, runtime, chaos, deploy -- can depend on it without
+cycles.
 """
 
-from repro.obs.flight import FlightRecorder
-from repro.obs.loglimit import LogGate
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    aggregate_histograms,
-    counter_sum,
-    merge_registry_snapshots,
-    merge_snapshots,
-    render_prometheus,
-    summarize_histogram_snapshot,
-)
-from repro.obs.stats import (
-    LatencySummary,
-    bucket_percentile,
-    nearest_rank,
-    percentile,
-    summarize_buckets,
-    summarize_latencies,
-)
 from repro.obs.stitch import (
     StitchedOp,
     format_timeline,
@@ -70,16 +50,41 @@ from repro.obs.timeseries import (
     read_snapshot_log,
     window_summary,
 )
-from repro.obs.tracing import (
+from repro.telemetry.flight import FlightRecorder
+from repro.telemetry.loglimit import LogGate
+from repro.telemetry.registry import (
+    DEFAULT_LATENCY_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricRegistry,
+    aggregate_histograms,
+    counter_sum,
+    merge_registry_snapshots,
+    merge_snapshots,
+    render_prometheus,
+    summarize_histogram_snapshot,
+)
+from repro.telemetry.stats import (
+    LatencySummary,
+    bucket_percentile,
+    nearest_rank,
+    percentile,
+    summarize_buckets,
+    summarize_latencies,
+)
+from repro.telemetry.phases import (
     PHASE_BY_MESSAGE,
+    phase_name,
+    register_phase_names,
+)
+from repro.telemetry.tracing import (
     JsonlSink,
     MemorySink,
     NullSink,
     OpSpan,
     OpTracer,
     SamplingSink,
-    phase_name,
-    register_phase_names,
 )
 
 __all__ = [

@@ -36,7 +36,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, List, Optional, Tuple
 
-from repro.obs.registry import merge_snapshots, render_prometheus
+from repro.telemetry.registry import merge_snapshots, render_prometheus
 
 __all__ = ["MetricsExporter"]
 

@@ -36,7 +36,7 @@ import json
 import os
 from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.obs.stats import bucket_percentile
+from repro.telemetry.stats import bucket_percentile
 
 
 def _series_key(extra: Optional[Dict]) -> Tuple:

@@ -8,7 +8,7 @@ Byzantine map (ids normalised, names made behaviours, at most ``f``),
 the keyspace, and the one codec and one placement the deployment shares.
 Every builder -- the simulator's :class:`~repro.core.register.RegisterSystem`,
 the in-process :class:`~repro.runtime.cluster.LocalCluster` and the
-process-per-node :class:`~repro.deploy.spec.ClusterSpec` -- asks it what a
+process-per-node :class:`~repro.node.spec.ClusterSpec` -- asks it what a
 server hosts (:meth:`Fleet.host`) and which layer applies a Byzantine
 behaviour (:meth:`Fleet.host_behavior`), so the three cannot disagree.
 

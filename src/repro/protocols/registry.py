@@ -26,16 +26,15 @@ import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from repro.core.record import Record
 from repro.errors import ConfigurationError, QuorumError
-from repro.obs import register_phase_names
-from repro.types import ProcessId
+from repro.telemetry.phases import register_phase_names
 
 #: The two failure assumptions a protocol can be proven under.
 BYZANTINE, CRASH = "byzantine", "crash"
 
 
-@dataclass(frozen=True)
-class ServerContext:
+class ServerContext(Record):
     """Everything a server factory may need to build one protocol instance.
 
     ``servers`` is the quorum group the instance belongs to -- the whole
@@ -43,27 +42,21 @@ class ServerContext:
     sharded -- so broadcast-based protocols know their peers.
     """
 
-    server_id: ProcessId
-    index: int
-    servers: Tuple[ProcessId, ...]
-    f: int
-    initial_value: Any = b""
-    max_history: Optional[int] = None
-    codec: Any = None
+    __slots__ = ("server_id", "index", "servers", "f", "initial_value",
+                 "max_history", "codec")
+    _defaults = {"initial_value": b"", "max_history": None, "codec": None}
 
 
-@dataclass(frozen=True)
-class OpContext:
-    """Everything an operation factory may need to build one client op."""
+class OpContext(Record):
+    """Everything an operation factory may need to build one client op:
+    ``value`` is a write's value, ``reader_state`` the semi-fast reader's
+    hint state, ``codec`` a coded protocol's erasure codec, ``repair``
+    BSR's opt-in read repair."""
 
-    client_id: ProcessId
-    servers: Tuple[ProcessId, ...]
-    f: int
-    value: Any = None             #: writes: the value being written
-    initial_value: Any = b""
-    reader_state: Any = None      #: semi-fast reader hint state, if any
-    codec: Any = None             #: erasure codec (coded protocols)
-    repair: bool = False          #: opt-in read repair (BSR)
+    __slots__ = ("client_id", "servers", "f", "value", "initial_value",
+                 "reader_state", "codec", "repair")
+    _defaults = {"value": None, "initial_value": b"", "reader_state": None,
+                 "codec": None, "repair": False}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Asyncio TCP runtime: the same protocol state machines over real sockets.
 
 The simulator is the measurement substrate; this package is the deployment
-substrate.  A :class:`~repro.runtime.node.RegisterServerNode` hosts any
+substrate.  A :class:`~repro.node.server.RegisterServerNode` hosts any
 server state machine behind a TCP listener with HMAC-authenticated framed
 messages, and :class:`~repro.runtime.client.AsyncRegisterClient` executes
 read/write operations against a set of such nodes.
@@ -15,8 +15,8 @@ snapshots, and ``LocalCluster(..., chaos=True)`` interposes
 ``docs/runtime.md``).
 """
 
+from repro.node.server import RegisterServerNode
 from repro.runtime.client import AsyncRegisterClient
 from repro.runtime.cluster import LocalCluster
-from repro.runtime.node import RegisterServerNode
 
 __all__ = ["RegisterServerNode", "AsyncRegisterClient", "LocalCluster"]

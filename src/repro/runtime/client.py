@@ -1,7 +1,7 @@
 """Asyncio client executing register operations against TCP server nodes.
 
 The client is *self-healing*: each server has a
-:class:`~repro.runtime.link.Link` that folds replies in while the
+:class:`~repro.node.link.Link` that folds replies in while the
 connection is up and re-dials with exponential backoff plus jitter while
 it is down (including servers that were unreachable when
 :meth:`AsyncRegisterClient.connect` first ran).  When a connection comes
@@ -52,10 +52,11 @@ from collections import OrderedDict
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.namespace import DEFAULT_REGISTER
 from repro.core.messages import Throttled
+from repro.core.namespace import DEFAULT_REGISTER
 from repro.core.operation import ClientOperation
 from repro.errors import AuthenticationError, ConfigurationError, LivenessError, OperationAborted, ProtocolError
+from repro.node.link import Link
 from repro.obs import (
     LogGate,
     MetricRegistry,
@@ -65,7 +66,6 @@ from repro.obs import (
 )
 from repro.protocols.fleet import Fleet, Group
 from repro.runtime.dispatch import OpDispatcher, OpState, split_group
-from repro.runtime.link import Link
 from repro.transport.auth import Authenticator
 from repro.transport.codec2 import CachedDecoder, CachedEncoder, peek_op_id_v2
 from repro.transport.delta import DeltaDesync, Expander

@@ -1,66 +1,30 @@
 """One-process local deployments for examples, tests and benchmark E10.
 
-Also the one place a :class:`~repro.protocols.fleet.Fleet` becomes live
-parts: :func:`make_node` builds every
-:class:`~repro.runtime.node.RegisterServerNode` and :func:`make_client`
-wires every :class:`~repro.runtime.client.AsyncRegisterClient`, for this
-module's :class:`LocalCluster` and for the process-per-node
-:class:`~repro.deploy.spec.ClusterSpec` alike.
+Also the one place a :class:`~repro.protocols.fleet.Fleet` becomes
+clients: :func:`make_client` wires every
+:class:`~repro.runtime.client.AsyncRegisterClient`, for this module's
+:class:`LocalCluster` and for the process-per-node
+:class:`~repro.node.spec.ClusterSpec` alike.  Nodes come from
+:func:`repro.node.server.make_node`, which a node process imports
+without this module.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-from repro.obs import MetricRegistry
+from repro.node.server import RegisterServerNode, authenticator, make_node
 from repro.protocols.fleet import Fleet
 from repro.runtime.client import AsyncRegisterClient
-from repro.runtime.node import RegisterServerNode
 from repro.sharding import KeyspaceConfig
-from repro.transport.auth import Authenticator, KeyChain
+from repro.telemetry.registry import MetricRegistry
+from repro.transport.auth import Authenticator
 from repro.types import ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover - loaded where a cluster uses them
     from repro.byzantine.behaviors import Behavior
     from repro.chaos.faults import FaultPlan
     from repro.chaos.proxy import ChaosProxy
-
-
-def authenticator(fleet: Fleet, secret: bytes, *parties: ProcessId
-                  ) -> Authenticator:
-    """HMAC material of the fleet's servers and ``parties``.
-
-    Every key derives from the one shared ``secret``, so the listed ids
-    only pre-derive; any other party's key is derived on first use.
-    """
-    return Authenticator(
-        KeyChain.from_secret(secret, [*fleet.server_ids, *parties]))
-
-
-def make_node(fleet: Fleet, pid: ProcessId, auth: Authenticator,
-              snapshot_dir: Optional[str] = None,
-              registry: Optional[MetricRegistry] = None,
-              **node_kwargs) -> RegisterServerNode:
-    """The (unstarted) node serving ``fleet.host(pid)``.
-
-    The node applies ``pid``'s behaviour only when the hosted object does
-    not (see :meth:`Fleet.host_behavior`), and checkpoints to
-    ``snapshot_dir`` only a bare server that can snapshot -- a register
-    table keeps its own per-key archive.  The table records into the
-    node's ``registry``.  ``node_kwargs`` (``host``, ``port``, limits,
-    flight settings) pass through.
-    """
-    registry = registry if registry is not None else MetricRegistry()
-    snapshot_path = None
-    if (snapshot_dir is not None and not fleet.namespaced
-            and fleet.spec.snapshot_ok):
-        os.makedirs(snapshot_dir, exist_ok=True)
-        snapshot_path = os.path.join(snapshot_dir, f"{pid}.snapshot")
-    return RegisterServerNode(
-        pid, fleet.host(pid, registry), auth,
-        behavior=fleet.host_behavior(pid), snapshot_path=snapshot_path,
-        registry=registry, **node_kwargs)
 
 
 def make_client(fleet: Fleet, client_id: ProcessId,

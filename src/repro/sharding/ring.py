@@ -24,7 +24,7 @@ comparable across implementations (the determinism lint hashes it).
 
 :class:`KeyspaceConfig` is the serializable description (group size,
 vnode count, seed, residency bounds) embedded in a
-:class:`~repro.deploy.spec.ClusterSpec` so one file pins the placement
+:class:`~repro.node.spec.ClusterSpec` so one file pins the placement
 for the whole deployment.
 """
 
@@ -33,10 +33,10 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.keys import MAX_KEY_LENGTH, key_error
+from repro.core.record import Record
 from repro.errors import ConfigurationError
 from repro.types import ProcessId
 
@@ -55,8 +55,7 @@ def _point(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
-class KeyspaceConfig:
+class KeyspaceConfig(Record):
     """Serializable description of a sharded keyspace.
 
     Parameters
@@ -80,13 +79,13 @@ class KeyspaceConfig:
         Longest accepted key name (defense against key-space DoS).
     """
 
-    group_size: int
-    vnodes: int = DEFAULT_VNODES
-    seed: int = 0
-    max_resident: Optional[int] = None
-    max_key_len: int = MAX_KEY_LENGTH
+    __slots__ = ("group_size", "vnodes", "seed", "max_resident",
+                 "max_key_len")
+    _defaults = {"vnodes": DEFAULT_VNODES, "seed": 0, "max_resident": None,
+                 "max_key_len": MAX_KEY_LENGTH}
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         if self.group_size < 1:
             raise ConfigurationError(
                 f"group_size must be at least 1, got {self.group_size}")

@@ -31,7 +31,7 @@ bound each key's history (``max_history``) to bound the archive too.
 The table speaks the exact protocol surface the runtimes and the
 simulator expect from a server (``handle(sender, message) -> envelopes``)
 plus ``registers``, ``register_server`` and ``storage_bytes``, so it
-drops into :class:`~repro.runtime.node.RegisterServerNode`, the
+drops into :class:`~repro.node.server.RegisterServerNode`, the
 process-per-node deployment and the simulator unchanged.
 """
 

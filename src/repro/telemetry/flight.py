@@ -11,7 +11,7 @@ per operation.
 
 Sampling is deterministic: an operation is recorded iff
 ``op_id % sample == 0``.  The client side uses the same predicate
-(:class:`repro.obs.tracing.SamplingSink`), so client and servers always
+(:class:`repro.telemetry.tracing.SamplingSink`), so client and servers always
 sample the *same* operations and every sampled op can be stitched
 end-to-end without coordination.
 
@@ -21,7 +21,7 @@ from different processes on the same host share one clock and align
 absolutely; the stitcher falls back to duration-only rendering when
 clocks are not comparable.
 
-Like the rest of :mod:`repro.obs` this module imports nothing from the
+Like the rest of :mod:`repro.telemetry` this module imports nothing from the
 rest of the repository.
 """
 

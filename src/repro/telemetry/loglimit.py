@@ -9,7 +9,7 @@ swallowed, and every suppressed line is counted in the metric registry
 (``log_suppressed_total{reason=...}``) so the volume of abuse stays
 measurable even though it is no longer printed.
 
-The bucket is self-contained (no import of :mod:`repro.runtime.limits`)
+The bucket is self-contained (no import of :mod:`repro.node.limits`)
 because the runtime imports this package -- observability sits below
 everything else in the dependency order.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional
 
-from repro.obs.registry import MetricRegistry
+from repro.telemetry.registry import MetricRegistry
 
 
 class _Bucket:

@@ -5,7 +5,7 @@ its counters, gauges and fixed-bucket histograms into a
 :class:`MetricRegistry`.  A registry serializes to a plain-JSON snapshot
 (the :class:`~repro.core.messages.StatsAck` payload nodes answer scrapes
 with) and renders to Prometheus text exposition; histogram snapshots
-summarize to the same :class:`~repro.obs.stats.LatencySummary` the
+summarize to the same :class:`~repro.telemetry.stats.LatencySummary` the
 simulator's trace metrics use, so live and simulated numbers flow
 through one report path.
 
@@ -24,7 +24,7 @@ import threading
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.stats import LatencySummary, summarize_buckets
+from repro.telemetry.stats import LatencySummary, summarize_buckets
 
 #: Default histogram bounds (seconds): sub-millisecond to tens of seconds,
 #: roughly logarithmic -- sized for op/phase latencies on localhost and

@@ -2,7 +2,7 @@
 
 This module is the single home of the nearest-rank percentile logic: the
 trace summaries in :mod:`repro.metrics.collectors` and the fixed-bucket
-histogram snapshots in :mod:`repro.obs.registry` both resolve ranks
+histogram snapshots in :mod:`repro.telemetry.registry` both resolve ranks
 through :func:`nearest_rank`, so a p99 printed from a simulated trace
 and a p99 scraped from a live node mean exactly the same thing.
 

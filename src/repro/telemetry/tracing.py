@@ -13,7 +13,7 @@ link forced an in-flight re-send), ``throttled`` (a server shed a
 frame), ``timeout`` (the liveness deadline expired) or ``error``.
 
 Spans always feed the operation/phase histograms of a
-:class:`~repro.obs.registry.MetricRegistry`; attaching a *sink*
+:class:`~repro.telemetry.registry.MetricRegistry`; attaching a *sink*
 additionally emits one structured JSON record per operation.  Sinks are
 pluggable -- :class:`JsonlSink` appends lines to a file (the default
 production choice), :class:`MemorySink` keeps records in a list for
@@ -30,7 +30,7 @@ import json
 import threading
 from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.registry import MetricRegistry
+from repro.telemetry.registry import MetricRegistry
 
 
 class NullSink:
@@ -84,7 +84,7 @@ class SamplingSink:
     """Keep one span record in ``sample`` by deterministic op_id modulus.
 
     The predicate (``op_id % sample == 0``) matches
-    :meth:`repro.obs.flight.FlightRecorder.wants`, so a client tracing
+    :meth:`repro.telemetry.flight.FlightRecorder.wants`, so a client tracing
     through a sampling sink and servers recording at the same modulus
     retain records for exactly the same operations -- every sampled op
     can be stitched end-to-end without any cross-process coordination.
@@ -319,60 +319,3 @@ class OpTracer:
                 for phase in span.phases
             ],
         }
-
-
-#: Request message type -> protocol phase, shared by the client (naming
-#: its rounds) and the node (bucketing its per-frame service times), so
-#: client-side and server-side histograms line up phase for phase.  The
-#: protocol registry merges each registered protocol's message vocabulary
-#: into this dict (the node keeps a reference, so updates are live).
-PHASE_BY_MESSAGE = {
-    "QueryTag": "get-tag",
-    "PutData": "put-data",
-    "QueryData": "get-data",
-    "QueryDataHeld": "get-data",
-}
-
-#: algorithm -> {"write": {round: phase}, "read": {round: phase}},
-#: populated by :func:`register_phase_names` as protocols register.
-_ROUND_PHASES: dict = {}
-
-#: Fallbacks for rounds no protocol named explicitly: the get-tag /
-#: put-data write shape and one-shot get-data reads are the lingua
-#: franca of every register here.
-_DEFAULT_PHASES = {
-    "write": {1: "get-tag", 2: "put-data"},
-    "read": {1: "get-data"},
-}
-
-
-def register_phase_names(algorithm: str, write_phases, read_phases,
-                         message_phases=None) -> None:
-    """Teach the tracer a protocol's phase vocabulary.
-
-    Called by the protocol registry at registration time, keeping this
-    module free of per-algorithm knowledge: ``write_phases`` and
-    ``read_phases`` map round numbers to phase names for the client
-    side, ``message_phases`` maps request type names to phases for the
-    server side (merged into :data:`PHASE_BY_MESSAGE`).
-    """
-    _ROUND_PHASES[algorithm] = {
-        "write": dict(write_phases or {}),
-        "read": dict(read_phases or {}),
-    }
-    PHASE_BY_MESSAGE.update(message_phases or {})
-
-
-def phase_name(kind: str, round_number: int, algorithm: str = "") -> str:
-    """Human name of a client round (``get-tag``, ``put-data``, ...)."""
-    if algorithm and algorithm not in _ROUND_PHASES:
-        # Looking a protocol up registers its phases; importing the
-        # registry from here at module load would be circular.
-        from repro.protocols.registry import HOMES, get_spec
-        if algorithm in HOMES:
-            get_spec(algorithm)
-    table = _ROUND_PHASES.get(algorithm, _DEFAULT_PHASES)
-    name = table.get(kind, {}).get(round_number)
-    if name is None:
-        name = _DEFAULT_PHASES.get(kind, {}).get(round_number)
-    return name if name is not None else f"round-{round_number}"

@@ -23,7 +23,7 @@ sender's *name* travels too:
   batch** -- ``0xFD | sig(16) | count(4) | (len(4) | payload)*``: the
   same MACs without the name, for a receiver that already knows who is
   at the other end.  A node answers on a connection that a protocol
-  party dialed *by id* through a :class:`~repro.runtime.link.Link`, so
+  party dialed *by id* through a :class:`~repro.node.link.Link`, so
   the link names the sender and :meth:`Authenticator.open_any` verifies
   the frame under that peer's key.  Without a peer a nameless frame is
   rejected.

@@ -1,7 +1,8 @@
 """The wire codec: compact binary, a header the schema fixes, no base64.
 
-Every protocol message (a frozen dataclass registered in
-:data:`MESSAGE_TYPES`) is encoded as:
+Every protocol message -- a row of :data:`repro.core.messages.SCHEMA`,
+plus :class:`~repro.core.namespace.NamespacedMessage`, together
+:data:`MESSAGE_TYPES` -- is encoded as:
 
 * one magic byte (``0xB2``); a payload that starts with anything else
   is rejected with :class:`~repro.errors.ProtocolError`;
@@ -9,7 +10,8 @@ Every protocol message (a frozen dataclass registered in
   names), pre-packed per class with the magic into a cached prefix.
   That is the whole header: the class fixes how many fields follow and
   in what order, so no field count travels;
-* the fields in dataclass order.  What the class fixes goes bare: the
+* the fields in the order the class declares them (``_fields``: a
+  base's first).  What the class fixes goes bare: the
   ``op_id`` every protocol message starts with is a varint with no value
   tag, and a ``NamespacedMessage`` is its register's length and UTF-8
   followed by its inner message's type id and fields (no value tags, no
@@ -32,7 +34,6 @@ for every registered type; ``tests/transport/test_codec2.py``).
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from struct import Struct
 from typing import Any, Dict, List, Tuple
@@ -104,19 +105,13 @@ def _read_uvarint(data, pos: int) -> Tuple[int, int]:
 
 
 # -- registry ---------------------------------------------------------------
-#: name -> message dataclass, discovered from the messages module.
+#: name -> message class: the message schema's, and the namespace wrapper.
 MESSAGE_TYPES: Dict[str, type] = {
-    name: obj for name, obj in vars(message_module).items()
-    if isinstance(obj, type) and dataclasses.is_dataclass(obj)
-    and issubclass(obj, message_module.BaseMessage)
-}
-MESSAGE_TYPES["NamespacedMessage"] = NamespacedMessage
+    **message_module.MESSAGE_TYPES, "NamespacedMessage": NamespacedMessage}
 
 # Type ids are assigned from the sorted registry names, so every process
 # running this codebase derives the same table without negotiation.
 _BY_ID: List[type] = [MESSAGE_TYPES[name] for name in sorted(MESSAGE_TYPES)]
-_FIELDS: Dict[type, tuple] = {
-    cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in _BY_ID}
 
 
 def _varint(n: int) -> bytes:
@@ -133,16 +128,7 @@ _PREFIXES: Dict[type, bytes] = {
     cls: bytes([MAGIC_V2]) + ids for cls, ids in _IDS.items()}
 #: op_id-first class -> its tagged fields (every one after the op_id).
 _REST: Dict[type, tuple] = {
-    cls: names[1:] for cls, names in _FIELDS.items()
-    if names[:1] == ("op_id",)}
-# Decoding may skip the dataclass __init__ (building the instance
-# __dict__ directly) only when the class runs no validation on
-# construction and stores fields in a plain __dict__.
-_BYPASS_INIT: Dict[type, bool] = {
-    cls: not hasattr(cls, "__post_init__") and not hasattr(cls, "__slots__")
-    for cls in _BY_ID}
-
-_NEW = object.__new__
+    cls: cls._fields[1:] for cls in _BY_ID if cls._fields[:1] == ("op_id",)}
 
 # Namespaced (keyed) traffic wraps every hot message in a
 # NamespacedMessage, whose fields are the register name and the inner
@@ -194,15 +180,6 @@ def _op_id_at(data, pos: int):
         return ((byte & 0x7F) | ((second & 0x7F) << 7) | (third << 14),
                 pos + 3)
     return _read_uvarint(data, pos)
-
-
-# Tag.__post_init__ only rejects negative numbers, and the wire carries
-# tag numbers as unsigned varints -- no byte sequence can decode to a
-# negative num -- so decode may skip the frozen-dataclass __init__ and
-# fill the instance __dict__ directly (half the construction cost).
-_TAG_BYPASS = not hasattr(Tag, "__slots__")
-_TV_BYPASS = (not hasattr(TaggedValue, "__post_init__")
-              and not hasattr(TaggedValue, "__slots__"))
 
 
 # _encode_value appends one-byte varints (n < 0x80) inline -- small
@@ -443,12 +420,6 @@ def _decode_value(data, pos: int) -> Tuple[Any, int]:
         end = pos + length
         if end > len(data):
             raise ProtocolError("truncated tag writer")
-        if _TAG_BYPASS:
-            tag_obj = _NEW(Tag)
-            fields = tag_obj.__dict__
-            fields["num"] = num
-            fields["writer"] = str(data[pos:end], "utf-8")
-            return tag_obj, end
         return Tag(num, str(data[pos:end], "utf-8")), end
     if tag == _T_NONE:
         return None, pos
@@ -470,16 +441,6 @@ def _decode_value(data, pos: int) -> Tuple[Any, int]:
             raise ProtocolError("truncated tagged value")
         writer = str(data[pos:end], "utf-8")
         value, pos = _decode_value(data, end)
-        if _TAG_BYPASS and _TV_BYPASS:
-            tag_obj = _NEW(Tag)
-            fields = tag_obj.__dict__
-            fields["num"] = num
-            fields["writer"] = writer
-            pair = _NEW(TaggedValue)
-            fields = pair.__dict__
-            fields["tag"] = tag_obj
-            fields["value"] = value
-            return pair, pos
         return TaggedValue(Tag(num, writer), value), pos
     if tag == _T_CODED:
         index, pos = _read_uvarint(data, pos)
@@ -525,22 +486,12 @@ def _decode_value(data, pos: int) -> Tuple[Any, int]:
     raise ProtocolError(f"unknown value tag 0x{tag:02x}")
 
 
-def _build(cls: type, values: list) -> Any:
-    """An instance of ``cls`` from its decoded field values."""
-    # Sequences flatten to lists on the wire; restore tuples at the top
-    # level for frozen-dataclass equality.
-    field_names = _FIELDS[cls]
-    if _BYPASS_INIT[cls]:
-        decoded = _NEW(cls)
-        fields = decoded.__dict__
-        for name, value in zip(field_names, values):
-            fields[name] = tuple(value) if type(value) is list else value
-        return decoded
-    decoded = cls(*values)
-    for name, value in zip(field_names, values):
-        if type(value) is list:
-            object.__setattr__(decoded, name, tuple(value))
-    return decoded
+def _decode_escaped(data, pos: int) -> Tuple[Any, int]:
+    """The tagged value after an ESCAPE.  Sequences flatten to lists on
+    the wire; a field holds the tuple it was built with (so does every
+    field of :func:`_decode_body`)."""
+    value, pos = _decode_value(data, pos)
+    return (tuple(value) if type(value) is list else value), pos
 
 
 def _decode_body(data, pos: int, type_id: int) -> Tuple[Any, int]:
@@ -552,17 +503,17 @@ def _decode_body(data, pos: int, type_id: int) -> Tuple[Any, int]:
     if rest is not None:
         op_id, pos = _read_head(data, pos)
         if op_id is None:
-            op_id, pos = _decode_value(data, pos)
+            op_id, pos = _decode_escaped(data, pos)
         values = [op_id]
         decode_value = _decode_value
         for _ in rest:
             value, pos = decode_value(data, pos)
-            values.append(value)
-        return _build(cls, values), pos
+            values.append(tuple(value) if type(value) is list else value)
+        return cls(*values), pos
     # A NamespacedMessage (see _encode_body).
     length, pos = _read_head(data, pos)
     if length is None:
-        register, pos = _decode_value(data, pos)
+        register, pos = _decode_escaped(data, pos)
     else:
         end = pos + length
         if end > len(data):
@@ -571,10 +522,10 @@ def _decode_body(data, pos: int, type_id: int) -> Tuple[Any, int]:
         pos = end
     inner_id, pos = _read_head(data, pos)
     if inner_id is None:
-        inner, pos = _decode_value(data, pos)
+        inner, pos = _decode_escaped(data, pos)
     else:
         inner, pos = _decode_body(data, pos, inner_id)
-    return _build(cls, [register, inner]), pos
+    return cls(register, inner), pos
 
 
 def decode_message_v2(data) -> Any:
@@ -776,14 +727,15 @@ class CachedDecoder:
     so templates are register-agnostic by construction.
     """
 
-    __slots__ = ("_head", "_tail", "_cls", "_pairs", "_ns")
+    __slots__ = ("_head", "_tail", "_cls", "_rest", "_ns")
 
     def __init__(self) -> None:
         self._head: Any = None
         self._tail = b""
         self._cls: Any = None
-        self._pairs: dict = {}
-        #: inner type id -> tail bytes -> (inner class, pairs)
+        #: The cached message's field values after its op_id.
+        self._rest: list = []
+        #: inner type id -> tail bytes -> (inner class, values after op_id)
         self._ns: Dict[int, "OrderedDict[bytes, tuple]"] = {}
 
     def _decode_namespaced(self, data):
@@ -810,24 +762,15 @@ class CachedDecoder:
             register = str(data[3:rend], "utf-8")
         except (IndexError, ProtocolError, UnicodeDecodeError):
             return None
-        inner = _NEW(entry[0])
-        fields = inner.__dict__
-        fields.update(entry[1])
-        fields["op_id"] = op_id
-        message = _NEW(NamespacedMessage)
-        fields = message.__dict__
-        fields["register"] = register
-        fields["inner"] = inner
-        return message
+        return NamespacedMessage(register, entry[0](op_id, *entry[1]))
 
     def _learn_namespaced(self, data, message) -> None:
         inner = message.inner
         icls = type(inner)
         rest = _REST.get(icls)
-        if rest is None or not _BYPASS_INIT[icls]:
+        if rest is None:
             return
-        fields = inner.__dict__
-        values = [fields[name] for name in rest]
+        values = [getattr(inner, name) for name in rest]
         if not all(type(v) in _IMMUTABLE_FIELD_TYPES for v in values):
             return
         blob = bytes(data)
@@ -845,7 +788,7 @@ class CachedDecoder:
                 return
             tails = ns[type_id] = OrderedDict()
         tail = blob[found[1]:]
-        tails[tail] = (icls, dict(zip(rest, values)))
+        tails[tail] = (icls, values)
         tails.move_to_end(tail)
         if len(tails) > _NS_CACHE_MAX:
             tails.popitem(last=False)
@@ -865,11 +808,7 @@ class CachedDecoder:
                 except (IndexError, ProtocolError):
                     found = None  # truncated; let the full decode report it
                 if found is not None and data[found[1]:] == self._tail:
-                    message = _NEW(self._cls)
-                    fields = message.__dict__
-                    fields.update(self._pairs)
-                    fields["op_id"] = found[0]
-                    return message
+                    return self._cls(found[0], *self._rest)
         message = decode_message_v2(data)
         cls = type(message)
         if cls is NamespacedMessage:
@@ -877,9 +816,8 @@ class CachedDecoder:
                 self._learn_namespaced(data, message)
             return message
         rest = _REST.get(cls)
-        if rest is not None and _BYPASS_INIT[cls]:
-            fields = message.__dict__
-            values = [fields[name] for name in rest]
+        if rest is not None:
+            values = [getattr(message, name) for name in rest]
             if all(type(v) in _IMMUTABLE_FIELD_TYPES for v in values):
                 blob = bytes(data)
                 head_end = 2 if blob[1] < 0x80 else _read_uvarint(blob, 1)[1]
@@ -888,7 +826,7 @@ class CachedDecoder:
                     self._head = blob[:head_end]
                     self._tail = blob[found[1]:]
                     self._cls = cls
-                    self._pairs = dict(zip(rest, values))
+                    self._rest = values
         return message
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from repro.core.messages import HealthAck, StatsAck
 from repro.deploy import ClusterSpec, health_ping, stats_ping
+from repro.node.limits import PerClientBuckets, TokenBucket
 from repro.runtime import LocalCluster
-from repro.runtime.limits import PerClientBuckets, TokenBucket
 
 
 def run(coro):

@@ -6,8 +6,8 @@ import pytest
 
 from repro.deploy import ClusterSpec
 from repro.errors import ConfigurationError
+from repro.node.server import RegisterServerNode
 from repro.runtime.client import AsyncRegisterClient
-from repro.runtime.node import RegisterServerNode
 
 
 def test_defaults_resolve_minimum_servers():

@@ -17,8 +17,8 @@ import time
 import pytest
 
 from repro.deploy import ClusterSpec, read_state
-from repro.deploy.serve import EXIT, READY, parse_line
 from repro.deploy.supervisor import child_env
+from repro.node.serve import EXIT, READY, parse_line
 
 pytestmark = pytest.mark.procs
 

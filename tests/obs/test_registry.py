@@ -11,7 +11,7 @@ from repro.obs import (
     render_prometheus,
     summarize_histogram_snapshot,
 )
-from repro.obs.stats import (
+from repro.telemetry.stats import (
     bucket_percentile,
     nearest_rank,
     percentile,

@@ -13,7 +13,7 @@ from repro.obs import (
     merge_registry_snapshots,
     read_snapshot_log,
 )
-from repro.obs.stats import bucket_percentile
+from repro.telemetry.stats import bucket_percentile
 
 
 def _worker_registry(values, ops=1):

@@ -15,8 +15,8 @@ import pytest
 
 import repro
 from repro.deploy import ClusterSpec
+from repro.node.link import PEER_QUEUE_LIMIT, Link
 from repro.runtime import LocalCluster
-from repro.runtime.link import PEER_QUEUE_LIMIT, Link
 from repro.transport.codec import (
     MAX_FRAME_BYTES,
     FrameAssembler,

@@ -17,8 +17,8 @@ from repro.core.messages import DataReply, HealthAck, HealthPing, QueryData
 from repro.core.namespace import NamespacedMessage, NamespacedOperation
 from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
-from repro.deploy.serve import health_ping
 from repro.errors import AuthenticationError, ProtocolError
+from repro.node.serve import health_ping
 from repro.protocols.fleet import Fleet
 from repro.runtime import LocalCluster
 from repro.runtime.cluster import make_client

@@ -12,8 +12,8 @@ from repro.core.messages import (
 )
 from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
+from repro.node.server import _Connection
 from repro.runtime import LocalCluster, RegisterServerNode
-from repro.runtime.node import _Connection
 from repro.transport.codec import (
     MAX_FRAME_BYTES,
     FrameAssembler,

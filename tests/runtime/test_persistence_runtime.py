@@ -11,8 +11,8 @@ from repro.core.messages import PutData, QueryData
 from repro.core.persistence import restore_server, snapshot_server
 from repro.core.regular import RegularBSRServer
 from repro.core.tags import Tag
+from repro.node.server import RegisterServerNode
 from repro.runtime import LocalCluster
-from repro.runtime.node import RegisterServerNode
 from repro.transport.auth import Authenticator, KeyChain
 from tests.core.test_persistence import (
     GOLDEN_BCSR,

@@ -19,7 +19,7 @@ import pytest
 from repro.core.messages import DataHeld, DataReply, QueryData, TagReply
 from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
-from repro.deploy.serve import health_ping, stats_ping
+from repro.node.serve import health_ping, stats_ping
 from repro.runtime import LocalCluster
 from repro.transport.auth import NAMELESS
 from repro.transport.codec import frame_burst, read_frame, write_frame

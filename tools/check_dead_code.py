@@ -16,8 +16,10 @@ Ways dead or duplicate code hides in a package, all cheap to detect:
   comments and docs alike, so a name used through ``getattr`` or only
   in prose still counts.  Dunders are exempt, and so are the few
   methods the standard library calls by name (:data:`CALLED_BY_NAME`);
-* a second I/O style under ``src/repro/runtime/``.  The runtime's I/O
-  is two ``asyncio.BufferedProtocol`` classes (``runtime/link.py``
+* a second I/O style in the runtime (``src/repro/runtime/`` and the
+  node's ``server.py``, ``link.py`` and ``limits.py`` under
+  ``src/repro/node/``).  The runtime's I/O
+  is two ``asyncio.BufferedProtocol`` classes (``node/link.py``
   outbound, the node's inbound connection) that receive *into* the
   frame assembler.  Banned beside them: asyncio *streams*
   (``start_server``, ``open_connection``, ``StreamReader``,
@@ -31,7 +33,8 @@ Ways dead or duplicate code hides in a package, all cheap to detect:
   ``RegisterTable``, ``make_behavior``, ``RegisterServerNode``,
   ``AsyncRegisterClient``).  What a server hosts and how a client
   operation is built are decided in one place (``protocols/fleet.py``),
-  and nodes and clients are made in one place (``runtime/cluster.py``);
+  and nodes are made in one place (``node/server.py``), clients in one
+  (``runtime/cluster.py``);
   a second caller is a second recipe, which is how the simulator and the
   runtime builders once drifted apart.  ``QueryTag`` counts as a builder
   too: the one write walk (``core/operation.py``) is the only module
@@ -60,7 +63,11 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "repro")
 
-RUNTIME = os.path.join(PACKAGE, "runtime")
+#: The runtime's I/O: the client side, and a node's inbound connection,
+#: outbound link and limits (not ``node/serve.py``'s one-shot probes).
+RUNTIME_IO = (os.path.join(PACKAGE, "runtime") + os.sep,
+              *(os.path.join(PACKAGE, "node", name)
+                for name in ("server.py", "link.py", "limits.py")))
 
 #: Names that mean a stream-based or copying (``recv`` into a fresh
 #: ``bytes``) I/O path grew back under ``runtime/``.
@@ -248,7 +255,7 @@ def main():
                         for line in _shim_lines(tree))
                     if os.path.basename(path) == "__init__.py":
                         exports.append((path, _exports(tree)))
-                if path.startswith(RUNTIME + os.sep):
+                if path.startswith(RUNTIME_IO):
                     findings.extend(
                         f"{os.path.relpath(path, ROOT)}:{line}: {name!r}; "
                         "runtime I/O goes through the BufferedProtocol "

@@ -77,12 +77,13 @@ from repro.core.messages import (
     QueryTag,
 )
 from repro.core.namespace import NamespacedMessage, NamespacedOperation
+from repro.core.record import with_fields
 from repro.core.tags import Tag
 from repro.deploy import ClusterSpec
 from repro.erasure.rs import ReedSolomon
 from repro.erasure.striping import CodedElement, StripedCodec
+from repro.node.server import _Connection
 from repro.protocols.fleet import Fleet
-from repro.runtime.node import _Connection
 from repro.sharding import RegisterTable, table as table_module
 from repro.transport.auth import Authenticator, KeyChain
 from repro.transport.codec import FrameAssembler, frame_burst
@@ -108,7 +109,7 @@ def build_messages(count):
         QueryData(op_id=0),
         DataReply(op_id=0, tag=tag, payload=value),
     ]
-    return [type(m)(**{**m.__dict__, "op_id": i})
+    return [with_fields(m, op_id=i)
             for i, m in ((i, mix[i % len(mix)]) for i in range(count))]
 
 

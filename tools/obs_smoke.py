@@ -2,8 +2,11 @@
 """End-to-end observability smoke: trace -> stitch -> exporter.
 
 Boots an in-process cluster on live TCP with the flight recorder set to
-trace every operation, runs a small mixed workload through a traced
-client, then exercises the whole observability plane:
+trace every operation, runs write/read pairs through a traced client
+until its operations span two thrifty-rotation windows (a thrifty round
+addresses ``n - f`` servers, and which ones turns every
+``ROTATION_RUN`` op_ids, so only then has every node served a frame),
+then exercises the whole observability plane:
 
 1. scrapes every node's flight recorder over the wire (``TraceDump``,
    the same frame ``repro trace show`` uses),
@@ -26,7 +29,9 @@ from repro.deploy import stats_ping, trace_dump
 from repro.obs import MemorySink, merge_registry_snapshots, stitch_op
 from repro.obs.httpd import MetricsExporter
 from repro.runtime import LocalCluster
+from repro.runtime.dispatch import ROTATION_RUN
 
+#: Write/read pairs at least; more until a rotation window has turned.
 OPS = 4
 
 
@@ -42,9 +47,13 @@ async def scenario():
         sink = MemorySink()
         client = cluster.client("w000", timeout=10.0, trace_sink=sink)
         await client.connect()
-        for index in range(OPS):
+        windows = set()
+        index = 0
+        while index < OPS or len(windows) < 2:
             await client.write(f"value-{index}".encode())
             await client.read()
+            windows.update(r["op_id"] // ROTATION_RUN for r in sink.records)
+            index += 1
 
         # 1. Scrape every node's flight recorder over the wire.
         server_records = []
